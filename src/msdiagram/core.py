@@ -17,8 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Iterable
 
-from .tangle import MoveError, Strand, TangleCode, code_problems, planarity_problems
+from .tangle import (
+    MoveError,
+    Strand,
+    TangleCode,
+    code_problems,
+    crossing_sums,
+    planarity_problems,
+)
 
 
 class DiagramError(ValueError):
@@ -250,15 +258,6 @@ def wall_of_pair(d: Diagram, wall: WallRef) -> SpherePair | None:
         if q.wall_a == wall or q.wall_b == wall:
             return q
     return None
-
-
-def strand_circle_index(d: Diagram) -> dict[tuple[str, str], str]:
-    """(piece, strand) -> circle id for every strand claimed by a circle."""
-    out = {}
-    for c in d.circles:
-        for entry in c.strand_cycle:
-            out[tuple(entry)] = c.id
-    return out
 
 
 def endpoint_usage(d: Diagram) -> dict[tuple[str, str, int], tuple[str, str]]:
@@ -662,35 +661,42 @@ def glued_circles(d: Diagram) -> list[GluedCircle]:
 # diagram-level curve data
 
 
-def diagram_linking(d: Diagram, c1: str, c2: str) -> int:
-    """Linking number of two glued circles, summed over the pieces."""
-    from .tangle import signed_crossing_sum
+def circle_crossing_sums(d: Diagram, circles: Iterable[str]) -> dict[tuple[str, str], int]:
+    """Signed crossing sums between the given circles, summed over the pieces.
 
-    if c1 == c2:
-        raise ValueError("linking number needs two distinct circles")
-    per_piece: dict[str, tuple[set, set]] = {}
-    for cid, slot in ((c1, 0), (c2, 1)):
+    One sweep over each piece's crossings fills every entry.  Keys are
+    circle id pairs in sorted order: (c, c) is the writhe of c and twice
+    the linking number sits under (c1, c2).
+    """
+    group: dict[str, dict[str, str]] = {}  # piece -> strand -> circle
+    for cid in circles:
         for pid, sid in d.circle(cid).strand_cycle:
-            per_piece.setdefault(pid, (set(), set()))[slot].add(sid)
-    total = 0
-    for pid, (a, b) in per_piece.items():
-        if a and b:
-            total += signed_crossing_sum(d.piece(pid).tangle, frozenset(a), frozenset(b))
+            group.setdefault(pid, {})[sid] = cid
+    total: dict[tuple[str, str], int] = {}
+    for pid, member in group.items():
+        for key, v in crossing_sums(d.piece(pid).tangle, member).items():
+            total[key] = total.get(key, 0) + v
+    return total
+
+
+def linking_from_sums(sums: dict[tuple[str, str], int], c1: str, c2: str) -> int:
+    """The linking number of two distinct circles from circle_crossing_sums."""
+    total = sums.get((c1, c2) if c1 <= c2 else (c2, c1), 0)
     if total % 2 != 0:
         raise DiagramError(f"odd crossing sum between circles {c1} and {c2}")
     return total // 2
 
 
+def diagram_linking(d: Diagram, c1: str, c2: str) -> int:
+    """Linking number of two glued circles, summed over the pieces."""
+    if c1 == c2:
+        raise ValueError("linking number needs two distinct circles")
+    return linking_from_sums(circle_crossing_sums(d, (c1, c2)), c1, c2)
+
+
 def diagram_writhe(d: Diagram, cid: str) -> int:
     """Signed self-crossing sum of a glued circle over all its pieces."""
-    from .tangle import signed_crossing_sum
-
-    per_piece: dict[str, set] = {}
-    for pid, sid in d.circle(cid).strand_cycle:
-        per_piece.setdefault(pid, set()).add(sid)
-    return sum(
-        signed_crossing_sum(d.piece(pid).tangle, frozenset(g), frozenset(g))
-        for pid, g in per_piece.items())
+    return circle_crossing_sums(d, (cid,)).get((cid, cid), 0)
 
 
 def simplify_diagram(d: Diagram, budget: int = 10000) -> tuple[Diagram, list[tuple[str, object]]]:

@@ -34,16 +34,16 @@ from .core import (
     ValidationReport,
     Verdict,
     WallCurve,
-    diagram_linking,
-    diagram_writhe,
+    circle_crossing_sums,
     handle_counts,
+    linking_from_sums,
     simplify_diagram,
     validate,
     wall_of_pair,
 )
 from .format import natural_key, serialize
 from .invariants import det, linking_matrix, rank, signature, smith_normal_form
-from .tangle import Strand, crossing_sign
+from .tangle import Strand, crossing_passages, crossing_sign
 
 _OPTION_CAP = 64     # per-diagram cap on (direction, rotation) combinations
 _ORDER_CAP = 24      # cap on same-key circle order permutations
@@ -120,14 +120,15 @@ def _effective_cycle(d: Diagram, cid: str, direction: int, rot: int):
 
 def _circle_keys(d: Diagram) -> dict[str, tuple]:
     """Relabeling-invariant circle keys, refined once through linking data."""
+    sums = circle_crossing_sums(d, [c.id for c in d.circles])
     base = {}
     for c in d.circles:
         visits = sum(len(d.piece(p).tangle.strand(s).visits) for p, s in c.strand_cycle)
-        base[c.id] = (c.framing, len(c.strand_cycle), visits, diagram_writhe(d, c.id))
+        base[c.id] = (c.framing, len(c.strand_cycle), visits, sums.get((c.id, c.id), 0))
     refined = {}
     for c in d.circles:
         links = sorted(
-            (abs(diagram_linking(d, c.id, o.id)), base[o.id])
+            (abs(linking_from_sums(sums, c.id, o.id)), base[o.id])
             for o in d.circles if o.id != c.id)
         refined[c.id] = (base[c.id], tuple(links))
     return refined
@@ -154,10 +155,9 @@ def _local_signature(d: Diagram, keys, cid, direction, rot):
         code = d.piece(pid).tangle
         step = [len(s.visits)]
         for x, p in s.visits:
-            cr = next(c for c in code.crossings if c.id == x)
-            over_here = (cr.over == 1) == (p % 2 == 0)
-            others = [sv for sv in _passage_index(code)[x] if sv[2] != p]
-            partner = others[0]
+            over_here = (code.crossing(x).over == 1) == (p % 2 == 0)
+            even, odd = crossing_passages(code, x)
+            partner = odd if p % 2 == 0 else even
             step.append((over_here, crossing_sign(code, x),
                          keys[member[(pid, partner[0])]],
                          member[(pid, partner[0])] == cid))
@@ -166,17 +166,6 @@ def _local_signature(d: Diagram, keys, cid, direction, rot):
             step.append(("hop", q.orientation, d.piece(pid).wall(s.end[0]).points))
         out.append(tuple(step))
     return tuple(out)
-
-
-@lru_cache(maxsize=512)
-def _passage_cache(code):
-    from .tangle import passages
-
-    return passages(code)
-
-
-def _passage_index(code):
-    return _passage_cache(code)
 
 
 def _circle_options(d: Diagram, keys, cid: str) -> list[tuple[int, int]]:

@@ -55,11 +55,9 @@ def _check_id(s: str, what: str):
 
 def _crossing_ends(code: TangleCode, cid: str) -> str:
     occupant: dict[int, str] = {}
-    for s in code.strands:
-        for k, (c, p) in enumerate(s.visits):
-            if c == cid:
-                occupant[p] = f"{s.id}.{k}.i"
-                occupant[(p + 2) % 4] = f"{s.id}.{k}.o"
+    for sid, k, p in crossing_passages(code, cid):
+        occupant[p] = f"{sid}.{k}.i"
+        occupant[(p + 2) % 4] = f"{sid}.{k}.o"
     return ",".join(occupant[p] for p in range(4))
 
 
@@ -221,7 +219,7 @@ def parse(text: str) -> Diagram:
             f = _fields(parser, lineno, rest[1:], ("a", "b", "match", "orient"))
             wa = _split_ref(parser, lineno, f["a"], "wall reference")
             wb = _split_ref(parser, lineno, f["b"], "wall reference")
-            if f["orient"] not in "+-":
+            if f["orient"] not in ("+", "-"):
                 parser.fail(lineno, f["orient"], "+ or -")
             matching = ()
             if f["match"] != "-":
@@ -238,7 +236,7 @@ def parse(text: str) -> Diagram:
             over = _int(parser, lineno, f["over"])
             if over not in (1, 2):
                 parser.fail(lineno, f["over"], "over=1 or over=2")
-            if f["sign"] not in "+-":
+            if f["sign"] not in ("+", "-"):
                 parser.fail(lineno, f["sign"], "+ or -")
             pieces[pid]["crossings"].append(Crossing(cid, over))
             crossing_checks.append((lineno, pid, cid, f["sign"]))
@@ -286,7 +284,7 @@ def parse(text: str) -> Diagram:
                         parser.fail(lineno, tok, "C<circle>:<sign> or W<pair>:<index>")
                     ref, arg = tok.rsplit(":", 1)
                     if ref.startswith("C"):
-                        if arg not in "+-":
+                        if arg not in ("+", "-"):
                             parser.fail(lineno, arg, "+ or -")
                         items.append(FramingParallel(ref[1:], 1 if arg == "+" else -1))
                     elif ref.startswith("W"):
@@ -310,6 +308,9 @@ def parse(text: str) -> Diagram:
             f = _fields(parser, lineno, rest,
                         ("pieces", "pairs", "circles", "surfaces", "sinks"))
             imap = f  # resolved against sorted ids below
+            imap_line = lineno
+            imap_sinks = () if f["sinks"] == "-" else tuple(
+                _int(parser, lineno, x) for x in f["sinks"].split(","))
         elif kind == "annotation":
             f = _fields(parser, lineno, rest,
                         ("one_handles", "three_handles", "sinks"), ("dotted",))
@@ -340,17 +341,15 @@ def parse(text: str) -> Diagram:
             else:
                 images = imap[field].split(",")
             if len(images) != len(src):
-                raise ParseError(0, imap[field], f"{len(src)} images for {field}")
+                raise ParseError(imap_line, imap[field], f"{len(src)} images for {field}")
             return tuple(zip(src, images))
 
-        sinks_perm = () if imap["sinks"] == "-" else tuple(
-            int(x) for x in imap["sinks"].split(","))
         maps = InternalMaps(
             on_pieces=resolve("pieces", [p.id for p in built_pieces]),
             on_pairs=resolve("pairs", [q.id for q in pairs]),
             on_circles=resolve("circles", [c.id for c in circles]),
             on_surfaces=resolve("surfaces", [f.id for f in surfaces]),
-            on_sinks=sinks_perm,
+            on_sinks=imap_sinks,
         )
     d = Diagram(
         pieces=built_pieces,
@@ -371,11 +370,6 @@ def parse(text: str) -> Diagram:
         if ("+" if actual > 0 else "-") != sgn:
             raise ParseError(lineno, sgn, f"sign consistent with strand data ({actual:+d})")
     return d
-
-
-def canonical(d: Diagram) -> Diagram:
-    """Normalize record order: parse(serialize(d))."""
-    return parse(serialize(d))
 
 
 # ---------------------------------------------------------------------------

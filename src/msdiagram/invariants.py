@@ -19,9 +19,10 @@ from .core import (
     Diagram,
     DiagramError,
     FramingParallel,
+    circle_crossing_sums,
     circle_passages,
-    diagram_linking,
     handle_counts,
+    linking_from_sums,
     validate,
 )
 
@@ -161,7 +162,10 @@ def signature(a: Matrix) -> int:
                 if j != p:
                     m[i][j] -= f * m[p][j]
             m[i][p] = Fraction(0)
-            m[p][i] = Fraction(0)
+        # every row's update reads the pivot row, so clear it only now
+        for j in idx:
+            if j != p:
+                m[p][j] = Fraction(0)
 
     while idx:
         p = next((i for i in idx if m[i][i] != 0), None)
@@ -297,12 +301,12 @@ def linking_matrix(d: Diagram) -> LinkingMatrix:
         raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
     ids = [c.id for c in d.circles]
     n = len(ids)
+    sums = circle_crossing_sums(d, ids)
     m = zeros(n, n)
     for i, c in enumerate(d.circles):
         m[i][i] = c.framing
         for j in range(i + 1, n):
-            v = diagram_linking(d, c.id, ids[j])
-            m[i][j] = m[j][i] = v
+            m[i][j] = m[j][i] = linking_from_sums(sums, c.id, ids[j])
     return LinkingMatrix(tuple(ids), tuple(tuple(r) for r in m))
 
 

@@ -10,12 +10,20 @@ end on wall marked points, closed strands are cycles.
 Sign convention (right-handed plane orientation): a crossing is positive
 when the over passage enters one step clockwise of the under passage,
 i.e. over_entry == (under_entry + 3) % 4.
+
+A TangleCode is immutable: every edit builds a new code.  Each code builds
+its lookup index (crossings by id, the passage table and the crossing
+signs) lazily on first use, and memoises the faces it traces per wall set.
+Nothing stored there is ever changed afterwards; the faces memo only gains
+entries.  So the index cannot go stale, and since it is not a dataclass
+field, equality and hashing of codes ignore it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Hashable, Iterable, Mapping
 
 Visit = tuple[str, int]          # (crossing id, entry port)
 WallPoint = tuple[str, int]      # (wall id, marked point index)
@@ -59,11 +67,14 @@ class TangleCode:
     crossings: tuple[Crossing, ...] = ()
     strands: tuple[Strand, ...] = ()
 
+    @cached_property
+    def _index(self) -> _CodeIndex:
+        # cached in the instance __dict__, so not a field: ==, hash and
+        # dataclasses.replace ignore it
+        return _CodeIndex(self)
+
     def crossing(self, cid: str) -> Crossing:
-        for c in self.crossings:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._index.crossings[cid]
 
     def strand(self, sid: str) -> Strand:
         for s in self.strands:
@@ -125,36 +136,80 @@ def code_problems(code: TangleCode) -> list[str]:
     return problems
 
 
+class _CodeIndex:
+    """Lookups derived from one TangleCode in a single pass over its strands.
+
+    Crossing ids map to their first occurrence, as a linear scan would;
+    code_problems reports duplicates.  A crossing whose passages do not
+    split into one even-port and one odd-port passage keeps its MoveError
+    message instead of a split, so every lookup raises what a fresh
+    computation would.
+    """
+
+    __slots__ = ("crossings", "split", "signs", "broken", "faces")
+
+    def __init__(self, code: TangleCode):
+        self.crossings: dict[str, Crossing] = {}
+        for c in code.crossings:
+            self.crossings.setdefault(c.id, c)
+        self.split: dict[str, tuple[tuple[str, int, int], tuple[str, int, int]]] = {}
+        self.signs: dict[str, int] = {}
+        self.broken: dict[str, str] = {}
+        for cid, ps in passages(code).items():
+            even = [p for p in ps if p[2] % 2 == 0]
+            odd = [p for p in ps if p[2] % 2 == 1]
+            if len(ps) != 2:
+                self.broken[cid] = f"crossing {cid} has {len(ps)} passages"
+            elif len(even) != 1 or len(odd) != 1:
+                self.broken[cid] = f"crossing {cid}: passages do not split over port pairs"
+            else:
+                self.split[cid] = (even[0], odd[0])
+                over = self.crossings[cid].over
+                o_in, u_in = (even[0][2], odd[0][2]) if over == 1 else (odd[0][2], even[0][2])
+                self.signs[cid] = 1 if (o_in - u_in) % 4 == 3 else -1
+        # sorted wall items -> (arcs, faces), filled by faces() on success only
+        self.faces: dict[tuple, tuple[tuple[Arc, ...], tuple[tuple, ...]]] = {}
+
+
 def crossing_passages(code: TangleCode, cid: str) -> tuple[tuple[str, int, int], tuple[str, int, int]]:
     """The even-port and odd-port passage of a crossing, in that order."""
-    ps = passages(code)[cid]
-    if len(ps) != 2:
-        raise MoveError(f"crossing {cid} has {len(ps)} passages")
-    even = [p for p in ps if p[2] % 2 == 0]
-    odd = [p for p in ps if p[2] % 2 == 1]
-    if len(even) != 1 or len(odd) != 1:
-        raise MoveError(f"crossing {cid}: passages do not split over port pairs")
-    return even[0], odd[0]
+    index = code._index
+    if cid in index.broken:
+        raise MoveError(index.broken[cid])
+    return index.split[cid]
 
 
 def crossing_sign(code: TangleCode, cid: str) -> int:
-    even, odd = crossing_passages(code, cid)
-    over = code.crossing(cid).over
-    o_in = even[2] if over == 1 else odd[2]
-    u_in = odd[2] if over == 1 else even[2]
-    return 1 if (o_in - u_in) % 4 == 3 else -1
+    signs = code._index.signs
+    if cid not in signs:
+        crossing_passages(code, cid)  # raises the KeyError or MoveError
+    return signs[cid]
+
+
+def crossing_sums(code: TangleCode, group: Mapping[str, Hashable]) -> dict[tuple, int]:
+    """Signed crossing sums between strand groups, in one sweep over the crossings.
+
+    group maps strand ids to hashable, mutually comparable labels; strands
+    it leaves out are skipped.  Keys are label pairs in sorted order, so a
+    crossing of two strands of one group adds to (g, g).  Every crossing
+    must have a valid passage split, whether grouped or not.
+    """
+    signs = code._index.signs
+    out: dict[tuple, int] = {}
+    for c in code.crossings:
+        (sa, _, _), (sb, _, _) = crossing_passages(code, c.id)
+        if sa in group and sb in group:
+            ga, gb = group[sa], group[sb]
+            key = (ga, gb) if ga <= gb else (gb, ga)
+            out[key] = out.get(key, 0) + signs[c.id]
+    return out
 
 
 def signed_crossing_sum(code: TangleCode, group_a: frozenset, group_b: frozenset) -> int:
     """Sum of signs of crossings with one passage in each group (each crossing once)."""
-    total = 0
-    for c in code.crossings:
-        (sa, _, _), (sb, _, _) = crossing_passages(code, c.id)
-        if (sa in group_a and sb in group_b) or (sa in group_b and sb in group_a):
-            if group_a == group_b and not (sa in group_a and sb in group_a):
-                continue
-            total += crossing_sign(code, c.id)
-    return total
+    member = {s: (s in group_a, s in group_b) for s in group_a | group_b}
+    return sum(v for (la, lb), v in crossing_sums(code, member).items()
+               if (la[0] and lb[1]) or (la[1] and lb[0]))
 
 
 def linking_number(code: TangleCode, s1: str, s2: str) -> int:
@@ -220,9 +275,18 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
 
     Crossingless closed strands carry no nodes and are excluded: a split
     round curve can be isotoped into any region, so its placement is not
-    part of the code.
+    part of the code.  Returns (arcs, faces) as tuples, memoised per code
+    and wall set; a trace that raises is not memoised.
     """
     walls = walls or {}
+    memo = code._index.faces
+    key = tuple(sorted(walls.items()))
+    if key not in memo:
+        memo[key] = _trace_faces(code, walls)
+    return memo[key]
+
+
+def _trace_faces(code: TangleCode, walls: Mapping[str, int]):
     arcs = build_arcs(code)
     at: dict[Site, tuple[int, bool]] = {}
     for i, a in enumerate(arcs):
@@ -259,7 +323,7 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
                 cycle.append(d)
                 d = successor(d)
             out.append(tuple(cycle))
-    return arcs, out
+    return tuple(arcs), tuple(out)
 
 
 def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[str]:

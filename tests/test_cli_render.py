@@ -44,6 +44,16 @@ def test_validate_exit_codes(files):
     assert run_cli("validate", paths["garbage"]).returncode == 3
 
 
+def test_malformed_imap_exit_code(files):
+    paths, tmp = files
+    bad = tmp / "bad-imap.msd"
+    with open(paths["swap-diffeo"]) as f:
+        bad.write_text(f.read().replace("sinks=0", "sinks=x"))
+    out = run_cli("validate", str(bad))
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+
+
 def test_usage_error_exit_code(files):
     assert run_cli("frobnicate").returncode == 3
     assert run_cli("validate").returncode == 3

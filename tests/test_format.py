@@ -92,3 +92,28 @@ def test_sink_incidence_round_trip():
     assert "incidence=1;-1" in text
     assert parse(text) == d
     assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("s1xs3", "orient=+", "orient="),
+    ("s1xs3", "orient=+", "orient=+-"),
+    ("s2xs2", "sign=+", "sign="),
+    ("s2xs2", "sign=+", "sign=+-"),
+    ("s4-with-cancelling-pair", "boundary=Cc1:+", "boundary=Cc1:"),
+    ("s4-with-cancelling-pair", "boundary=Cc1:+", "boundary=Cc1:+-"),
+])
+def test_sign_fields_take_one_sign(name, old, new):
+    text = serialize(catalog.standard(name))
+    assert old in text
+    with pytest.raises(ParseError) as err:
+        parse(text.replace(old, new, 1))
+    assert err.value.expected == "+ or -"
+
+
+def test_imap_sinks_must_be_integers():
+    text = serialize(catalog.standard("swap-diffeo"))
+    bad = text.replace("sinks=0", "sinks=x")
+    with pytest.raises(ParseError) as err:
+        parse(bad)
+    assert err.value.token == "x"
+    assert bad.splitlines()[err.value.line - 1].startswith("imap ")

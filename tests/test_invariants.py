@@ -88,6 +88,10 @@ def test_signature_known():
     assert signature([[1, 0], [0, -1]]) == 0
     assert signature([[2, 1], [1, 2]]) == 2
     assert signature([[0, 0], [0, 0]]) == 0
+    # singular forms: the pivot row must stay intact while later rows use it
+    assert signature([[1, 1, 1]] * 3) == 1
+    assert signature([[1, 1], [1, 1]]) == 1
+    assert signature([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) == 2
 
 
 def test_signature_vs_eigen_sign_count():
