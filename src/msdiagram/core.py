@@ -11,12 +11,21 @@ Framing convention: the integer names a parallel relative to the curve's
 null-homologous reference parallel when one exists; for curves running
 over sphere pairs the integer is declared data and every move updates it
 consistently.  The ambient orientation is right-handed.
+
+A Diagram is immutable: every move builds a new diagram and nothing ever
+writes to an existing one (no object.__setattr__).  Each diagram builds its
+lookup index (pieces, pairs, circles and surfaces by id, pairs by wall)
+lazily on first use and keeps its validation report there once computed.
+So the index cannot go stale, and since it is not a dataclass field,
+equality, hashing and dataclasses.replace ignore it: a replaced diagram
+starts cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .tangle import (
@@ -25,6 +34,7 @@ from .tangle import (
     TangleCode,
     code_problems,
     crossing_sums,
+    first_by_id,
     planarity_problems,
 )
 
@@ -171,29 +181,44 @@ class Diagram:
     sink_incidence: tuple[tuple[int, ...], ...] | None = None  # one row per sink, over surfaces
     annotation: KirbyAnnotation | None = None
 
+    @cached_property
+    def _index(self) -> _DiagramIndex:
+        # cached in the instance __dict__, so not a field: ==, hash and
+        # dataclasses.replace ignore it
+        return _DiagramIndex(self)
+
     def piece(self, pid: str) -> Piece:
-        for p in self.pieces:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+        return self._index.pieces[pid]
 
     def pair(self, qid: str) -> SpherePair:
-        for q in self.pairs:
-            if q.id == qid:
-                return q
-        raise KeyError(qid)
+        return self._index.pairs[qid]
 
     def circle(self, cid: str) -> GluedCircle:
-        for c in self.circles:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._index.circles[cid]
 
     def surface(self, fid: str) -> SpanningSurface:
-        for f in self.surfaces:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
+        return self._index.surfaces[fid]
+
+
+class _DiagramIndex:
+    """Lookups derived from one Diagram, plus its memoised validation report.
+
+    Ids and walls map to their first occurrence, as a linear scan would;
+    validate reports duplicates.
+    """
+
+    __slots__ = ("pieces", "pairs", "circles", "surfaces", "wall_pairs", "report")
+
+    def __init__(self, d: Diagram):
+        self.pieces: dict[str, Piece] = first_by_id(d.pieces)
+        self.pairs: dict[str, SpherePair] = first_by_id(d.pairs)
+        self.circles: dict[str, GluedCircle] = first_by_id(d.circles)
+        self.surfaces: dict[str, SpanningSurface] = first_by_id(d.surfaces)
+        self.wall_pairs: dict[WallRef, SpherePair] = {}
+        for q in d.pairs:
+            self.wall_pairs.setdefault(q.wall_a, q)
+            self.wall_pairs.setdefault(q.wall_b, q)
+        self.report: ValidationReport | None = None  # filled by validate()
 
 
 @dataclass(frozen=True)
@@ -254,10 +279,7 @@ class ValidationReport:
 
 
 def wall_of_pair(d: Diagram, wall: WallRef) -> SpherePair | None:
-    for q in d.pairs:
-        if q.wall_a == wall or q.wall_b == wall:
-            return q
-    return None
+    return d._index.wall_pairs.get(wall)
 
 
 def endpoint_usage(d: Diagram) -> dict[tuple[str, str, int], tuple[str, str]]:
@@ -534,7 +556,17 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
 
 
 def validate(d: Diagram) -> ValidationReport:
-    """Check every structural invariant; violations become report findings."""
+    """Check every structural invariant; violations become report findings.
+
+    The report is computed once per diagram instance and then reused.
+    """
+    index = d._index
+    if index.report is None:
+        index.report = _validate(d)
+    return index.report
+
+
+def _validate(d: Diagram) -> ValidationReport:
     findings: list[Finding] = []
     if not d.pieces:
         findings.append(Finding("error", "diagram", "no pieces: a closed 4-manifold needs a 0-handle"))
@@ -551,6 +583,10 @@ def validate(d: Diagram) -> ValidationReport:
         if len(rows) != d.sink_count or any(len(r) != len(d.surfaces) for r in rows):
             findings.append(
                 Finding("error", "sinks", "incidence block shape must be sinks x surfaces"))
+    elif d.sink_count > 1 and d.surfaces:
+        findings.append(
+            Finding("error", "sinks",
+                    "multi-sink diagram with surfaces needs an explicit sink incidence block"))
     return ValidationReport(tuple(findings))
 
 

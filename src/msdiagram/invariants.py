@@ -57,11 +57,7 @@ def smith_normal_form(a: Matrix) -> list[int]:
     r = c = 0
     while r < rows and c < cols:
         # find a pivot with the smallest nonzero absolute value
-        best = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
+        best = _pivot(m, r, c, None)
         if best is None:
             break
         i, j = best
@@ -85,12 +81,7 @@ def smith_normal_form(a: Matrix) -> list[int]:
             if col_ok and row_ok:
                 break
             # a smaller remainder may have appeared; re-pivot on it
-            best = (r, c)
-            for i in range(r, rows):
-                for j in range(c, cols):
-                    if m[i][j] != 0 and abs(m[i][j]) < abs(m[best[0]][best[1]]):
-                        best = (i, j)
-            i, j = best
+            i, j = _pivot(m, r, c, (r, c))
             m[r], m[i] = m[i], m[r]
             for row in m:
                 row[c], row[j] = row[j], row[c]
@@ -109,6 +100,25 @@ def smith_normal_form(a: Matrix) -> list[int]:
                 diag[k], diag[k + 1] = g, a_ * b_ // g
                 changed = True
     return diag
+
+
+def _pivot(m: Matrix, r: int, c: int, best):
+    """The first entry of least nonzero absolute value in m[r:][c:], row-major.
+
+    best is the position to beat, or None.  A unit cannot be beaten, so the
+    scan stops at the first one.
+    """
+    low = None if best is None else abs(m[best[0]][best[1]])
+    cols = len(m[0])
+    for i in range(r, len(m)):
+        row = m[i]
+        for j in range(c, cols):
+            x = abs(row[j])
+            if x and (low is None or x < low):
+                best, low = (i, j), x
+                if x == 1:
+                    return best
+    return best
 
 
 def rank(a: Matrix) -> int:
@@ -257,13 +267,11 @@ def chain_complex(d: Diagram) -> ChainComplex:
 
     if d.sink_incidence is not None:
         d4 = [[d.sink_incidence[j][i] for j in range(n4)] for i in range(n3)]
-    elif n4 == 1:
-        d4 = zeros(n3, 1)  # both belt points of each surface land on the one sink
-    elif n3 == 0:
-        d4 = zeros(0, n4)
     else:
-        raise DiagramError(
-            "multi-sink diagram with surfaces needs an explicit sink incidence block")
+        # validate demands the block when there are several sinks and
+        # surfaces; otherwise both belt points of each surface land on
+        # the one sink, or there are no surfaces
+        d4 = zeros(n3, n4)
 
     for name, left, right in (("d1.d2", d1, d2), ("d2.d3", d2, d3), ("d3.d4", d3, d4)):
         if left and right and right[0] and not is_zero(mat_mul(left, right)):
@@ -279,13 +287,14 @@ def homology(d: Diagram) -> list[tuple[int, tuple[int, ...]]]:
     n = cx.ranks()
     boundary = [zeros(0, n[0]), cx.d1, cx.d2, cx.d3, cx.d4, zeros(n[4], 0)]
     out = []
+    rank_out = 0  # rank of boundary[k]: the previous degree's rank_in
     for k in range(5):
         snf_in = smith_normal_form(boundary[k + 1])
         rank_in = sum(1 for x in snf_in if x)
-        rank_out = rank(boundary[k]) if k > 0 else 0
         betti = n[k] - rank_out - rank_in
         torsion = tuple(x for x in snf_in if x > 1)
         out.append((betti, torsion))
+        rank_out = rank_in
     return out
 
 

@@ -199,30 +199,20 @@ def merge_pieces(d: Diagram, pair_id: str) -> Diagram:
     piece_a, piece_b = d.piece(pa), d.piece(pb)
 
     # move piece_b's content into piece_a, renaming collisions
-    taken_x = {c.id for c in piece_a.tangle.crossings}
-    taken_s = {s.id for s in piece_a.tangle.strands}
-    xmap = {}
-    for c in piece_b.tangle.crossings:
-        nid = c.id
-        while nid in taken_x:
-            nid += "m"
-        taken_x.add(nid)
-        xmap[c.id] = nid
-    smap = {}
-    for s in piece_b.tangle.strands:
-        nid = s.id
-        while nid in taken_s:
-            nid += "m"
-        taken_s.add(nid)
-        smap[s.id] = nid
-    taken_w = {w.id for w in piece_a.walls}
-    wmap = {}
-    for w in piece_b.walls:
-        nid = w.id
-        while nid in taken_w:
-            nid += "m"
-        taken_w.add(nid)
-        wmap[w.id] = nid
+    def renaming(kept, moved) -> dict[str, str]:
+        taken = {x.id for x in kept}
+        out = {}
+        for x in moved:
+            nid = x.id
+            while nid in taken:
+                nid += "m"
+            taken.add(nid)
+            out[x.id] = nid
+        return out
+
+    xmap = renaming(piece_a.tangle.crossings, piece_b.tangle.crossings)
+    smap = renaming(piece_a.tangle.strands, piece_b.tangle.strands)
+    wmap = renaming(piece_a.walls, piece_b.walls)
     strands_b = tuple(
         Strand(smap[s.id], tuple((xmap[x], p) for x, p in s.visits),
                None if s.start is None else (wmap[s.start[0]], s.start[1]),
@@ -239,12 +229,15 @@ def merge_pieces(d: Diagram, pair_id: str) -> Diagram:
     def fix_ref(ref):
         return (pa, wmap[ref[1]]) if ref[0] == pb else tuple(ref)
 
+    # only the pairs and circles that reach into piece_b change
     pairs = tuple(
         replace(x, wall_a=fix_ref(x.wall_a), wall_b=fix_ref(x.wall_b))
+        if pb in (x.wall_a[0], x.wall_b[0]) else x
         for x in d.pairs)
     circles = tuple(
         replace(c, strand_cycle=tuple(
             (pa, smap[s]) if p == pb else (p, s) for p, s in c.strand_cycle))
+        if any(p == pb for p, _ in c.strand_cycle) else c
         for c in d.circles)
     out = replace(d, pieces=pieces, pairs=pairs, circles=circles)
 

@@ -12,11 +12,12 @@ when the over passage enters one step clockwise of the under passage,
 i.e. over_entry == (under_entry + 3) % 4.
 
 A TangleCode is immutable: every edit builds a new code.  Each code builds
-its lookup index (crossings by id, the passage table and the crossing
-signs) lazily on first use, and memoises the faces it traces per wall set.
-Nothing stored there is ever changed afterwards; the faces memo only gains
-entries.  So the index cannot go stale, and since it is not a dataclass
-field, equality and hashing of codes ignore it.
+its lookup index (crossings and strands by id, the passage table and the
+crossing signs) lazily on first use, and memoises its code problems and,
+per wall set, the faces it traces and their planarity problems.  Nothing
+stored there is ever changed afterwards; the memos only gain entries.  So
+the index cannot go stale, and since it is not a dataclass field,
+equality and hashing of codes ignore it.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ class TangleCode:
         return self._index.crossings[cid]
 
     def strand(self, sid: str) -> Strand:
-        for s in self.strands:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+        return self._index.strands[sid]
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,13 @@ def passages(code: TangleCode) -> dict[str, list[tuple[str, int, int]]]:
 
 def code_problems(code: TangleCode) -> list[str]:
     """Structural defects: port occupancy, dangling references, id clashes."""
+    index = code._index
+    if index.problems is None:
+        index.problems = tuple(_code_problems(code))
+    return list(index.problems)
+
+
+def _code_problems(code: TangleCode) -> list[str]:
     problems = []
     ids = [c.id for c in code.crossings]
     if len(set(ids)) != len(ids):
@@ -136,22 +141,30 @@ def code_problems(code: TangleCode) -> list[str]:
     return problems
 
 
+def first_by_id(items) -> dict:
+    """Id -> item, keeping the first item of each id as a linear scan would."""
+    out = {}
+    for x in items:
+        out.setdefault(x.id, x)
+    return out
+
+
 class _CodeIndex:
     """Lookups derived from one TangleCode in a single pass over its strands.
 
-    Crossing ids map to their first occurrence, as a linear scan would;
-    code_problems reports duplicates.  A crossing whose passages do not
+    Crossing and strand ids map to their first occurrence, as a linear scan
+    would; code_problems reports duplicates.  A crossing whose passages do not
     split into one even-port and one odd-port passage keeps its MoveError
     message instead of a split, so every lookup raises what a fresh
     computation would.
     """
 
-    __slots__ = ("crossings", "split", "signs", "broken", "faces")
+    __slots__ = ("crossings", "strands", "split", "signs", "broken", "problems",
+                 "faces", "planarity")
 
     def __init__(self, code: TangleCode):
-        self.crossings: dict[str, Crossing] = {}
-        for c in code.crossings:
-            self.crossings.setdefault(c.id, c)
+        self.crossings: dict[str, Crossing] = first_by_id(code.crossings)
+        self.strands: dict[str, Strand] = first_by_id(code.strands)
         self.split: dict[str, tuple[tuple[str, int, int], tuple[str, int, int]]] = {}
         self.signs: dict[str, int] = {}
         self.broken: dict[str, str] = {}
@@ -167,8 +180,11 @@ class _CodeIndex:
                 over = self.crossings[cid].over
                 o_in, u_in = (even[0][2], odd[0][2]) if over == 1 else (odd[0][2], even[0][2])
                 self.signs[cid] = 1 if (o_in - u_in) % 4 == 3 else -1
+        self.problems: tuple[str, ...] | None = None  # filled by code_problems()
         # sorted wall items -> (arcs, faces), filled by faces() on success only
         self.faces: dict[tuple, tuple[tuple[Arc, ...], tuple[tuple, ...]]] = {}
+        # sorted wall items -> problems, filled by planarity_problems()
+        self.planarity: dict[tuple, tuple[str, ...]] = {}
 
 
 def crossing_passages(code: TangleCode, cid: str) -> tuple[tuple[str, int, int], tuple[str, int, int]]:
@@ -327,7 +343,19 @@ def _trace_faces(code: TangleCode, walls: Mapping[str, int]):
 
 
 def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[str]:
-    """Euler check V - E + F == 2 on every connected component of the code."""
+    """Euler check V - E + F == 2 on every connected component of the code.
+
+    Memoised per code and wall set, like faces.
+    """
+    walls = walls or {}
+    memo = code._index.planarity
+    key = tuple(sorted(walls.items()))
+    if key not in memo:
+        memo[key] = tuple(_planarity_problems(code, walls))
+    return list(memo[key])
+
+
+def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]:
     try:
         arcs, fs = faces(code, walls)
     except (MoveError, KeyError) as e:

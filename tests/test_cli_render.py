@@ -2,12 +2,15 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from msdiagram import catalog
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
-from msdiagram.format import parse_moves, serialize, serialize_moves
+from msdiagram.core import DiagramError
+from msdiagram.format import parse, parse_moves, serialize, serialize_moves
+from msdiagram.reduction import reduce_pipeline
 from msdiagram.render import render
 
 
@@ -54,6 +57,27 @@ def test_malformed_imap_exit_code(files):
     assert "Traceback" not in out.stderr
 
 
+def test_multi_sink_without_incidence_is_invalid(tmp_path):
+    # one piece, one empty pair, one surface, two sinks: d4 is not determined
+    path = tmp_path / "two-sinks.msd"
+    path.write_text(
+        "msd 1\npiece P1\nwall P1.W1 points=0\nwall P1.W2 points=0\n"
+        "pair Q1 a=P1.W1 b=P1.W2 match=- orient=+\n"
+        "surface F1 genus=0 boundary=-\nsinks 2\n")
+    out = run_cli("validate", str(path))
+    assert out.returncode == 1
+    assert "error: sinks: multi-sink diagram with surfaces needs an explicit " \
+           "sink incidence block" in out.stdout
+    out = run_cli("invariants", str(path))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr and "sink incidence block" in out.stdout
+    with pytest.raises(DiagramError, match="sink incidence block"):
+        reduce_pipeline(parse(path.read_text()))
+    out = run_cli("reduce", str(path), "-o", str(tmp_path / "out.msd"))
+    assert out.returncode == 1
+    assert not (tmp_path / "out.msd").exists()
+
+
 def test_usage_error_exit_code(files):
     assert run_cli("frobnicate").returncode == 3
     assert run_cli("validate").returncode == 3
@@ -96,7 +120,7 @@ def test_reduce_round_trip(files):
     r = run_cli("reduce", paths["s1xs3"], "-o", out_path, "--log", log_path)
     assert r.returncode == 0
     assert run_cli("validate", out_path).returncode == 0
-    text = open(log_path).read()
+    text = Path(log_path).read_text()
     assert "replace-pair" in text
 
 
@@ -111,7 +135,7 @@ def test_render_command(files, tmp_path):
     paths, _ = files
     out = str(tmp_path / "pic.svg")
     assert run_cli("render", paths["s2xs2"], "-o", out).returncode == 0
-    svg = open(out).read()
+    svg = Path(out).read_text()
     assert svg.count('class="crossing"') == 2
     assert 'class="framing-label"' in svg
 

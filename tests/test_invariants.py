@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from msdiagram import catalog
-from msdiagram.core import Diagram, GluedCircle, Piece, validate
+from msdiagram.core import Diagram, DiagramError, GluedCircle, Piece, validate
 from msdiagram.invariants import (
     ChainComplex,
     annotated_homology,
@@ -247,8 +247,10 @@ def test_multi_sink_needs_incidence():
 
     base = catalog.standard("s1xs3")
     two_sinks = replace(base, sink_count=2)
-    assert validate(two_sinks).ok
-    with pytest.raises(Exception):
+    report = validate(two_sinks)
+    assert [(f.location, f.message) for f in report.errors()] == [
+        ("sinks", "multi-sink diagram with surfaces needs an explicit sink incidence block")]
+    with pytest.raises(DiagramError, match="sink incidence block"):
         homology(two_sinks)
     witnessed = replace(two_sinks, sink_incidence=((1,), (-1,)))
     assert validate(witnessed).ok
