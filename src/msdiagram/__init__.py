@@ -15,7 +15,6 @@ from .calculus import (
     blow_up,
     handle_slide,
     recognize_s3,
-    spherical_surgery,
 )
 from .core import (
     Diagram,
@@ -62,6 +61,7 @@ from .invariants import (
     signature,
     smith_normal_form,
     surgered_h1,
+    surgery_presentation,
 )
 from .reduction import (
     delete_superfluous,
@@ -80,9 +80,7 @@ from .tangle import (
     braid_closure,
     linking_number,
     reidemeister,
-    simplify,
     writhe,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

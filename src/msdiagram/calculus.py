@@ -21,18 +21,21 @@ from .core import (
     diagram_linking,
     diagram_writhe,
     validate,
+    with_tangle,
 )
 from .equivalence import canonical_key
-from .invariants import SurgeryPresentation, det, linking_matrix, surgery_presentation
+from .invariants import det, linking_matrix
 from .tangle import (
     Crossing,
     MoveError,
     Strand,
     TangleCode,
     _arcs_share_face,
+    braid,
     crossing_passages,
     crossing_sign,
     faces,
+    fresh_ids,
     planarity_problems,
     simplify_with_log,
 )
@@ -51,27 +54,6 @@ class KirbyMove:
 
 
 BandSite = tuple  # (piece, (strand1, arc1), (strand2, arc2), orient)
-
-
-def _fresh_circle_id(d: Diagram, prefix: str = "c") -> str:
-    taken = {c.id for c in d.circles}
-    k = 1
-    while f"{prefix}{k}" in taken:
-        k += 1
-    return f"{prefix}{k}"
-
-
-def _fresh_strand_id(code: TangleCode, prefix: str = "u") -> str:
-    taken = {s.id for s in code.strands}
-    k = 1
-    while f"{prefix}{k}" in taken:
-        k += 1
-    return f"{prefix}{k}"
-
-
-def _with_piece(d: Diagram, pid: str, code: TangleCode) -> Diagram:
-    return replace(d, pieces=tuple(
-        replace(p, tangle=code) if p.id == pid else p for p in d.pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +77,10 @@ def blow_up(d: Diagram, piece: str, region: int = 0, sign: int = 1) -> Diagram:
     p = d.piece(piece)
     if not (0 <= region < region_count(d, piece)):
         raise MoveError(f"piece {piece} has no region {region}")
-    sid = _fresh_strand_id(p.tangle)
-    cid = _fresh_circle_id(d)
+    sid = next(fresh_ids({s.id for s in p.tangle.strands}, "u"))
+    cid = next(fresh_ids({c.id for c in d.circles}, "c"))
     code = replace(p.tangle, strands=p.tangle.strands + (Strand(sid),))
-    out = _with_piece(d, piece, code)
+    out = with_tangle(d, piece, code)
     return replace(out, circles=out.circles + (GluedCircle(cid, ((piece, sid),), sign),))
 
 
@@ -144,51 +126,6 @@ def _adjacent_gap(s: Strand, i: int, j: int):
     return None
 
 
-class _BraidBlock:
-    """Full or partial twist inserted across parallel lanes.
-
-    Lanes are strand gaps with travel directions; letters follow the braid
-    convention of tangle.braid_closure (bottom-left port 2, bottom-right 3,
-    top-left 1, top-right 0; a positive letter puts the bottom-left passage
-    on top).
-    """
-
-    def __init__(self, lane_strands: list[str], lane_dirs: list[int], taken: set):
-        self.lane_strands = lane_strands
-        self.lane_dirs = lane_dirs
-        self.crossings: list[Crossing] = []
-        self.visits: dict[int, list] = {i: [] for i in range(len(lane_strands))}
-        self._occupant = list(range(len(lane_strands)))
-        self._taken = taken
-
-    def _fresh(self) -> str:
-        k = 1
-        while f"tw{k}" in self._taken:
-            k += 1
-        self._taken.add(f"tw{k}")
-        return f"tw{k}"
-
-    def letter(self, j: int, sign: int):
-        cid = self._fresh()
-        self.crossings.append(Crossing(cid, 1 if sign > 0 else 2))
-        left, right = self._occupant[j - 1], self._occupant[j]
-        lp = 2 if self.lane_dirs[left] > 0 else 0
-        rp = 3 if self.lane_dirs[right] > 0 else 1
-        self.visits[left].append((cid, lp))
-        self.visits[right].append((cid, rp))
-        self._occupant[j - 1], self._occupant[j] = right, left
-
-    def full_twist(self, sign: int):
-        n = len(self.lane_strands)
-        for _ in range(n):
-            for j in range(1, n):
-                self.letter(j, sign)
-
-    def lane_visits(self, lane: int) -> list:
-        v = self.visits[lane]
-        return v if self.lane_dirs[lane] > 0 else list(reversed(v))
-
-
 def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     """Remove a +1- or -1-framed unknot, twisting the strands through its disk.
 
@@ -210,7 +147,7 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     pid, _ = loc
     p = d.piece(pid)
     code, _ = simplify_with_log(p.tangle, p.wall_points(), budget)
-    d = _with_piece(d, pid, code)
+    d = with_tangle(d, pid, code)
     pid, s = _single_piece_closed(d, cid)
     code = d.piece(pid).tangle
 
@@ -225,8 +162,9 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     lk_before = {o.id: diagram_linking(d, cid, o.id) for o in d.circles if o.id != cid}
 
     if m == 0:
-        out = _remove_circle_strand(d, cid, pid, s.id, drop_crossings=())
-        return out
+        out = with_tangle(d, pid, replace(
+            code, strands=tuple(st for st in code.strands if st.id != s.id)))
+        return replace(out, circles=tuple(o for o in out.circles if o.id != cid))
 
     if m % 2 != 0:
         raise RefusalError(f"circle {cid} carries an odd crossing pattern")
@@ -264,9 +202,11 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
             f"strands through {cid} do not sit in a single twist region")
 
     drop = {x for lane in plan for x in lane[4]}
-    taken = {cr.id for cr in code.crossings}
-    block = _BraidBlock([lane[0] for lane in plan], [lane[3] for lane in plan], taken)
-    block.full_twist(-c.framing)
+    # a full twist, k rounds of k - 1 letters; a lane's direction is the
+    # sign of its piercing crossings
+    twist_crossings, lane_visits, _ = braid(
+        [(j, -c.framing) for _ in range(k) for j in range(1, k)],
+        [lane[3] for lane in plan], fresh_ids({cr.id for cr in code.crossings}, "tw"))
 
     # rebuild each foreign strand: drop its lane visits, insert the block
     per_strand: dict[str, list] = {}
@@ -289,14 +229,12 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
         rebuilt: list = []
         for pos in range(len(visits) + 1):
             if marks[pos] is not None:
-                rebuilt.extend(block.lane_visits(marks[pos]))
+                rebuilt.extend(lane_visits[marks[pos]])
             if pos < len(visits) and pos not in removed:
                 rebuilt.append(visits[pos])
         new_strands.append(replace(st, visits=tuple(rebuilt)))
-    crossings = tuple(cr for cr in code.crossings if cr.id not in drop) \
-        + tuple(block.crossings)
-    new_code = TangleCode(crossings, tuple(new_strands))
-    out = _with_piece(d, pid, new_code)
+    crossings = tuple(cr for cr in code.crossings if cr.id not in drop) + tuple(twist_crossings)
+    out = with_tangle(d, pid, TangleCode(crossings, tuple(new_strands)))
     out = replace(out, circles=tuple(
         replace(o, framing=o.framing - c.framing * lk_before[o.id] ** 2)
         for o in out.circles if o.id != cid))
@@ -307,15 +245,6 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     if not report.ok:
         raise RefusalError(f"blow-down broke the diagram: {report.errors()[0].message}")
     return out
-
-
-def _remove_circle_strand(d: Diagram, cid: str, pid: str, sid: str, drop_crossings) -> Diagram:
-    p = d.piece(pid)
-    code = TangleCode(
-        tuple(c for c in p.tangle.crossings if c.id not in drop_crossings),
-        tuple(s for s in p.tangle.strands if s.id != sid))
-    out = _with_piece(d, pid, code)
-    return replace(out, circles=tuple(c for c in out.circles if c.id != cid))
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +263,7 @@ def _pushoff(code: TangleCode, s2: Strand, side: int):
     Returns (new crossings, edits to foreign strands as per-gap insertions,
     parallel visit blocks aligned with s2's visits).
     """
-    taken = {c.id for c in code.crossings}
-
-    def fresh(base):
-        k = 1
-        while f"{base}{k}" in taken:
-            k += 1
-        taken.add(f"{base}{k}")
-        return f"{base}{k}"
-
+    fresh = fresh_ids({c.id for c in code.crossings}, "pp")
     new_crossings: list[Crossing] = []
     foreign: dict[str, list] = {}      # strand id -> list of (position, before?, visit)
     blocks: list[list] = []            # parallel's visits per s2 visit
@@ -357,7 +278,7 @@ def _pushoff(code: TangleCode, s2: Strand, side: int):
         other = _strand_of_visit(code, x, (s2.id, k))
         tid, j, q = other
         if tid != s2.id:
-            xp = fresh("pp")
+            xp = next(fresh)
             new_crossings.append(Crossing(xp, over_flag))
             # the parallel runs on the side of port p+3 (left) or p+1 (right)
             before = (q - p) % 4 == (3 if side > 0 else 1)
@@ -370,9 +291,9 @@ def _pushoff(code: TangleCode, s2: Strand, side: int):
                 a, b = sorted(key)
                 pa = s2.visits[a][1]
                 pb = s2.visits[b][1]
-                x1 = fresh("pp")  # P_A x B
-                x2 = fresh("pp")  # A x P_B
-                x3 = fresh("pp")  # P_A x P_B
+                x1 = next(fresh)  # P_A x B
+                x2 = next(fresh)  # A x P_B
+                x3 = next(fresh)  # P_A x P_B
                 new_crossings.extend([
                     Crossing(x1, over_flag), Crossing(x2, over_flag),
                     Crossing(x3, over_flag)])
@@ -487,15 +408,12 @@ def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
     code = p.tangle
     new_crossings, foreign, blocks, s2_inserts = _pushoff(code, s2, side)
 
-    # twist block between s2 and its parallel at the arc2 gap
-    taken = {c.id for c in code.crossings} | {c.id for c in new_crossings}
-    lanes = ["s2", "par"] if side < 0 else ["par", "s2"]
-    block = _BraidBlock(lanes, [1, 1], taken)
-    for _ in range(abs(twist)):
-        block.letter(1, 1 if twist > 0 else -1)
-        block.letter(1, 1 if twist > 0 else -1)
-    s2_lane = lanes.index("s2")
-    par_lane = lanes.index("par")
+    # twist block between s2 and its parallel at the arc2 gap; new ids only
+    # need to avoid the code's, since each kind of crossing has its own prefix
+    taken = {c.id for c in code.crossings}
+    s2_lane, par_lane = (0, 1) if side < 0 else (1, 0)
+    twist_crossings, lane_visits, _ = braid(
+        [(1, 1 if twist > 0 else -1)] * (2 * abs(twist)), [1, 1], fresh_ids(taken, "tw"))
 
     g1 = _gap_index(s1, arc1)
     g2 = _gap_index(s2, arc2)
@@ -506,21 +424,15 @@ def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
         target = par_after_gap if k >= g2 else par_before_gap
         target.extend(blocks[k])
     if cut_after_block:
-        par_cycle = par_after_gap + par_before_gap + block.lane_visits(par_lane)
+        par_cycle = par_after_gap + par_before_gap + lane_visits[par_lane]
     else:
-        par_cycle = block.lane_visits(par_lane) + par_after_gap + par_before_gap
+        par_cycle = lane_visits[par_lane] + par_after_gap + par_before_gap
     if orient < 0:
         par_cycle = [(x, (q + 2) % 4) for x, q in reversed(par_cycle)]
     kink_crossings = ()
     if kink is not None:
         b, over = kink
-        taken2 = ({c.id for c in code.crossings} | {c.id for c in new_crossings}
-                  | {c.id for c in block.crossings})
-        kid = "bk1"
-        n = 1
-        while kid in taken2:
-            n += 1
-            kid = f"bk{n}"
+        kid = next(fresh_ids(taken, "bk"))
         kink_crossings = (Crossing(kid, over),)
         par_cycle = [(kid, 0)] + par_cycle + [(kid, b)]
 
@@ -531,15 +443,15 @@ def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
         if st.id == s2.id:
             # twist block enters s2 at its arc2 gap
             pos = _shifted(g2, inserts)
-            visits = visits[:pos] + tuple(block.lane_visits(s2_lane)) + visits[pos:]
+            visits = visits[:pos] + tuple(lane_visits[s2_lane]) + visits[pos:]
         if st.id == s1.id:
             pos = _shifted(g1, inserts)
             visits = visits[:pos] + tuple(par_cycle) + visits[pos:]
         new_strands.append(replace(st, visits=visits))
     new_code = TangleCode(code.crossings + tuple(new_crossings)
-                          + tuple(block.crossings) + kink_crossings,
+                          + tuple(twist_crossings) + kink_crossings,
                           tuple(new_strands))
-    return _with_piece(d, pid, new_code)
+    return with_tangle(d, pid, new_code)
 
 
 def _shifted(pos: int, inserts: list) -> int:
@@ -552,12 +464,7 @@ def _shifted(pos: int, inserts: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# surgery and recognition
-
-
-def spherical_surgery(d: Diagram) -> SurgeryPresentation:
-    """Presentation of the 3-manifold obtained by surgery on all circles."""
-    return surgery_presentation(d)
+# replay and recognition
 
 
 def apply_move(d: Diagram, move: KirbyMove) -> Diagram:

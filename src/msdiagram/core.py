@@ -333,6 +333,7 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
                 findings.append(Finding("error", f"wall {p.id}.{w.id}", "negative point count"))
         for msg in code_problems(p.tangle):
             findings.append(Finding("error", f"piece {p.id}", msg))
+        bad_endpoint = False
         for s in p.tangle.strands:
             for pt in (s.start, s.end):
                 if pt is None:
@@ -343,11 +344,15 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
                     findings.append(
                         Finding("error", f"piece {p.id}/strand {s.id}",
                                 f"endpoint on unknown wall {pt[0]}"))
+                    bad_endpoint = True
                     continue
                 if not (0 <= pt[1] < w.points):
                     findings.append(
                         Finding("error", f"piece {p.id}/strand {s.id}",
                                 f"endpoint on missing point {pt[0]}:{pt[1]}"))
+                    bad_endpoint = True
+        if bad_endpoint:
+            continue  # faces need every endpoint on a point of a known wall
         try:
             for msg in planarity_problems(p.tangle, p.wall_points()):
                 findings.append(Finding("error", f"piece {p.id}", msg))
@@ -733,6 +738,12 @@ def diagram_linking(d: Diagram, c1: str, c2: str) -> int:
 def diagram_writhe(d: Diagram, cid: str) -> int:
     """Signed self-crossing sum of a glued circle over all its pieces."""
     return circle_crossing_sums(d, (cid,)).get((cid, cid), 0)
+
+
+def with_tangle(d: Diagram, pid: str, code: TangleCode) -> Diagram:
+    """The diagram with the tangle code of piece pid replaced by code."""
+    return replace(d, pieces=tuple(
+        replace(p, tangle=code) if p.id == pid else p for p in d.pieces))
 
 
 def simplify_diagram(d: Diagram, budget: int = 10000) -> tuple[Diagram, list[tuple[str, object]]]:

@@ -40,6 +40,7 @@ from .core import (
     simplify_diagram,
     validate,
     wall_of_pair,
+    with_tangle,
 )
 from .format import natural_key, serialize
 from .invariants import det, linking_matrix, rank, signature, smith_normal_form
@@ -528,9 +529,7 @@ def _replay(d: Diagram, moves) -> Diagram:
 
     for pid, mv in moves:
         p = d.piece(pid)
-        code = apply_rmove(p.tangle, mv, p.wall_points())
-        d = replace(d, pieces=tuple(
-            replace(pp, tangle=code) if pp.id == pid else pp for pp in d.pieces))
+        d = with_tangle(d, pid, apply_rmove(p.tangle, mv, p.wall_points()))
     return d
 
 

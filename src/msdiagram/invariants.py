@@ -223,9 +223,6 @@ class ChainComplex:
     dims: tuple[int, int, int, int, int]
     labels: tuple[tuple[str, ...], ...] = ((), (), (), ())
 
-    def ranks(self) -> tuple[int, int, int, int, int]:
-        return self.dims
-
 
 @dataclass(frozen=True)
 class LinkingMatrix:
@@ -284,7 +281,7 @@ def chain_complex(d: Diagram) -> ChainComplex:
 def homology(d: Diagram) -> list[tuple[int, tuple[int, ...]]]:
     """Integral homology (betti, torsion coefficients) in degrees 0..4."""
     cx = chain_complex(d)
-    n = cx.ranks()
+    n = cx.dims
     boundary = [zeros(0, n[0]), cx.d1, cx.d2, cx.d3, cx.d4, zeros(n[4], 0)]
     out = []
     rank_out = 0  # rank of boundary[k]: the previous degree's rank_in

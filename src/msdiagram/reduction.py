@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .calculus import KirbyMove, _fresh_circle_id
+from .calculus import KirbyMove
 from .core import (
     Diagram,
     DiagramError,
@@ -24,16 +24,25 @@ from .core import (
     WallCurve,
     check_admissible,
     validate,
+    with_tangle,
 )
-from .tangle import Crossing, MoveError, Strand, TangleCode, planarity_problems
+from .tangle import (
+    Crossing,
+    MoveError,
+    Strand,
+    TangleCode,
+    braid,
+    fresh_ids,
+    planarity_problems,
+)
 
 
 # ---------------------------------------------------------------------------
 # splicing strands through an internal pair
 
 
-def _connector_braid(q: SpherePair, taken: set):
-    """Crossings realizing the matching as a permutation of the wall bundle.
+def _connector_word(q: SpherePair) -> list[tuple[int, int]]:
+    """Braid word realizing the matching as a permutation of the wall bundle.
 
     Wall_b's cyclic order reverses against wall_a's in the glued picture;
     the rotation offset is gauge and is chosen to minimize crossings.  When
@@ -51,27 +60,18 @@ def _connector_braid(q: SpherePair, taken: set):
         if best is None or swaps < best[0]:
             best = (swaps, target)
     _, target = best
-    segs: dict[int, list] = {i: [] for i in range(k)}
-    crossings: list[Crossing] = []
+    word = []
     seq = list(range(k))
-    n = 1
     changed = True
     while changed:
         changed = False
         for j in range(k - 1):
             a, b = seq[j], seq[j + 1]
             if target[a] > target[b]:
-                cid = f"br{n}"
-                while cid in taken:
-                    n += 1
-                    cid = f"br{n}"
-                taken.add(cid)
-                crossings.append(Crossing(cid, 1 if a < b else 2))
-                segs[a].append((cid, 2))
-                segs[b].append((cid, 3))
+                word.append((j + 1, 1 if a < b else -1))
                 seq[j], seq[j + 1] = b, a
                 changed = True
-    return crossings, segs
+    return word
 
 
 def _splice_through(d: Diagram, pid: str, q: SpherePair,
@@ -98,8 +98,8 @@ def _splice_through(d: Diagram, pid: str, q: SpherePair,
         return replace(d, pieces=without_walls(d.pieces),
                        pairs=tuple(x for x in d.pairs if x.id != q.id))
 
-    taken = {c.id for c in code.crossings}
-    braid_crossings, segs = _connector_braid(q, taken)
+    braid_crossings, segs, _ = braid(_connector_word(q), [1] * k,
+                                     fresh_ids({c.id for c in code.crossings}, "br"))
 
     end_map = {}
     for i in range(k):
@@ -415,29 +415,23 @@ def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
     p2 = spliced.piece(pid)
     code = p2.tangle
 
-    cid = _fresh_circle_id(spliced, "h")
-    taken_s = {s.id for s in code.strands}
-    sid = "hs1"
-    n = 1
-    while sid in taken_s:
-        n += 1
-        sid = f"hs{n}"
+    cid = next(fresh_ids({c.id for c in spliced.circles}, "h"))
+    sid = next(fresh_ids({s.id for s in code.strands}, "hs"))
 
     if not track:
         code = replace(code, strands=code.strands + (Strand(sid),))
-        out = _with_single_piece(spliced, pid, code)
+        out = with_tangle(spliced, pid, code)
         return replace(out, circles=out.circles
                        + (GluedCircle(cid, ((pid, sid),), 0),)), cid
 
     # one piercing per connector: the strand goes over the surrogate at u
     # and under it at o; the surrogate runs under the bundle and back over
-    taken_x = {c.id for c in code.crossings}
+    fresh = fresh_ids({c.id for c in code.crossings}, "hd")
     new_crossings = []
     lanes = []
     per_strand: dict[str, list] = {}
     for strand_id, gap, direction in track:
-        u = _fresh_x(taken_x, "hd")
-        o = _fresh_x(taken_x, "hd")
+        u, o = next(fresh), next(fresh)
         new_crossings.append(Crossing(u, 2))
         new_crossings.append(Crossing(o, 1))
         if direction > 0:
@@ -462,25 +456,12 @@ def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
         strands.append(replace(s, visits=tuple(visits)))
     new_code = TangleCode(code.crossings + tuple(new_crossings),
                           tuple(strands) + (surrogate,))
-    out = _with_single_piece(spliced, pid, new_code)
+    out = with_tangle(spliced, pid, new_code)
     out = replace(out, circles=out.circles + (GluedCircle(cid, ((pid, sid),), 0),))
     problems = planarity_problems(new_code, out.piece(pid).wall_points())
     if problems:
         raise DiagramError(f"surrogate left a non-planar code: {problems[0]}")
     return out, cid
-
-
-def _fresh_x(taken: set, prefix: str) -> str:
-    n = 1
-    while f"{prefix}{n}" in taken:
-        n += 1
-    taken.add(f"{prefix}{n}")
-    return f"{prefix}{n}"
-
-
-def _with_single_piece(d: Diagram, pid: str, code: TangleCode) -> Diagram:
-    return replace(d, pieces=tuple(
-        replace(p, tangle=code) if p.id == pid else p for p in d.pieces))
 
 
 def reduce_pipeline(d: Diagram, log: list | None = None) -> Diagram:

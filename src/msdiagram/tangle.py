@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from itertools import count
+from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Visit = tuple[str, int]          # (crossing id, entry port)
 WallPoint = tuple[str, int]      # (wall id, marked point index)
@@ -432,45 +433,52 @@ def _remove_visits(s: Strand, indices: set[int]) -> tuple[Visit, ...]:
     return tuple(v for i, v in enumerate(s.visits) if i not in indices)
 
 
-def fresh_crossing_id(code: TangleCode, prefix: str = "x") -> str:
-    return fresh_crossing_ids(code, 1, prefix)[0]
+def fresh_ids(taken: Container[str], prefix: str) -> Iterator[str]:
+    """prefix1, prefix2, ...: every id not in taken, smallest first.
 
-
-def fresh_crossing_ids(code: TangleCode, n: int, prefix: str = "x") -> list[str]:
-    taken = {c.id for c in code.crossings}
-    out = []
-    k = 1
-    while len(out) < n:
+    The one rule for generated ids.  taken is read as the iterator advances
+    and never changed; no id is yielded twice.
+    """
+    for k in count(1):
         if f"{prefix}{k}" not in taken:
-            out.append(f"{prefix}{k}")
-            taken.add(f"{prefix}{k}")
-        k += 1
-    return out
+            yield f"{prefix}{k}"
 
 
-def braid_closure(word: Iterable[tuple[int, int]], n: int,
-                  strand_prefix: str = "s", crossing_prefix: str = "x") -> TangleCode:
-    """Closure of a braid word on n upward lanes.
+def braid(word: Iterable[tuple[int, int]], dirs: Sequence[int],
+          ids: Iterator[str]) -> tuple[list[Crossing], list[list[Visit]], list[int]]:
+    """Crossings of a braid word on len(dirs) parallel lanes, named from ids.
 
     word entries are (j, sign) for the generator between lanes j and j+1
     (1-indexed).  Crossing ports: bottom-left 2, bottom-right 3, top-left 1,
     top-right 0; a positive generator puts the bottom-left passage on top.
+    dirs[i] is +1 when the strand starting on lane i runs upward, -1 when
+    it runs downward.  Returns the crossings in word order, the passages of
+    the strand starting on each lane in its travel direction, and the final
+    permutation: lane -> starting lane of the strand that ends on it.
     """
+    n = len(dirs)
     tokens = list(range(n))                  # token currently in each lane
-    paths: dict[int, list[Visit]] = {t: [] for t in range(n)}
-    perm = list(range(n))                    # lane -> token after the word
+    paths: list[list[Visit]] = [[] for _ in range(n)]
     crossings = []
-    for k, (j, sign) in enumerate(word):
+    for j, sign in word:
         if not (1 <= j < n) or sign not in (1, -1):
             raise ValueError(f"bad braid letter ({j}, {sign})")
-        cid = f"{crossing_prefix}{k + 1}"
+        cid = next(ids)
         crossings.append(Crossing(cid, 1 if sign > 0 else 2))
         left, right = tokens[j - 1], tokens[j]
-        paths[left].append((cid, 2))
-        paths[right].append((cid, 3))
+        paths[left].append((cid, 2 if dirs[left] > 0 else 0))
+        paths[right].append((cid, 3 if dirs[right] > 0 else 1))
         tokens[j - 1], tokens[j] = right, left
-    for i in range(n):
-        perm[i] = tokens[i]
+    for t in range(n):
+        if dirs[t] < 0:
+            paths[t].reverse()
+    return crossings, paths, tokens
+
+
+def braid_closure(word: Iterable[tuple[int, int]], n: int,
+                  strand_prefix: str = "s", crossing_prefix: str = "x") -> TangleCode:
+    """Closure of a braid word on n upward lanes, in the conventions of braid."""
+    crossings, paths, perm = braid(word, [1] * n, fresh_ids((), crossing_prefix))
     # closure: top of lane i joins bottom of lane i; strands follow the
     # cycles of the induced permutation on starting lanes
     start_lane = {t: i for i, t in enumerate(perm)}  # token t ends on lane start_lane[t]
@@ -522,7 +530,7 @@ def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int,
         raise MoveError(f"strand {strand_id} has no arc {arc_index}")
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
-    cid = fresh_crossing_id(code)
+    cid = next(fresh_ids(code._index.crossings, "x"))
     # insertion point in the visit list: arc k precedes visit k on open
     # strands; on closed strands arc k sits between visits k and k+1
     pos = (arc_index + 1) % max(len(s.visits), 1) if s.closed and s.visits else arc_index
@@ -602,7 +610,8 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
         raise MoveError("R2 needs two distinct arcs")
     if not _arcs_share_face(code, arc_over, arc_under, walls):
         raise MoveError(f"arcs {arc_over} and {arc_under} do not bound a common face")
-    xid, yid = fresh_crossing_ids(code, 2)
+    fresh = fresh_ids(code._index.crossings, "x")
+    xid, yid = next(fresh), next(fresh)
 
     def insert(s: Strand, arc_index: int, pair: tuple[Visit, Visit]) -> tuple[Visit, ...]:
         pos = (arc_index + 1) % max(len(s.visits), 1) if s.closed and s.visits else arc_index
@@ -774,11 +783,6 @@ def apply_rmove(code: TangleCode, mv: RMove, walls=None) -> TangleCode:
     kinds = {"r1-": "R1-", "r1+": "R1+", "r2-": "R2-", "r2+": "R2+", "r3": "R3"}
     site = mv.args[0] if mv.kind == "r1-" else mv.args
     return reidemeister(code, kinds[mv.kind], site, walls)
-
-
-def simplify(code: TangleCode, walls: Mapping[str, int] | None = None,
-             budget: int = 10000) -> TangleCode:
-    return simplify_with_log(code, walls, budget)[0]
 
 
 def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,

@@ -18,6 +18,7 @@ from msdiagram.core import (
     SphereWall,
     relabel,
     validate,
+    with_tangle,
 )
 from msdiagram.tangle import (
     Crossing,
@@ -67,8 +68,7 @@ def perturb_code(d, rng, moves=2, max_crossings=8, switch=False):
                 continue
         except MoveError:
             continue
-        d = replace(d, pieces=tuple(
-            replace(pp, tangle=code) if pp.id == p.id else pp for pp in d.pieces))
+        d = with_tangle(d, p.id, code)
     return d
 
 
@@ -190,10 +190,8 @@ def plant_cancelling_pair(d, rng, tag="K"):
     cid = f"c{tag}"
     fid = f"F{tag}"
     code = replace(p.tangle, strands=p.tangle.strands + (Strand(sid),))
-    pieces = tuple(replace(pp, tangle=code) if pp.id == pid else pp
-                   for pp in d.pieces)
     return replace(
-        d, pieces=pieces,
+        with_tangle(d, pid, code),
         circles=d.circles + (GluedCircle(cid, ((pid, sid),), 0),),
         surfaces=d.surfaces + (SpanningSurface(
             fid, 0, (FramingParallel(cid, 1),)),))

@@ -11,11 +11,16 @@ from msdiagram.calculus import (
     blow_up,
     handle_slide,
     recognize_s3,
-    spherical_surgery,
 )
 from msdiagram.core import Diagram, DiagramError, GluedCircle, Piece, validate
 from msdiagram.equivalence import isomorphic
-from msdiagram.invariants import det, euler_characteristic, linking_matrix, surgered_h1
+from msdiagram.invariants import (
+    det,
+    euler_characteristic,
+    linking_matrix,
+    surgered_h1,
+    surgery_presentation,
+)
 from msdiagram.tangle import MoveError, Strand, TangleCode
 
 
@@ -185,12 +190,12 @@ def test_slide_errors():
 
 
 def test_spherical_surgery_examples():
-    pres = spherical_surgery(catalog.standard("s4-polar"))
+    pres = surgery_presentation(catalog.standard("s4-polar"))
     assert pres.circles == () and pres.pairs == ()
     assert pres.h1() == (0, ())
-    assert spherical_surgery(unknots([0])).h1() == (1, ())
-    assert spherical_surgery(unknots([1])).h1() == (0, ())
-    assert spherical_surgery(catalog.standard("s1xs3")).sphere_count == 1
+    assert surgery_presentation(unknots([0])).h1() == (1, ())
+    assert surgery_presentation(unknots([1])).h1() == (0, ())
+    assert surgery_presentation(catalog.standard("s1xs3")).sphere_count == 1
 
 
 def test_recognize_single_unknots():

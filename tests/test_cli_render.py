@@ -78,6 +78,18 @@ def test_multi_sink_without_incidence_is_invalid(tmp_path):
     assert not (tmp_path / "out.msd").exists()
 
 
+def test_endpoint_on_empty_wall_is_invalid(tmp_path):
+    # a wall without points has no slot to trace faces through
+    path = tmp_path / "empty-wall.msd"
+    path.write_text(
+        "msd 1\npiece P1\nwall P1.W1 points=0\nwall P1.W2 points=1\n"
+        "strand P1.S1 path=- from=W1:0 to=W2:0\nsinks 1\n")
+    out = run_cli("validate", str(path))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stdout == "error: piece P1/strand S1: endpoint on missing point W1:0\ninvalid\n"
+
+
 def test_usage_error_exit_code(files):
     assert run_cli("frobnicate").returncode == 3
     assert run_cli("validate").returncode == 3

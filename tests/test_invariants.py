@@ -185,8 +185,8 @@ def test_chain_complex_composes_to_zero():
 
 
 def test_chain_complex_ranks():
-    assert chain_complex(catalog.standard("cp2")).ranks() == (1, 0, 1, 0, 1)
-    assert chain_complex(catalog.standard("s1xs3")).ranks() == (1, 1, 0, 1, 1)
+    assert chain_complex(catalog.standard("cp2")).dims == (1, 0, 1, 0, 1)
+    assert chain_complex(catalog.standard("s1xs3")).dims == (1, 1, 0, 1, 1)
 
 
 def test_linking_matrix_catalog():

@@ -7,6 +7,10 @@ shows up as a changed diagram.
 """
 
 from dataclasses import replace
+from itertools import islice
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msdiagram import catalog
 from msdiagram.calculus import blow_down, blow_up, handle_slide
@@ -25,6 +29,7 @@ from msdiagram.tangle import (
     Strand,
     TangleCode,
     braid_closure,
+    fresh_ids,
     r1_plus,
     r2_plus,
 )
@@ -206,3 +211,14 @@ def test_to_kirby_empty_pair_ids():
     out = reduce_pipeline(catalog.standard("n-s1s3(2)"))
     assert order(out) == ((), ("hs1", "hs2"), ("h1", "h2"))
     assert out.annotation.dotted == ("h1", "h2")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text("abx", min_size=1, max_size=2), st.sets(st.integers(0, 30)),
+       st.sets(st.text("abx0123", max_size=3)), st.integers(0, 40))
+def test_fresh_ids_yield_the_smallest_free_ids(prefix, numbers, others, n):
+    taken = {f"{prefix}{k}" for k in numbers} | others
+    got = list(islice(fresh_ids(taken, prefix), n))
+    assert not set(got) & taken
+    free = [f"{prefix}{k}" for k in range(1, n + len(taken) + 1) if f"{prefix}{k}" not in taken]
+    assert got == free[:n]
