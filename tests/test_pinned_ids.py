@@ -222,3 +222,85 @@ def test_fresh_ids_yield_the_smallest_free_ids(prefix, numbers, others, n):
     assert not set(got) & taken
     free = [f"{prefix}{k}" for k in range(1, n + len(taken) + 1) if f"{prefix}{k}" not in taken]
     assert got == free[:n]
+
+
+# splice orderings: where inserted visits land relative to each other
+
+
+def test_r2_plus_on_one_closed_strand():
+    # both arcs of a kink: the two inserted pairs go into one visit list
+    code = r1_plus(TangleCode(strands=(Strand("S1"),)), "S1", 0, 1)
+    assert code.strand("S1").visits == (("x1", 0), ("x1", 1))
+    crossings = (Crossing("x1", 1), Crossing("x2", 1), Crossing("x3", 1))
+    assert r2_plus(code, ("S1", 0), ("S1", 1), {}) == TangleCode(crossings, (Strand(
+        "S1", (("x2", 3), ("x3", 3), ("x1", 0), ("x2", 0), ("x3", 2), ("x1", 1))),))
+    assert r2_plus(code, ("S1", 1), ("S1", 0), {}) == TangleCode(crossings, (Strand(
+        "S1", (("x2", 0), ("x3", 2), ("x1", 0), ("x2", 1), ("x3", 1), ("x1", 1))),))
+
+
+def test_blow_down_lane_gap_wraps_to_zero():
+    # s4 encircles s2 and s3; s2 also clasps s1, and its lane visits are its
+    # last and first, so the twist lane enters s2 at gap 0
+    code = braid_closure([(1, 1), (1, 1), (3, 1), (2, 1), (2, 1), (3, 1)], 4)
+    s2 = code.strands[1]
+    s2 = replace(s2, visits=s2.visits[3:] + s2.visits[:3])
+    assert s2.visits == (("x5", 3), ("x1", 3), ("x2", 2), ("x4", 2))
+    code = replace(code, strands=(code.strands[0], s2) + code.strands[2:])
+    d = Diagram(pieces=(Piece("P1", code),), circles=tuple(
+        GluedCircle(f"c{i + 1}", (("P1", f"s{i + 1}"),), 1 if i == 3 else 0)
+        for i in range(4)))
+    assert serialize(blow_down(d, "c4")) == (
+        "msd 1\n"
+        "piece P1\n"
+        "crossing P1.tw1 ends=s3.0.o,s2.0.o,s3.0.i,s2.0.i over=2 sign=-\n"
+        "crossing P1.tw2 ends=s2.1.o,s3.1.o,s2.1.i,s3.1.i over=2 sign=-\n"
+        "crossing P1.x1 ends=s1.0.o,s2.2.o,s1.0.i,s2.2.i over=1 sign=+\n"
+        "crossing P1.x2 ends=s2.3.o,s1.1.o,s2.3.i,s1.1.i over=1 sign=+\n"
+        "strand P1.s1 path=x1:2,x2:3 from=- to=-\n"
+        "strand P1.s2 path=tw1:3,tw2:2,x1:3,x2:2 from=- to=-\n"
+        "strand P1.s3 path=tw1:2,tw2:3 from=- to=-\n"
+        "circle c1 strands=P1.s1 framing=0\n"
+        "circle c2 strands=P1.s2 framing=-1\n"
+        "circle c3 strands=P1.s3 framing=-1\n"
+        "sinks 1\n")
+
+
+def test_handle_slide_pushoff_and_parallel_share_a_gap():
+    # S1 crosses c2, so the pushoff adds a visit to S1 on each side of the
+    # band's gap: the one after the previous visit, then the parallel, then
+    # the one before the next visit
+    base = catalog.s2xs2()
+    out = handle_slide(base, "c1", "c2", ("P1", ("S1", 0), ("S2", 0), 1))
+    assert serialize(out) == (
+        "msd 1\n"
+        "piece P1\n"
+        "crossing P1.bk1 ends=S1.2.i,S1.5.o,S1.2.o,S1.5.i over=1 sign=-\n"
+        "crossing P1.pp1 ends=S1.1.o,S1.4.o,S1.1.i,S1.4.i over=1 sign=+\n"
+        "crossing P1.pp2 ends=S1.3.o,S1.6.o,S1.3.i,S1.6.i over=1 sign=+\n"
+        "crossing P1.x1 ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i over=1 sign=+\n"
+        "crossing P1.x2 ends=S2.1.o,S1.7.o,S2.1.i,S1.7.i over=1 sign=+\n"
+        "strand P1.S1 path=x1:2,pp1:2,bk1:0,pp2:2,pp1:3,bk1:3,pp2:3,x2:3 from=- to=-\n"
+        "strand P1.S2 path=x1:3,x2:2 from=- to=-\n"
+        "circle c1 strands=P1.S1 framing=2\n"
+        "circle c2 strands=P1.S2 framing=0\n"
+        "sinks 1\n")
+    # arc 1 of S1 sits at gap 0: the parallel comes first, the pushoff
+    # visit after S1's last visit goes to the end
+    d = replace(base, circles=(base.circles[0], replace(base.circles[1], framing=1)))
+    out = handle_slide(d, "c1", "c2", ("P1", ("S1", 1), ("S2", 0), -1))
+    assert serialize(out) == (
+        "msd 1\n"
+        "piece P1\n"
+        "crossing P1.bk1 ends=S1.0.i,S1.5.o,S1.0.o,S1.5.i over=1 sign=-\n"
+        "crossing P1.pp1 ends=S1.6.o,S1.1.i,S1.6.i,S1.1.o over=1 sign=-\n"
+        "crossing P1.pp2 ends=S1.2.i,S1.9.o,S1.2.o,S1.9.i over=1 sign=-\n"
+        "crossing P1.tw1 ends=S1.4.i,S2.1.o,S1.4.o,S2.1.i over=1 sign=-\n"
+        "crossing P1.tw2 ends=S2.2.o,S1.3.i,S2.2.i,S1.3.o over=1 sign=-\n"
+        "crossing P1.x1 ends=S1.7.o,S2.0.o,S1.7.i,S2.0.i over=1 sign=+\n"
+        "crossing P1.x2 ends=S2.3.o,S1.8.o,S2.3.i,S1.8.i over=1 sign=+\n"
+        "strand P1.S1 path=bk1:0,pp1:1,pp2:0,tw2:1,tw1:0,bk1:3,pp1:2,x1:2,x2:3,pp2:3"
+        " from=- to=-\n"
+        "strand P1.S2 path=x1:3,tw1:3,tw2:2,x2:2 from=- to=-\n"
+        "circle c1 strands=P1.S1 framing=-1\n"
+        "circle c2 strands=P1.S2 framing=1\n"
+        "sinks 1\n")
