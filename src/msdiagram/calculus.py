@@ -20,7 +20,7 @@ from .core import (
     Verdict,
     diagram_linking,
     diagram_writhe,
-    validate,
+    require_valid,
     with_tangle,
 )
 from .equivalence import canonical_key
@@ -31,13 +31,14 @@ from .tangle import (
     Strand,
     TangleCode,
     _arcs_share_face,
+    arc_gap,
     braid,
     crossing_passages,
     crossing_sign,
     faces,
     fresh_ids,
-    planarity_problems,
     simplify_with_log,
+    splice,
 )
 
 
@@ -208,64 +209,40 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
         [(j, -c.framing) for _ in range(k) for j in range(1, k)],
         [lane[3] for lane in plan], fresh_ids({cr.id for cr in code.crossings}, "tw"))
 
-    # rebuild each foreign strand: drop its lane visits, insert the block
-    per_strand: dict[str, list] = {}
-    for lane_idx, (tid, visit_pair, gap, _, _) in enumerate(plan):
-        per_strand.setdefault(tid, []).append((lane_idx, visit_pair, gap))
-    new_strands = []
-    for st in code.strands:
-        if st.id == s.id:
-            continue
-        if st.id not in per_strand:
-            new_strands.append(st)
-            continue
-        inserts = per_strand[st.id]
-        visits = list(st.visits)
-        marks: list = [None] * (len(visits) + 1)
-        removed = set()
-        for lane_idx, visit_pair, gap in inserts:
-            removed |= set(visit_pair)
-            marks[gap] = lane_idx
-        rebuilt: list = []
-        for pos in range(len(visits) + 1):
-            if marks[pos] is not None:
-                rebuilt.extend(lane_visits[marks[pos]])
-            if pos < len(visits) and pos not in removed:
-                rebuilt.append(visits[pos])
-        new_strands.append(replace(st, visits=tuple(rebuilt)))
+    # each foreign strand trades its piercing visits for its lane of the twist
+    inserts: dict[str, list] = {}
+    dropped: dict[str, set] = {}
+    for (tid, visit_pair, gap, _, _), visits in zip(plan, lane_visits):
+        inserts.setdefault(tid, []).append((gap, visits))
+        dropped.setdefault(tid, set()).update(visit_pair)
+    new_strands = tuple(
+        replace(st, visits=splice(st.visits, inserts[st.id], dropped[st.id]))
+        if st.id in inserts else st
+        for st in code.strands if st.id != s.id)
     crossings = tuple(cr for cr in code.crossings if cr.id not in drop) + tuple(twist_crossings)
-    out = with_tangle(d, pid, TangleCode(crossings, tuple(new_strands)))
+    out = with_tangle(d, pid, TangleCode(crossings, new_strands))
     out = replace(out, circles=tuple(
         replace(o, framing=o.framing - c.framing * lk_before[o.id] ** 2)
         for o in out.circles if o.id != cid))
-    problems = planarity_problems(out.piece(pid).tangle, out.piece(pid).wall_points())
-    if problems:
-        raise RefusalError(f"blow-down left a non-planar code: {problems[0]}")
-    report = validate(out)
-    if not report.ok:
-        raise RefusalError(f"blow-down broke the diagram: {report.errors()[0].message}")
-    return out
+    return require_valid(out, "blow-down broke the diagram", RefusalError)
 
 
 # ---------------------------------------------------------------------------
 # handle slide
 
 
-def _gap_index(s: Strand, arc_index: int) -> int:
-    if s.closed:
-        return (arc_index + 1) % max(len(s.visits), 1) if s.visits else 0
-    return arc_index
-
-
 def _pushoff(code: TangleCode, s2: Strand, side: int):
     """Parallel copy of a closed strand on one side (+1 left, -1 right).
 
-    Returns (new crossings, edits to foreign strands as per-gap insertions,
-    parallel visit blocks aligned with s2's visits).
+    Returns the new crossings, the pushoff's visits on foreign strands, the
+    parallel's visit blocks aligned with s2's visits, and the pushoff's
+    visits on s2 itself.  Each visit on a strand comes as (gap, before,
+    visit): before is True when it goes in just before the strand's visit
+    at that gap, False when just after the visit preceding the gap.
     """
     fresh = fresh_ids({c.id for c in code.crossings}, "pp")
     new_crossings: list[Crossing] = []
-    foreign: dict[str, list] = {}      # strand id -> list of (position, before?, visit)
+    foreign: dict[str, list] = {}      # strand id -> list of (gap, before, visit)
     blocks: list[list] = []            # parallel's visits per s2 visit
     handled_self: dict[frozenset, dict] = {}
 
@@ -282,7 +259,7 @@ def _pushoff(code: TangleCode, s2: Strand, side: int):
             new_crossings.append(Crossing(xp, over_flag))
             # the parallel runs on the side of port p+3 (left) or p+1 (right)
             before = (q - p) % 4 == (3 if side > 0 else 1)
-            foreign.setdefault(tid, []).append((j, before, (xp, q)))
+            foreign.setdefault(tid, []).append((j if before else j + 1, before, (xp, q)))
             blocks.append([(xp, p)])
         else:
             key = frozenset({k, j})
@@ -315,26 +292,8 @@ def _pushoff(code: TangleCode, s2: Strand, side: int):
     for key, info in handled_self.items():
         for idx in sorted(key):
             kind, xid, port, before = info[idx]
-            s2_inserts.append((idx, before, (xid, port)))
+            s2_inserts.append((idx if before else idx + 1, before, (xid, port)))
     return new_crossings, foreign, blocks, s2_inserts
-
-
-def _insert_visits(visits: tuple, inserts: list) -> tuple:
-    """Apply (position, before?, visit) insertions to a visit tuple."""
-    out: dict[int, list] = {i: [] for i in range(len(visits) + 1)}
-    after: dict[int, list] = {i: [] for i in range(len(visits))}
-    for pos, before, visit in inserts:
-        if before:
-            out[pos].append(visit)
-        else:
-            after[pos].append(visit)
-    rebuilt = []
-    for i in range(len(visits)):
-        rebuilt.extend(out[i])
-        rebuilt.append(visits[i])
-        rebuilt.extend(after[i])
-    rebuilt.extend(out[len(visits)])
-    return tuple(rebuilt)
 
 
 def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
@@ -381,19 +340,12 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
                 for cut in (False, True)]
     for side, cut_after_block, kink in variants:
         try:
-            out = _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient,
-                              side, twist, cut_after_block, kink)
+            out = require_valid(
+                _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient,
+                            side, twist, cut_after_block, kink),
+                "slide broke the diagram", MoveError)
         except MoveError as e:
             last_error = str(e)
-            continue
-        problems = planarity_problems(out.piece(pid).tangle,
-                                      out.piece(pid).wall_points())
-        if problems:
-            last_error = problems[0]
-            continue
-        report = validate(out)
-        if not report.ok:
-            last_error = report.errors()[0].message
             continue
         new_f1 = circ1.framing + circ2.framing + 2 * orient * lk12
         out = replace(out, circles=tuple(
@@ -415,18 +367,13 @@ def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
     twist_crossings, lane_visits, _ = braid(
         [(1, 1 if twist > 0 else -1)] * (2 * abs(twist)), [1, 1], fresh_ids(taken, "tw"))
 
-    g1 = _gap_index(s1, arc1)
-    g2 = _gap_index(s2, arc2)
+    g2 = arc_gap(s2, arc2)
     # parallel visit list with the twist block and the cut at the arc2 gap
-    par_after_gap: list = []
-    par_before_gap: list = []
-    for k in range(len(s2.visits)):
-        target = par_after_gap if k >= g2 else par_before_gap
-        target.extend(blocks[k])
+    around = [v for block in blocks[g2:] + blocks[:g2] for v in block]
     if cut_after_block:
-        par_cycle = par_after_gap + par_before_gap + lane_visits[par_lane]
+        par_cycle = around + lane_visits[par_lane]
     else:
-        par_cycle = lane_visits[par_lane] + par_after_gap + par_before_gap
+        par_cycle = lane_visits[par_lane] + around
     if orient < 0:
         par_cycle = [(x, (q + 2) % 4) for x, q in reversed(par_cycle)]
     kink_crossings = ()
@@ -436,31 +383,23 @@ def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
         kink_crossings = (Crossing(kid, over),)
         par_cycle = [(kid, 0)] + par_cycle + [(kid, b)]
 
+    # the parallel enters s1 at the arc1 gap and the twist block s2 at the
+    # arc2 gap, between the pushoff visits that share the gap: those after
+    # the visit before it, then the block, then those before the next visit
+    placed = {s1.id: (arc_gap(s1, arc1), par_cycle),
+              s2.id: (g2, lane_visits[s2_lane])}
     new_strands = []
     for st in code.strands:
-        inserts = list(s2_inserts) if st.id == s2.id else list(foreign.get(st.id, []))
-        visits = _insert_visits(st.visits, inserts) if inserts else st.visits
-        if st.id == s2.id:
-            # twist block enters s2 at its arc2 gap
-            pos = _shifted(g2, inserts)
-            visits = visits[:pos] + tuple(lane_visits[s2_lane]) + visits[pos:]
-        if st.id == s1.id:
-            pos = _shifted(g1, inserts)
-            visits = visits[:pos] + tuple(par_cycle) + visits[pos:]
-        new_strands.append(replace(st, visits=visits))
+        ins = s2_inserts if st.id == s2.id else foreign.get(st.id, [])
+        new_strands.append(replace(st, visits=splice(
+            st.visits,
+            [(g, [v]) for g, before, v in ins if not before]
+            + ([placed[st.id]] if st.id in placed else [])
+            + [(g, [v]) for g, before, v in ins if before])))
     new_code = TangleCode(code.crossings + tuple(new_crossings)
                           + tuple(twist_crossings) + kink_crossings,
                           tuple(new_strands))
     return with_tangle(d, pid, new_code)
-
-
-def _shifted(pos: int, inserts: list) -> int:
-    """Gap position in a visit tuple after earlier insertions."""
-    shift = 0
-    for at, before, _ in inserts:
-        if at < pos:
-            shift += 1
-    return pos + shift
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +437,7 @@ def apply_move(d: Diagram, move: KirbyMove) -> Diagram:
 
 
 def _slide_candidates(d: Diagram, cap: int = 6):
-    """A bounded, deterministically ordered set of handle slides."""
+    """A bounded, deterministically ordered set of (handle slide, child) pairs."""
     out = []
     for circ2 in d.circles:
         loc2 = _single_piece_closed(d, circ2.id)
@@ -529,21 +468,16 @@ def _slide_candidates(d: Diagram, cap: int = 6):
                     out.append(KirbyMove("handle-slide", (circ1.id, circ2.id, band)))
                 break
     # prefer slides that shrink the linking matrix
-    def score(move):
-        try:
-            child = apply_move(d, move)
-        except MoveError:
-            return None
-        size = sum(abs(x) for row in linking_matrix(child).entries for x in row)
-        return (size, canonical_key(child))
-
     scored = []
     for mv in out:
-        sc = score(mv)
-        if sc is not None:
-            scored.append((sc, mv))
+        try:
+            child = apply_move(d, mv)
+        except MoveError:
+            continue
+        size = sum(abs(x) for row in linking_matrix(child).entries for x in row)
+        scored.append(((size, canonical_key(child)), mv, child))
     scored.sort(key=lambda t: t[0])
-    return [mv for _, mv in scored[:cap]]
+    return [(mv, child) for _, mv, child in scored[:cap]]
 
 
 def _children(d: Diagram, allow_growth: bool):
@@ -557,11 +491,7 @@ def _children(d: Diagram, allow_growth: bool):
                 continue
             out.append((KirbyMove("blow-down", (c.id,)), child))
     if allow_growth:
-        for mv in _slide_candidates(d):
-            try:
-                out.append((mv, apply_move(d, mv)))
-            except MoveError:
-                continue
+        out.extend(_slide_candidates(d))
         for sign in (1, -1):
             mv = KirbyMove("blow-up", (d.pieces[0].id, 0, sign))
             out.append((mv, apply_move(d, mv)))
@@ -578,9 +508,7 @@ def recognize_s3(d: Diagram, depth: int = 3) -> Verdict:
     if d.pairs or d.surfaces:
         raise DiagramError("the recognizer needs a diagram without sphere "
                            "pairs and surfaces")
-    report = validate(d)
-    if not report.ok:
-        raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
+    require_valid(d, "invalid diagram")
     if d.circles:
         matrix = linking_matrix(d).as_list()
         determinant = det(matrix)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for Yes/ok, 1 for No/invalid, 2 for Unknown, 3 for usage and
-parse errors, 4 for internal errors on structurally unusable input.
+parse errors, 4 when a command refuses a parsed diagram it cannot use (a
+DiagramError or MoveError that no command turns into another answer).
 """
 
 from __future__ import annotations
@@ -115,12 +116,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_recognize_s3(args) -> int:
-    d = _load(args.file)
-    try:
-        verdict = recognize_s3(d, args.depth)
-    except DiagramError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    verdict = recognize_s3(_load(args.file), args.depth)
     print(f"{verdict.value}: {verdict.detail}")
     if verdict.yes:
         sys.stdout.write(serialize_moves(verdict.witness))
@@ -133,11 +129,7 @@ def cmd_recognize_s3(args) -> int:
 
 def cmd_equiv(args) -> int:
     d1, d2 = _load(args.a), _load(args.b)
-    try:
-        verdict = isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror)
-    except DiagramError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    verdict = isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror)
     print(f"{verdict.value}: {verdict.detail}")
     if verdict.yes:
         iso = verdict.witness
@@ -153,12 +145,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_conj(args) -> int:
-    d1, d2 = _load(args.a), _load(args.b)
-    try:
-        verdict = conjugate(d1, d2, budget=args.budget)
-    except DiagramError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+    verdict = conjugate(_load(args.a), _load(args.b), budget=args.budget)
     print(f"{verdict.value}: {verdict.detail}")
     return EXIT_YES if verdict.yes else (EXIT_NO if verdict.no else EXIT_UNKNOWN)
 
@@ -237,7 +224,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_render)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DiagramError, MoveError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

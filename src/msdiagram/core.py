@@ -571,6 +571,14 @@ def validate(d: Diagram) -> ValidationReport:
     return index.report
 
 
+def require_valid(d: Diagram, what: str, error: type[Exception] = DiagramError) -> Diagram:
+    """d itself when validate finds no error; else raise error naming the first."""
+    report = validate(d)
+    if not report.ok:
+        raise error(f"{what}: {report.errors()[0].message}")
+    return d
+
+
 def _validate(d: Diagram) -> ValidationReport:
     findings: list[Finding] = []
     if not d.pieces:
@@ -592,7 +600,40 @@ def _validate(d: Diagram) -> ValidationReport:
         findings.append(
             Finding("error", "sinks",
                     "multi-sink diagram with surfaces needs an explicit sink incidence block"))
+    if not any(f.severity == "error" for f in findings):
+        _check_boundaries(d, findings)
     return ValidationReport(tuple(findings))
+
+
+def _check_boundaries(d: Diagram, findings: list[Finding]) -> None:
+    """The handle boundary maps compose to zero: d2.d3 = 0 and d3.d4 = 0.
+
+    d3 takes a surface to its signed framing-parallel circles and d2 takes a
+    circle to its signed pair passages; d4 is the sink incidence block.
+    d1.d2 = 0 holds once every circle closes up through its pairs.
+    """
+    for f in d.surfaces:
+        passes: dict[str, int] = {}
+        for item in f.boundary:
+            if isinstance(item, FramingParallel):
+                for qid, sign in circle_passages(d, item.circle):
+                    passes[qid] = passes.get(qid, 0) + item.sign * sign
+        for qid, n in passes.items():
+            if n:
+                findings.append(
+                    Finding("error", f"surface {f.id}",
+                            f"boundary runs {n:+d} times over pair {qid}: d2.d3 != 0"))
+    for j, row in enumerate(d.sink_incidence or ()):
+        circles: dict[str, int] = {}
+        for f, m in zip(d.surfaces, row):
+            for item in f.boundary:
+                if m and isinstance(item, FramingParallel):
+                    circles[item.circle] = circles.get(item.circle, 0) + m * item.sign
+        for cid, n in circles.items():
+            if n:
+                findings.append(
+                    Finding("error", f"sink {j}",
+                            f"incident surfaces cover circle {cid} {n:+d} times: d3.d4 != 0"))
 
 
 def check_admissible(d: Diagram) -> ValidationReport:
@@ -602,23 +643,11 @@ def check_admissible(d: Diagram) -> ValidationReport:
     never admissible; its structural errors are carried over.
     """
     findings: list[Finding] = list(validate(d).errors())
-    wallcurves: dict[tuple[str, int], int] = {}
     for f in d.surfaces:
         if f.genus != 0:
             findings.append(
                 Finding("error", f"surface {f.id}",
                         f"genus {f.genus}: admissible surfaces are spheres with holes"))
-        for item in f.boundary:
-            if isinstance(item, WallCurve):
-                wallcurves[item.pair, item.index] = wallcurves.get((item.pair, item.index), 0) + 1
-            elif not isinstance(item, FramingParallel):
-                findings.append(
-                    Finding("error", f"surface {f.id}",
-                            "boundary must follow framing parallels or matched wall curves"))
-    for (pair, index), n in sorted(wallcurves.items()):
-        if n != 2:
-            findings.append(
-                Finding("error", f"pair {pair}", f"wall curve {index} is not matched"))
     return ValidationReport(tuple(findings))
 
 

@@ -37,6 +37,7 @@ from .core import (
     circle_crossing_sums,
     handle_counts,
     linking_from_sums,
+    require_valid,
     simplify_diagram,
     validate,
     wall_of_pair,
@@ -537,8 +538,7 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
                allow_mirror: bool = False) -> Verdict:
     """Decide diagram equivalence; Unknown is legal on budget exhaustion."""
     for d in (d1, d2):
-        if not validate(d).ok:
-            raise DiagramError("isomorphic needs valid diagrams")
+        require_valid(d, "isomorphic needs valid diagrams")
     sep = separating_invariant(d1, d2)
     mirror_sep = separating_invariant(d1, mirror(d2)) if allow_mirror else "disabled"
     if sep is not None and mirror_sep is not None:

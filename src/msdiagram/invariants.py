@@ -23,7 +23,7 @@ from .core import (
     circle_passages,
     handle_counts,
     linking_from_sums,
-    validate,
+    require_valid,
 )
 
 Matrix = list[list[int]]
@@ -236,10 +236,11 @@ class LinkingMatrix:
 
 
 def chain_complex(d: Diagram) -> ChainComplex:
-    """Boundary matrices of the handle decomposition carried by the diagram."""
-    report = validate(d)
-    if not report.ok:
-        raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
+    """Boundary matrices of the handle decomposition carried by the diagram.
+
+    validate has checked that consecutive maps compose to zero.
+    """
+    require_valid(d, "invalid diagram")
     piece_ids = [p.id for p in d.pieces]
     pair_ids = [q.id for q in d.pairs]
     circle_ids = [c.id for c in d.circles]
@@ -269,10 +270,6 @@ def chain_complex(d: Diagram) -> ChainComplex:
         # surfaces; otherwise both belt points of each surface land on
         # the one sink, or there are no surfaces
         d4 = zeros(n3, n4)
-
-    for name, left, right in (("d1.d2", d1, d2), ("d2.d3", d2, d3), ("d3.d4", d3, d4)):
-        if left and right and right[0] and not is_zero(mat_mul(left, right)):
-            raise DiagramError(f"boundary maps do not compose to zero at {name}")
     return ChainComplex(d1, d2, d3, d4, dims=(n0, n1, n2, n3, n4),
                         labels=(tuple(pair_ids), tuple(circle_ids), tuple(surface_ids),
                                 tuple(range(n4))))
@@ -302,9 +299,7 @@ def euler_characteristic(d: Diagram) -> int:
 
 def linking_matrix(d: Diagram) -> LinkingMatrix:
     """Framings on the diagonal, pairwise circle linkings off it."""
-    report = validate(d)
-    if not report.ok:
-        raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
+    require_valid(d, "invalid diagram")
     ids = [c.id for c in d.circles]
     n = len(ids)
     sums = circle_crossing_sums(d, ids)
@@ -388,10 +383,7 @@ def _spanning_forest(d: Diagram) -> list[str]:
 
 
 def surgery_presentation(d: Diagram) -> SurgeryPresentation:
-    report = validate(d)
-    if not report.ok:
-        raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
-    lm = linking_matrix(d)
+    lm = linking_matrix(d)  # refuses an invalid diagram
     pair_ids = [q.id for q in d.pairs]
     windings = []
     for c in d.circles:

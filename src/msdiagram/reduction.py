@@ -23,7 +23,7 @@ from .core import (
     SphereWall,
     WallCurve,
     check_admissible,
-    validate,
+    require_valid,
     with_tangle,
 )
 from .tangle import (
@@ -34,6 +34,7 @@ from .tangle import (
     braid,
     fresh_ids,
     planarity_problems,
+    splice,
 )
 
 
@@ -242,11 +243,7 @@ def merge_pieces(d: Diagram, pair_id: str) -> Diagram:
     out = replace(d, pieces=pieces, pairs=pairs, circles=circles)
 
     out = _splice_through(out, pa, out.pair(pair_id))
-    out = _merge_wallcurves(out, pair_id)
-    report = validate(out)
-    if not report.ok:
-        raise DiagramError(f"merge broke the diagram: {report.errors()[0].message}")
-    return out
+    return require_valid(_merge_wallcurves(out, pair_id), "merge broke the diagram")
 
 
 def _merge_wallcurves(d: Diagram, pair_id: str) -> Diagram:
@@ -298,9 +295,7 @@ def _merge_wallcurves(d: Diagram, pair_id: str) -> Diagram:
 
 def merge_all(d: Diagram, log: list | None = None) -> Diagram:
     """Merge until one piece remains; exactly pieces - 1 merges on connected input."""
-    report = validate(d)
-    if not report.ok:
-        raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
+    require_valid(d, "invalid diagram")
     while len(d.pieces) > 1:
         external = sorted(q.id for q in d.pairs if q.wall_a[0] != q.wall_b[0])
         if not external:
@@ -358,11 +353,7 @@ def delete_superfluous(d: Diagram, surface_id: str, circle_id: str) -> Diagram:
     out = replace(d, pieces=tuple(pieces[p.id] for p in d.pieces),
                   circles=tuple(x for x in d.circles if x.id != circle_id),
                   surfaces=tuple(f for f in d.surfaces if f.id != surface_id))
-    report = validate(out)
-    if not report.ok:
-        raise DiagramError(
-            f"cancellation broke the diagram: {report.errors()[0].message}")
-    return out
+    return require_valid(out, "cancellation broke the diagram")
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +371,9 @@ def to_kirby(d: Diagram, log: list | None = None) -> Diagram:
     """
     if len(d.pieces) != 1:
         raise DiagramError("Kirby form needs a single-piece diagram")
-    adm = check_admissible(d)
+    adm = check_admissible(d)  # carries every validate error
     if not adm.ok:
         raise DiagramError(f"not admissible: {adm.errors()[0].message}")
-    report = validate(d)
-    if not report.ok:
-        raise DiagramError(f"invalid diagram: {report.errors()[0].message}")
     if any(isinstance(i, WallCurve) for f in d.surfaces for i in f.boundary):
         raise DiagramError("wall curves must be merged away before Kirby form")
     one_handles = len(d.pairs)
@@ -398,12 +386,7 @@ def to_kirby(d: Diagram, log: list | None = None) -> Diagram:
         if log is not None:
             log.append(KirbyMove("replace-pair", (qid, cid)))
     ann = KirbyAnnotation(one_handles, three_handles, d.sink_count, tuple(dotted))
-    out = replace(out, annotation=ann)
-    report = validate(out)
-    if not report.ok:
-        raise DiagramError(
-            f"Kirby form broke the diagram: {report.errors()[0].message}")
-    return out
+    return require_valid(replace(out, annotation=ann), "Kirby form broke the diagram")
 
 
 def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
@@ -444,18 +427,12 @@ def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
     over_run = [(o, 0) for _, o in reversed(lanes)]
     surrogate = Strand(sid, tuple(under_run + over_run))
 
-    strands = []
-    for s in code.strands:
-        ins = per_strand.get(s.id)
-        if not ins:
-            strands.append(s)
-            continue
-        visits = list(s.visits)
-        for gap, block in sorted(ins, reverse=True):
-            visits[gap:gap] = block
-        strands.append(replace(s, visits=tuple(visits)))
+    # connectors sharing a gap are pierced in sorted block order, a fixed
+    # convention like the connector braid's
+    strands = tuple(replace(s, visits=splice(s.visits, sorted(per_strand[s.id])))
+                    if s.id in per_strand else s for s in code.strands)
     new_code = TangleCode(code.crossings + tuple(new_crossings),
-                          tuple(strands) + (surrogate,))
+                          strands + (surrogate,))
     out = with_tangle(spliced, pid, new_code)
     out = replace(out, circles=out.circles + (GluedCircle(cid, ((pid, sid),), 0),))
     problems = planarity_problems(new_code, out.piece(pid).wall_points())

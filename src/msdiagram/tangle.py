@@ -429,8 +429,35 @@ def _adjacent_pairs(s: Strand):
     return pairs
 
 
-def _remove_visits(s: Strand, indices: set[int]) -> tuple[Visit, ...]:
-    return tuple(v for i, v in enumerate(s.visits) if i not in indices)
+def arc_gap(s: Strand, arc_index: int) -> int:
+    """The gap of s.visits that arc arc_index of s runs through.
+
+    Arc k of an open strand precedes visit k, so it sits at gap k; arc k of
+    a closed strand runs from visit k to visit k + 1, at gap (k + 1) mod n.
+    """
+    if s.closed and s.visits:
+        return (arc_index + 1) % len(s.visits)
+    return arc_index
+
+
+def splice(visits: Sequence[Visit], inserts: Iterable[tuple[int, Sequence[Visit]]],
+           drop: Container[int] = ()) -> tuple[Visit, ...]:
+    """visits with each (gap, block) inserted and the visits at indices in drop removed.
+
+    Gaps count the visits of the original list: gap g sits before visit g,
+    gap len(visits) after the last one.  Blocks at one gap keep the order
+    they are given in.
+    """
+    at: dict[int, list[Visit]] = {}
+    for gap, block in inserts:
+        at.setdefault(gap, []).extend(block)
+    out: list[Visit] = []
+    for i, v in enumerate(visits):
+        out.extend(at.get(i, ()))
+        if i not in drop:
+            out.append(v)
+    out.extend(at.get(len(visits), ()))
+    return tuple(out)
 
 
 def fresh_ids(taken: Container[str], prefix: str) -> Iterator[str]:
@@ -518,7 +545,7 @@ def r1_minus(code: TangleCode, cid: str) -> TangleCode:
     for s in code.strands:
         for i, j in _adjacent_pairs(s):
             if s.visits[i][0] == cid and s.visits[j][0] == cid:
-                return _edit(code, {s.id: _remove_visits(s, {i, j})}, drop=[cid])
+                return _edit(code, {s.id: splice(s.visits, (), {i, j})}, drop=[cid])
     raise MoveError(f"no R1 kink at crossing {cid}")
 
 
@@ -531,11 +558,9 @@ def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int,
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
     cid = next(fresh_ids(code._index.crossings, "x"))
-    # insertion point in the visit list: arc k precedes visit k on open
-    # strands; on closed strands arc k sits between visits k and k+1
-    pos = (arc_index + 1) % max(len(s.visits), 1) if s.closed and s.visits else arc_index
+    gap = arc_gap(s, arc_index)
     for b, over in ((1, 1), (3, 2), (3, 1), (1, 2)):
-        visits = s.visits[:pos] + ((cid, 0), (cid, b)) + s.visits[pos:]
+        visits = splice(s.visits, [(gap, ((cid, 0), (cid, b)))])
         cand = _edit(code, {s.id: visits}, add=[Crossing(cid, over)])
         try:
             if crossing_sign(cand, cid) != sign:
@@ -593,7 +618,7 @@ def r2_minus(code: TangleCode, x: str, y: str,
     removed = sum(len(v) for v in edits.values())
     if removed != 4:
         raise MoveError(f"R2 pattern at {x}, {y} is degenerate")
-    new_visits = {sid: _remove_visits(code.strand(sid), idx) for sid, idx in edits.items()}
+    new_visits = {sid: splice(code.strand(sid).visits, (), idx) for sid, idx in edits.items()}
     return _edit(code, new_visits, drop=[x, y])
 
 
@@ -613,10 +638,6 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
     fresh = fresh_ids(code._index.crossings, "x")
     xid, yid = next(fresh), next(fresh)
 
-    def insert(s: Strand, arc_index: int, pair: tuple[Visit, Visit]) -> tuple[Visit, ...]:
-        pos = (arc_index + 1) % max(len(s.visits), 1) if s.closed and s.visits else arc_index
-        return s.visits[:pos] + pair + s.visits[pos:]
-
     # Port gauge: the over strand enters x at 0 and y at 2, so the overpass is
     # the even pair at both new crossings.  Enumerate the under strand's entry
     # ports and traversal order; planarity plus an exact r2_minus undo certify
@@ -628,24 +649,11 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
             variants.append(((yid, uy), (xid, ux)))
             variants.append(((xid, ux), (yid, uy)))
     for under_pair in variants:
-        if s_over.id == s_under.id:
-            s = s_over
-            # apply both insertions on one strand, over pair first
-            oi, ui = arc_over[1], arc_under[1]
-            pos_o = (oi + 1) % max(len(s.visits), 1) if s.closed and s.visits else oi
-            pos_u = (ui + 1) % max(len(s.visits), 1) if s.closed and s.visits else ui
-            if pos_o == pos_u:
-                continue
-            ins = sorted([(pos_o, over_pair), (pos_u, under_pair)], reverse=True)
-            visits = s.visits
-            for pos, pair in ins:
-                visits = visits[:pos] + pair + visits[pos:]
-            edits = {s.id: visits}
-        else:
-            edits = {
-                s_over.id: insert(s_over, arc_over[1], over_pair),
-                s_under.id: insert(s_under, arc_under[1], under_pair),
-            }
+        # two distinct arcs of one strand sit at distinct gaps
+        inserts: dict[str, list] = {}
+        for (sid, k), pair in ((arc_over, over_pair), (arc_under, under_pair)):
+            inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
+        edits = {sid: splice(code.strand(sid).visits, ins) for sid, ins in inserts.items()}
         cand = _edit(code, edits, add=[Crossing(xid, 1), Crossing(yid, 1)])
         if code_problems(cand):
             continue
@@ -682,11 +690,8 @@ def _arc_visit_pair(code: TangleCode, arc: Arc) -> tuple[str, int, int] | None:
     if arc.tail[0] != "x" or arc.head[0] != "x":
         return None
     s = code.strand(arc.strand)
-    if s.closed:
-        return (s.id, arc.index, (arc.index + 1) % len(s.visits))
-    if arc.index == 0 or arc.index == len(s.visits):
-        return None
-    return (s.id, arc.index - 1, arc.index)
+    gap = arc_gap(s, arc.index)
+    return (s.id, (gap - 1) % len(s.visits), gap)
 
 
 def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from msdiagram import catalog
+from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
 from msdiagram.core import DiagramError
 from msdiagram.format import parse, parse_moves, serialize, serialize_moves
@@ -76,6 +76,44 @@ def test_multi_sink_without_incidence_is_invalid(tmp_path):
     out = run_cli("reduce", str(path), "-o", str(tmp_path / "out.msd"))
     assert out.returncode == 1
     assert not (tmp_path / "out.msd").exists()
+
+
+def test_boundary_maps_must_compose_to_zero(tmp_path, capsys):
+    # the disk's boundary runs once over Q1: d2.d3 != 0, though d1.d2 = 0
+    path = tmp_path / "dd.msd"
+    path.write_text(
+        "msd 1\npiece P1\nwall P1.A points=1\nwall P1.B points=1\n"
+        "pair Q1 a=P1.A b=P1.B match=0 orient=+\n"
+        "strand P1.S1 path=- from=B:0 to=A:0\n"
+        "circle c1 strands=P1.S1 framing=0\n"
+        "surface f1 genus=0 boundary=Cc1:+\nsinks 1\n")
+    finding = "error: surface f1: boundary runs +1 times over pair Q1: d2.d3 != 0"
+    assert cli.main(["validate", str(path)]) == 1
+    assert finding in capsys.readouterr().out
+    assert cli.main(["invariants", str(path)]) == 1
+    assert finding in capsys.readouterr().out
+    with pytest.raises(DiagramError, match="d2.d3"):
+        reduce_pipeline(parse(path.read_text()))
+
+
+def test_refusal_on_valid_input_exits_4(tmp_path, capsys):
+    # valid, but the braided connectors through the internal pair leave an
+    # odd crossing sum between circles, which the linking matrix refuses
+    path = tmp_path / "odd.msd"
+    path.write_text(
+        "msd 1\npiece P1\nwall P1.A points=3\nwall P1.B points=3\n"
+        "pair Q1 a=P1.A b=P1.B match=0,1,2 orient=+\n"
+        "crossing P1.x1 ends=S2.0.i,S1.0.i,S2.0.o,S1.0.o over=1 sign=+\n"
+        "strand P1.S1 path=x1:1 from=B:0 to=A:0\n"
+        "strand P1.S2 path=x1:0 from=B:1 to=A:1\n"
+        "strand P1.S3 path=- from=B:2 to=A:2\n"
+        "circle c1 strands=P1.S1 framing=0\n"
+        "circle c2 strands=P1.S2 framing=0\n"
+        "circle c3 strands=P1.S3 framing=0\nsinks 1\n")
+    assert cli.main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["invariants", str(path)]) == 4
+    assert "error: odd crossing sum" in capsys.readouterr().err
 
 
 def test_endpoint_on_empty_wall_is_invalid(tmp_path):

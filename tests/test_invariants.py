@@ -1,12 +1,20 @@
 """Homology, linking matrices, intersection forms and the surgery presentation."""
 
+import io
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from msdiagram import catalog
+from helpers import plant_cancelling_pair, random_kirby_diagram, random_multipiece_diagram
+from msdiagram import catalog, cli
 from msdiagram.core import Diagram, DiagramError, GluedCircle, Piece, validate
+from msdiagram.format import serialize
 from msdiagram.invariants import (
     ChainComplex,
     annotated_homology,
@@ -258,6 +266,40 @@ def test_multi_sink_needs_incidence():
     assert hs[4] == (1, ())  # ker of the nonzero boundary is rank 1
     bad_shape = replace(two_sinks, sink_incidence=((1,),))
     assert not validate(bad_shape).ok
+
+
+def test_validate_checks_d3_d4():
+    from dataclasses import replace
+
+    # F1 runs along c1, so d3(F1) != 0 and no sink may have F1 in its boundary
+    d = replace(catalog.standard("s4-with-cancelling-pair"), sink_count=2,
+                sink_incidence=((1,), (1,)))
+    assert [(f.location, f.message) for f in validate(d).errors()] == [
+        ("sink 0", "incident surfaces cover circle c1 +1 times: d3.d4 != 0"),
+        ("sink 1", "incident surfaces cover circle c1 +1 times: d3.d4 != 0")]
+    with pytest.raises(DiagramError, match="d3.d4"):
+        chain_complex(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["kirby", "multi", "planted"]))
+def test_valid_diagram_keeps_chain_complex_computable(seed, kind):
+    rng = random.Random(seed)
+    if kind == "kirby":
+        d = random_kirby_diagram(rng)
+    else:
+        d = random_multipiece_diagram(rng)
+        if kind == "planted":
+            d = plant_cancelling_pair(d, rng)
+    assume(validate(d).ok)
+    chain_complex(d)
+    homology(d)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.msd")
+        with open(path, "w") as f:
+            f.write(serialize(d))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["invariants", path]) in (0, 4)
 
 
 def test_multi_sink_without_surfaces_fine():
