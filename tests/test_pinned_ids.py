@@ -14,16 +14,20 @@ from hypothesis import strategies as st
 
 from msdiagram import catalog
 from msdiagram.calculus import blow_down, blow_up, handle_slide
+from msdiagram.calculus import KirbyMove
 from msdiagram.core import (
     Diagram,
+    FramingParallel,
     GluedCircle,
     Piece,
+    SpanningSurface,
     SpherePair,
     SphereWall,
+    WallCurve,
     validate,
 )
 from msdiagram.format import serialize
-from msdiagram.reduction import reduce_pipeline, to_kirby
+from msdiagram.reduction import merge_all, reduce_pipeline, to_kirby
 from msdiagram.tangle import (
     Crossing,
     Strand,
@@ -303,4 +307,110 @@ def test_handle_slide_pushoff_and_parallel_share_a_gap():
         "strand P1.S2 path=x1:3,tw1:3,tw2:2,x2:2 from=- to=-\n"
         "circle c1 strands=P1.S1 framing=-1\n"
         "circle c2 strands=P1.S2 framing=1\n"
+        "sinks 1\n")
+
+
+# merging pieces: renamed collisions, spliced chains and glued wall curves
+
+
+def test_merge_all_renames_and_glues_wall_curves():
+    # a ring P1-P2-P3-P4-P5-P1 of identical pieces (crossing x1, strands
+    # S1-S3, walls A and B), so every absorbed piece is renamed; by sorted
+    # pair id, Q3 absorbs the component of Q1 and Q4 absorbs the one of Q3
+    links = [("Q3", "P1", "P2", (1, 2, 0)), ("Q1", "P2", "P3", (2, 0, 1)),
+             ("Q5", "P3", "P4", (0, 1, 2)), ("Q2", "P4", "P5", (2, 0, 1)),
+             ("Q4", "P5", "P1", (0, 1, 2))]
+    pieces = []
+    for i in range(1, 6):
+        strands = tuple(Strand(f"S{j + 1}", (), ("A", j), ("B", -j % 3)) for j in range(3))
+        if i == 4:
+            strands += (Strand("S4"),)
+        code = r1_plus(TangleCode(strands=strands), "S1", 0, 1, {"A": 3, "B": 3})
+        pieces.append(Piece(f"P{i}", code, (SphereWall("A", 3), SphereWall("B", 3))))
+    d = Diagram(
+        pieces=tuple(pieces),
+        pairs=tuple(SpherePair(q, (a, "B"), (b, "A"), m) for q, a, b, m in links),
+        circles=(
+            GluedCircle("c1", (("P1", "S1"), ("P2", "S2"), ("P3", "S2"), ("P4", "S3"),
+                               ("P5", "S1")), 1),
+            GluedCircle("c2", (("P1", "S2"), ("P2", "S1"), ("P3", "S3"), ("P4", "S2"),
+                               ("P5", "S2"), ("P1", "S3"), ("P2", "S3"), ("P3", "S1"),
+                               ("P4", "S1"), ("P5", "S3")), -1),
+            GluedCircle("c3", (("P4", "S4"),), 0)),
+        # Q1 glues F3 into F1, then F1 into F2 (F3 is resolved to F1 after
+        # F2); F4 and F5 are glued across Q2, then closed up across Q3
+        surfaces=(
+            SpanningSurface("F1", 0, (WallCurve("Q1", 0),)),
+            SpanningSurface("F2", 1, (WallCurve("Q1", 1),)),
+            SpanningSurface("F3", 0, (WallCurve("Q1", 0), FramingParallel("c3", 1),
+                                      WallCurve("Q1", 1))),
+            SpanningSurface("F4", 0, (WallCurve("Q2", 0), WallCurve("Q3", 0))),
+            SpanningSurface("F5", 0, (WallCurve("Q3", 0), WallCurve("Q2", 0)))))
+    assert validate(d).ok
+    log = []
+    out = merge_all(d, log)
+    assert log == [KirbyMove("merge-pieces", (q,)) for q in ("Q1", "Q2", "Q3", "Q4")]
+    assert order(out) == (
+        ("x1", "x1m", "br1", "x1mm", "x1mmm", "x1mmmm", "br1m", "br2", "br3"),
+        ("S1", "S2", "S3", "S4"), ("c1", "c2", "c3"))
+    assert tuple(w.id for w in out.pieces[0].walls) == ("A", "Bmm")
+    assert out.surfaces == (SpanningSurface("F2", 1, (FramingParallel("c3", 1),)),
+                            SpanningSurface("F4", 1, ()))
+    assert serialize(out) == (
+        "msd 1\n"
+        "piece P4\n"
+        "wall P4.A points=3\n"
+        "wall P4.Bmm points=3\n"
+        "pair Q5 a=P4.Bmm b=P4.A match=0,1,2 orient=+\n"
+        "crossing P4.br1 ends=S1.2.o,S3.0.o,S1.2.i,S3.0.i over=1 sign=+\n"
+        "crossing P4.br1m ends=S1.7.o,S2.2.o,S1.7.i,S2.2.i over=1 sign=+\n"
+        "crossing P4.br2 ends=S2.1.o,S1.4.o,S2.1.i,S1.4.i over=1 sign=+\n"
+        "crossing P4.br3 ends=S1.3.o,S2.0.o,S1.3.i,S2.0.i over=1 sign=+\n"
+        "crossing P4.x1 ends=S1.0.i,S1.1.i,S1.0.o,S1.1.o over=1 sign=+\n"
+        "crossing P4.x1m ends=S3.1.i,S3.2.i,S3.1.o,S3.2.o over=1 sign=+\n"
+        "crossing P4.x1mm ends=S3.3.i,S3.4.i,S3.3.o,S3.4.o over=1 sign=+\n"
+        "crossing P4.x1mmm ends=S1.5.i,S1.6.i,S1.5.o,S1.6.o over=1 sign=+\n"
+        "crossing P4.x1mmmm ends=S2.3.i,S2.4.i,S2.3.o,S2.4.o over=1 sign=+\n"
+        "strand P4.S1 path=x1:0,x1:1,br1:2,br3:2,br2:3,x1mmm:0,x1mmm:1,br1m:2"
+        " from=A:0 to=Bmm:1\n"
+        "strand P4.S2 path=br3:3,br2:2,br1m:3,x1mmmm:0,x1mmmm:1 from=A:1 to=Bmm:0\n"
+        "strand P4.S3 path=br1:3,x1m:0,x1m:1,x1mm:0,x1mm:1 from=A:2 to=Bmm:2\n"
+        "strand P4.S4 path=- from=- to=-\n"
+        "circle c1 strands=P4.S3 framing=1\n"
+        "circle c2 strands=P4.S2,P4.S1 framing=-1\n"
+        "circle c3 strands=P4.S4 framing=0\n"
+        "surface F2 genus=1 boundary=Cc3:+\n"
+        "surface F4 genus=1 boundary=-\n"
+        "sinks 1\n")
+
+
+def test_merge_all_closes_chains_in_strand_order():
+    # c1 and c2 close up through Q1 alone: each becomes one closed strand,
+    # named after its first strand in P1's order and appended in that order
+    d = Diagram(
+        pieces=(Piece("P1", TangleCode(strands=(
+                    Strand("S3"),
+                    Strand("S1", (), ("W1", 3), ("W1", 2)),
+                    Strand("S2", (), ("W1", 1), ("W1", 0)))), (SphereWall("W1", 4),)),
+                Piece("P2", TangleCode(strands=(
+                    Strand("S2", (), ("W2", 2), ("W2", 3)),
+                    Strand("S1", (), ("W2", 0), ("W2", 1)))), (SphereWall("W2", 4),))),
+        pairs=(SpherePair("Q1", ("P1", "W1"), ("P2", "W2"), (0, 1, 2, 3)),),
+        circles=(GluedCircle("c1", (("P1", "S2"), ("P2", "S1")), 1),
+                 GluedCircle("c2", (("P1", "S1"), ("P2", "S2")), 0),
+                 GluedCircle("c3", (("P1", "S3"),), -1)))
+    assert validate(d).ok
+    out = merge_all(d)
+    assert order(out) == (("br1", "br2"), ("S3", "S1", "S2"), ("c1", "c2", "c3"))
+    assert serialize(out) == (
+        "msd 1\n"
+        "piece P1\n"
+        "crossing P1.br1 ends=S2.0.o,S2.1.i,S2.0.i,S2.1.o over=1 sign=-\n"
+        "crossing P1.br2 ends=S1.0.o,S1.1.i,S1.0.i,S1.1.o over=1 sign=-\n"
+        "strand P1.S1 path=br2:2,br2:1 from=- to=-\n"
+        "strand P1.S2 path=br1:2,br1:1 from=- to=-\n"
+        "strand P1.S3 path=- from=- to=-\n"
+        "circle c1 strands=P1.S2 framing=1\n"
+        "circle c2 strands=P1.S1 framing=0\n"
+        "circle c3 strands=P1.S3 framing=-1\n"
         "sinks 1\n")

@@ -1,8 +1,15 @@
 """Piece merging, handle cancellation, and the Kirby-form pipeline."""
 
-import pytest
+import random
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import plant_cancelling_pair, random_multipiece_diagram
 from msdiagram import catalog
+from msdiagram.calculus import apply_move
 from msdiagram.core import (
     Diagram,
     DiagramError,
@@ -16,6 +23,7 @@ from msdiagram.core import (
     validate,
 )
 from msdiagram.equivalence import isomorphic
+from msdiagram.format import serialize
 from msdiagram.invariants import annotated_homology, euler_characteristic, homology
 from msdiagram.reduction import (
     delete_superfluous,
@@ -238,3 +246,25 @@ def test_pipeline_cancelling_pair_to_empty():
     assert handle_counts(out) == (1, 0, 0, 0, 1)
     assert any(m.tag == "delete-surface" for m in log)
     assert annotated_homology(out) == homology(catalog.standard("s4-polar"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 2))
+def test_pipeline_log_replays_to_the_same_diagram(seed, planted):
+    rng = random.Random(seed)
+    d = random_multipiece_diagram(rng, max_pieces=5)
+    for i in range(planted):
+        d = plant_cancelling_pair(d, rng, tag=f"K{i}")
+    log = []
+    try:
+        out = reduce_pipeline(d, log)
+    except DiagramError:
+        out = None  # the logged prefix must still replay
+    cur = d
+    for mv in log:
+        cur = apply_move(cur, mv)
+    if out is not None:
+        # Kirby form drops the surfaces into the annotation's counts
+        cur = replace(cur, surfaces=(), sink_incidence=None, annotation=out.annotation)
+        assert serialize(cur) == serialize(out)
+
