@@ -326,8 +326,6 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
 
     lk12 = diagram_linking(d, c1, c2)
     twist = circ2.framing - diagram_writhe(d, c2)
-    lk_to_parallel = {o.id: diagram_linking(d, c2, o.id) for o in d.circles
-                      if o.id not in (c2,)}
 
     last_error = "no planar pushoff"
     # the band traverses the parallel with the requested orientation; when the

@@ -400,7 +400,11 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
 
 def _check_circles(d: Diagram, findings: list[Finding]) -> None:
     claimed: dict[tuple[str, str], str] = {}
+    seen = set()
     for c in d.circles:
+        if c.id in seen:
+            findings.append(Finding("error", f"circle {c.id}", "duplicate circle id"))
+        seen.add(c.id)
         if not c.strand_cycle:
             findings.append(Finding("error", f"circle {c.id}", "empty strand cycle"))
             continue

@@ -10,6 +10,7 @@ integer homology of the presented manifold.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import count
 
 from .calculus import KirbyMove
 from .core import (
@@ -20,7 +21,6 @@ from .core import (
     KirbyAnnotation,
     Piece,
     SpherePair,
-    SphereWall,
     WallCurve,
     check_admissible,
     require_valid,
@@ -39,7 +39,7 @@ from .tangle import (
 
 
 # ---------------------------------------------------------------------------
-# splicing strands through an internal pair
+# gluing pieces along pairs and splicing strands through pairs
 
 
 def _connector_word(q: SpherePair) -> list[tuple[int, int]]:
@@ -75,237 +75,329 @@ def _connector_word(q: SpherePair) -> list[tuple[int, int]]:
     return word
 
 
-def _splice_through(d: Diagram, pid: str, q: SpherePair,
-                    track: list | None = None) -> Diagram:
-    """Delete an internal pair of one piece, joining the strands it matched.
+class _GluedStrand:
+    __slots__ = ("visits", "start", "end")
 
-    When track is given it receives (strand id, gap position, direction)
-    entries, one per connector in wall_a point order, locating the splice
-    gaps in the joined visit lists.
+    def __init__(self, visits: list, start, end):
+        self.visits = visits  # (crossing key, port) entries
+        self.start = start    # (wall key, point) or None
+        self.end = end
+
+
+class _Component:
+    """One piece being glued: its keys in code order and the ids they use."""
+
+    __slots__ = ("crossings", "strands", "walls", "ids")
+
+    def __init__(self):
+        self.crossings: list = []
+        self.strands: dict = {}  # key -> stamp, rising along the strand order
+        self.walls: dict = {}    # key -> None, in wall order
+        self.ids: tuple[set, set, set] = (set(), set(), set())  # crossing, strand, wall
+
+
+class _Glue:
+    """Pieces of one diagram glued along pairs, read back as a diagram at the end.
+
+    Crossings, strands and walls are held under the key (piece, id) they
+    have in the starting diagram, and a connector crossing under (piece it
+    is made in, id).  The rename table maps each key to its id now, so
+    gluing renames only the colliding ids of the absorbed piece, as a
+    trailing "m" per clash, and rewrites no visit list.  Strands are found
+    through endpoint maps, so splicing a pair touches only the strands that
+    end on its walls.  Nothing is validated here.
     """
-    p = d.piece(pid)
-    wa, wb = q.wall_a[1], q.wall_b[1]
-    k = len(q.matching)
-    code = p.tangle
 
-    def without_walls(pieces):
-        return tuple(
-            Piece(pp.id, pieces_code[pp.id], tuple(
-                w for w in pp.walls if not (pp.id == pid and w.id in (wa, wb))))
-            if pp.id == pid else pp for pp in pieces)
+    def __init__(self, d: Diagram):
+        self.d = d
+        self.owner: dict[str, str] = {}  # union-find over piece ids
+        self.parts: dict[str, _Component] = {}  # surviving pieces, loaded on first use
+        self.ids: tuple[dict, dict, dict] = ({}, {}, {})  # crossing, strand, wall renames
+        self.crossing: dict = {}
+        self.strand: dict[tuple, _GluedStrand] = {}
+        self.wall: dict = {}
+        self.starts: dict = {}  # (wall key, point) -> strand key
+        self.ends: dict = {}
+        self.dead: set = set()  # strand keys spliced into another strand
+        self.stamps = count()
+        self.glued: list[str] = []  # spliced pair ids
+        self.surfaces = {f.id: f for f in d.surfaces}
+        self.slot = {f.id: i for i, f in enumerate(d.surfaces)}
+        self.alias: dict[str, str] = {}  # glued-away surface -> the one it went into
+        self.carriers: dict[str, dict[int, list[str]]] = {}  # pair -> curve index -> surfaces
+        for f in d.surfaces:
+            for item in f.boundary:
+                if isinstance(item, WallCurve):
+                    self.carriers.setdefault(item.pair, {}).setdefault(
+                        item.index, []).append(f.id)
 
-    if k == 0:
-        pieces_code = {pid: code}
-        return replace(d, pieces=without_walls(d.pieces),
-                       pairs=tuple(x for x in d.pairs if x.id != q.id))
+    def find(self, pid: str) -> str:
+        owner = self.owner
+        while owner.get(pid, pid) != pid:
+            owner[pid] = owner.get(owner[pid], owner[pid])  # path halving
+            pid = owner[pid]
+        return pid
 
-    braid_crossings, segs, _ = braid(_connector_word(q), [1] * k,
-                                     fresh_ids({c.id for c in code.crossings}, "br"))
+    def _component(self, pid: str) -> _Component:
+        if pid in self.parts:
+            return self.parts[pid]
+        p = self.d.piece(pid)
+        c = self.parts[pid] = _Component()
+        (xids, sids, wids), (xused, sused, wused) = self.ids, c.ids
+        for x in p.tangle.crossings:
+            key = (pid, x.id)
+            self.crossing[key] = x
+            xids[key] = x.id
+            xused.add(x.id)
+            c.crossings.append(key)
+        for w in p.walls:
+            key = (pid, w.id)
+            self.wall[key] = w
+            wids[key] = w.id
+            wused.add(w.id)
+            c.walls[key] = None
+        for s in p.tangle.strands:
+            key = (pid, s.id)
+            ends = [None if pt is None else ((pid, pt[0]), pt[1]) for pt in (s.start, s.end)]
+            self.strand[key] = _GluedStrand([((pid, x), port) for x, port in s.visits], *ends)
+            sids[key] = s.id
+            sused.add(s.id)
+            c.strands[key] = next(self.stamps)
+            for at, pt in zip((self.starts, self.ends), ends):
+                if pt is not None:
+                    at[pt] = key
+        return c
 
-    end_map = {}
-    for i in range(k):
-        end_map[(wa, i)] = (i, "a")
-        end_map[(wb, q.matching[i])] = (i, "b")
+    def join(self, q: SpherePair) -> bool:
+        """Glue the piece on q's wall_b side into the one on its wall_a side, splicing q.
 
-    strands = {s.id: s for s in code.strands}
-    starts = {}
-    for s in code.strands:
-        if s.start is not None and s.start[0] in (wa, wb):
-            starts[s.start] = s.id
+        False, and nothing glued, when both walls already lie in one piece.
+        """
+        pa, pb = self.find(q.wall_a[0]), self.find(q.wall_b[0])
+        if pa == pb:
+            return False
+        a, b = self._component(pa), self._component(pb)
+        del self.parts[pb]
+        self.owner[pb] = pa
+        for used, moved, keys, ids in zip(a.ids, b.ids, (b.crossings, b.strands, b.walls),
+                                          self.ids):
+            if used.isdisjoint(moved):
+                used |= moved
+                continue
+            for key in keys:
+                nid = ids[key]
+                while nid in used:
+                    nid += "m"
+                used.add(nid)
+                ids[key] = nid
+        a.crossings += b.crossings
+        a.strands.update(zip(b.strands, self.stamps))
+        a.walls.update(b.walls)
+        self.splice(pa, q)
+        self._glue_wall_curves(q.id)
+        return True
 
-    def connector_visits(i, from_a):
-        v = segs[i]
-        return list(v) if from_a else [(x, (p_ + 2) % 4) for x, p_ in reversed(v)]
+    def splice(self, pid: str, q: SpherePair, track: list | None = None) -> None:
+        """Delete pair q, both of whose walls lie in piece pid, joining the strands it matched.
 
-    tracked: dict[int, tuple] = {}
-    consumed: set[str] = set()
-    new_strands = []
+        When track is given it receives (strand id, gap position, direction)
+        entries, one per connector in wall_a point order, locating the splice
+        gaps in the joined visit lists.
+        """
+        c = self._component(pid)
+        wa, wb = walls = (tuple(q.wall_a), tuple(q.wall_b))
+        m = q.matching
+        k = len(m)
+        segs = []
+        if k:
+            crossings, segs, _ = braid(_connector_word(q), [1] * k,
+                                       fresh_ids(c.ids[0], "br"))
+            for x in crossings:
+                key = (pid, x.id)
+                self.crossing[key] = x
+                self.ids[0][key] = x.id
+                c.ids[0].add(x.id)
+                c.crossings.append(key)
+        end_map = {}
+        for i in range(k):
+            end_map[wa, i] = (i, True)
+            end_map[wb, m[i]] = (i, False)
+        touching = {at.get((w, i)) for at in (self.starts, self.ends)
+                    for w in walls for i in range(k)} - {None}
+        touching = sorted(touching, key=c.strands.__getitem__)
 
-    def extend_chain(first: Strand):
-        visits = list(first.visits)
-        cur = first
-        while cur.end is not None and cur.end[0] in (wa, wb):
-            i, role = end_map[cur.end]
-            tracked[i] = (first.id, len(visits), 1 if role == "a" else -1)
-            visits.extend(connector_visits(i, role == "a"))
-            nxt_key = (wb, q.matching[i]) if role == "a" else (wa, i)
-            nxt_id = starts.get(nxt_key)
-            if nxt_id is None:
-                raise DiagramError(f"splice through pair {q.id} does not chain")
-            if nxt_id == first.id:
-                return visits, None  # closed into a loop
-            if nxt_id in consumed:
-                raise DiagramError(f"splice through pair {q.id} tangles")
-            cur = strands[nxt_id]
-            consumed.add(cur.id)
-            visits.extend(cur.visits)
-        return visits, cur.end
+        def connector(i, from_a):
+            v = segs[i] if from_a else [(x, (p + 2) % 4) for x, p in reversed(segs[i])]
+            return [((pid, x), p) for x, p in v]
 
-    for s in code.strands:
-        if s.closed:
-            new_strands.append(s)
-            continue
-        if s.start is not None and s.start[0] in (wa, wb):
-            continue  # interior of some chain
-        if s.end is None or s.end[0] not in (wa, wb):
-            if s.start is None or s.start[0] not in (wa, wb):
-                new_strands.append(s)  # untouched open strand
-            continue
-        consumed.add(s.id)
-        visits, end = extend_chain(s)
-        new_strands.append(Strand(s.id, tuple(visits), s.start, end))
+        heads = [s for s in touching
+                 if self.strand[s].start is None or self.strand[s].start[0] not in walls]
+        tracked: dict[int, tuple] = {}
+        chained = set(heads)
 
-    # chains that close entirely through the pair
-    for s in code.strands:
-        if s.closed or s.id in consumed:
-            continue
-        if s.start is None or s.start[0] not in (wa, wb):
-            continue
-        # pick the cyclically first unconsumed strand as the survivor
-        consumed.add(s.id)
-        visits, end = extend_chain(s)
-        if end is not None:
-            raise DiagramError(f"splice through pair {q.id} does not close")
-        new_strands.append(Strand(s.id, tuple(visits)))
+        def extend_chain(first):
+            """Append the chain after strand first to its visits; its last end, None once closed."""
+            cur = self.strand[first]
+            visits = cur.visits
+            while cur.end is not None and cur.end[0] in walls:
+                i, from_a = end_map[cur.end]
+                tracked[i] = (first, len(visits), 1 if from_a else -1)
+                visits += connector(i, from_a)
+                nxt = self.starts.get((wb, m[i]) if from_a else (wa, i))
+                if nxt is None:
+                    raise DiagramError(f"splice through pair {q.id} does not chain")
+                if nxt == first:
+                    return None  # closed into a loop
+                if nxt in chained:
+                    raise DiagramError(f"splice through pair {q.id} tangles")
+                chained.add(nxt)
+                cur = self.strand[nxt]
+                visits += cur.visits
+            return cur.end
 
-    new_code = TangleCode(code.crossings + tuple(braid_crossings),
-                          tuple(new_strands))
-    pieces_code = {pid: new_code}
-    pieces = tuple(
-        Piece(pp.id, new_code, tuple(w for w in pp.walls if w.id not in (wa, wb)))
-        if pp.id == pid else pp for pp in d.pieces)
+        for s in heads:
+            self.strand[s].end = extend_chain(s)
+        # chains that close entirely through the pair: the strand first in
+        # the code order survives, and moves to the end
+        loops = []
+        for s in touching:
+            if s in chained:
+                continue
+            chained.add(s)
+            if extend_chain(s) is not None:
+                raise DiagramError(f"splice through pair {q.id} does not close")
+            loops.append(s)
 
-    survivors = {s.id for s in new_strands}
-    circles = []
-    for c in d.circles:
-        entries = [tuple(e) for e in c.strand_cycle
-                   if not (e[0] == pid and e[1] not in survivors)]
-        if not entries:
-            raise DiagramError(f"circle {c.id} lost all strands in splice")
-        circles.append(replace(c, strand_cycle=tuple(entries)))
-    if track is not None:
-        for i in sorted(tracked):
-            track.append(tracked[i])
-    return replace(d, pieces=pieces,
-                   pairs=tuple(x for x in d.pairs if x.id != q.id),
-                   circles=tuple(circles))
+        for w in walls:
+            for i in range(k):
+                self.starts.pop((w, i), None)
+                self.ends.pop((w, i), None)
+            c.walls.pop(w, None)
+            c.ids[2].discard(self.ids[2].get(w))
+        for s in heads:
+            self.ends[self.strand[s].end] = s
+        for s in chained.difference(heads, loops):
+            del c.strands[s]
+            c.ids[1].discard(self.ids[1][s])
+            self.dead.add(s)
+        for s in loops:
+            self.strand[s].start = self.strand[s].end = None
+            del c.strands[s]
+            c.strands[s] = next(self.stamps)
+        self.glued.append(q.id)
+        if track is not None:
+            track.extend((self.ids[1][s], gap, direction)
+                         for _, (s, gap, direction) in sorted(tracked.items()))
+
+    def _glue_wall_curves(self, pair_id: str) -> None:
+        """Glue the surface boundary curves matched across a spliced pair."""
+        # the surfaces carrying each curve now, in surface order
+        carriers = {index: sorted(map(self._resolve, fids), key=self.slot.__getitem__)
+                    for index, fids in self.carriers.get(pair_id, {}).items()}
+        for index, fids in sorted(carriers.items()):
+            if len(fids) != 2:
+                raise DiagramError(f"wall curve {pair_id}:{index} is not matched")
+            fa, fb = (self._resolve(x) for x in fids)
+
+            def strip_once(boundary, count):
+                kept = []
+                for i in boundary:
+                    if (count and isinstance(i, WallCurve) and i.pair == pair_id
+                            and i.index == index):
+                        count -= 1
+                        continue
+                    kept.append(i)
+                return tuple(kept)
+
+            if fa == fb:
+                # gluing two boundary circles of one connected surface adds genus
+                f = self.surfaces[fa]
+                self.surfaces[fa] = replace(f, genus=f.genus + 1,
+                                            boundary=strip_once(f.boundary, 2))
+            else:
+                a, b = self.surfaces[fa], self.surfaces[fb]
+                self.surfaces[fa] = replace(
+                    a, genus=a.genus + b.genus,
+                    boundary=strip_once(a.boundary, 1) + strip_once(b.boundary, 1))
+                del self.surfaces[fb]
+                self.alias[fb] = fa
+
+    def _resolve(self, fid: str) -> str:
+        while fid in self.alias:
+            fid = self.alias[fid]
+        return fid
+
+    def _piece(self, pid: str, c: _Component) -> Piece:
+        xids, sids, wids = self.ids
+
+        def renamed(item, nid):
+            return item if item.id == nid else replace(item, id=nid)
+
+        crossings = tuple(renamed(self.crossing[key], xids[key]) for key in c.crossings)
+        strands = []
+        for key in c.strands:
+            s = self.strand[key]
+            strands.append(Strand(
+                sids[key], tuple((xids[x], port) for x, port in s.visits),
+                *(None if pt is None else (wids[pt[0]], pt[1]) for pt in (s.start, s.end))))
+        walls = tuple(renamed(self.wall[key], wids[key]) for key in c.walls)
+        return Piece(pid, TangleCode(crossings, tuple(strands)), walls)
+
+    def diagram(self) -> Diagram:
+        """The glued diagram: spliced pairs gone, every reference renamed."""
+        _, sids, wids = self.ids
+        pieces = tuple(self._piece(p.id, self.parts[p.id]) if p.id in self.parts else p
+                       for p in self.d.pieces if self.find(p.id) == p.id)
+        glued = set(self.glued)
+
+        def ref(r):
+            return (self.find(r[0]), wids.get(tuple(r), r[1]))
+
+        pairs = tuple(replace(q, wall_a=ref(q.wall_a), wall_b=ref(q.wall_b))
+                      for q in self.d.pairs if q.id not in glued)
+        circles = []
+        for c in self.d.circles:
+            entries = tuple((self.find(p), sids.get((p, s), s))
+                            for p, s in c.strand_cycle if (p, s) not in self.dead)
+            if not entries:
+                raise DiagramError(f"circle {c.id} lost all strands in splice")
+            circles.append(replace(c, strand_cycle=entries))
+        return replace(self.d, pieces=pieces, pairs=pairs, circles=tuple(circles),
+                       surfaces=tuple(self.surfaces.values()))
 
 
 def merge_pieces(d: Diagram, pair_id: str) -> Diagram:
     """Connected sum of two pieces along a pair: one piece and one pair fewer."""
     q = d.pair(pair_id)
-    pa, pb = q.wall_a[0], q.wall_b[0]
-    if pa == pb:
-        raise MoveError(f"pair {pair_id} is internal to piece {pa}")
-    piece_a, piece_b = d.piece(pa), d.piece(pb)
-
-    # move piece_b's content into piece_a, renaming collisions
-    def renaming(kept, moved) -> dict[str, str]:
-        taken = {x.id for x in kept}
-        out = {}
-        for x in moved:
-            nid = x.id
-            while nid in taken:
-                nid += "m"
-            taken.add(nid)
-            out[x.id] = nid
-        return out
-
-    xmap = renaming(piece_a.tangle.crossings, piece_b.tangle.crossings)
-    smap = renaming(piece_a.tangle.strands, piece_b.tangle.strands)
-    wmap = renaming(piece_a.walls, piece_b.walls)
-    strands_b = tuple(
-        Strand(smap[s.id], tuple((xmap[x], p) for x, p in s.visits),
-               None if s.start is None else (wmap[s.start[0]], s.start[1]),
-               None if s.end is None else (wmap[s.end[0]], s.end[1]))
-        for s in piece_b.tangle.strands)
-    crossings_b = tuple(replace(c, id=xmap[c.id]) for c in piece_b.tangle.crossings)
-    walls_b = tuple(SphereWall(wmap[w.id], w.points) for w in piece_b.walls)
-    merged = Piece(pa,
-                   TangleCode(piece_a.tangle.crossings + crossings_b,
-                              piece_a.tangle.strands + strands_b),
-                   piece_a.walls + walls_b)
-    pieces = tuple(merged if p.id == pa else p for p in d.pieces if p.id != pb)
-
-    def fix_ref(ref):
-        return (pa, wmap[ref[1]]) if ref[0] == pb else tuple(ref)
-
-    # only the pairs and circles that reach into piece_b change
-    pairs = tuple(
-        replace(x, wall_a=fix_ref(x.wall_a), wall_b=fix_ref(x.wall_b))
-        if pb in (x.wall_a[0], x.wall_b[0]) else x
-        for x in d.pairs)
-    circles = tuple(
-        replace(c, strand_cycle=tuple(
-            (pa, smap[s]) if p == pb else (p, s) for p, s in c.strand_cycle))
-        if any(p == pb for p, _ in c.strand_cycle) else c
-        for c in d.circles)
-    out = replace(d, pieces=pieces, pairs=pairs, circles=circles)
-
-    out = _splice_through(out, pa, out.pair(pair_id))
-    return require_valid(_merge_wallcurves(out, pair_id), "merge broke the diagram")
-
-
-def _merge_wallcurves(d: Diagram, pair_id: str) -> Diagram:
-    """Glue surface boundary curves matched across a deleted pair."""
-    carriers: dict[int, list[str]] = {}
-    for f in d.surfaces:
-        for item in f.boundary:
-            if isinstance(item, WallCurve) and item.pair == pair_id:
-                carriers.setdefault(item.index, []).append(f.id)
-    if not carriers:
-        return d
-    surfaces = {f.id: f for f in d.surfaces}
-    alias: dict[str, str] = {}
-
-    def resolve(fid):
-        while fid in alias:
-            fid = alias[fid]
-        return fid
-
-    for index, fids in sorted(carriers.items()):
-        if len(fids) != 2:
-            raise DiagramError(f"wall curve {pair_id}:{index} is not matched")
-        fa, fb = (resolve(x) for x in fids)
-
-        def strip_once(boundary, count):
-            kept = []
-            for i in boundary:
-                if (count and isinstance(i, WallCurve) and i.pair == pair_id
-                        and i.index == index):
-                    count -= 1
-                    continue
-                kept.append(i)
-            return tuple(kept)
-
-        if fa == fb:
-            # gluing two boundary circles of one connected surface adds genus
-            f = surfaces[fa]
-            surfaces[fa] = replace(f, genus=f.genus + 1,
-                                   boundary=strip_once(f.boundary, 2))
-        else:
-            a, b = surfaces[fa], surfaces[fb]
-            surfaces[fa] = replace(
-                a, genus=a.genus + b.genus,
-                boundary=strip_once(a.boundary, 1) + strip_once(b.boundary, 1))
-            del surfaces[fb]
-            alias[fb] = fa
-    return replace(d, surfaces=tuple(surfaces.values()))
+    if q.wall_a[0] == q.wall_b[0]:
+        raise MoveError(f"pair {pair_id} is internal to piece {q.wall_a[0]}")
+    glue = _Glue(d)
+    glue.join(q)
+    return require_valid(glue.diagram(), "merge broke the diagram")
 
 
 def merge_all(d: Diagram, log: list | None = None) -> Diagram:
-    """Merge until one piece remains; exactly pieces - 1 merges on connected input."""
+    """Merge until one piece remains; exactly pieces - 1 merges on connected input.
+
+    The merged pairs are the spanning pairs in sorted pair id order, as
+    Kruskal's algorithm picks them: a pair is merged unless the merges
+    before it already joined its two pieces.  Merging the smallest external
+    pair, again and again, takes the same pairs in the same order, since an
+    internal pair stays internal.  The pieces are glued in one sweep, and
+    the result is validated once.
+    """
     require_valid(d, "invalid diagram")
-    while len(d.pieces) > 1:
-        external = sorted(q.id for q in d.pairs if q.wall_a[0] != q.wall_b[0])
-        if not external:
-            raise DiagramError(
-                "piece graph is disconnected: the presented manifold would "
-                "not be connected")
-        d = merge_pieces(d, external[0])
-        if log is not None:
-            log.append(KirbyMove("merge-pieces", (external[0],)))
-    return d
+    glue = _Glue(d)
+    for q in sorted(d.pairs, key=lambda q: q.id):
+        if glue.join(q) and log is not None:
+            log.append(KirbyMove("merge-pieces", (q.id,)))
+    if len(glue.glued) < len(d.pieces) - 1:
+        raise DiagramError(
+            "piece graph is disconnected: the presented manifold would "
+            "not be connected")
+    if not glue.glued:
+        return d
+    return require_valid(glue.diagram(), "merge broke the diagram")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +431,11 @@ def delete_superfluous(d: Diagram, surface_id: str, circle_id: str) -> Diagram:
     if found != (surface_id, circle_id):
         raise MoveError(
             f"({surface_id}, {circle_id}) is not the current cancelling pair")
+    return require_valid(_cancel(d, surface_id, circle_id), "cancellation broke the diagram")
+
+
+def _cancel(d: Diagram, surface_id: str, circle_id: str) -> Diagram:
+    """delete_superfluous on its own pair, unvalidated."""
     c = d.circle(circle_id)
     pieces = {p.id: p for p in d.pieces}
     for pid, sid in c.strand_cycle:
@@ -350,10 +447,22 @@ def delete_superfluous(d: Diagram, surface_id: str, circle_id: str) -> Diagram:
             for o in p.tangle.strands if o.id != sid)
         crossings = tuple(x for x in p.tangle.crossings if x.id not in drop)
         pieces[pid] = Piece(p.id, TangleCode(crossings, strands), p.walls)
-    out = replace(d, pieces=tuple(pieces[p.id] for p in d.pieces),
-                  circles=tuple(x for x in d.circles if x.id != circle_id),
-                  surfaces=tuple(f for f in d.surfaces if f.id != surface_id))
-    return require_valid(out, "cancellation broke the diagram")
+    return replace(d, pieces=tuple(pieces[p.id] for p in d.pieces),
+                   circles=tuple(x for x in d.circles if x.id != circle_id),
+                   surfaces=tuple(f for f in d.surfaces if f.id != surface_id))
+
+
+def _cancel_keeps_validity(d: Diagram, circle_id: str) -> bool:
+    """Whether cancelling a valid diagram's circle surely leaves it valid.
+
+    Deleting a closed strand with its crossings keeps a code planar, and the
+    cancelled surface is the only one on the circle.  What can go stale is
+    a wall point the circle ended on, a sink incidence column, or an
+    internal map naming the deleted handles.
+    """
+    (pid, sid), *rest = d.circle(circle_id).strand_cycle
+    return (not rest and d.piece(pid).tangle.strand(sid).closed
+            and d.sink_incidence is None and d.internal_maps is None)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +503,9 @@ def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
     q = d.pair(pair_id)
     pid = q.wall_a[0]
     track: list = []
-    spliced = _splice_through(d, pid, q, track)
+    glue = _Glue(d)
+    glue.splice(pid, q, track)
+    spliced = glue.diagram()
     p2 = spliced.piece(pid)
     code = p2.tangle
 
@@ -442,13 +553,19 @@ def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
 
 
 def reduce_pipeline(d: Diagram, log: list | None = None) -> Diagram:
-    """merge_all, then exhaustive cancellation, then Kirby form."""
+    """merge_all, then exhaustive cancellation, then Kirby form.
+
+    Validation runs once per phase: merge_all checks its input and the
+    merged diagram, and to_kirby checks the cancelled diagram and the Kirby
+    form.  A cancellation is checked on its own only when it may leave the
+    diagram invalid, so that the error names the cancellation.
+    """
     d = merge_all(d, log)
-    while True:
-        found = find_superfluous_surface(d)
-        if found is None:
-            break
-        d = delete_superfluous(d, *found)
+    while (found := find_superfluous_surface(d)) is not None:
+        out = _cancel(d, *found)
+        if not _cancel_keeps_validity(d, found[1]):
+            require_valid(out, "cancellation broke the diagram")
+        d = out
         if log is not None:
             log.append(KirbyMove("delete-surface", found))
     return to_kirby(d, log)

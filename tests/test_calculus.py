@@ -12,7 +12,16 @@ from msdiagram.calculus import (
     handle_slide,
     recognize_s3,
 )
-from msdiagram.core import Diagram, DiagramError, GluedCircle, Piece, validate
+from msdiagram.core import (
+    Diagram,
+    DiagramError,
+    GluedCircle,
+    Piece,
+    SpherePair,
+    SphereWall,
+    diagram_linking,
+    validate,
+)
 from msdiagram.equivalence import isomorphic
 from msdiagram.invariants import (
     det,
@@ -21,7 +30,7 @@ from msdiagram.invariants import (
     surgered_h1,
     surgery_presentation,
 )
-from msdiagram.tangle import MoveError, Strand, TangleCode
+from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode
 
 
 def unknots(framings, piece="P1"):
@@ -187,6 +196,25 @@ def test_slide_errors():
         handle_slide(d, "c1", "c1", ("P1", ("S1", 0), ("S1", 0), 1))
     with pytest.raises(MoveError):
         handle_slide(d, "c1", "c2", ("P1", ("S1", 0), ("S2", 3), 1))
+
+
+def test_slide_ignores_circles_it_does_not_touch():
+    # c3 runs from wall B to wall A of an internal pair and crosses c2 once,
+    # an odd crossing sum that has no linking number
+    code = TangleCode((Crossing("x1", 1),), (
+        Strand("S1"), Strand("S2", (("x1", 0),)), Strand("S3", (("x1", 1),), ("B", 0), ("A", 0))))
+    d = Diagram(pieces=(Piece("P1", code, (SphereWall("A", 1), SphereWall("B", 1))),),
+                pairs=(SpherePair("Q1", ("P1", "A"), ("P1", "B"), (0,)),),
+                circles=(GluedCircle("c1", (("P1", "S1"),), 1),
+                         GluedCircle("c2", (("P1", "S2"),), -1),
+                         GluedCircle("c3", (("P1", "S3"),), 0)))
+    assert validate(d).ok
+    with pytest.raises(DiagramError, match="odd crossing sum"):
+        diagram_linking(d, "c2", "c3")
+    out = handle_slide(d, "c1", "c2", ("P1", ("S1", 0), ("S2", 0), 1))
+    assert validate(out).ok
+    assert out.circle("c1").framing == 0  # f1 + f2 + 2 lk(c1, c2) with lk = 0
+    assert out.circle("c3") == d.circle("c3")
 
 
 def test_spherical_surgery_examples():

@@ -10,6 +10,7 @@ from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
 from msdiagram.core import DiagramError
 from msdiagram.format import parse, parse_moves, serialize, serialize_moves
+from msdiagram.invariants import linking_matrix
 from msdiagram.reduction import reduce_pipeline
 from msdiagram.render import render
 
@@ -114,6 +115,21 @@ def test_refusal_on_valid_input_exits_4(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["invariants", str(path)]) == 4
     assert "error: odd crossing sum" in capsys.readouterr().err
+
+
+def test_duplicate_circle_id_is_invalid(tmp_path):
+    # two split unknots under one circle id
+    text = ("msd 1\npiece P1\nstrand P1.S1 path=- from=- to=-\n"
+            "strand P1.S2 path=- from=- to=-\n"
+            "circle c1 strands=P1.S1 framing=1\ncircle c1 strands=P1.S2 framing=-1\n"
+            "sinks 1\n")
+    path = tmp_path / "twice.msd"
+    path.write_text(text)
+    out = run_cli("validate", str(path))
+    assert out.returncode == 1
+    assert out.stdout == "error: circle c1: duplicate circle id\ninvalid\n"
+    with pytest.raises(DiagramError, match="duplicate circle id"):
+        linking_matrix(parse(text))
 
 
 def test_endpoint_on_empty_wall_is_invalid(tmp_path):

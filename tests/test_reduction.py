@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import plant_cancelling_pair, random_multipiece_diagram
-from msdiagram import catalog
+from msdiagram import catalog, core
 from msdiagram.calculus import apply_move
 from msdiagram.core import (
     Diagram,
@@ -33,7 +33,7 @@ from msdiagram.reduction import (
     reduce_pipeline,
     to_kirby,
 )
-from msdiagram.tangle import MoveError, Strand, TangleCode
+from msdiagram.tangle import MoveError, Strand, TangleCode, r1_plus
 
 
 def two_empty_pieces():
@@ -268,3 +268,59 @@ def test_pipeline_log_replays_to_the_same_diagram(seed, planted):
         cur = replace(cur, surfaces=(), sink_incidence=None, annotation=out.annotation)
         assert serialize(cur) == serialize(out)
 
+
+
+def test_pipeline_names_a_cancellation_that_breaks_the_diagram():
+    # the cancelled circle runs through Q1 and back, so its strands leave
+    # unused wall points; a sink incidence block keeps a column per surface
+    through = Diagram(
+        pieces=(Piece("P1", TangleCode(strands=(Strand("S1", (), ("A", 1), ("A", 0)),
+                                                Strand("S2", (), ("B", 0), ("B", 1)))),
+                      (SphereWall("A", 2), SphereWall("B", 2))),),
+        pairs=(SpherePair("Q1", ("P1", "A"), ("P1", "B"), (0, 1)),),
+        circles=(GluedCircle("c1", (("P1", "S1"), ("P1", "S2")), 0),),
+        surfaces=(SpanningSurface("F1", 0, (FramingParallel("c1", 1),)),))
+    two_sinks = replace(catalog.standard("s4-with-cancelling-pair"), sink_count=2,
+                        sink_incidence=((0,), (0,)))
+    for d, error in ((through, "marked point 0 unused"),
+                     (two_sinks, "incidence block shape must be sinks x surfaces")):
+        assert validate(d).ok
+        with pytest.raises(DiagramError, match=f"^cancellation broke the diagram: {error}$"):
+            reduce_pipeline(d)
+
+
+def ring(k):
+    """k kinked pieces in a cycle of k pairs, one circle through all of them."""
+    walls = {"A": 1, "B": 1}
+    pieces, pairs, cycle = [], [], []
+    for i in range(1, k + 1):
+        code = r1_plus(TangleCode(strands=(Strand(f"S{i}", (), ("A", 0), ("B", 0)),)),
+                       f"S{i}", 0, 1, walls)
+        pieces.append(Piece(f"P{i}", code, (SphereWall("A", 1), SphereWall("B", 1))))
+        pairs.append(SpherePair(f"Q{i}", (f"P{i}", "B"), (f"P{i % k + 1}", "A"), (0,)))
+        cycle.append((f"P{i}", f"S{i}"))
+    return Diagram(pieces=tuple(pieces), pairs=tuple(pairs),
+                   circles=(GluedCircle("c1", tuple(cycle), 1),))
+
+
+def test_reduction_validates_a_constant_number_of_times(monkeypatch):
+    # cold validations (memo misses), whatever the number of merges and
+    # cancellations
+    calls = []
+    cold = core._validate
+    monkeypatch.setattr(core, "_validate", lambda d: calls.append(1) or cold(d))
+    merged, reduced = [], []
+    for k in (20, 80):
+        calls.clear()
+        out = merge_all(ring(k))
+        assert len(out.pieces) == 1 and len(out.pairs) == 1
+        merged.append(len(calls))
+        d = ring(k)
+        for i in range(k // 10):
+            d = plant_cancelling_pair(d, None, tag=f"K{i}")
+        calls.clear()
+        out = reduce_pipeline(d)
+        assert out.annotation.three_handles == 0
+        reduced.append(len(calls))
+    assert merged[0] == merged[1] <= 2
+    assert reduced[0] == reduced[1] <= 4
