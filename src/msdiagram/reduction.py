@@ -85,15 +85,16 @@ class _GluedStrand:
 
 
 class _Component:
-    """One piece being glued: its keys in code order and the ids they use."""
+    """One piece being glued: its items by key, in code order, and the ids in use."""
 
     __slots__ = ("crossings", "strands", "walls", "ids")
 
-    def __init__(self):
-        self.crossings: list = []
-        self.strands: dict = {}  # key -> stamp, rising along the strand order
-        self.walls: dict = {}    # key -> None, in wall order
-        self.ids: tuple[set, set, set] = (set(), set(), set())  # crossing, strand, wall
+    def __init__(self, p: Piece, stamps):
+        self.crossings = {(p.id, x.id): x for x in p.tangle.crossings}
+        self.strands = dict(zip(((p.id, s.id) for s in p.tangle.strands), stamps))
+        self.walls = {(p.id, w.id): w for w in p.walls}
+        self.ids = tuple({key[1] for key in keys}
+                         for keys in (self.crossings, self.strands, self.walls))
 
 
 class _Glue:
@@ -101,11 +102,12 @@ class _Glue:
 
     Crossings, strands and walls are held under the key (piece, id) they
     have in the starting diagram, and a connector crossing under (piece it
-    is made in, id).  The rename table maps each key to its id now, so
-    gluing renames only the colliding ids of the absorbed piece, as a
-    trailing "m" per clash, and rewrites no visit list.  Strands are found
-    through endpoint maps, so splicing a pair touches only the strands that
-    end on its walls.  Nothing is validated here.
+    is made in, id).  The rename tables hold only the ids that differ from
+    their key's, so gluing renames just the colliding ids of the absorbed
+    piece, as a trailing "m" per clash, and rewrites no visit list.  Strands
+    are found through endpoint maps, so a splice edits only the strands
+    that end on its pair's walls, and whatever no splice or rename touched
+    is read back as it was.  Nothing is validated here.
     """
 
     def __init__(self, d: Diagram):
@@ -113,9 +115,9 @@ class _Glue:
         self.owner: dict[str, str] = {}  # union-find over piece ids
         self.parts: dict[str, _Component] = {}  # surviving pieces, loaded on first use
         self.ids: tuple[dict, dict, dict] = ({}, {}, {})  # crossing, strand, wall renames
-        self.crossing: dict = {}
-        self.strand: dict[tuple, _GluedStrand] = {}
-        self.wall: dict = {}
+        self.renamed: set[str] = set()  # pieces some of whose ids were renamed
+        self.source: dict = {}  # strand key -> the Strand it starts as
+        self.strand: dict[tuple, _GluedStrand] = {}  # strands a splice has edited
         self.starts: dict = {}  # (wall key, point) -> strand key
         self.ends: dict = {}
         self.dead: set = set()  # strand keys spliced into another strand
@@ -139,34 +141,25 @@ class _Glue:
         return pid
 
     def _component(self, pid: str) -> _Component:
-        if pid in self.parts:
-            return self.parts[pid]
-        p = self.d.piece(pid)
-        c = self.parts[pid] = _Component()
-        (xids, sids, wids), (xused, sused, wused) = self.ids, c.ids
-        for x in p.tangle.crossings:
-            key = (pid, x.id)
-            self.crossing[key] = x
-            xids[key] = x.id
-            xused.add(x.id)
-            c.crossings.append(key)
-        for w in p.walls:
-            key = (pid, w.id)
-            self.wall[key] = w
-            wids[key] = w.id
-            wused.add(w.id)
-            c.walls[key] = None
-        for s in p.tangle.strands:
-            key = (pid, s.id)
-            ends = [None if pt is None else ((pid, pt[0]), pt[1]) for pt in (s.start, s.end)]
-            self.strand[key] = _GluedStrand([((pid, x), port) for x, port in s.visits], *ends)
-            sids[key] = s.id
-            sused.add(s.id)
-            c.strands[key] = next(self.stamps)
-            for at, pt in zip((self.starts, self.ends), ends):
-                if pt is not None:
-                    at[pt] = key
-        return c
+        if pid not in self.parts:
+            p = self.d.piece(pid)
+            self.parts[pid] = _Component(p, self.stamps)
+            for s in p.tangle.strands:
+                key = (pid, s.id)
+                self.source[key] = s
+                if s.start is not None:
+                    self.starts[(pid, s.start[0]), s.start[1]] = key
+                if s.end is not None:
+                    self.ends[(pid, s.end[0]), s.end[1]] = key
+        return self.parts[pid]
+
+    def _edited(self, key) -> _GluedStrand:
+        if key not in self.strand:
+            pid, s = key[0], self.source[key]
+            self.strand[key] = _GluedStrand(
+                [((pid, x), port) for x, port in s.visits],
+                *(None if pt is None else ((pid, pt[0]), pt[1]) for pt in (s.start, s.end)))
+        return self.strand[key]
 
     def join(self, q: SpherePair) -> bool:
         """Glue the piece on q's wall_b side into the one on its wall_a side, splicing q.
@@ -185,12 +178,14 @@ class _Glue:
                 used |= moved
                 continue
             for key in keys:
-                nid = ids[key]
+                nid = ids.get(key, key[1])
                 while nid in used:
                     nid += "m"
                 used.add(nid)
-                ids[key] = nid
-        a.crossings += b.crossings
+                if nid != ids.get(key, key[1]):
+                    ids[key] = nid
+                    self.renamed.add(key[0])
+        a.crossings.update(b.crossings)
         a.strands.update(zip(b.strands, self.stamps))
         a.walls.update(b.walls)
         self.splice(pa, q)
@@ -213,31 +208,27 @@ class _Glue:
             crossings, segs, _ = braid(_connector_word(q), [1] * k,
                                        fresh_ids(c.ids[0], "br"))
             for x in crossings:
-                key = (pid, x.id)
-                self.crossing[key] = x
-                self.ids[0][key] = x.id
+                c.crossings[pid, x.id] = x
                 c.ids[0].add(x.id)
-                c.crossings.append(key)
         end_map = {}
         for i in range(k):
             end_map[wa, i] = (i, True)
             end_map[wb, m[i]] = (i, False)
         touching = {at.get((w, i)) for at in (self.starts, self.ends)
                     for w in walls for i in range(k)} - {None}
-        touching = sorted(touching, key=c.strands.__getitem__)
+        edited = {s: self._edited(s) for s in sorted(touching, key=c.strands.__getitem__)}
 
         def connector(i, from_a):
             v = segs[i] if from_a else [(x, (p + 2) % 4) for x, p in reversed(segs[i])]
             return [((pid, x), p) for x, p in v]
 
-        heads = [s for s in touching
-                 if self.strand[s].start is None or self.strand[s].start[0] not in walls]
+        heads = [s for s, g in edited.items() if g.start is None or g.start[0] not in walls]
         tracked: dict[int, tuple] = {}
         chained = set(heads)
 
         def extend_chain(first):
             """Append the chain after strand first to its visits; its last end, None once closed."""
-            cur = self.strand[first]
+            cur = edited[first]
             visits = cur.visits
             while cur.end is not None and cur.end[0] in walls:
                 i, from_a = end_map[cur.end]
@@ -251,16 +242,16 @@ class _Glue:
                 if nxt in chained:
                     raise DiagramError(f"splice through pair {q.id} tangles")
                 chained.add(nxt)
-                cur = self.strand[nxt]
+                cur = edited[nxt]
                 visits += cur.visits
             return cur.end
 
         for s in heads:
-            self.strand[s].end = extend_chain(s)
+            edited[s].end = extend_chain(s)
         # chains that close entirely through the pair: the strand first in
         # the code order survives, and moves to the end
         loops = []
-        for s in touching:
+        for s in edited:
             if s in chained:
                 continue
             chained.add(s)
@@ -272,21 +263,22 @@ class _Glue:
             for i in range(k):
                 self.starts.pop((w, i), None)
                 self.ends.pop((w, i), None)
-            c.walls.pop(w, None)
-            c.ids[2].discard(self.ids[2].get(w))
+            if w in c.walls:
+                del c.walls[w]
+                c.ids[2].discard(self.ids[2].get(w, w[1]))
         for s in heads:
-            self.ends[self.strand[s].end] = s
+            self.ends[edited[s].end] = s
         for s in chained.difference(heads, loops):
             del c.strands[s]
-            c.ids[1].discard(self.ids[1][s])
+            c.ids[1].discard(self.ids[1].get(s, s[1]))
             self.dead.add(s)
         for s in loops:
-            self.strand[s].start = self.strand[s].end = None
+            edited[s].start = edited[s].end = None
             del c.strands[s]
             c.strands[s] = next(self.stamps)
         self.glued.append(q.id)
         if track is not None:
-            track.extend((self.ids[1][s], gap, direction)
+            track.extend((self.ids[1].get(s, s[1]), gap, direction)
                          for _, (s, gap, direction) in sorted(tracked.items()))
 
     def _glue_wall_curves(self, pair_id: str) -> None:
@@ -329,39 +321,45 @@ class _Glue:
 
     def _piece(self, pid: str, c: _Component) -> Piece:
         xids, sids, wids = self.ids
-
-        def renamed(item, nid):
-            return item if item.id == nid else replace(item, id=nid)
-
-        crossings = tuple(renamed(self.crossing[key], xids[key]) for key in c.crossings)
+        crossings = tuple(replace(x, id=xids[key]) if key in xids else x
+                          for key, x in c.crossings.items())
         strands = []
         for key in c.strands:
-            s = self.strand[key]
-            strands.append(Strand(
-                sids[key], tuple((xids[x], port) for x, port in s.visits),
-                *(None if pt is None else (wids[pt[0]], pt[1]) for pt in (s.start, s.end))))
-        walls = tuple(renamed(self.wall[key], wids[key]) for key in c.walls)
+            s = self.source[key]
+            if key in self.strand or key[0] in self.renamed:
+                g = self._edited(key)
+                s = Strand(sids.get(key, key[1]),
+                           tuple((xids.get(x, x[1]), port) for x, port in g.visits),
+                           *(None if pt is None else (wids.get(pt[0], pt[0][1]), pt[1])
+                             for pt in (g.start, g.end)))
+            strands.append(s)
+        walls = tuple(replace(w, id=wids[key]) if key in wids else w
+                      for key, w in c.walls.items())
         return Piece(pid, TangleCode(crossings, tuple(strands)), walls)
 
     def diagram(self) -> Diagram:
         """The glued diagram: spliced pairs gone, every reference renamed."""
         _, sids, wids = self.ids
+        moved = self.renamed.union(self.owner)  # pieces whose references change
         pieces = tuple(self._piece(p.id, self.parts[p.id]) if p.id in self.parts else p
-                       for p in self.d.pieces if self.find(p.id) == p.id)
-        glued = set(self.glued)
+                       for p in self.d.pieces if p.id not in self.owner)
 
         def ref(r):
             return (self.find(r[0]), wids.get(tuple(r), r[1]))
 
+        glued = set(self.glued)
         pairs = tuple(replace(q, wall_a=ref(q.wall_a), wall_b=ref(q.wall_b))
+                      if q.wall_a[0] in moved or q.wall_b[0] in moved else q
                       for q in self.d.pairs if q.id not in glued)
         circles = []
         for c in self.d.circles:
-            entries = tuple((self.find(p), sids.get((p, s), s))
-                            for p, s in c.strand_cycle if (p, s) not in self.dead)
-            if not entries:
-                raise DiagramError(f"circle {c.id} lost all strands in splice")
-            circles.append(replace(c, strand_cycle=entries))
+            if any(p in moved or (p, s) in self.dead for p, s in c.strand_cycle):
+                entries = tuple((self.find(p), sids.get((p, s), s))
+                                for p, s in c.strand_cycle if (p, s) not in self.dead)
+                if not entries:
+                    raise DiagramError(f"circle {c.id} lost all strands in splice")
+                c = replace(c, strand_cycle=entries)
+            circles.append(c)
         return replace(self.d, pieces=pieces, pairs=pairs, circles=tuple(circles),
                        surfaces=tuple(self.surfaces.values()))
 
