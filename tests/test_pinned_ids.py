@@ -337,15 +337,17 @@ def test_merge_all_renames_and_glues_wall_curves():
                                ("P5", "S2"), ("P1", "S3"), ("P2", "S3"), ("P3", "S1"),
                                ("P4", "S1"), ("P5", "S3")), -1),
             GluedCircle("c3", (("P4", "S4"),), 0)),
-        # Q1 glues F3 into F1, then F1 into F2 (F3 is resolved to F1 after
-        # F2); F4 and F5 are glued across Q2, then closed up across Q3
+        # Q1 glues F4 into F1, then F1 into F3 (F4 resolves to F1 after F3);
+        # Q2 then glues F3 into F2, as F1 now lies in F3, behind F2, and F6
+        # into F5, which Q3 closes up
         surfaces=(
-            SpanningSurface("F1", 0, (WallCurve("Q1", 0),)),
-            SpanningSurface("F2", 1, (WallCurve("Q1", 1),)),
-            SpanningSurface("F3", 0, (WallCurve("Q1", 0), FramingParallel("c3", 1),
+            SpanningSurface("F1", 0, (WallCurve("Q1", 0), WallCurve("Q2", 0))),
+            SpanningSurface("F2", 1, (WallCurve("Q2", 0),)),
+            SpanningSurface("F3", 0, (WallCurve("Q1", 1),)),
+            SpanningSurface("F4", 0, (WallCurve("Q1", 0), FramingParallel("c3", 1),
                                       WallCurve("Q1", 1))),
-            SpanningSurface("F4", 0, (WallCurve("Q2", 0), WallCurve("Q3", 0))),
-            SpanningSurface("F5", 0, (WallCurve("Q3", 0), WallCurve("Q2", 0)))))
+            SpanningSurface("F5", 0, (WallCurve("Q2", 1), WallCurve("Q3", 0))),
+            SpanningSurface("F6", 0, (WallCurve("Q3", 0), WallCurve("Q2", 1)))))
     assert validate(d).ok
     log = []
     out = merge_all(d, log)
@@ -355,7 +357,7 @@ def test_merge_all_renames_and_glues_wall_curves():
         ("S1", "S2", "S3", "S4"), ("c1", "c2", "c3"))
     assert tuple(w.id for w in out.pieces[0].walls) == ("A", "Bmm")
     assert out.surfaces == (SpanningSurface("F2", 1, (FramingParallel("c3", 1),)),
-                            SpanningSurface("F4", 1, ()))
+                            SpanningSurface("F5", 1, ()))
     assert serialize(out) == (
         "msd 1\n"
         "piece P4\n"
@@ -380,27 +382,33 @@ def test_merge_all_renames_and_glues_wall_curves():
         "circle c2 strands=P4.S2,P4.S1 framing=-1\n"
         "circle c3 strands=P4.S4 framing=0\n"
         "surface F2 genus=1 boundary=Cc3:+\n"
-        "surface F4 genus=1 boundary=-\n"
+        "surface F5 genus=1 boundary=-\n"
         "sinks 1\n")
 
 
 def test_merge_all_closes_chains_in_strand_order():
-    # c1 and c2 close up through Q1 alone: each becomes one closed strand,
-    # named after its first strand in P1's order and appended in that order
+    # c1 and c2 close up through Q2 alone: each becomes one closed strand,
+    # named after its first strand in P1's order and moved behind S3 in
+    # that order; Q1 glues P3 into P2 first, so P2 is loaded before P1
     d = Diagram(
         pieces=(Piece("P1", TangleCode(strands=(
-                    Strand("S3"),
                     Strand("S1", (), ("W1", 3), ("W1", 2)),
+                    Strand("S3"),
                     Strand("S2", (), ("W1", 1), ("W1", 0)))), (SphereWall("W1", 4),)),
                 Piece("P2", TangleCode(strands=(
                     Strand("S2", (), ("W2", 2), ("W2", 3)),
-                    Strand("S1", (), ("W2", 0), ("W2", 1)))), (SphereWall("W2", 4),))),
-        pairs=(SpherePair("Q1", ("P1", "W1"), ("P2", "W2"), (0, 1, 2, 3)),),
+                    Strand("S1", (), ("W2", 0), ("W2", 1)))),
+                      (SphereWall("W2", 4), SphereWall("X"))),
+                Piece("P3", walls=(SphereWall("Y"),))),
+        pairs=(SpherePair("Q1", ("P2", "X"), ("P3", "Y")),
+               SpherePair("Q2", ("P1", "W1"), ("P2", "W2"), (0, 1, 2, 3))),
         circles=(GluedCircle("c1", (("P1", "S2"), ("P2", "S1")), 1),
                  GluedCircle("c2", (("P1", "S1"), ("P2", "S2")), 0),
                  GluedCircle("c3", (("P1", "S3"),), -1)))
     assert validate(d).ok
-    out = merge_all(d)
+    log = []
+    out = merge_all(d, log)
+    assert log == [KirbyMove("merge-pieces", (q,)) for q in ("Q1", "Q2")]
     assert order(out) == (("br1", "br2"), ("S3", "S1", "S2"), ("c1", "c2", "c3"))
     assert serialize(out) == (
         "msd 1\n"
