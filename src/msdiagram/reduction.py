@@ -227,7 +227,10 @@ class _Glue:
         chained = set(heads)
 
         def extend_chain(first):
-            """Append the chain after strand first to its visits; its last end, None once closed."""
+            """Append the chain after strand first to its visits.
+
+            Returns the chain's last end, or None once it closes up.
+            """
             cur = edited[first]
             visits = cur.visits
             while cur.end is not None and cur.end[0] in walls:

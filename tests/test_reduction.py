@@ -269,7 +269,6 @@ def test_pipeline_log_replays_to_the_same_diagram(seed, planted):
         assert serialize(cur) == serialize(out)
 
 
-
 def test_pipeline_names_a_cancellation_that_breaks_the_diagram():
     # the cancelled circle runs through Q1 and back, so its strands leave
     # unused wall points; a sink incidence block keeps a column per surface
@@ -316,8 +315,9 @@ def test_reduction_validates_a_constant_number_of_times(monkeypatch):
         assert len(out.pieces) == 1 and len(out.pairs) == 1
         merged.append(len(calls))
         d = ring(k)
+        rng = random.Random(k)
         for i in range(k // 10):
-            d = plant_cancelling_pair(d, None, tag=f"K{i}")
+            d = plant_cancelling_pair(d, rng, tag=f"K{i}")
         calls.clear()
         out = reduce_pipeline(d)
         assert out.annotation.three_handles == 0
