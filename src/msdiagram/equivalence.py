@@ -579,6 +579,8 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
     ):
         if sorted(mapping) != sorted(ids1) or sorted(mapping.values()) != sorted(ids2):
             findings.append(Finding("error", f"witness/{name}", "not a bijection"))
+    if not sorted(iso.sink_map) == list(range(d1.sink_count)) == list(range(d2.sink_count)):
+        findings.append(Finding("error", "witness/sinks", "not a bijection"))
     if findings:
         return ValidationReport(tuple(findings))
     sign = -1 if iso.mirror else 1
@@ -659,126 +661,109 @@ def verify_internal_maps(d: Diagram) -> ValidationReport:
     return ValidationReport(findings)
 
 
-def _abstract_candidates(d1: Diagram, d2: Diagram):
-    """All invariant-respecting bijections of the five index sets.
+def _least_rotation(s: list) -> int:
+    """Start of the lexicographically least rotation of s, in linear time."""
+    n = len(s)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[(i + k) % n], s[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
-    Any topological equivalence induces one of these, so an empty commuting
-    subset refutes conjugacy outright.
+
+def _conjugator(f1: dict, f2: dict, key1, key2) -> dict | None:
+    """A colour-keeping bijection phi with f2(phi(x)) == phi(f1(x)), or None.
+
+    One exists exactly when f1 and f2 have the same multiset of coloured
+    cycles, a cycle's colour being its sequence of keys up to rotation; phi
+    pairs such cycles and lines up their least rotations.
     """
-    def grouped(items1, items2, key1, key2):
-        g1: dict = {}
-        g2: dict = {}
-        for x in items1:
-            g1.setdefault(key1(x), []).append(x)
-        for x in items2:
-            g2.setdefault(key2(x), []).append(x)
-        if sorted(g1) != sorted(g2):
-            return None
-        if any(len(g1[k]) != len(g2[k]) for k in g1):
-            return None
-        return [(g1[k], g2[k]) for k in sorted(g1)]
-
-    k1 = _circle_keys(d1)
-    k2 = _circle_keys(d2)
-    circle_groups = grouped([c.id for c in d1.circles], [c.id for c in d2.circles],
-                            lambda c: k1[c], lambda c: k2[c])
-    piece_groups = grouped(
-        [p.id for p in d1.pieces], [p.id for p in d2.pieces],
-        lambda p: (len(d1.piece(p).walls), len(d1.piece(p).tangle.strands)),
-        lambda p: (len(d2.piece(p).walls), len(d2.piece(p).tangle.strands)))
-    pair_groups = grouped(
-        [q.id for q in d1.pairs], [q.id for q in d2.pairs],
-        lambda q: (len(d1.pair(q).matching), d1.pair(q).orientation),
-        lambda q: (len(d2.pair(q).matching), d2.pair(q).orientation))
-
-    def surf_key(d):
-        def key(fid):
-            f = d.surface(fid)
-            return (f.genus, len(f.boundary))
-        return key
-
-    surface_groups = grouped([f.id for f in d1.surfaces], [f.id for f in d2.surfaces],
-                             surf_key(d1), surf_key(d2))
-    if None in (circle_groups, piece_groups, pair_groups, surface_groups):
+    if len(f1) != len(f2):
         return None
 
-    def assignments(groups):
-        if not groups:
-            yield {}
-            return
-        heads = [list(itertools.permutations(b)) for a, b in groups]
-        for combo in itertools.product(*heads):
-            out = {}
-            for (a, _), perm in zip(groups, combo):
-                out.update(dict(zip(a, perm)))
-            yield out
+    def coloured(f, key):
+        seen: set = set()
+        for x in f:
+            cycle = []
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = f[x]
+            if cycle:
+                keys = [key(y) for y in cycle]
+                r = _least_rotation(keys)
+                yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
 
-    for pcs in assignments(piece_groups):
-        for qs in assignments(pair_groups):
-            for cs in assignments(circle_groups):
-                for fs in assignments(surface_groups):
-                    for sk in itertools.permutations(range(d1.sink_count)):
-                        yield (pcs, qs, cs, fs, tuple(sk))
-
-
-def _commutes(phi, i1: InternalMaps, i2: InternalMaps) -> bool:
-    pcs, qs, cs, fs, sk = phi
-    for a, b in i1.on_pieces:
-        if i2.pieces()[pcs[a]] != pcs[b]:
-            return False
-    for a, b in i1.on_pairs:
-        if i2.pairs()[qs[a]] != qs[b]:
-            return False
-    for a, b in i1.on_circles:
-        if i2.circles()[cs[a]] != cs[b]:
-            return False
-    for a, b in i1.on_surfaces:
-        if i2.surfaces()[fs[a]] != fs[b]:
-            return False
-    for i, j in enumerate(i1.on_sinks):
-        if i2.on_sinks[sk[i]] != sk[j]:
-            return False
-    return True
+    pool: dict = {}
+    for colour, cycle in coloured(f2, key2):
+        pool.setdefault(colour, []).append(cycle)
+    phi = {}
+    for colour, cycle in coloured(f1, key1):
+        if not pool.get(colour):
+            return None
+        phi.update(zip(cycle, pool[colour].pop()))
+    return phi
 
 
 def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
-    """Topological conjugacy of two diffeomorphism diagrams (semi-decision)."""
+    """Topological conjugacy of two diffeomorphism diagrams (semi-decision).
+
+    Any conjugacy induces, on each index set, a bijection that keeps the
+    invariant keys below and commutes with the internal maps; when one index
+    set has none the No is exhaustive.  Yes needs a realizable equivalence
+    witness whose four id maps commute.
+    """
     for d in (d1, d2):
-        if d.kind != Kind.DIFFEOMORPHISM or not verify_internal_maps(d).ok:
+        if not verify_internal_maps(d).ok:
             raise DiagramError("conjugate needs diffeomorphism diagrams with "
                                "valid internal maps")
     sep = separating_invariant(d1, d2)
     if sep is not None:
         return Verdict.make_no(sep, f"underlying diagrams separated by {sep}")
     i1, i2 = d1.internal_maps, d2.internal_maps
-    candidates = _abstract_candidates(d1, d2)
-    if candidates is None:
-        return Verdict.make_no("index-set invariants",
-                               "no invariant-respecting bijection exists")
-    total = 0
-    commuting = 0
-    for phi in candidates:
-        total += 1
-        if _commutes(phi, i1, i2):
-            commuting += 1
-    if commuting == 0:
-        return Verdict.make_no(
-            "commutation",
-            f"exhaustive: none of {total} invariant-respecting index bijections "
-            f"commutes with the internal maps")
-    # search for a realizable commuting witness
+    k1, k2 = _circle_keys(d1), _circle_keys(d2)
+
+    def piece_key(d):
+        return lambda p: (len(d.piece(p).walls), len(d.piece(p).tangle.strands))
+
+    def pair_key(d):
+        return lambda q: (len(d.pair(q).matching), d.pair(q).orientation)
+
+    def surface_key(d):
+        return lambda f: (d.surface(f).genus, len(d.surface(f).boundary))
+
+    index_sets = (
+        ("pieces", i1.pieces(), i2.pieces(), piece_key(d1), piece_key(d2)),
+        ("pairs", i1.pairs(), i2.pairs(), pair_key(d1), pair_key(d2)),
+        ("circles", i1.circles(), i2.circles(), k1.__getitem__, k2.__getitem__),
+        ("surfaces", i1.surfaces(), i2.surfaces(), surface_key(d1), surface_key(d2)),
+        ("sinks", dict(enumerate(i1.on_sinks)), dict(enumerate(i2.on_sinks)),
+         lambda i: 0, lambda i: 0),
+    )
+    for name, f1, f2, key1, key2 in index_sets:
+        phi = _conjugator(f1, f2, key1, key2)
+        if phi is None:
+            return Verdict.make_no(
+                f"commutation on {name}",
+                f"exhaustive: no invariant-respecting bijection of the {name} "
+                f"commutes with the internal maps")
+    # the sinks come last: phi is their conjugator
+    sink_map = tuple(phi[i] for i in range(d1.sink_count))
     for iso in enumerate_isomorphisms(d1, d2, budget):
-        for sk in itertools.permutations(range(d1.sink_count)):
-            phi = (iso.pieces(), iso.pairs(), iso.circles(), iso.surfaces(), tuple(sk))
-            if _commutes(phi, i1, i2):
-                witness = replace(iso, sink_map=tuple(sk))
-                return Verdict.make_yes(
-                    witness, "equivalence witness commuting with the internal maps")
-    crossings = sum(len(p.tangle.crossings) for p in d1.pieces)
-    if crossings <= 6 and len(d1.circles) <= 6:
-        return Verdict.make_no(
-            "witness search",
-            f"exhaustive over the {total} candidate bijections and all "
-            f"relabeling witnesses of the reduced forms; none commutes")
-    return Verdict.make_unknown(budget, f"{commuting} abstract candidates commute "
+        id_maps = (iso.pieces(), iso.pairs(), iso.circles(), iso.surfaces())
+        if all(f2[m[a]] == m[b]
+               for m, (_, f1, f2, _, _) in zip(id_maps, index_sets)
+               for a, b in f1.items()):
+            return Verdict.make_yes(replace(iso, sink_map=sink_map),
+                                    "equivalence witness commuting with the internal maps")
+    return Verdict.make_unknown(budget, "a commuting invariant-respecting bijection exists "
                                         "but no realizable witness was found")

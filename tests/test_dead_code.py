@@ -3,10 +3,13 @@
 A name counts as used when source, tests or the benchmark refer to it other
 than by its own definition: as a name, an attribute, an import, or inside a
 string that is not a docstring (the benchmark's tracer names the functions it
-wraps in strings).
+wraps in strings).  Conversely, every function the tracer wraps must exist,
+or the traced benchmark run would crash where tier-1 passed.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -50,3 +53,18 @@ def test_no_unused_top_level_definitions():
                     and node.name not in used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, unused
+
+
+def test_benchmark_hooks_exist():
+    # executed from its text, so that no bytecode is written under perfbench/
+    path = ROOT / "perfbench" / "spans.py"
+    spans = importlib.util.module_from_spec(importlib.util.spec_from_loader("spans", None))
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    missing = [f"{module}.{name}"
+               for table in (spans.SPANNED, spans.COUNTED)
+               for module, names in table.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"msdiagram.{module}"),
+                                       name, None))]
+    assert not missing, missing
+    assert callable(importlib.import_module("msdiagram.equivalence").canonical_key.cache_info)

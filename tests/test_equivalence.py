@@ -1,10 +1,16 @@
 """Canonical labeling, isomorphism verdicts and conjugacy of diffeomorphisms."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from msdiagram import catalog
+from msdiagram.calculus import blow_up
 from msdiagram.core import (
     Diagram,
     DiagramError,
@@ -16,6 +22,7 @@ from msdiagram.core import (
     validate,
 )
 from msdiagram.equivalence import (
+    _conjugator,
     canonical_key,
     conjugate,
     enumerate_isomorphisms,
@@ -268,3 +275,136 @@ def test_mirror_involution():
         d = catalog.standard(name)
         assert mirror(mirror(d)) == d
         assert validate(mirror(d)).ok
+
+
+def test_verify_rejects_tampered_sink_map():
+    d = replace(catalog.s2xs2(), sink_count=2)
+    assert validate(d).ok
+    v = isomorphic(d, d)
+    assert v.yes and verify_isomorphism(v.witness, d, d).ok
+    for sink_map in ((0, 0), (0,), (1, 2)):
+        report = verify_isomorphism(replace(v.witness, sink_map=sink_map), d, d)
+        assert [(f.location, f.message) for f in report.errors()] == [
+            ("witness/sinks", "not a bijection")]
+
+
+# ---------------------------------------------------------------------------
+# conjugacy by coloured cycle types
+
+
+def split_unknots_with_cycle(k, shift):
+    """k split +1 unknots in one piece; the diffeomorphism sends i to i + shift."""
+    d = Diagram(pieces=(Piece("P1"),), sink_count=1)
+    for _ in range(k):
+        d = blow_up(d, "P1")
+    ids = [c.id for c in d.circles]
+    maps = InternalMaps(on_pieces=(("P1", "P1"),),
+                        on_circles=tuple((ids[i], ids[(i + shift) % k]) for i in range(k)),
+                        on_sinks=(0,))
+    return replace(d, internal_maps=maps, kind=Kind.DIFFEOMORPHISM)
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_conjugate_k_cycles_never_no(k):
+    # all k-cycles are conjugate and split unknots can be permuted by isotopy
+    v = conjugate(split_unknots_with_cycle(k, 1), split_unknots_with_cycle(k, k - 1))
+    assert not v.no, v.detail
+    if k == 4:
+        assert v.yes
+
+
+def has_commuting_bijection(f1, f2, key1, key2):
+    """Brute force over all bijections phi: does one keep colours and commute?"""
+    if len(f1) != len(f2):
+        return False
+    xs = list(f1)
+    for image in itertools.permutations(f2):
+        phi = dict(zip(xs, image))
+        if all(key2[phi[x]] == key1[x] and f2[phi[x]] == phi[f1[x]] for x in xs):
+            return True
+    return False
+
+
+@st.composite
+def coloured_permutations(draw):
+    """Two coloured permutations of up to 6 elements and up to 3 colours.
+
+    Half the time the second is a relabelled copy of the first, so that both
+    answers occur often; otherwise its size, cycles and colours are drawn
+    afresh.
+    """
+    n = draw(st.integers(0, 6))
+    colours = st.integers(0, draw(st.integers(0, 2)))
+    f1 = draw(st.permutations(range(n)))
+    c1 = draw(st.lists(colours, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sigma = draw(st.permutations(range(n)))
+        f2, c2 = [0] * n, [0] * n
+        for x in range(n):
+            f2[sigma[x]] = sigma[f1[x]]
+            c2[sigma[x]] = c1[x]
+    else:
+        m = draw(st.integers(max(n - 1, 0), min(n + 1, 6)))
+        f2 = draw(st.permutations(range(m)))
+        c2 = draw(st.lists(colours, min_size=m, max_size=m))
+    return (dict(enumerate(f1)), {f"y{x}": f"y{y}" for x, y in enumerate(f2)},
+            dict(enumerate(c1)), {f"y{x}": c for x, c in enumerate(c2)})
+
+
+@settings(max_examples=500, deadline=None)
+@given(coloured_permutations())
+def test_conjugator_matches_brute_force(case):
+    f1, f2, key1, key2 = case
+    phi = _conjugator(f1, f2, key1.__getitem__, key2.__getitem__)
+    assert (phi is not None) == has_commuting_bijection(f1, f2, key1, key2)
+    if phi is not None:
+        assert sorted(phi) == sorted(f1) and sorted(phi.values()) == sorted(f2)
+        assert all(key2[phi[x]] == key1[x] and f2[phi[x]] == phi[f1[x]] for x in f1)
+
+
+def diffeo_diagrams():
+    def build(args):
+        seed, kind = args
+        rng = random.Random(seed)
+        if kind == "swap":
+            d = catalog.standard("swap-diffeo")
+        elif kind == "multi":
+            d = catalog.identity_diffeo(helpers.random_multipiece_diagram(rng))
+        else:
+            d = catalog.identity_diffeo(helpers.random_kirby_diagram(rng))
+        d2 = helpers.random_relabel(d, rng)
+        if kind == "sinks":
+            # no surfaces, so three sinks need no incidence block; the copy
+            # also renumbers its sinks by sigma
+            f, sigma = list(range(3)), list(range(3))
+            rng.shuffle(f)
+            rng.shuffle(sigma)
+            on_sinks = [0] * 3
+            for i in range(3):
+                on_sinks[sigma[i]] = sigma[f[i]]
+            d = replace(d, sink_count=3, internal_maps=replace(d.internal_maps, on_sinks=tuple(f)))
+            d2 = replace(d2, sink_count=3,
+                         internal_maps=replace(d2.internal_maps, on_sinks=tuple(on_sinks)))
+        return d, d2
+
+    return st.tuples(st.integers(0, 2**32 - 1),
+                     st.sampled_from(["kirby", "multi", "swap", "sinks"])).map(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffeo_diagrams())
+def test_conjugate_relabelled_copy_is_never_no(pair):
+    d1, d2 = pair
+    v = conjugate(d1, d2)
+    assert not v.no, v.detail
+    if v.yes:
+        w = v.witness
+        assert verify_isomorphism(w, d1, d2).ok
+        i1, i2 = d1.internal_maps, d2.internal_maps
+        for m, f1, f2 in ((w.pieces(), i1.pieces(), i2.pieces()),
+                          (w.pairs(), i1.pairs(), i2.pairs()),
+                          (w.circles(), i1.circles(), i2.circles()),
+                          (w.surfaces(), i1.surfaces(), i2.surfaces()),
+                          (dict(enumerate(w.sink_map)), dict(enumerate(i1.on_sinks)),
+                           dict(enumerate(i2.on_sinks)))):
+            assert all(f2[m[a]] == m[b] for a, b in f1.items())
