@@ -16,6 +16,7 @@ comparison treats, say, the +1- and the -1-framed unknot as different.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -210,14 +211,10 @@ def _plans(d: Diagram):
         options[longest] = options[longest][: (len(options[longest]) + 1) // 2]
 
     def orderings():
-        perms_per_group = []
-        total = 1
-        for g in groups:
-            perms = list(itertools.permutations(g))
-            total *= len(perms)
-            perms_per_group.append(perms)
-        if total > _ORDER_CAP:
+        if math.prod(math.factorial(len(g)) for g in groups) > _ORDER_CAP:
             perms_per_group = [[tuple(g)] for g in groups]
+        else:
+            perms_per_group = [list(itertools.permutations(g)) for g in groups]
         for combo in itertools.product(*perms_per_group):
             yield [cid for g in combo for cid in g]
 
@@ -583,6 +580,14 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
         findings.append(Finding("error", "witness/sinks", "not a bijection"))
     if findings:
         return ValidationReport(tuple(findings))
+    if d1.sink_incidence is not None and d2.sink_incidence is not None:
+        column = {f.id: i for i, f in enumerate(d2.surfaces)}
+        fmap = iso.surfaces()
+        for j, row in enumerate(d1.sink_incidence):
+            img = d2.sink_incidence[iso.sink_map[j]]
+            if any(img[column[fmap[f.id]]] != m for f, m in zip(d1.surfaces, row)):
+                findings.append(Finding("error", "witness/sinks",
+                                        f"incidence of sink {j} not preserved"))
     sign = -1 if iso.mirror else 1
     for c in d1.circles:
         img = d2.circle(iso.circles()[c.id])
@@ -661,25 +666,6 @@ def verify_internal_maps(d: Diagram) -> ValidationReport:
     return ValidationReport(findings)
 
 
-def _least_rotation(s: list) -> int:
-    """Start of the lexicographically least rotation of s, in linear time."""
-    n = len(s)
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = s[(i + k) % n], s[(j + k) % n]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    return min(i, j)
-
-
 def _conjugator(f1: dict, f2: dict, key1, key2) -> dict | None:
     """A colour-keeping bijection phi with f2(phi(x)) == phi(f1(x)), or None.
 
@@ -700,7 +686,7 @@ def _conjugator(f1: dict, f2: dict, key1, key2) -> dict | None:
                 x = f[x]
             if cycle:
                 keys = [key(y) for y in cycle]
-                r = _least_rotation(keys)
+                r = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
                 yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
 
     pool: dict = {}
@@ -720,7 +706,7 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     Any conjugacy induces, on each index set, a bijection that keeps the
     invariant keys below and commutes with the internal maps; when one index
     set has none the No is exhaustive.  Yes needs a realizable equivalence
-    witness whose four id maps commute.
+    witness whose five maps commute.
     """
     for d in (d1, d2):
         if not verify_internal_maps(d).ok:
@@ -750,20 +736,17 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
          lambda i: 0, lambda i: 0),
     )
     for name, f1, f2, key1, key2 in index_sets:
-        phi = _conjugator(f1, f2, key1, key2)
-        if phi is None:
+        if _conjugator(f1, f2, key1, key2) is None:
             return Verdict.make_no(
                 f"commutation on {name}",
                 f"exhaustive: no invariant-respecting bijection of the {name} "
                 f"commutes with the internal maps")
-    # the sinks come last: phi is their conjugator
-    sink_map = tuple(phi[i] for i in range(d1.sink_count))
     for iso in enumerate_isomorphisms(d1, d2, budget):
-        id_maps = (iso.pieces(), iso.pairs(), iso.circles(), iso.surfaces())
+        maps = (iso.pieces(), iso.pairs(), iso.circles(), iso.surfaces(),
+                dict(enumerate(iso.sink_map)))
         if all(f2[m[a]] == m[b]
-               for m, (_, f1, f2, _, _) in zip(id_maps, index_sets)
+               for m, (_, f1, f2, _, _) in zip(maps, index_sets)
                for a, b in f1.items()):
-            return Verdict.make_yes(replace(iso, sink_map=sink_map),
-                                    "equivalence witness commuting with the internal maps")
+            return Verdict.make_yes(iso, "equivalence witness commuting with the internal maps")
     return Verdict.make_unknown(budget, "a commuting invariant-respecting bijection exists "
                                         "but no realizable witness was found")

@@ -288,6 +288,17 @@ def test_verify_rejects_tampered_sink_map():
             ("witness/sinks", "not a bijection")]
 
 
+def test_verify_rejects_sink_map_breaking_incidence():
+    d = replace(catalog.s1xs3(), sink_count=2, sink_incidence=((1,), (-1,)))
+    assert validate(d).ok
+    v = isomorphic(d, d)
+    assert v.yes and verify_isomorphism(v.witness, d, d).ok
+    report = verify_isomorphism(replace(v.witness, sink_map=(1, 0)), d, d)
+    assert [(f.location, f.message) for f in report.errors()] == [
+        ("witness/sinks", "incidence of sink 0 not preserved"),
+        ("witness/sinks", "incidence of sink 1 not preserved")]
+
+
 # ---------------------------------------------------------------------------
 # conjugacy by coloured cycle types
 
@@ -368,6 +379,10 @@ def diffeo_diagrams():
         rng = random.Random(seed)
         if kind == "swap":
             d = catalog.standard("swap-diffeo")
+        elif kind == "incidence":
+            # two sinks told apart only by their incidence rows
+            d = catalog.identity_diffeo(replace(catalog.s1xs3(), sink_count=2,
+                                                sink_incidence=((1,), (-1,))))
         elif kind == "multi":
             d = catalog.identity_diffeo(helpers.random_multipiece_diagram(rng))
         else:
@@ -388,7 +403,7 @@ def diffeo_diagrams():
         return d, d2
 
     return st.tuples(st.integers(0, 2**32 - 1),
-                     st.sampled_from(["kirby", "multi", "swap", "sinks"])).map(build)
+                     st.sampled_from(["kirby", "multi", "swap", "sinks", "incidence"])).map(build)
 
 
 @settings(max_examples=60, deadline=None)
