@@ -39,7 +39,6 @@ from .core import (
 )
 from .equivalence import (
     Isomorphism,
-    canonical_form,
     canonical_key,
     conjugate,
     isomorphic,

@@ -1,12 +1,19 @@
 """Diagram isomorphism and diffeomorphism conjugacy.
 
 Isotopy inside each piece is approximated by bounded Reidemeister reduction
-followed by canonical labeling: a deterministic traversal renames every id,
+followed by canonical labeling: a deterministic walk renames every id,
 fixes crossing port gauges and wall point offsets, and the lexicographically
-smallest serialization over the traversal choices (circle order, directions,
-starting points) is the canonical form.  Equal canonical forms certify an
-isomorphism; separation is only ever claimed on genuine invariants, so
-Unknown is a legal outcome.
+smallest serialization over the walks is the canonical form.  Equal
+canonical forms certify an isomorphism; separation is only ever claimed on
+genuine invariants, so Unknown is a legal outcome.
+
+A walk begins at a start (circle, direction, first strand or visit) of
+least rank, ranked by circle colour and a trace of crossings and wall hops.
+Every other circle starts where the walk first meets it: at a crossing,
+entering one port counterclockwise of the walker; at a new wall, leaving it,
+in cyclic order from the walker's point; under a circle map, as the image of
+a walked circle.  Input order plays one part: a walk that meets no new circle
+goes on with the least-ranked start left, ties broken by circle id.
 
 Orientation-reversing piece homeomorphisms (mirror images) are searched only
 when asked: framings and crossing signs flip under them, and the default
@@ -15,8 +22,6 @@ comparison treats, say, the +1- and the -1-framed unknot as different.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -36,6 +41,7 @@ from .core import (
     Verdict,
     WallCurve,
     circle_crossing_sums,
+    endpoint_usage,
     handle_counts,
     linking_from_sums,
     require_valid,
@@ -46,11 +52,7 @@ from .core import (
 )
 from .format import natural_key, serialize
 from .invariants import det, linking_matrix, rank, signature, smith_normal_form
-from .tangle import Strand, crossing_passages, crossing_sign
-
-_OPTION_CAP = 64     # per-diagram cap on (direction, rotation) combinations
-_ORDER_CAP = 24      # cap on same-key circle order permutations
-
+from .tangle import Strand, apply_rmove, crossing_passages, crossing_sign
 
 # ---------------------------------------------------------------------------
 # mirror image
@@ -122,19 +124,13 @@ def _effective_cycle(d: Diagram, cid: str, direction: int, rot: int):
 
 
 def _circle_keys(d: Diagram) -> dict[str, tuple]:
-    """Relabeling-invariant circle keys, refined once through linking data."""
+    """Isotopy-invariant circle colours: framing and strand count, refined
+    once by the absolute linking numbers with the other circles' colours."""
     sums = circle_crossing_sums(d, [c.id for c in d.circles])
-    base = {}
-    for c in d.circles:
-        visits = sum(len(d.piece(p).tangle.strand(s).visits) for p, s in c.strand_cycle)
-        base[c.id] = (c.framing, len(c.strand_cycle), visits, sums.get((c.id, c.id), 0))
-    refined = {}
-    for c in d.circles:
-        links = sorted(
-            (abs(linking_from_sums(sums, c.id, o.id)), base[o.id])
-            for o in d.circles if o.id != c.id)
-        refined[c.id] = (base[c.id], tuple(links))
-    return refined
+    base = {c.id: (c.framing, len(c.strand_cycle)) for c in d.circles}
+    return {c.id: (base[c.id], tuple(sorted(
+        (abs(linking_from_sums(sums, c.id, o.id)), base[o.id])
+        for o in d.circles if o.id != c.id))) for c in d.circles}
 
 
 def _rotation_count(d: Diagram, cid: str) -> int:
@@ -147,12 +143,8 @@ def _rotation_count(d: Diagram, cid: str) -> int:
     return len(c.strand_cycle)
 
 
-def _local_signature(d: Diagram, keys, cid, direction, rot):
-    """Cheap invariant trace of one traversal choice, used to anchor options."""
-    member = {}
-    for c in d.circles:
-        for e in c.strand_cycle:
-            member[tuple(e)] = c.id
+def _local_signature(d: Diagram, keys, member, cid, direction, rot):
+    """Cheap invariant trace of one start, used to rank the starts."""
     out = []
     for pid, s in _effective_cycle(d, cid, direction, rot):
         code = d.piece(pid).tangle
@@ -162,66 +154,82 @@ def _local_signature(d: Diagram, keys, cid, direction, rot):
             even, odd = crossing_passages(code, x)
             partner = odd if p % 2 == 0 else even
             step.append((over_here, crossing_sign(code, x),
-                         keys[member[(pid, partner[0])]],
-                         member[(pid, partner[0])] == cid))
+                         keys[member[pid, partner[0]]],
+                         member[pid, partner[0]] == cid))
         if s.end is not None:
             q = wall_of_pair(d, (pid, s.end[0]))
-            step.append(("hop", q.orientation, d.piece(pid).wall(s.end[0]).points))
+            other = q.wall_b if q.wall_a == (pid, s.end[0]) else q.wall_a
+            step.append(("hop", q.orientation, d.piece(pid).wall(s.end[0]).points,
+                         q.wall_a == (pid, s.end[0]),
+                         tuple(sorted(w.points for w in d.piece(other[0]).walls))))
         out.append(tuple(step))
     return tuple(out)
 
 
-def _circle_options(d: Diagram, keys, cid: str) -> list[tuple[int, int]]:
-    """(direction, rotation) choices achieving the minimal local signature."""
-    rots = _rotation_count(d, cid)
-    best = None
-    opts = []
-    for direction in (0, 1):
-        for rot in range(rots):
-            sig = _local_signature(d, keys, cid, direction, rot)
-            if best is None or sig < best:
-                best = sig
-                opts = [(direction, rot)]
-            elif sig == best:
-                opts.append((direction, rot))
-    return opts
-
-
 def _plans(d: Diagram):
-    """Iterate traversal plans: ((circle, direction, rotation), ...)."""
+    """Iterate traversal plans ((circle, direction, rotation), ...), one per
+    least-ranked start; the module docstring gives the walk's rules."""
     keys = _circle_keys(d)
-    ids = sorted((keys[c.id], c.id) for c in d.circles)
-    groups: list[list[str]] = []
-    for key, cid in ids:
-        if groups and keys[groups[-1][0]] == key:
-            groups[-1].append(cid)
-        else:
-            groups.append([cid])
-    options = {c.id: _circle_options(d, keys, c.id) for c in d.circles}
-    # cap the option product, trimming the longest lists first
-    while True:
-        prod = 1
-        for v in options.values():
-            prod *= len(v)
-        if prod <= _OPTION_CAP or not options:
-            break
-        longest = max(options, key=lambda k: len(options[k]))
-        if len(options[longest]) == 1:
-            break
-        options[longest] = options[longest][: (len(options[longest]) + 1) // 2]
+    member = {tuple(e): c.id for c in d.circles for e in c.strand_cycle}
+    ends = endpoint_usage(d)
+    rank = {(c.id, dr, rt): (keys[c.id], _local_signature(d, keys, member, c.id, dr, rt))
+            for c in d.circles for dr in (0, 1) for rt in range(_rotation_count(d, c.id))}
+    order = sorted(rank, key=lambda s: (rank[s], s))
+    best = {s[0]: s for s in reversed(order)}
+    images = d.internal_maps.circles() if d.internal_maps is not None else {}
 
-    def orderings():
-        if math.prod(math.factorial(len(g)) for g in groups) > _ORDER_CAP:
-            perms_per_group = [[tuple(g)] for g in groups]
-        else:
-            perms_per_group = [list(itertools.permutations(g)) for g in groups]
-        for combo in itertools.product(*perms_per_group):
-            yield [cid for g in combo for cid in g]
+    def discover(first):
+        plan, planned, touched, entered = [first], {first[0]}, set(), {}
 
-    for order in orderings():
-        pools = [[(cid, dr, rt) for dr, rt in options[cid]] for cid in order]
-        for plan in itertools.product(*pools):
-            yield plan
+        def meet(pid, sid, visit, forward):
+            cid = member[pid, sid]
+            if cid not in planned:
+                planned.add(cid)
+                cycle = d.circle(cid).strand_cycle
+                if len(cycle) == 1 and d.piece(pid).tangle.strand(sid).closed:
+                    n, i = _rotation_count(d, cid), visit
+                else:
+                    n, i = len(cycle), cycle.index((pid, sid))
+                plan.append((cid, 0, i) if forward else (cid, 1, n - 1 - i))
+
+        def touch(pid, pt):
+            # a new wall: the strands on its other points, in cyclic order
+            if (pid, pt[0]) not in touched:
+                touched.add((pid, pt[0]))
+                k = d.piece(pid).wall(pt[0]).points
+                for j in range(1, k):
+                    sid, role = ends[pid, pt[0], (pt[1] + j) % k]
+                    meet(pid, sid, 0, role == "start")  # leaving the wall
+
+        i = 0
+        while len(plan) < len(d.circles):
+            if i == len(plan):
+                # the walk met no new circle: the one input-order tie-break
+                plan.append(min((s for s in order if s[0] not in planned), key=lambda s: (
+                    rank[s], min(entered.get(p, len(entered)) for p, _ in
+                                 d.circle(s[0]).strand_cycle), s)))
+                planned.add(plan[-1][0])
+            for pid, s in _effective_cycle(d, *plan[i]):
+                entered.setdefault(pid, len(entered))
+                if s.start is not None:
+                    touch(pid, s.start)
+                for x, p in s.visits:
+                    if len(plan) == len(d.circles):
+                        return tuple(plan)
+                    # the other passage, entering one port counterclockwise
+                    even, odd = crossing_passages(d.piece(pid).tangle, x)
+                    sid, visit, port = odd if p % 2 == 0 else even
+                    meet(pid, sid, visit, port == (p + 1) % 4)
+                if s.end is not None:
+                    touch(pid, s.end)
+            if images.get(plan[i][0], plan[i][0]) not in planned:
+                planned.add(images[plan[i][0]])
+                plan.append(best[images[plan[i][0]]])
+            i += 1
+        return tuple(plan)
+
+    firsts = [s for s in order if rank[s] == rank[order[0]]]
+    yield from map(discover, firsts) if firsts else [()]
 
 
 @dataclass(frozen=True)
@@ -278,22 +286,24 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
 
     # leftovers: pieces and walls never reached by a strand
     def bare_piece_key(pid):
-        p = d.piece(pid)
         ks = []
-        for w in p.walls:
+        for w in d.piece(pid).walls:
             q = wall_of_pair(d, (pid, w.id))
             other = q.wall_a if q.wall_b == (pid, w.id) else q.wall_b
-            ks.append((w.points, q.orientation, pmap.get(other[0], "?"), other[0] == pid))
+            ks.append((other[0] not in pmap, natural_key(pmap.get(other[0], "")),
+                       w.points, q.orientation, q.wall_a == (pid, w.id), other[0] == pid))
         return tuple(sorted(ks))
 
-    for pid in sorted((p.id for p in d.pieces if p.id not in pmap),
-                      key=lambda x: (bare_piece_key(x), natural_key(x))):
-        touch_piece(pid)
+    # one at a time, next to the least-numbered neighbour first
+    while len(pmap) < len(d.pieces):
+        touch_piece(min((p.id for p in d.pieces if p.id not in pmap),
+                        key=lambda x: (bare_piece_key(x), natural_key(x))))
 
     def bare_wall_key(pid, wid):
         q = wall_of_pair(d, (pid, wid))
         other = q.wall_a if q.wall_b == (pid, wid) else q.wall_b
-        return (d.piece(pid).wall(wid).points, q.orientation,
+        return (d.piece(pid).wall(wid).points, q.orientation, q.wall_a == (pid, wid),
+                q.id not in qmap, natural_key(qmap.get(q.id, "")),
                 pmap.get(other[0], "?"), other[0] == pid,
                 d.piece(other[0]).wall(other[1]).points)
 
@@ -415,13 +425,6 @@ def canonical_variants(d: Diagram):
     return out
 
 
-def canonical_form(d: Diagram) -> tuple[Diagram, CanonicalMaps]:
-    """The canonical representative and the maps old id -> canonical id."""
-    variants = canonical_variants(d)
-    text, cand, maps, _ = min(variants, key=lambda v: v[0])
-    return cand, maps
-
-
 @lru_cache(maxsize=4096)
 def canonical_key(d: Diagram) -> str:
     """Serialized canonical form; equal keys certify isomorphic diagrams."""
@@ -523,8 +526,6 @@ def _compose(m1: CanonicalMaps, m2: CanonicalMaps):
 
 
 def _replay(d: Diagram, moves) -> Diagram:
-    from .tangle import apply_rmove
-
     for pid, mv in moves:
         p = d.piece(pid)
         d = with_tangle(d, pid, apply_rmove(p.tangle, mv, p.wall_points()))

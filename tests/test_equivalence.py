@@ -20,9 +20,11 @@ from msdiagram.core import (
     Piece,
     relabel,
     validate,
+    with_tangle,
 )
 from msdiagram.equivalence import (
     _conjugator,
+    _plans,
     canonical_key,
     conjugate,
     enumerate_isomorphisms,
@@ -55,13 +57,59 @@ CATALOG = ["s4-polar", "cp2", "s2xs2", "s1xs3", "swap-diffeo",
            "s4-with-cancelling-pair", "cp2-two-piece", "n-s1s3(3)"]
 
 
-@pytest.mark.parametrize("name", CATALOG)
+def torus_link(n):
+    """T(n,n), the closure of (s1 ... s_{n-1})^n: n unknots, each pair linked once."""
+    code = braid_closure([(j, 1) for _ in range(n) for j in range(1, n)], n)
+    return Diagram(pieces=(Piece("P1", code),), sink_count=1, circles=tuple(
+        GluedCircle(f"c{i + 1}", (("P1", s.id),), 0) for i, s in enumerate(code.strands)))
+
+
+def split_unknots(k):
+    d = Diagram(pieces=(Piece("P1"),), sink_count=1)
+    for _ in range(k):
+        d = blow_up(d, "P1")
+    return d
+
+
+@pytest.mark.parametrize("name", CATALOG + [f"T({n},{n})" for n in range(4, 17)])
 def test_canonical_key_relabel_invariant(name):
     rng = random.Random(hash(name) & 0xFFFF)
-    d = catalog.standard(name)
+    if name.startswith("T("):
+        d = torus_link(int(name[2:name.index(",")]))
+    else:
+        d = catalog.standard(name)
     key = canonical_key(d)
     for _ in range(3):
         assert canonical_key(random_relabel(d, rng)) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["kirby", "multi"]))
+def test_canonical_key_relabel_invariant_on_random_diagrams(seed, kind):
+    rng = random.Random(seed)
+    if kind == "kirby":
+        d = helpers.random_kirby_diagram(rng)
+    else:
+        d = helpers.random_multipiece_diagram(rng)
+    assert canonical_key(helpers.random_relabel(d, rng)) == canonical_key(d)
+
+
+@pytest.mark.parametrize("seed", [10, 17])
+def test_canonical_key_numbers_empty_pairs_by_structure(seed):
+    # empty pairs: two from one piece to two bare pieces (seed 10), and a
+    # triangle of bare pieces (seed 17); neither may be numbered by input id
+    d = helpers.random_multipiece_diagram(random.Random(seed))
+    key = canonical_key(d)
+    for r in range(20):
+        assert canonical_key(helpers.random_relabel(d, random.Random(r))) == key
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_plans_grow_with_tied_first_starts(n):
+    # one plan per tied start of the first circle: no order of circles is
+    # enumerated, so no cap is needed
+    for d in (torus_link(n), split_unknots(n)):
+        assert sum(1 for _ in _plans(d)) <= 2 * len(d.circles)
 
 
 def test_canonical_distinguishes_framings():
@@ -305,9 +353,7 @@ def test_verify_rejects_sink_map_breaking_incidence():
 
 def split_unknots_with_cycle(k, shift):
     """k split +1 unknots in one piece; the diffeomorphism sends i to i + shift."""
-    d = Diagram(pieces=(Piece("P1"),), sink_count=1)
-    for _ in range(k):
-        d = blow_up(d, "P1")
+    d = split_unknots(k)
     ids = [c.id for c in d.circles]
     maps = InternalMaps(on_pieces=(("P1", "P1"),),
                         on_circles=tuple((ids[i], ids[(i + shift) % k]) for i in range(k)),
@@ -320,8 +366,21 @@ def test_conjugate_k_cycles_never_no(k):
     # all k-cycles are conjugate and split unknots can be permuted by isotopy
     v = conjugate(split_unknots_with_cycle(k, 1), split_unknots_with_cycle(k, k - 1))
     assert not v.no, v.detail
-    if k == 4:
-        assert v.yes
+    assert v.yes
+
+
+def test_conjugate_is_not_fooled_by_a_kink():
+    # circle colours are isotopy invariant, so a Reidemeister kink on one
+    # circle cannot separate the circles of conjugate diffeomorphisms
+    d = catalog.s2xs2()
+    p = d.pieces[0]
+    kinked = with_tangle(d, p.id, r1_plus(p.tangle, p.tangle.strands[0].id, 0, 1,
+                                          p.wall_points()))
+    assert isomorphic(d, kinked).yes
+    d1, d2 = catalog.identity_diffeo(d), catalog.identity_diffeo(kinked)
+    v = conjugate(d1, d2)
+    assert v.yes, v.detail
+    assert verify_isomorphism(v.witness, d1, d2).ok
 
 
 def has_commuting_bijection(f1, f2, key1, key2):
