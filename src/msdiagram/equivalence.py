@@ -15,6 +15,16 @@ in cyclic order from the walker's point; under a circle map, as the image of
 a walked circle.  Input order plays one part: a walk that meets no new circle
 goes on with the least-ranked start left, ties broken by circle id.
 
+Two walks with equal texts reveal an automorphism of the diagram, and a tied
+start that an automorphism maps onto a walked one would give the same text,
+so it is skipped: the tied starts are walked once per orbit of the
+automorphisms found so far.  Pruning is off, and every tied start is walked,
+when a walk is not a function of its start alone: when a walk breaks a tie by
+circle id, when the diagram has internal maps (a mapped circle starts at its
+least start, ties broken by rotation number), and when an automorphism maps a
+tied start outside the tied starts.  The first start of least text is never
+skipped, so the key and the witness plans are those of walking every start.
+
 Orientation-reversing piece homeomorphisms (mirror images) are searched only
 when asked: framings and crossing signs flip under them, and the default
 comparison treats, say, the +1- and the -1-framed unknot as different.
@@ -143,10 +153,11 @@ def _rotation_count(d: Diagram, cid: str) -> int:
     return len(c.strand_cycle)
 
 
-def _local_signature(d: Diagram, keys, member, cid, direction, rot):
-    """Cheap invariant trace of one start, used to rank the starts."""
+def _local_signature(d: Diagram, keys, member, cid, direction):
+    """Cheap invariant trace of a circle's start at rotation 0, used to rank
+    the starts: one step per strand, in traversal order."""
     out = []
-    for pid, s in _effective_cycle(d, cid, direction, rot):
+    for pid, s in _effective_cycle(d, cid, direction, 0):
         code = d.piece(pid).tangle
         step = [len(s.visits)]
         for x, p in s.visits:
@@ -166,20 +177,37 @@ def _local_signature(d: Diagram, keys, member, cid, direction, rot):
     return tuple(out)
 
 
-def _plans(d: Diagram):
-    """Iterate traversal plans ((circle, direction, rotation), ...), one per
-    least-ranked start; the module docstring gives the walk's rules."""
+def _rotations(trace, n):
+    """The traces of a circle's n rotations, from the trace of rotation 0:
+    rotate the strand steps, or the visit steps of a single closed strand
+    (the one case with fewer steps than rotations)."""
+    if len(trace) == n:
+        return [trace[r:] + trace[:r] for r in range(n)]
+    (count, *steps), = trace
+    return [((count, *steps[r:], *steps[:r]),) for r in range(n)]
+
+
+def _planner(d: Diagram):
+    """The tied starts (circle, direction, rotation) of least rank, in order,
+    and the walk that turns one into a plan ((circle, direction, rotation),
+    ...); the module docstring gives the walk's rules.  The walk returns
+    (plan, fell_back), fell_back saying whether it broke a tie by circle id."""
     keys = _circle_keys(d)
     member = {tuple(e): c.id for c in d.circles for e in c.strand_cycle}
     ends = endpoint_usage(d)
-    rank = {(c.id, dr, rt): (keys[c.id], _local_signature(d, keys, member, c.id, dr, rt))
-            for c in d.circles for dr in (0, 1) for rt in range(_rotation_count(d, c.id))}
+    rank = {}
+    for c in d.circles:
+        for dr in (0, 1):
+            trace = _local_signature(d, keys, member, c.id, dr)
+            for rt, t in enumerate(_rotations(trace, _rotation_count(d, c.id))):
+                rank[c.id, dr, rt] = (keys[c.id], t)
     order = sorted(rank, key=lambda s: (rank[s], s))
     best = {s[0]: s for s in reversed(order)}
     images = d.internal_maps.circles() if d.internal_maps is not None else {}
 
     def discover(first):
         plan, planned, touched, entered = [first], {first[0]}, set(), {}
+        fell_back = False
 
         def meet(pid, sid, visit, forward):
             cid = member[pid, sid]
@@ -205,6 +233,7 @@ def _plans(d: Diagram):
         while len(plan) < len(d.circles):
             if i == len(plan):
                 # the walk met no new circle: the one input-order tie-break
+                fell_back = True
                 plan.append(min((s for s in order if s[0] not in planned), key=lambda s: (
                     rank[s], min(entered.get(p, len(entered)) for p, _ in
                                  d.circle(s[0]).strand_cycle), s)))
@@ -215,7 +244,7 @@ def _plans(d: Diagram):
                     touch(pid, s.start)
                 for x, p in s.visits:
                     if len(plan) == len(d.circles):
-                        return tuple(plan)
+                        return tuple(plan), fell_back
                     # the other passage, entering one port counterclockwise
                     even, odd = crossing_passages(d.piece(pid).tangle, x)
                     sid, visit, port = odd if p % 2 == 0 else even
@@ -226,10 +255,37 @@ def _plans(d: Diagram):
                 planned.add(images[plan[i][0]])
                 plan.append(best[images[plan[i][0]]])
             i += 1
-        return tuple(plan)
+        return tuple(plan), fell_back
 
-    firsts = [s for s in order if rank[s] == rank[order[0]]]
-    yield from map(discover, firsts) if firsts else [()]
+    return [s for s in order if rank[s] == rank[order[0]]], discover
+
+
+def _plans(d: Diagram):
+    """Iterate traversal plans, one per least-ranked start."""
+    firsts, discover = _planner(d)
+    yield from (discover(f)[0] for f in firsts) if firsts else [()]
+
+
+def _start_image(d: Diagram, plan1, plan2):
+    """The action on starts of the automorphism that two plans with equal
+    texts reveal: it sends each circle of plan1 to the circle in its place in
+    plan2, and a start to the start at the same offset and relative direction
+    from that circle's plan entry."""
+    entry = {e1[0]: (e1, e2) for e1, e2 in zip(plan1, plan2)}
+
+    def first_unit(start, n):
+        # the strand (or visit) a start walks first, and its step
+        cid, direction, rot = start
+        return (n - 1 - rot, -1) if direction else (rot, 1)
+
+    def image(start):
+        e1, e2 = entry[start[0]]
+        n = _rotation_count(d, start[0])
+        (u, s), (u1, s1), (u2, s2) = (first_unit(x, n) for x in (start, e1, e2))
+        u = (u2 + s2 * s1 * (u - u1)) % n
+        return (e2[0], 0, u) if s * s1 * s2 == 1 else (e2[0], 1, n - 1 - u)
+
+    return image
 
 
 @dataclass(frozen=True)
@@ -425,10 +481,62 @@ def canonical_variants(d: Diagram):
     return out
 
 
+def _least_walk(d: Diagram):
+    """The variant of least text, the first such in plan order as
+    ``min(canonical_variants(d))`` picks it, walking each orbit of tied
+    starts once where the module docstring allows it."""
+    firsts, discover = _planner(d)
+    if not firsts:
+        return canonical_variants(d)[0]
+    at = {f: i for i, f in enumerate(firsts)}
+    parent = list(range(len(firsts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    walked = {}      # position in firsts -> variant
+    first_plan = {}  # text -> plan of its first walk
+
+    def variant(i):
+        plan, fell_back = discover(firsts[i])
+        cand, maps = _walk(d, plan)
+        walked[i] = (serialize(cand), cand, maps, plan)
+        return fell_back
+
+    def learn(i):
+        # union every tied start with its image; False if one falls outside
+        text, plan = walked[i][0], walked[i][3]
+        if text not in first_plan:
+            first_plan[text] = plan
+            return True
+        image = _start_image(d, first_plan[text], plan)
+        for f in firsts:
+            g = image(f)
+            if g not in at:
+                return False
+            parent[find(at[f])] = find(at[g])
+        return True
+
+    prune = d.internal_maps is None
+    for i in range(len(firsts)):
+        if prune and any(find(j) == find(i) for j in walked):
+            continue
+        fell_back = variant(i)
+        if prune and (fell_back or not learn(i)):
+            prune = False
+            for j in range(i):
+                if j not in walked:
+                    variant(j)
+    return walked[min(walked, key=lambda i: (walked[i][0], i))]
+
+
 @lru_cache(maxsize=4096)
 def canonical_key(d: Diagram) -> str:
     """Serialized canonical form; equal keys certify isomorphic diagrams."""
-    return min(v[0] for v in canonical_variants(d))
+    return _least_walk(d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +656,11 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
     if allow_mirror and mirror_sep is None:
         targets.append((mirror(d2), True))
     r1, moves1 = simplify_diagram(d1, budget)
-    best1 = min(canonical_variants(r1), key=lambda v: v[0])
+    best1 = _least_walk(r1)
     for base, mirrored in targets:
         # mirror-side witnesses replay their moves on the mirrored diagram
         r2, moves2 = simplify_diagram(base, budget)
-        best2 = min(canonical_variants(r2), key=lambda v: v[0])
+        best2 = _least_walk(r2)
         if best1[0] == best2[0]:
             maps = _compose(best1[2], best2[2])
             iso = Isomorphism(*maps, sink_map=tuple(range(d1.sink_count)),

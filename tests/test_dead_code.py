@@ -67,4 +67,6 @@ def test_benchmark_hooks_exist():
                if not callable(getattr(importlib.import_module(f"msdiagram.{module}"),
                                        name, None))]
     assert not missing, missing
-    assert callable(importlib.import_module("msdiagram.equivalence").canonical_key.cache_info)
+    # the worker reads the canonical-key cache's size and hit counts
+    info = importlib.import_module("msdiagram.equivalence").canonical_key.cache_info()
+    assert {"hits", "misses", "currsize"} <= set(info._fields)
