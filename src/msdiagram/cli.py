@@ -127,16 +127,21 @@ def cmd_recognize_s3(args) -> int:
     return EXIT_UNKNOWN
 
 
+def _print_witness(iso) -> None:
+    sinks = tuple(enumerate(iso.sink_map))
+    for name, mapping in (("pieces", iso.piece_map), ("pairs", iso.pair_map),
+                          ("circles", iso.circle_map), ("surfaces", iso.surface_map),
+                          ("sinks", sinks if any(a != b for a, b in sinks) else ())):
+        if mapping:
+            print(f"  {name}: " + ", ".join(f"{a}->{b}" for a, b in mapping))
+
+
 def cmd_equiv(args) -> int:
     d1, d2 = _load(args.a), _load(args.b)
     verdict = isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror)
     print(f"{verdict.value}: {verdict.detail}")
     if verdict.yes:
-        iso = verdict.witness
-        for name, mapping in (("pieces", iso.piece_map), ("pairs", iso.pair_map),
-                              ("circles", iso.circle_map), ("surfaces", iso.surface_map)):
-            if mapping:
-                print(f"  {name}: " + ", ".join(f"{a}->{b}" for a, b in mapping))
+        _print_witness(verdict.witness)
         return EXIT_YES
     if verdict.no:
         print(f"separating invariant: {verdict.witness}")
@@ -147,7 +152,10 @@ def cmd_equiv(args) -> int:
 def cmd_conj(args) -> int:
     verdict = conjugate(_load(args.a), _load(args.b), budget=args.budget)
     print(f"{verdict.value}: {verdict.detail}")
-    return EXIT_YES if verdict.yes else (EXIT_NO if verdict.no else EXIT_UNKNOWN)
+    if verdict.yes:
+        _print_witness(verdict.witness)
+        return EXIT_YES
+    return EXIT_NO if verdict.no else EXIT_UNKNOWN
 
 
 def cmd_catalog(args) -> int:

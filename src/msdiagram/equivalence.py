@@ -13,7 +13,9 @@ Every other circle starts where the walk first meets it: at a crossing,
 entering one port counterclockwise of the walker; at a new wall, leaving it,
 in cyclic order from the walker's point; under a circle map, as the image of
 a walked circle.  Input order plays one part: a walk that meets no new circle
-goes on with the least-ranked start left, ties broken by circle id.
+goes on with the least-ranked start left, ties broken by circle id.  Sinks,
+which no walk reaches, are numbered by their cycles under the sink map,
+coloured by their incidence rows.
 
 Two walks with equal texts reveal an automorphism of the diagram, and a tied
 start that an automorphism maps onto a walked one would give the same text,
@@ -32,6 +34,7 @@ comparison treats, say, the +1- and the -1-framed unknot as different.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -288,12 +291,29 @@ def _start_image(d: Diagram, plan1, plan2):
     return image
 
 
+def _coloured_cycles(f: dict, key):
+    """The cycles of the permutation f as (colour, cycle), a cycle's colour
+    being its sequence of keys from the least rotation, where it starts."""
+    seen: set = set()
+    for x in f:
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = f[x]
+        if cycle:
+            keys = [key(y) for y in cycle]
+            r = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
+            yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
+
+
 @dataclass(frozen=True)
 class CanonicalMaps:
     pieces: tuple[tuple[str, str], ...]
     pairs: tuple[tuple[str, str], ...]
     circles: tuple[tuple[str, str], ...]
     surfaces: tuple[tuple[str, str], ...]
+    sinks: tuple[tuple[int, int], ...]
 
 
 def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
@@ -443,19 +463,30 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
         surface_order.append(old)
         surfaces.append(SpanningSurface(fmap[old], genus, boundary))
 
+    incidence = d.sink_incidence
+    if incidence is not None:
+        old_order = [f.id for f in d.surfaces]
+        cols = [old_order.index(fid) for fid in surface_order]
+        incidence = tuple(tuple(row[j] for j in cols) for row in incidence)
+    # sinks, which no walk reaches: by coloured cycles of the sink map, a
+    # sink's colour being its incidence row
     maps = d.internal_maps
+    sinks = list(range(d.sink_count))  # new number -> old
+    if d.sink_count > 1:
+        cycles = _coloured_cycles(
+            dict(enumerate(maps.on_sinks)) if maps is not None else {i: i for i in sinks},
+            incidence.__getitem__ if incidence is not None else lambda i: ())
+        sinks = [i for _, cycle in sorted(cycles, key=lambda t: t[0]) for i in cycle]
+        if incidence is not None:
+            incidence = tuple(incidence[i] for i in sinks)
+    snum = {old: new for new, old in enumerate(sinks)}
     if maps is not None:
         maps = InternalMaps(
             on_pieces=tuple(sorted((pmap[a], pmap[b]) for a, b in maps.on_pieces)),
             on_pairs=tuple(sorted((qmap[a], qmap[b]) for a, b in maps.on_pairs)),
             on_circles=tuple(sorted((cmap[a], cmap[b]) for a, b in maps.on_circles)),
             on_surfaces=tuple(sorted((fmap[a], fmap[b]) for a, b in maps.on_surfaces)),
-            on_sinks=maps.on_sinks)
-    incidence = d.sink_incidence
-    if incidence is not None:
-        old_order = [f.id for f in d.surfaces]
-        cols = [old_order.index(fid) for fid in surface_order]
-        incidence = tuple(tuple(row[j] for j in cols) for row in incidence)
+            on_sinks=tuple(snum[maps.on_sinks[i]] for i in sinks))
     ann = d.annotation
     if ann is not None:
         ann = replace(ann, dotted=tuple(sorted((cmap[c] for c in ann.dotted),
@@ -468,7 +499,8 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
         pieces=tuple(sorted(pmap.items())),
         pairs=tuple(sorted(qmap.items())),
         circles=tuple(sorted(cmap.items())),
-        surfaces=tuple(sorted(fmap.items())))
+        surfaces=tuple(sorted(fmap.items())),
+        sinks=tuple(sorted(snum.items())))
     return out, cm
 
 
@@ -624,13 +656,15 @@ class Isomorphism:
 
 
 def _compose(m1: CanonicalMaps, m2: CanonicalMaps):
-    """Maps d1 -> d2 given both canonicalizations land on the same diagram."""
+    """Maps d1 -> d2 given both canonicalizations land on the same diagram:
+    the four id maps, then the sink map as a tuple of images."""
     def comp(a, b):
         inv = {v: k for k, v in b}
         return tuple(sorted((k, inv[v]) for k, v in a))
 
     return (comp(m1.pieces, m2.pieces), comp(m1.pairs, m2.pairs),
-            comp(m1.circles, m2.circles), comp(m1.surfaces, m2.surfaces))
+            comp(m1.circles, m2.circles), comp(m1.surfaces, m2.surfaces),
+            tuple(j for _, j in comp(m1.sinks, m2.sinks)))
 
 
 def _replay(d: Diagram, moves) -> Diagram:
@@ -662,8 +696,7 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
         r2, moves2 = simplify_diagram(base, budget)
         best2 = _least_walk(r2)
         if best1[0] == best2[0]:
-            maps = _compose(best1[2], best2[2])
-            iso = Isomorphism(*maps, sink_map=tuple(range(d1.sink_count)),
+            iso = Isomorphism(*_compose(best1[2], best2[2]),
                               mirror=mirrored, moves1=tuple(moves1),
                               moves2=tuple(moves2), plan1=best1[3], plan2=best2[3],
                               canonical_text=best1[0])
@@ -729,35 +762,11 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
         findings.append(Finding("error", "witness", "canonical texts do not match"))
     else:
         composed = _compose(m1, m2)
-        stored = (iso.piece_map, iso.pair_map, iso.circle_map, iso.surface_map)
+        stored = (iso.piece_map, iso.pair_map, iso.circle_map, iso.surface_map,
+                  iso.sink_map)
         if composed != stored:
             findings.append(Finding("error", "witness", "maps disagree with the traversals"))
     return ValidationReport(tuple(findings))
-
-
-def enumerate_isomorphisms(d1: Diagram, d2: Diagram, budget: int = 2000):
-    """All relabeling isomorphisms between the reduced forms, deduplicated
-    by their induced index-set maps."""
-    r1, moves1 = simplify_diagram(d1, budget)
-    r2, moves2 = simplify_diagram(d2, budget)
-    v1 = canonical_variants(r1)
-    v2 = canonical_variants(r2)
-    by_text: dict[str, list] = {}
-    for text, _, maps, plan in v2:
-        by_text.setdefault(text, []).append((maps, plan))
-    seen = set()
-    out = []
-    for text, _, maps1, plan1 in v1:
-        for maps2, plan2 in by_text.get(text, []):
-            composed = _compose(maps1, maps2)
-            if composed in seen:
-                continue
-            seen.add(composed)
-            out.append(Isomorphism(*composed, sink_map=tuple(range(d1.sink_count)),
-                                   mirror=False, moves1=tuple(moves1),
-                                   moves2=tuple(moves2), plan1=plan1, plan2=plan2,
-                                   canonical_text=text))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -775,47 +784,14 @@ def verify_internal_maps(d: Diagram) -> ValidationReport:
     return ValidationReport(findings)
 
 
-def _conjugator(f1: dict, f2: dict, key1, key2) -> dict | None:
-    """A colour-keeping bijection phi with f2(phi(x)) == phi(f1(x)), or None.
-
-    One exists exactly when f1 and f2 have the same multiset of coloured
-    cycles, a cycle's colour being its sequence of keys up to rotation; phi
-    pairs such cycles and lines up their least rotations.
-    """
-    if len(f1) != len(f2):
-        return None
-
-    def coloured(f, key):
-        seen: set = set()
-        for x in f:
-            cycle = []
-            while x not in seen:
-                seen.add(x)
-                cycle.append(x)
-                x = f[x]
-            if cycle:
-                keys = [key(y) for y in cycle]
-                r = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
-                yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
-
-    pool: dict = {}
-    for colour, cycle in coloured(f2, key2):
-        pool.setdefault(colour, []).append(cycle)
-    phi = {}
-    for colour, cycle in coloured(f1, key1):
-        if not pool.get(colour):
-            return None
-        phi.update(zip(cycle, pool[colour].pop()))
-    return phi
-
-
 def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     """Topological conjugacy of two diffeomorphism diagrams (semi-decision).
 
     Any conjugacy induces, on each index set, a bijection that keeps the
-    invariant keys below and commutes with the internal maps; when one index
-    set has none the No is exhaustive.  Yes needs a realizable equivalence
-    witness whose five maps commute.
+    invariant keys below and commutes with the internal maps; one exists
+    exactly when both maps have the same multiset of coloured cycles, so
+    when one index set differs the No is exhaustive.  The canonical text
+    carries all five maps, so ``isomorphic``'s Yes is a conjugacy witness.
     """
     for d in (d1, d2):
         if not verify_internal_maps(d).ok:
@@ -836,26 +812,22 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     def surface_key(d):
         return lambda f: (d.surface(f).genus, len(d.surface(f).boundary))
 
-    index_sets = (
+    for name, f1, f2, key1, key2 in (
         ("pieces", i1.pieces(), i2.pieces(), piece_key(d1), piece_key(d2)),
         ("pairs", i1.pairs(), i2.pairs(), pair_key(d1), pair_key(d2)),
         ("circles", i1.circles(), i2.circles(), k1.__getitem__, k2.__getitem__),
         ("surfaces", i1.surfaces(), i2.surfaces(), surface_key(d1), surface_key(d2)),
         ("sinks", dict(enumerate(i1.on_sinks)), dict(enumerate(i2.on_sinks)),
          lambda i: 0, lambda i: 0),
-    )
-    for name, f1, f2, key1, key2 in index_sets:
-        if _conjugator(f1, f2, key1, key2) is None:
+    ):
+        if Counter(c for c, _ in _coloured_cycles(f1, key1)) != \
+                Counter(c for c, _ in _coloured_cycles(f2, key2)):
             return Verdict.make_no(
                 f"commutation on {name}",
                 f"exhaustive: no invariant-respecting bijection of the {name} "
                 f"commutes with the internal maps")
-    for iso in enumerate_isomorphisms(d1, d2, budget):
-        maps = (iso.pieces(), iso.pairs(), iso.circles(), iso.surfaces(),
-                dict(enumerate(iso.sink_map)))
-        if all(f2[m[a]] == m[b]
-               for m, (_, f1, f2, _, _) in zip(maps, index_sets)
-               for a, b in f1.items()):
-            return Verdict.make_yes(iso, "equivalence witness commuting with the internal maps")
+    v = isomorphic(d1, d2, budget)
+    if v.yes:
+        return Verdict.make_yes(v.witness, "equivalence witness commuting with the internal maps")
     return Verdict.make_unknown(budget, "a commuting invariant-respecting bijection exists "
                                         "but no realizable witness was found")

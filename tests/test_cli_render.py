@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,26 @@ def test_equiv_exit_codes(files):
 def test_conj_exit_codes(files):
     paths, _ = files
     assert run_cli("conj", paths["swap-diffeo"], paths["swap-diffeo"]).returncode == 0
+
+
+def test_conj_prints_witness(files):
+    # three sinks cycled 0->1->2 against a copy that cycles 0->2->1: the
+    # witness renumbers the sinks, so it gets a sinks line
+    paths, tmp = files
+    base = catalog.identity_diffeo(catalog.s2xs2())
+    for name, on_sinks in (("a", (1, 2, 0)), ("b", (2, 0, 1))):
+        (tmp / f"{name}.msd").write_text(serialize(replace(
+            base, sink_count=3, internal_maps=replace(base.internal_maps, on_sinks=on_sinks))))
+    out = run_cli("conj", str(tmp / "a.msd"), str(tmp / "b.msd"))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("Yes: ")
+    assert "  pieces: P1->P1" in lines
+    assert "  sinks: 0->0, 1->2, 2->1" in lines
+    # the identity on sinks is not printed
+    out = run_cli("conj", paths["swap-diffeo"], paths["swap-diffeo"])
+    assert "  circles: c1->c1, c2->c2" in out.stdout.splitlines()
+    assert "sinks" not in out.stdout
 
 
 def test_reduce_round_trip(files):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,12 +26,12 @@ from msdiagram.core import (
     with_tangle,
 )
 from msdiagram.equivalence import (
-    _conjugator,
+    _coloured_cycles,
+    _compose,
     _plans,
     canonical_key,
     canonical_variants,
     conjugate,
-    enumerate_isomorphisms,
     isomorphic,
     mirror,
     separating_invariant,
@@ -97,6 +98,19 @@ def test_canonical_key_relabel_invariant_on_random_diagrams(seed, kind):
     else:
         d = helpers.random_multipiece_diagram(rng)
     assert canonical_key(helpers.random_relabel(d, rng)) == canonical_key(d)
+
+
+@pytest.mark.xfail(strict=True, reason="a walk that meets no new circle breaks "
+                   "ties by circle id, and these diagrams have tied circles that "
+                   "no symmetry exchanges")
+@pytest.mark.parametrize("seed", [683, 881])
+def test_canonical_key_relabel_invariant_past_the_circle_id_tie_break(seed):
+    # two circles through pairs, told apart only by an empty pair between the
+    # other pieces, and a split unknot: 2 keys over these relabelings
+    d = helpers.random_multipiece_diagram(random.Random(seed))
+    key = canonical_key(d)
+    for r in range(20):
+        assert canonical_key(helpers.random_relabel(d, random.Random(r))) == key
 
 
 @pytest.mark.parametrize("seed", [10, 17])
@@ -372,10 +386,13 @@ def test_conjugate_precondition():
         conjugate(catalog.standard("s2xs2"), catalog.standard("swap-diffeo"))
 
 
-def test_enumerate_isomorphisms_finds_symmetry():
+def test_equal_least_walks_reveal_symmetry():
+    # any two walks of least text compose to an automorphism
     d = catalog.standard("s2xs2")
-    isos = enumerate_isomorphisms(d, d)
-    circle_maps = {tuple(i.circle_map) for i in isos}
+    variants = canonical_variants(d)
+    least = min(v[0] for v in variants)
+    circle_maps = {_compose(m1, m2)[2] for t1, _, m1, _ in variants
+                   for t2, _, m2, _ in variants if t1 == t2 == least}
     assert (("c1", "c1"), ("c2", "c2")) in circle_maps
     assert (("c1", "c2"), ("c2", "c1")) in circle_maps
 
@@ -406,7 +423,8 @@ def test_verify_rejects_sink_map_breaking_incidence():
     report = verify_isomorphism(replace(v.witness, sink_map=(1, 0)), d, d)
     assert [(f.location, f.message) for f in report.errors()] == [
         ("witness/sinks", "incidence of sink 0 not preserved"),
-        ("witness/sinks", "incidence of sink 1 not preserved")]
+        ("witness/sinks", "incidence of sink 1 not preserved"),
+        ("witness", "maps disagree with the traversals")]
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +503,17 @@ def coloured_permutations(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(coloured_permutations())
-def test_conjugator_matches_brute_force(case):
+def test_coloured_cycle_types_match_brute_force(case):
     f1, f2, key1, key2 = case
-    phi = _conjugator(f1, f2, key1.__getitem__, key2.__getitem__)
-    assert (phi is not None) == has_commuting_bijection(f1, f2, key1, key2)
-    if phi is not None:
-        assert sorted(phi) == sorted(f1) and sorted(phi.values()) == sorted(f2)
-        assert all(key2[phi[x]] == key1[x] and f2[phi[x]] == phi[f1[x]] for x in f1)
+    types = [Counter(c for c, _ in _coloured_cycles(f, key.__getitem__))
+             for f, key in ((f1, key1), (f2, key2))]
+    assert (types[0] == types[1]) == has_commuting_bijection(f1, f2, key1, key2)
+    # the cycles cover f1 once, follow it, and carry their keys as colours
+    cycles = list(_coloured_cycles(f1, key1.__getitem__))
+    assert sorted(x for _, cycle in cycles for x in cycle) == sorted(f1)
+    for colour, cycle in cycles:
+        assert colour == tuple(key1[x] for x in cycle)
+        assert all(f1[x] == cycle[(i + 1) % len(cycle)] for i, x in enumerate(cycle))
 
 
 def diffeo_diagrams():
@@ -521,7 +543,7 @@ def diffeo_diagrams():
             d = replace(d, sink_count=3, internal_maps=replace(d.internal_maps, on_sinks=tuple(f)))
             d2 = replace(d2, sink_count=3,
                          internal_maps=replace(d2.internal_maps, on_sinks=tuple(on_sinks)))
-        return d, d2
+        return kind, d, d2
 
     return st.tuples(st.integers(0, 2**32 - 1),
                      st.sampled_from(["kirby", "multi", "swap", "sinks", "incidence"])).map(build)
@@ -529,10 +551,12 @@ def diffeo_diagrams():
 
 @settings(max_examples=60, deadline=None)
 @given(diffeo_diagrams())
-def test_conjugate_relabelled_copy_is_never_no(pair):
-    d1, d2 = pair
+def test_conjugate_relabelled_copy_is_never_no(case):
+    kind, d1, d2 = case
     v = conjugate(d1, d2)
     assert not v.no, v.detail
+    # only the circle-id tie-break of multi-piece walks may leave it Unknown
+    assert v.yes or kind == "multi", (kind, v.detail)
     if v.yes:
         w = v.witness
         assert verify_isomorphism(w, d1, d2).ok
@@ -544,3 +568,14 @@ def test_conjugate_relabelled_copy_is_never_no(pair):
                           (dict(enumerate(w.sink_map)), dict(enumerate(i1.on_sinks)),
                            dict(enumerate(i2.on_sinks)))):
             assert all(f2[m[a]] == m[b] for a, b in f1.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(diffeo_diagrams())
+def test_conjugate_yes_is_the_isomorphism_witness(case):
+    _, d1, d2 = case
+    v, iso = conjugate(d1, d2), isomorphic(d1, d2)
+    assert v.yes == iso.yes
+    if v.yes:
+        assert (v.witness.plan1, v.witness.plan2, v.witness.canonical_text) == \
+            (iso.witness.plan1, iso.witness.plan2, iso.witness.canonical_text)
