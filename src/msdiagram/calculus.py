@@ -425,9 +425,9 @@ def apply_move(d: Diagram, move: KirbyMove) -> Diagram:
             raise MoveError(f"surface {move.args[0]} is not deletable here")
         return delete_superfluous(d, *found)
     if move.tag == "replace-pair":
-        from .reduction import _replace_pair
+        from .reduction import _replace_pairs
 
-        out, cid = _replace_pair(d, move.args[0])
+        out, (cid,) = _replace_pairs(d, [d.pair(move.args[0])])
         if cid != move.args[1]:
             raise MoveError(f"replayed surrogate id {cid} != logged {move.args[1]}")
         return out

@@ -363,6 +363,7 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
 def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
     seen = set()
     referenced: dict[WallRef, str] = {}
+    walls_of = {pid: first_by_id(p.walls) for pid, p in d._index.pieces.items()}
     for q in d.pairs:
         if q.id in seen:
             findings.append(Finding("error", f"pair {q.id}", "duplicate pair id"))
@@ -379,7 +380,7 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
                             f"wall {ref[0]}.{ref[1]} already used by pair {referenced[ref]}"))
             referenced[ref] = q.id
             try:
-                walls.append(d.piece(ref[0]).wall(ref[1]))
+                walls.append(walls_of[ref[0]][ref[1]])
             except KeyError:
                 findings.append(
                     Finding("error", f"pair {q.id}", f"unknown wall {ref[0]}.{ref[1]}"))

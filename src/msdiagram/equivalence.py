@@ -689,6 +689,17 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
         targets.append((d2, False))
     if allow_mirror and mirror_sep is None:
         targets.append((mirror(d2), True))
+    iso = _witness(d1, targets, budget)
+    if iso is not None:
+        return Verdict.make_yes(iso, "canonical forms coincide"
+                                + (" after mirroring" if iso.mirror else ""))
+    if sep is not None:
+        return Verdict.make_no(sep, f"separated by {sep}")
+    return Verdict.make_unknown(budget, "no witness within the Reidemeister budget")
+
+
+def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
+    """isomorphic past its checks: a witness onto the first (d2, mirrored) target."""
     r1, moves1 = simplify_diagram(d1, budget)
     best1 = _least_walk(r1)
     for base, mirrored in targets:
@@ -696,15 +707,11 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
         r2, moves2 = simplify_diagram(base, budget)
         best2 = _least_walk(r2)
         if best1[0] == best2[0]:
-            iso = Isomorphism(*_compose(best1[2], best2[2]),
-                              mirror=mirrored, moves1=tuple(moves1),
-                              moves2=tuple(moves2), plan1=best1[3], plan2=best2[3],
-                              canonical_text=best1[0])
-            return Verdict.make_yes(iso, "canonical forms coincide"
-                                    + (" after mirroring" if mirrored else ""))
-    if sep is not None:
-        return Verdict.make_no(sep, f"separated by {sep}")
-    return Verdict.make_unknown(budget, "no witness within the Reidemeister budget")
+            return Isomorphism(*_compose(best1[2], best2[2]),
+                               mirror=mirrored, moves1=tuple(moves1),
+                               moves2=tuple(moves2), plan1=best1[3], plan2=best2[3],
+                               canonical_text=best1[0])
+    return None
 
 
 def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> ValidationReport:
@@ -791,7 +798,8 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     invariant keys below and commutes with the internal maps; one exists
     exactly when both maps have the same multiset of coloured cycles, so
     when one index set differs the No is exhaustive.  The canonical text
-    carries all five maps, so ``isomorphic``'s Yes is a conjugacy witness.
+    carries all five maps, so ``isomorphic``'s Yes is a conjugacy witness;
+    its search runs here without repeating the checks above.
     """
     for d in (d1, d2):
         if not verify_internal_maps(d).ok:
@@ -826,8 +834,9 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
                 f"commutation on {name}",
                 f"exhaustive: no invariant-respecting bijection of the {name} "
                 f"commutes with the internal maps")
-    v = isomorphic(d1, d2, budget)
-    if v.yes:
-        return Verdict.make_yes(v.witness, "equivalence witness commuting with the internal maps")
+    # separating_invariant validated both diagrams (linking_matrix requires it)
+    iso = _witness(d1, [(d2, False)], budget)
+    if iso is not None:
+        return Verdict.make_yes(iso, "equivalence witness commuting with the internal maps")
     return Verdict.make_unknown(budget, "a commuting invariant-respecting bijection exists "
                                         "but no realizable witness was found")

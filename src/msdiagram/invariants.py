@@ -37,18 +37,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return zeros(len(a), len(b[0]) if b else 0)
-    assert len(a[0]) == len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def smith_normal_form(a: Matrix) -> list[int]:
     """Diagonal of the Smith normal form, nonnegative, divisibility-ordered."""
     m = [row[:] for row in a]

@@ -9,6 +9,7 @@ integer homology of the presented manifold.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
 from itertools import count
 
@@ -24,7 +25,6 @@ from .core import (
     WallCurve,
     check_admissible,
     require_valid,
-    with_tangle,
 )
 from .tangle import (
     Crossing,
@@ -34,7 +34,6 @@ from .tangle import (
     braid,
     fresh_ids,
     planarity_problems,
-    splice,
 )
 
 
@@ -46,10 +45,11 @@ def _connector_word(q: SpherePair) -> list[tuple[int, int]]:
     """Braid word realizing the matching as a permutation of the wall bundle.
 
     Wall_b's cyclic order reverses against wall_a's in the glued picture;
-    the rotation offset is gauge and is chosen to minimize crossings.  When
-    the matching braids, the strand from the smaller wall_a point goes over
-    (a fixed convention: the sphere identification data does not pin the
-    braiding).
+    the rotation offset is the first that minimizes crossings.  The offset
+    is not gauge: tied offsets can give different codes, of which only some
+    are planar.  When the matching braids, the strand from the smaller
+    wall_a point goes over (a fixed convention: the sphere identification
+    data does not pin the braiding).
     """
     k = len(q.matching)
     best = None
@@ -87,7 +87,7 @@ class _GluedStrand:
 class _Component:
     """One piece being glued: its items by key, in code order, and the ids in use."""
 
-    __slots__ = ("crossings", "strands", "walls", "ids")
+    __slots__ = ("crossings", "strands", "walls", "ids", "fresh")
 
     def __init__(self, p: Piece, stamps):
         self.crossings = {(p.id, x.id): x for x in p.tangle.crossings}
@@ -95,6 +95,22 @@ class _Component:
         self.walls = {(p.id, w.id): w for w in p.walls}
         self.ids = tuple({key[1] for key in keys}
                          for keys in (self.crossings, self.strands, self.walls))
+        self.fresh: dict[tuple[int, str], Iterator[str]] = {}
+
+    def new_ids(self, kind: int, prefix: str) -> Iterator[str]:
+        """fresh_ids over the ids in use of one kind, resumed where it last stopped.
+
+        Resuming yields what a new fresh_ids would, since the ids it passed
+        are still in use: free() drops it when one of them is freed.
+        """
+        if (kind, prefix) not in self.fresh:
+            self.fresh[kind, prefix] = fresh_ids(self.ids[kind], prefix)
+        return self.fresh[kind, prefix]
+
+    def free(self, kind: int, item_id: str) -> None:
+        self.ids[kind].discard(item_id)
+        for key in [key for key in self.fresh if key[0] == kind and item_id.startswith(key[1])]:
+            del self.fresh[key]
 
 
 class _Glue:
@@ -107,7 +123,8 @@ class _Glue:
     piece, as a trailing "m" per clash, and rewrites no visit list.  Strands
     are found through endpoint maps, so a splice edits only the strands
     that end on its pair's walls, and whatever no splice or rename touched
-    is read back as it was.  Nothing is validated here.
+    is read back as it was.  A splice may put a surrogate circle in its
+    pair's place.  Nothing is validated here.
     """
 
     def __init__(self, d: Diagram):
@@ -123,6 +140,8 @@ class _Glue:
         self.dead: set = set()  # strand keys spliced into another strand
         self.stamps = count()
         self.glued: list[str] = []  # spliced pair ids
+        self.new_circle_ids = fresh_ids({c.id for c in d.circles}, "h")  # circles are never freed
+        self.surrogates: list[GluedCircle] = []  # circles replacing spliced pairs
         self.surfaces = {f.id: f for f in d.surfaces}
         self.slot = {f.id: i for i, f in enumerate(d.surfaces)}
         self.alias: dict[str, str] = {}  # glued-away surface -> the one it went into
@@ -192,24 +211,30 @@ class _Glue:
         self._glue_wall_curves(q.id)
         return True
 
-    def splice(self, pid: str, q: SpherePair, track: list | None = None) -> None:
+    def splice(self, pid: str, q: SpherePair, surrogate: bool = False) -> str | None:
         """Delete pair q, both of whose walls lie in piece pid, joining the strands it matched.
 
-        When track is given it receives (strand id, gap position, direction)
-        entries, one per connector in wall_a point order, locating the splice
-        gaps in the joined visit lists.
+        With surrogate, q is replaced by a 0-framed unknot that every
+        connector pierces at its wall_a end, and the unknot's circle id is
+        returned.
         """
         c = self._component(pid)
         wa, wb = walls = (tuple(q.wall_a), tuple(q.wall_b))
         m = q.matching
         k = len(m)
-        segs = []
+        crossings, segs = [], []
         if k:
-            crossings, segs, _ = braid(_connector_word(q), [1] * k,
-                                       fresh_ids(c.ids[0], "br"))
-            for x in crossings:
-                c.crossings[pid, x.id] = x
-                c.ids[0].add(x.id)
+            crossings, segs, _ = braid(_connector_word(q), [1] * k, c.new_ids(0, "br"))
+        if surrogate:
+            # connector i goes over the surrogate at u and under it at o; the
+            # surrogate runs under the bundle and back over it
+            hd = c.new_ids(0, "hd")
+            lanes = [(next(hd), next(hd)) for _ in range(k)]
+            crossings += [Crossing(x, over) for u, o in lanes for x, over in ((u, 2), (o, 1))]
+            segs = [[(u, 3), (o, 3)] + seg for (u, o), seg in zip(lanes, segs)]
+        for x in crossings:
+            c.crossings[pid, x.id] = x
+            c.ids[0].add(x.id)
         end_map = {}
         for i in range(k):
             end_map[wa, i] = (i, True)
@@ -223,7 +248,6 @@ class _Glue:
             return [((pid, x), p) for x, p in v]
 
         heads = [s for s, g in edited.items() if g.start is None or g.start[0] not in walls]
-        tracked: dict[int, tuple] = {}
         chained = set(heads)
 
         def extend_chain(first):
@@ -235,7 +259,6 @@ class _Glue:
             visits = cur.visits
             while cur.end is not None and cur.end[0] in walls:
                 i, from_a = end_map[cur.end]
-                tracked[i] = (first, len(visits), 1 if from_a else -1)
                 visits += connector(i, from_a)
                 nxt = self.starts.get((wb, m[i]) if from_a else (wa, i))
                 if nxt is None:
@@ -268,21 +291,30 @@ class _Glue:
                 self.ends.pop((w, i), None)
             if w in c.walls:
                 del c.walls[w]
-                c.ids[2].discard(self.ids[2].get(w, w[1]))
+                c.free(2, self.ids[2].get(w, w[1]))
         for s in heads:
             self.ends[edited[s].end] = s
         for s in chained.difference(heads, loops):
             del c.strands[s]
-            c.ids[1].discard(self.ids[1].get(s, s[1]))
+            c.free(1, self.ids[1].get(s, s[1]))
             self.dead.add(s)
         for s in loops:
             edited[s].start = edited[s].end = None
             del c.strands[s]
             c.strands[s] = next(self.stamps)
         self.glued.append(q.id)
-        if track is not None:
-            track.extend((self.ids[1].get(s, s[1]), gap, direction)
-                         for _, (s, gap, direction) in sorted(tracked.items()))
+        if not surrogate:
+            return None
+        sid = next(c.new_ids(1, "hs"))
+        key = (pid, sid)
+        self.strand.pop(key, None)  # a strand of that id died in a splice
+        self.source[key] = Strand(sid, tuple([(u, 2) for u, _ in lanes]
+                                             + [(o, 0) for _, o in reversed(lanes)]))
+        c.strands[key] = next(self.stamps)
+        c.ids[1].add(sid)
+        cid = next(self.new_circle_ids)
+        self.surrogates.append(GluedCircle(cid, (key,), 0))
+        return cid
 
     def _glue_wall_curves(self, pair_id: str) -> None:
         """Glue the surface boundary curves matched across a spliced pair."""
@@ -363,7 +395,8 @@ class _Glue:
                     raise DiagramError(f"circle {c.id} lost all strands in splice")
                 c = replace(c, strand_cycle=entries)
             circles.append(c)
-        return replace(self.d, pieces=pieces, pairs=pairs, circles=tuple(circles),
+        return replace(self.d, pieces=pieces, pairs=pairs,
+                       circles=tuple(circles + self.surrogates),
                        surfaces=tuple(self.surfaces.values()))
 
 
@@ -478,6 +511,9 @@ def to_kirby(d: Diagram, log: list | None = None) -> Diagram:
     strands that ran through the pair, in wall point order.  The annotation
     records the replaced 1-handles, the 3-handle count, the sinks, and the
     surrogate ids (so the presented manifold's invariants stay computable).
+    All pairs are spliced in one sweep, in sorted pair id order, and each
+    connector is pierced at its wall_a end.  The input and the Kirby form
+    are validated.
     """
     if len(d.pieces) != 1:
         raise DiagramError("Kirby form needs a single-piece diagram")
@@ -486,71 +522,28 @@ def to_kirby(d: Diagram, log: list | None = None) -> Diagram:
         raise DiagramError(f"not admissible: {adm.errors()[0].message}")
     if any(isinstance(i, WallCurve) for f in d.surfaces for i in f.boundary):
         raise DiagramError("wall curves must be merged away before Kirby form")
-    one_handles = len(d.pairs)
-    three_handles = len(d.surfaces)
-    dotted = []
-    out = replace(d, surfaces=(), sink_incidence=None)
-    for qid in sorted(q.id for q in d.pairs):
-        out, cid = _replace_pair(out, qid)
-        dotted.append(cid)
-        if log is not None:
-            log.append(KirbyMove("replace-pair", (qid, cid)))
-    ann = KirbyAnnotation(one_handles, three_handles, d.sink_count, tuple(dotted))
+    pairs = sorted(d.pairs, key=lambda q: q.id)
+    out, dotted = _replace_pairs(replace(d, surfaces=(), sink_incidence=None), pairs)
+    if log is not None:
+        log.extend(KirbyMove("replace-pair", (q.id, cid)) for q, cid in zip(pairs, dotted))
+    ann = KirbyAnnotation(len(d.pairs), len(d.surfaces), d.sink_count, tuple(dotted))
     return require_valid(replace(out, annotation=ann), "Kirby form broke the diagram")
 
 
-def _replace_pair(d: Diagram, pair_id: str) -> tuple[Diagram, str]:
-    """Splice one internal pair away and add its 0-framed surrogate circle."""
-    q = d.pair(pair_id)
-    pid = q.wall_a[0]
-    track: list = []
+def _replace_pairs(d: Diagram, pairs: list[SpherePair]) -> tuple[Diagram, list[str]]:
+    """Splice internal pairs away in one gluing state, each replaced by its surrogate.
+
+    Returns the diagram and the surrogate circle ids, in pair order.  Only
+    the planarity of the pieces spliced in is checked.  A replayed
+    replace-pair move is this call on its one pair.
+    """
     glue = _Glue(d)
-    glue.splice(pid, q, track)
-    spliced = glue.diagram()
-    p2 = spliced.piece(pid)
-    code = p2.tangle
-
-    cid = next(fresh_ids({c.id for c in spliced.circles}, "h"))
-    sid = next(fresh_ids({s.id for s in code.strands}, "hs"))
-
-    if not track:
-        code = replace(code, strands=code.strands + (Strand(sid),))
-        out = with_tangle(spliced, pid, code)
-        return replace(out, circles=out.circles
-                       + (GluedCircle(cid, ((pid, sid),), 0),)), cid
-
-    # one piercing per connector: the strand goes over the surrogate at u
-    # and under it at o; the surrogate runs under the bundle and back over
-    fresh = fresh_ids({c.id for c in code.crossings}, "hd")
-    new_crossings = []
-    lanes = []
-    per_strand: dict[str, list] = {}
-    for strand_id, gap, direction in track:
-        u, o = next(fresh), next(fresh)
-        new_crossings.append(Crossing(u, 2))
-        new_crossings.append(Crossing(o, 1))
-        if direction > 0:
-            block = [(u, 3), (o, 3)]
-        else:
-            block = [(o, 1), (u, 1)]
-        per_strand.setdefault(strand_id, []).append((gap, block))
-        lanes.append((u, o))
-    under_run = [(u, 2) for u, _ in lanes]
-    over_run = [(o, 0) for _, o in reversed(lanes)]
-    surrogate = Strand(sid, tuple(under_run + over_run))
-
-    # connectors sharing a gap are pierced in sorted block order, a fixed
-    # convention like the connector braid's
-    strands = tuple(replace(s, visits=splice(s.visits, sorted(per_strand[s.id])))
-                    if s.id in per_strand else s for s in code.strands)
-    new_code = TangleCode(code.crossings + tuple(new_crossings),
-                          strands + (surrogate,))
-    out = with_tangle(spliced, pid, new_code)
-    out = replace(out, circles=out.circles + (GluedCircle(cid, ((pid, sid),), 0),))
-    problems = planarity_problems(new_code, out.piece(pid).wall_points())
-    if problems:
-        raise DiagramError(f"surrogate left a non-planar code: {problems[0]}")
-    return out, cid
+    dotted = [glue.splice(q.wall_a[0], q, surrogate=True) for q in pairs]
+    out = glue.diagram()
+    for p in map(out.piece, glue.parts):
+        if problems := planarity_problems(p.tangle, p.wall_points()):
+            raise DiagramError(f"surrogate left a non-planar code: {problems[0]}")
+    return out, dotted
 
 
 def reduce_pipeline(d: Diagram, log: list | None = None) -> Diagram:

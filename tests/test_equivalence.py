@@ -20,6 +20,7 @@ from msdiagram.core import (
     InternalMaps,
     Kind,
     Piece,
+    SphereWall,
     relabel,
     simplify_diagram,
     validate,
@@ -384,6 +385,12 @@ def test_conjugate_no_by_asymmetric_linking():
 def test_conjugate_precondition():
     with pytest.raises(DiagramError):
         conjugate(catalog.standard("s2xs2"), catalog.standard("swap-diffeo"))
+    # valid maps on an invalid diagram: a wall that no pair uses
+    d = catalog.identity_diffeo(catalog.standard("s2xs2"))
+    d = replace(d, pieces=(replace(d.pieces[0], walls=(SphereWall("W9"),)),))
+    assert verify_internal_maps(d).ok
+    with pytest.raises(DiagramError, match="^invalid diagram: wall belongs to no pair$"):
+        conjugate(d, d)
 
 
 def test_equal_least_walks_reveal_symmetry():

@@ -211,6 +211,26 @@ def test_to_kirby_connector_and_surrogate_ids():
         "annotation one_handles=1 three_handles=0 sinks=1 dotted=h2\n")
 
 
+def test_to_kirby_reuses_a_surrogate_strand_id_freed_by_a_later_splice():
+    # Q1's surrogate takes hs2, since hs1 is in use; splicing Q2 then joins
+    # hs1 into S2, so Q2's surrogate takes hs1
+    code = TangleCode(strands=(Strand("S1", (), ("B", 0), ("A", 0)),
+                               Strand("S2", (), ("D", 0), ("D", 1)),
+                               Strand("hs1", (), ("C", 1), ("C", 0))))
+    walls = (SphereWall("A", 1), SphereWall("B", 1), SphereWall("C", 2), SphereWall("D", 2))
+    d = Diagram(
+        pieces=(Piece("P1", code, walls),),
+        pairs=(SpherePair("Q1", ("P1", "A"), ("P1", "B"), (0,)),
+               SpherePair("Q2", ("P1", "C"), ("P1", "D"), (0, 1))),
+        circles=(GluedCircle("c1", (("P1", "S1"),), 0),
+                 GluedCircle("c2", (("P1", "S2"), ("P1", "hs1")), 0)))
+    assert validate(d).ok
+    out = to_kirby(d)
+    assert order(out) == (("hd1", "hd2", "hd3", "hd4", "hd5", "hd6"),
+                          ("S1", "hs2", "S2", "hs1"), ("c1", "c2", "h1", "h2"))
+    assert [c.strand_cycle for c in out.circles[2:]] == [(("P1", "hs2"),), (("P1", "hs1"),)]
+
+
 def test_to_kirby_empty_pair_ids():
     out = reduce_pipeline(catalog.standard("n-s1s3(2)"))
     assert order(out) == ((), ("hs1", "hs2"), ("h1", "h2"))
