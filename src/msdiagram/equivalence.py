@@ -8,24 +8,27 @@ canonical forms certify an isomorphism; separation is only ever claimed on
 genuine invariants, so Unknown is a legal outcome.
 
 A walk begins at a start (circle, direction, first strand or visit) of
-least rank, ranked by circle colour and a trace of crossings and wall hops.
-Every other circle starts where the walk first meets it: at a crossing,
-entering one port counterclockwise of the walker; at a new wall, leaving it,
-in cyclic order from the walker's point; under a circle map, as the image of
-a walked circle.  Input order plays one part: a walk that meets no new circle
-goes on with the least-ranked start left, ties broken by circle id.  Sinks,
-which no walk reaches, are numbered by their cycles under the sink map,
-coloured by their incidence rows.
+least rank, ranked by circle colour and a trace of crossings and wall hops;
+the colours, which ``conjugate`` compares without their orientation labels,
+are one colouring of pieces, pairs, circles and surfaces refined to a fixed
+point.  Every other circle starts where the walk first meets it: at a
+crossing, entering one port counterclockwise of the walker; at a new wall,
+leaving it, in cyclic order from the walker's point; under a circle map, as
+the image of a walked circle, at its least start.  A walk that meets no new
+circle goes on with the least-ranked start left, nearest the pieces entered
+first.  Ties left in these choices are broken by circle id, direction and
+rotation number, the last deterministic choice.  Such ties remain only
+between circles that colours and traces cannot tell apart; where no symmetry
+exchanges them, the key can depend on the ids.  Sinks, which no walk
+reaches, are numbered by their cycles under the sink map, coloured by their
+incidence rows.
 
-Two walks with equal texts reveal an automorphism of the diagram, and a tied
-start that an automorphism maps onto a walked one would give the same text,
-so it is skipped: the tied starts are walked once per orbit of the
-automorphisms found so far.  Pruning is off, and every tied start is walked,
-when a walk is not a function of its start alone: when a walk breaks a tie by
-circle id, when the diagram has internal maps (a mapped circle starts at its
-least start, ties broken by rotation number), and when an automorphism maps a
-tied start outside the tied starts.  The first start of least text is never
-skipped, so the key and the witness plans are those of walking every start.
+Two walks with equal texts reveal an automorphism of the diagram.  It keeps
+ranks, so it maps tied starts onto tied starts, and a tied start that it
+maps onto a walked one is skipped: the tied starts are walked once per orbit
+of the automorphisms found so far.  Where a walk is a function of its start
+alone, a skipped start gives a text already walked, so the key and the
+witness plans are those of walking every start.
 
 Orientation-reversing piece homeomorphisms (mirror images) are searched only
 when asked: framings and crossing signs flip under them, and the default
@@ -54,6 +57,7 @@ from .core import (
     Verdict,
     WallCurve,
     circle_crossing_sums,
+    circle_passages,
     endpoint_usage,
     handle_counts,
     linking_from_sums,
@@ -136,14 +140,68 @@ def _effective_cycle(d: Diagram, cid: str, direction: int, rot: int):
     return strands
 
 
-def _circle_keys(d: Diagram) -> dict[str, tuple]:
-    """Isotopy-invariant circle colours: framing and strand count, refined
-    once by the absolute linking numbers with the other circles' colours."""
+def _colours(d: Diagram, oriented: bool = False) -> dict[tuple[str, str], int]:
+    """Conjugacy-invariant colours of the pieces ("p", id), pairs ("q", id),
+    circles ("c", id) and surfaces ("f", id), read from no crossing data and
+    refined to a fixed point (1-dimensional Weisfeiler-Leman): each round a
+    vertex takes its rank among the (colour, sorted (label, neighbour colour)
+    pairs), which keeps the earlier order of the classes.  Label 0 sorts
+    first, so a circle that links fewer circles ranks lower.
+
+    ``oriented`` also labels a pair's walls a and b and a surface's boundary
+    signs.  Ranking reads them, as relabeling keeps them; ``conjugate`` does
+    not, as they are choices of presentation: swapping a pair's walls and
+    inverting its matching is the same gluing, and flipping every sign of a
+    surface only reverses its 3-handle.
+    """
+    images = d.internal_maps.circles() if d.internal_maps is not None else {}
+    orbit = {x: len(cycle) for _, cycle in _coloured_cycles(images, lambda x: 0)
+             for x in cycle}
+    start = {("p", p.id): ("p", len(p.walls)) for p in d.pieces}
+    start.update({("q", q.id): ("q", len(q.matching), q.orientation) for q in d.pairs})
+    start.update({("c", c.id): ("c", c.framing, len(c.strand_cycle), orbit.get(c.id, 1))
+                  for c in d.circles})
+    start.update({("f", f.id): ("f", f.genus, len(f.boundary)) for f in d.surfaces})
+    edges: dict[tuple[str, str], list] = {v: [] for v in start}
+
+    def edge(u, v, label, back=None):
+        edges[u].append((label, v))
+        edges[v].append((label if back is None else back, u))
+
+    for q in d.pairs:
+        edge(("q", q.id), ("p", q.wall_a[0]), 0)
+        edge(("q", q.id), ("p", q.wall_b[0]), int(oriented))
     sums = circle_crossing_sums(d, [c.id for c in d.circles])
-    base = {c.id: (c.framing, len(c.strand_cycle)) for c in d.circles}
-    return {c.id: (base[c.id], tuple(sorted(
-        (abs(linking_from_sums(sums, c.id, o.id)), base[o.id])
-        for o in d.circles if o.id != c.id))) for c in d.circles}
+    for i, c in enumerate(d.circles):
+        for pid, _ in c.strand_cycle:
+            edge(("c", c.id), ("p", pid), 0)  # one per strand
+        for qid, _ in circle_passages(d, c.id):
+            edge(("c", c.id), ("q", qid), 0)  # one per passage
+        for o in d.circles[i + 1:]:
+            lk = abs(linking_from_sums(sums, c.id, o.id))
+            if lk:
+                edge(("c", c.id), ("c", o.id), lk)
+        if c.id in images:
+            edge(("c", c.id), ("c", images[c.id]), -1, -2)  # image, preimage
+    for f in d.surfaces:
+        for item in f.boundary:
+            if isinstance(item, FramingParallel):
+                edge(("f", f.id), ("c", item.circle), item.sign if oriented else 0)
+            else:
+                edge(("f", f.id), ("q", item.pair), 0)
+
+    def ranks(signature):
+        order = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+        return {v: order[s] for v, s in signature.items()}
+
+    colour = ranks(start)
+    while True:
+        refined = ranks({v: (colour[v], tuple(sorted((label, colour[u])
+                                                      for label, u in edges[v])))
+                         for v in colour})
+        if len(set(refined.values())) == len(set(colour.values())):
+            return colour
+        colour = refined
 
 
 def _rotation_count(d: Diagram, cid: str) -> int:
@@ -193,9 +251,9 @@ def _rotations(trace, n):
 def _planner(d: Diagram):
     """The tied starts (circle, direction, rotation) of least rank, in order,
     and the walk that turns one into a plan ((circle, direction, rotation),
-    ...); the module docstring gives the walk's rules.  The walk returns
-    (plan, fell_back), fell_back saying whether it broke a tie by circle id."""
-    keys = _circle_keys(d)
+    ...); the module docstring gives the walk's rules."""
+    colours = _colours(d, oriented=True)
+    keys = {c.id: colours["c", c.id] for c in d.circles}
     member = {tuple(e): c.id for c in d.circles for e in c.strand_cycle}
     ends = endpoint_usage(d)
     rank = {}
@@ -210,7 +268,6 @@ def _planner(d: Diagram):
 
     def discover(first):
         plan, planned, touched, entered = [first], {first[0]}, set(), {}
-        fell_back = False
 
         def meet(pid, sid, visit, forward):
             cid = member[pid, sid]
@@ -236,7 +293,6 @@ def _planner(d: Diagram):
         while len(plan) < len(d.circles):
             if i == len(plan):
                 # the walk met no new circle: the one input-order tie-break
-                fell_back = True
                 plan.append(min((s for s in order if s[0] not in planned), key=lambda s: (
                     rank[s], min(entered.get(p, len(entered)) for p, _ in
                                  d.circle(s[0]).strand_cycle), s)))
@@ -247,7 +303,7 @@ def _planner(d: Diagram):
                     touch(pid, s.start)
                 for x, p in s.visits:
                     if len(plan) == len(d.circles):
-                        return tuple(plan), fell_back
+                        return tuple(plan)
                     # the other passage, entering one port counterclockwise
                     even, odd = crossing_passages(d.piece(pid).tangle, x)
                     sid, visit, port = odd if p % 2 == 0 else even
@@ -258,7 +314,7 @@ def _planner(d: Diagram):
                 planned.add(images[plan[i][0]])
                 plan.append(best[images[plan[i][0]]])
             i += 1
-        return tuple(plan), fell_back
+        return tuple(plan)
 
     return [s for s in order if rank[s] == rank[order[0]]], discover
 
@@ -266,7 +322,7 @@ def _planner(d: Diagram):
 def _plans(d: Diagram):
     """Iterate traversal plans, one per least-ranked start."""
     firsts, discover = _planner(d)
-    yield from (discover(f)[0] for f in firsts) if firsts else [()]
+    yield from map(discover, firsts) if firsts else [()]
 
 
 def _start_image(d: Diagram, plan1, plan2):
@@ -383,14 +439,10 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
                 pmap.get(other[0], "?"), other[0] == pid,
                 d.piece(other[0]).wall(other[1]).points)
 
-    for pid in sorted(pmap, key=lambda x: natural_key(pmap[x])):
+    for pid in pmap:
         for wid in sorted((w.id for w in d.piece(pid).walls if (pid, w.id) not in wmap),
                           key=lambda x: (bare_wall_key(pid, x), natural_key(x))):
-            wmap[pid, wid] = f"w{len(wmap) + 1}"
-            woff[pid, wid] = 0
-            q = wall_of_pair(d, (pid, wid))
-            if q is not None and q.id not in qmap:
-                qmap[q.id] = f"q{len(qmap) + 1}"
+            touch_wall(pid, wid, 0)
 
     # rebuild pieces
     def new_point(pid, pt):
@@ -400,14 +452,13 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
         off = woff[pid, pt[0]]
         return (wmap[pid, pt[0]], (pt[1] - off) % k if k else 0)
 
+    # records in any order: serialize sorts each kind by natural id
     pieces = []
-    for pid in sorted(pmap, key=lambda x: natural_key(pmap[x])):
+    for pid in pmap:
         p = d.piece(pid)
-        walls = tuple(
-            SphereWall(wmap[pid, w.id], w.points)
-            for w in sorted(p.walls, key=lambda w: natural_key(wmap[pid, w.id])))
+        walls = tuple(SphereWall(wmap[pid, w.id], w.points) for w in p.walls)
         crossings = []
-        for c in sorted(p.tangle.crossings, key=lambda c: natural_key(xmap[pid, c.id])):
+        for c in p.tangle.crossings:
             over = c.over if xrot[pid, c.id] % 2 == 0 else (3 - c.over)
             crossings.append(replace(c, id=xmap[pid, c.id], over=over))
         strands = []
@@ -416,7 +467,6 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
                 (xmap[pid, x], (q - xrot[pid, x]) % 4) for x, q in s.visits)
             strands.append(Strand(smap[pid, s.id], visits,
                                   new_point(pid, s.start), new_point(pid, s.end)))
-        strands.sort(key=lambda s: natural_key(s.id))
         pieces.append(Piece(pmap[pid], replace(p.tangle, crossings=tuple(crossings),
                                                strands=tuple(strands)), walls))
 
@@ -432,13 +482,11 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
                           (pmap[q.wall_b[0]], wmap[q.wall_b]),
                           tuple(matching), q.orientation)
 
-    pairs = tuple(sorted((new_pair(q) for q in d.pairs),
-                         key=lambda q: natural_key(q.id)))
-    circles = tuple(sorted(
-        (GluedCircle(cmap[c.id],
-                     tuple((pmap[p], smap[p, s]) for p, s in new_cycles[c.id]),
-                     c.framing)
-         for c in d.circles), key=lambda c: natural_key(c.id)))
+    pairs = tuple(new_pair(q) for q in d.pairs)
+    circles = tuple(
+        GluedCircle(cmap[c.id], tuple((pmap[p], smap[p, s]) for p, s in new_cycles[c.id]),
+                    c.framing)
+        for c in d.circles)
 
     def new_item(item):
         if isinstance(item, FramingParallel):
@@ -451,23 +499,20 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
         return (1, natural_key(item.pair), item.index)
 
     renamed_surfaces = []
-    for f in d.surfaces:
+    for j, f in enumerate(d.surfaces):
         boundary = tuple(sorted((new_item(i) for i in f.boundary), key=item_key))
-        renamed_surfaces.append((f.genus, boundary, f.id))
+        renamed_surfaces.append((f.genus, boundary, j))
     renamed_surfaces.sort(key=lambda t: (t[0], tuple(map(item_key, t[1]))))
     fmap = {}
     surfaces = []
-    surface_order = []
-    for genus, boundary, old in renamed_surfaces:
-        fmap[old] = f"f{len(fmap) + 1}"
-        surface_order.append(old)
-        surfaces.append(SpanningSurface(fmap[old], genus, boundary))
+    for genus, boundary, j in renamed_surfaces:
+        fmap[d.surfaces[j].id] = f"f{len(fmap) + 1}"
+        surfaces.append(SpanningSurface(fmap[d.surfaces[j].id], genus, boundary))
 
     incidence = d.sink_incidence
     if incidence is not None:
-        old_order = [f.id for f in d.surfaces]
-        cols = [old_order.index(fid) for fid in surface_order]
-        incidence = tuple(tuple(row[j] for j in cols) for row in incidence)
+        # columns in the new surface order
+        incidence = tuple(tuple(row[j] for _, _, j in renamed_surfaces) for row in incidence)
     # sinks, which no walk reaches: by coloured cycles of the sink map, a
     # sink's colour being its incidence row
     maps = d.internal_maps
@@ -504,65 +549,46 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
     return out, cm
 
 
+def _variant(d: Diagram, plan):
+    cand, maps = _walk(d, plan)
+    return serialize(cand), cand, maps, plan
+
+
 def canonical_variants(d: Diagram):
     """All traversal results as (serialized text, diagram, maps, plan)."""
-    out = []
-    for plan in _plans(d):
-        cand, maps = _walk(d, plan)
-        out.append((serialize(cand), cand, maps, plan))
-    return out
+    return [_variant(d, plan) for plan in _plans(d)]
 
 
 def _least_walk(d: Diagram):
-    """The variant of least text, the first such in plan order as
-    ``min(canonical_variants(d))`` picks it, walking each orbit of tied
-    starts once where the module docstring allows it."""
+    """The variant of least text, walking each orbit of tied starts once
+    (module docstring).  Where every walk is a function of its start alone,
+    it is the first such in plan order, as ``min(canonical_variants(d))``
+    picks it; where a walk breaks a tie by circle id or rotation number, a
+    skipped start may hold a smaller text."""
     firsts, discover = _planner(d)
     if not firsts:
         return canonical_variants(d)[0]
-    at = {f: i for i, f in enumerate(firsts)}
-    parent = list(range(len(firsts)))
+    parent = {f: f for f in firsts}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(f):
+        while parent[f] != f:
+            parent[f] = parent[parent[f]]
+            f = parent[f]
+        return f
 
-    walked = {}      # position in firsts -> variant
+    walked = []      # variants in plan order
     first_plan = {}  # text -> plan of its first walk
-
-    def variant(i):
-        plan, fell_back = discover(firsts[i])
-        cand, maps = _walk(d, plan)
-        walked[i] = (serialize(cand), cand, maps, plan)
-        return fell_back
-
-    def learn(i):
-        # union every tied start with its image; False if one falls outside
-        text, plan = walked[i][0], walked[i][3]
-        if text not in first_plan:
-            first_plan[text] = plan
-            return True
-        image = _start_image(d, first_plan[text], plan)
-        for f in firsts:
-            g = image(f)
-            if g not in at:
-                return False
-            parent[find(at[f])] = find(at[g])
-        return True
-
-    prune = d.internal_maps is None
-    for i in range(len(firsts)):
-        if prune and any(find(j) == find(i) for j in walked):
+    for f in firsts:
+        if find(f) in {find(v[3][0]) for v in walked}:
             continue
-        fell_back = variant(i)
-        if prune and (fell_back or not learn(i)):
-            prune = False
-            for j in range(i):
-                if j not in walked:
-                    variant(j)
-    return walked[min(walked, key=lambda i: (walked[i][0], i))]
+        walked.append(_variant(d, discover(f)))
+        text, plan = walked[-1][0], walked[-1][3]
+        if first_plan.setdefault(text, plan) is not plan:
+            # an automorphism keeps ranks, so it maps tied starts onto tied starts
+            image = _start_image(d, first_plan[text], plan)
+            for g in firsts:
+                parent[find(g)] = find(image(g))
+    return min(walked, key=lambda v: v[0])
 
 
 @lru_cache(maxsize=4096)
@@ -795,9 +821,10 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     """Topological conjugacy of two diffeomorphism diagrams (semi-decision).
 
     Any conjugacy induces, on each index set, a bijection that keeps the
-    invariant keys below and commutes with the internal maps; one exists
-    exactly when both maps have the same multiset of coloured cycles, so
-    when one index set differs the No is exhaustive.  The canonical text
+    unoriented colours of ``_colours`` and commutes with the internal maps (it
+    carries one diagram's refinement onto the other's, rank for rank); one
+    exists exactly when both maps have the same multiset of coloured cycles,
+    so when one index set differs the No is exhaustive.  The canonical text
     carries all five maps, so ``isomorphic``'s Yes is a conjugacy witness;
     its search runs here without repeating the checks above.
     """
@@ -809,27 +836,20 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     if sep is not None:
         return Verdict.make_no(sep, f"underlying diagrams separated by {sep}")
     i1, i2 = d1.internal_maps, d2.internal_maps
-    k1, k2 = _circle_keys(d1), _circle_keys(d2)
+    k1, k2 = _colours(d1), _colours(d2)
 
-    def piece_key(d):
-        return lambda p: (len(d.piece(p).walls), len(d.piece(p).tangle.strands))
+    def cycle_types(f, colours, tag):
+        # the sinks share one colour
+        return Counter(c for c, _ in _coloured_cycles(
+            f, lambda x: colours[tag, x] if tag else 0))
 
-    def pair_key(d):
-        return lambda q: (len(d.pair(q).matching), d.pair(q).orientation)
-
-    def surface_key(d):
-        return lambda f: (d.surface(f).genus, len(d.surface(f).boundary))
-
-    for name, f1, f2, key1, key2 in (
-        ("pieces", i1.pieces(), i2.pieces(), piece_key(d1), piece_key(d2)),
-        ("pairs", i1.pairs(), i2.pairs(), pair_key(d1), pair_key(d2)),
-        ("circles", i1.circles(), i2.circles(), k1.__getitem__, k2.__getitem__),
-        ("surfaces", i1.surfaces(), i2.surfaces(), surface_key(d1), surface_key(d2)),
-        ("sinks", dict(enumerate(i1.on_sinks)), dict(enumerate(i2.on_sinks)),
-         lambda i: 0, lambda i: 0),
-    ):
-        if Counter(c for c, _ in _coloured_cycles(f1, key1)) != \
-                Counter(c for c, _ in _coloured_cycles(f2, key2)):
+    for name, tag, f1, f2 in (("pieces", "p", i1.pieces(), i2.pieces()),
+                              ("pairs", "q", i1.pairs(), i2.pairs()),
+                              ("circles", "c", i1.circles(), i2.circles()),
+                              ("surfaces", "f", i1.surfaces(), i2.surfaces()),
+                              ("sinks", None, dict(enumerate(i1.on_sinks)),
+                               dict(enumerate(i2.on_sinks)))):
+        if cycle_types(f1, k1, tag) != cycle_types(f2, k2, tag):
             return Verdict.make_no(
                 f"commutation on {name}",
                 f"exhaustive: no invariant-respecting bijection of the {name} "

@@ -166,11 +166,23 @@ def _fields(parser: _Parser, lineno: int, tokens: list[str],
     return out
 
 
+def _ident(parser, lineno, token, what) -> str:
+    if not _ID.match(token):
+        parser.fail(lineno, token, f"a {what} id of letters, digits, _, + and -")
+    return token
+
+
 def _split_ref(parser, lineno, token, what) -> tuple[str, str]:
     if token.count(".") != 1:
         parser.fail(lineno, token, f"{what} as piece.id")
     a, b = token.split(".")
-    return a, b
+    return _ident(parser, lineno, a, "piece"), _ident(parser, lineno, b, what)
+
+
+def _sign(parser, lineno, token) -> int:
+    if token not in ("+", "-"):
+        parser.fail(lineno, token, "+ or -")
+    return 1 if token == "+" else -1
 
 
 def _int(parser, lineno, token) -> int:
@@ -202,7 +214,7 @@ def parse(text: str) -> Diagram:
         if kind == "piece":
             if len(rest) != 1:
                 parser.fail(lineno, " ".join(rest), "piece <id>")
-            if rest[0] in pieces:
+            if _ident(parser, lineno, rest[0], "piece") in pieces:
                 parser.fail(lineno, rest[0], "a fresh piece id")
             pieces[rest[0]] = {"walls": [], "crossings": [], "strands": []}
         elif kind == "wall":
@@ -219,13 +231,12 @@ def parse(text: str) -> Diagram:
             f = _fields(parser, lineno, rest[1:], ("a", "b", "match", "orient"))
             wa = _split_ref(parser, lineno, f["a"], "wall reference")
             wb = _split_ref(parser, lineno, f["b"], "wall reference")
-            if f["orient"] not in ("+", "-"):
-                parser.fail(lineno, f["orient"], "+ or -")
+            orient = _sign(parser, lineno, f["orient"])
             matching = ()
             if f["match"] != "-":
                 matching = tuple(_int(parser, lineno, t) for t in f["match"].split(","))
-            pairs.append(SpherePair(rest[0], wa, wb, matching,
-                                    1 if f["orient"] == "+" else -1))
+            pairs.append(SpherePair(_ident(parser, lineno, rest[0], "pair"), wa, wb, matching,
+                                    orient))
         elif kind == "crossing":
             if len(rest) < 1:
                 parser.fail(lineno, "", "crossing <piece>.<id> ends=.. over=.. sign=..")
@@ -253,7 +264,7 @@ def parse(text: str) -> Diagram:
                     if ":" not in node:
                         parser.fail(lineno, node, "crossing:port")
                     c, p = node.rsplit(":", 1)
-                    visits.append((c, _int(parser, lineno, p)))
+                    visits.append((_ident(parser, lineno, c, "crossing"), _int(parser, lineno, p)))
 
             def endpoint(tok):
                 if tok == "-":
@@ -261,7 +272,7 @@ def parse(text: str) -> Diagram:
                 if ":" not in tok:
                     parser.fail(lineno, tok, "wall:point or -")
                 w, i = tok.rsplit(":", 1)
-                return (w, _int(parser, lineno, i))
+                return (_ident(parser, lineno, w, "wall"), _int(parser, lineno, i))
 
             pieces[pid]["strands"].append(
                 Strand(sid, tuple(visits), endpoint(f["from"]), endpoint(f["to"])))
@@ -272,7 +283,8 @@ def parse(text: str) -> Diagram:
             cycle = tuple(
                 _split_ref(parser, lineno, t, "strand reference")
                 for t in f["strands"].split(","))
-            circles.append(GluedCircle(rest[0], cycle, _int(parser, lineno, f["framing"])))
+            circles.append(GluedCircle(_ident(parser, lineno, rest[0], "circle"), cycle,
+                                       _int(parser, lineno, f["framing"])))
         elif kind == "surface":
             if len(rest) < 1:
                 parser.fail(lineno, "", "surface <id> genus=.. boundary=..")
@@ -284,15 +296,15 @@ def parse(text: str) -> Diagram:
                         parser.fail(lineno, tok, "C<circle>:<sign> or W<pair>:<index>")
                     ref, arg = tok.rsplit(":", 1)
                     if ref.startswith("C"):
-                        if arg not in ("+", "-"):
-                            parser.fail(lineno, arg, "+ or -")
-                        items.append(FramingParallel(ref[1:], 1 if arg == "+" else -1))
+                        items.append(FramingParallel(_ident(parser, lineno, ref[1:], "circle"),
+                                                     _sign(parser, lineno, arg)))
                     elif ref.startswith("W"):
-                        items.append(WallCurve(ref[1:], _int(parser, lineno, arg)))
+                        items.append(WallCurve(_ident(parser, lineno, ref[1:], "pair"),
+                                               _int(parser, lineno, arg)))
                     else:
                         parser.fail(lineno, tok, "C<circle>:<sign> or W<pair>:<index>")
-            surfaces.append(SpanningSurface(rest[0], _int(parser, lineno, f["genus"]),
-                                            tuple(items)))
+            surfaces.append(SpanningSurface(_ident(parser, lineno, rest[0], "surface"),
+                                            _int(parser, lineno, f["genus"]), tuple(items)))
         elif kind == "sinks":
             if sink_count is not None:
                 parser.fail(lineno, "sinks", "a single sinks record")
@@ -314,11 +326,12 @@ def parse(text: str) -> Diagram:
         elif kind == "annotation":
             f = _fields(parser, lineno, rest,
                         ("one_handles", "three_handles", "sinks"), ("dotted",))
-            dotted = tuple(f["dotted"].split(",")) if f.get("dotted") else ()
+            dotted = f["dotted"].split(",") if f.get("dotted") else ()
             annotation = KirbyAnnotation(
                 _int(parser, lineno, f["one_handles"]),
                 _int(parser, lineno, f["three_handles"]),
-                _int(parser, lineno, f["sinks"]), dotted)
+                _int(parser, lineno, f["sinks"]),
+                tuple(_ident(parser, lineno, c, "circle") for c in dotted))
         else:
             parser.fail(lineno, kind, "a record kind")
 
@@ -339,7 +352,7 @@ def parse(text: str) -> Diagram:
             if imap[field] == "-":
                 images = []
             else:
-                images = imap[field].split(",")
+                images = [_ident(parser, imap_line, x, field[:-1]) for x in imap[field].split(",")]
             if len(images) != len(src):
                 raise ParseError(imap_line, imap[field], f"{len(src)} images for {field}")
             return tuple(zip(src, images))
@@ -402,50 +415,46 @@ def serialize_moves(moves) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_MOVE_FIELDS = {
+    "blow-up": ("piece", "region", "sign"),
+    "blow-down": ("circle",),
+    "handle-slide": ("c1", "c2", "band"),
+    "merge-pieces": ("pair",),
+    "delete-surface": ("surface", "circle"),
+    "replace-pair": ("pair", "circle"),
+}
+
+
 def parse_moves(text: str):
-    """Inverse of serialize_moves."""
+    """Inverse of serialize_moves; raises ParseError at the first malformed record."""
     from .calculus import KirbyMove
 
+    parser = _Parser(text)
     moves = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
+    for lineno, tokens in parser.records:
         if tokens[0] != "move" or len(tokens) < 2:
-            raise ParseError(lineno, tokens[0], "a move record")
+            parser.fail(lineno, tokens[0], "a move record")
         tag = tokens[1]
-        fields = {}
-        for tok in tokens[2:]:
-            if "=" not in tok:
-                raise ParseError(lineno, tok, "key=value field")
-            k, v = tok.split("=", 1)
-            fields[k] = v
-        try:
-            if tag == "blow-up":
-                moves.append(KirbyMove("blow-up", (
-                    fields["piece"], int(fields["region"]),
-                    1 if fields["sign"] == "+" else -1)))
-            elif tag == "blow-down":
-                moves.append(KirbyMove("blow-down", (fields["circle"],)))
-            elif tag == "handle-slide":
-                pid, a1, a2, orient = fields["band"].split(":")
-                s1, i1 = a1.rsplit(".", 1)
-                s2, i2 = a2.rsplit(".", 1)
-                band = (pid, (s1, int(i1)), (s2, int(i2)),
-                        1 if orient == "+" else -1)
-                moves.append(KirbyMove("handle-slide",
-                                       (fields["c1"], fields["c2"], band)))
-            elif tag == "merge-pieces":
-                moves.append(KirbyMove("merge-pieces", (fields["pair"],)))
-            elif tag == "delete-surface":
-                moves.append(KirbyMove("delete-surface",
-                                       (fields["surface"], fields["circle"])))
-            elif tag == "replace-pair":
-                moves.append(KirbyMove("replace-pair",
-                                       (fields["pair"], fields["circle"])))
-            else:
-                raise ParseError(lineno, tag, "a known move tag")
-        except KeyError as e:
-            raise ParseError(lineno, str(e), "a required move field")
+        if tag not in _MOVE_FIELDS:
+            parser.fail(lineno, tag, "a known move tag")
+        f = _fields(parser, lineno, tokens[2:], _MOVE_FIELDS[tag])
+        for k in _MOVE_FIELDS[tag]:
+            if k not in ("region", "sign", "band"):
+                _ident(parser, lineno, f[k], k)
+        if tag == "blow-up":
+            args = (f["piece"], _int(parser, lineno, f["region"]), _sign(parser, lineno, f["sign"]))
+        elif tag == "handle-slide":
+            band = f["band"].split(":")
+            arcs = [a.rsplit(".", 1) for a in band[1:3]]
+            if len(band) != 4 or any(len(a) != 2 for a in arcs):
+                parser.fail(lineno, f["band"], "piece:strand.arc:strand.arc:sign")
+            (s1, i1), (s2, i2) = arcs
+            for x in (band[0], s1, s2):
+                _ident(parser, lineno, x, "band")
+            args = (f["c1"], f["c2"], (band[0], (s1, _int(parser, lineno, i1)),
+                                       (s2, _int(parser, lineno, i2)),
+                                       _sign(parser, lineno, band[3])))
+        else:
+            args = tuple(f[k] for k in _MOVE_FIELDS[tag])
+        moves.append(KirbyMove(tag, args))
     return moves

@@ -10,7 +10,7 @@ import pytest
 from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
 from msdiagram.core import DiagramError
-from msdiagram.format import parse, parse_moves, serialize, serialize_moves
+from msdiagram.format import ParseError, parse, parse_moves, serialize, serialize_moves
 from msdiagram.invariants import linking_matrix
 from msdiagram.reduction import reduce_pipeline
 from msdiagram.render import render
@@ -57,6 +57,18 @@ def test_malformed_imap_exit_code(files):
     out = run_cli("validate", str(bad))
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
+
+
+def test_reserved_character_id_exit_code(tmp_path):
+    # the repeated strands= field was read as the circle's id
+    path = tmp_path / "reserved-id.msd"
+    path.write_text("msd 1\npiece P1\nstrand P1.S1 path=- from=- to=-\n"
+                    "circle strands=P1.S1 strands=P1.S1 framing=1\nsinks 1\n")
+    for args in (("validate",), ("reduce", "-o", str(tmp_path / "out.msd"))):
+        out = run_cli(*args[:1], str(path), *args[1:])
+        assert out.returncode == 3, (args, out.stderr)
+        assert "Traceback" not in out.stderr
+        assert "reserved-id.msd: line 4: got 'strands=P1.S1'" in out.stderr
 
 
 def test_multi_sink_without_incidence_is_invalid(tmp_path):
@@ -250,6 +262,27 @@ def test_move_log_round_trip():
     ]
     text = serialize_moves(moves)
     assert parse_moves(text) == moves
+
+
+@pytest.mark.parametrize("record, token", [
+    ("move blow-up piece=P1 region=x sign=+", "x"),
+    ("move blow-up piece=P1 region=0 sign=x", "x"),
+    ("move blow-up piece=P1 region=0", "piece=P1"),
+    ("move blow-up piece=P1 region=0 sign=+ extra=1", "extra"),
+    ("move blow-up piece=P1 region=0 sign=+ sign=-", "sign"),
+    ("move blow-up piece=P.1 region=0 sign=+", "P.1"),
+    ("move handle-slide c1=c1 c2=c2 band=junk", "junk"),
+    ("move handle-slide c1=c1 c2=c2 band=P1:S1.0:S2:+", "P1:S1.0:S2:+"),
+    ("move handle-slide c1=c1 c2=c2 band=P1:S1.0:S2.x:+", "x"),
+    ("move handle-slide c1=c1 c2=c2 band=P1:S1.0:S2.1:x", "x"),
+    ("move handle-slide c1=c1 c2=c2 band=P1:S1.0:S2.1:-+", "-+"),
+    ("move fold c1=c1", "fold"),
+    ("blow-up piece=P1", "blow-up"),
+])
+def test_parse_moves_rejects_malformed_records(record, token):
+    with pytest.raises(ParseError) as err:
+        parse_moves(f"move blow-down circle=c1\n{record}\n")
+    assert (err.value.line, err.value.token) == (2, token)
 
 
 def test_witness_log_replays_deterministically():

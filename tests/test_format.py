@@ -117,3 +117,22 @@ def test_imap_sinks_must_be_integers():
         parse(bad)
     assert err.value.token == "x"
     assert bad.splitlines()[err.value.line - 1].startswith("imap ")
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("cp2", "circle c1 strands", "circle strands=P1.S1 strands"),
+    ("cp2", "piece P1\n", "piece P1\npiece P:2\n"),
+    ("cp2", "circle c1 strands=P1.S1", "circle c1 strands=P1.S=1"),
+    ("cp2", "from=- to=-", "from=- to=W,1:0"),
+    ("cp2", "sinks 1\n", "sinks 1\nannotation one_handles=0 three_handles=0 sinks=1 "
+                         "dotted=c1,c:2\n"),
+    ("s2xs2", "path=x1:", "path=x=1:"),
+    ("swap-diffeo", "circles=c2,c1", "circles=c2,c=1"),
+    ("s4-with-cancelling-pair", "boundary=Cc1:+", "boundary=Cc.1:+"),
+])
+def test_reserved_characters_in_ids_rejected(name, old, new):
+    text = serialize(catalog.standard(name))
+    assert old in text
+    with pytest.raises(ParseError) as err:
+        parse(text.replace(old, new, 1))
+    assert "id of letters, digits" in err.value.expected

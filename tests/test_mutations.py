@@ -1,0 +1,91 @@
+"""Mutation fuzzing of MSD/1 input: malformed text ends in ParseError, and
+every command answers a parsed file with an exit code."""
+
+import contextlib
+import io
+import os
+import re
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from msdiagram import catalog, cli
+from msdiagram.format import ParseError, parse, serialize
+
+SOURCES = [serialize(catalog.standard(name)) for name in catalog.names() if "(" not in name]
+SOURCES.append(serialize(catalog.n_s1xs3(2)))
+MUTATIONS = ("delete line", "duplicate line", "swap lines",
+             "delete token", "duplicate token", "swap tokens", "rewrite integer")
+
+
+@st.composite
+def mutated_texts(draw):
+    """A catalog text and one to three mutations of its lines, tokens and integers."""
+    source = draw(st.sampled_from(SOURCES))
+    lines = source.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(MUTATIONS))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete line":
+            del lines[i]
+        elif op == "duplicate line":
+            lines.insert(i, lines[i])
+        elif op == "swap lines":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "rewrite integer":
+            text = "\n".join(lines)
+            spots = list(re.finditer(r"-?\d+", text))
+            if spots:
+                m = spots[draw(st.integers(0, len(spots) - 1))]
+                value = str(draw(st.integers(-3, 12)))
+                lines = (text[:m.start()] + value + text[m.end():]).split("\n")
+        else:
+            tokens = lines[i].split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            if op == "delete token":
+                del tokens[k]
+            elif op == "duplicate token":
+                tokens.insert(k, tokens[k])
+            else:
+                j = draw(st.integers(0, len(tokens) - 1))
+                tokens[k], tokens[j] = tokens[j], tokens[k]
+            lines[i] = " ".join(tokens)
+        if not lines:
+            break
+    return source, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+def test_parse_raises_only_parse_error(case):
+    _, text = case
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_texts())
+def test_every_command_answers_a_parsed_mutation_with_an_exit_code(case):
+    source, text = case
+    try:
+        parse(text)
+    except ParseError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path, original = os.path.join(tmp, "mutant.msd"), os.path.join(tmp, "source.msd")
+        for name, body in ((path, text), (original, source)):
+            with open(name, "w") as f:
+                f.write(body)
+        for args in (["validate", path], ["invariants", path],
+                     ["reduce", path, "-o", os.path.join(tmp, "out.msd")],
+                     ["recognize-s3", path, "--depth", "1"],
+                     ["render", path, "-o", os.path.join(tmp, "out.svg")],
+                     ["equiv", path, original], ["conj", path, path]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = cli.main(args)
+            assert code in (0, 1, 2, 3, 4), (args[0], code, out.getvalue())
