@@ -78,7 +78,6 @@ from .tangle import (
     TangleCode,
     braid_closure,
     linking_number,
-    reidemeister,
     writhe,
 )
 

@@ -30,7 +30,7 @@ from .tangle import (
     MoveError,
     Strand,
     TangleCode,
-    _arcs_share_face,
+    _shared_face,
     arc_gap,
     braid,
     crossing_passages,
@@ -321,39 +321,29 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     s1, s2 = code.strand(s1id), code.strand(s2id)
     if not (0 <= arc1 < s1.arc_count() and 0 <= arc2 < s2.arc_count()):
         raise MoveError("band arc indices out of range")
-    if not _arcs_share_face(code, (s1id, arc1), (s2id, arc2), p.wall_points()):
+    shared = _shared_face(code, (s1id, arc1), (s2id, arc2), p.wall_points())
+    if shared is None:
         raise MoveError("band arcs do not bound a common face (or cross a wall)")
-
     lk12 = diagram_linking(d, c1, c2)
     twist = circ2.framing - diagram_writhe(d, c2)
-
-    last_error = "no planar pushoff"
-    # the band traverses the parallel with the requested orientation; when the
-    # two arcs run the same way along their shared face, the orientation-
-    # consistent band carries a half twist, realized as one extra crossing
-    # between the band edges
-    variants = [(side, cut, kink)
-                for kink in (None, (1, 1), (3, 1), (3, 2), (1, 2))
-                for side in (1, -1)
-                for cut in (False, True)]
-    for side, cut_after_block, kink in variants:
-        try:
-            out = require_valid(
-                _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient,
-                            side, twist, cut_after_block, kink),
-                "slide broke the diagram", MoveError)
-        except MoveError as e:
-            last_error = str(e)
-            continue
-        new_f1 = circ1.framing + circ2.framing + 2 * orient * lk12
-        out = replace(out, circles=tuple(
-            replace(c, framing=new_f1) if c.id == c1 else c for c in out.circles))
-        return out
-    raise MoveError(f"handle slide failed: {last_error}")
+    # the parallel runs along s2 on the side of the shared face, which is on
+    # the right of an arc that runs forward along it; the band needs a half
+    # twist, one kink crossing between its edges, when orient +1 meets arcs
+    # running opposite ways along the face, or orient -1 arcs running alike
+    side, kink = 1, None
+    if shared:
+        f1, f2 = shared
+        side = -1 if f2 else 1
+        if (f1 == f2) != (orient == 1):
+            kink = (1, 1) if f1 else (3, 1)
+    out = require_valid(_slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink),
+                        "slide broke the diagram", MoveError)
+    new_f1 = circ1.framing + circ2.framing + 2 * orient * lk12
+    return replace(out, circles=tuple(
+        replace(c, framing=new_f1) if c.id == c1 else c for c in out.circles))
 
 
-def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
-                cut_after_block=False, kink=None):
+def _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink):
     p = d.piece(pid)
     code = p.tangle
     new_crossings, foreign, blocks, s2_inserts = _pushoff(code, s2, side)
@@ -366,12 +356,8 @@ def _slide_once(d, pid, circ1, circ2, s1, s2, arc1, arc2, orient, side, twist,
         [(1, 1 if twist > 0 else -1)] * (2 * abs(twist)), [1, 1], fresh_ids(taken, "tw"))
 
     g2 = arc_gap(s2, arc2)
-    # parallel visit list with the twist block and the cut at the arc2 gap
-    around = [v for block in blocks[g2:] + blocks[:g2] for v in block]
-    if cut_after_block:
-        par_cycle = around + lane_visits[par_lane]
-    else:
-        par_cycle = lane_visits[par_lane] + around
+    # the parallel's visits: the twist block, then around s2 from the arc2 gap
+    par_cycle = lane_visits[par_lane] + [v for block in blocks[g2:] + blocks[:g2] for v in block]
     if orient < 0:
         par_cycle = [(x, (q + 2) % 4) for x, q in reversed(par_cycle)]
     kink_crossings = ()
@@ -453,8 +439,8 @@ def _slide_candidates(d: Diagram, cap: int = 6):
                 found = None
                 for a1 in range(s1.arc_count()):
                     for a2 in range(s2.arc_count()):
-                        if _arcs_share_face(p.tangle, (s1id, a1), (s2.id, a2),
-                                            p.wall_points()):
+                        if _shared_face(p.tangle, (s1id, a1), (s2.id, a2),
+                                        p.wall_points()) is not None:
                             found = (a1, a2)
                             break
                     if found:

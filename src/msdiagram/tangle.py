@@ -11,6 +11,16 @@ Sign convention (right-handed plane orientation): a crossing is positive
 when the over passage enters one step clockwise of the under passage,
 i.e. over_entry == (under_entry + 3) % 4.
 
+Moves that add crossings build one candidate.  An R1+ kink enters its
+crossing on top at port 0 and returns at port 2 - sign.  R2+ and the handle
+slide read the face two arcs share (_shared_face): (f1, f2) says whether
+each runs forward along it.  The R2+ under strand enters both new crossings
+at port 3 if f2, else 1, and meets the first one first when f1 != f2.  The
+slide's parallel runs right of its circle if f2, else left, and its band
+gets one kink when (f1 == f2) != (orient == 1).  A crossingless closed
+strand fits every face: R2+ reads it as (False, False), the slide as left
+with no kink.
+
 A TangleCode is immutable: every edit builds a new code.  Each code builds
 its lookup index (crossings and strands by id, the passage table and the
 crossing signs) lazily on first use, and memoises its code problems and,
@@ -86,7 +96,7 @@ class TangleCode:
 class RMove:
     """One applied Reidemeister move, replayable on the code it was found in."""
 
-    kind: str           # "r1-", "r1+", "r2-", "r2+", "r3"
+    kind: str           # "r1-", "r2-", "r3"
     args: tuple
 
 
@@ -549,30 +559,20 @@ def r1_minus(code: TangleCode, cid: str) -> TangleCode:
     raise MoveError(f"no R1 kink at crossing {cid}")
 
 
-def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int,
-            walls: Mapping[str, int] | None = None) -> TangleCode:
-    """Insert a kink of the given sign on an arc of a strand."""
+def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int) -> TangleCode:
+    """Insert a kink of the given sign on an arc of a strand.
+
+    The arc enters the new crossing on top at port 0 and returns at port
+    2 - sign, so the kink is a monogon between two adjacent ports.
+    """
     s = code.strand(strand_id)
     if not (0 <= arc_index < s.arc_count()):
         raise MoveError(f"strand {strand_id} has no arc {arc_index}")
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
     cid = next(fresh_ids(code._index.crossings, "x"))
-    gap = arc_gap(s, arc_index)
-    for b, over in ((1, 1), (3, 2), (3, 1), (1, 2)):
-        visits = splice(s.visits, [(gap, ((cid, 0), (cid, b)))])
-        cand = _edit(code, {s.id: visits}, add=[Crossing(cid, over)])
-        try:
-            if crossing_sign(cand, cid) != sign:
-                continue
-            if walls is not None and planarity_problems(cand, walls):
-                continue
-            if r1_minus(cand, cid) != code:
-                continue
-            return cand
-        except (MoveError, ValueError):
-            continue
-    raise MoveError("no valid kink pattern at site")
+    visits = splice(s.visits, [(arc_gap(s, arc_index), ((cid, 0), (cid, 2 - sign)))])
+    return _edit(code, {s.id: visits}, add=[Crossing(cid, 1)])
 
 
 def find_r2_minus(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[tuple[str, str]]:
@@ -624,7 +624,13 @@ def r2_minus(code: TangleCode, x: str, y: str,
 
 def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
             walls: Mapping[str, int] | None = None) -> TangleCode:
-    """Push arc_over across arc_under through a shared face."""
+    """Push arc_over across arc_under through a shared face.
+
+    The over strand enters the new crossing x at port 0 and y at port 2, so
+    the overpass is the even pair at both.  The under strand enters both at
+    port 3 when it runs forward along the face, at port 1 when backward, and
+    meets x first when the two arcs run opposite ways along it.
+    """
     s_over = code.strand(arc_over[0])
     s_under = code.strand(arc_under[0])
     if not (0 <= arc_over[1] < s_over.arc_count()):
@@ -633,56 +639,39 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
         raise MoveError(f"no arc {arc_under}")
     if arc_over == arc_under:
         raise MoveError("R2 needs two distinct arcs")
-    if not _arcs_share_face(code, arc_over, arc_under, walls):
+    shared = _shared_face(code, arc_over, arc_under, walls)
+    if shared is None:
         raise MoveError(f"arcs {arc_over} and {arc_under} do not bound a common face")
+    fo, fu = shared or (False, False)
     fresh = fresh_ids(code._index.crossings, "x")
     xid, yid = next(fresh), next(fresh)
-
-    # Port gauge: the over strand enters x at 0 and y at 2, so the overpass is
-    # the even pair at both new crossings.  Enumerate the under strand's entry
-    # ports and traversal order; planarity plus an exact r2_minus undo certify
-    # the genuine push for the shared face.
-    over_pair = ((xid, 0), (yid, 2))
-    variants = []
-    for ux in (1, 3):
-        for uy in (1, 3):
-            variants.append(((yid, uy), (xid, ux)))
-            variants.append(((xid, ux), (yid, uy)))
-    for under_pair in variants:
-        # two distinct arcs of one strand sit at distinct gaps
-        inserts: dict[str, list] = {}
-        for (sid, k), pair in ((arc_over, over_pair), (arc_under, under_pair)):
-            inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
-        edits = {sid: splice(code.strand(sid).visits, ins) for sid, ins in inserts.items()}
-        cand = _edit(code, edits, add=[Crossing(xid, 1), Crossing(yid, 1)])
-        if code_problems(cand):
-            continue
-        if walls is not None and planarity_problems(cand, walls):
-            continue
-        try:
-            undone = r2_minus(cand, xid, yid, walls)
-        except MoveError:
-            continue
-        if undone == code:
-            return cand
-    raise MoveError("no valid R2 pattern at site")
+    u = 3 if fu else 1
+    under_pair = ((xid, u), (yid, u)) if fo != fu else ((yid, u), (xid, u))
+    # two distinct arcs of one strand sit at distinct gaps
+    inserts: dict[str, list] = {}
+    for (sid, k), pair in ((arc_over, ((xid, 0), (yid, 2))), (arc_under, under_pair)):
+        inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
+    edits = {sid: splice(code.strand(sid).visits, ins) for sid, ins in inserts.items()}
+    return _edit(code, edits, add=[Crossing(xid, 1), Crossing(yid, 1)])
 
 
-def _arcs_share_face(code, a: ArcRef, b: ArcRef, walls) -> bool:
+def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
+                 walls: Mapping[str, int] | None) -> tuple[bool, ...] | None:
+    """(a runs forward, b runs forward) along a face both arcs bound.
+
+    Among several shared faces, the one b runs backward along wins, then
+    the one a runs backward along.  A crossingless closed strand can be
+    isotoped into any region, so it gives () (falsy: test with is None).
+    None when the arcs bound no common face.
+    """
     sa, sb = code.strand(a[0]), code.strand(b[0])
-    # a crossingless closed strand can be isotoped into any region
     if (sa.closed and not sa.visits) or (sb.closed and not sb.visits):
-        return True
+        return ()
     arcs, fs = faces(code, walls)
     keys = {(x.strand, x.index): i for i, x in enumerate(arcs)}
     ia, ib = keys.get(tuple(a)), keys.get(tuple(b))
-    if ia is None or ib is None:
-        return False
-    for f in fs:
-        members = {d[0] for d in f}
-        if ia in members and ib in members:
-            return True
-    return False
+    found = [(fa, fb) for f in fs for i, fa in f if i == ia for j, fb in f if j == ib]
+    return min(found, key=lambda t: (t[1], t[0]), default=None)
 
 
 def _arc_visit_pair(code: TangleCode, arc: Arc) -> tuple[str, int, int] | None:
@@ -767,27 +756,15 @@ def r3(code: TangleCode, triple: tuple[str, str, str],
     return out
 
 
-def reidemeister(code: TangleCode, move: str, site,
-                 walls: Mapping[str, int] | None = None) -> TangleCode:
-    """Apply one move by name; site formats are documented per move."""
-    if move == "R1-":
-        return r1_minus(code, site)
-    if move == "R1+":
-        strand_id, arc_index, sign = site
-        return r1_plus(code, strand_id, arc_index, sign, walls)
-    if move == "R2-":
-        return r2_minus(code, site[0], site[1], walls)
-    if move == "R2+":
-        return r2_plus(code, tuple(site[0]), tuple(site[1]), walls)
-    if move == "R3":
-        return r3(code, tuple(site), walls)
-    raise MoveError(f"unknown move {move!r}")
-
-
 def apply_rmove(code: TangleCode, mv: RMove, walls=None) -> TangleCode:
-    kinds = {"r1-": "R1-", "r1+": "R1+", "r2-": "R2-", "r2+": "R2+", "r3": "R3"}
-    site = mv.args[0] if mv.kind == "r1-" else mv.args
-    return reidemeister(code, kinds[mv.kind], site, walls)
+    """Replay one logged move; args are as simplify_with_log records them."""
+    if mv.kind == "r1-":
+        return r1_minus(code, mv.args[0])
+    if mv.kind == "r2-":
+        return r2_minus(code, *mv.args, walls)
+    if mv.kind == "r3":
+        return r3(code, tuple(mv.args), walls)
+    raise MoveError(f"unknown move {mv.kind!r}")
 
 
 def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,

@@ -2,11 +2,17 @@
 
 Everything is seeded; generation goes through the public move and
 construction APIs so every produced diagram is valid by construction.
+run_msd runs the CLI in a child process on the package the suite imports.
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import msdiagram
 from msdiagram.calculus import blow_up, handle_slide
 from msdiagram.core import (
     Diagram,
@@ -25,10 +31,19 @@ from msdiagram.tangle import (
     MoveError,
     Strand,
     TangleCode,
-    _arcs_share_face,
+    _shared_face,
     r1_plus,
     r2_plus,
 )
+
+
+def run_msd(*args, cwd=None):
+    """msd with args in a child process; the child imports the same package."""
+    src = str(Path(msdiagram.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "msdiagram.cli", *args],
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def set_framing(d, cid, f):
@@ -49,7 +64,7 @@ def perturb_code(d, rng, moves=2, max_crossings=8, switch=False):
             if kind == "r1" and len(code.crossings) + 1 <= max_crossings:
                 s = rng.choice(code.strands)
                 code = r1_plus(code, s.id, rng.randrange(s.arc_count()),
-                               rng.choice([1, -1]), p.wall_points())
+                               rng.choice([1, -1]))
             elif kind == "r2" and len(code.crossings) + 2 <= max_crossings:
                 s1 = rng.choice(code.strands)
                 s2 = rng.choice(code.strands)
@@ -108,8 +123,8 @@ def random_slide_band(d, rng):
                 rng.shuffle(starts)
                 for a1 in starts:
                     for a2 in range(s2.arc_count()):
-                        if _arcs_share_face(p.tangle, (s1id, a1), (s2id, a2),
-                                            p.wall_points()):
+                        if _shared_face(p.tangle, (s1id, a1), (s2id, a2),
+                                        p.wall_points()) is not None:
                             return (c1.id, c2.id,
                                     (pid, (s1id, a1), (s2id, a2),
                                      rng.choice([1, -1])))

@@ -5,8 +5,6 @@ pass lines.
 """
 
 import random
-import subprocess
-import sys
 import time
 
 from helpers import (
@@ -15,6 +13,7 @@ from helpers import (
     random_multipiece_diagram,
     random_relabel,
     random_slide_band,
+    run_msd,
     set_framing,
 )
 
@@ -337,8 +336,7 @@ def test_criterion_7_serialization_and_cli(tmp_path):
 
     # exit-code contract, one spawn per command family
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "msdiagram.cli", *args],
-                              capture_output=True, text=True).returncode
+        return run_msd(*args).returncode
 
     cp2 = tmp_path / "cp2.msd"
     cp2.write_text(serialize(catalog.standard("cp2")))

@@ -1,12 +1,11 @@
 """CLI exit-code contract, move logs, and SVG rendering."""
 
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from helpers import run_msd as run_cli
 from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
 from msdiagram.core import DiagramError
@@ -14,11 +13,6 @@ from msdiagram.format import ParseError, parse, parse_moves, serialize, serializ
 from msdiagram.invariants import linking_matrix
 from msdiagram.reduction import reduce_pipeline
 from msdiagram.render import render
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "msdiagram.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
 
 
 @pytest.fixture

@@ -285,7 +285,7 @@ def test_isomorphic_relabeled_and_perturbed():
         p = d2.pieces[0]
         code = p.tangle
         sid = code.strands[0].id
-        code = r1_plus(code, sid, 0, +1, p.wall_points())
+        code = r1_plus(code, sid, 0, +1)
         if len(code.strands) > 1:
             code = r2_plus(code, (code.strands[0].id, 0), (code.strands[1].id, 0),
                            p.wall_points())
@@ -524,8 +524,7 @@ def test_conjugate_is_not_fooled_by_a_kink():
     # circle cannot separate the circles of conjugate diffeomorphisms
     d = catalog.s2xs2()
     p = d.pieces[0]
-    kinked = with_tangle(d, p.id, r1_plus(p.tangle, p.tangle.strands[0].id, 0, 1,
-                                          p.wall_points()))
+    kinked = with_tangle(d, p.id, r1_plus(p.tangle, p.tangle.strands[0].id, 0, 1))
     assert isomorphic(d, kinked).yes
     d1, d2 = catalog.identity_diffeo(d), catalog.identity_diffeo(kinked)
     v = conjugate(d1, d2)

@@ -149,7 +149,7 @@ def test_reidemeister_plus_ids():
         crossings=(Crossing("x1", 1), Crossing("x3", 1)),
         strands=(Strand("S1", visits=(("x1", 2), ("x3", 3))),
                  Strand("S2", visits=(("x1", 3), ("x3", 2)))))
-    assert r1_plus(code, "S1", 0, 1, {}) == TangleCode(
+    assert r1_plus(code, "S1", 0, 1) == TangleCode(
         crossings=(Crossing("x1", 1), Crossing("x3", 1), Crossing("x2", 1)),
         strands=(Strand("S1", visits=(("x1", 2), ("x2", 0), ("x2", 1), ("x3", 3))),
                  Strand("S2", visits=(("x1", 3), ("x3", 2)))))
@@ -345,7 +345,7 @@ def test_merge_all_renames_and_glues_wall_curves():
         strands = tuple(Strand(f"S{j + 1}", (), ("A", j), ("B", -j % 3)) for j in range(3))
         if i == 4:
             strands += (Strand("S4"),)
-        code = r1_plus(TangleCode(strands=strands), "S1", 0, 1, {"A": 3, "B": 3})
+        code = r1_plus(TangleCode(strands=strands), "S1", 0, 1)
         pieces.append(Piece(f"P{i}", code, (SphereWall("A", 3), SphereWall("B", 3))))
     d = Diagram(
         pieces=tuple(pieces),

@@ -402,11 +402,10 @@ def test_pipeline_names_a_cancellation_that_breaks_the_diagram():
 
 def ring(k):
     """k kinked pieces in a cycle of k pairs, one circle through all of them."""
-    walls = {"A": 1, "B": 1}
     pieces, pairs, cycle = [], [], []
     for i in range(1, k + 1):
         code = r1_plus(TangleCode(strands=(Strand(f"S{i}", (), ("A", 0), ("B", 0)),)),
-                       f"S{i}", 0, 1, walls)
+                       f"S{i}", 0, 1)
         pieces.append(Piece(f"P{i}", code, (SphereWall("A", 1), SphereWall("B", 1))))
         pairs.append(SpherePair(f"Q{i}", (f"P{i}", "B"), (f"P{i % k + 1}", "A"), (0,)))
         cycle.append((f"P{i}", f"S{i}"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from msdiagram import catalog
 from msdiagram.tangle import (
     Crossing,
     MoveError,
@@ -86,7 +87,7 @@ def test_simplify_never_increases_and_preserves_links():
         s = rng.choice(code.strands)
         try:
             code = r1_plus(code, s.id, rng.randrange(s.arc_count()),
-                           rng.choice([1, -1]), {})
+                           rng.choice([1, -1]))
         except MoveError:
             pass
     before = len(code.crossings)
@@ -110,20 +111,20 @@ def test_split_unlink_links_zero():
 
 def test_kink_writhe_and_removal():
     code = round_unknot()
-    kinked = r1_plus(code, "u", 0, +1, walls={})
+    kinked = r1_plus(code, "u", 0, +1)
     assert len(kinked.crossings) == 1
     assert writhe(kinked, "u") == 1
     assert not planarity_problems(kinked)
     back = r1_minus(kinked, kinked.crossings[0].id)
     assert back == code
 
-    neg = r1_plus(code, "u", 0, -1, walls={})
+    neg = r1_plus(code, "u", 0, -1)
     assert writhe(neg, "u") == -1
 
 
 def test_figure_eight_shaped_unknot_writhe_zero():
-    code = r1_plus(round_unknot(), "u", 0, +1, walls={})
-    code = r1_plus(code, "u", 0, -1, walls={})
+    code = r1_plus(round_unknot(), "u", 0, +1)
+    code = r1_plus(code, "u", 0, -1)
     assert len(code.crossings) == 2
     assert writhe(code, "u") == 0
     reduced = simplify_with_log(code, {})[0]
@@ -138,6 +139,14 @@ def test_r2_push_and_pull_identity():
     assert not planarity_problems(pushed)
     x, y = (c.id for c in pushed.crossings)
     assert r2_minus(pushed, x, y, walls={}) == code
+
+
+def test_r2_push_without_walls_is_planar():
+    # the ports come from the shared face, whether or not walls are given
+    code = catalog.hopf_tangle()
+    pushed = r2_plus(code, ("S1", 0), ("S2", 0))
+    assert planarity_problems(pushed, {}) == []
+    assert pushed == r2_plus(code, ("S1", 0), ("S2", 0), {})
 
 
 def test_r2_self_push_rejected():
@@ -155,7 +164,7 @@ def test_doubled_r2_unknot_simplifies():
 
 
 def test_r1_sites_found():
-    kinked = r1_plus(round_unknot(), "u", 0, +1, walls={})
+    kinked = r1_plus(round_unknot(), "u", 0, +1)
     assert find_r1_minus(kinked) == [kinked.crossings[0].id]
 
 

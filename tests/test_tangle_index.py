@@ -4,7 +4,8 @@ Every TangleCode answers crossing, sign, passage and face queries from an
 index it builds once.  These properties check those answers, and the
 diagram-level linking data built on them, against plain recomputations on
 random Kirby, multi-piece and braid-closure diagrams, with or without one
-handle slide, and on their relabelings.
+handle slide, and on their relabelings.  On the same diagrams, every move
+that places new crossings from a shared face is undone or validated.
 """
 
 import random
@@ -20,7 +21,7 @@ from helpers import (
     random_relabel,
     random_slide_band,
 )
-from msdiagram.calculus import RefusalError, handle_slide
+from msdiagram.calculus import RefusalError, _single_piece_closed, handle_slide
 from msdiagram.core import (
     Diagram,
     DiagramError,
@@ -36,11 +37,18 @@ from msdiagram.tangle import (
     MoveError,
     Strand,
     TangleCode,
+    _shared_face,
     braid_closure,
+    code_problems,
     crossing_passages,
     crossing_sign,
     faces,
     passages,
+    planarity_problems,
+    r1_minus,
+    r1_plus,
+    r2_minus,
+    r2_plus,
     signed_crossing_sum,
 )
 
@@ -202,6 +210,57 @@ def test_replaced_code_gets_a_fresh_index(d, seed):
         assert crossing_sign(switched, c.id) == -before[c.id] == ref_sign(switched, c.id)
     # the built index is no field: equality and hashing ignore it
     assert code == fresh(code) and hash(code) == hash(fresh(code))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(diagrams())
+def test_moves_placed_from_a_shared_face_undo_and_validate(d):
+    # R1+ and R2+ build one candidate and check nothing; the slide keeps one
+    # validation.  Every site of d: kinks undo with the requested sign,
+    # pushes are planar and undo, slides validate with the framing formula.
+    for p in d.pieces:
+        code, walls = p.tangle, p.wall_points()
+        arcs = [(s.id, k) for s in code.strands for k in range(s.arc_count())]
+        for sid, k in arcs:
+            for sign in (1, -1):
+                kinked = r1_plus(code, sid, k, sign)
+                (cid,) = {c.id for c in kinked.crossings} - {c.id for c in code.crossings}
+                assert crossing_sign(kinked, cid) == sign
+                assert r1_minus(kinked, cid) == code
+        for a in arcs:
+            for b in arcs:
+                if a == b or _shared_face(code, a, b, walls) is None:
+                    continue
+                pushed = r2_plus(code, a, b, walls)
+                x, y = sorted({c.id for c in pushed.crossings} - {c.id for c in code.crossings})
+                assert not code_problems(pushed)
+                assert not planarity_problems(pushed, walls)
+                assert r2_minus(pushed, x, y, walls) == code
+    for c2 in d.circles:
+        loc = _single_piece_closed(d, c2.id)
+        if loc is None:
+            continue
+        pid, s2 = loc
+        p = d.piece(pid)
+        for c1 in d.circles:
+            if c1.id == c2.id:
+                continue
+            for s1id in {sid for sp, sid in c1.strand_cycle if sp == pid}:
+                s1 = p.tangle.strand(s1id)
+                for a1 in range(s1.arc_count()):
+                    for a2 in range(s2.arc_count()):
+                        if _shared_face(p.tangle, (s1id, a1), (s2.id, a2),
+                                        p.wall_points()) is None:
+                            continue
+                        for orient in (1, -1):
+                            band = (pid, (s1id, a1), (s2.id, a2), orient)
+                            out = handle_slide(d, c1.id, c2.id, band)
+                            assert validate(out).ok
+                            assert out.circle(c1.id).framing == (
+                                c1.framing + c2.framing
+                                + 2 * orient * diagram_linking(d, c1.id, c2.id))
+                            assert [c.framing for c in out.circles if c.id != c1.id] == [
+                                c.framing for c in d.circles if c.id != c1.id]
 
 
 # ---------------------------------------------------------------------------
