@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Iterable
 
 from .tangle import (
-    MoveError,
     Strand,
     TangleCode,
     code_problems,
@@ -353,11 +352,8 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
                     bad_endpoint = True
         if bad_endpoint:
             continue  # faces need every endpoint on a point of a known wall
-        try:
-            for msg in planarity_problems(p.tangle, p.wall_points()):
-                findings.append(Finding("error", f"piece {p.id}", msg))
-        except (MoveError, KeyError):
-            pass  # secondary to the reference errors reported above
+        for msg in planarity_problems(p.tangle, p.wall_points()):
+            findings.append(Finding("error", f"piece {p.id}", msg))
 
 
 def _check_pairs(d: Diagram, findings: list[Finding]) -> None:

@@ -315,47 +315,54 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
 
 def _trace_faces(code: TangleCode, walls: Mapping[str, int]):
     arcs = build_arcs(code)
-    at: dict[Site, tuple[int, bool]] = {}
-    for i, a in enumerate(arcs):
-        for site, is_tail in ((a.tail, True), (a.head, False)):
-            if site in at:
-                raise MoveError(f"attachment {site} used twice")
-            at[site] = (i, is_tail)
-
-    def degree(site: Site) -> int:
+    # dart 2i runs arc i forward from its tail, dart 2i + 1 backward from its
+    # head; sites[d] is where dart d leaves, at the reverse map
+    sites = [site for a in arcs for site in (a.tail, a.head)]
+    at: dict[Site, int] = dict(zip(sites, range(len(sites))))
+    if len(at) < len(sites):
+        twice = next(s for k, s in enumerate(sites) if sites.index(s) < k)
+        raise MoveError(f"attachment {twice} used twice")
+    # a dart arrives where its reverse leaves, and its face goes on through
+    # the next slot of that node.  A turn that fails stays -1 and is raised
+    # when the trace reaches it, as a step-by-step trace would.
+    succ = [-1] * len(sites)
+    for dart, site in enumerate(sites):
         if site[0] == "x":
-            return 4
-        if site[1] not in walls:
-            raise MoveError(f"unknown wall {site[1]} in face trace")
-        return walls[site[1]]
-
-    def successor(dart):
-        i, fwd = dart
-        head = arcs[i].head if fwd else arcs[i].tail
-        node, slot = head[:-1], head[-1]
-        nxt = (slot + 1) % degree(head)
-        j, is_tail = at[node + (nxt,)]
-        return (j, is_tail)
-
-    seen = set()
+            succ[dart ^ 1] = at.get(("x", site[1], (site[2] + 1) % 4), -1)
+        elif walls.get(site[1]):
+            succ[dart ^ 1] = at.get(site[:-1] + ((site[-1] + 1) % walls[site[1]],), -1)
+    darts = [(i, fwd) for i in range(len(arcs)) for fwd in (True, False)]
+    seen = [False] * len(sites)
     out = []
-    for i in range(len(arcs)):
-        for fwd in (True, False):
-            if (i, fwd) in seen:
-                continue
-            cycle = []
-            d = (i, fwd)
-            while d not in seen:
-                seen.add(d)
-                cycle.append(d)
-                d = successor(d)
-            out.append(tuple(cycle))
+    for start in range(len(sites)):
+        if seen[start]:
+            continue
+        d, cycle = start, []
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(darts[d])
+            if succ[d] < 0:
+                _turn_error(sites[d ^ 1], walls)
+            d = succ[d]
+        out.append(tuple(cycle))
     return tuple(arcs), tuple(out)
+
+
+def _turn_error(site: Site, walls: Mapping[str, int]):
+    """Raise why the face trace cannot turn on from site."""
+    if site[0] != "x" and site[1] not in walls:
+        raise MoveError(f"unknown wall {site[1]} in face trace")
+    degree = 4 if site[0] == "x" else walls[site[1]]
+    raise MoveError(str(site[:-1] + ((site[-1] + 1) % degree,)))
 
 
 def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[str]:
     """Euler check V - E + F == 2 on every connected component of the code.
 
+    One face trace and one count of components: faces are orbits of a
+    permutation of darts, so every component has V - E + F <= 2, and the
+    totals equal 2 per component exactly when each component is planar.
+    Messages per component are built only when the totals disagree.
     Memoised per code and wall set, like faces.
     """
     walls = walls or {}
@@ -369,47 +376,42 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
 def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]:
     try:
         arcs, fs = faces(code, walls)
-    except (MoveError, KeyError) as e:
+    except MoveError as e:
         return [f"broken attachment structure: {e}"]
-    # union-find over nodes via arcs
-    parent: dict = {}
+    # union-find over nodes, numbered in order of first use; ends[2k] and
+    # ends[2k + 1] are the tail and head node of arc k
+    nodes: dict[tuple, int] = {}
+    ends = [nodes.setdefault(site[:-1], len(nodes)) for a in arcs for site in (a.tail, a.head)]
+    parent = list(range(len(nodes)))
 
     def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        parent[find(x)] = find(y)
-
-    def node_of(site: Site):
-        return site[:-1]
-
-    for a in arcs:
-        union(node_of(a.tail), node_of(a.head))
-    comps: dict = {}
-    for i, a in enumerate(arcs):
-        comps.setdefault(find(node_of(a.tail)), [set(), 0, 0])
-    for i, a in enumerate(arcs):
-        c = comps[find(node_of(a.tail))]
-        c[0].add(node_of(a.tail))
-        c[0].add(node_of(a.head))
+    components = len(nodes)
+    for k in range(0, len(ends), 2):
+        u, v = find(ends[k]), find(ends[k + 1])
+        if u != v:
+            parent[u] = v
+            components -= 1
+    # After a complete trace every node has at least as many sites as its
+    # degree, so the degrees add up to the sites exactly when each node's
+    # sites are its slots 0 .. degree - 1.  Then faces are the orbits of a
+    # permutation of darts, each component has V - E + F = 2 - 2g <= 2, and
+    # the totals match exactly when every component is planar.
+    degrees = sum(4 if n[0] == "x" else walls[n[1]] for n in nodes)
+    if degrees == len(ends) and len(nodes) - len(arcs) + len(fs) == 2 * components:
+        return []
+    comps: dict[int, list] = {}
+    for k, a in enumerate(arcs):
+        c = comps.setdefault(find(ends[2 * k]), [set(), 0, 0])
+        c[0].update((a.tail[:-1], a.head[:-1]))
         c[1] += 1
     for f in fs:
-        if not f:
-            continue
-        a = arcs[f[0][0]]
-        comps[find(node_of(a.tail))][2] += 1
-    problems = []
-    for root, (nodes, e, fcount) in comps.items():
-        if len(nodes) - e + fcount != 2:
-            problems.append(
-                f"component at {sorted(nodes)[0]}: V-E+F = {len(nodes)}-{e}+{fcount} != 2"
-            )
-    return problems
+        comps[find(ends[2 * f[0][0]])][2] += 1
+    return [f"component at {min(ns)}: V-E+F = {len(ns)}-{e}+{nf} != 2"
+            for ns, e, nf in comps.values() if len(ns) - e + nf != 2]
 
 
 # ---------------------------------------------------------------------------
@@ -735,25 +737,26 @@ def r3(code: TangleCode, triple: tuple[str, str, str],
 
     Combinatorially the move swaps, in each of the three passage chains, the
     order of its two adjacent triangle visits; ports and overpass data stay.
+    The result must be planar; walls=None means no walls, as in faces.
     """
     wanted = tuple(sorted(triple))
-    plan = None
-    for tri, pairs in _r3_plans(code, walls):
-        if tri == wanted:
-            plan = pairs
-            break
+    plan = next((pairs for tri, pairs in _r3_plans(code, walls) if tri == wanted), None)
     if plan is None:
         raise MoveError(f"no R3 triangle at {triple}")
-    edits: dict[str, tuple[Visit, ...]] = {}
-    for sid, i, j in plan:
-        s = code.strand(sid)
-        visits = list(edits.get(sid, s.visits))
-        visits[i], visits[j] = visits[j], visits[i]
-        edits[sid] = tuple(visits)
-    out = _edit(code, edits)
-    if walls is not None and planarity_problems(out, walls):
+    out = _swap_visits(code, plan)
+    if planarity_problems(out, walls):
         raise MoveError(f"R3 at {triple} breaks planarity")
     return out
+
+
+def _swap_visits(code: TangleCode, plan) -> TangleCode:
+    """code with the two visits of each (strand, i, j) of an R3 plan swapped."""
+    edits: dict[str, tuple[Visit, ...]] = {}
+    for sid, i, j in plan:
+        visits = list(edits.get(sid, code.strand(sid).visits))
+        visits[i], visits[j] = visits[j], visits[i]
+        edits[sid] = tuple(visits)
+    return _edit(code, edits)
 
 
 def apply_rmove(code: TangleCode, mv: RMove, walls=None) -> TangleCode:
@@ -772,7 +775,10 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
     """Greedy R1/R2 reduction with a single-R3 detour search.
 
     Never increases the crossing count; the returned move list has length
-    <= budget and replays from the input to the output.
+    <= budget and replays from the input to the output.  Each R3 round scans
+    the triangle plans once and tries them in sorted order.  A trial is kept
+    when greedy reduction after it drops a crossing, and only a kept trial is
+    checked for planarity: one check per kept R3.
     """
     moves: list[RMove] = []
     cur = code
@@ -798,21 +804,19 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
         moves.extend(log)
         if len(moves) >= budget:
             break
-        improved = False
-        for tri in find_r3(cur, walls):
-            if len(moves) + 1 > budget:
-                break
-            try:
-                after = r3(cur, tri, walls)
-            except MoveError:
-                continue
+        # the first plan of each triangle is the one r3 would pick
+        plans: dict[tuple[str, str, str], list] = {}
+        for tri, pairs in _r3_plans(cur, walls):
+            plans.setdefault(tri, pairs)
+        for tri in sorted(plans):
+            after = _swap_visits(cur, plans[tri])
             reduced, log = greedy(after, budget - len(moves) - 1)
-            if len(reduced.crossings) < len(cur.crossings):
+            if len(reduced.crossings) < len(cur.crossings) \
+                    and not planarity_problems(after, walls):
                 moves.append(RMove("r3", tri))
                 moves.extend(log)
                 cur = reduced
-                improved = True
                 break
-        if not improved:
+        else:
             break
     return cur, moves

@@ -2,7 +2,7 @@
 
 import pytest
 
-from msdiagram import catalog
+from msdiagram import calculus, catalog, tangle
 from msdiagram.calculus import (
     KirbyMove,
     RefusalError,
@@ -30,7 +30,7 @@ from msdiagram.invariants import (
     surgered_h1,
     surgery_presentation,
 )
-from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode
+from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode, braid_closure, faces
 
 
 def unknots(framings, piece="P1"):
@@ -94,6 +94,34 @@ def test_blow_down_linked_once():
     # the leftover curve is an unknot again
     v = recognize_s3(out, 1)
     assert v.yes
+
+
+def test_blow_down_checks_planarity_once_per_kept_r3(monkeypatch):
+    # T(6,6) after a blow-up and a slide: the reduction before the blow-down
+    # scans R3 plans once per round and checks planarity cold once per kept
+    # R3; validating the result checks each piece once more
+    code = braid_closure([(j, 1) for _ in range(6) for j in range(1, 6)], 6)
+    d = Diagram(pieces=(Piece("P1", code),), sink_count=1, circles=tuple(
+        GluedCircle(f"c{i + 1}", (("P1", s.id),), 1) for i, s in enumerate(code.strands)))
+    arcs, fs = faces(code, {})
+    up = blow_up(d, "P1", 0, 1)
+    u = up.circles[-1]
+    arc = arcs[fs[0][0][0]]
+    c = next(x.id for x in d.circles if x.strand_cycle[0][1] == arc.strand)
+    slid = handle_slide(up, c, u.id, ("P1", (arc.strand, arc.index), (u.strand_cycle[0][1], 0), 1))
+    checks, scans, runs = [], [], []
+    check, scan, simplify = tangle._planarity_problems, tangle._r3_plans, calculus.simplify_with_log
+    monkeypatch.setattr(tangle, "_planarity_problems", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(tangle, "_r3_plans", lambda *a: scans.append(a) or scan(*a))
+    monkeypatch.setattr(calculus, "simplify_with_log",
+                        lambda *a: runs.append(simplify(*a)) or runs[-1])
+    down = blow_down(slid, u.id)
+    [(_, log)] = runs
+    kept = sum(mv.kind == "r3" for mv in log)
+    assert len(checks) == kept + len(down.pieces)
+    assert len(scans) == kept + 1
+    p = slid.piece("P1")
+    assert len(tangle.find_r3(p.tangle, p.wall_points())) > kept  # trials were thrown away
 
 
 def test_blow_down_refuses_wrong_framing():

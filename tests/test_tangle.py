@@ -1,13 +1,17 @@
 """Tangle code basics: signs, linking, faces, Reidemeister moves."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from msdiagram import catalog
+from msdiagram import catalog, tangle
+from msdiagram.core import Diagram, Piece, SphereWall, validate
 from msdiagram.tangle import (
     Crossing,
     MoveError,
     Strand,
     TangleCode,
+    apply_rmove,
     braid_closure,
     code_problems,
     crossing_sign,
@@ -213,3 +217,75 @@ def test_braid_closure_planar():
         code = braid_closure(word, n)
         assert code_problems(code) == []
         assert planarity_problems(code) == []
+
+
+def test_unused_wall_point_is_a_move_error():
+    # point 2 of W has no strand: the trace cannot turn past point 1
+    code = TangleCode(strands=(Strand("a", start=("W", 0), end=("W", 1)),))
+    with pytest.raises(MoveError, match=r"\('w', 'W', 2\)"):
+        faces(code, {"W": 3})
+    assert find_r2_minus(code, {"W": 3}) == []
+    assert find_r3(code, {"W": 3}) == []
+    assert simplify_with_log(code, {"W": 3}) == (code, [])
+    message = "broken attachment structure: ('w', 'W', 2)"
+    assert planarity_problems(code, {"W": 3}) == [message]
+    d = Diagram(pieces=(Piece("P", code, (SphereWall("W", 3),)),))
+    assert message in [f.message for f in validate(d).findings]
+
+
+def mirrored_braid():
+    """The closure of s1 s2 s1 s1 with the port order at x4 reversed: it keeps
+    the R3 triangle x1 x2 x3, but is not planar, and neither is its R3 image."""
+    code = braid_closure([(1, 1), (2, 1), (1, 1), (1, 1)], 3)
+    return TangleCode(code.crossings, tuple(
+        Strand(s.id, tuple((c, -p % 4 if c == "x4" else p) for c, p in s.visits))
+        for s in code.strands))
+
+
+def test_r3_without_walls_checks_planarity():
+    # walls=None means no walls, as in faces: r3 checks planarity either way
+    code = braid_closure([(1, 1), (2, 1), (1, 1)], 3)
+    assert r3(code, ("x1", "x2", "x3")) == r3(code, ("x1", "x2", "x3"), {})
+    bad = mirrored_braid()
+    assert planarity_problems(bad) and find_r3(bad) == [("x1", "x2", "x3")]
+    for walls in (None, {}):
+        with pytest.raises(MoveError, match="breaks planarity"):
+            r3(bad, ("x1", "x2", "x3"), walls)
+    assert simplify_with_log(bad) == simplify_with_log(bad, {})
+
+
+def braid_words():
+    return st.integers(3, 4).flatmap(lambda lanes: st.tuples(
+        st.lists(st.tuples(st.integers(1, lanes - 1), st.sampled_from((1, -1))),
+                 min_size=3, max_size=10),
+        st.just(lanes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_words())
+def test_simplify_log_replays_with_each_r3_checked(args):
+    word, lanes = args
+    code = braid_closure(word, lanes)
+    assume(find_r3(code, {}))
+    out, log = simplify_with_log(code, {})
+    replay = code
+    for mv in log:
+        replay = apply_rmove(replay, mv, {})  # r3 checks planarity on replay
+    assert replay == out
+    assert not planarity_problems(out, {})
+
+
+def test_simplify_checks_planarity_once_per_kept_r3(monkeypatch):
+    # one plan scan per R3 round, one cold planarity check per kept R3;
+    # trials that are thrown away are not checked
+    code = braid_closure([(2, 1), (1, 1), (1, 1), (2, -1), (1, 1), (2, 1), (1, 1), (1, 1)], 3)
+    checks, scans = [], []
+    check, scan = tangle._planarity_problems, tangle._r3_plans
+    monkeypatch.setattr(tangle, "_planarity_problems", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(tangle, "_r3_plans", lambda *a: scans.append(scan(*a)) or scans[-1])
+    out, log = simplify_with_log(code, {})
+    kept = sum(mv.kind == "r3" for mv in log)
+    assert len(out.crossings) == 5 and kept == 2
+    assert len(checks) == kept
+    # kept + 1 rounds, offering 4, 3 and 0 triangles
+    assert [len({tri for tri, _ in plans}) for plans in scans] == [4, 3, 0]

@@ -5,11 +5,14 @@ index it builds once.  These properties check those answers, and the
 diagram-level linking data built on them, against plain recomputations on
 random Kirby, multi-piece and braid-closure diagrams, with or without one
 handle slide, and on their relabelings.  On the same diagrams, every move
-that places new crossings from a shared face is undone or validated.
+that places new crossings from a shared face is undone or validated, and the
+face trace and planarity check match step-by-step references, also on
+non-planar and broken mutants of the pieces.
 """
 
 import random
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -38,11 +41,14 @@ from msdiagram.tangle import (
     Strand,
     TangleCode,
     _shared_face,
+    arc_gap,
     braid_closure,
+    build_arcs,
     code_problems,
     crossing_passages,
     crossing_sign,
     faces,
+    fresh_ids,
     passages,
     planarity_problems,
     r1_minus,
@@ -50,6 +56,7 @@ from msdiagram.tangle import (
     r2_minus,
     r2_plus,
     signed_crossing_sum,
+    splice,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -94,6 +101,85 @@ def ref_linking(d, c1, c2):
 
 def ref_writhe(d, cid):
     return sum(ref_sum(d.piece(pid).tangle, g, g) for pid, g in ref_strands(d, cid).items())
+
+
+def ref_faces(code, walls):
+    """Faces by a step-by-step trace: one successor call per dart."""
+    arcs = build_arcs(code)
+    at = {}
+    for i, a in enumerate(arcs):
+        for site, is_tail in ((a.tail, True), (a.head, False)):
+            if site in at:
+                raise MoveError(f"attachment {site} used twice")
+            at[site] = (i, is_tail)
+
+    def degree(site):
+        if site[0] == "x":
+            return 4
+        if site[1] not in walls:
+            raise MoveError(f"unknown wall {site[1]} in face trace")
+        return walls[site[1]]
+
+    def successor(dart):
+        i, fwd = dart
+        head = arcs[i].head if fwd else arcs[i].tail
+        nxt = head[:-1] + ((head[-1] + 1) % degree(head),)
+        if nxt not in at:
+            raise MoveError(str(nxt))  # no attachment: the trace cannot turn on
+        return at[nxt]
+
+    seen = set()
+    out = []
+    for i in range(len(arcs)):
+        for fwd in (True, False):
+            if (i, fwd) in seen:
+                continue
+            cycle = []
+            d = (i, fwd)
+            while d not in seen:
+                seen.add(d)
+                cycle.append(d)
+                d = successor(d)
+            out.append(tuple(cycle))
+    return tuple(arcs), tuple(out)
+
+
+def ref_planarity(code, walls):
+    """V - E + F == 2 counted on each connected component (union-find over nodes)."""
+    try:
+        arcs, fs = ref_faces(code, walls)
+    except MoveError as e:
+        return [f"broken attachment structure: {e}"]
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    for a in arcs:
+        x, y = a.tail[:-1], a.head[:-1]
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        parent[find(x)] = find(y)
+    comps = {}
+    for a in arcs:
+        c = comps.setdefault(find(a.tail[:-1]), [set(), 0, 0])
+        c[0].update((a.tail[:-1], a.head[:-1]))
+        c[1] += 1
+    for f in fs:
+        comps[find(arcs[f[0][0]].tail[:-1])][2] += 1
+    return [f"component at {sorted(nodes)[0]}: V-E+F = {len(nodes)}-{e}+{nf} != 2"
+            for nodes, e, nf in comps.values() if len(nodes) - e + nf != 2]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the error it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as e:
+        return type(e), str(e)
 
 
 def fresh(code):
@@ -141,6 +227,57 @@ def diagrams():
 
     return st.tuples(st.integers(0, 2**32 - 1), st.integers(0, len(builders) - 1),
                      st.booleans(), st.booleans()).map(build)
+
+
+def mirrored(code, cid):
+    """code with the port order at crossing cid reversed: usually not planar."""
+    return TangleCode(code.crossings, tuple(
+        replace(s, visits=tuple((c, -p % 4 if c == cid else p) for c, p in s.visits))
+        for s in code.strands))
+
+
+def pushed_apart(code, walls, rng):
+    """An R2 push between two arcs that bound no common face, or None."""
+    arcs = [(s.id, k) for s in code.strands if s.visits or not s.closed
+            for k in range(s.arc_count())]
+    far = [(a, b) for a in arcs for b in arcs
+           if a != b and _shared_face(code, a, b, walls) is None]
+    if not far:
+        return None
+    (so, ko), (su, ku) = rng.choice(far)
+    x, y = islice(fresh_ids(code._index.crossings, "n"), 2)
+    inserts = {}
+    for sid, k, pair in ((so, ko, ((x, 0), (y, 2))), (su, ku, ((y, 1), (x, 1)))):
+        inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
+    return TangleCode(code.crossings + (Crossing(x, 1), Crossing(y, 1)), tuple(
+        replace(s, visits=splice(s.visits, inserts[s.id])) if s.id in inserts else s
+        for s in code.strands))
+
+
+def broken(code, rng):
+    """code with one visit dropped, doubled or given a port out of range, or None."""
+    visited = [s for s in code.strands if s.visits]
+    if not visited:
+        return None
+    s = rng.choice(visited)
+    k = rng.randrange(len(s.visits))
+    cid, p = s.visits[k]
+    edit = rng.choice(((), ((cid, p),) * 2, ((cid, p + 4),)))
+    visits = s.visits[:k] + edit + s.visits[k + 1:]
+    return TangleCode(code.crossings, tuple(
+        replace(x, visits=visits) if x is s else x for x in code.strands))
+
+
+def wall_sets(walls):
+    """walls, one unused point more, one point fewer, and no walls at all."""
+    return (walls, {w: n + 1 for w, n in walls.items()},
+            {w: n - 1 for w, n in walls.items()}, {})
+
+
+def assert_trace_matches_reference(code, walls):
+    for ws in wall_sets(walls):
+        assert outcome(faces, fresh(code), ws) == outcome(ref_faces, code, ws)
+        assert outcome(planarity_problems, fresh(code), ws) == outcome(ref_planarity, code, ws)
 
 
 @PROPERTY
@@ -193,6 +330,45 @@ def test_faces_memo_matches_fresh_trace(d):
         darts = [dart for f in fs for dart in f]
         assert sorted(darts) == sorted((i, fwd) for i in range(len(arcs))
                                        for fwd in (True, False))
+
+
+@PROPERTY
+@given(diagrams())
+def test_faces_and_planarity_match_reference(d):
+    # the successor-table trace and the Euler check by totals give the
+    # reference's faces, problems and errors, also on wall sets that leave a
+    # point unused, turn past the last point, or name no wall at all
+    for p in d.pieces:
+        assert_trace_matches_reference(p.tangle, p.wall_points())
+
+
+@PROPERTY
+@given(diagrams(), st.integers(0, 2**32 - 1))
+def test_non_planar_and_broken_codes_match_reference(d, seed):
+    rng = random.Random(seed)
+    for p in d.pieces:
+        code, walls = p.tangle, p.wall_points()
+        mutants = [pushed_apart(code, walls, rng), broken(code, rng)]
+        if code.crossings:
+            mutants.append(mirrored(code, rng.choice(code.crossings).id))
+        for mutant in filter(None, mutants):
+            assert_trace_matches_reference(mutant, walls)
+
+
+def test_problem_messages_keep_component_order():
+    # two non-planar components and a planar one between them: messages come
+    # per component, in order of each component's first arc
+    sub = braid_closure([(1, 1), (2, 1), (1, 1), (2, -1), (2, -1)], 3)
+    parts = [mirrored(sub, "x1"), sub, mirrored(sub, "x3")]
+    code = TangleCode(
+        tuple(Crossing(f"{c.id}{k}", c.over) for k, q in enumerate(parts) for c in q.crossings),
+        tuple(replace(s, id=f"{s.id}{k}", visits=tuple((c, p) for c, p in s.visits
+                                                      for c in [f"{c}{k}"]))
+              for k, q in enumerate(parts) for s in q.strands))
+    problems = planarity_problems(code)
+    assert problems == ref_planarity(code, {})
+    assert problems == ["component at ('x', 'x10'): V-E+F = 5-10+5 != 2",
+                        "component at ('x', 'x12'): V-E+F = 5-10+5 != 2"]
 
 
 @PROPERTY
