@@ -33,10 +33,11 @@ from .tangle import (
     _shared_face,
     arc_gap,
     braid,
-    crossing_passages,
     crossing_sign,
     faces,
     fresh_ids,
+    is_over,
+    other_passage,
     simplify_with_log,
     splice,
 )
@@ -50,7 +51,7 @@ class RefusalError(MoveError):
 class KirbyMove:
     """One rewriting step; args are ids and small ints, replayable in order."""
 
-    tag: str  # blow-up | blow-down | handle-slide | merge-pieces | delete-surface
+    tag: str  # blow-up | blow-down | handle-slide | merge-pieces | delete-surface | replace-pair
     args: tuple
 
 
@@ -98,19 +99,6 @@ def _single_piece_closed(d: Diagram, cid: str):
     return (pid, s) if s.closed else None
 
 
-def _strand_of_visit(code: TangleCode, xid: str, not_strand_visit):
-    """The passage of xid other than the given (strand, visit index)."""
-    both = crossing_passages(code, xid)
-    for sid, k, p in both:
-        if (sid, k) != not_strand_visit:
-            return (sid, k, p)
-    raise MoveError(f"crossing {xid} has no second passage")
-
-
-def _is_over(code: TangleCode, xid: str, port: int) -> bool:
-    return (code.crossing(xid).over == 1) == (port % 2 == 0)
-
-
 def _adjacent_gap(s: Strand, i: int, j: int):
     """The gap index between adjacent visits i and j of a strand, or None."""
     n = len(s.visits)
@@ -153,8 +141,8 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     code = d.piece(pid).tangle
 
     seq = []
-    for k, (x, port) in enumerate(s.visits):
-        other = _strand_of_visit(code, x, (s.id, k))
+    for x, port in s.visits:
+        other = other_passage(code, x, port)
         if other[0] == s.id:
             raise RefusalError(f"circle {cid} still crosses itself after reduction")
         seq.append((x, port, other))
@@ -170,7 +158,6 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     if m % 2 != 0:
         raise RefusalError(f"circle {cid} carries an odd crossing pattern")
     k = m // 2
-    strand_map = {st.id: st for st in code.strands}
     plan = None
     for r in range(m):
         rot = seq[r:] + seq[:r]
@@ -182,12 +169,11 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
             if ta != tb:
                 ok = False
                 break
-            t = strand_map[ta]
-            gap = _adjacent_gap(t, ja, jb)
+            gap = _adjacent_gap(code.strand(ta), ja, jb)
             if gap is None:
                 ok = False
                 break
-            if _is_over(code, xa, qa) == _is_over(code, xb, qb):
+            if is_over(code, xa, qa) == is_over(code, xb, qb):
                 ok = False  # not a piercing pair
                 break
             sa, sb = crossing_sign(code, xa), crossing_sign(code, xb)
@@ -246,14 +232,9 @@ def _pushoff(code: TangleCode, s2: Strand, side: int):
     blocks: list[list] = []            # parallel's visits per s2 visit
     handled_self: dict[frozenset, dict] = {}
 
-    self_positions: dict[str, list[int]] = {}
-    for k, (x, p) in enumerate(s2.visits):
-        self_positions.setdefault(x, []).append(k)
-
     for k, (x, p) in enumerate(s2.visits):
         over_flag = code.crossing(x).over
-        other = _strand_of_visit(code, x, (s2.id, k))
-        tid, j, q = other
+        tid, j, q = other_passage(code, x, p)
         if tid != s2.id:
             xp = next(fresh)
             new_crossings.append(Crossing(xp, over_flag))

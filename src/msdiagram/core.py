@@ -13,12 +13,13 @@ over sphere pairs the integer is declared data and every move updates it
 consistently.  The ambient orientation is right-handed.
 
 A Diagram is immutable: every move builds a new diagram and nothing ever
-writes to an existing one (no object.__setattr__).  Each diagram builds its
-lookup index (pieces, pairs, circles and surfaces by id, pairs by wall)
-lazily on first use and keeps its validation report there once computed.
-So the index cannot go stale, and since it is not a dataclass field,
-equality, hashing and dataclasses.replace ignore it: a replaced diagram
-starts cold.
+writes to an existing one (no object.__setattr__).  Each fact derived from
+a diagram is a cached property of its own, built on first read: the piece,
+pair, circle and surface id maps, the pair of each wall, and the
+validation report; a piece likewise caches its walls by id.  So no fact can
+go stale, and since cached properties live in the instance __dict__ and are
+no dataclass fields, equality, hashing and dataclasses.replace ignore them:
+a replaced diagram starts cold.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class Piece:
     tangle: TangleCode = field(default_factory=TangleCode)
     walls: tuple[SphereWall, ...] = ()
 
+    @cached_property
+    def _wall_map(self) -> dict[str, SphereWall]:
+        return first_by_id(self.walls)
+
     def wall(self, wid: str) -> SphereWall:
-        for w in self.walls:
-            if w.id == wid:
-                return w
-        raise KeyError(wid)
+        return self._wall_map[wid]
 
     def wall_points(self) -> dict[str, int]:
         return {w.id: w.points for w in self.walls}
@@ -181,43 +183,45 @@ class Diagram:
     annotation: KirbyAnnotation | None = None
 
     @cached_property
-    def _index(self) -> _DiagramIndex:
-        # cached in the instance __dict__, so not a field: ==, hash and
-        # dataclasses.replace ignore it
-        return _DiagramIndex(self)
+    def _piece_map(self) -> dict[str, Piece]:
+        return first_by_id(self.pieces)
+
+    @cached_property
+    def _pair_map(self) -> dict[str, SpherePair]:
+        return first_by_id(self.pairs)
+
+    @cached_property
+    def _circle_map(self) -> dict[str, GluedCircle]:
+        return first_by_id(self.circles)
+
+    @cached_property
+    def _surface_map(self) -> dict[str, SpanningSurface]:
+        return first_by_id(self.surfaces)
+
+    @cached_property
+    def _wall_pairs(self) -> dict[WallRef, SpherePair]:
+        # the first pair naming each wall, as a linear scan would
+        out: dict[WallRef, SpherePair] = {}
+        for q in self.pairs:
+            out.setdefault(q.wall_a, q)
+            out.setdefault(q.wall_b, q)
+        return out
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _validate(self)
 
     def piece(self, pid: str) -> Piece:
-        return self._index.pieces[pid]
+        return self._piece_map[pid]
 
     def pair(self, qid: str) -> SpherePair:
-        return self._index.pairs[qid]
+        return self._pair_map[qid]
 
     def circle(self, cid: str) -> GluedCircle:
-        return self._index.circles[cid]
+        return self._circle_map[cid]
 
     def surface(self, fid: str) -> SpanningSurface:
-        return self._index.surfaces[fid]
-
-
-class _DiagramIndex:
-    """Lookups derived from one Diagram, plus its memoised validation report.
-
-    Ids and walls map to their first occurrence, as a linear scan would;
-    validate reports duplicates.
-    """
-
-    __slots__ = ("pieces", "pairs", "circles", "surfaces", "wall_pairs", "report")
-
-    def __init__(self, d: Diagram):
-        self.pieces: dict[str, Piece] = first_by_id(d.pieces)
-        self.pairs: dict[str, SpherePair] = first_by_id(d.pairs)
-        self.circles: dict[str, GluedCircle] = first_by_id(d.circles)
-        self.surfaces: dict[str, SpanningSurface] = first_by_id(d.surfaces)
-        self.wall_pairs: dict[WallRef, SpherePair] = {}
-        for q in d.pairs:
-            self.wall_pairs.setdefault(q.wall_a, q)
-            self.wall_pairs.setdefault(q.wall_b, q)
-        self.report: ValidationReport | None = None  # filled by validate()
+        return self._surface_map[fid]
 
 
 @dataclass(frozen=True)
@@ -278,7 +282,7 @@ class ValidationReport:
 
 
 def wall_of_pair(d: Diagram, wall: WallRef) -> SpherePair | None:
-    return d._index.wall_pairs.get(wall)
+    return d._wall_pairs.get(wall)
 
 
 def endpoint_usage(d: Diagram) -> dict[tuple[str, str, int], tuple[str, str]]:
@@ -359,7 +363,6 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
 def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
     seen = set()
     referenced: dict[WallRef, str] = {}
-    walls_of = {pid: first_by_id(p.walls) for pid, p in d._index.pieces.items()}
     for q in d.pairs:
         if q.id in seen:
             findings.append(Finding("error", f"pair {q.id}", "duplicate pair id"))
@@ -376,7 +379,7 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
                             f"wall {ref[0]}.{ref[1]} already used by pair {referenced[ref]}"))
             referenced[ref] = q.id
             try:
-                walls.append(walls_of[ref[0]][ref[1]])
+                walls.append(d.piece(ref[0]).wall(ref[1]))
             except KeyError:
                 findings.append(
                     Finding("error", f"pair {q.id}", f"unknown wall {ref[0]}.{ref[1]}"))
@@ -566,10 +569,7 @@ def validate(d: Diagram) -> ValidationReport:
 
     The report is computed once per diagram instance and then reused.
     """
-    index = d._index
-    if index.report is None:
-        index.report = _validate(d)
-    return index.report
+    return d._report
 
 
 def require_valid(d: Diagram, what: str, error: type[Exception] = DiagramError) -> Diagram:

@@ -69,7 +69,7 @@ from .core import (
 )
 from .format import natural_key, serialize
 from .invariants import det, linking_matrix, rank, signature, smith_normal_form
-from .tangle import Strand, apply_rmove, crossing_passages, crossing_sign
+from .tangle import Strand, apply_rmove, crossing_sign, is_over, other_passage
 
 # ---------------------------------------------------------------------------
 # mirror image
@@ -222,10 +222,8 @@ def _local_signature(d: Diagram, keys, member, cid, direction):
         code = d.piece(pid).tangle
         step = [len(s.visits)]
         for x, p in s.visits:
-            over_here = (code.crossing(x).over == 1) == (p % 2 == 0)
-            even, odd = crossing_passages(code, x)
-            partner = odd if p % 2 == 0 else even
-            step.append((over_here, crossing_sign(code, x),
+            partner = other_passage(code, x, p)
+            step.append((is_over(code, x, p), crossing_sign(code, x),
                          keys[member[pid, partner[0]]],
                          member[pid, partner[0]] == cid))
         if s.end is not None:
@@ -305,8 +303,7 @@ def _planner(d: Diagram):
                     if len(plan) == len(d.circles):
                         return tuple(plan)
                     # the other passage, entering one port counterclockwise
-                    even, odd = crossing_passages(d.piece(pid).tangle, x)
-                    sid, visit, port = odd if p % 2 == 0 else even
+                    sid, visit, port = other_passage(d.piece(pid).tangle, x, p)
                     meet(pid, sid, visit, port == (p + 1) % 4)
                 if s.end is not None:
                     touch(pid, s.end)

@@ -207,7 +207,7 @@ def parse(text: str) -> Diagram:
     sink_incidence = None
     imap = None
     annotation = None
-    crossing_checks: list[tuple[int, str, str, str]] = []
+    crossing_checks: list[tuple[int, str, str, str, str]] = []
 
     for lineno, tokens in parser.records[1:]:
         kind, rest = tokens[0], tokens[1:]
@@ -250,7 +250,7 @@ def parse(text: str) -> Diagram:
             if f["sign"] not in ("+", "-"):
                 parser.fail(lineno, f["sign"], "+ or -")
             pieces[pid]["crossings"].append(Crossing(cid, over))
-            crossing_checks.append((lineno, pid, cid, f["sign"]))
+            crossing_checks.append((lineno, pid, cid, f["sign"], f["ends"]))
         elif kind == "strand":
             if len(rest) < 1:
                 parser.fail(lineno, "", "strand <piece>.<id> path=.. from=.. to=..")
@@ -375,44 +375,23 @@ def parse(text: str) -> Diagram:
         sink_incidence=sink_incidence,
         annotation=annotation,
     )
-    for lineno, pid, cid, sgn in crossing_checks:
+    # sign= and ends= are derived from the strands: each must agree with them
+    for lineno, pid, cid, sgn, ends in crossing_checks:
+        code = d.piece(pid).tangle
         try:
-            actual = crossing_sign(d.piece(pid).tangle, cid)
+            actual = crossing_sign(code, cid)
         except Exception:
             continue  # structural breakage is validate's business
         if ("+" if actual > 0 else "-") != sgn:
             raise ParseError(lineno, sgn, f"sign consistent with strand data ({actual:+d})")
+        actual_ends = _crossing_ends(code, cid)
+        if actual_ends != ends:
+            raise ParseError(lineno, ends, f"ends consistent with strand data ({actual_ends})")
     return d
 
 
 # ---------------------------------------------------------------------------
 # move logs
-
-
-def serialize_moves(moves) -> str:
-    """One replayable record per move: move <tag> <key=value fields>."""
-    lines = []
-    for m in moves:
-        if m.tag == "blow-up":
-            piece, region, sign = m.args
-            lines.append(f"move blow-up piece={piece} region={region} "
-                         f"sign={'+' if sign > 0 else '-'}")
-        elif m.tag == "blow-down":
-            lines.append(f"move blow-down circle={m.args[0]}")
-        elif m.tag == "handle-slide":
-            c1, c2, band = m.args
-            pid, (s1, a1), (s2, a2), orient = band
-            lines.append(f"move handle-slide c1={c1} c2={c2} "
-                         f"band={pid}:{s1}.{a1}:{s2}.{a2}:{'+' if orient > 0 else '-'}")
-        elif m.tag == "merge-pieces":
-            lines.append(f"move merge-pieces pair={m.args[0]}")
-        elif m.tag == "delete-surface":
-            lines.append(f"move delete-surface surface={m.args[0]} circle={m.args[1]}")
-        elif m.tag == "replace-pair":
-            lines.append(f"move replace-pair pair={m.args[0]} circle={m.args[1]}")
-        else:
-            raise ValueError(f"unknown move tag {m.tag!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 _MOVE_FIELDS = {
@@ -423,6 +402,27 @@ _MOVE_FIELDS = {
     "delete-surface": ("surface", "circle"),
     "replace-pair": ("pair", "circle"),
 }
+
+
+def _band_text(band) -> str:
+    pid, (s1, a1), (s2, a2), orient = band
+    return f"{pid}:{s1}.{a1}:{s2}.{a2}:{'+' if orient > 0 else '-'}"
+
+
+# fields whose text is not the plain value
+_MOVE_FORMATS = {"sign": lambda sign: "+" if sign > 0 else "-", "band": _band_text}
+
+
+def serialize_moves(moves) -> str:
+    """One replayable record per move: move <tag> <key=value fields>."""
+    lines = []
+    for m in moves:
+        if m.tag not in _MOVE_FIELDS:
+            raise ValueError(f"unknown move tag {m.tag!r}")
+        fields = " ".join(f"{k}={_MOVE_FORMATS.get(k, format)(v)}"
+                          for k, v in zip(_MOVE_FIELDS[m.tag], m.args))
+        lines.append(f"move {m.tag} {fields}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_moves(text: str):

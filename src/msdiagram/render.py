@@ -39,7 +39,7 @@ def _positions(piece):
     return pos
 
 
-def _port_angle(site, piece, pos):
+def _port_angle(site, piece):
     kind = site[0]
     if kind == "x":
         return site[2] * math.pi / 2 + math.pi / 4
@@ -49,7 +49,7 @@ def _port_angle(site, piece, pos):
 
 def _port_point(site, piece, pos):
     x, y = pos[(site[0], site[1])]
-    ang = _port_angle(site, piece, pos)
+    ang = _port_angle(site, piece)
     r = NODE_R if site[0] == "x" else WALL_R
     return (x + r * math.cos(ang), y - r * math.sin(ang), ang)
 
@@ -77,7 +77,6 @@ def _crossing_glyph(c, pos):
     (ux1, uy1), (ux2, uy2) = diag[under]
     # under passage: two segments stopping short of the center
     ucx, ucy = (ux1 + ux2) / 2, (uy1 + uy2) / 2
-    f1 = 1 - e / d
     out.append(f'<line class="under" x1="{ux1:.1f}" y1="{uy1:.1f}" '
                f'x2="{ucx + (ux1 - ucx) * e / d:.1f}" '
                f'y2="{ucy + (uy1 - ucy) * e / d:.1f}" stroke="black"/>')
@@ -89,10 +88,10 @@ def _crossing_glyph(c, pos):
     out.append(f'<text class="crossing-label" x="{x + 4:.1f}" y="{y - d - 4:.1f}" '
                f'font-size="9">{c.id}</text>')
     out.append("</g>")
-    return out, f1
+    return out
 
 
-def _panel(d: Diagram, piece, dx: float, framing_of: dict) -> list[str]:
+def _panel(piece, dx: float, framing_of: dict) -> list[str]:
     pos = _positions(piece)
     out = [f'<g class="piece" data-id="{piece.id}" transform="translate({dx:.1f},0)">']
     out.append(f'<rect x="4" y="4" width="{PANEL - 8:.0f}" height="{PANEL - 8:.0f}" '
@@ -110,8 +109,7 @@ def _panel(d: Diagram, piece, dx: float, framing_of: dict) -> list[str]:
         out.append(f'<text x="{x - 8:.1f}" y="{y + 4:.1f}" font-size="9">{w.id}</text>')
         out.append("</g>")
     for c in piece.tangle.crossings:
-        glyph, _ = _crossing_glyph(c, pos)
-        out.extend(glyph)
+        out.extend(_crossing_glyph(c, pos))
     loop_x = 40.0
     for s in piece.tangle.strands:
         label = framing_of.get((piece.id, s.id))
@@ -153,6 +151,6 @@ def render(d: Diagram) -> str:
            f'width="{width:.0f}" height="{PANEL:.0f}" '
            f'viewBox="0 0 {width:.0f} {PANEL:.0f}">']
     for i, p in enumerate(pieces):
-        out.extend(_panel(d, p, PANEL * i, framing_of))
+        out.extend(_panel(p, PANEL * i, framing_of))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -21,13 +21,19 @@ gets one kink when (f1 == f2) != (orient == 1).  A crossingless closed
 strand fits every face: R2+ reads it as (False, False), the slide as left
 with no kink.
 
-A TangleCode is immutable: every edit builds a new code.  Each code builds
-its lookup index (crossings and strands by id, the passage table and the
-crossing signs) lazily on first use, and memoises its code problems and,
-per wall set, the faces it traces and their planarity problems.  Nothing
-stored there is ever changed afterwards; the memos only gain entries.  So
-the index cannot go stale, and since it is not a dataclass field,
-equality and hashing of codes ignore it.
+A TangleCode is immutable: every edit builds a new code.  Each fact derived
+from a code is a cached property of its own, built on first read: the
+crossing and the strand id maps, the passage split with the crossing signs,
+and one memo of the code problems and, per wall set, the faces and their
+planarity problems.  A code that only traces faces never builds its passage
+split.  Nothing stored is ever changed afterwards; the memo only gains
+entries.  So no fact can go stale, and since cached properties live in the
+instance __dict__ and are no dataclass fields, equality, hashing and
+dataclasses.replace ignore them.
+
+Crossing rules are read from the code by two helpers: is_over tells whether
+the passage entering at a port is on top, other_passage gives the passage
+that crosses it.
 """
 
 from __future__ import annotations
@@ -80,16 +86,47 @@ class TangleCode:
     strands: tuple[Strand, ...] = ()
 
     @cached_property
-    def _index(self) -> _CodeIndex:
-        # cached in the instance __dict__, so not a field: ==, hash and
-        # dataclasses.replace ignore it
-        return _CodeIndex(self)
+    def _crossing_map(self) -> dict[str, Crossing]:
+        return first_by_id(self.crossings)
+
+    @cached_property
+    def _strand_map(self) -> dict[str, Strand]:
+        return first_by_id(self.strands)
+
+    @cached_property
+    def _passage_split(self) -> dict[str, tuple]:
+        """Crossing id -> ((even passage, odd passage), sign).
+
+        A crossing whose passages do not split into one even-port and one
+        odd-port passage maps to (None, its MoveError message) instead, so
+        every read raises what a fresh computation would.
+        """
+        out: dict[str, tuple] = {}
+        for cid, ps in passages(self).items():
+            even = [p for p in ps if p[2] % 2 == 0]
+            odd = [p for p in ps if p[2] % 2 == 1]
+            if len(ps) != 2:
+                out[cid] = (None, f"crossing {cid} has {len(ps)} passages")
+            elif len(even) != 1 or len(odd) != 1:
+                out[cid] = (None, f"crossing {cid}: passages do not split over port pairs")
+            else:
+                over = self._crossing_map[cid].over
+                o_in, u_in = (even[0][2], odd[0][2]) if over == 1 else (odd[0][2], even[0][2])
+                out[cid] = ((even[0], odd[0]), 1 if (o_in - u_in) % 4 == 3 else -1)
+        return out
+
+    @cached_property
+    def _memo(self) -> dict:
+        # "problems" -> code problems; ("faces", walls) -> (arcs, faces),
+        # filled on success only; ("planarity", walls) -> planarity problems;
+        # walls as sorted wall items
+        return {}
 
     def crossing(self, cid: str) -> Crossing:
-        return self._index.crossings[cid]
+        return self._crossing_map[cid]
 
     def strand(self, sid: str) -> Strand:
-        return self._index.strands[sid]
+        return self._strand_map[sid]
 
 
 @dataclass(frozen=True)
@@ -116,10 +153,10 @@ def passages(code: TangleCode) -> dict[str, list[tuple[str, int, int]]]:
 
 def code_problems(code: TangleCode) -> list[str]:
     """Structural defects: port occupancy, dangling references, id clashes."""
-    index = code._index
-    if index.problems is None:
-        index.problems = tuple(_code_problems(code))
-    return list(index.problems)
+    memo = code._memo
+    if "problems" not in memo:
+        memo["problems"] = tuple(_code_problems(code))
+    return list(memo["problems"])
 
 
 def _code_problems(code: TangleCode) -> list[str]:
@@ -160,57 +197,29 @@ def first_by_id(items) -> dict:
     return out
 
 
-class _CodeIndex:
-    """Lookups derived from one TangleCode in a single pass over its strands.
-
-    Crossing and strand ids map to their first occurrence, as a linear scan
-    would; code_problems reports duplicates.  A crossing whose passages do not
-    split into one even-port and one odd-port passage keeps its MoveError
-    message instead of a split, so every lookup raises what a fresh
-    computation would.
-    """
-
-    __slots__ = ("crossings", "strands", "split", "signs", "broken", "problems",
-                 "faces", "planarity")
-
-    def __init__(self, code: TangleCode):
-        self.crossings: dict[str, Crossing] = first_by_id(code.crossings)
-        self.strands: dict[str, Strand] = first_by_id(code.strands)
-        self.split: dict[str, tuple[tuple[str, int, int], tuple[str, int, int]]] = {}
-        self.signs: dict[str, int] = {}
-        self.broken: dict[str, str] = {}
-        for cid, ps in passages(code).items():
-            even = [p for p in ps if p[2] % 2 == 0]
-            odd = [p for p in ps if p[2] % 2 == 1]
-            if len(ps) != 2:
-                self.broken[cid] = f"crossing {cid} has {len(ps)} passages"
-            elif len(even) != 1 or len(odd) != 1:
-                self.broken[cid] = f"crossing {cid}: passages do not split over port pairs"
-            else:
-                self.split[cid] = (even[0], odd[0])
-                over = self.crossings[cid].over
-                o_in, u_in = (even[0][2], odd[0][2]) if over == 1 else (odd[0][2], even[0][2])
-                self.signs[cid] = 1 if (o_in - u_in) % 4 == 3 else -1
-        self.problems: tuple[str, ...] | None = None  # filled by code_problems()
-        # sorted wall items -> (arcs, faces), filled by faces() on success only
-        self.faces: dict[tuple, tuple[tuple[Arc, ...], tuple[tuple, ...]]] = {}
-        # sorted wall items -> problems, filled by planarity_problems()
-        self.planarity: dict[tuple, tuple[str, ...]] = {}
-
-
 def crossing_passages(code: TangleCode, cid: str) -> tuple[tuple[str, int, int], tuple[str, int, int]]:
     """The even-port and odd-port passage of a crossing, in that order."""
-    index = code._index
-    if cid in index.broken:
-        raise MoveError(index.broken[cid])
-    return index.split[cid]
+    split, sign = code._passage_split[cid]
+    if split is None:
+        raise MoveError(sign)
+    return split
 
 
 def crossing_sign(code: TangleCode, cid: str) -> int:
-    signs = code._index.signs
-    if cid not in signs:
-        crossing_passages(code, cid)  # raises the KeyError or MoveError
-    return signs[cid]
+    split, sign = code._passage_split[cid]
+    if split is None:
+        raise MoveError(sign)
+    return sign
+
+
+def other_passage(code: TangleCode, cid: str, port: int) -> tuple[str, int, int]:
+    """The passage of a crossing that crosses the one entering at port."""
+    return crossing_passages(code, cid)[1 - port % 2]
+
+
+def is_over(code: TangleCode, cid: str, port: int) -> bool:
+    """Whether the passage entering crossing cid at port is the overpass."""
+    return (code._crossing_map[cid].over == 1) == (port % 2 == 0)
 
 
 def crossing_sums(code: TangleCode, group: Mapping[str, Hashable]) -> dict[tuple, int]:
@@ -221,14 +230,17 @@ def crossing_sums(code: TangleCode, group: Mapping[str, Hashable]) -> dict[tuple
     crossing of two strands of one group adds to (g, g).  Every crossing
     must have a valid passage split, whether grouped or not.
     """
-    signs = code._index.signs
+    split = code._passage_split
     out: dict[tuple, int] = {}
     for c in code.crossings:
-        (sa, _, _), (sb, _, _) = crossing_passages(code, c.id)
+        pair, sign = split[c.id]
+        if pair is None:
+            raise MoveError(sign)
+        (sa, _, _), (sb, _, _) = pair
         if sa in group and sb in group:
             ga, gb = group[sa], group[sb]
             key = (ga, gb) if ga <= gb else (gb, ga)
-            out[key] = out.get(key, 0) + signs[c.id]
+            out[key] = out.get(key, 0) + sign
     return out
 
 
@@ -306,8 +318,8 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
     and wall set; a trace that raises is not memoised.
     """
     walls = walls or {}
-    memo = code._index.faces
-    key = tuple(sorted(walls.items()))
+    memo = code._memo
+    key = ("faces", tuple(sorted(walls.items())))
     if key not in memo:
         memo[key] = _trace_faces(code, walls)
     return memo[key]
@@ -366,8 +378,8 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
     Memoised per code and wall set, like faces.
     """
     walls = walls or {}
-    memo = code._index.planarity
-    key = tuple(sorted(walls.items()))
+    memo = code._memo
+    key = ("planarity", tuple(sorted(walls.items())))
     if key not in memo:
         memo[key] = tuple(_planarity_problems(code, walls))
     return list(memo[key])
@@ -572,7 +584,7 @@ def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int) -> Tang
         raise MoveError(f"strand {strand_id} has no arc {arc_index}")
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
-    cid = next(fresh_ids(code._index.crossings, "x"))
+    cid = next(fresh_ids(code._crossing_map, "x"))
     visits = splice(s.visits, [(arc_gap(s, arc_index), ((cid, 0), (cid, 2 - sign)))])
     return _edit(code, {s.id: visits}, add=[Crossing(cid, 1)])
 
@@ -593,14 +605,7 @@ def find_r2_minus(code: TangleCode, walls: Mapping[str, int] | None = None) -> l
         x, y = a0.tail[1], a0.head[1]
         if x == y or {a1.tail[1], a1.head[1]} != {x, y}:
             continue
-        over_x = code.crossing(x).over
-        over_y = code.crossing(y).over
-        # the strand of a0 is over at x iff its port parity matches the flag
-        par_x0 = a0.tail[2] % 2
-        par_y0 = a0.head[2] % 2
-        a0_over_x = (over_x == 1) == (par_x0 == 0)
-        a0_over_y = (over_y == 1) == (par_y0 == 0)
-        if a0_over_x == a0_over_y:
+        if is_over(code, x, a0.tail[2]) == is_over(code, y, a0.head[2]):
             out.append((min(x, y), max(x, y)))
     return sorted(set(out))
 
@@ -645,7 +650,7 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
     if shared is None:
         raise MoveError(f"arcs {arc_over} and {arc_under} do not bound a common face")
     fo, fu = shared or (False, False)
-    fresh = fresh_ids(code._index.crossings, "x")
+    fresh = fresh_ids(code._crossing_map, "x")
     xid, yid = next(fresh), next(fresh)
     u = 3 if fu else 1
     under_pair = ((xid, u), (yid, u)) if fo != fu else ((yid, u), (xid, u))
@@ -692,11 +697,6 @@ def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
     except MoveError:
         return []
 
-    def over_at(sid, idx):
-        s = code.strand(sid)
-        cid, p = s.visits[idx]
-        return (code.crossing(cid).over == 1) == (p % 2 == 0)
-
     plans = []
     for f in fs:
         if len(f) != 3:
@@ -718,9 +718,10 @@ def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
         slots = [(sid, k) for sid, i, j in pairs for k in (i, j)]
         if len(set(slots)) != 6:
             continue
-        top = [p for p in pairs if over_at(p[0], p[1]) and over_at(p[0], p[2])]
-        bot = [p for p in pairs if not over_at(p[0], p[1]) and not over_at(p[0], p[2])]
-        if not top or not bot:
+        # one strand passes over both its triangle visits, one under both
+        levels = [{is_over(code, *code.strand(sid).visits[k]) for k in (i, j)}
+                  for sid, i, j in pairs]
+        if {True} not in levels or {False} not in levels:
             continue
         plans.append((tuple(sorted(cids)), pairs))
     return plans

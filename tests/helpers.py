@@ -2,14 +2,15 @@
 
 Everything is seeded; generation goes through the public move and
 construction APIs so every produced diagram is valid by construction.
-run_msd runs the CLI in a child process on the package the suite imports.
+run_msd runs the CLI in a child process on the package the suite imports;
+fields_only tells whether a record has cached nothing yet.
 """
 
 import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import msdiagram
@@ -35,6 +36,11 @@ from msdiagram.tangle import (
     r1_plus,
     r2_plus,
 )
+
+
+def fields_only(record):
+    """Whether the instance __dict__ holds only dataclass fields: nothing cached."""
+    return set(vars(record)) == {f.name for f in fields(record)}
 
 
 def run_msd(*args, cwd=None):

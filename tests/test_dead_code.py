@@ -4,7 +4,9 @@ A name counts as used when source, tests or the benchmark refer to it other
 than by its own definition: as a name, an attribute, an import, or inside a
 string that is not a docstring (the benchmark's tracer names the functions it
 wraps in strings).  Conversely, every function the tracer wraps must exist,
-or the traced benchmark run would crash where tier-1 passed.
+or the traced benchmark run would crash where tier-1 passed.  And every
+private function (a leading underscore, not a dunder) reads each of its
+parameters, its own nested functions included; a method need not read self.
 """
 
 import ast
@@ -53,6 +55,24 @@ def test_no_unused_top_level_definitions():
                     and node.name not in used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, unused
+
+
+def _unread_parameters(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name.startswith("_") and not node.name.endswith("__"):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None and a.arg != "self"]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from (f"{node.name}({p})" for p in params if p not in read)
+
+
+def test_private_functions_read_their_parameters():
+    unread = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unread_parameters(ast.parse(path.read_text()))]
+    assert not unread, unread
 
 
 def test_benchmark_hooks_exist():

@@ -66,6 +66,17 @@ def test_sign_mismatch_rejected():
         parse(flipped)
 
 
+@pytest.mark.parametrize("ends", [
+    "zz.9.i,zz.9.o,zz.9.i,zz.9.o",   # a strand that does not exist
+    "S2.0.o,S1.0.o,S2.0.i,S1.0.i",   # the strands' real ends, at the wrong ports
+])
+def test_ends_mismatch_rejected(ends):
+    text = serialize(catalog.standard("s2xs2"))
+    assert "ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i " in text
+    with pytest.raises(ParseError, match="ends consistent with strand data"):
+        parse(text.replace("ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i ", f"ends={ends} "))
+
+
 def test_imap_preserved():
     d = catalog.standard("swap-diffeo")
     text = serialize(d)

@@ -1,13 +1,14 @@
-"""The per-code index against from-scratch references built from passages().
+"""The per-code cached facts against from-scratch references built from passages().
 
-Every TangleCode answers crossing, sign, passage and face queries from an
-index it builds once.  These properties check those answers, and the
-diagram-level linking data built on them, against plain recomputations on
-random Kirby, multi-piece and braid-closure diagrams, with or without one
-handle slide, and on their relabelings.  On the same diagrams, every move
-that places new crossings from a shared face is undone or validated, and the
-face trace and planarity check match step-by-step references, also on
-non-planar and broken mutants of the pieces.
+Every TangleCode answers crossing, sign, passage and face queries from
+facts it caches, each built once on first read.  These properties check
+those answers, and the diagram-level linking data built on them, against
+plain recomputations on random Kirby, multi-piece and braid-closure
+diagrams, with or without one handle slide, and on their relabelings.  On
+the same diagrams, every move that places new crossings from a shared face
+is undone or validated, and the face trace and planarity check match
+step-by-step references, also on non-planar and broken mutants of the
+pieces.
 """
 
 import random
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    fields_only,
     random_kirby_diagram,
     random_multipiece_diagram,
     random_relabel,
@@ -56,6 +58,7 @@ from msdiagram.tangle import (
     r2_minus,
     r2_plus,
     signed_crossing_sum,
+    simplify_with_log,
     splice,
 )
 
@@ -183,7 +186,7 @@ def outcome(f, *args):
 
 
 def fresh(code):
-    """An equal code with a cold index."""
+    """An equal code with nothing cached."""
     return TangleCode(code.crossings, code.strands)
 
 
@@ -245,7 +248,7 @@ def pushed_apart(code, walls, rng):
     if not far:
         return None
     (so, ko), (su, ku) = rng.choice(far)
-    x, y = islice(fresh_ids(code._index.crossings, "n"), 2)
+    x, y = islice(fresh_ids({c.id for c in code.crossings}, "n"), 2)
     inserts = {}
     for sid, k, pair in ((so, ko, ((x, 0), (y, 2))), (su, ku, ((y, 1), (x, 1)))):
         inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
@@ -379,13 +382,31 @@ def test_replaced_code_gets_a_fresh_index(d, seed):
     code = p.tangle
     before = {c.id: crossing_sign(code, c.id) for c in code.crossings}
     faces(code, p.wall_points())
+    assert not fields_only(code)
     switched = replace(code, crossings=tuple(Crossing(c.id, 3 - c.over)
                                              for c in code.crossings))
-    assert "_index" not in vars(switched)
+    assert fields_only(switched)
     for c in switched.crossings:
         assert crossing_sign(switched, c.id) == -before[c.id] == ref_sign(switched, c.id)
-    # the built index is no field: equality and hashing ignore it
+    # cached facts are no fields: equality and hashing ignore them
     assert code == fresh(code) and hash(code) == hash(fresh(code))
+
+
+@PROPERTY
+@given(diagrams())
+def test_faces_and_problems_leave_the_passage_split_unbuilt(d):
+    # tracing faces, checking the code and greedy reduction read no passage
+    # split; a sign does
+    for p in d.pieces:
+        code, walls = fresh(p.tangle), p.wall_points()
+        faces(code, walls)
+        planarity_problems(code, walls)
+        code_problems(code)
+        simplify_with_log(code, walls)
+        assert "_passage_split" not in vars(code)
+        for c in code.crossings:
+            crossing_sign(code, c.id)
+            assert "_passage_split" in vars(code)
 
 
 @settings(PROPERTY, max_examples=30)
