@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 from .tangle import (
     Strand,
     TangleCode,
+    cached_property,
     code_problems,
     crossing_sums,
     first_by_id,

@@ -11,25 +11,28 @@ Sign convention (right-handed plane orientation): a crossing is positive
 when the over passage enters one step clockwise of the under passage,
 i.e. over_entry == (under_entry + 3) % 4.
 
-Moves that add crossings build one candidate.  An R1+ kink enters its
-crossing on top at port 0 and returns at port 2 - sign.  R2+ and the handle
-slide read the face two arcs share (_shared_face): (f1, f2) says whether
-each runs forward along it.  The R2+ under strand enters both new crossings
-at port 3 if f2, else 1, and meets the first one first when f1 != f2.  The
-slide's parallel runs right of its circle if f2, else left, and its band
-gets one kink when (f1 == f2) != (orient == 1).  A crossingless closed
-strand fits every face: R2+ reads it as (False, False), the slide as left
-with no kink.
+The handle slide reads the face two arcs share (_shared_face): (f1, f2)
+says whether each runs forward along it.  The slide's parallel runs right
+of its circle if f2, else left, and its band gets one kink when
+(f1 == f2) != (orient == 1).  A crossingless closed strand fits every face:
+the slide puts the parallel left with no kink.
+
+A planar code is a combinatorial map: the dart table (_darts) maps each
+dart to the next along its face, and faces are the orbits.  R2 bigons,
+R3 triangles and the planarity count are read from it; only faces(), for
+its public callers and _shared_face, and strand_arcs build Arc records.
 
 A TangleCode is immutable: every edit builds a new code.  Each fact derived
 from a code is a cached property of its own, built on first read: the
 crossing and the strand id maps, the passage split with the crossing signs,
-and one memo of the code problems and, per wall set, the faces and their
-planarity problems.  A code that only traces faces never builds its passage
-split.  Nothing stored is ever changed afterwards; the memo only gains
-entries.  So no fact can go stale, and since cached properties live in the
-instance __dict__ and are no dataclass fields, equality, hashing and
-dataclasses.replace ignore them.
+and one memo of the code problems and, per wall set, the dart table, the
+faces and their planarity problems.  A code that only traces faces never
+builds its passage split.  Nothing stored is ever changed afterwards; the
+memo only gains entries.  So no fact can go stale, and since cached
+properties live in the instance __dict__ and are no dataclass fields,
+equality, hashing and dataclasses.replace ignore them.  cached_property
+here is functools' without the lock that Python 3.11 takes on every first
+read.
 
 Crossing rules are read from the code by two helpers: is_over tells whether
 the passage entering at a port is on top, other_passage gives the passage
@@ -39,7 +42,6 @@ that crosses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import count
 from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -50,6 +52,20 @@ ArcRef = tuple[str, int]         # (strand id, arc index along the strand)
 
 class MoveError(ValueError):
     """A move site does not match the move's local pattern."""
+
+
+class cached_property:
+    """functools.cached_property with no lock: the first read stores the value
+    in the instance __dict__, where every later read finds it first."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -117,9 +133,9 @@ class TangleCode:
 
     @cached_property
     def _memo(self) -> dict:
-        # "problems" -> code problems; ("faces", walls) -> (arcs, faces),
-        # filled on success only; ("planarity", walls) -> planarity problems;
-        # walls as sorted wall items
+        # "problems" -> code problems; ("darts", walls) -> dart table or None;
+        # ("faces", walls) -> (arcs, faces), filled on success only;
+        # ("planarity", walls) -> planarity problems; walls as sorted items
         return {}
 
     def crossing(self, cid: str) -> Crossing:
@@ -282,31 +298,28 @@ class Arc:
     head: Site
 
 
-def strand_arcs(s: Strand) -> list[Arc]:
-    sites: list[Site] = []
-    if s.start is not None:
-        sites.append(("w",) + tuple(s.start))
+def _strand_sites(s: Strand) -> list[Site]:
+    """Tail and head of each arc of s in arc order: arc k runs from site 2k to 2k + 1."""
+    if (s.start is None) != (s.end is None):
+        raise MoveError(f"strand {s.id}: exactly one endpoint set")
+    sites: list[Site] = [] if s.closed else [("w",) + tuple(s.start)]
     for cid, p in s.visits:
-        sites.append(("x", cid, p))
-        sites.append(("x", cid, (p + 2) % 4))
-    if s.end is not None:
-        sites.append(("w",) + tuple(s.end))
-    arcs = []
+        sites += (("x", cid, p), ("x", cid, (p + 2) % 4))
     if s.closed:
-        n = len(s.visits)
-        for i in range(n):
-            arcs.append(Arc(s.id, i, sites[2 * i + 1], sites[(2 * i + 2) % (2 * n)]))
-    else:
-        for i in range(len(s.visits) + 1):
-            arcs.append(Arc(s.id, i, sites[2 * i], sites[2 * i + 1]))
-    return arcs
+        # arc k of a closed strand runs from visit k to visit k + 1
+        return sites[1:] + sites[:1]
+    sites.append(("w",) + tuple(s.end))
+    return sites
 
 
-def build_arcs(code: TangleCode) -> list[Arc]:
-    arcs = []
-    for s in code.strands:
-        arcs.extend(strand_arcs(s))
-    return arcs
+def strand_arcs(s: Strand) -> list[Arc]:
+    sites = _strand_sites(s)
+    return [Arc(s.id, k, sites[2 * k], sites[2 * k + 1]) for k in range(len(sites) // 2)]
+
+
+def _arc_refs(code: TangleCode) -> list[ArcRef]:
+    """(strand id, arc index) of each arc, in dart table order."""
+    return [(s.id, k) for s in code.strands for k in range(len(s.visits) + (not s.closed))]
 
 
 def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
@@ -321,43 +334,79 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
     memo = code._memo
     key = ("faces", tuple(sorted(walls.items())))
     if key not in memo:
-        memo[key] = _trace_faces(code, walls)
+        table = _darts(code, walls) or _dart_table(code, walls)
+        arcs = tuple(Arc(sid, k, table.sites[2 * i], table.sites[2 * i + 1])
+                     for i, (sid, k) in enumerate(_arc_refs(code)))
+        memo[key] = arcs, tuple(tuple((d >> 1, not d & 1) for d in f) for f in table.faces)
     return memo[key]
 
 
-def _trace_faces(code: TangleCode, walls: Mapping[str, int]):
-    arcs = build_arcs(code)
-    # dart 2i runs arc i forward from its tail, dart 2i + 1 backward from its
-    # head; sites[d] is where dart d leaves, at the reverse map
-    sites = [site for a in arcs for site in (a.tail, a.head)]
+class _DartTable:
+    """Dart 2k runs arc k forward from its tail, dart 2k + 1 backward from its head.
+
+    sites[d] is where dart d leaves, at maps a site to the dart leaving it,
+    succ[d] is the dart after d along its face, and faces, the orbits of
+    succ, is traced on first read.  Slotted: validation keeps one per piece.
+    """
+
+    __slots__ = ("sites", "succ", "at", "_faces")
+
+    def __init__(self, sites: list[Site], succ: list[int], at: dict[Site, int]):
+        self.sites, self.succ, self.at, self._faces = sites, succ, at, None
+
+    @property
+    def faces(self) -> list[list[int]]:
+        if self._faces is None:
+            self._faces = _trace_faces(self.succ)
+        return self._faces
+
+
+def _darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable | None:
+    """The memoised dart table of code with walls; None when a face trace raises."""
+    memo = code._memo
+    key = ("darts", tuple(sorted(walls.items())))
+    if key not in memo:
+        try:
+            memo[key] = _dart_table(code, walls)
+        except MoveError:
+            memo[key] = None
+    return memo[key]
+
+
+def _dart_table(code: TangleCode, walls: Mapping[str, int]):
+    sites = [site for s in code.strands for site in _strand_sites(s)]
     at: dict[Site, int] = dict(zip(sites, range(len(sites))))
     if len(at) < len(sites):
         twice = next(s for k, s in enumerate(sites) if sites.index(s) < k)
         raise MoveError(f"attachment {twice} used twice")
     # a dart arrives where its reverse leaves, and its face goes on through
-    # the next slot of that node.  A turn that fails stays -1 and is raised
-    # when the trace reaches it, as a step-by-step trace would.
+    # the next slot of that node
     succ = [-1] * len(sites)
     for dart, site in enumerate(sites):
         if site[0] == "x":
             succ[dart ^ 1] = at.get(("x", site[1], (site[2] + 1) % 4), -1)
         elif walls.get(site[1]):
             succ[dart ^ 1] = at.get(site[:-1] + ((site[-1] + 1) % walls[site[1]],), -1)
-    darts = [(i, fwd) for i in range(len(arcs)) for fwd in (True, False)]
-    seen = [False] * len(sites)
+    if -1 in succ:
+        # raise where a step-by-step trace first fails to turn
+        d = next(f[-1] for f in _trace_faces(succ) if succ[f[-1]] < 0)
+        _turn_error(sites[d ^ 1], walls)
+    return _DartTable(sites, succ, at)
+
+
+def _trace_faces(succ: list[int]) -> list[list[int]]:
+    """The orbits of succ, each from its least dart; a walk also ends at -1."""
+    seen = [False] * len(succ)
     out = []
-    for start in range(len(sites)):
-        if seen[start]:
-            continue
-        d, cycle = start, []
-        while not seen[d]:
+    for d in range(len(succ)):
+        cycle = []
+        while d >= 0 and not seen[d]:
             seen[d] = True
-            cycle.append(darts[d])
-            if succ[d] < 0:
-                _turn_error(sites[d ^ 1], walls)
+            cycle.append(d)
             d = succ[d]
-        out.append(tuple(cycle))
-    return tuple(arcs), tuple(out)
+        if cycle:
+            out.append(cycle)
+    return out
 
 
 def _turn_error(site: Site, walls: Mapping[str, int]):
@@ -371,11 +420,11 @@ def _turn_error(site: Site, walls: Mapping[str, int]):
 def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[str]:
     """Euler check V - E + F == 2 on every connected component of the code.
 
-    One face trace and one count of components: faces are orbits of a
-    permutation of darts, so every component has V - E + F <= 2, and the
-    totals equal 2 per component exactly when each component is planar.
-    Messages per component are built only when the totals disagree.
-    Memoised per code and wall set, like faces.
+    One count of the orbits of the dart table and one of components:
+    faces are orbits of a permutation of darts, so every component has
+    V - E + F <= 2, and the totals equal 2 per component exactly when each
+    component is planar.  Messages per component are built only when the
+    totals disagree.  Memoised per code and wall set, like faces.
     """
     walls = walls or {}
     memo = code._memo
@@ -387,13 +436,14 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
 
 def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]:
     try:
-        arcs, fs = faces(code, walls)
+        table = _darts(code, walls) or _dart_table(code, walls)
     except MoveError as e:
         return [f"broken attachment structure: {e}"]
+    sites, succ = table.sites, table.succ
     # union-find over nodes, numbered in order of first use; ends[2k] and
     # ends[2k + 1] are the tail and head node of arc k
     nodes: dict[tuple, int] = {}
-    ends = [nodes.setdefault(site[:-1], len(nodes)) for a in arcs for site in (a.tail, a.head)]
+    ends = [nodes.setdefault(site[:-1], len(nodes)) for site in sites]
     parent = list(range(len(nodes)))
 
     def find(x):
@@ -412,16 +462,23 @@ def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]
     # sites are its slots 0 .. degree - 1.  Then faces are the orbits of a
     # permutation of darts, each component has V - E + F = 2 - 2g <= 2, and
     # the totals match exactly when every component is planar.
+    seen = [False] * len(succ)
+    orbits = 0
+    for d in range(len(succ)):
+        orbits += not seen[d]
+        while not seen[d]:
+            seen[d] = True
+            d = succ[d]
     degrees = sum(4 if n[0] == "x" else walls[n[1]] for n in nodes)
-    if degrees == len(ends) and len(nodes) - len(arcs) + len(fs) == 2 * components:
+    if degrees == len(ends) and len(nodes) - len(ends) // 2 + orbits == 2 * components:
         return []
     comps: dict[int, list] = {}
-    for k, a in enumerate(arcs):
-        c = comps.setdefault(find(ends[2 * k]), [set(), 0, 0])
-        c[0].update((a.tail[:-1], a.head[:-1]))
+    for k in range(0, len(ends), 2):
+        c = comps.setdefault(find(ends[k]), [set(), 0, 0])
+        c[0].update((sites[k][:-1], sites[k + 1][:-1]))
         c[1] += 1
-    for f in fs:
-        comps[find(ends[2 * f[0][0]])][2] += 1
+    for f in table.faces:
+        comps[find(ends[f[0] & ~1])][2] += 1
     return [f"component at {min(ns)}: V-E+F = {len(ns)}-{e}+{nf} != 2"
             for ns, e, nf in comps.values() if len(ns) - e + nf != 2]
 
@@ -573,46 +630,40 @@ def r1_minus(code: TangleCode, cid: str) -> TangleCode:
     raise MoveError(f"no R1 kink at crossing {cid}")
 
 
-def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int) -> TangleCode:
-    """Insert a kink of the given sign on an arc of a strand.
-
-    The arc enters the new crossing on top at port 0 and returns at port
-    2 - sign, so the kink is a monogon between two adjacent ports.
-    """
-    s = code.strand(strand_id)
-    if not (0 <= arc_index < s.arc_count()):
-        raise MoveError(f"strand {strand_id} has no arc {arc_index}")
-    if sign not in (1, -1):
-        raise MoveError("kink sign must be +1 or -1")
-    cid = next(fresh_ids(code._crossing_map, "x"))
-    visits = splice(s.visits, [(arc_gap(s, arc_index), ((cid, 0), (cid, 2 - sign)))])
-    return _edit(code, {s.id: visits}, add=[Crossing(cid, 1)])
-
-
 def find_r2_minus(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[tuple[str, str]]:
-    """Crossing pairs removable by an R2 move (bigon with a uniform overpass)."""
-    try:
-        arcs, fs = faces(code, walls)
-    except MoveError:
+    """Crossing pairs removable by an R2 move: 2-cycles of the dart table
+    (bigons) with a uniform overpass.  No face is traced."""
+    table = _darts(code, walls or {})
+    if table is None:
         return []
-    out = []
-    for f in fs:
-        if len(f) != 2:
-            continue
-        a0, a1 = arcs[f[0][0]], arcs[f[1][0]]
-        if a0.tail[0] != "x" or a0.head[0] != "x":
-            continue
-        x, y = a0.tail[1], a0.head[1]
-        if x == y or {a1.tail[1], a1.head[1]} != {x, y}:
-            continue
-        if is_over(code, x, a0.tail[2]) == is_over(code, y, a0.head[2]):
-            out.append((min(x, y), max(x, y)))
-    return sorted(set(out))
+    succ = table.succ
+    return sorted({pair for d, e in enumerate(succ)
+                   if d < e and succ[e] == d and (pair := _r2_pair(code, table, d))})
+
+
+def _r2_pair(code: TangleCode, table: _DartTable, d: int) -> tuple[str, str] | None:
+    """The sorted crossing pair of the bigon holding dart d, if R2 can remove it."""
+    e = table.succ[d]
+    if table.succ[e] != d:
+        return None
+    d, e = min(d, e), max(d, e)
+    sites = table.sites
+    t0, h0, t1, h1 = sites[d & ~1], sites[d | 1], sites[e & ~1], sites[e | 1]
+    if t0[0] != "x" or h0[0] != "x":
+        return None
+    x, y = t0[1], h0[1]
+    if x == y or {t1[1], h1[1]} != {x, y} or is_over(code, x, t0[2]) != is_over(code, y, h0[2]):
+        return None
+    return min(x, y), max(x, y)
 
 
 def r2_minus(code: TangleCode, x: str, y: str,
              walls: Mapping[str, int] | None = None) -> TangleCode:
-    if (min(x, y), max(x, y)) not in find_r2_minus(code, walls):
+    # one dart of an x-y bigon leaves crossing x
+    table = _darts(code, walls or {})
+    at = table.at if table else {}
+    darts = [at[site] for site in (("x", x, p) for p in range(4)) if site in at]
+    if (min(x, y), max(x, y)) not in {_r2_pair(code, table, d) for d in darts}:
         raise MoveError(f"no R2 bigon at crossings {x}, {y}")
     edits: dict[str, set[int]] = {}
     for s in code.strands:
@@ -627,39 +678,6 @@ def r2_minus(code: TangleCode, x: str, y: str,
         raise MoveError(f"R2 pattern at {x}, {y} is degenerate")
     new_visits = {sid: splice(code.strand(sid).visits, (), idx) for sid, idx in edits.items()}
     return _edit(code, new_visits, drop=[x, y])
-
-
-def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
-            walls: Mapping[str, int] | None = None) -> TangleCode:
-    """Push arc_over across arc_under through a shared face.
-
-    The over strand enters the new crossing x at port 0 and y at port 2, so
-    the overpass is the even pair at both.  The under strand enters both at
-    port 3 when it runs forward along the face, at port 1 when backward, and
-    meets x first when the two arcs run opposite ways along it.
-    """
-    s_over = code.strand(arc_over[0])
-    s_under = code.strand(arc_under[0])
-    if not (0 <= arc_over[1] < s_over.arc_count()):
-        raise MoveError(f"no arc {arc_over}")
-    if not (0 <= arc_under[1] < s_under.arc_count()):
-        raise MoveError(f"no arc {arc_under}")
-    if arc_over == arc_under:
-        raise MoveError("R2 needs two distinct arcs")
-    shared = _shared_face(code, arc_over, arc_under, walls)
-    if shared is None:
-        raise MoveError(f"arcs {arc_over} and {arc_under} do not bound a common face")
-    fo, fu = shared or (False, False)
-    fresh = fresh_ids(code._crossing_map, "x")
-    xid, yid = next(fresh), next(fresh)
-    u = 3 if fu else 1
-    under_pair = ((xid, u), (yid, u)) if fo != fu else ((yid, u), (xid, u))
-    # two distinct arcs of one strand sit at distinct gaps
-    inserts: dict[str, list] = {}
-    for (sid, k), pair in ((arc_over, ((xid, 0), (yid, 2))), (arc_under, under_pair)):
-        inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
-    edits = {sid: splice(code.strand(sid).visits, ins) for sid, ins in inserts.items()}
-    return _edit(code, edits, add=[Crossing(xid, 1), Crossing(yid, 1)])
 
 
 def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
@@ -681,39 +699,27 @@ def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
     return min(found, key=lambda t: (t[1], t[0]), default=None)
 
 
-def _arc_visit_pair(code: TangleCode, arc: Arc) -> tuple[str, int, int] | None:
-    """The adjacent visit index pair an arc spans, or None for wall-ended arcs."""
-    if arc.tail[0] != "x" or arc.head[0] != "x":
-        return None
-    s = code.strand(arc.strand)
-    gap = arc_gap(s, arc.index)
-    return (s.id, (gap - 1) % len(s.visits), gap)
-
-
 def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
-    """All (crossing triple, swap plan) pairs for movable triangle faces."""
-    try:
-        arcs, fs = faces(code, walls)
-    except MoveError:
+    """All (crossing triple, swap plan) pairs for movable triangle faces; a
+    plan lists the visit index pair (strand, i, j) of each triangle dart."""
+    table = _darts(code, walls or {})
+    if table is None:
         return []
-
+    sites = table.sites
+    refs = _arc_refs(code)
     plans = []
-    for f in fs:
+    for f in table.faces:
         if len(f) != 3:
             continue
-        pairs = []
-        cids = set()
-        ok = True
-        for d in f:
-            pair = _arc_visit_pair(code, arcs[d[0]])
-            if pair is None:
-                ok = False
-                break
-            pairs.append(pair)
-            a = arcs[d[0]]
-            cids.update({a.tail[1], a.head[1]})
-        if not ok or len(cids) != 3:
+        ends = [site for d in f for site in (sites[d & ~1], sites[d | 1])]
+        cids = {site[1] for site in ends}
+        if any(site[0] != "x" for site in ends) or len(cids) != 3:
             continue
+        pairs = []
+        for d in f:
+            s = code.strand(refs[d >> 1][0])
+            gap = arc_gap(s, refs[d >> 1][1])
+            pairs.append((s.id, (gap - 1) % len(s.visits), gap))
         # the three swapped visit pairs must be pairwise disjoint
         slots = [(sid, k) for sid, i, j in pairs for k in (i, j)]
         if len(set(slots)) != 6:
@@ -725,6 +731,22 @@ def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
             continue
         plans.append((tuple(sorted(cids)), pairs))
     return plans
+
+
+def _r3_opens_site(code: TangleCode, table: _DartTable, face: Mapping[int, list[int]],
+                   plan) -> bool:
+    """Whether an R3 swap by plan leaves a face (face[d]: d's face) below 3 darts.
+
+    The swap takes from a face beside the triangle one dart per shared edge
+    and gives one to each face across a corner.  Unless one drops below 3,
+    no monogon or bigon is new, and greedy reduction still finds no site.
+    """
+    # the forward dart of each arc leaves the first visit of its pair
+    arcs = [table.at["x", c, (p + 2) % 4] >> 1
+            for c, p in (code.strand(sid).visits[i] for sid, i, _ in plan)]
+    # the triangle runs the dart of each arc that turns onto another of its arcs
+    beside = [face[2 * a + 1 if table.succ[2 * a] >> 1 in arcs else 2 * a] for a in arcs]
+    return any(len(f) - sum(g is f for g in beside) < 3 for f in beside)
 
 
 def find_r3(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[tuple[str, str, str]]:
@@ -809,7 +831,14 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
         plans: dict[tuple[str, str, str], list] = {}
         for tri, pairs in _r3_plans(cur, walls):
             plans.setdefault(tri, pairs)
+        if not plans:
+            break
+        # _r3_plans traced the faces of the table; face maps each dart to its face
+        table = _darts(cur, walls or {})
+        face = {d: f for f in table.faces for d in f}
         for tri in sorted(plans):
+            if not _r3_opens_site(cur, table, face, plans[tri]):
+                continue
             after = _swap_visits(cur, plans[tri])
             reduced, log = greedy(after, budget - len(moves) - 1)
             if len(reduced.crossings) < len(cur.crossings) \

@@ -1,7 +1,8 @@
 """Random diagram generators for the property and acceptance suites.
 
 Everything is seeded; generation goes through the public move and
-construction APIs so every produced diagram is valid by construction.
+construction APIs and the two moves that add crossings to one code, R1+
+and R2+, defined here, so every produced diagram is valid by construction.
 run_msd runs the CLI in a child process on the package the suite imports;
 fields_only tells whether a record has cached nothing yet.
 """
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Mapping
 
 import msdiagram
 from msdiagram.calculus import blow_up, handle_slide
@@ -28,14 +30,66 @@ from msdiagram.core import (
     with_tangle,
 )
 from msdiagram.tangle import (
+    ArcRef,
     Crossing,
     MoveError,
     Strand,
     TangleCode,
+    _edit,
     _shared_face,
-    r1_plus,
-    r2_plus,
+    arc_gap,
+    fresh_ids,
+    splice,
 )
+
+
+def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int) -> TangleCode:
+    """Insert a kink of the given sign on an arc of a strand.
+
+    The arc enters the new crossing on top at port 0 and returns at port
+    2 - sign, so the kink is a monogon between two adjacent ports.
+    """
+    s = code.strand(strand_id)
+    if not (0 <= arc_index < s.arc_count()):
+        raise MoveError(f"strand {strand_id} has no arc {arc_index}")
+    if sign not in (1, -1):
+        raise MoveError("kink sign must be +1 or -1")
+    cid = next(fresh_ids(code._crossing_map, "x"))
+    visits = splice(s.visits, [(arc_gap(s, arc_index), ((cid, 0), (cid, 2 - sign)))])
+    return _edit(code, {s.id: visits}, add=[Crossing(cid, 1)])
+
+
+def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
+            walls: Mapping[str, int] | None = None) -> TangleCode:
+    """Push arc_over across arc_under through a shared face.
+
+    The over strand enters the new crossing x at port 0 and y at port 2, so
+    the overpass is the even pair at both.  The under strand enters both at
+    port 3 when it runs forward along the face, at port 1 when backward, and
+    meets x first when the two arcs run opposite ways along it.
+    """
+    s_over = code.strand(arc_over[0])
+    s_under = code.strand(arc_under[0])
+    if not (0 <= arc_over[1] < s_over.arc_count()):
+        raise MoveError(f"no arc {arc_over}")
+    if not (0 <= arc_under[1] < s_under.arc_count()):
+        raise MoveError(f"no arc {arc_under}")
+    if arc_over == arc_under:
+        raise MoveError("R2 needs two distinct arcs")
+    shared = _shared_face(code, arc_over, arc_under, walls)
+    if shared is None:
+        raise MoveError(f"arcs {arc_over} and {arc_under} do not bound a common face")
+    fo, fu = shared or (False, False)
+    fresh = fresh_ids(code._crossing_map, "x")
+    xid, yid = next(fresh), next(fresh)
+    u = 3 if fu else 1
+    under_pair = ((xid, u), (yid, u)) if fo != fu else ((yid, u), (xid, u))
+    # two distinct arcs of one strand sit at distinct gaps
+    inserts: dict[str, list] = {}
+    for (sid, k), pair in ((arc_over, ((xid, 0), (yid, 2))), (arc_under, under_pair)):
+        inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
+    edits = {sid: splice(code.strand(sid).visits, ins) for sid, ins in inserts.items()}
+    return _edit(code, edits, add=[Crossing(xid, 1), Crossing(yid, 1)])
 
 
 def fields_only(record):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import r1_plus, r2_plus
 from msdiagram import catalog, equivalence
 from msdiagram.calculus import blow_up
 from msdiagram.core import (
@@ -41,7 +42,7 @@ from msdiagram.equivalence import (
     verify_internal_maps,
     verify_isomorphism,
 )
-from msdiagram.tangle import Strand, TangleCode, braid_closure, r1_plus, r2_plus
+from msdiagram.tangle import Strand, TangleCode, braid_closure
 
 
 def random_relabel(d, rng):

@@ -12,6 +12,7 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import r1_plus, r2_plus
 from msdiagram import catalog
 from msdiagram.calculus import blow_down, blow_up, handle_slide
 from msdiagram.calculus import KirbyMove
@@ -34,8 +35,6 @@ from msdiagram.tangle import (
     TangleCode,
     braid_closure,
     fresh_ids,
-    r1_plus,
-    r2_plus,
 )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plant_cancelling_pair, random_multipiece_diagram
+from helpers import plant_cancelling_pair, r1_plus, random_multipiece_diagram
 from msdiagram import catalog, core, reduction
 from msdiagram.calculus import KirbyMove, apply_move
 from msdiagram.core import (
@@ -33,7 +33,7 @@ from msdiagram.reduction import (
     reduce_pipeline,
     to_kirby,
 )
-from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode, r1_plus
+from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode
 
 
 def two_empty_pieces():

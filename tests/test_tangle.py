@@ -1,11 +1,15 @@
 """Tangle code basics: signs, linking, faces, Reidemeister moves."""
 
+import random
+import zlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import r1_plus, r2_plus, random_kirby_diagram, random_multipiece_diagram
 from msdiagram import catalog, tangle
-from msdiagram.core import Diagram, Piece, SphereWall, validate
+from msdiagram.core import Diagram, Piece, SphereWall, simplify_diagram, validate
 from msdiagram.tangle import (
     Crossing,
     MoveError,
@@ -22,9 +26,7 @@ from msdiagram.tangle import (
     linking_number,
     planarity_problems,
     r1_minus,
-    r1_plus,
     r2_minus,
-    r2_plus,
     r3,
     simplify_with_log,
     writhe,
@@ -289,3 +291,45 @@ def test_simplify_checks_planarity_once_per_kept_r3(monkeypatch):
     assert len(checks) == kept
     # kept + 1 rounds, offering 4, 3 and 0 triangles
     assert [len({tri for tri, _ in plans}) for plans in scans] == [4, 3, 0]
+
+
+def test_simplify_traces_faces_once_per_r3_round(monkeypatch):
+    # the same braid: greedy reads R2 bigons from the dart table and traces
+    # no face, each R3 round traces the faces once for its plans and the
+    # prefilter, and the trial the prefilter skips builds no code
+    code = braid_closure([(2, 1), (1, 1), (1, 1), (2, -1), (1, 1), (2, 1), (1, 1), (1, 1)], 3)
+    events = []
+    trace, opens, swap = tangle._trace_faces, tangle._r3_opens_site, tangle._swap_visits
+    monkeypatch.setattr(tangle, "_trace_faces", lambda *a: events.append("trace") or trace(*a))
+    monkeypatch.setattr(tangle, "_r3_opens_site", lambda *a: events.append(opens(*a)) or events[-1])
+    monkeypatch.setattr(tangle, "_swap_visits", lambda *a: events.append("swap") or swap(*a))
+    out, log = simplify_with_log(code, {})
+    assert [mv.kind for mv in log] == ["r3", "r2-", "r3", "r1-"]
+    assert events == ["trace", False, True, "swap", True, "swap",
+                      "trace", True, "swap", True, "swap",
+                      "trace"]
+
+
+def simplify_results():
+    """simplify_with_log on 200 seeded braid closures, then simplify_diagram
+    on seeds 0-299 of random_kirby_diagram and random_multipiece_diagram."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        lanes = rng.randint(2, 5)
+        word = [(rng.randint(1, lanes - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(3, 16))]
+        yield simplify_with_log(braid_closure(word, lanes), {})
+    for gen in (random_kirby_diagram, random_multipiece_diagram):
+        for seed in range(300):
+            yield simplify_diagram(gen(random.Random(seed)))
+
+
+def test_simplify_results_match_pinned_crc():
+    # The crc32 of the reprs of all 800 (code, log) results, 55 R3 moves
+    # among them.  It was computed at commit 4b85928, where greedy found R2
+    # bigons by tracing every face and every R3 trial was swapped, so the
+    # dart table and the R3 prefilter keep every result and every log.
+    crc = 0
+    for out in simplify_results():
+        crc = zlib.crc32(repr(out).encode(), crc)
+    assert crc == 0x6cd65726

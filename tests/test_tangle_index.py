@@ -6,9 +6,10 @@ those answers, and the diagram-level linking data built on them, against
 plain recomputations on random Kirby, multi-piece and braid-closure
 diagrams, with or without one handle slide, and on their relabelings.  On
 the same diagrams, every move that places new crossings from a shared face
-is undone or validated, and the face trace and planarity check match
-step-by-step references, also on non-planar and broken mutants of the
-pieces.
+is undone or validated, and the face trace, the R2 sites and the
+planarity check read from the dart table match face-orbit references,
+also on non-planar and broken mutants of the pieces.  Every R3 trial that
+greedy simplification skips unswapped could not have been kept.
 """
 
 import random
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     fields_only,
+    r1_plus,
+    r2_plus,
     random_kirby_diagram,
     random_multipiece_diagram,
     random_relabel,
@@ -32,6 +35,7 @@ from msdiagram.core import (
     DiagramError,
     GluedCircle,
     Piece,
+    SphereWall,
     diagram_linking,
     diagram_writhe,
     validate,
@@ -42,24 +46,29 @@ from msdiagram.tangle import (
     MoveError,
     Strand,
     TangleCode,
+    _darts,
+    _r3_opens_site,
+    _r3_plans,
     _shared_face,
+    _swap_visits,
     arc_gap,
     braid_closure,
-    build_arcs,
     code_problems,
     crossing_passages,
     crossing_sign,
     faces,
+    find_r1_minus,
+    find_r2_minus,
     fresh_ids,
+    is_over,
     passages,
     planarity_problems,
     r1_minus,
-    r1_plus,
     r2_minus,
-    r2_plus,
     signed_crossing_sum,
     simplify_with_log,
     splice,
+    strand_arcs,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -108,7 +117,7 @@ def ref_writhe(d, cid):
 
 def ref_faces(code, walls):
     """Faces by a step-by-step trace: one successor call per dart."""
-    arcs = build_arcs(code)
+    arcs = [a for s in code.strands for a in strand_arcs(s)]
     at = {}
     for i, a in enumerate(arcs):
         for site, is_tail in ((a.tail, True), (a.head, False)):
@@ -145,6 +154,27 @@ def ref_faces(code, walls):
                 d = successor(d)
             out.append(tuple(cycle))
     return tuple(arcs), tuple(out)
+
+
+def ref_r2_sites(code, walls):
+    """R2 sites by a scan of every face of the reference trace."""
+    try:
+        arcs, fs = ref_faces(code, walls)
+    except MoveError:
+        return []
+    out = set()
+    for f in fs:
+        if len(f) != 2:
+            continue
+        a0, a1 = arcs[f[0][0]], arcs[f[1][0]]
+        if a0.tail[0] != "x" or a0.head[0] != "x":
+            continue
+        x, y = a0.tail[1], a0.head[1]
+        if x == y or {a1.tail[1], a1.head[1]} != {x, y}:
+            continue
+        if is_over(code, x, a0.tail[2]) == is_over(code, y, a0.head[2]):
+            out.add((min(x, y), max(x, y)))
+    return sorted(out)
 
 
 def ref_planarity(code, walls):
@@ -272,15 +302,31 @@ def broken(code, rng):
 
 
 def wall_sets(walls):
-    """walls, one unused point more, one point fewer, and no walls at all."""
-    return (walls, {w: n + 1 for w, n in walls.items()},
-            {w: n - 1 for w, n in walls.items()}, {})
+    """walls, one unused point more, no walls at all, and one point fewer."""
+    return (walls, {w: n + 1 for w, n in walls.items()}, {},
+            {w: n - 1 for w, n in walls.items()})
 
 
 def assert_trace_matches_reference(code, walls):
-    for ws in wall_sets(walls):
+    sets = wall_sets(walls)
+    for ws in sets:
         assert outcome(faces, fresh(code), ws) == outcome(ref_faces, code, ws)
         assert outcome(planarity_problems, fresh(code), ws) == outcome(ref_planarity, code, ws)
+    # With a point fewer than the code uses, the turn past the last point
+    # wraps onto a used one, two darts share a successor, and the reference
+    # trace cuts open walks into faces.  R2 sites are 2-cycles of the dart
+    # table, so they are compared on the other sets, where faces are orbits.
+    for ws in sets[:3]:
+        sites = ref_r2_sites(code, ws)
+        cold = fresh(code)
+        assert find_r2_minus(cold, ws) == sites
+        # r2_minus confirms exactly these bigons, named in either order
+        ids = sorted({c.id for c in code.crossings})
+        for x in ids:
+            for y in ids:
+                refused = outcome(r2_minus, cold, x, y, ws) == (
+                    MoveError, f"no R2 bigon at crossings {x}, {y}")
+                assert refused == ((min(x, y), max(x, y)) not in sites)
 
 
 @PROPERTY
@@ -356,6 +402,72 @@ def test_non_planar_and_broken_codes_match_reference(d, seed):
             mutants.append(mirrored(code, rng.choice(code.crossings).id))
         for mutant in filter(None, mutants):
             assert_trace_matches_reference(mutant, walls)
+
+
+def test_r2_sites_on_broken_codes_match_reference():
+    # two wall arcs pushed across each other: one R2 site with the walls,
+    # none when a wall point is left unused or an attachment is used twice,
+    # as the face-orbit reference finds
+    walls = {"W": 4}
+    code = r2_plus(TangleCode(strands=(Strand("a", start=("W", 0), end=("W", 1)),
+                                       Strand("b", start=("W", 2), end=("W", 3)))),
+                   ("a", 0), ("b", 0), walls)
+    assert find_r2_minus(code, walls) == ref_r2_sites(code, walls) == [("x1", "x2")]
+    a, b = code.strands
+    doubled = TangleCode(code.crossings, (replace(a, visits=a.visits[:1] * 2 + a.visits[1:]), b))
+    for broken_code, ws in ((code, {"W": 5}), (doubled, walls)):
+        with pytest.raises(MoveError):
+            faces(broken_code, ws)
+        assert find_r2_minus(fresh(broken_code), ws) == ref_r2_sites(broken_code, ws) == []
+        with pytest.raises(MoveError, match="no R2 bigon at crossings x1, x2"):
+            r2_minus(broken_code, "x1", "x2", ws)
+        assert_trace_matches_reference(broken_code, ws)
+
+
+def test_half_open_strand_is_a_broken_attachment_structure():
+    # a strand with one endpoint traces no face: a MoveError and a finding,
+    # not an index error
+    code = TangleCode(strands=(Strand("a", start=("W", 0)),))
+    with pytest.raises(MoveError, match="exactly one endpoint set"):
+        faces(code, {"W": 1})
+    assert planarity_problems(code, {"W": 1}) == [
+        "broken attachment structure: strand a: exactly one endpoint set"]
+    d = Diagram(pieces=(Piece("P", code, (SphereWall("W", 1),)),))
+    assert "strand a: exactly one endpoint set" in [f.message for f in validate(d).errors()]
+
+
+def greedy_reduced(code, walls):
+    """code after R1 and R2 moves until none is left, as greedy simplification runs them."""
+    while True:
+        if kinks := find_r1_minus(code):
+            code = r1_minus(code, kinks[0])
+        elif bigons := find_r2_minus(code, walls):
+            code = r2_minus(code, *bigons[0], walls)
+        else:
+            return code
+
+
+def test_skipped_r3_trials_could_not_be_kept():
+    # on greedy-reduced braid closures, every R3 trial the prefilter skips
+    # would leave greedy no R1 or R2 site after the swap, so no trial that
+    # could drop a crossing is skipped
+    skipped = tried = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        lanes = rng.randint(3, 5)
+        word = [(rng.randint(1, lanes - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(4, 16))]
+        code = greedy_reduced(braid_closure(word, lanes), {})
+        table = _darts(code, {})
+        face = {d: f for f in table.faces for d in f}
+        for _, plan in _r3_plans(code, {}):
+            after = _swap_visits(code, plan)
+            if _r3_opens_site(code, table, face, plan):
+                tried += 1
+            else:
+                skipped += 1
+                assert not find_r1_minus(after) and not find_r2_minus(after, {})
+    assert skipped >= 10 and tried >= 10
 
 
 def test_problem_messages_keep_component_order():
