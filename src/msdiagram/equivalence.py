@@ -3,9 +3,15 @@
 Isotopy inside each piece is approximated by bounded Reidemeister reduction
 followed by canonical labeling: a deterministic walk renames every id,
 fixes crossing port gauges and wall point offsets, and the lexicographically
-smallest serialization over the walks is the canonical form.  Equal
-canonical forms certify an isomorphism; separation is only ever claimed on
-genuine invariants, so Unknown is a legal outcome.
+smallest text over the walks is the canonical form.  Equal canonical forms
+certify an isomorphism; separation is only ever claimed on genuine
+invariants, so Unknown is a legal outcome.
+
+A walk renders its MSD/1 text straight from its id maps, with the record
+spellings of ``format``: it builds no relabelled diagram, and its text is
+``serialize`` of that diagram byte for byte.  Crossing signs are read from
+the walked passages, as walking a circle backwards flips its crossings
+with other circles.
 
 A walk begins at a start (circle, direction, first strand or visit) of
 least rank, ranked by circle colour and a trace of crossings and wall hops;
@@ -46,12 +52,9 @@ from .core import (
     DiagramError,
     FramingParallel,
     Finding,
-    GluedCircle,
     InternalMaps,
     Kind,
-    Piece,
     SpherePair,
-    SphereWall,
     SpanningSurface,
     ValidationReport,
     Verdict,
@@ -67,9 +70,17 @@ from .core import (
     wall_of_pair,
     with_tangle,
 )
-from .format import natural_key, serialize
+from .format import _text, natural_key
 from .invariants import det, linking_matrix, rank, signature, smith_normal_form
-from .tangle import Strand, apply_rmove, crossing_sign, is_over, other_passage
+from .tangle import (
+    MoveError,
+    Strand,
+    apply_rmove,
+    crossing_sign,
+    is_over,
+    other_passage,
+    split_passages,
+)
 
 # ---------------------------------------------------------------------------
 # mirror image
@@ -133,7 +144,7 @@ def _effective_cycle(d: Diagram, cid: str, direction: int, rot: int):
         v = s.visits
         if v:
             r = rot % len(v)
-            strands = [(pid, replace(s, visits=v[r:] + v[:r]))]
+            strands = [(pid, Strand(s.id, v[r:] + v[:r]))]
     else:
         r = rot % len(strands)
         strands = strands[r:] + strands[:r]
@@ -369,8 +380,10 @@ class CanonicalMaps:
     sinks: tuple[tuple[int, int], ...]
 
 
-def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
-    """Deterministically relabel the diagram along one traversal plan."""
+def _walk(d: Diagram, plan) -> tuple[str, CanonicalMaps]:
+    """Relabel the diagram along one traversal plan: its MSD/1 text, rendered
+    from the id maps, and the maps.  Ids are handed out in discovery order, so
+    each kind's records come out in natural id order as they are met."""
     pmap: dict[str, str] = {}
     wmap: dict[tuple[str, str], str] = {}
     woff: dict[tuple[str, str], int] = {}
@@ -379,39 +392,56 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
     smap: dict[tuple[str, str], str] = {}
     xmap: dict[tuple[str, str], str] = {}
     xrot: dict[tuple[str, str], int] = {}
-    new_strands: dict[str, list[Strand]] = {}
+    walls: dict[str, list[str]] = {}          # piece -> its walls, in new id order
+    crossings: dict[str, list[str]] = {}      # piece -> its crossings, in new id order
+    split: dict[tuple[str, str], list] = {}   # crossing -> walked passages, new ids
+    strands: dict[str, list] = {}             # piece -> strand records
     new_cycles: dict[str, list[tuple[str, str]]] = {}
 
     def touch_piece(pid):
         if pid not in pmap:
             pmap[pid] = f"p{len(pmap) + 1}"
+            walls[pid], crossings[pid], strands[pid] = [], [], []
 
     def touch_wall(pid, wid, point):
         if (pid, wid) not in wmap:
             wmap[pid, wid] = f"w{len(wmap) + 1}"
             woff[pid, wid] = point
+            walls[pid].append(wid)
         q = wall_of_pair(d, (pid, wid))
         if q is not None and q.id not in qmap:
             qmap[q.id] = f"q{len(qmap) + 1}"
 
+    def new_point(pid, pt):
+        if pt is None:
+            return None
+        k = d.piece(pid).wall(pt[0]).points
+        return (wmap[pid, pt[0]], (pt[1] - woff[pid, pt[0]]) % k if k else 0)
+
     for cid, direction, rot in plan:
         cmap[cid] = f"c{len(cmap) + 1}"
-        cycle = []
+        cycle = new_cycles[cid] = []
         for pid, s in _effective_cycle(d, cid, direction, rot):
             touch_piece(pid)
-            sid_new = f"s{len(smap) + 1}"
-            smap[pid, s.id] = sid_new
+            sid = smap[pid, s.id] = f"s{len(smap) + 1}"
             if s.start is not None:
                 touch_wall(pid, s.start[0], s.start[1])
-            for x, p in s.visits:
+            visits = []
+            for k, (x, p) in enumerate(s.visits):
                 if (pid, x) not in xmap:
                     xmap[pid, x] = f"x{len(xmap) + 1}"
                     xrot[pid, x] = p
+                    crossings[pid].append(x)
+                    split[pid, x] = []
+                # ports turn so that the first passage met enters at port 0
+                port = (p - xrot[pid, x]) % 4
+                split[pid, x].append((sid, k, port))
+                visits.append((xmap[pid, x], port))
             if s.end is not None:
                 touch_wall(pid, s.end[0], s.end[1])
-            new_strands.setdefault(pid, []).append(s)
-            cycle.append((pid, s.id))
-        new_cycles[cid] = cycle
+            strands[pid].append((pmap[pid], sid, visits, new_point(pid, s.start),
+                                 new_point(pid, s.end)))
+            cycle.append((pmap[pid], sid))
 
     # leftovers: pieces and walls never reached by a strand
     def bare_piece_key(pid):
@@ -441,49 +471,32 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
                           key=lambda x: (bare_wall_key(pid, x), natural_key(x))):
             touch_wall(pid, wid, 0)
 
-    # rebuild pieces
-    def new_point(pid, pt):
-        if pt is None:
-            return None
-        k = d.piece(pid).wall(pt[0]).points
-        off = woff[pid, pt[0]]
-        return (wmap[pid, pt[0]], (pt[1] - off) % k if k else 0)
+    def in_new_order(items, ids):
+        rank = {old: i for i, old in enumerate(ids)}
+        return sorted(items, key=lambda x: rank[x.id])
 
-    # records in any order: serialize sorts each kind by natural id
-    pieces = []
-    for pid in pmap:
-        p = d.piece(pid)
-        walls = tuple(SphereWall(wmap[pid, w.id], w.points) for w in p.walls)
-        crossings = []
-        for c in p.tangle.crossings:
-            over = c.over if xrot[pid, c.id] % 2 == 0 else (3 - c.over)
-            crossings.append(replace(c, id=xmap[pid, c.id], over=over))
-        strands = []
-        for s in new_strands.get(pid, []):
-            visits = tuple(
-                (xmap[pid, x], (q - xrot[pid, x]) % 4) for x, q in s.visits)
-            strands.append(Strand(smap[pid, s.id], visits,
-                                  new_point(pid, s.start), new_point(pid, s.end)))
-        pieces.append(Piece(pmap[pid], replace(p.tangle, crossings=tuple(crossings),
-                                               strands=tuple(strands)), walls))
-
-    def new_pair(q: SpherePair) -> SpherePair:
+    pairs = []
+    for q in in_new_order(d.pairs, qmap):
         ka = len(q.matching)
-        offa = woff[q.wall_a]
-        offb = woff[q.wall_b]
+        offa, offb = woff[q.wall_a], woff[q.wall_b]
         matching = [0] * ka
         for i, j in enumerate(q.matching):
             matching[(i - offa) % ka] = (j - offb) % ka
-        return SpherePair(qmap[q.id],
-                          (pmap[q.wall_a[0]], wmap[q.wall_a]),
-                          (pmap[q.wall_b[0]], wmap[q.wall_b]),
-                          tuple(matching), q.orientation)
-
-    pairs = tuple(new_pair(q) for q in d.pairs)
-    circles = tuple(
-        GluedCircle(cmap[c.id], tuple((pmap[p], smap[p, s]) for p, s in new_cycles[c.id]),
-                    c.framing)
-        for c in d.circles)
+        pairs.append((qmap[q.id], (pmap[q.wall_a[0]], wmap[q.wall_a]),
+                      (pmap[q.wall_b[0]], wmap[q.wall_b]), matching, q.orientation))
+    xings = []
+    for pid, new in pmap.items():
+        code = d.piece(pid).tangle
+        if len(crossings[pid]) != len(code.crossings):
+            raise KeyError(f"piece {pid}: a crossing that no circle passes")
+        for x in crossings[pid]:
+            over = code.crossing(x).over
+            if xrot[pid, x] % 2:  # the port pairs swap; the over passage stays on top
+                over = 3 - over
+            passages, sign = split_passages(xmap[pid, x], split[pid, x], over)
+            if passages is None:
+                raise MoveError(sign)
+            xings.append((new, xmap[pid, x], passages, over, sign))
 
     def new_item(item):
         if isinstance(item, FramingParallel):
@@ -533,27 +546,24 @@ def _walk(d: Diagram, plan) -> tuple[Diagram, CanonicalMaps]:
     if ann is not None:
         ann = replace(ann, dotted=tuple(sorted((cmap[c] for c in ann.dotted),
                                                key=natural_key)))
-    out = Diagram(pieces=tuple(pieces), pairs=pairs, circles=circles,
-                  surfaces=tuple(surfaces), sink_count=d.sink_count,
-                  internal_maps=maps, kind=d.kind, sink_incidence=incidence,
-                  annotation=ann)
+    text = _text(pmap.values(),
+                 [(new, wmap[pid, w], d.piece(pid).wall(w).points)
+                  for pid, new in pmap.items() for w in walls[pid]],
+                 pairs, xings, [t for pid in pmap for t in strands[pid]],
+                 [(cmap[c.id], new_cycles[c.id], c.framing) for c in in_new_order(d.circles, cmap)],
+                 surfaces, d.sink_count, incidence, maps, ann)
     cm = CanonicalMaps(
         pieces=tuple(sorted(pmap.items())),
         pairs=tuple(sorted(qmap.items())),
         circles=tuple(sorted(cmap.items())),
         surfaces=tuple(sorted(fmap.items())),
         sinks=tuple(sorted(snum.items())))
-    return out, cm
-
-
-def _variant(d: Diagram, plan):
-    cand, maps = _walk(d, plan)
-    return serialize(cand), cand, maps, plan
+    return text, cm
 
 
 def canonical_variants(d: Diagram):
-    """All traversal results as (serialized text, diagram, maps, plan)."""
-    return [_variant(d, plan) for plan in _plans(d)]
+    """All traversal results as (text, maps, plan)."""
+    return [(*_walk(d, plan), plan) for plan in _plans(d)]
 
 
 def _least_walk(d: Diagram):
@@ -564,7 +574,7 @@ def _least_walk(d: Diagram):
     skipped start may hold a smaller text."""
     firsts, discover = _planner(d)
     if not firsts:
-        return canonical_variants(d)[0]
+        return (*_walk(d, ()), ())
     parent = {f: f for f in firsts}
 
     def find(f):
@@ -576,13 +586,13 @@ def _least_walk(d: Diagram):
     walked = []      # variants in plan order
     first_plan = {}  # text -> plan of its first walk
     for f in firsts:
-        if find(f) in {find(v[3][0]) for v in walked}:
+        if find(f) in {find(v[2][0]) for v in walked}:
             continue
-        walked.append(_variant(d, discover(f)))
-        text, plan = walked[-1][0], walked[-1][3]
-        if first_plan.setdefault(text, plan) is not plan:
+        plan = discover(f)
+        walked.append((*_walk(d, plan), plan))
+        if first_plan.setdefault(walked[-1][0], plan) is not plan:
             # an automorphism keeps ranks, so it maps tied starts onto tied starts
-            image = _start_image(d, first_plan[text], plan)
+            image = _start_image(d, first_plan[walked[-1][0]], plan)
             for g in firsts:
                 parent[find(g)] = find(image(g))
     return min(walked, key=lambda v: v[0])
@@ -724,16 +734,16 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
 def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
     """isomorphic past its checks: a witness onto the first (d2, mirrored) target."""
     r1, moves1 = simplify_diagram(d1, budget)
-    best1 = _least_walk(r1)
+    text1, maps1, plan1 = _least_walk(r1)
     for base, mirrored in targets:
         # mirror-side witnesses replay their moves on the mirrored diagram
         r2, moves2 = simplify_diagram(base, budget)
-        best2 = _least_walk(r2)
-        if best1[0] == best2[0]:
-            return Isomorphism(*_compose(best1[2], best2[2]),
+        text2, maps2, plan2 = _least_walk(r2)
+        if text1 == text2:
+            return Isomorphism(*_compose(maps1, maps2),
                                mirror=mirrored, moves1=tuple(moves1),
-                               moves2=tuple(moves2), plan1=best1[3], plan2=best2[3],
-                               canonical_text=best1[0])
+                               moves2=tuple(moves2), plan1=plan1, plan2=plan2,
+                               canonical_text=text1)
     return None
 
 
@@ -786,9 +796,9 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
     except Exception as e:
         findings.append(Finding("error", "witness/moves", f"replay failed: {e}"))
         return ValidationReport(tuple(findings))
-    c1, m1 = _walk(r1, iso.plan1)
-    c2, m2 = _walk(r2, iso.plan2)
-    if serialize(c1) != iso.canonical_text or serialize(c2) != iso.canonical_text:
+    t1, m1 = _walk(r1, iso.plan1)
+    t2, m2 = _walk(r2, iso.plan2)
+    if t1 != iso.canonical_text or t2 != iso.canonical_text:
         findings.append(Finding("error", "witness", "canonical texts do not match"))
     else:
         composed = _compose(m1, m2)

@@ -4,6 +4,10 @@ Canonical files list records sorted by kind and then by natural id order,
 so parse and serialize are mutually inverse: parse(serialize(d)) equals d
 structurally, and serialize(parse(text)) reproduces canonical text byte
 for byte.
+
+Every record is spelled in one place, _text: serialize feeds it a diagram's
+records, and the canonical walk (equivalence._walk) a relabelled diagram's
+records straight from its id maps, so both agree byte for byte.
 """
 
 from __future__ import annotations
@@ -53,83 +57,88 @@ def _check_id(s: str, what: str):
 # serialization
 
 
-def _crossing_ends(code: TangleCode, cid: str) -> str:
+def _crossing_ends(split) -> str:
     occupant: dict[int, str] = {}
-    for sid, k, p in crossing_passages(code, cid):
+    for sid, k, p in split:
         occupant[p] = f"{sid}.{k}.i"
         occupant[(p + 2) % 4] = f"{sid}.{k}.o"
     return ",".join(occupant[p] for p in range(4))
 
 
-def serialize(d: Diagram) -> str:
-    """Canonical MSD/1 text for a diagram."""
+def _text(pieces, walls, pairs, crossings, strands, circles, surfaces, sink_count: int,
+          incidence, maps, annotation) -> str:
+    """MSD/1 text of records given in file order, each kind as field tuples:
+    piece ids; (piece, wall, points); (pair, wall a, wall b, matching,
+    orientation); (piece, crossing, its two passages, over, sign); (piece,
+    strand, visits, start, end); (circle, strands, framing); surfaces.  The
+    one spelling of every record, for serialize and the canonical walk."""
     lines = [HEADER]
-    for p in sorted(d.pieces, key=lambda p: natural_key(p.id)):
-        _check_id(p.id, "piece")
-        lines.append(f"piece {p.id}")
-    for p in sorted(d.pieces, key=lambda p: natural_key(p.id)):
-        for w in sorted(p.walls, key=lambda w: natural_key(w.id)):
-            _check_id(w.id, "wall")
-            lines.append(f"wall {p.id}.{w.id} points={w.points}")
-    for q in sorted(d.pairs, key=lambda q: natural_key(q.id)):
-        _check_id(q.id, "pair")
-        match = ",".join(str(i) for i in q.matching) if q.matching else "-"
-        orient = "+" if q.orientation > 0 else "-"
-        lines.append(
-            f"pair {q.id} a={q.wall_a[0]}.{q.wall_a[1]} b={q.wall_b[0]}.{q.wall_b[1]} "
-            f"match={match} orient={orient}")
-    for p in sorted(d.pieces, key=lambda p: natural_key(p.id)):
-        for c in sorted(p.tangle.crossings, key=lambda c: natural_key(c.id)):
-            _check_id(c.id, "crossing")
-            sgn = "+" if crossing_sign(p.tangle, c.id) > 0 else "-"
-            lines.append(
-                f"crossing {p.id}.{c.id} ends={_crossing_ends(p.tangle, c.id)} "
-                f"over={c.over} sign={sgn}")
-    for p in sorted(d.pieces, key=lambda p: natural_key(p.id)):
-        for s in sorted(p.tangle.strands, key=lambda s: natural_key(s.id)):
-            _check_id(s.id, "strand")
-            path = ",".join(f"{c}:{port}" for c, port in s.visits) if s.visits else "-"
-            frm = f"{s.start[0]}:{s.start[1]}" if s.start else "-"
-            to = f"{s.end[0]}:{s.end[1]}" if s.end else "-"
-            lines.append(f"strand {p.id}.{s.id} path={path} from={frm} to={to}")
-    for c in sorted(d.circles, key=lambda c: natural_key(c.id)):
-        _check_id(c.id, "circle")
-        strands = ",".join(f"{pid}.{sid}" for pid, sid in c.strand_cycle)
-        lines.append(f"circle {c.id} strands={strands} framing={c.framing}")
-    for f in sorted(d.surfaces, key=lambda f: natural_key(f.id)):
-        _check_id(f.id, "surface")
-        items = []
-        for item in f.boundary:
-            if isinstance(item, FramingParallel):
-                items.append(f"C{item.circle}:{'+' if item.sign > 0 else '-'}")
-            else:
-                items.append(f"W{item.pair}:{item.index}")
+    lines += [f"piece {pid}" for pid in pieces]
+    lines += [f"wall {pid}.{wid} points={k}" for pid, wid, k in walls]
+    for qid, (pa, wa), (pb, wb), matching, orientation in pairs:
+        match = ",".join(str(i) for i in matching) if matching else "-"
+        lines.append(f"pair {qid} a={pa}.{wa} b={pb}.{wb} match={match} "
+                     f"orient={'+' if orientation > 0 else '-'}")
+    for pid, cid, split, over, sign in crossings:
+        lines.append(f"crossing {pid}.{cid} ends={_crossing_ends(split)} over={over} "
+                     f"sign={'+' if sign > 0 else '-'}")
+    for pid, sid, visits, start, end in strands:
+        path = ",".join(f"{c}:{port}" for c, port in visits) if visits else "-"
+        frm = f"{start[0]}:{start[1]}" if start else "-"
+        to = f"{end[0]}:{end[1]}" if end else "-"
+        lines.append(f"strand {pid}.{sid} path={path} from={frm} to={to}")
+    for cid, cycle, framing in circles:
+        strands_text = ",".join(f"{pid}.{sid}" for pid, sid in cycle)
+        lines.append(f"circle {cid} strands={strands_text} framing={framing}")
+    for f in surfaces:
+        items = [f"C{i.circle}:{'+' if i.sign > 0 else '-'}" if isinstance(i, FramingParallel)
+                 else f"W{i.pair}:{i.index}" for i in f.boundary]
         lines.append(f"surface {f.id} genus={f.genus} boundary={','.join(items) or '-'}")
-    sinks = f"sinks {d.sink_count}"
-    if d.sink_incidence is not None:
-        rows = ";".join(",".join(str(x) for x in row) for row in d.sink_incidence)
+    sinks = f"sinks {sink_count}"
+    if incidence is not None:
+        rows = ";".join(",".join(str(x) for x in row) for row in incidence)
         sinks += f" incidence={rows}"
     lines.append(sinks)
-    if d.internal_maps is not None:
-        m = d.internal_maps
-
+    if maps is not None:
         def perm(pairs):
             items = sorted(pairs, key=lambda ab: natural_key(ab[0]))
             return ",".join(b for _, b in items) if items else "-"
 
-        sinks_perm = ",".join(str(i) for i in m.on_sinks) if m.on_sinks else "-"
+        sinks_perm = ",".join(str(i) for i in maps.on_sinks) if maps.on_sinks else "-"
         lines.append(
-            f"imap pieces={perm(m.on_pieces)} pairs={perm(m.on_pairs)} "
-            f"circles={perm(m.on_circles)} surfaces={perm(m.on_surfaces)} "
+            f"imap pieces={perm(maps.on_pieces)} pairs={perm(maps.on_pairs)} "
+            f"circles={perm(maps.on_circles)} surfaces={perm(maps.on_surfaces)} "
             f"sinks={sinks_perm}")
-    if d.annotation is not None:
-        a = d.annotation
+    if annotation is not None:
+        a = annotation
         line = (f"annotation one_handles={a.one_handles} "
                 f"three_handles={a.three_handles} sinks={a.sinks}")
         if a.dotted:
             line += f" dotted={','.join(a.dotted)}"
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def serialize(d: Diagram) -> str:
+    """Canonical MSD/1 text for a diagram."""
+    def ordered(items, what):
+        items = sorted(items, key=lambda x: natural_key(x.id))
+        for x in items:
+            _check_id(x.id, what)
+        return items
+
+    pieces = ordered(d.pieces, "piece")
+    return _text(
+        [p.id for p in pieces],
+        [(p.id, w.id, w.points) for p in pieces for w in ordered(p.walls, "wall")],
+        [(q.id, q.wall_a, q.wall_b, q.matching, q.orientation) for q in ordered(d.pairs, "pair")],
+        [(p.id, c.id, crossing_passages(p.tangle, c.id), c.over, crossing_sign(p.tangle, c.id))
+         for p in pieces for c in ordered(p.tangle.crossings, "crossing")],
+        [(p.id, s.id, s.visits, s.start, s.end)
+         for p in pieces for s in ordered(p.tangle.strands, "strand")],
+        [(c.id, c.strand_cycle, c.framing) for c in ordered(d.circles, "circle")],
+        ordered(d.surfaces, "surface"), d.sink_count, d.sink_incidence, d.internal_maps,
+        d.annotation)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +393,7 @@ def parse(text: str) -> Diagram:
             continue  # structural breakage is validate's business
         if ("+" if actual > 0 else "-") != sgn:
             raise ParseError(lineno, sgn, f"sign consistent with strand data ({actual:+d})")
-        actual_ends = _crossing_ends(code, cid)
+        actual_ends = _crossing_ends(crossing_passages(code, cid))
         if actual_ends != ends:
             raise ParseError(lineno, ends, f"ends consistent with strand data ({actual_ends})")
     return d

@@ -117,19 +117,8 @@ class TangleCode:
         odd-port passage maps to (None, its MoveError message) instead, so
         every read raises what a fresh computation would.
         """
-        out: dict[str, tuple] = {}
-        for cid, ps in passages(self).items():
-            even = [p for p in ps if p[2] % 2 == 0]
-            odd = [p for p in ps if p[2] % 2 == 1]
-            if len(ps) != 2:
-                out[cid] = (None, f"crossing {cid} has {len(ps)} passages")
-            elif len(even) != 1 or len(odd) != 1:
-                out[cid] = (None, f"crossing {cid}: passages do not split over port pairs")
-            else:
-                over = self._crossing_map[cid].over
-                o_in, u_in = (even[0][2], odd[0][2]) if over == 1 else (odd[0][2], even[0][2])
-                out[cid] = ((even[0], odd[0]), 1 if (o_in - u_in) % 4 == 3 else -1)
-        return out
+        return {cid: split_passages(cid, ps, self._crossing_map[cid].over)
+                for cid, ps in passages(self).items()}
 
     @cached_property
     def _memo(self) -> dict:
@@ -211,6 +200,21 @@ def first_by_id(items) -> dict:
     for x in items:
         out.setdefault(x.id, x)
     return out
+
+
+def split_passages(cid: str, ps: Sequence[tuple[str, int, int]], over: int) -> tuple:
+    """((even passage, odd passage), sign) of a crossing with over flag over
+    and passages ps (strand, visit index, entry port), the sign as the module
+    docstring defines it; (None, the MoveError message) when the passages do
+    not split into one even-port and one odd-port passage."""
+    if len(ps) != 2:
+        return None, f"crossing {cid} has {len(ps)} passages"
+    a, b = ps
+    if (a[2] - b[2]) % 2 == 0:
+        return None, f"crossing {cid}: passages do not split over port pairs"
+    even, odd = (a, b) if a[2] % 2 == 0 else (b, a)
+    o_in, u_in = (even[2], odd[2]) if over == 1 else (odd[2], even[2])
+    return (even, odd), 1 if (o_in - u_in) % 4 == 3 else -1
 
 
 def crossing_passages(code: TangleCode, cid: str) -> tuple[tuple[str, int, int], tuple[str, int, int]]:
@@ -385,8 +389,8 @@ def _dart_table(code: TangleCode, walls: Mapping[str, int]):
     for dart, site in enumerate(sites):
         if site[0] == "x":
             succ[dart ^ 1] = at.get(("x", site[1], (site[2] + 1) % 4), -1)
-        elif walls.get(site[1]):
-            succ[dart ^ 1] = at.get(site[:-1] + ((site[-1] + 1) % walls[site[1]],), -1)
+        elif 0 <= site[2] < walls.get(site[1], 0):
+            succ[dart ^ 1] = at.get(site[:-1] + ((site[2] + 1) % walls[site[1]],), -1)
     if -1 in succ:
         # raise where a step-by-step trace first fails to turn
         d = next(f[-1] for f in _trace_faces(succ) if succ[f[-1]] < 0)
@@ -414,6 +418,9 @@ def _turn_error(site: Site, walls: Mapping[str, int]):
     if site[0] != "x" and site[1] not in walls:
         raise MoveError(f"unknown wall {site[1]} in face trace")
     degree = 4 if site[0] == "x" else walls[site[1]]
+    if site[0] != "x" and not 0 <= site[-1] < degree:
+        raise MoveError(f"wall point {site[1]}:{site[-1]} out of range: the wall has "
+                        f"{degree} points")
     raise MoveError(str(site[:-1] + ((site[-1] + 1) % degree,)))
 
 

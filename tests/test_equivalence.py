@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import r1_plus, r2_plus
 from msdiagram import catalog, equivalence
+from msdiagram import format as msd_format
 from msdiagram.calculus import blow_up
 from msdiagram.core import (
     Diagram,
@@ -32,6 +33,7 @@ from msdiagram.core import (
 from msdiagram.equivalence import (
     _coloured_cycles,
     _compose,
+    _least_walk,
     _plans,
     canonical_key,
     canonical_variants,
@@ -42,7 +44,7 @@ from msdiagram.equivalence import (
     verify_internal_maps,
     verify_isomorphism,
 )
-from msdiagram.tangle import Strand, TangleCode, braid_closure
+from msdiagram.tangle import Crossing, Strand, TangleCode, braid_closure
 
 
 def random_relabel(d, rng):
@@ -248,9 +250,47 @@ def test_pruned_least_walk_matches_full_minimum(d, seed):
     assert v.yes == (best1[0] == best2[0])
     if v.yes:
         assert (v.witness.plan1, v.witness.plan2, v.witness.canonical_text) == \
-            (best1[3], best2[3], best1[0])
+            (best1[2], best2[2], best1[0])
     if d.internal_maps is not None:
         assert not conjugate(d, d2).no
+
+
+def test_canonical_walks_match_pinned_crc():
+    # crc32 over repr((text, maps, plan)) of the least walk, computed at
+    # commit d4c815d, where each walk built a relabelled Diagram and
+    # serialized it; checked on Python 3.10 to 3.13 and for several hash seeds
+    diagrams = [generate(random.Random(seed)) for seed in range(150)
+                for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
+    diagrams += [torus_link(n) for n in range(2, 9)] + [torus_link(2, m) for m in (3, 7, 21)]
+    diagrams += [catalog.standard(name) for name in ("swap-diffeo", "cp2-two-piece", "n-s1s3(3)")]
+    diagrams += [catalog.identity_diffeo(catalog.standard(name))
+                 for name in ("s2xs2", "cp2-two-piece")]
+    diagrams += [shuffled_circle_diffeo(generate, seed) for seed in range(10)
+                 for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
+    crc = 0
+    for d in diagrams:
+        crc = zlib.crc32(repr(_least_walk(d)).encode(), crc)
+    assert (len(diagrams), crc) == (335, 0x499b8060)
+
+
+def test_walks_render_text_without_building_records(monkeypatch):
+    # a walk spells its records from the id maps: no relabelled diagram, no
+    # code, no crossing, and no call to serialize
+    torus, swap = torus_link(6), catalog.standard("swap-diffeo")
+    relabelled = random_relabel(torus, random.Random(6))
+    v = isomorphic(torus, relabelled)
+    assert v.yes and v.witness.moves1 == v.witness.moves2 == ()  # nothing to replay
+    built = Counter()
+    for cls in (Diagram, Piece, TangleCode, Crossing):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=cls.__init__, **k:
+                            built.update([type(self).__name__]) or _init(self, *a, **k))
+    for module in (msd_format, equivalence):
+        monkeypatch.setattr(module, "serialize", lambda d: built.update(["serialize"]),
+                            raising=False)
+    for d in (torus, swap):
+        canonical_key.__wrapped__(d)  # past the cache
+    assert verify_isomorphism(v.witness, torus, relabelled).ok
+    assert not built, built
 
 
 def test_canonical_distinguishes_framings():
@@ -462,8 +502,8 @@ def test_equal_least_walks_reveal_symmetry():
     d = catalog.standard("s2xs2")
     variants = canonical_variants(d)
     least = min(v[0] for v in variants)
-    circle_maps = {_compose(m1, m2)[2] for t1, _, m1, _ in variants
-                   for t2, _, m2, _ in variants if t1 == t2 == least}
+    circle_maps = {_compose(m1, m2)[2] for t1, m1, _ in variants
+                   for t2, m2, _ in variants if t1 == t2 == least}
     assert (("c1", "c1"), ("c2", "c2")) in circle_maps
     assert (("c1", "c2"), ("c2", "c1")) in circle_maps
 

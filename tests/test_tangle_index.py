@@ -130,6 +130,9 @@ def ref_faces(code, walls):
             return 4
         if site[1] not in walls:
             raise MoveError(f"unknown wall {site[1]} in face trace")
+        if not 0 <= site[-1] < walls[site[1]]:
+            raise MoveError(f"wall point {site[1]}:{site[-1]} out of range: the wall has "
+                            f"{walls[site[1]]} points")
         return walls[site[1]]
 
     def successor(dart):
@@ -312,11 +315,10 @@ def assert_trace_matches_reference(code, walls):
     for ws in sets:
         assert outcome(faces, fresh(code), ws) == outcome(ref_faces, code, ws)
         assert outcome(planarity_problems, fresh(code), ws) == outcome(ref_planarity, code, ws)
-    # With a point fewer than the code uses, the turn past the last point
-    # wraps onto a used one, two darts share a successor, and the reference
-    # trace cuts open walks into faces.  R2 sites are 2-cycles of the dart
-    # table, so they are compared on the other sets, where faces are orbits.
-    for ws in sets[:3]:
+    # With a point fewer than the code uses, both traces refuse the point out
+    # of range, so R2 sites, the 2-cycles of the dart table, are compared on
+    # every set
+    for ws in sets:
         sites = ref_r2_sites(code, ws)
         cold = fresh(code)
         assert find_r2_minus(cold, ws) == sites
@@ -422,6 +424,20 @@ def test_r2_sites_on_broken_codes_match_reference():
         with pytest.raises(MoveError, match="no R2 bigon at crossings x1, x2"):
             r2_minus(broken_code, "x1", "x2", ws)
         assert_trace_matches_reference(broken_code, ws)
+
+
+def test_wall_point_out_of_range_is_a_broken_attachment_structure():
+    # with a point fewer, the turn past W:2 would wrap onto the used W:0 and
+    # cut the trace into open walks
+    code = TangleCode(strands=(Strand("a", start=("W", 0), end=("W", 1)),
+                               Strand("b", start=("W", 2), end=("W", 3))))
+    assert len(faces(code, {"W": 4})[1]) == 3
+    message = "wall point W:3 out of range: the wall has 3 points"
+    with pytest.raises(MoveError, match=f"^{message}$"):
+        faces(code, {"W": 3})
+    assert planarity_problems(code, {"W": 3}) == [f"broken attachment structure: {message}"]
+    assert find_r2_minus(code, {"W": 3}) == []
+    assert_trace_matches_reference(code, {"W": 4})
 
 
 def test_half_open_strand_is_a_broken_attachment_structure():
