@@ -32,7 +32,6 @@ from .core import (
     Verdict,
     WallCurve,
     check_admissible,
-    glued_circles,
     handle_counts,
     relabel,
     validate,

@@ -18,8 +18,8 @@ from .core import (
     FramingParallel,
     GluedCircle,
     Verdict,
-    diagram_linking,
-    diagram_writhe,
+    circle_crossing_sums,
+    linking_from_sums,
     require_valid,
     with_tangle,
 )
@@ -148,7 +148,8 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
         seq.append((x, port, other))
     m = len(seq)
 
-    lk_before = {o.id: diagram_linking(d, cid, o.id) for o in d.circles if o.id != cid}
+    sums = circle_crossing_sums(d, [o.id for o in d.circles])
+    lk_before = {o.id: linking_from_sums(sums, cid, o.id) for o in d.circles if o.id != cid}
 
     if m == 0:
         out = with_tangle(d, pid, replace(
@@ -305,8 +306,9 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     shared = _shared_face(code, (s1id, arc1), (s2id, arc2), p.wall_points())
     if shared is None:
         raise MoveError("band arcs do not bound a common face (or cross a wall)")
-    lk12 = diagram_linking(d, c1, c2)
-    twist = circ2.framing - diagram_writhe(d, c2)
+    sums = circle_crossing_sums(d, (c1, c2))
+    lk12 = linking_from_sums(sums, c1, c2)
+    twist = circ2.framing - sums.get((c2, c2), 0)
     # the parallel runs along s2 on the side of the shared face, which is on
     # the right of an arc that runs forward along it; the band needs a half
     # twist, one kink crossing between its edges, when orient +1 meets arcs

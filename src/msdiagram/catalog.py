@@ -15,7 +15,6 @@ from .core import (
     FramingParallel,
     GluedCircle,
     InternalMaps,
-    Kind,
     Piece,
     SpanningSurface,
     SpherePair,
@@ -107,7 +106,7 @@ def swap_diffeo() -> Diagram:
         on_sinks=(0,),
     )
     return Diagram(pieces=base.pieces, circles=base.circles, sink_count=1,
-                   internal_maps=maps, kind=Kind.DIFFEOMORPHISM)
+                   internal_maps=maps)
 
 
 def identity_diffeo(base: Diagram) -> Diagram:
@@ -121,8 +120,7 @@ def identity_diffeo(base: Diagram) -> Diagram:
     )
     return Diagram(pieces=base.pieces, pairs=base.pairs, circles=base.circles,
                    surfaces=base.surfaces, sink_count=base.sink_count,
-                   internal_maps=maps, kind=Kind.DIFFEOMORPHISM,
-                   sink_incidence=base.sink_incidence)
+                   internal_maps=maps, sink_incidence=base.sink_incidence)
 
 
 def s4_with_cancelling_pair() -> Diagram:

@@ -13,13 +13,16 @@ over sphere pairs the integer is declared data and every move updates it
 consistently.  The ambient orientation is right-handed.
 
 A Diagram is immutable: every move builds a new diagram and nothing ever
-writes to an existing one (no object.__setattr__).  Each fact derived from
-a diagram is a cached property of its own, built on first read: the piece,
-pair, circle and surface id maps, the pair of each wall, and the
-validation report; a piece likewise caches its walls by id.  So no fact can
-go stale, and since cached properties live in the instance __dict__ and are
-no dataclass fields, equality, hashing and dataclasses.replace ignore them:
-a replaced diagram starts cold.
+writes to an existing one (no object.__setattr__).  Its fields hold each
+fact once; the declared circles are the one circle decomposition, checked
+against strands and matchings by validation.  A diagram derives its kind
+(a diffeomorphism exactly when internal maps are set) and, as cached
+properties built on first read, its piece, pair, circle and surface id
+maps, the pair of each wall, and its validation report; a piece likewise
+caches its walls by id.  So no fact can go stale, and since cached
+properties live in the instance __dict__ and are no dataclass fields,
+equality, hashing and dataclasses.replace ignore them: a replaced diagram
+starts cold.
 """
 
 from __future__ import annotations
@@ -178,9 +181,12 @@ class Diagram:
     surfaces: tuple[SpanningSurface, ...] = ()
     sink_count: int = 1
     internal_maps: InternalMaps | None = None
-    kind: Kind = Kind.VECTOR_FIELD
     sink_incidence: tuple[tuple[int, ...], ...] | None = None  # one row per sink, over surfaces
     annotation: KirbyAnnotation | None = None
+
+    @property
+    def kind(self) -> Kind:
+        return Kind.VECTOR_FIELD if self.internal_maps is None else Kind.DIFFEOMORPHISM
 
     @cached_property
     def _piece_map(self) -> dict[str, Piece]:
@@ -505,10 +511,6 @@ def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
 
 
 def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
-    if d.kind == Kind.DIFFEOMORPHISM and d.internal_maps is None:
-        findings.append(Finding("error", "diagram", "diffeomorphism diagram without internal maps"))
-    if d.kind == Kind.VECTOR_FIELD and d.internal_maps is not None:
-        findings.append(Finding("error", "diagram", "vector-field diagram with internal maps"))
     m = d.internal_maps
     if m is None:
         return
@@ -564,6 +566,23 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
                         f"surface {f.id} boundary does not map onto {img.id} boundary"))
 
 
+def _check_annotation(d: Diagram, findings: list[Finding]) -> None:
+    """A Kirby annotation counts the handles its diagram no longer draws."""
+    a = d.annotation
+    if a is None:
+        return
+    for wrong, msg in (
+        (len(set(a.dotted)) != len(a.dotted) or not set(a.dotted) <= d._circle_map.keys(),
+         "dotted ids must be distinct circles of the diagram"),
+        (a.one_handles != len(a.dotted), f"one_handles={a.one_handles} but {len(a.dotted)} dotted"),
+        (a.sinks != d.sink_count, f"sinks={a.sinks} but the diagram has {d.sink_count}"),
+        (a.three_handles < 0, "three_handles must not be negative"),
+        (d.pairs or d.surfaces, "a Kirby-form diagram has no sphere pairs and no surfaces"),
+    ):
+        if wrong:
+            findings.append(Finding("error", "annotation", msg))
+
+
 def validate(d: Diagram) -> ValidationReport:
     """Check every structural invariant; violations become report findings.
 
@@ -592,6 +611,7 @@ def _validate(d: Diagram) -> ValidationReport:
         _check_circles(d, findings)
         _check_surfaces(d, findings)
         _check_internal_maps(d, findings)
+        _check_annotation(d, findings)
     if d.sink_incidence is not None:
         rows = d.sink_incidence
         if len(rows) != d.sink_count or any(len(r) != len(d.surfaces) for r in rows):
@@ -650,82 +670,6 @@ def check_admissible(d: Diagram) -> ValidationReport:
                 Finding("error", f"surface {f.id}",
                         f"genus {f.genus}: admissible surfaces are spheres with holes"))
     return ValidationReport(tuple(findings))
-
-
-def glued_circles(d: Diagram) -> list[GluedCircle]:
-    """Recompute the circle decomposition from strands and pair matchings.
-
-    The result equals d.circles up to relabeling; recomputed cycles adopt
-    the declared circle's id and framing when the cycles agree up to
-    rotation, otherwise fresh ids with framing 0 are issued.
-    """
-    succ: dict[tuple[str, str], tuple[str, str]] = {}
-    starts: dict[tuple[str, str, int], tuple[str, str]] = {}
-    closed = []
-    open_strands = []
-    for p in d.pieces:
-        for s in p.tangle.strands:
-            if s.closed:
-                closed.append((p.id, s.id))
-            else:
-                open_strands.append((p.id, s))
-                starts[(p.id, s.start[0], s.start[1])] = (p.id, s.id)
-    for pid, s in open_strands:
-        wall = (pid, s.end[0])
-        q = wall_of_pair(d, wall)
-        if q is None:
-            raise DiagramError(f"strand {pid}.{s.id} ends on unpaired wall {s.end[0]}")
-        if q.wall_a == wall:
-            target = q.wall_b + (q.matching[s.end[1]],)
-        else:
-            target = q.wall_a + (q.matching.index(s.end[1]),)
-        nxt = starts.get(target)
-        if nxt is None:
-            raise DiagramError(
-                f"strand {pid}.{s.id}: no strand starts at {target} through pair {q.id}")
-        succ[(pid, s.id)] = nxt
-
-    declared = {}
-    for c in d.circles:
-        cyc = tuple(tuple(e) for e in c.strand_cycle)
-        rots = {cyc[k:] + cyc[:k] for k in range(len(cyc))}
-        for r in rots:
-            declared[r] = c
-
-    out = []
-    fresh = 0
-    used = set()
-    for entry in closed:
-        cyc = (entry,)
-        c = declared.get(cyc)
-        if c is not None:
-            out.append(c)
-        else:
-            fresh += 1
-            out.append(GluedCircle(f"g{fresh}", cyc, 0))
-    seen = set()
-    for pid, s in open_strands:
-        key = (pid, s.id)
-        if key in seen:
-            continue
-        cyc = [key]
-        seen.add(key)
-        cur = succ[key]
-        while cur != key:
-            if cur in seen:
-                raise DiagramError(f"strand chain through {cur} does not close")
-            seen.add(cur)
-            cyc.append(cur)
-            cur = succ[cur]
-        cyc = tuple(cyc)
-        c = declared.get(cyc)
-        if c is not None and c.id not in used:
-            used.add(c.id)
-            out.append(c)
-        else:
-            fresh += 1
-            out.append(GluedCircle(f"g{fresh}", cyc, 0))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ from .core import (
     with_tangle,
 )
 from .format import _text, natural_key
-from .invariants import det, linking_matrix, rank, signature, smith_normal_form
+from .invariants import det, linking_matrix, signature, smith_normal_form
 from .tangle import (
     MoveError,
     Strand,
@@ -601,7 +601,7 @@ def _least_walk(d: Diagram):
 @lru_cache(maxsize=4096)
 def canonical_key(d: Diagram) -> str:
     """Serialized canonical form; equal keys certify isomorphic diagrams."""
-    return _least_walk(d)[0]
+    return _least_walk(require_valid(d, "canonical key of an invalid diagram"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +611,14 @@ def canonical_key(d: Diagram) -> str:
 def _congruence_invariants(lm) -> dict:
     m = lm.as_list()
     n = len(m)
+    divisors = tuple(smith_normal_form(m))
     return {
         "size": n,
-        "rank": rank(m) if n else 0,
+        "rank": sum(1 for x in divisors if x),
         "det": det(m),
         "even": all(m[i][i] % 2 == 0 for i in range(n)),
         "signature": signature(m),
-        "divisors": tuple(smith_normal_form(m)),
+        "divisors": divisors,
     }
 
 

@@ -20,7 +20,6 @@ from .core import (
     FramingParallel,
     GluedCircle,
     InternalMaps,
-    Kind,
     KirbyAnnotation,
     Piece,
     SpanningSurface,
@@ -352,10 +351,7 @@ def parse(text: str) -> Diagram:
               tuple(data["walls"]))
         for pid, data in pieces.items())
     maps = None
-    kind_flag = Kind.VECTOR_FIELD
     if imap is not None:
-        kind_flag = Kind.DIFFEOMORPHISM
-
         def resolve(field, ids):
             src = sorted(ids, key=natural_key)
             if imap[field] == "-":
@@ -380,7 +376,6 @@ def parse(text: str) -> Diagram:
         surfaces=tuple(surfaces),
         sink_count=sink_count,
         internal_maps=maps,
-        kind=kind_flag,
         sink_incidence=sink_incidence,
         annotation=annotation,
     )

@@ -109,10 +109,6 @@ def _pivot(m: Matrix, r: int, c: int, best):
     return best
 
 
-def rank(a: Matrix) -> int:
-    return sum(1 for x in smith_normal_form(a) if x != 0)
-
-
 def det(a: Matrix) -> int:
     """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
     n = len(a)
@@ -209,7 +205,6 @@ class ChainComplex:
     d3: Matrix  # circles x surfaces
     d4: Matrix  # surfaces x sinks
     dims: tuple[int, int, int, int, int]
-    labels: tuple[tuple[str, ...], ...] = ((), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -258,9 +253,7 @@ def chain_complex(d: Diagram) -> ChainComplex:
         # surfaces; otherwise both belt points of each surface land on
         # the one sink, or there are no surfaces
         d4 = zeros(n3, n4)
-    return ChainComplex(d1, d2, d3, d4, dims=(n0, n1, n2, n3, n4),
-                        labels=(tuple(pair_ids), tuple(circle_ids), tuple(surface_ids),
-                                tuple(range(n4))))
+    return ChainComplex(d1, d2, d3, d4, dims=(n0, n1, n2, n3, n4))
 
 
 def homology(d: Diagram) -> list[tuple[int, tuple[int, ...]]]:
@@ -322,9 +315,8 @@ class SurgeryPresentation:
     """
 
     circles: tuple[str, ...]
-    framings: tuple[int, ...]
     pairs: tuple[str, ...]
-    linking: tuple[tuple[int, ...], ...]
+    linking: tuple[tuple[int, ...], ...]    # framings on the diagonal
     windings: tuple[tuple[int, ...], ...]   # circles x pairs, signed passages
     tree_pairs: tuple[str, ...]             # spanning forest of the piece graph
     sphere_count: int
@@ -381,7 +373,6 @@ def surgery_presentation(d: Diagram) -> SurgeryPresentation:
         windings.append(tuple(row))
     return SurgeryPresentation(
         circles=lm.circles,
-        framings=tuple(c.framing for c in d.circles),
         pairs=tuple(pair_ids),
         linking=lm.entries,
         windings=tuple(windings),

@@ -151,6 +151,28 @@ def test_endpoint_on_empty_wall_is_invalid(tmp_path):
     assert out.stdout == "error: piece P1/strand S1: endpoint on missing point W1:0\ninvalid\n"
 
 
+@pytest.mark.parametrize("old, new, finding", [
+    ("one_handles=1", "one_handles=3", "one_handles=3 but 1 dotted"),
+    ("dotted=h1", "dotted=zz", "dotted ids must be distinct circles of the diagram"),
+    ("sinks=1", "sinks=2", "sinks=2 but the diagram has 1"),
+])
+def test_edited_kirby_annotation_is_invalid(files, capsys, old, new, finding):
+    # these edits of the reduced s1xs3 made msd invariants print H2 = Z^-2,
+    # H1 = 0 with H2 = Z^-1, and H2 = Z: the counts must agree with the diagram
+    paths, tmp = files
+    reduced = tmp / "s1xs3-kirby.msd"
+    assert cli.main(["reduce", paths["s1xs3"], "-o", str(reduced)]) == 0
+    text = reduced.read_text()
+    assert text.endswith("sinks 1\nannotation one_handles=1 three_handles=1 sinks=1 dotted=h1\n")
+    path = tmp / "edited.msd"
+    path.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"error: annotation: {finding}\ninvalid\n"
+    assert cli.main(["invariants", str(path)]) == 1
+    assert capsys.readouterr().out == f"error: annotation: {finding}\n"
+
+
 def test_usage_error_exit_code(files):
     assert run_cli("frobnicate").returncode == 3
     assert run_cli("validate").returncode == 3

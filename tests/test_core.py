@@ -1,9 +1,11 @@
-"""Diagram model: validation, admissibility, circle recomputation, relabeling."""
+"""Diagram model: validation, admissibility, circle closure, relabeling."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+import helpers
 from msdiagram import catalog
 from msdiagram.core import (
     Diagram,
@@ -18,11 +20,12 @@ from msdiagram.core import (
     check_admissible,
     diagram_linking,
     diagram_writhe,
-    glued_circles,
     handle_counts,
     relabel,
     validate,
 )
+from msdiagram.format import parse, serialize
+from msdiagram.reduction import reduce_pipeline
 from msdiagram.tangle import Strand, TangleCode
 
 
@@ -91,43 +94,19 @@ def test_admissibility_rejects_genus():
     assert "F1" in report.errors()[0].location
 
 
-def test_glued_circles_matches_declared():
-    for name in ("cp2", "s2xs2", "cp2-two-piece"):
-        d = catalog.standard(name)
-        rec = glued_circles(d)
-        assert sorted(c.id for c in rec) == sorted(c.id for c in d.circles)
-        assert sorted(c.framing for c in rec) == sorted(c.framing for c in d.circles)
-        assert sorted(len(c.strand_cycle) for c in rec) == \
-            sorted(len(c.strand_cycle) for c in d.circles)
+def circle_orbits(d):
+    """The strand cycles of d found by brute force, as an oracle for validate.
 
-
-def test_glued_circles_smallest_closure():
-    # one strand, both ends on the two walls of one pair: a length-1 cycle
-    p = Piece("P1", TangleCode(strands=(Strand("S1", start=("W1", 0), end=("W2", 0)),)),
-              walls=(SphereWall("W1", 1), SphereWall("W2", 1)))
-    d = Diagram(pieces=(p,),
-                pairs=(SpherePair("Q1", ("P1", "W1"), ("P1", "W2"), matching=(0,)),),
-                circles=(GluedCircle("c1", (("P1", "S1"),), framing=0),),
-                sink_count=1)
-    assert validate(d).ok, validate(d).errors()
-    rec = glued_circles(d)
-    assert len(rec) == 1 and len(rec[0].strand_cycle) == 1
-
-
-def test_glued_circles_two_strand_cycle():
-    d = catalog.standard("cp2-two-piece")
-    rec = glued_circles(d)
-    assert len(rec) == 1
-    assert len(rec[0].strand_cycle) == 2
-
-    # independent oracle: brute-force successor following
+    A closed strand is a cycle of its own.  An open strand is followed by
+    the strand that starts where its end lands across the end wall's pair.
+    """
     succ = {}
     for p in d.pieces:
         for s in p.tangle.strands:
             if s.closed:
                 continue
-            q = d.pairs[0]
             wall = (p.id, s.end[0])
+            q = next(q for q in d.pairs if wall in (q.wall_a, q.wall_b))
             if q.wall_a == wall:
                 tgt = q.wall_b + (q.matching[s.end[1]],)
             else:
@@ -136,12 +115,151 @@ def test_glued_circles_two_strand_cycle():
                 for s2 in p2.tangle.strands:
                     if not s2.closed and (p2.id, s2.start[0], s2.start[1]) == tgt:
                         succ[(p.id, s.id)] = (p2.id, s2.id)
-    start = ("P1", "S1")
-    steps, cur = 0, succ[start]
-    while cur != start:
-        cur = succ[cur]
-        steps += 1
-    assert steps + 1 == 2
+    orbits = [((p.id, s.id),) for p in d.pieces for s in p.tangle.strands if s.closed]
+    seen = set()
+    for start in succ:
+        if start in seen:
+            continue
+        orbit, cur = [start], succ[start]
+        while cur != start:
+            orbit.append(cur)
+            cur = succ[cur]
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def up_to_rotation(cycles):
+    return sorted(min(c[k:] + c[:k] for k in range(len(c))) for c in cycles)
+
+
+def self_pair_closure():
+    """One strand with its ends on the two walls of one pair: a one-strand cycle."""
+    p = Piece("P1", TangleCode(strands=(Strand("S1", start=("W1", 0), end=("W2", 0)),)),
+              walls=(SphereWall("W1", 1), SphereWall("W2", 1)))
+    return Diagram(pieces=(p,),
+                   pairs=(SpherePair("Q1", ("P1", "W1"), ("P1", "W2"), matching=(0,)),),
+                   circles=(GluedCircle("c1", (("P1", "S1"),), framing=0),),
+                   sink_count=1)
+
+
+def three_piece_ring():
+    """One circle through three pieces in a ring of pairs: a three-strand cycle."""
+    pieces, pairs = [], []
+    for i in range(3):
+        j = (i + 1) % 3
+        pieces.append(Piece(f"P{i + 1}", TangleCode(strands=(
+            Strand(f"S{i + 1}", start=(f"B{i + 1}", 0), end=(f"A{i + 1}", 0)),)),
+            walls=(SphereWall(f"A{i + 1}", 1), SphereWall(f"B{i + 1}", 1))))
+        pairs.append(SpherePair(f"Q{i + 1}", (f"P{i + 1}", f"A{i + 1}"),
+                                (f"P{j + 1}", f"B{j + 1}"), matching=(0,)))
+    return Diagram(pieces=tuple(pieces), pairs=tuple(pairs), circles=(
+        GluedCircle("c1", (("P1", "S1"), ("P2", "S2"), ("P3", "S3")), framing=0),))
+
+
+def circle_corpus():
+    """Valid diagrams whose circles run through pairs in every way the helpers make."""
+    yield from (catalog.standard(name) for name in ALL_NAMES)
+    yield from (catalog.standard(f"n-s1s3({k})") for k in (1, 2, 5))
+    yield self_pair_closure()
+    yield three_piece_ring()
+    for seed in range(100):
+        yield helpers.random_kirby_diagram(random.Random(seed))
+        rng = random.Random(seed)
+        d = helpers.random_multipiece_diagram(rng)
+        yield d
+        yield helpers.plant_cancelling_pair(d, rng)
+
+
+def circle_mutations(d):
+    """d with its declared circles rotated, reversed, split, merged or traded."""
+    cs = d.circles
+    for i, c in enumerate(cs):
+        cyc = c.strand_cycle
+        for new in (cyc[1:] + cyc[:1], cyc[::-1]):
+            yield replace(d, circles=cs[:i] + (replace(c, strand_cycle=new),) + cs[i + 1:])
+        if len(cyc) > 1:
+            halves = (replace(c, strand_cycle=cyc[:1]), replace(c, id="cz", strand_cycle=cyc[1:]))
+            yield replace(d, circles=cs[:i] + halves + cs[i + 1:])
+        for j, c2 in enumerate(cs):
+            if j > i:
+                merged = replace(c, strand_cycle=cyc + c2.strand_cycle)
+                yield replace(d, circles=tuple(
+                    merged if k == i else x for k, x in enumerate(cs) if k != j))
+                traded = (replace(c, strand_cycle=cyc[:-1] + c2.strand_cycle[-1:]),
+                          replace(c2, strand_cycle=c2.strand_cycle[:-1] + cyc[-1:]))
+                yield replace(d, circles=tuple(
+                    traded[0] if k == i else traded[1] if k == j else x
+                    for k, x in enumerate(cs)))
+
+
+def test_glued_circles_matches_declared():
+    # the glued circles, found by following strands across pairs, are the
+    # declared circles
+    for name in ("cp2", "s2xs2", "cp2-two-piece"):
+        d = catalog.standard(name)
+        rec = circle_orbits(d)
+        assert len(rec) == len(d.circles)
+        assert sorted(len(c) for c in rec) == sorted(len(c.strand_cycle) for c in d.circles)
+        assert up_to_rotation(rec) == up_to_rotation(c.strand_cycle for c in d.circles)
+
+
+def test_glued_circles_two_strand_cycle():
+    d = catalog.standard("cp2-two-piece")
+    rec = circle_orbits(d)
+    assert len(rec) == 1
+    assert len(rec[0]) == 2
+    assert up_to_rotation(rec) == up_to_rotation([d.circles[0].strand_cycle])
+
+
+def test_validated_circles_are_the_successor_orbits():
+    # the declared circles are the one circle decomposition: whatever
+    # validate accepts, rearranged or not, follows the strands across pairs
+    accepted = rejected = 0
+    for d in circle_corpus():
+        assert validate(d).ok, validate(d).errors()
+        orbits = up_to_rotation(circle_orbits(d))
+        for v in [d, *circle_mutations(d)]:
+            if validate(v).ok:
+                accepted += 1
+                assert up_to_rotation(c.strand_cycle for c in v.circles) == orbits
+            else:
+                rejected += 1
+    assert accepted > 200 and rejected > 200
+
+
+def test_reversed_circle_does_not_close():
+    # a two-strand cycle read backwards is one of its rotations; from three
+    # strands on, the reversed order skips a pair crossing
+    reversed_long = 0
+    for d in circle_corpus():
+        for i, c in enumerate(d.circles):
+            rev = replace(c, strand_cycle=c.strand_cycle[::-1])
+            report = validate(replace(d, circles=d.circles[:i] + (rev,) + d.circles[i + 1:]))
+            if len(c.strand_cycle) <= 2:
+                assert report.ok, report.errors()
+                continue
+            reversed_long += 1
+            assert any(f.message.startswith("cycle does not close through pair")
+                       for f in report.errors()), report.errors()
+    assert reversed_long
+
+
+@pytest.mark.parametrize("matching, strand", [((0,), "P1.S1"), ((1, 1), "P2.S2")])
+def test_broken_matching_reports_an_open_cycle(matching, strand):
+    # the closure check is the one copy of the across-the-pair rule, so a
+    # matching that is no bijection leaves an open cycle, never a crash
+    d = catalog.standard("cp2-two-piece")
+    d = replace(d, pairs=(replace(d.pairs[0], matching=matching),))
+    assert [f.message for f in validate(d).errors()] == [
+        "matching is not a point bijection",
+        f"cycle does not close through pair Q1 after strand {strand}"]
+
+
+def test_self_pair_closes_a_one_strand_cycle():
+    d = self_pair_closure()
+    assert validate(d).ok, validate(d).errors()
+    assert circle_orbits(d) == [(("P1", "S1"),)]
 
 
 def test_relabel_preserves_verdicts():
@@ -178,22 +296,49 @@ def test_internal_maps_checked():
         GluedCircle("c2", (("P1", "S2"),), framing=5),
     )
     bad = Diagram(pieces=d.pieces, circles=bad_circles, sink_count=1,
-                  internal_maps=d.internal_maps, kind=Kind.DIFFEOMORPHISM)
+                  internal_maps=d.internal_maps)
     report = validate(bad)
     assert not report.ok
     assert any("framing" in f.message for f in report.errors())
 
 
 def test_kind_flag_consistency():
+    # kind is read from the internal maps, when built and when parsed
     d = catalog.standard("s2xs2")
-    assert not validate(
-        Diagram(pieces=d.pieces, circles=d.circles, sink_count=1,
-                kind=Kind.DIFFEOMORPHISM)).ok
     maps = InternalMaps(on_pieces=(("P1", "P1"),),
                         on_circles=(("c1", "c1"), ("c2", "c2")), on_sinks=(0,))
-    assert not validate(
-        Diagram(pieces=d.pieces, circles=d.circles, sink_count=1,
-                internal_maps=maps, kind=Kind.VECTOR_FIELD)).ok
+    diffeo = Diagram(pieces=d.pieces, circles=d.circles, sink_count=1, internal_maps=maps)
+    assert d.kind == Kind.VECTOR_FIELD and validate(d).ok
+    assert diffeo.kind == Kind.DIFFEOMORPHISM and validate(diffeo).ok
+    assert replace(diffeo, internal_maps=None).kind == Kind.VECTOR_FIELD
+    with pytest.raises(TypeError):
+        Diagram(pieces=d.pieces, kind=Kind.DIFFEOMORPHISM)
+    with pytest.raises(AttributeError):
+        diffeo.kind = Kind.VECTOR_FIELD
+    for x, kind in ((d, Kind.VECTOR_FIELD), (diffeo, Kind.DIFFEOMORPHISM)):
+        text = serialize(x)
+        assert ("\nimap " in text) == (kind == Kind.DIFFEOMORPHISM)
+        assert parse(text).kind == kind
+
+
+def test_annotation_must_agree_with_its_diagram():
+    kirby = reduce_pipeline(catalog.standard("s1xs3"))
+    assert validate(kirby).ok
+    ann = kirby.annotation
+    s1xs3 = catalog.standard("s1xs3")
+    for bad, message in (
+        (replace(ann, dotted=("h1", "h1"), one_handles=2), "distinct circles"),
+        (replace(ann, dotted=("zz",)), "distinct circles"),
+        (replace(ann, one_handles=0), "one_handles=0 but 1 dotted"),
+        (replace(ann, sinks=2), "sinks=2 but the diagram has 1"),
+        (replace(ann, three_handles=-1), "three_handles must not be negative"),
+    ):
+        report = validate(replace(kirby, annotation=bad))
+        assert [(f.location, message in f.message) for f in report.errors()] == \
+            [("annotation", True)], report.errors()
+    report = validate(replace(s1xs3, annotation=replace(ann, dotted=(), one_handles=0)))
+    assert [f.message for f in report.errors()] == [
+        "a Kirby-form diagram has no sphere pairs and no surfaces"]
 
 
 def test_surface_wallcurve_matching_enforced():

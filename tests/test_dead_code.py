@@ -7,6 +7,8 @@ wraps in strings).  Conversely, every function the tracer wraps must exist,
 or the traced benchmark run would crash where tier-1 passed.  And every
 private function (a leading underscore, not a dunder) reads each of its
 parameters, its own nested functions included; a method need not read self.
+Every field of every dataclass is read as an attribute somewhere, so no
+stored fact goes unread.
 """
 
 import ast
@@ -55,6 +57,27 @@ def test_no_unused_top_level_definitions():
                     and node.name not in used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, unused
+
+
+def _dataclass_fields(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+                for dec in node.decorator_list):
+            yield from ((node.name, item.target.id) for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read():
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}: {cls}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+              if name not in read]
+    assert not unread, unread
 
 
 def _unread_parameters(tree):

@@ -26,6 +26,7 @@ from helpers import (
 from msdiagram import catalog
 from msdiagram.core import (
     Diagram,
+    DiagramError,
     GluedCircle,
     Piece,
     SpanningSurface,
@@ -33,6 +34,7 @@ from msdiagram.core import (
     validate,
     wall_of_pair,
 )
+from msdiagram.equivalence import _least_walk, canonical_key
 from msdiagram.invariants import smith_normal_form
 from msdiagram.tangle import Strand, TangleCode, code_problems, planarity_problems
 
@@ -45,7 +47,7 @@ def cold(d):
         pieces=tuple(Piece(p.id, TangleCode(p.tangle.crossings, p.tangle.strands), p.walls)
                      for p in d.pieces),
         pairs=d.pairs, circles=d.circles, surfaces=d.surfaces, sink_count=d.sink_count,
-        internal_maps=d.internal_maps, kind=d.kind, sink_incidence=d.sink_incidence,
+        internal_maps=d.internal_maps, sink_incidence=d.sink_incidence,
         annotation=d.annotation)
 
 
@@ -104,6 +106,21 @@ def test_memoised_validation_matches_fresh_run(d, seed):
         assert report.ok == fresh.ok
     assert first[0].ok
     assert not any(r.ok for r in first[1:])
+
+
+def test_canonical_key_refuses_invalid_diagrams():
+    # broken variants once died in the walk (a duplicated piece id, a pair on
+    # missing walls) or got the valid original's key (a strand in no circle
+    # was never walked), though equal keys certify isomorphic diagrams
+    for seed in range(40):
+        rng = random.Random(seed)
+        for d in (random_kirby_diagram(rng),
+                  plant_cancelling_pair(random_multipiece_diagram(rng), rng)):
+            assert canonical_key(d) == _least_walk(d)[0]
+            for v in broken_variants(d, rng):
+                assert not validate(v).ok
+                with pytest.raises(DiagramError, match="canonical key of an invalid diagram"):
+                    canonical_key(v)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from msdiagram.core import (
     FramingParallel,
     GluedCircle,
     InternalMaps,
-    Kind,
     Piece,
     SpanningSurface,
     SphereWall,
@@ -125,7 +124,7 @@ def kinked_map_cycle():
     for sid, sign in (("B", 1), ("C", -1), ("D", -1)):
         code = r1_plus(code, sid, 0, sign)
     return Diagram(
-        pieces=(Piece("P1", code),), sink_count=1, kind=Kind.DIFFEOMORPHISM,
+        pieces=(Piece("P1", code),), sink_count=1,
         circles=tuple(GluedCircle(f"c{i + 1}", (("P1", s),), min(i, 1))
                       for i, s in enumerate("ABCD")),
         internal_maps=InternalMaps(
@@ -435,8 +434,7 @@ def test_internal_maps_verified():
     bad = Diagram(pieces=d.pieces,
                   circles=(GluedCircle("c1", (("P1", "S1"),), 0),
                            GluedCircle("c2", (("P1", "S2"),), 7)),
-                  sink_count=1, internal_maps=d.internal_maps,
-                  kind=Kind.DIFFEOMORPHISM)
+                  sink_count=1, internal_maps=d.internal_maps)
     assert not verify_internal_maps(bad).ok
 
 
@@ -479,8 +477,7 @@ def test_conjugate_no_by_asymmetric_linking():
         internal_maps=InternalMaps(
             on_pieces=(("P1", "P1"),),
             on_circles=(("cA", "cB"), ("cB", "cA"), ("cC", "cC")),
-            on_sinks=(0,)),
-        kind=Kind.DIFFEOMORPHISM)
+            on_sinks=(0,)))
     assert verify_internal_maps(swap).ok
     v = conjugate(ident, swap)
     assert v.no
@@ -549,7 +546,7 @@ def split_unknots_with_cycle(k, shift):
     maps = InternalMaps(on_pieces=(("P1", "P1"),),
                         on_circles=tuple((ids[i], ids[(i + shift) % k]) for i in range(k)),
                         on_sinks=(0,))
-    return replace(d, internal_maps=maps, kind=Kind.DIFFEOMORPHISM)
+    return replace(d, internal_maps=maps)
 
 
 @pytest.mark.parametrize("k", range(4, 11))

@@ -24,7 +24,6 @@ from msdiagram.invariants import (
     homology,
     intersection_form,
     linking_matrix,
-    rank,
     signature,
     smith_normal_form,
     surgered_h1,
@@ -70,7 +69,6 @@ def test_snf_vs_rank_and_det_random():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
         snf = smith_normal_form(a)
-        assert rank(a) == frac_rank(a)
         assert sum(1 for x in snf if x) == frac_rank(a)
         for i in range(len(snf) - 1):
             if snf[i]:
