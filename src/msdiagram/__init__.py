@@ -8,7 +8,6 @@ pipeline to Kirby form, and decides equivalence and conjugacy at desk scale.
 """
 
 from .calculus import (
-    KirbyMove,
     RefusalError,
     apply_move,
     blow_down,
@@ -24,6 +23,7 @@ from .core import (
     InternalMaps,
     Kind,
     KirbyAnnotation,
+    KirbyMove,
     Piece,
     SpanningSurface,
     SpherePair,

@@ -10,21 +10,24 @@ obstruction for definite No answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import (
     Diagram,
     DiagramError,
     FramingParallel,
     GluedCircle,
+    KirbyMove,
     Verdict,
     circle_crossing_sums,
+    closed_strand,
     linking_from_sums,
     require_valid,
     with_tangle,
 )
 from .equivalence import canonical_key
 from .invariants import det, linking_matrix
+from .reduction import _replace_pairs, delete_superfluous, find_superfluous_surface, merge_pieces
 from .tangle import (
     Crossing,
     MoveError,
@@ -34,7 +37,7 @@ from .tangle import (
     arc_gap,
     braid,
     crossing_sign,
-    faces,
+    dart_table,
     fresh_ids,
     is_over,
     other_passage,
@@ -47,14 +50,6 @@ class RefusalError(MoveError):
     """The move's preconditions could not be certified within the budget."""
 
 
-@dataclass(frozen=True)
-class KirbyMove:
-    """One rewriting step; args are ids and small ints, replayable in order."""
-
-    tag: str  # blow-up | blow-down | handle-slide | merge-pieces | delete-surface | replace-pair
-    args: tuple
-
-
 BandSite = tuple  # (piece, (strand1, arc1), (strand2, arc2), orient)
 
 
@@ -64,8 +59,13 @@ BandSite = tuple  # (piece, (strand1, arc1), (strand2, arc2), orient)
 
 def region_count(d: Diagram, pid: str) -> int:
     p = d.piece(pid)
-    _, fs = faces(p.tangle, p.wall_points())
-    return max(len(fs), 1)
+    return max(len(dart_table(p.tangle, p.wall_points()).faces), 1)
+
+
+def _no_internal_maps(d: Diagram) -> None:
+    """Refuse a diffeomorphism diagram: a move would leave its maps stale."""
+    if d.internal_maps is not None:
+        raise MoveError("Kirby moves act on diagrams without internal maps")
 
 
 def blow_up(d: Diagram, piece: str, region: int = 0, sign: int = 1) -> Diagram:
@@ -74,6 +74,7 @@ def blow_up(d: Diagram, piece: str, region: int = 0, sign: int = 1) -> Diagram:
     The region picks a face of the piece's planar code; a split round curve
     is isotopic across every region, so the choice only names the site.
     """
+    _no_internal_maps(d)
     if sign not in (1, -1):
         raise MoveError("blow-up sign must be +1 or -1")
     p = d.piece(piece)
@@ -90,29 +91,29 @@ def blow_up(d: Diagram, piece: str, region: int = 0, sign: int = 1) -> Diagram:
 # blow-down
 
 
-def _single_piece_closed(d: Diagram, cid: str):
-    c = d.circle(cid)
-    if len(c.strand_cycle) != 1:
-        return None
-    pid, sid = c.strand_cycle[0]
-    s = d.piece(pid).tangle.strand(sid)
-    return (pid, s) if s.closed else None
-
-
 def _adjacent_gap(s: Strand, i: int, j: int):
     """The gap index between adjacent visits i and j of a strand, or None."""
     n = len(s.visits)
-    if s.closed:
-        if (i + 1) % n == j:
-            return (i + 1) % n
-        if (j + 1) % n == i:
-            return (j + 1) % n
-        return None
-    if i + 1 == j:
-        return i + 1
-    if j + 1 == i:
-        return j + 1
+    for a, b in ((i, j), (j, i)):
+        if a + 1 == b or (s.closed and (a + 1) % n == b):
+            return (a + 1) % n
     return None
+
+
+def _twist_lanes(code: TangleCode, rot: list, k: int) -> list | None:
+    """The k lanes of a twist region on one rotation of a circle's crossing
+    sequence, or None: its visits i and -1 - i must be a piercing pair, one
+    strand's adjacent visits over and under the circle, of one sign."""
+    lanes = []
+    for i in range(k):
+        xa, (ta, ja, qa) = rot[i]
+        xb, (tb, jb, qb) = rot[-1 - i]
+        gap = _adjacent_gap(code.strand(ta), ja, jb) if ta == tb else None
+        if gap is None or is_over(code, xa, qa) == is_over(code, xb, qb) \
+                or (sign := crossing_sign(code, xa)) != crossing_sign(code, xb):
+            return None
+        lanes.append((ta, frozenset({ja, jb}), gap, sign, (xa, xb)))
+    return lanes
 
 
 def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
@@ -124,20 +125,21 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
     Framings of the remaining circles drop by framing * lk^2 and the strands
     receive a compensating full twist.
     """
+    _no_internal_maps(d)
     c = d.circle(cid)
     if c.framing not in (1, -1):
         raise RefusalError(f"circle {cid} has framing {c.framing}, need +1 or -1")
     if any(isinstance(i, FramingParallel) and i.circle == cid
            for f in d.surfaces for i in f.boundary):
         raise RefusalError(f"circle {cid} carries surface boundary")
-    loc = _single_piece_closed(d, cid)
+    loc = closed_strand(d, cid)
     if loc is None:
         raise RefusalError(f"circle {cid} is not a closed curve inside one piece")
     pid, _ = loc
     p = d.piece(pid)
     code, _ = simplify_with_log(p.tangle, p.wall_points(), budget)
     d = with_tangle(d, pid, code)
-    pid, s = _single_piece_closed(d, cid)
+    pid, s = closed_strand(d, cid)
     code = d.piece(pid).tangle
 
     seq = []
@@ -145,46 +147,18 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
         other = other_passage(code, x, port)
         if other[0] == s.id:
             raise RefusalError(f"circle {cid} still crosses itself after reduction")
-        seq.append((x, port, other))
+        seq.append((x, other))
     m = len(seq)
 
     sums = circle_crossing_sums(d, [o.id for o in d.circles])
     lk_before = {o.id: linking_from_sums(sums, cid, o.id) for o in d.circles if o.id != cid}
 
-    if m == 0:
-        out = with_tangle(d, pid, replace(
-            code, strands=tuple(st for st in code.strands if st.id != s.id)))
-        return replace(out, circles=tuple(o for o in out.circles if o.id != cid))
-
     if m % 2 != 0:
         raise RefusalError(f"circle {cid} carries an odd crossing pattern")
     k = m // 2
-    plan = None
-    for r in range(m):
-        rot = seq[r:] + seq[:r]
-        lanes = []
-        ok = True
-        for i in range(k):
-            xa, pa, (ta, ja, qa) = rot[i]
-            xb, pb, (tb, jb, qb) = rot[m - 1 - i]
-            if ta != tb:
-                ok = False
-                break
-            gap = _adjacent_gap(code.strand(ta), ja, jb)
-            if gap is None:
-                ok = False
-                break
-            if is_over(code, xa, qa) == is_over(code, xb, qb):
-                ok = False  # not a piercing pair
-                break
-            sa, sb = crossing_sign(code, xa), crossing_sign(code, xb)
-            if sa != sb:
-                ok = False
-                break
-            lanes.append((ta, frozenset({ja, jb}), gap, sa, (xa, xb)))
-        if ok:
-            plan = lanes
-            break
+    # a crossingless circle has one, empty, plan
+    plan = next((lanes for r in range(max(m, 1))
+                 if (lanes := _twist_lanes(code, seq[r:] + seq[:r], k)) is not None), None)
     if plan is None:
         raise RefusalError(
             f"strands through {cid} do not sit in a single twist region")
@@ -286,6 +260,7 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     parallel follows c2 with its framing realized by explicit twists.
     Framing update: f1 + f2 + 2 * orient * lk(c1, c2).
     """
+    _no_internal_maps(d)
     if c1 == c2:
         raise MoveError("cannot slide a circle over itself")
     pid, (s1id, arc1), (s2id, arc2), orient = band
@@ -294,7 +269,7 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     circ1, circ2 = d.circle(c1), d.circle(c2)
     if (pid, s1id) not in {tuple(e) for e in circ1.strand_cycle}:
         raise MoveError(f"strand {s1id} does not belong to circle {c1}")
-    loc2 = _single_piece_closed(d, c2)
+    loc2 = closed_strand(d, c2)
     if loc2 is None or loc2[0] != pid or loc2[1].id != s2id:
         raise RefusalError(
             f"circle {c2} must be a closed curve in piece {pid} to be copied")
@@ -319,11 +294,11 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
         side = -1 if f2 else 1
         if (f1 == f2) != (orient == 1):
             kink = (1, 1) if f1 else (3, 1)
-    out = require_valid(_slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink),
-                        "slide broke the diagram", MoveError)
+    out = _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink)
     new_f1 = circ1.framing + circ2.framing + 2 * orient * lk12
-    return replace(out, circles=tuple(
-        replace(c, framing=new_f1) if c.id == c1 else c for c in out.circles))
+    return require_valid(replace(out, circles=tuple(
+        replace(c, framing=new_f1) if c.id == c1 else c for c in out.circles)),
+        "slide broke the diagram", MoveError)
 
 
 def _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink):
@@ -383,19 +358,13 @@ def apply_move(d: Diagram, move: KirbyMove) -> Diagram:
         c1, c2, band = move.args
         return handle_slide(d, c1, c2, band)
     if move.tag == "merge-pieces":
-        from .reduction import merge_pieces
-
         return merge_pieces(d, move.args[0])
     if move.tag == "delete-surface":
-        from .reduction import delete_superfluous, find_superfluous_surface
-
         found = find_superfluous_surface(d)
         if found is None or found[0] != move.args[0]:
             raise MoveError(f"surface {move.args[0]} is not deletable here")
         return delete_superfluous(d, *found)
     if move.tag == "replace-pair":
-        from .reduction import _replace_pairs
-
         out, (cid,) = _replace_pairs(d, [d.pair(move.args[0])])
         if cid != move.args[1]:
             raise MoveError(f"replayed surrogate id {cid} != logged {move.args[1]}")
@@ -407,11 +376,12 @@ def _slide_candidates(d: Diagram, cap: int = 6):
     """A bounded, deterministically ordered set of (handle slide, child) pairs."""
     out = []
     for circ2 in d.circles:
-        loc2 = _single_piece_closed(d, circ2.id)
+        loc2 = closed_strand(d, circ2.id)
         if loc2 is None:
             continue
         pid, s2 = loc2
         p = d.piece(pid)
+        walls = p.wall_points()
         for circ1 in d.circles:
             if circ1.id == circ2.id:
                 continue
@@ -419,15 +389,11 @@ def _slide_candidates(d: Diagram, cap: int = 6):
                 if sp != pid:
                     continue
                 s1 = p.tangle.strand(s1id)
-                found = None
-                for a1 in range(s1.arc_count()):
-                    for a2 in range(s2.arc_count()):
-                        if _shared_face(p.tangle, (s1id, a1), (s2.id, a2),
-                                        p.wall_points()) is not None:
-                            found = (a1, a2)
-                            break
-                    if found:
-                        break
+                # the first band site in arc order
+                found = next(((a1, a2) for a1 in range(s1.arc_count())
+                              for a2 in range(s2.arc_count())
+                              if _shared_face(p.tangle, (s1id, a1), (s2.id, a2), walls)
+                              is not None), None)
                 if found is None:
                     continue
                 for orient in (1, -1):
@@ -471,18 +437,21 @@ def recognize_s3(d: Diagram, depth: int = 3) -> Verdict:
     Yes comes with a move log reaching the empty diagram; No carries the
     determinant obstruction (|det| != 1 survives every move, so H1 of the
     surgered manifold is nontrivial); Unknown reports the exhausted depth.
+    A diffeomorphism diagram is searched without its internal maps: the
+    framed link alone presents the manifold, and the moves refuse maps.
     """
     if d.pairs or d.surfaces:
         raise DiagramError("the recognizer needs a diagram without sphere "
                            "pairs and surfaces")
     require_valid(d, "invalid diagram")
+    if d.internal_maps is not None:
+        d = replace(d, internal_maps=None)
     if d.circles:
         matrix = linking_matrix(d).as_list()
         determinant = det(matrix)
         if abs(determinant) != 1:
-            return Verdict.make_no(
-                f"|det| = {abs(determinant)}",
-                "the surgered manifold has nontrivial first homology")
+            return Verdict("No", f"|det| = {abs(determinant)}",
+                           "the surgered manifold has nontrivial first homology")
 
     def dfs(node: Diagram, remaining: int, table: dict):
         if not node.circles:
@@ -503,5 +472,5 @@ def recognize_s3(d: Diagram, depth: int = 3) -> Verdict:
     for dmax in range(depth + 1):
         found = dfs(d, dmax, {})
         if found is not None:
-            return Verdict.make_yes(found, f"empty diagram reached in {len(found)} moves")
-    return Verdict.make_unknown(depth, "move search exhausted the depth budget")
+            return Verdict("Yes", found, f"empty diagram reached in {len(found)} moves")
+    return Verdict("Unknown", depth, "move search exhausted the depth budget")

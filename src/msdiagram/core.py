@@ -23,6 +23,10 @@ caches its walls by id.  So no fact can go stale, and since cached
 properties live in the instance __dict__ and are no dataclass fields,
 equality, hashing and dataclasses.replace ignore them: a replaced diagram
 starts cold.
+
+Beside the diagram this module holds the records every layer shares: the
+Verdict of a semi-decision and the KirbyMove of a move log.  closed_strand
+is the one test for a circle that is a single closed strand of one piece.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .tangle import (
     crossing_sums,
     first_by_id,
     planarity_problems,
+    simplify_with_log,
 )
 
 
@@ -251,17 +256,13 @@ class Verdict:
     def unknown(self) -> bool:
         return self.value == "Unknown"
 
-    @staticmethod
-    def make_yes(witness, detail: str = "") -> "Verdict":
-        return Verdict("Yes", witness, detail)
 
-    @staticmethod
-    def make_no(witness, detail: str = "") -> "Verdict":
-        return Verdict("No", witness, detail)
+@dataclass(frozen=True)
+class KirbyMove:
+    """One rewriting step; args are ids and small ints, replayable in order."""
 
-    @staticmethod
-    def make_unknown(budget, detail: str = "") -> "Verdict":
-        return Verdict("Unknown", budget, detail)
+    tag: str  # blow-up | blow-down | handle-slide | merge-pieces | delete-surface | replace-pair
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -317,6 +318,16 @@ def circle_passages(d: Diagram, cid: str) -> list[tuple[str, int]]:
             raise DiagramError(f"circle {cid}: strand {sid} ends on unpaired wall {wall}")
         out.append((q.id, 1 if q.wall_a == wall else -1))
     return out
+
+
+def closed_strand(d: Diagram, cid: str) -> tuple[str, Strand] | None:
+    """(piece id, strand) when circle cid is one closed strand of one piece, else None."""
+    cycle = d.circle(cid).strand_cycle
+    if len(cycle) != 1:
+        return None
+    pid, sid = cycle[0]
+    s = d.piece(pid).tangle.strand(sid)
+    return (pid, s) if s.closed else None
 
 
 def handle_counts(d: Diagram) -> tuple[int, int, int, int, int]:
@@ -726,8 +737,6 @@ def simplify_diagram(d: Diagram, budget: int = 10000) -> tuple[Diagram, list[tup
     Returns the reduced diagram and the applied moves as (piece id, move)
     records.  Strand and circle identities survive; only crossings go away.
     """
-    from .tangle import simplify_with_log
-
     moves: list[tuple[str, object]] = []
     pieces = []
     for p in d.pieces:

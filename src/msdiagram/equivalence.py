@@ -61,6 +61,7 @@ from .core import (
     WallCurve,
     circle_crossing_sums,
     circle_passages,
+    closed_strand,
     endpoint_usage,
     handle_counts,
     linking_from_sums,
@@ -77,6 +78,7 @@ from .tangle import (
     Strand,
     apply_rmove,
     crossing_sign,
+    find_root,
     is_over,
     other_passage,
     split_passages,
@@ -134,9 +136,8 @@ def _reverse_strand(s: Strand) -> Strand:
 
 def _effective_cycle(d: Diagram, cid: str, direction: int, rot: int):
     """The circle's strands in traversal order after direction/start choices."""
-    c = d.circle(cid)
-    strands = [(pid, d.piece(pid).tangle.strand(sid)) for pid, sid in c.strand_cycle]
-    single_closed = len(strands) == 1 and strands[0][1].closed
+    strands = [(pid, d.piece(pid).tangle.strand(sid)) for pid, sid in d.circle(cid).strand_cycle]
+    single_closed = closed_strand(d, cid) is not None
     if direction:
         strands = [(pid, _reverse_strand(s)) for pid, s in reversed(strands)]
     if single_closed:
@@ -216,13 +217,8 @@ def _colours(d: Diagram, oriented: bool = False) -> dict[tuple[str, str], int]:
 
 
 def _rotation_count(d: Diagram, cid: str) -> int:
-    c = d.circle(cid)
-    if len(c.strand_cycle) == 1:
-        pid, sid = c.strand_cycle[0]
-        s = d.piece(pid).tangle.strand(sid)
-        if s.closed:
-            return max(len(s.visits), 1)
-    return len(c.strand_cycle)
+    loc = closed_strand(d, cid)
+    return max(len(loc[1].visits), 1) if loc else len(d.circle(cid).strand_cycle)
 
 
 def _local_signature(d: Diagram, keys, member, cid, direction):
@@ -282,11 +278,8 @@ def _planner(d: Diagram):
             cid = member[pid, sid]
             if cid not in planned:
                 planned.add(cid)
-                cycle = d.circle(cid).strand_cycle
-                if len(cycle) == 1 and d.piece(pid).tangle.strand(sid).closed:
-                    n, i = _rotation_count(d, cid), visit
-                else:
-                    n, i = len(cycle), cycle.index((pid, sid))
+                n = _rotation_count(d, cid)
+                i = visit if closed_strand(d, cid) else d.circle(cid).strand_cycle.index((pid, sid))
                 plan.append((cid, 0, i) if forward else (cid, 1, n - 1 - i))
 
         def touch(pid, pt):
@@ -576,17 +569,10 @@ def _least_walk(d: Diagram):
     if not firsts:
         return (*_walk(d, ()), ())
     parent = {f: f for f in firsts}
-
-    def find(f):
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
     walked = []      # variants in plan order
     first_plan = {}  # text -> plan of its first walk
     for f in firsts:
-        if find(f) in {find(v[2][0]) for v in walked}:
+        if find_root(parent, f) in {find_root(parent, v[2][0]) for v in walked}:
             continue
         plan = discover(f)
         walked.append((*_walk(d, plan), plan))
@@ -594,7 +580,7 @@ def _least_walk(d: Diagram):
             # an automorphism keeps ranks, so it maps tied starts onto tied starts
             image = _start_image(d, first_plan[walked[-1][0]], plan)
             for g in firsts:
-                parent[find(g)] = find(image(g))
+                parent[find_root(parent, g)] = find_root(parent, image(g))
     return min(walked, key=lambda v: v[0])
 
 
@@ -716,7 +702,7 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
     sep = separating_invariant(d1, d2)
     mirror_sep = separating_invariant(d1, mirror(d2)) if allow_mirror else "disabled"
     if sep is not None and mirror_sep is not None:
-        return Verdict.make_no(sep, f"separated by {sep}")
+        return Verdict("No", sep, f"separated by {sep}")
 
     targets = []
     if sep is None:
@@ -725,11 +711,11 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
         targets.append((mirror(d2), True))
     iso = _witness(d1, targets, budget)
     if iso is not None:
-        return Verdict.make_yes(iso, "canonical forms coincide"
-                                + (" after mirroring" if iso.mirror else ""))
+        return Verdict("Yes", iso, "canonical forms coincide"
+                       + (" after mirroring" if iso.mirror else ""))
     if sep is not None:
-        return Verdict.make_no(sep, f"separated by {sep}")
-    return Verdict.make_unknown(budget, "no witness within the Reidemeister budget")
+        return Verdict("No", sep, f"separated by {sep}")
+    return Verdict("Unknown", budget, "no witness within the Reidemeister budget")
 
 
 def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
@@ -842,7 +828,7 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
                                "valid internal maps")
     sep = separating_invariant(d1, d2)
     if sep is not None:
-        return Verdict.make_no(sep, f"underlying diagrams separated by {sep}")
+        return Verdict("No", sep, f"underlying diagrams separated by {sep}")
     i1, i2 = d1.internal_maps, d2.internal_maps
     k1, k2 = _colours(d1), _colours(d2)
 
@@ -858,13 +844,13 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
                               ("sinks", None, dict(enumerate(i1.on_sinks)),
                                dict(enumerate(i2.on_sinks)))):
         if cycle_types(f1, k1, tag) != cycle_types(f2, k2, tag):
-            return Verdict.make_no(
-                f"commutation on {name}",
+            return Verdict(
+                "No", f"commutation on {name}",
                 f"exhaustive: no invariant-respecting bijection of the {name} "
                 f"commutes with the internal maps")
     # separating_invariant validated both diagrams (linking_matrix requires it)
     iso = _witness(d1, [(d2, False)], budget)
     if iso is not None:
-        return Verdict.make_yes(iso, "equivalence witness commuting with the internal maps")
-    return Verdict.make_unknown(budget, "a commuting invariant-respecting bijection exists "
-                                        "but no realizable witness was found")
+        return Verdict("Yes", iso, "equivalence witness commuting with the internal maps")
+    return Verdict("Unknown", budget, "a commuting invariant-respecting bijection exists "
+                                      "but no realizable witness was found")

@@ -21,6 +21,7 @@ from .core import (
     GluedCircle,
     InternalMaps,
     KirbyAnnotation,
+    KirbyMove,
     Piece,
     SpanningSurface,
     SpherePair,
@@ -431,8 +432,6 @@ def serialize_moves(moves) -> str:
 
 def parse_moves(text: str):
     """Inverse of serialize_moves; raises ParseError at the first malformed record."""
-    from .calculus import KirbyMove
-
     parser = _Parser(text)
     moves = []
     for lineno, tokens in parser.records:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     Diagram,
@@ -25,6 +26,7 @@ from .core import (
     linking_from_sums,
     require_valid,
 )
+from .tangle import find_root
 
 Matrix = list[list[int]]
 
@@ -83,7 +85,6 @@ def smith_normal_form(a: Matrix) -> list[int]:
         for k in range(len(diag) - 1):
             a_, b_ = diag[k], diag[k + 1]
             if b_ % a_ != 0:
-                from math import gcd
                 g = gcd(a_, b_)
                 diag[k], diag[k + 1] = g, a_ * b_ // g
                 changed = True
@@ -256,19 +257,21 @@ def chain_complex(d: Diagram) -> ChainComplex:
     return ChainComplex(d1, d2, d3, d4, dims=(n0, n1, n2, n3, n4))
 
 
+def _rank_torsion(a: Matrix) -> tuple[int, tuple[int, ...]]:
+    """The rank of a and its torsion coefficients, read off its Smith divisors."""
+    snf = smith_normal_form(a)
+    return sum(1 for x in snf if x), tuple(x for x in snf if x > 1)
+
+
 def homology(d: Diagram) -> list[tuple[int, tuple[int, ...]]]:
     """Integral homology (betti, torsion coefficients) in degrees 0..4."""
     cx = chain_complex(d)
     n = cx.dims
-    boundary = [zeros(0, n[0]), cx.d1, cx.d2, cx.d3, cx.d4, zeros(n[4], 0)]
     out = []
-    rank_out = 0  # rank of boundary[k]: the previous degree's rank_in
-    for k in range(5):
-        snf_in = smith_normal_form(boundary[k + 1])
-        rank_in = sum(1 for x in snf_in if x)
-        betti = n[k] - rank_out - rank_in
-        torsion = tuple(x for x in snf_in if x > 1)
-        out.append((betti, torsion))
+    rank_out = 0  # rank of the boundary out of degree k: the previous rank_in
+    for k, boundary_in in enumerate((cx.d1, cx.d2, cx.d3, cx.d4, [])):
+        rank_in, torsion = _rank_torsion(boundary_in)
+        out.append((n[k] - rank_out - rank_in, torsion))
         rank_out = rank_in
     return out
 
@@ -334,28 +337,16 @@ class SurgeryPresentation:
         return rows
 
     def h1(self) -> tuple[int, tuple[int, ...]]:
-        gens = len(self.circles) + len(self.pairs)
-        rel = self.relation_matrix()
-        if not rel:
-            return gens, ()
-        snf = smith_normal_form(rel)
-        r = sum(1 for x in snf if x)
-        return gens - r, tuple(x for x in snf if x > 1)
+        r, torsion = _rank_torsion(self.relation_matrix())
+        return len(self.circles) + len(self.pairs) - r, torsion
 
 
 def _spanning_forest(d: Diagram) -> list[str]:
     """Pair ids forming a spanning forest of the piece graph."""
     parent: dict[str, str] = {p.id: p.id for p in d.pieces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree = []
     for q in d.pairs:
-        a, b = find(q.wall_a[0]), find(q.wall_b[0])
+        a, b = find_root(parent, q.wall_a[0]), find_root(parent, q.wall_b[0])
         if a != b:
             parent[a] = b
             tree.append(q.id)
@@ -404,13 +395,7 @@ def annotated_homology(d: Diagram) -> list[tuple[int, tuple[int, ...]]]:
     lm = linking_matrix(d)
     dotted_idx = [i for i, c in enumerate(lm.circles) if c in dotted]
     handle_idx = [i for i, c in enumerate(lm.circles) if c not in dotted]
-    rel = [[lm.entries[i][j] for j in dotted_idx] for i in handle_idx]
-    if rel and rel[0]:
-        snf = smith_normal_form(rel)
-        r = sum(1 for x in snf if x)
-        torsion = tuple(x for x in snf if x > 1)
-    else:
-        snf, r, torsion = [], 0, ()
+    r, torsion = _rank_torsion([[lm.entries[i][j] for j in dotted_idx] for i in handle_idx])
     b1 = len(dotted_idx) - r
     chi = (1 - ann.one_handles + (len(lm.circles) - len(dotted_idx))
            - ann.three_handles + ann.sinks)

@@ -13,17 +13,18 @@ from collections.abc import Iterator
 from dataclasses import replace
 from itertools import count
 
-from .calculus import KirbyMove
 from .core import (
     Diagram,
     DiagramError,
     FramingParallel,
     GluedCircle,
     KirbyAnnotation,
+    KirbyMove,
     Piece,
     SpherePair,
     WallCurve,
     check_admissible,
+    closed_strand,
     require_valid,
 )
 from .tangle import (
@@ -494,8 +495,7 @@ def _cancel_keeps_validity(d: Diagram, circle_id: str) -> bool:
     a wall point the circle ended on, a sink incidence column, or an
     internal map naming the deleted handles.
     """
-    (pid, sid), *rest = d.circle(circle_id).strand_cycle
-    return (not rest and d.piece(pid).tangle.strand(sid).closed
+    return (closed_strand(d, circle_id) is not None
             and d.sink_incidence is None and d.internal_maps is None)
 
 
@@ -513,13 +513,16 @@ def to_kirby(d: Diagram, log: list | None = None) -> Diagram:
     surrogate ids (so the presented manifold's invariants stay computable).
     All pairs are spliced in one sweep, in sorted pair id order, and each
     connector is pierced at its wall_a end.  The input and the Kirby form
-    are validated.
+    are validated.  A diagram already in Kirby form, with an annotation, is
+    returned as it is: validated, it has no pairs and no surfaces left.
     """
     if len(d.pieces) != 1:
         raise DiagramError("Kirby form needs a single-piece diagram")
     adm = check_admissible(d)  # carries every validate error
     if not adm.ok:
         raise DiagramError(f"not admissible: {adm.errors()[0].message}")
+    if d.annotation is not None:
+        return d
     if any(isinstance(i, WallCurve) for f in d.surfaces for i in f.boundary):
         raise DiagramError("wall curves must be merged away before Kirby form")
     pairs = sorted(d.pairs, key=lambda q: q.id)

@@ -19,14 +19,17 @@ the slide puts the parallel left with no kink.
 
 A planar code is a combinatorial map: the dart table (_darts) maps each
 dart to the next along its face, and faces are the orbits.  R2 bigons,
-R3 triangles and the planarity count are read from it; only faces(), for
-its public callers and _shared_face, and strand_arcs build Arc records.
+R3 triangles, the planarity count and the face two arcs share
+(_shared_face) are read from it; only faces(), for its public callers, and
+strand_arcs build Arc records.  R1- and R2- drop the crossings they find
+with every visit to them (_drop), so greedy reduction applies a site
+without locating it again.
 
 A TangleCode is immutable: every edit builds a new code.  Each fact derived
 from a code is a cached property of its own, built on first read: the
 crossing and the strand id maps, the passage split with the crossing signs,
-and one memo of the code problems and, per wall set, the dart table, the
-faces and their planarity problems.  A code that only traces faces never
+and one memo of the code problems, the arc index and, per wall set, the
+dart table, the faces and their planarity problems.  A code that only traces faces never
 builds its passage split.  Nothing stored is ever changed afterwards; the
 memo only gains entries.  So no fact can go stale, and since cached
 properties live in the instance __dict__ and are no dataclass fields,
@@ -122,9 +125,10 @@ class TangleCode:
 
     @cached_property
     def _memo(self) -> dict:
-        # "problems" -> code problems; ("darts", walls) -> dart table or None;
-        # ("faces", walls) -> (arcs, faces), filled on success only;
-        # ("planarity", walls) -> planarity problems; walls as sorted items
+        # "problems" -> code problems; "arcs" -> arc index by (strand, index);
+        # ("darts", walls) -> dart table or None; ("faces", walls) -> (arcs,
+        # faces), filled on success only; ("planarity", walls) -> planarity
+        # problems; walls as sorted items
         return {}
 
     def crossing(self, cid: str) -> Crossing:
@@ -338,7 +342,7 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
     memo = code._memo
     key = ("faces", tuple(sorted(walls.items())))
     if key not in memo:
-        table = _darts(code, walls) or _dart_table(code, walls)
+        table = dart_table(code, walls)
         arcs = tuple(Arc(sid, k, table.sites[2 * i], table.sites[2 * i + 1])
                      for i, (sid, k) in enumerate(_arc_refs(code)))
         memo[key] = arcs, tuple(tuple((d >> 1, not d & 1) for d in f) for f in table.faces)
@@ -349,20 +353,30 @@ class _DartTable:
     """Dart 2k runs arc k forward from its tail, dart 2k + 1 backward from its head.
 
     sites[d] is where dart d leaves, at maps a site to the dart leaving it,
-    succ[d] is the dart after d along its face, and faces, the orbits of
-    succ, is traced on first read.  Slotted: validation keeps one per piece.
+    succ[d] is the dart after d along its face.  faces, the orbits of succ,
+    is traced on first read, and face_of[d], the face of dart d, is built
+    from it on its own first read.  Slotted: validation keeps one per piece.
     """
 
-    __slots__ = ("sites", "succ", "at", "_faces")
+    __slots__ = ("sites", "succ", "at", "_faces", "_face_of")
 
     def __init__(self, sites: list[Site], succ: list[int], at: dict[Site, int]):
-        self.sites, self.succ, self.at, self._faces = sites, succ, at, None
+        self.sites, self.succ, self.at, self._faces, self._face_of = sites, succ, at, None, None
 
     @property
     def faces(self) -> list[list[int]]:
         if self._faces is None:
             self._faces = _trace_faces(self.succ)
         return self._faces
+
+    @property
+    def face_of(self) -> list[list[int]]:
+        if self._face_of is None:
+            self._face_of = [[]] * len(self.succ)
+            for f in self.faces:
+                for d in f:
+                    self._face_of[d] = f
+        return self._face_of
 
 
 def _darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable | None:
@@ -371,13 +385,20 @@ def _darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable | None:
     key = ("darts", tuple(sorted(walls.items())))
     if key not in memo:
         try:
-            memo[key] = _dart_table(code, walls)
+            memo[key] = _build_darts(code, walls)
         except MoveError:
             memo[key] = None
     return memo[key]
 
 
-def _dart_table(code: TangleCode, walls: Mapping[str, int]):
+def dart_table(code: TangleCode, walls: Mapping[str, int] | None = None) -> _DartTable:
+    """The memoised dart table of code with walls; raises the MoveError of a
+    face trace that fails."""
+    walls = walls or {}
+    return _darts(code, walls) or _build_darts(code, walls)
+
+
+def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
     sites = [site for s in code.strands for site in _strand_sites(s)]
     at: dict[Site, int] = dict(zip(sites, range(len(sites))))
     if len(at) < len(sites):
@@ -443,7 +464,7 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
 
 def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]:
     try:
-        table = _darts(code, walls) or _dart_table(code, walls)
+        table = dart_table(code, walls)
     except MoveError as e:
         return [f"broken attachment structure: {e}"]
     sites, succ = table.sites, table.succ
@@ -452,15 +473,9 @@ def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]
     nodes: dict[tuple, int] = {}
     ends = [nodes.setdefault(site[:-1], len(nodes)) for site in sites]
     parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     components = len(nodes)
     for k in range(0, len(ends), 2):
-        u, v = find(ends[k]), find(ends[k + 1])
+        u, v = find_root(parent, ends[k]), find_root(parent, ends[k + 1])
         if u != v:
             parent[u] = v
             components -= 1
@@ -481,40 +496,44 @@ def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]
         return []
     comps: dict[int, list] = {}
     for k in range(0, len(ends), 2):
-        c = comps.setdefault(find(ends[k]), [set(), 0, 0])
+        c = comps.setdefault(find_root(parent, ends[k]), [set(), 0, 0])
         c[0].update((sites[k][:-1], sites[k + 1][:-1]))
         c[1] += 1
     for f in table.faces:
-        comps[find(ends[f[0] & ~1])][2] += 1
+        comps[find_root(parent, ends[f[0] & ~1])][2] += 1
     return [f"component at {min(ns)}: V-E+F = {len(ns)}-{e}+{nf} != 2"
             for ns, e, nf in comps.values() if len(ns) - e + nf != 2]
+
+
+def find_root(parent, x):
+    """The root of x in a union-find forest, parent a list or a dict of
+    parents; the path from x is halved on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 # ---------------------------------------------------------------------------
 # editing helpers
 
 
-def _edit(code: TangleCode, strand_visits: dict[str, tuple[Visit, ...]] | None = None,
-          drop: Iterable[str] = (), add: Iterable[Crossing] = ()) -> TangleCode:
-    drop = set(drop)
-    strand_visits = strand_visits or {}
+def _edit(code: TangleCode, strand_visits: dict[str, tuple[Visit, ...]],
+          add: Iterable[Crossing] = ()) -> TangleCode:
     strands = tuple(
         replace(s, visits=strand_visits[s.id]) if s.id in strand_visits else s
         for s in code.strands
     )
-    crossings = tuple(c for c in code.crossings if c.id not in drop) + tuple(add)
-    return TangleCode(crossings=crossings, strands=strands)
+    return TangleCode(crossings=code.crossings + tuple(add), strands=strands)
 
 
-def _adjacent_pairs(s: Strand):
-    """Adjacent visit index pairs (i, j) along the strand, cyclic when closed."""
-    n = len(s.visits)
-    if n < 2:
-        return []
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    if s.closed:
-        pairs.append((n - 1, 0))
-    return pairs
+def _drop(code: TangleCode, crossings: Container[str]) -> TangleCode:
+    """code without the given crossings and every visit to them."""
+    return TangleCode(
+        crossings=tuple(c for c in code.crossings if c.id not in crossings),
+        strands=tuple(
+            replace(s, visits=tuple(v for v in s.visits if v[0] not in crossings))
+            if any(v[0] in crossings for v in s.visits) else s
+            for s in code.strands))
 
 
 def arc_gap(s: Strand, arc_index: int) -> int:
@@ -620,21 +639,20 @@ def braid_closure(word: Iterable[tuple[int, int]], n: int,
 
 
 def find_r1_minus(code: TangleCode) -> list[str]:
-    """Crossings removable by an R1 move: both passages are adjacent visits of one strand."""
-    out = []
+    """Crossings removable by an R1 move: both passages are adjacent visits of
+    one strand, cyclically when it is closed."""
+    out = set()
     for s in code.strands:
-        for i, j in _adjacent_pairs(s):
-            if s.visits[i][0] == s.visits[j][0]:
-                out.append(s.visits[i][0])
-    return sorted(set(out))
+        v = s.visits
+        after = v[1:] + v[:1] if s.closed and len(v) > 1 else v[1:]
+        out.update(a[0] for a, b in zip(v, after) if a[0] == b[0])
+    return sorted(out)
 
 
 def r1_minus(code: TangleCode, cid: str) -> TangleCode:
-    for s in code.strands:
-        for i, j in _adjacent_pairs(s):
-            if s.visits[i][0] == cid and s.visits[j][0] == cid:
-                return _edit(code, {s.id: splice(s.visits, (), {i, j})}, drop=[cid])
-    raise MoveError(f"no R1 kink at crossing {cid}")
+    if cid not in find_r1_minus(code):
+        raise MoveError(f"no R1 kink at crossing {cid}")
+    return _drop(code, {cid})
 
 
 def find_r2_minus(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[tuple[str, str]]:
@@ -672,19 +690,7 @@ def r2_minus(code: TangleCode, x: str, y: str,
     darts = [at[site] for site in (("x", x, p) for p in range(4)) if site in at]
     if (min(x, y), max(x, y)) not in {_r2_pair(code, table, d) for d in darts}:
         raise MoveError(f"no R2 bigon at crossings {x}, {y}")
-    edits: dict[str, set[int]] = {}
-    for s in code.strands:
-        for i, j in _adjacent_pairs(s):
-            ci, cj = s.visits[i][0], s.visits[j][0]
-            if {ci, cj} == {x, y}:
-                got = edits.setdefault(s.id, set())
-                if not ({i, j} & got):
-                    got.update({i, j})
-    removed = sum(len(v) for v in edits.values())
-    if removed != 4:
-        raise MoveError(f"R2 pattern at {x}, {y} is degenerate")
-    new_visits = {sid: splice(code.strand(sid).visits, (), idx) for sid, idx in edits.items()}
-    return _edit(code, new_visits, drop=[x, y])
+    return _drop(code, {x, y})
 
 
 def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
@@ -699,11 +705,22 @@ def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
     sa, sb = code.strand(a[0]), code.strand(b[0])
     if (sa.closed and not sa.visits) or (sb.closed and not sb.visits):
         return ()
-    arcs, fs = faces(code, walls)
-    keys = {(x.strand, x.index): i for i, x in enumerate(arcs)}
-    ia, ib = keys.get(tuple(a)), keys.get(tuple(b))
-    found = [(fa, fb) for f in fs for i, fa in f if i == ia for j, fb in f if j == ib]
+    face_of = dart_table(code, walls).face_of
+    ia, ib = _arc_number(code, a), _arc_number(code, b)
+    if ia is None or ib is None:
+        return None
+    # darts 2i and 2i + 1 run arc i forward and backward
+    found = [(not da & 1, not db & 1) for da in (2 * ia, 2 * ia + 1)
+             for db in (2 * ib, 2 * ib + 1) if face_of[da] is face_of[db]]
     return min(found, key=lambda t: (t[1], t[0]), default=None)
+
+
+def _arc_number(code: TangleCode, ref: ArcRef) -> int | None:
+    """The index of arc ref in dart table order, None when the code has no such arc."""
+    memo = code._memo
+    if "arcs" not in memo:
+        memo["arcs"] = {r: i for i, r in enumerate(_arc_refs(code))}
+    return memo["arcs"].get(tuple(ref))
 
 
 def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
@@ -740,9 +757,8 @@ def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
     return plans
 
 
-def _r3_opens_site(code: TangleCode, table: _DartTable, face: Mapping[int, list[int]],
-                   plan) -> bool:
-    """Whether an R3 swap by plan leaves a face (face[d]: d's face) below 3 darts.
+def _r3_opens_site(code: TangleCode, table: _DartTable, plan) -> bool:
+    """Whether an R3 swap by plan leaves a face of the table below 3 darts.
 
     The swap takes from a face beside the triangle one dart per shared edge
     and gives one to each face across a corner.  Unless one drops below 3,
@@ -751,6 +767,7 @@ def _r3_opens_site(code: TangleCode, table: _DartTable, face: Mapping[int, list[
     # the forward dart of each arc leaves the first visit of its pair
     arcs = [table.at["x", c, (p + 2) % 4] >> 1
             for c, p in (code.strand(sid).visits[i] for sid, i, _ in plan)]
+    face = table.face_of
     # the triangle runs the dart of each arc that turns onto another of its arcs
     beside = [face[2 * a + 1 if table.succ[2 * a] >> 1 in arcs else 2 * a] for a in arcs]
     return any(len(f) - sum(g is f for g in beside) < 3 for f in beside)
@@ -818,12 +835,12 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
         while len(log) < limit:
             sites = find_r1_minus(c)
             if sites:
-                c = r1_minus(c, sites[0])
+                c = _drop(c, {sites[0]})
                 log.append(RMove("r1-", (sites[0],)))
                 continue
             pairs = find_r2_minus(c, walls)
             if pairs:
-                c = r2_minus(c, *pairs[0], walls)
+                c = _drop(c, set(pairs[0]))
                 log.append(RMove("r2-", pairs[0]))
                 continue
             break
@@ -840,11 +857,10 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
             plans.setdefault(tri, pairs)
         if not plans:
             break
-        # _r3_plans traced the faces of the table; face maps each dart to its face
+        # _r3_plans traced the faces of the table
         table = _darts(cur, walls or {})
-        face = {d: f for f in table.faces for d in f}
         for tri in sorted(plans):
-            if not _r3_opens_site(cur, table, face, plans[tri]):
+            if not _r3_opens_site(cur, table, plans[tri]):
                 continue
             after = _swap_visits(cur, plans[tri])
             reduced, log = greedy(after, budget - len(moves) - 1)

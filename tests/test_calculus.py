@@ -23,6 +23,7 @@ from msdiagram.core import (
     validate,
 )
 from msdiagram.equivalence import isomorphic
+from msdiagram.format import parse, serialize
 from msdiagram.invariants import (
     det,
     euler_characteristic,
@@ -30,6 +31,7 @@ from msdiagram.invariants import (
     surgered_h1,
     surgery_presentation,
 )
+from msdiagram.reduction import reduce_pipeline
 from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode, braid_closure, faces
 
 
@@ -77,6 +79,8 @@ def test_blow_down_split_leaves_rest():
     out = blow_down(d, "c1")
     assert [c.framing for c in out.circles] == [0]
     assert linking_matrix(out).as_list() == [[0]]
+    assert out == Diagram(pieces=(Piece("P1", TangleCode(strands=(Strand("S2"),))),),
+                          circles=(d.circle("c2"),), sink_count=1)
 
 
 def test_blow_down_linked_once():
@@ -310,3 +314,48 @@ def test_recognize_hopf_pm1():
     v = recognize_s3(d, 2)
     assert v.yes, v.detail
     assert [m.tag for m in v.witness] == ["blow-down", "blow-down"]
+
+
+# ---------------------------------------------------------------------------
+# moves return only valid diagrams
+
+
+def dotted_plus_one():
+    """The Kirby form of s1xs3 with its dotted circle framed +1: valid, as the
+    annotation does not read framings."""
+    text = serialize(reduce_pipeline(catalog.standard("s1xs3")))
+    assert text.count("framing=0") == 1
+    return parse(text.replace("framing=0", "framing=1"))
+
+
+def test_moves_refuse_internal_maps():
+    # each move used to return a diagram whose internal maps validate rejects
+    swap = catalog.standard("swap-diffeo")
+    ident = catalog.identity_diffeo(catalog.standard("cp2"))
+    assert validate(swap).ok and validate(ident).ok
+    refusals = [lambda: blow_up(swap, "P1", 0, 1),
+                lambda: handle_slide(swap, "c1", "c2", ("P1", ("S1", 0), ("S2", 0), 1)),
+                lambda: blow_down(ident, "c1")]
+    for move in refusals:
+        with pytest.raises(MoveError, match="without internal maps"):
+            move()
+
+
+def test_blow_down_of_a_dotted_circle_is_refused():
+    # the crossingless branch returned before validation: the annotation kept
+    # naming the circle it had removed
+    d = dotted_plus_one()
+    assert validate(d).ok, validate(d).errors()
+    (c,) = d.circles
+    with pytest.raises(RefusalError, match="blow-down broke the diagram: dotted ids"):
+        blow_down(d, c.id)
+
+
+def test_recognize_searches_the_framed_link_of_a_diffeomorphism():
+    # the slides the search tried on swap-diffeo kept its circle map while
+    # changing a framing, and linking_matrix refused the child
+    swap = catalog.standard("swap-diffeo")
+    link = Diagram(pieces=swap.pieces, circles=swap.circles, sink_count=swap.sink_count)
+    for depth in range(4):
+        assert recognize_s3(swap, depth) == recognize_s3(link, depth)
+    assert recognize_s3(swap, 3).unknown

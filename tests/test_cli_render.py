@@ -310,3 +310,23 @@ def test_witness_log_replays_deterministically():
     for mv in replayed:
         cur = apply_move(cur, mv)
     assert cur.circles == ()
+
+
+def test_reduce_of_a_reduce_output_is_byte_identical(files):
+    paths, tmp = files
+    once, twice, log = (tmp / name for name in ("once.msd", "twice.msd", "twice.log"))
+    assert run_cli("reduce", paths["s1xs3"], "-o", str(once)).returncode == 0
+    r = run_cli("reduce", str(once), "-o", str(twice), "--log", str(log))
+    assert r.returncode == 0, r.stderr
+    assert twice.read_bytes() == once.read_bytes()
+    assert log.read_text() == ""
+    out = run_cli("invariants", str(twice))
+    assert "H1 = Z^1" in out.stdout and "H2 = Z^0" in out.stdout
+
+
+def test_recognize_a_diffeomorphism_exits_as_its_framed_link(files):
+    # swap-diffeo is the Hopf link of s2xs2 with a circle map; it exited 4
+    paths, _ = files
+    for name in ("swap-diffeo", "s2xs2"):
+        out = run_cli("recognize-s3", paths[name], "--depth", "3")
+        assert out.returncode == 2, out.stderr

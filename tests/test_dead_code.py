@@ -8,7 +8,10 @@ or the traced benchmark run would crash where tier-1 passed.  And every
 private function (a leading underscore, not a dunder) reads each of its
 parameters, its own nested functions included; a method need not read self.
 Every field of every dataclass is read as an attribute somewhere, so no
-stored fact goes unread.
+stored fact goes unread.  Imports run in one direction: the module-level
+imports between the package's modules form no cycle, and no module but the
+command line and the package root imports a package module inside a
+function.
 """
 
 import ast
@@ -113,3 +116,47 @@ def test_benchmark_hooks_exist():
     # the worker reads the canonical-key cache's size and hit counts
     info = importlib.import_module("msdiagram.equivalence").canonical_key.cache_info()
     assert {"hits", "misses", "currsize"} <= set(info._fields)
+
+
+def _package_imports(node):
+    """(module, line) for each package module an import statement names."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        names = [node.module] if node.module else [a.name for a in node.names]
+        return [(name.split(".")[0], node.lineno) for name in names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return []
+    return [(name.split(".")[1], node.lineno) for name in names
+            if name.startswith("msdiagram.")]
+
+
+def test_imports_run_in_one_direction():
+    graph, inner = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [n for n in ast.walk(tree)
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        in_function = {id(n) for f in functions for n in ast.walk(f)}
+        graph[path.stem] = {m for node in ast.walk(tree) if id(node) not in in_function
+                            for m, _ in _package_imports(node)}
+        if path.name not in ("cli.py", "__init__.py"):
+            inner |= {f"{path.name}:{line} imports {m}" for f in functions
+                      for node in ast.walk(f) for m, line in _package_imports(node)}
+    assert not inner, sorted(inner)
+    # depth first: a module met again while it is still open closes a cycle
+    state: dict[str, str] = {}
+
+    def visit(module, trail):
+        state[module] = "open"
+        for nxt in sorted(graph.get(module, ())):
+            assert state.get(nxt) != "open", f"import cycle: {' -> '.join(trail + [nxt])}"
+            if nxt not in state:
+                visit(nxt, trail + [nxt])
+        state[module] = "done"
+
+    for module in sorted(graph):
+        if module not in state:
+            visit(module, [module])

@@ -23,6 +23,7 @@ from msdiagram.core import (
     InternalMaps,
     Piece,
     SpanningSurface,
+    SpherePair,
     SphereWall,
     relabel,
     simplify_diagram,
@@ -43,7 +44,16 @@ from msdiagram.equivalence import (
     verify_internal_maps,
     verify_isomorphism,
 )
-from msdiagram.tangle import Crossing, Strand, TangleCode, braid_closure
+from msdiagram.tangle import (
+    Crossing,
+    RMove,
+    Strand,
+    TangleCode,
+    braid_closure,
+    find_r3,
+    r3,
+    simplify_with_log,
+)
 
 
 def random_relabel(d, rng):
@@ -751,3 +761,92 @@ def test_conjugate_yes_is_the_isomorphism_witness(case):
     if v.yes:
         assert (v.witness.plan1, v.witness.plan2, v.witness.canonical_text) == \
             (iso.witness.plan1, iso.witness.plan2, iso.witness.canonical_text)
+
+
+# ---------------------------------------------------------------------------
+# the witness checker names each tampered field
+
+
+def witness_fixture():
+    """Split unknots framed 1, 2, 0, 0 in P1; Q1 and Q2 join P1 and P2 with
+    opposite orientation flags, Q3 joins P1 and P3; a sphere and a torus."""
+    walls = {"P1": ("W1", "W2", "W3"), "P2": ("W1", "W2"), "P3": ("W1",)}
+    strands = tuple(Strand(f"S{i}") for i in range(1, 5))
+    pieces = tuple(Piece(p, TangleCode(strands=strands if p == "P1" else ()),
+                         tuple(SphereWall(w) for w in ws)) for p, ws in walls.items())
+    pairs = (SpherePair("Q1", ("P1", "W1"), ("P2", "W1")),
+             SpherePair("Q2", ("P1", "W2"), ("P2", "W2"), orientation=-1),
+             SpherePair("Q3", ("P1", "W3"), ("P3", "W1")))
+    circles = tuple(GluedCircle(f"c{i}", (("P1", f"S{i}"),), f)
+                    for i, f in enumerate((1, 2, 0, 0), 1))
+    return Diagram(pieces, pairs, circles, (SpanningSurface("F1", 0), SpanningSurface("F2", 1)))
+
+
+def test_verify_names_each_tampered_witness_field():
+    d1 = witness_fixture()
+    d2 = random_relabel(d1, random.Random(3))
+    v = isomorphic(d1, d2)
+    assert v.yes and verify_isomorphism(v.witness, d1, d2).ok
+    w = v.witness
+
+    def swap(mapping, a, b):
+        m = dict(mapping)
+        m[a], m[b] = m[b], m[a]
+        return tuple(sorted(m.items()))
+
+    stale = ("witness", "maps disagree with the traversals")
+    texts = ("witness", "canonical texts do not match")
+    cases = [
+        (replace(w, circle_map=swap(w.circle_map, "c1", "c2")),
+         [("witness/circles", "framing of c1 not preserved"),
+          ("witness/circles", "framing of c2 not preserved"), stale]),
+        (replace(w, surface_map=swap(w.surface_map, "F1", "F2")),
+         [("witness/surfaces", "genus of F1 not preserved"),
+          ("witness/surfaces", "genus of F2 not preserved"), stale]),
+        (replace(w, pair_map=swap(w.pair_map, "Q1", "Q3")),
+         [("witness/pairs", f"pair Q1 does not map onto {w.pairs()['Q3']}"),
+          ("witness/pairs", f"pair Q3 does not map onto {w.pairs()['Q1']}"), stale]),
+        (replace(w, pair_map=swap(w.pair_map, "Q1", "Q2")),
+         [("witness/pairs", "orientation flag of Q1 not preserved"),
+          ("witness/pairs", "orientation flag of Q2 not preserved"), stale]),
+        (replace(w, mirror=True),
+         [("witness/circles", "framing of c1 not preserved"),
+          ("witness/circles", "framing of c2 not preserved"), texts]),
+        (replace(w, moves1=(("P1", RMove("r1-", ("x9",))),)),
+         [("witness/moves", "replay failed: no R1 kink at crossing x9")]),
+        (replace(w, plan1=w.plan1[::-1]), [texts]),
+        (replace(w, canonical_text=w.canonical_text + "#"), [texts]),
+        # c3 and c4 are alike, so only the traversals tell the maps apart
+        (replace(w, circle_map=swap(w.circle_map, "c3", "c4")), [stale]),
+    ]
+    for tampered, findings in cases:
+        report = verify_isomorphism(tampered, d1, d2)
+        assert [(f.location, f.message) for f in report.errors()] == findings
+
+
+def r3_pair():
+    """A braid closure with an R3 triangle left after reduction, and a
+    relabelled copy after one R3 move: isotopic diagrams that greedy
+    reduction and one detour do not bring to one canonical form."""
+    code = braid_closure([(1, -1), (2, 1), (1, 1), (1, 1), (1, 1), (2, 1)], 3)
+    assert simplify_with_log(code, {})[0] == code and find_r3(code, {})[0] == ("x1", "x2", "x3")
+
+    def diagram(c):
+        return Diagram(pieces=(Piece("P1", c),), circles=tuple(
+            GluedCircle(f"c{i + 1}", (("P1", s.id),), 0) for i, s in enumerate(c.strands)))
+
+    return diagram(code), random_relabel(diagram(r3(code, ("x1", "x2", "x3"), {})),
+                                         random.Random(5))
+
+
+def test_isomorphic_is_unknown_past_one_r3_move(tmp_path):
+    d1, d2 = r3_pair()
+    assert separating_invariant(d1, d2) is None
+    assert isomorphic(d1, d2).unknown
+    paths = []
+    for name, d in (("a", d1), ("b", d2)):
+        paths.append(str(tmp_path / f"{name}.msd"))
+        (tmp_path / f"{name}.msd").write_text(msd_format.serialize(d))
+    out = helpers.run_msd("equiv", *paths)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout.startswith("Unknown: ")

@@ -435,3 +435,24 @@ def test_reduction_validates_a_constant_number_of_times(monkeypatch):
         reduced.append(len(calls))
     assert merged[0] == merged[1] <= 2
     assert reduced[0] == reduced[1] <= 4
+
+
+def test_reducing_a_kirby_form_changes_nothing():
+    # to_kirby replaced the annotation of a diagram already in Kirby form:
+    # s1xs3 reduced twice got (0, 0, 1, ()) and the homology (Z, 0, Z, 0, Z)
+    inputs = [catalog.standard(name) for name in catalog.names() if "(" not in name]
+    inputs += [catalog.n_s1xs3(k) for k in range(1, 5)]
+    inputs += [random_multipiece_diagram(random.Random(seed)) for seed in range(100)]
+    reduced = 0
+    for d in inputs:
+        try:
+            once = reduce_pipeline(d)
+        except DiagramError:
+            continue  # a refusal pinned elsewhere
+        log = []
+        assert serialize(reduce_pipeline(once, log)) == serialize(once)
+        assert log == []
+        reduced += 1
+    assert reduced >= 60
+    twice = reduce_pipeline(reduce_pipeline(catalog.standard("s1xs3")))
+    assert annotated_homology(twice) == homology(catalog.standard("s1xs3"))

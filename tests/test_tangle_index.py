@@ -29,13 +29,14 @@ from helpers import (
     random_relabel,
     random_slide_band,
 )
-from msdiagram.calculus import RefusalError, _single_piece_closed, handle_slide
+from msdiagram.calculus import RefusalError, handle_slide
 from msdiagram.core import (
     Diagram,
     DiagramError,
     GluedCircle,
     Piece,
     SphereWall,
+    closed_strand,
     diagram_linking,
     diagram_writhe,
     validate,
@@ -475,10 +476,9 @@ def test_skipped_r3_trials_could_not_be_kept():
                 for _ in range(rng.randint(4, 16))]
         code = greedy_reduced(braid_closure(word, lanes), {})
         table = _darts(code, {})
-        face = {d: f for f in table.faces for d in f}
         for _, plan in _r3_plans(code, {}):
             after = _swap_visits(code, plan)
-            if _r3_opens_site(code, table, face, plan):
+            if _r3_opens_site(code, table, plan):
                 tried += 1
             else:
                 skipped += 1
@@ -562,7 +562,7 @@ def test_moves_placed_from_a_shared_face_undo_and_validate(d):
                 assert not planarity_problems(pushed, walls)
                 assert r2_minus(pushed, x, y, walls) == code
     for c2 in d.circles:
-        loc = _single_piece_closed(d, c2.id)
+        loc = closed_strand(d, c2.id)
         if loc is None:
             continue
         pid, s2 = loc
