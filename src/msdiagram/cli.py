@@ -3,6 +3,11 @@
 Exit codes: 0 for Yes/ok, 1 for No/invalid, 2 for Unknown, 3 for usage and
 parse errors, 4 when a command refuses a parsed diagram it cannot use (a
 DiagramError or MoveError that no command turns into another answer).
+
+The module loads parsing, validation, the catalog and rendering; each
+subcommand imports the further layers it runs (invariants, reduction,
+calculus, equivalence) when it runs, so a cold ``msd validate`` loads none
+of them.
 """
 
 from __future__ import annotations
@@ -11,21 +16,9 @@ import argparse
 import sys
 
 from . import catalog
-from .calculus import recognize_s3
-from .core import DiagramError, validate
-from .equivalence import conjugate, isomorphic
+from .core import DiagramError, handle_counts, validate
 from .format import ParseError, parse, serialize, serialize_moves
-from .invariants import (
-    annotated_homology,
-    euler_characteristic,
-    handle_counts,
-    intersection_form,
-    linking_matrix,
-    signature,
-    surgered_h1,
-)
-from .reduction import reduce_pipeline
-from .render import render
+from .render import render  # perfbench/spans.py reaches this layer only through cli
 from .tangle import MoveError
 
 EXIT_YES = 0
@@ -71,6 +64,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import (
+        annotated_homology,
+        euler_characteristic,
+        intersection_form,
+        linking_matrix,
+        signature,
+        surgered_h1,
+    )
+
     d = _load(args.file)
     report = validate(d)
     if not report.ok:
@@ -99,6 +101,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import reduce_pipeline
+
     d = _load(args.file)
     log: list = []
     try:
@@ -116,6 +120,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_recognize_s3(args) -> int:
+    from .calculus import recognize_s3
+
     verdict = recognize_s3(_load(args.file), args.depth)
     print(f"{verdict.value}: {verdict.detail}")
     if verdict.yes:
@@ -137,6 +143,8 @@ def _print_witness(iso) -> None:
 
 
 def cmd_equiv(args) -> int:
+    from .equivalence import isomorphic
+
     d1, d2 = _load(args.a), _load(args.b)
     verdict = isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror)
     print(f"{verdict.value}: {verdict.detail}")
@@ -150,6 +158,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_conj(args) -> int:
+    from .equivalence import conjugate
+
     verdict = conjugate(_load(args.a), _load(args.b), budget=args.budget)
     print(f"{verdict.value}: {verdict.detail}")
     if verdict.yes:

@@ -13,7 +13,6 @@ piece graph of the pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .core import (
@@ -135,57 +134,36 @@ def det(a: Matrix) -> int:
 
 
 def signature(a: Matrix) -> int:
-    """Signature of a symmetric integer matrix, exact over the rationals.
+    """Signature of a symmetric integer matrix, by symmetric integer pivoting.
 
-    Symmetric pivoting with the split trick for hyperbolic 2x2 blocks
-    (zero diagonal, nonzero off-diagonal contributes signature 0).
+    A nonzero diagonal pivot p counts its sign and leaves |p| times its
+    Schur complement, divided by the gcd of that block: both are
+    congruences up to a positive factor, so the rest keeps its signature.
+    A block with zero diagonal and a nonzero entry m_ij first takes
+    x_i -> x_i + x_j, which makes the diagonal entry 2 m_ij.
     """
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    idx = list(range(n))
+    m = [row[:] for row in a]
     sig = 0
-
-    def eliminate(p):
+    while m:
+        n = len(m)
+        p = next((i for i in range(n) if m[i][i]), None)
+        if p is None:
+            off = next(((i, j) for i in range(n) for j in range(n) if m[i][j]), None)
+            if off is None:
+                break  # the rest is zero
+            p, j = off
+            for k in range(n):
+                m[p][k] += m[j][k]
+            for k in range(n):
+                m[k][p] += m[k][j]
         piv = m[p][p]
-        for i in idx:
-            if i == p:
-                continue
-            f = m[i][p] / piv
-            if f == 0:
-                continue
-            for j in idx:
-                if j != p:
-                    m[i][j] -= f * m[p][j]
-            m[i][p] = Fraction(0)
-        # every row's update reads the pivot row, so clear it only now
-        for j in idx:
-            if j != p:
-                m[p][j] = Fraction(0)
-
-    while idx:
-        p = next((i for i in idx if m[i][i] != 0), None)
-        if p is not None:
-            sig += 1 if m[p][p] > 0 else -1
-            eliminate(p)
-            idx.remove(p)
-            continue
-        off = None
-        for i in idx:
-            for j in idx:
-                if i != j and m[i][j] != 0:
-                    off = (i, j)
-                    break
-            if off:
-                break
-        if off is None:
-            break  # remaining block is zero
-        i, j = off
-        # x_i -> x_i + x_j turns the block diagonal entry nonzero
-        for k in range(n):
-            m[i][k] += m[j][k]
-        for k in range(n):
-            m[k][i] += m[k][j]
-        # now m[i][i] = 2*m_ij != 0; loop continues with a real pivot
+        s = 1 if piv > 0 else -1
+        sig += s
+        rest = [k for k in range(n) if k != p]
+        m = [[s * (piv * m[i][j] - m[i][p] * m[p][j]) for j in rest] for i in rest]
+        g = gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return sig
 
 

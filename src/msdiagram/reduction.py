@@ -492,11 +492,10 @@ def _cancel_keeps_validity(d: Diagram, circle_id: str) -> bool:
 
     Deleting a closed strand with its crossings keeps a code planar, and the
     cancelled surface is the only one on the circle.  What can go stale is
-    a wall point the circle ended on, a sink incidence column, or an
-    internal map naming the deleted handles.
+    a wall point the circle ended on or a sink incidence column (the
+    pipeline refuses internal maps before it cancels).
     """
-    return (closed_strand(d, circle_id) is not None
-            and d.sink_incidence is None and d.internal_maps is None)
+    return closed_strand(d, circle_id) is not None and d.sink_incidence is None
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +555,12 @@ def reduce_pipeline(d: Diagram, log: list | None = None) -> Diagram:
     merged diagram, and to_kirby checks the cancelled diagram and the Kirby
     form.  A cancellation is checked on its own only when it may leave the
     diagram invalid, so that the error names the cancellation.
+
+    A diffeomorphism diagram is refused up front when a phase would change
+    it (it has pairs or surfaces): no phase carries its internal maps along.
     """
+    if d.internal_maps is not None and (d.pairs or d.surfaces):
+        raise DiagramError("the reduction acts on diagrams without internal maps")
     d = merge_all(d, log)
     while (found := find_superfluous_surface(d)) is not None:
         out = _cancel(d, *found)

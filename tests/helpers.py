@@ -97,13 +97,17 @@ def fields_only(record):
     return set(vars(record)) == {f.name for f in fields(record)}
 
 
-def run_msd(*args, cwd=None):
-    """msd with args in a child process; the child imports the same package."""
+def child_env() -> dict:
+    """The environment of a child process that imports the same package."""
     src = str(Path(msdiagram.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_msd(*args, cwd=None):
+    """msd with args in a child process; the child imports the same package."""
     return subprocess.run([sys.executable, "-m", "msdiagram.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 def set_framing(d, cid, f):

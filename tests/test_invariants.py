@@ -116,6 +116,55 @@ def test_signature_vs_eigen_sign_count():
         assert (sig - frac_rank(a)) % 2 == 0
 
 
+def fraction_signature(a):
+    """Signature by symmetric pivoting over Q, independent of the integer route."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    idx = list(range(n))
+    sig = 0
+    while idx:
+        p = next((i for i in idx if m[i][i] != 0), None)
+        if p is None:
+            off = next(((i, j) for i in idx for j in idx if i != j and m[i][j] != 0), None)
+            if off is None:
+                break
+            i, j = off
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            continue
+        sig += 1 if m[p][p] > 0 else -1
+        for i in idx:
+            if i != p and m[i][p] != 0:
+                f = m[i][p] / m[p][p]
+                for j in idx:
+                    if j != p:
+                        m[i][j] -= f * m[p][j]
+                m[i][p] = Fraction(0)
+        for j in idx:
+            if j != p:
+                m[p][j] = Fraction(0)
+        idx.remove(p)
+    return sig
+
+
+def test_signature_matches_rational_pivoting():
+    rng = random.Random(20)
+    for _ in range(6000):
+        n = rng.randint(0, 9)
+        density, bound = rng.random(), rng.choice((1, 3, 9, 100))
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < density:
+                    a[i][j] = a[j][i] = rng.randint(-bound, bound)
+        if rng.random() < 0.3:  # zero diagonal: the hyperbolic step runs
+            for i in range(n):
+                a[i][i] = 0
+        assert signature(a) == fraction_signature(a), a
+
+
 # --- catalog goldens ---------------------------------------------------------
 
 

@@ -456,3 +456,20 @@ def test_reducing_a_kirby_form_changes_nothing():
     assert reduced >= 60
     twice = reduce_pipeline(reduce_pipeline(catalog.standard("s1xs3")))
     assert annotated_homology(twice) == homology(catalog.standard("s1xs3"))
+
+
+@pytest.mark.parametrize("name", ["s1xs3", "cp2-two-piece", "s4-with-cancelling-pair"])
+def test_pipeline_refuses_internal_maps_before_any_phase(name):
+    # each phase would leave the maps naming handles it merged, cancelled or replaced
+    log = []
+    with pytest.raises(DiagramError, match="^the reduction acts on diagrams without internal maps$"):
+        reduce_pipeline(catalog.identity_diffeo(catalog.standard(name)), log)
+    assert log == []
+
+
+def test_pipeline_keeps_internal_maps_it_leaves_unchanged():
+    d = catalog.identity_diffeo(catalog.standard("s2xs2"))
+    out = reduce_pipeline(d)
+    assert out.internal_maps == d.internal_maps and out.circles == d.circles
+    assert out.annotation == core.KirbyAnnotation(0, 0, 1, ())
+    assert validate(out).ok
