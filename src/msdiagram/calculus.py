@@ -27,7 +27,7 @@ from .core import (
 )
 from .equivalence import canonical_key
 from .invariants import det, linking_matrix
-from .reduction import _replace_pairs, delete_superfluous, find_superfluous_surface, merge_pieces
+from .reduction import _replace_pairs, delete_superfluous, merge_pieces
 from .tangle import (
     Crossing,
     MoveError,
@@ -51,6 +51,9 @@ class RefusalError(MoveError):
 
 
 BandSite = tuple  # (piece, (strand1, arc1), (strand2, arc2), orient)
+
+BLOW_DOWN_BUDGET = 400  # Reidemeister moves that bring a blown-down circle into place
+SLIDE_CAP = 6           # handle slides the recognizer tries per diagram
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +119,13 @@ def _twist_lanes(code: TangleCode, rot: list, k: int) -> list | None:
     return lanes
 
 
-def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
+def blow_down(d: Diagram, cid: str) -> Diagram:
     """Remove a +1- or -1-framed unknot, twisting the strands through its disk.
 
-    The circle must be recognizable within the budget: one closed strand in
-    one piece, no self-crossings after greedy reduction, every other strand
-    meeting it in direct piercing pairs arranged in a single twist region.
+    The circle must be recognizable within BLOW_DOWN_BUDGET Reidemeister
+    moves: one closed strand in one piece, no self-crossings after greedy
+    reduction, every other strand meeting it in direct piercing pairs
+    arranged in a single twist region.
     Framings of the remaining circles drop by framing * lk^2 and the strands
     receive a compensating full twist.
     """
@@ -137,7 +141,7 @@ def blow_down(d: Diagram, cid: str, budget: int = 400) -> Diagram:
         raise RefusalError(f"circle {cid} is not a closed curve inside one piece")
     pid, _ = loc
     p = d.piece(pid)
-    code, _ = simplify_with_log(p.tangle, p.wall_points(), budget)
+    code, _ = simplify_with_log(p.tangle, p.wall_points(), BLOW_DOWN_BUDGET)
     d = with_tangle(d, pid, code)
     pid, s = closed_strand(d, cid)
     code = d.piece(pid).tangle
@@ -360,10 +364,7 @@ def apply_move(d: Diagram, move: KirbyMove) -> Diagram:
     if move.tag == "merge-pieces":
         return merge_pieces(d, move.args[0])
     if move.tag == "delete-surface":
-        found = find_superfluous_surface(d)
-        if found is None or found[0] != move.args[0]:
-            raise MoveError(f"surface {move.args[0]} is not deletable here")
-        return delete_superfluous(d, *found)
+        return delete_superfluous(d, *move.args)
     if move.tag == "replace-pair":
         out, (cid,) = _replace_pairs(d, [d.pair(move.args[0])])
         if cid != move.args[1]:
@@ -372,8 +373,8 @@ def apply_move(d: Diagram, move: KirbyMove) -> Diagram:
     raise MoveError(f"unknown move tag {move.tag!r}")
 
 
-def _slide_candidates(d: Diagram, cap: int = 6):
-    """A bounded, deterministically ordered set of (handle slide, child) pairs."""
+def _slide_candidates(d: Diagram):
+    """At most SLIDE_CAP (handle slide, child) pairs, deterministically ordered."""
     out = []
     for circ2 in d.circles:
         loc2 = closed_strand(d, circ2.id)
@@ -410,7 +411,7 @@ def _slide_candidates(d: Diagram, cap: int = 6):
         size = sum(abs(x) for row in linking_matrix(child).entries for x in row)
         scored.append(((size, canonical_key(child)), mv, child))
     scored.sort(key=lambda t: t[0])
-    return [(mv, child) for _, mv, child in scored[:cap]]
+    return [(mv, child) for _, mv, child in scored[:SLIDE_CAP]]
 
 
 def _children(d: Diagram, allow_growth: bool):

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for Yes/ok, 1 for No/invalid, 2 for Unknown, 3 for usage and
-parse errors, 4 when a command refuses a parsed diagram it cannot use (a
+parse errors (an unknown catalog entry, a negative --depth or --budget, an
+input file that cannot be read or decoded, an output file that cannot be
+written), 4 when a command refuses a parsed diagram it cannot use (a
 DiagramError or MoveError that no command turns into another answer).
 
 The module loads parsing, validation, the catalog and rendering; each
@@ -35,11 +37,22 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _count(text: str) -> int:
+    """A --depth or --budget value: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _load(path: str):
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
     try:
@@ -50,15 +63,19 @@ def _load(path: str):
 
 
 def _write(path: str, text: str):
-    with open(path, "w") as f:
-        f.write(text)
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        print(f"cannot write {path}: {e}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def cmd_validate(args) -> int:
     d = _load(args.file)
     report = validate(d)
     for f in report.findings:
-        print(f"{f.severity}: {f.location}: {f.message}")
+        print(f"error: {f.location}: {f.message}")
     print("ok" if report.ok else "invalid")
     return EXIT_YES if report.ok else EXIT_NO
 
@@ -76,7 +93,7 @@ def cmd_invariants(args) -> int:
     d = _load(args.file)
     report = validate(d)
     if not report.ok:
-        for f in report.errors():
+        for f in report.findings:
             print(f"error: {f.location}: {f.message}")
         return EXIT_NO
     n = handle_counts(d)
@@ -171,7 +188,7 @@ def cmd_conj(args) -> int:
 def cmd_catalog(args) -> int:
     try:
         d = catalog.standard(args.name)
-    except KeyError as e:
+    except (KeyError, ValueError) as e:  # no such entry; n-s1s3(0)
         print(e.args[0], file=sys.stderr)
         return EXIT_USAGE
     text = serialize(d)
@@ -214,13 +231,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("recognize-s3", help="bounded 3-sphere recognition")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_count, default=3)
     p.set_defaults(fn=cmd_recognize_s3)
 
     p = sub.add_parser("equiv", help="diagram equivalence")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_count, default=2000)
     p.add_argument("--mirror", action="store_true",
                    help="allow orientation-reversing piece homeomorphisms")
     p.set_defaults(fn=cmd_equiv)
@@ -228,7 +245,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("conj", help="diffeomorphism conjugacy")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_count, default=2000)
     p.set_defaults(fn=cmd_conj)
 
     p = sub.add_parser("catalog", help="write a standard diagram")

@@ -267,7 +267,8 @@ class KirbyMove:
 
 @dataclass(frozen=True)
 class Finding:
-    severity: str  # "error" | "warning"
+    """One failed check; a report with any finding is not ok."""
+
     location: str
     message: str
 
@@ -278,10 +279,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not any(f.severity == "error" for f in self.findings)
-
-    def errors(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == "error"]
+        return not self.findings
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +341,16 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
     seen = set()
     for p in d.pieces:
         if p.id in seen:
-            findings.append(Finding("error", f"piece {p.id}", "duplicate piece id"))
+            findings.append(Finding(f"piece {p.id}", "duplicate piece id"))
         seen.add(p.id)
         wids = [w.id for w in p.walls]
         if len(set(wids)) != len(wids):
-            findings.append(Finding("error", f"piece {p.id}", "duplicate wall ids"))
+            findings.append(Finding(f"piece {p.id}", "duplicate wall ids"))
         for w in p.walls:
             if w.points < 0:
-                findings.append(Finding("error", f"wall {p.id}.{w.id}", "negative point count"))
+                findings.append(Finding(f"wall {p.id}.{w.id}", "negative point count"))
         for msg in code_problems(p.tangle):
-            findings.append(Finding("error", f"piece {p.id}", msg))
+            findings.append(Finding(f"piece {p.id}", msg))
         bad_endpoint = False
         for s in p.tangle.strands:
             for pt in (s.start, s.end):
@@ -362,19 +360,19 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
                     w = p.wall(pt[0])
                 except KeyError:
                     findings.append(
-                        Finding("error", f"piece {p.id}/strand {s.id}",
+                        Finding(f"piece {p.id}/strand {s.id}",
                                 f"endpoint on unknown wall {pt[0]}"))
                     bad_endpoint = True
                     continue
                 if not (0 <= pt[1] < w.points):
                     findings.append(
-                        Finding("error", f"piece {p.id}/strand {s.id}",
+                        Finding(f"piece {p.id}/strand {s.id}",
                                 f"endpoint on missing point {pt[0]}:{pt[1]}"))
                     bad_endpoint = True
         if bad_endpoint:
             continue  # faces need every endpoint on a point of a known wall
         for msg in planarity_problems(p.tangle, p.wall_points()):
-            findings.append(Finding("error", f"piece {p.id}", msg))
+            findings.append(Finding(f"piece {p.id}", msg))
 
 
 def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
@@ -382,37 +380,33 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
     referenced: dict[WallRef, str] = {}
     for q in d.pairs:
         if q.id in seen:
-            findings.append(Finding("error", f"pair {q.id}", "duplicate pair id"))
+            findings.append(Finding(f"pair {q.id}", "duplicate pair id"))
         seen.add(q.id)
         if q.wall_a == q.wall_b:
-            findings.append(Finding("error", f"pair {q.id}", "pair identifies a wall with itself"))
+            findings.append(Finding(f"pair {q.id}", "pair identifies a wall with itself"))
         if q.orientation not in (1, -1):
-            findings.append(Finding("error", f"pair {q.id}", "orientation must be +1 or -1"))
+            findings.append(Finding(f"pair {q.id}", "orientation must be +1 or -1"))
         walls = []
         for ref in (q.wall_a, q.wall_b):
             if ref in referenced:
                 findings.append(
-                    Finding("error", f"pair {q.id}",
+                    Finding(f"pair {q.id}",
                             f"wall {ref[0]}.{ref[1]} already used by pair {referenced[ref]}"))
             referenced[ref] = q.id
             try:
                 walls.append(d.piece(ref[0]).wall(ref[1]))
             except KeyError:
-                findings.append(
-                    Finding("error", f"pair {q.id}", f"unknown wall {ref[0]}.{ref[1]}"))
+                findings.append(Finding(f"pair {q.id}", f"unknown wall {ref[0]}.{ref[1]}"))
         if len(walls) == 2:
             ka, kb = walls[0].points, walls[1].points
             if ka != kb:
-                findings.append(
-                    Finding("error", f"pair {q.id}", f"point counts differ: {ka} vs {kb}"))
+                findings.append(Finding(f"pair {q.id}", f"point counts differ: {ka} vs {kb}"))
             elif sorted(q.matching) != list(range(ka)):
-                findings.append(
-                    Finding("error", f"pair {q.id}", "matching is not a point bijection"))
+                findings.append(Finding(f"pair {q.id}", "matching is not a point bijection"))
     for p in d.pieces:
         for w in p.walls:
             if (p.id, w.id) not in referenced:
-                findings.append(
-                    Finding("error", f"wall {p.id}.{w.id}", "wall belongs to no pair"))
+                findings.append(Finding(f"wall {p.id}.{w.id}", "wall belongs to no pair"))
 
 
 def _check_circles(d: Diagram, findings: list[Finding]) -> None:
@@ -420,10 +414,10 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
     seen = set()
     for c in d.circles:
         if c.id in seen:
-            findings.append(Finding("error", f"circle {c.id}", "duplicate circle id"))
+            findings.append(Finding(f"circle {c.id}", "duplicate circle id"))
         seen.add(c.id)
         if not c.strand_cycle:
-            findings.append(Finding("error", f"circle {c.id}", "empty strand cycle"))
+            findings.append(Finding(f"circle {c.id}", "empty strand cycle"))
             continue
         strands = []
         broken = False
@@ -431,7 +425,7 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
             key = (pid, sid)
             if key in claimed:
                 findings.append(
-                    Finding("error", f"circle {c.id}",
+                    Finding(f"circle {c.id}",
                             f"strand {pid}.{sid} already in circle {claimed[key]}"))
                 broken = True
                 continue
@@ -439,16 +433,14 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
             try:
                 strands.append((pid, d.piece(pid).tangle.strand(sid)))
             except KeyError:
-                findings.append(
-                    Finding("error", f"circle {c.id}", f"unknown strand {pid}.{sid}"))
+                findings.append(Finding(f"circle {c.id}", f"unknown strand {pid}.{sid}"))
                 broken = True
         if broken or len(strands) != len(c.strand_cycle):
             continue
         if len(strands) == 1 and strands[0][1].closed:
             continue  # a one-piece closed curve
         if any(s.closed for _, s in strands):
-            findings.append(
-                Finding("error", f"circle {c.id}", "closed strand inside a longer cycle"))
+            findings.append(Finding(f"circle {c.id}", "closed strand inside a longer cycle"))
             continue
         for k, (pid, s) in enumerate(strands):
             npid, ns = strands[(k + 1) % len(strands)]
@@ -456,7 +448,7 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
             q = wall_of_pair(d, wall)
             if q is None:
                 findings.append(
-                    Finding("error", f"circle {c.id}",
+                    Finding(f"circle {c.id}",
                             f"strand {pid}.{s.id} ends on unpaired wall {s.end[0]}"))
                 continue
             if q.wall_a == wall:
@@ -466,25 +458,24 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
                 image = q.matching.index(s.end[1]) if s.end[1] in q.matching else None
             if image is None or ns.start is None or (npid, ns.start[0]) != other or ns.start[1] != image:
                 findings.append(
-                    Finding("error", f"circle {c.id}",
+                    Finding(f"circle {c.id}",
                             f"cycle does not close through pair {q.id} after strand {pid}.{s.id}"))
     # every strand must belong to exactly one circle
     for p in d.pieces:
         for s in p.tangle.strands:
             if (p.id, s.id) not in claimed:
                 findings.append(
-                    Finding("error", f"piece {p.id}/strand {s.id}", "strand belongs to no circle"))
+                    Finding(f"piece {p.id}/strand {s.id}", "strand belongs to no circle"))
     # every wall point must carry exactly one strand end
     usage = endpoint_usage(d)
     for p in d.pieces:
         ends = [pt for s in p.tangle.strands for pt in (s.start, s.end) if pt is not None]
         if len(ends) != len(set(ends)):
-            findings.append(Finding("error", f"piece {p.id}", "two strand ends share a point"))
+            findings.append(Finding(f"piece {p.id}", "two strand ends share a point"))
         for w in p.walls:
             for i in range(w.points):
                 if (p.id, w.id, i) not in usage:
-                    findings.append(
-                        Finding("error", f"wall {p.id}.{w.id}", f"marked point {i} unused"))
+                    findings.append(Finding(f"wall {p.id}.{w.id}", f"marked point {i} unused"))
 
 
 def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
@@ -492,32 +483,30 @@ def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
     wallcurves: dict[tuple[str, int], int] = {}
     for f in d.surfaces:
         if f.id in seen:
-            findings.append(Finding("error", f"surface {f.id}", "duplicate surface id"))
+            findings.append(Finding(f"surface {f.id}", "duplicate surface id"))
         seen.add(f.id)
         if f.genus < 0:
-            findings.append(Finding("error", f"surface {f.id}", "negative genus"))
+            findings.append(Finding(f"surface {f.id}", "negative genus"))
         for item in f.boundary:
             if isinstance(item, FramingParallel):
                 if item.sign not in (1, -1):
-                    findings.append(Finding("error", f"surface {f.id}", "bad boundary sign"))
+                    findings.append(Finding(f"surface {f.id}", "bad boundary sign"))
                 try:
                     d.circle(item.circle)
                 except KeyError:
-                    findings.append(
-                        Finding("error", f"surface {f.id}", f"unknown circle {item.circle}"))
+                    findings.append(Finding(f"surface {f.id}", f"unknown circle {item.circle}"))
             elif isinstance(item, WallCurve):
                 try:
                     d.pair(item.pair)
                 except KeyError:
-                    findings.append(
-                        Finding("error", f"surface {f.id}", f"unknown pair {item.pair}"))
+                    findings.append(Finding(f"surface {f.id}", f"unknown pair {item.pair}"))
                 wallcurves[item.pair, item.index] = wallcurves.get((item.pair, item.index), 0) + 1
             else:
-                findings.append(Finding("error", f"surface {f.id}", f"bad boundary item {item!r}"))
+                findings.append(Finding(f"surface {f.id}", f"bad boundary item {item!r}"))
     for (pair, index), n in sorted(wallcurves.items()):
         if n != 2:
             findings.append(
-                Finding("error", f"pair {pair}",
+                Finding(f"pair {pair}",
                         f"wall curve {index} occurs {n} times, matched pairs need 2"))
 
 
@@ -532,11 +521,10 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
         ("surfaces", m.surfaces(), [f.id for f in d.surfaces]),
     ):
         if sorted(mapping) != sorted(ids) or sorted(mapping.values()) != sorted(ids):
-            findings.append(
-                Finding("error", f"internal maps/{name}", "not a permutation of the index set"))
+            findings.append(Finding(f"internal maps/{name}", "not a permutation of the index set"))
     if sorted(m.on_sinks) != list(range(d.sink_count)):
-        findings.append(Finding("error", "internal maps/sinks", "not a sink permutation"))
-    if any(f.severity == "error" and f.location.startswith("internal maps") for f in findings):
+        findings.append(Finding("internal maps/sinks", "not a sink permutation"))
+    if any(f.location.startswith("internal maps") for f in findings):
         return
     pc = m.pieces()
     for q in d.pairs:
@@ -545,24 +533,24 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
         dst = {img.wall_a[0], img.wall_b[0]}
         if src != dst:
             findings.append(
-                Finding("error", f"internal maps/pairs",
+                Finding(f"internal maps/pairs",
                         f"pair {q.id} maps to {img.id} but pieces do not correspond"))
     for c in d.circles:
         img = d.circle(m.circles()[c.id])
         if img.framing != c.framing:
             findings.append(
-                Finding("error", "internal maps/circles",
+                Finding("internal maps/circles",
                         f"circle {c.id} (framing {c.framing}) maps to {img.id} "
                         f"(framing {img.framing})"))
         if len(img.strand_cycle) != len(c.strand_cycle):
             findings.append(
-                Finding("error", "internal maps/circles",
+                Finding("internal maps/circles",
                         f"circle {c.id} and image {img.id} have different lengths"))
     for f in d.surfaces:
         img = d.surface(m.surfaces()[f.id])
         if img.genus != f.genus:
             findings.append(
-                Finding("error", "internal maps/surfaces",
+                Finding("internal maps/surfaces",
                         f"surface {f.id} and image {img.id} differ in genus"))
         prof = sorted(
             (m.circles()[i.circle], i.sign) if isinstance(i, FramingParallel)
@@ -573,7 +561,7 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
             for i in img.boundary)
         if prof != prof_img:
             findings.append(
-                Finding("error", "internal maps/surfaces",
+                Finding("internal maps/surfaces",
                         f"surface {f.id} boundary does not map onto {img.id} boundary"))
 
 
@@ -591,7 +579,7 @@ def _check_annotation(d: Diagram, findings: list[Finding]) -> None:
         (d.pairs or d.surfaces, "a Kirby-form diagram has no sphere pairs and no surfaces"),
     ):
         if wrong:
-            findings.append(Finding("error", "annotation", msg))
+            findings.append(Finding("annotation", msg))
 
 
 def validate(d: Diagram) -> ValidationReport:
@@ -606,18 +594,18 @@ def require_valid(d: Diagram, what: str, error: type[Exception] = DiagramError) 
     """d itself when validate finds no error; else raise error naming the first."""
     report = validate(d)
     if not report.ok:
-        raise error(f"{what}: {report.errors()[0].message}")
+        raise error(f"{what}: {report.findings[0].message}")
     return d
 
 
 def _validate(d: Diagram) -> ValidationReport:
     findings: list[Finding] = []
     if not d.pieces:
-        findings.append(Finding("error", "diagram", "no pieces: a closed 4-manifold needs a 0-handle"))
+        findings.append(Finding("diagram", "no pieces: a closed 4-manifold needs a 0-handle"))
     if d.pieces and d.sink_count < 1:
-        findings.append(Finding("error", "diagram", "sink count must be at least 1"))
+        findings.append(Finding("diagram", "sink count must be at least 1"))
     _check_pieces(d, findings)
-    if not any(f.severity == "error" for f in findings):
+    if not findings:
         _check_pairs(d, findings)
         _check_circles(d, findings)
         _check_surfaces(d, findings)
@@ -626,13 +614,12 @@ def _validate(d: Diagram) -> ValidationReport:
     if d.sink_incidence is not None:
         rows = d.sink_incidence
         if len(rows) != d.sink_count or any(len(r) != len(d.surfaces) for r in rows):
-            findings.append(
-                Finding("error", "sinks", "incidence block shape must be sinks x surfaces"))
+            findings.append(Finding("sinks", "incidence block shape must be sinks x surfaces"))
     elif d.sink_count > 1 and d.surfaces:
         findings.append(
-            Finding("error", "sinks",
+            Finding("sinks",
                     "multi-sink diagram with surfaces needs an explicit sink incidence block"))
-    if not any(f.severity == "error" for f in findings):
+    if not findings:
         _check_boundaries(d, findings)
     return ValidationReport(tuple(findings))
 
@@ -653,7 +640,7 @@ def _check_boundaries(d: Diagram, findings: list[Finding]) -> None:
         for qid, n in passes.items():
             if n:
                 findings.append(
-                    Finding("error", f"surface {f.id}",
+                    Finding(f"surface {f.id}",
                             f"boundary runs {n:+d} times over pair {qid}: d2.d3 != 0"))
     for j, row in enumerate(d.sink_incidence or ()):
         circles: dict[str, int] = {}
@@ -664,7 +651,7 @@ def _check_boundaries(d: Diagram, findings: list[Finding]) -> None:
         for cid, n in circles.items():
             if n:
                 findings.append(
-                    Finding("error", f"sink {j}",
+                    Finding(f"sink {j}",
                             f"incident surfaces cover circle {cid} {n:+d} times: d3.d4 != 0"))
 
 
@@ -674,11 +661,11 @@ def check_admissible(d: Diagram) -> ValidationReport:
     Admissibility presumes structural validity, so an invalid diagram is
     never admissible; its structural errors are carried over.
     """
-    findings: list[Finding] = list(validate(d).errors())
+    findings: list[Finding] = list(validate(d).findings)
     for f in d.surfaces:
         if f.genus != 0:
             findings.append(
-                Finding("error", f"surface {f.id}",
+                Finding(f"surface {f.id}",
                         f"genus {f.genus}: admissible surfaces are spheres with holes"))
     return ValidationReport(tuple(findings))
 

@@ -744,9 +744,9 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
         ("surfaces", iso.surfaces(), [f.id for f in d1.surfaces], [f.id for f in d2.surfaces]),
     ):
         if sorted(mapping) != sorted(ids1) or sorted(mapping.values()) != sorted(ids2):
-            findings.append(Finding("error", f"witness/{name}", "not a bijection"))
+            findings.append(Finding(f"witness/{name}", "not a bijection"))
     if not sorted(iso.sink_map) == list(range(d1.sink_count)) == list(range(d2.sink_count)):
-        findings.append(Finding("error", "witness/sinks", "not a bijection"))
+        findings.append(Finding("witness/sinks", "not a bijection"))
     if findings:
         return ValidationReport(tuple(findings))
     if d1.sink_incidence is not None and d2.sink_incidence is not None:
@@ -755,44 +755,39 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
         for j, row in enumerate(d1.sink_incidence):
             img = d2.sink_incidence[iso.sink_map[j]]
             if any(img[column[fmap[f.id]]] != m for f, m in zip(d1.surfaces, row)):
-                findings.append(Finding("error", "witness/sinks",
-                                        f"incidence of sink {j} not preserved"))
+                findings.append(Finding("witness/sinks", f"incidence of sink {j} not preserved"))
     sign = -1 if iso.mirror else 1
     for c in d1.circles:
         img = d2.circle(iso.circles()[c.id])
         if img.framing != sign * c.framing:
-            findings.append(Finding("error", "witness/circles",
-                                    f"framing of {c.id} not preserved"))
+            findings.append(Finding("witness/circles", f"framing of {c.id} not preserved"))
     for f in d1.surfaces:
         img = d2.surface(iso.surfaces()[f.id])
         if img.genus != f.genus:
-            findings.append(Finding("error", "witness/surfaces",
-                                    f"genus of {f.id} not preserved"))
+            findings.append(Finding("witness/surfaces", f"genus of {f.id} not preserved"))
     pc = iso.pieces()
     for q in d1.pairs:
         img = d2.pair(iso.pairs()[q.id])
         if {pc[q.wall_a[0]], pc[q.wall_b[0]]} != {img.wall_a[0], img.wall_b[0]}:
-            findings.append(Finding("error", "witness/pairs",
-                                    f"pair {q.id} does not map onto {img.id}"))
+            findings.append(Finding("witness/pairs", f"pair {q.id} does not map onto {img.id}"))
         if img.orientation != q.orientation:
-            findings.append(Finding("error", "witness/pairs",
-                                    f"orientation flag of {q.id} not preserved"))
+            findings.append(Finding("witness/pairs", f"orientation flag of {q.id} not preserved"))
     try:
         r1 = _replay(d1, iso.moves1)
         r2 = _replay(mirror(d2) if iso.mirror else d2, iso.moves2)
     except Exception as e:
-        findings.append(Finding("error", "witness/moves", f"replay failed: {e}"))
+        findings.append(Finding("witness/moves", f"replay failed: {e}"))
         return ValidationReport(tuple(findings))
     t1, m1 = _walk(r1, iso.plan1)
     t2, m2 = _walk(r2, iso.plan2)
     if t1 != iso.canonical_text or t2 != iso.canonical_text:
-        findings.append(Finding("error", "witness", "canonical texts do not match"))
+        findings.append(Finding("witness", "canonical texts do not match"))
     else:
         composed = _compose(m1, m2)
         stored = (iso.piece_map, iso.pair_map, iso.circle_map, iso.surface_map,
                   iso.sink_map)
         if composed != stored:
-            findings.append(Finding("error", "witness", "maps disagree with the traversals"))
+            findings.append(Finding("witness", "maps disagree with the traversals"))
     return ValidationReport(tuple(findings))
 
 
@@ -803,8 +798,8 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
 def verify_internal_maps(d: Diagram) -> ValidationReport:
     """Structure checks for the five internal maps of a diffeomorphism diagram."""
     if d.kind != Kind.DIFFEOMORPHISM:
-        return ValidationReport((Finding("error", "diagram",
-                                         "internal maps belong to diffeomorphism diagrams"),))
+        return ValidationReport((
+            Finding("diagram", "internal maps belong to diffeomorphism diagrams"),))
     report = validate(d)
     findings = tuple(f for f in report.findings if f.location.startswith("internal maps")
                      or f.location == "diagram")

@@ -28,7 +28,7 @@ from .core import (
     SphereWall,
     WallCurve,
 )
-from .tangle import Crossing, Strand, TangleCode, crossing_passages, crossing_sign
+from .tangle import Crossing, MoveError, Strand, TangleCode, crossing_passages, crossing_sign
 
 HEADER = "msd 1"
 _ID = re.compile(r"[A-Za-z0-9_+-]+\Z")
@@ -385,11 +385,11 @@ def parse(text: str) -> Diagram:
         code = d.piece(pid).tangle
         try:
             actual = crossing_sign(code, cid)
-        except Exception:
+            actual_ends = _crossing_ends(crossing_passages(code, cid))
+        except (MoveError, KeyError):  # KeyError: a port out of range
             continue  # structural breakage is validate's business
         if ("+" if actual > 0 else "-") != sgn:
             raise ParseError(lineno, sgn, f"sign consistent with strand data ({actual:+d})")
-        actual_ends = _crossing_ends(crossing_passages(code, cid))
         if actual_ends != ends:
             raise ParseError(lineno, ends, f"ends consistent with strand data ({actual_ends})")
     return d

@@ -9,7 +9,6 @@ integer homology of the presented manifold.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import replace
 from itertools import count
 
@@ -32,7 +31,9 @@ from .tangle import (
     MoveError,
     Strand,
     TangleCode,
+    _drop,
     braid,
+    find_root,
     fresh_ids,
     planarity_problems,
 )
@@ -88,7 +89,7 @@ class _GluedStrand:
 class _Component:
     """One piece being glued: its items by key, in code order, and the ids in use."""
 
-    __slots__ = ("crossings", "strands", "walls", "ids", "fresh")
+    __slots__ = ("crossings", "strands", "walls", "ids")
 
     def __init__(self, p: Piece, stamps):
         self.crossings = {(p.id, x.id): x for x in p.tangle.crossings}
@@ -96,22 +97,6 @@ class _Component:
         self.walls = {(p.id, w.id): w for w in p.walls}
         self.ids = tuple({key[1] for key in keys}
                          for keys in (self.crossings, self.strands, self.walls))
-        self.fresh: dict[tuple[int, str], Iterator[str]] = {}
-
-    def new_ids(self, kind: int, prefix: str) -> Iterator[str]:
-        """fresh_ids over the ids in use of one kind, resumed where it last stopped.
-
-        Resuming yields what a new fresh_ids would, since the ids it passed
-        are still in use: free() drops it when one of them is freed.
-        """
-        if (kind, prefix) not in self.fresh:
-            self.fresh[kind, prefix] = fresh_ids(self.ids[kind], prefix)
-        return self.fresh[kind, prefix]
-
-    def free(self, kind: int, item_id: str) -> None:
-        self.ids[kind].discard(item_id)
-        for key in [key for key in self.fresh if key[0] == kind and item_id.startswith(key[1])]:
-            del self.fresh[key]
 
 
 class _Glue:
@@ -130,7 +115,7 @@ class _Glue:
 
     def __init__(self, d: Diagram):
         self.d = d
-        self.owner: dict[str, str] = {}  # union-find over piece ids
+        self.owner = {p.id: p.id for p in d.pieces}  # union-find over piece ids
         self.parts: dict[str, _Component] = {}  # surviving pieces, loaded on first use
         self.ids: tuple[dict, dict, dict] = ({}, {}, {})  # crossing, strand, wall renames
         self.renamed: set[str] = set()  # pieces some of whose ids were renamed
@@ -145,20 +130,13 @@ class _Glue:
         self.surrogates: list[GluedCircle] = []  # circles replacing spliced pairs
         self.surfaces = {f.id: f for f in d.surfaces}
         self.slot = {f.id: i for i, f in enumerate(d.surfaces)}
-        self.alias: dict[str, str] = {}  # glued-away surface -> the one it went into
+        self.alias = {f.id: f.id for f in d.surfaces}  # union-find over surface ids
         self.carriers: dict[str, dict[int, list[str]]] = {}  # pair -> curve index -> surfaces
         for f in d.surfaces:
             for item in f.boundary:
                 if isinstance(item, WallCurve):
                     self.carriers.setdefault(item.pair, {}).setdefault(
                         item.index, []).append(f.id)
-
-    def find(self, pid: str) -> str:
-        owner = self.owner
-        while owner.get(pid, pid) != pid:
-            owner[pid] = owner.get(owner[pid], owner[pid])  # path halving
-            pid = owner[pid]
-        return pid
 
     def _component(self, pid: str) -> _Component:
         if pid not in self.parts:
@@ -186,7 +164,7 @@ class _Glue:
 
         False, and nothing glued, when both walls already lie in one piece.
         """
-        pa, pb = self.find(q.wall_a[0]), self.find(q.wall_b[0])
+        pa, pb = find_root(self.owner, q.wall_a[0]), find_root(self.owner, q.wall_b[0])
         if pa == pb:
             return False
         a, b = self._component(pa), self._component(pb)
@@ -225,11 +203,11 @@ class _Glue:
         k = len(m)
         crossings, segs = [], []
         if k:
-            crossings, segs, _ = braid(_connector_word(q), [1] * k, c.new_ids(0, "br"))
+            crossings, segs, _ = braid(_connector_word(q), [1] * k, fresh_ids(c.ids[0], "br"))
         if surrogate:
             # connector i goes over the surrogate at u and under it at o; the
             # surrogate runs under the bundle and back over it
-            hd = c.new_ids(0, "hd")
+            hd = fresh_ids(c.ids[0], "hd")
             lanes = [(next(hd), next(hd)) for _ in range(k)]
             crossings += [Crossing(x, over) for u, o in lanes for x, over in ((u, 2), (o, 1))]
             segs = [[(u, 3), (o, 3)] + seg for (u, o), seg in zip(lanes, segs)]
@@ -292,12 +270,12 @@ class _Glue:
                 self.ends.pop((w, i), None)
             if w in c.walls:
                 del c.walls[w]
-                c.free(2, self.ids[2].get(w, w[1]))
+                c.ids[2].discard(self.ids[2].get(w, w[1]))
         for s in heads:
             self.ends[edited[s].end] = s
         for s in chained.difference(heads, loops):
             del c.strands[s]
-            c.free(1, self.ids[1].get(s, s[1]))
+            c.ids[1].discard(self.ids[1].get(s, s[1]))
             self.dead.add(s)
         for s in loops:
             edited[s].start = edited[s].end = None
@@ -306,7 +284,7 @@ class _Glue:
         self.glued.append(q.id)
         if not surrogate:
             return None
-        sid = next(c.new_ids(1, "hs"))
+        sid = next(fresh_ids(c.ids[1], "hs"))
         key = (pid, sid)
         self.strand.pop(key, None)  # a strand of that id died in a splice
         self.source[key] = Strand(sid, tuple([(u, 2) for u, _ in lanes]
@@ -320,12 +298,13 @@ class _Glue:
     def _glue_wall_curves(self, pair_id: str) -> None:
         """Glue the surface boundary curves matched across a spliced pair."""
         # the surfaces carrying each curve now, in surface order
-        carriers = {index: sorted(map(self._resolve, fids), key=self.slot.__getitem__)
+        carriers = {index: sorted((find_root(self.alias, f) for f in fids),
+                                  key=self.slot.__getitem__)
                     for index, fids in self.carriers.get(pair_id, {}).items()}
         for index, fids in sorted(carriers.items()):
             if len(fids) != 2:
                 raise DiagramError(f"wall curve {pair_id}:{index} is not matched")
-            fa, fb = (self._resolve(x) for x in fids)
+            fa, fb = (find_root(self.alias, x) for x in fids)
 
             def strip_once(boundary, count):
                 kept = []
@@ -350,11 +329,6 @@ class _Glue:
                 del self.surfaces[fb]
                 self.alias[fb] = fa
 
-    def _resolve(self, fid: str) -> str:
-        while fid in self.alias:
-            fid = self.alias[fid]
-        return fid
-
     def _piece(self, pid: str, c: _Component) -> Piece:
         xids, sids, wids = self.ids
         crossings = tuple(replace(x, id=xids[key]) if key in xids else x
@@ -376,12 +350,14 @@ class _Glue:
     def diagram(self) -> Diagram:
         """The glued diagram: spliced pairs gone, every reference renamed."""
         _, sids, wids = self.ids
-        moved = self.renamed.union(self.owner)  # pieces whose references change
+        owner = self.owner
+        # pieces whose references change: renamed or absorbed ones
+        moved = self.renamed.union(p for p in owner if owner[p] != p)
         pieces = tuple(self._piece(p.id, self.parts[p.id]) if p.id in self.parts else p
-                       for p in self.d.pieces if p.id not in self.owner)
+                       for p in self.d.pieces if owner[p.id] == p.id)
 
         def ref(r):
-            return (self.find(r[0]), wids.get(tuple(r), r[1]))
+            return (find_root(owner, r[0]), wids.get(tuple(r), r[1]))
 
         glued = set(self.glued)
         pairs = tuple(replace(q, wall_a=ref(q.wall_a), wall_b=ref(q.wall_b))
@@ -390,7 +366,7 @@ class _Glue:
         circles = []
         for c in self.d.circles:
             if any(p in moved or (p, s) in self.dead for p, s in c.strand_cycle):
-                entries = tuple((self.find(p), sids.get((p, s), s))
+                entries = tuple((find_root(owner, p), sids.get((p, s), s))
                                 for p, s in c.strand_cycle if (p, s) not in self.dead)
                 if not entries:
                     raise DiagramError(f"circle {c.id} lost all strands in splice")
@@ -406,6 +382,7 @@ def merge_pieces(d: Diagram, pair_id: str) -> Diagram:
     q = d.pair(pair_id)
     if q.wall_a[0] == q.wall_b[0]:
         raise MoveError(f"pair {pair_id} is internal to piece {q.wall_a[0]}")
+    require_valid(d, "invalid diagram")
     glue = _Glue(d)
     glue.join(q)
     return require_valid(glue.diagram(), "merge broke the diagram")
@@ -475,13 +452,9 @@ def _cancel(d: Diagram, surface_id: str, circle_id: str) -> Diagram:
     pieces = {p.id: p for p in d.pieces}
     for pid, sid in c.strand_cycle:
         p = pieces[pid]
-        s = p.tangle.strand(sid)
-        drop = {x for x, _ in s.visits}
-        strands = tuple(
-            replace(o, visits=tuple(v for v in o.visits if v[0] not in drop))
-            for o in p.tangle.strands if o.id != sid)
-        crossings = tuple(x for x in p.tangle.crossings if x.id not in drop)
-        pieces[pid] = Piece(p.id, TangleCode(crossings, strands), p.walls)
+        code = _drop(p.tangle, {x for x, _ in p.tangle.strand(sid).visits})
+        pieces[pid] = Piece(p.id, replace(code, strands=tuple(
+            s for s in code.strands if s.id != sid)), p.walls)
     return replace(d, pieces=tuple(pieces[p.id] for p in d.pieces),
                    circles=tuple(x for x in d.circles if x.id != circle_id),
                    surfaces=tuple(f for f in d.surfaces if f.id != surface_id))
@@ -519,7 +492,7 @@ def to_kirby(d: Diagram, log: list | None = None) -> Diagram:
         raise DiagramError("Kirby form needs a single-piece diagram")
     adm = check_admissible(d)  # carries every validate error
     if not adm.ok:
-        raise DiagramError(f"not admissible: {adm.errors()[0].message}")
+        raise DiagramError(f"not admissible: {adm.findings[0].message}")
     if d.annotation is not None:
         return d
     if any(isinstance(i, WallCurve) for f in d.surfaces for i in f.boundary):

@@ -25,17 +25,18 @@ strand_arcs build Arc records.  R1- and R2- drop the crossings they find
 with every visit to them (_drop), so greedy reduction applies a site
 without locating it again.
 
-A TangleCode is immutable: every edit builds a new code.  Each fact derived
-from a code is a cached property of its own, built on first read: the
-crossing and the strand id maps, the passage split with the crossing signs,
-and one memo of the code problems, the arc index and, per wall set, the
-dart table, the faces and their planarity problems.  A code that only traces faces never
-builds its passage split.  Nothing stored is ever changed afterwards; the
-memo only gains entries.  So no fact can go stale, and since cached
-properties live in the instance __dict__ and are no dataclass fields,
-equality, hashing and dataclasses.replace ignore them.  cached_property
-here is functools' without the lock that Python 3.11 takes on every first
-read.
+A TangleCode is immutable: every edit builds a new code.  What a code
+caches is what its callers read again: the crossing and the strand id maps,
+the passage split with the crossing signs, the arc index, and one dict that
+holds, per wall set, the dart table or the MoveError its face trace raised,
+so no wall set is traced twice.  A table traces its faces and checks its
+planarity on first read.  Code problems and the Arc records of faces() are
+rebuilt on every call.  A code that only traces faces never builds its
+passage split.  Nothing stored is ever changed afterwards, so no fact can
+go stale, and since cached properties live in the instance __dict__ and are
+no dataclass fields, equality, hashing and dataclasses.replace ignore them.
+cached_property here is functools' without the lock that Python 3.11 takes
+on every first read.
 
 Crossing rules are read from the code by two helpers: is_over tells whether
 the passage entering at a port is on top, other_passage gives the passage
@@ -124,11 +125,14 @@ class TangleCode:
                 for cid, ps in passages(self).items()}
 
     @cached_property
-    def _memo(self) -> dict:
-        # "problems" -> code problems; "arcs" -> arc index by (strand, index);
-        # ("darts", walls) -> dart table or None; ("faces", walls) -> (arcs,
-        # faces), filled on success only; ("planarity", walls) -> planarity
-        # problems; walls as sorted items
+    def _arc_index(self) -> dict[ArcRef, int]:
+        """(strand id, arc index) -> the index of the arc in dart table order."""
+        return {r: i for i, r in enumerate(_arc_refs(self))}
+
+    @cached_property
+    def _tables(self) -> dict:
+        # sorted wall items -> the _DartTable of that wall set, or the
+        # MoveError its face trace raised
         return {}
 
     def crossing(self, cid: str) -> Crossing:
@@ -162,13 +166,6 @@ def passages(code: TangleCode) -> dict[str, list[tuple[str, int, int]]]:
 
 def code_problems(code: TangleCode) -> list[str]:
     """Structural defects: port occupancy, dangling references, id clashes."""
-    memo = code._memo
-    if "problems" not in memo:
-        memo["problems"] = tuple(_code_problems(code))
-    return list(memo["problems"])
-
-
-def _code_problems(code: TangleCode) -> list[str]:
     problems = []
     ids = [c.id for c in code.crossings]
     if len(set(ids)) != len(ids):
@@ -335,33 +332,32 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
 
     Crossingless closed strands carry no nodes and are excluded: a split
     round curve can be isotoped into any region, so its placement is not
-    part of the code.  Returns (arcs, faces) as tuples, memoised per code
-    and wall set; a trace that raises is not memoised.
+    part of the code.  Returns (arcs, faces) as tuples, read from the dart
+    table of the wall set; raises the MoveError of a face trace that fails.
     """
-    walls = walls or {}
-    memo = code._memo
-    key = ("faces", tuple(sorted(walls.items())))
-    if key not in memo:
-        table = dart_table(code, walls)
-        arcs = tuple(Arc(sid, k, table.sites[2 * i], table.sites[2 * i + 1])
-                     for i, (sid, k) in enumerate(_arc_refs(code)))
-        memo[key] = arcs, tuple(tuple((d >> 1, not d & 1) for d in f) for f in table.faces)
-    return memo[key]
+    table = dart_table(code, walls)
+    arcs = tuple(Arc(sid, k, table.sites[2 * i], table.sites[2 * i + 1])
+                 for i, (sid, k) in enumerate(_arc_refs(code)))
+    return arcs, tuple(tuple((d >> 1, not d & 1) for d in f) for f in table.faces)
 
 
 class _DartTable:
     """Dart 2k runs arc k forward from its tail, dart 2k + 1 backward from its head.
 
     sites[d] is where dart d leaves, at maps a site to the dart leaving it,
-    succ[d] is the dart after d along its face.  faces, the orbits of succ,
-    is traced on first read, and face_of[d], the face of dart d, is built
-    from it on its own first read.  Slotted: validation keeps one per piece.
+    succ[d] is the dart after d along its face, and walls is the table's own
+    copy of the wall degrees it was traced with.  Three facts are filled on
+    first read: faces, the orbits of succ; face_of[d], the face of dart d;
+    and planarity, the problems of the Euler check.  Slotted: validation
+    keeps one per piece.
     """
 
-    __slots__ = ("sites", "succ", "at", "_faces", "_face_of")
+    __slots__ = ("sites", "succ", "at", "walls", "_faces", "_face_of", "_planarity")
 
-    def __init__(self, sites: list[Site], succ: list[int], at: dict[Site, int]):
-        self.sites, self.succ, self.at, self._faces, self._face_of = sites, succ, at, None, None
+    def __init__(self, sites: list[Site], succ: list[int], at: dict[Site, int],
+                 walls: dict[str, int]):
+        self.sites, self.succ, self.at, self.walls = sites, succ, at, walls
+        self._faces = self._face_of = self._planarity = None
 
     @property
     def faces(self) -> list[list[int]]:
@@ -378,27 +374,38 @@ class _DartTable:
                     self._face_of[d] = f
         return self._face_of
 
-
-def _darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable | None:
-    """The memoised dart table of code with walls; None when a face trace raises."""
-    memo = code._memo
-    key = ("darts", tuple(sorted(walls.items())))
-    if key not in memo:
-        try:
-            memo[key] = _build_darts(code, walls)
-        except MoveError:
-            memo[key] = None
-    return memo[key]
+    @property
+    def planarity(self) -> tuple[str, ...]:
+        if self._planarity is None:
+            self._planarity = tuple(_planarity_problems(self))
+        return self._planarity
 
 
 def dart_table(code: TangleCode, walls: Mapping[str, int] | None = None) -> _DartTable:
-    """The memoised dart table of code with walls; raises the MoveError of a
-    face trace that fails."""
-    walls = walls or {}
-    return _darts(code, walls) or _build_darts(code, walls)
+    """The dart table of code with walls (None: no walls), built once per
+    wall set; a face trace that failed raises its MoveError again."""
+    key = tuple(sorted(walls.items())) if walls else ()
+    tables = code._tables
+    if key not in tables:
+        try:
+            tables[key] = _build_darts(code, dict(key))
+        except MoveError as e:
+            tables[key] = e
+    table = tables[key]
+    if isinstance(table, MoveError):
+        raise MoveError(*table.args)
+    return table
 
 
-def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
+def _darts(code: TangleCode, walls: Mapping[str, int] | None) -> _DartTable | None:
+    """dart_table, or None when the face trace fails."""
+    try:
+        return dart_table(code, walls)
+    except MoveError:
+        return None
+
+
+def _build_darts(code: TangleCode, walls: dict[str, int]) -> _DartTable:
     sites = [site for s in code.strands for site in _strand_sites(s)]
     at: dict[Site, int] = dict(zip(sites, range(len(sites))))
     if len(at) < len(sites):
@@ -416,7 +423,7 @@ def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
         # raise where a step-by-step trace first fails to turn
         d = next(f[-1] for f in _trace_faces(succ) if succ[f[-1]] < 0)
         _turn_error(sites[d ^ 1], walls)
-    return _DartTable(sites, succ, at)
+    return _DartTable(sites, succ, at, walls)
 
 
 def _trace_faces(succ: list[int]) -> list[list[int]]:
@@ -452,22 +459,17 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
     faces are orbits of a permutation of darts, so every component has
     V - E + F <= 2, and the totals equal 2 per component exactly when each
     component is planar.  Messages per component are built only when the
-    totals disagree.  Memoised per code and wall set, like faces.
+    totals disagree.  Checked once per dart table.
     """
-    walls = walls or {}
-    memo = code._memo
-    key = ("planarity", tuple(sorted(walls.items())))
-    if key not in memo:
-        memo[key] = tuple(_planarity_problems(code, walls))
-    return list(memo[key])
-
-
-def _planarity_problems(code: TangleCode, walls: Mapping[str, int]) -> list[str]:
     try:
         table = dart_table(code, walls)
     except MoveError as e:
         return [f"broken attachment structure: {e}"]
-    sites, succ = table.sites, table.succ
+    return list(table.planarity)
+
+
+def _planarity_problems(table: _DartTable) -> list[str]:
+    sites, succ, walls = table.sites, table.succ, table.walls
     # union-find over nodes, numbered in order of first use; ends[2k] and
     # ends[2k + 1] are the tail and head node of arc k
     nodes: dict[tuple, int] = {}
@@ -658,7 +660,7 @@ def r1_minus(code: TangleCode, cid: str) -> TangleCode:
 def find_r2_minus(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[tuple[str, str]]:
     """Crossing pairs removable by an R2 move: 2-cycles of the dart table
     (bigons) with a uniform overpass.  No face is traced."""
-    table = _darts(code, walls or {})
+    table = _darts(code, walls)
     if table is None:
         return []
     succ = table.succ
@@ -685,7 +687,7 @@ def _r2_pair(code: TangleCode, table: _DartTable, d: int) -> tuple[str, str] | N
 def r2_minus(code: TangleCode, x: str, y: str,
              walls: Mapping[str, int] | None = None) -> TangleCode:
     # one dart of an x-y bigon leaves crossing x
-    table = _darts(code, walls or {})
+    table = _darts(code, walls)
     at = table.at if table else {}
     darts = [at[site] for site in (("x", x, p) for p in range(4)) if site in at]
     if (min(x, y), max(x, y)) not in {_r2_pair(code, table, d) for d in darts}:
@@ -706,7 +708,7 @@ def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
     if (sa.closed and not sa.visits) or (sb.closed and not sb.visits):
         return ()
     face_of = dart_table(code, walls).face_of
-    ia, ib = _arc_number(code, a), _arc_number(code, b)
+    ia, ib = code._arc_index.get(tuple(a)), code._arc_index.get(tuple(b))
     if ia is None or ib is None:
         return None
     # darts 2i and 2i + 1 run arc i forward and backward
@@ -715,18 +717,10 @@ def _shared_face(code: TangleCode, a: ArcRef, b: ArcRef,
     return min(found, key=lambda t: (t[1], t[0]), default=None)
 
 
-def _arc_number(code: TangleCode, ref: ArcRef) -> int | None:
-    """The index of arc ref in dart table order, None when the code has no such arc."""
-    memo = code._memo
-    if "arcs" not in memo:
-        memo["arcs"] = {r: i for i, r in enumerate(_arc_refs(code))}
-    return memo["arcs"].get(tuple(ref))
-
-
 def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
     """All (crossing triple, swap plan) pairs for movable triangle faces; a
     plan lists the visit index pair (strand, i, j) of each triangle dart."""
-    table = _darts(code, walls or {})
+    table = _darts(code, walls)
     if table is None:
         return []
     sites = table.sites
@@ -858,7 +852,7 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
         if not plans:
             break
         # _r3_plans traced the faces of the table
-        table = _darts(cur, walls or {})
+        table = _darts(cur, walls)
         for tri in sorted(plans):
             if not _r3_opens_site(cur, table, plans[tri]):
                 continue

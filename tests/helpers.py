@@ -257,7 +257,7 @@ def random_multipiece_diagram(rng, max_pieces=4, extra_pairs=True):
                 surfaces=tuple(surfaces), sink_count=1)
     d = perturb_code(d, rng, moves=rng.randint(0, 2))
     report = validate(d)
-    assert report.ok, report.errors()
+    assert report.ok, report.findings
     return d
 
 

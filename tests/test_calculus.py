@@ -91,7 +91,7 @@ def test_blow_down_linked_once():
                          GluedCircle("c2", (("P1", "S2"),), 0)),
                 sink_count=1)
     out = blow_down(d, "c1")
-    assert validate(out).ok, validate(out).errors()
+    assert validate(out).ok, validate(out).findings
     assert [c.id for c in out.circles] == ["c2"]
     assert out.circles[0].framing == -1
     assert linking_matrix(out).as_list() == [[-1]]
@@ -161,7 +161,7 @@ def test_blow_down_matrix_formula():
 def test_slide_split_zero_framed():
     d = unknots([0, 0])
     out = handle_slide(d, "c1", "c2", ("P1", ("S1", 0), ("S2", 0), 1))
-    assert validate(out).ok, validate(out).errors()
+    assert validate(out).ok, validate(out).findings
     assert sorted(c.id for c in out.circles) == ["c1", "c2"]
     assert out.circle("c1").framing == 0
     m = linking_matrix(out).as_list()
@@ -215,7 +215,7 @@ def test_blow_up_then_down_identity():
 def test_slide_over_hopf_component():
     d = catalog.standard("s2xs2")
     out = handle_slide(d, "c1", "c2", ("P1", ("S1", 0), ("S2", 0), 1))
-    assert validate(out).ok, validate(out).errors()
+    assert validate(out).ok, validate(out).findings
     m = linking_matrix(out).as_list()
     # E^T L E for E = [[1,0],[1,1]] on [[0,1],[1,0]] gives [[2,1],[1,0]]
     assert m == [[2, 1], [1, 0]]
@@ -345,7 +345,7 @@ def test_blow_down_of_a_dotted_circle_is_refused():
     # the crossingless branch returned before validation: the annotation kept
     # naming the circle it had removed
     d = dotted_plus_one()
-    assert validate(d).ok, validate(d).errors()
+    assert validate(d).ok, validate(d).findings
     (c,) = d.circles
     with pytest.raises(RefusalError, match="blow-down broke the diagram: dotted ids"):
         blow_down(d, c.id)

@@ -178,6 +178,29 @@ def test_usage_error_exit_code(files):
     assert run_cli("validate").returncode == 3
 
 
+def test_unusable_files_and_values_exit_3_without_a_traceback(files):
+    # each a fresh process: an output in a missing directory, an input that
+    # does not decode, a catalog entry the catalog refuses, a negative bound
+    paths, tmp = files
+    missing = str(tmp / "no-such-dir" / "x.msd")
+    undecodable = tmp / "undecodable.msd"
+    undecodable.write_bytes(b"msd 1\n\xff\n")
+    for args, stderr in (
+            (("catalog", "cp2", "-o", missing), f"cannot write {missing}"),
+            (("reduce", paths["s1xs3"], "-o", missing), f"cannot write {missing}"),
+            (("reduce", paths["s1xs3"], "-o", str(tmp / "out.msd"), "--log", missing),
+             f"cannot write {missing}"),
+            (("render", paths["cp2"], "-o", missing), f"cannot write {missing}"),
+            (("validate", str(undecodable)), f"cannot read {undecodable}"),
+            (("catalog", "n-s1s3(0)"), "n must be at least 1"),
+            (("recognize-s3", paths["cp2"], "--depth", "-1"), "got '-1'"),
+            (("equiv", paths["cp2"], paths["cp2"], "--budget", "-1"), "got '-1'"),
+            (("conj", paths["swap-diffeo"], paths["swap-diffeo"], "--budget", "-2"), "got '-2'")):
+        out = run_cli(*args)
+        assert (out.returncode, out.stdout) == (3, ""), (args, out.stderr)
+        assert stderr in out.stderr and "Traceback" not in out.stderr, (args, out.stderr)
+
+
 def test_invariants_output(files):
     paths, _ = files
     out = run_cli("invariants", paths["s2xs2"])

@@ -37,9 +37,9 @@ ALL_NAMES = ["s4-polar", "cp2", "cp2-mirror", "s2xs2", "s1xs3", "swap-diffeo",
 def test_catalog_entries_valid_and_admissible(name):
     d = catalog.standard(name)
     report = validate(d)
-    assert report.ok, report.errors()
+    assert report.ok, report.findings
     adm = check_admissible(d)
-    assert adm.ok, adm.errors()
+    assert adm.ok, adm.findings
 
 
 def test_validate_empty_diagram_ok():
@@ -74,7 +74,7 @@ def test_validate_reports_broken_cycle():
     )
     report = validate(d)
     assert not report.ok
-    assert any("Q1" in f.message or "Q1" in f.location for f in report.errors())
+    assert any("Q1" in f.message or "Q1" in f.location for f in report.findings)
 
 
 def test_handle_counts():
@@ -91,7 +91,7 @@ def test_admissibility_rejects_genus():
     assert validate(bad).ok
     report = check_admissible(bad)
     assert not report.ok
-    assert "F1" in report.errors()[0].location
+    assert "F1" in report.findings[0].location
 
 
 def circle_orbits(d):
@@ -217,7 +217,7 @@ def test_validated_circles_are_the_successor_orbits():
     # validate accepts, rearranged or not, follows the strands across pairs
     accepted = rejected = 0
     for d in circle_corpus():
-        assert validate(d).ok, validate(d).errors()
+        assert validate(d).ok, validate(d).findings
         orbits = up_to_rotation(circle_orbits(d))
         for v in [d, *circle_mutations(d)]:
             if validate(v).ok:
@@ -237,11 +237,11 @@ def test_reversed_circle_does_not_close():
             rev = replace(c, strand_cycle=c.strand_cycle[::-1])
             report = validate(replace(d, circles=d.circles[:i] + (rev,) + d.circles[i + 1:]))
             if len(c.strand_cycle) <= 2:
-                assert report.ok, report.errors()
+                assert report.ok, report.findings
                 continue
             reversed_long += 1
             assert any(f.message.startswith("cycle does not close through pair")
-                       for f in report.errors()), report.errors()
+                       for f in report.findings), report.findings
     assert reversed_long
 
 
@@ -251,14 +251,14 @@ def test_broken_matching_reports_an_open_cycle(matching, strand):
     # matching that is no bijection leaves an open cycle, never a crash
     d = catalog.standard("cp2-two-piece")
     d = replace(d, pairs=(replace(d.pairs[0], matching=matching),))
-    assert [f.message for f in validate(d).errors()] == [
+    assert [f.message for f in validate(d).findings] == [
         "matching is not a point bijection",
         f"cycle does not close through pair Q1 after strand {strand}"]
 
 
 def test_self_pair_closes_a_one_strand_cycle():
     d = self_pair_closure()
-    assert validate(d).ok, validate(d).errors()
+    assert validate(d).ok, validate(d).findings
     assert circle_orbits(d) == [(("P1", "S1"),)]
 
 
@@ -299,7 +299,7 @@ def test_internal_maps_checked():
                   internal_maps=d.internal_maps)
     report = validate(bad)
     assert not report.ok
-    assert any("framing" in f.message for f in report.errors())
+    assert any("framing" in f.message for f in report.findings)
 
 
 def test_kind_flag_consistency():
@@ -334,10 +334,10 @@ def test_annotation_must_agree_with_its_diagram():
         (replace(ann, three_handles=-1), "three_handles must not be negative"),
     ):
         report = validate(replace(kirby, annotation=bad))
-        assert [(f.location, message in f.message) for f in report.errors()] == \
-            [("annotation", True)], report.errors()
+        assert [(f.location, message in f.message) for f in report.findings] == \
+            [("annotation", True)], report.findings
     report = validate(replace(s1xs3, annotation=replace(ann, dotted=(), one_handles=0)))
-    assert [f.message for f in report.errors()] == [
+    assert [f.message for f in report.findings] == [
         "a Kirby-form diagram has no sphere pairs and no surfaces"]
 
 

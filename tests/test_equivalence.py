@@ -342,7 +342,7 @@ def test_isomorphic_relabeled_and_perturbed():
         d2 = Diagram(pieces=(Piece(p.id, code, p.walls),) + d2.pieces[1:],
                      pairs=d2.pairs, circles=d2.circles, surfaces=d2.surfaces,
                      sink_count=d2.sink_count)
-        assert validate(d2).ok, validate(d2).errors()
+        assert validate(d2).ok, validate(d2).findings
         v = isomorphic(d, d2)
         assert v.yes, (name, v.detail)
         assert verify_isomorphism(v.witness, d, d2).ok
@@ -480,7 +480,7 @@ def test_conjugate_no_by_asymmetric_linking():
                  GluedCircle("cC", (("P1", "t2"),), 0),
                  GluedCircle("cB", (("P1", "t3"),), 0)),
         sink_count=1)
-    assert validate(base).ok, validate(base).errors()
+    assert validate(base).ok, validate(base).findings
     ident = catalog.identity_diffeo(base)
     swap = Diagram(
         pieces=base.pieces, circles=base.circles, sink_count=1,
@@ -529,7 +529,7 @@ def test_verify_rejects_tampered_sink_map():
     assert v.yes and verify_isomorphism(v.witness, d, d).ok
     for sink_map in ((0, 0), (0,), (1, 2)):
         report = verify_isomorphism(replace(v.witness, sink_map=sink_map), d, d)
-        assert [(f.location, f.message) for f in report.errors()] == [
+        assert [(f.location, f.message) for f in report.findings] == [
             ("witness/sinks", "not a bijection")]
 
 
@@ -539,7 +539,7 @@ def test_verify_rejects_sink_map_breaking_incidence():
     v = isomorphic(d, d)
     assert v.yes and verify_isomorphism(v.witness, d, d).ok
     report = verify_isomorphism(replace(v.witness, sink_map=(1, 0)), d, d)
-    assert [(f.location, f.message) for f in report.errors()] == [
+    assert [(f.location, f.message) for f in report.findings] == [
         ("witness/sinks", "incidence of sink 0 not preserved"),
         ("witness/sinks", "incidence of sink 1 not preserved"),
         ("witness", "maps disagree with the traversals")]
@@ -821,7 +821,7 @@ def test_verify_names_each_tampered_witness_field():
     ]
     for tampered, findings in cases:
         report = verify_isomorphism(tampered, d1, d2)
-        assert [(f.location, f.message) for f in report.errors()] == findings
+        assert [(f.location, f.message) for f in report.findings] == findings
 
 
 def r3_pair():

@@ -77,6 +77,16 @@ def test_ends_mismatch_rejected(ends):
         parse(text.replace("ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i ", f"ends={ends} "))
 
 
+def test_port_out_of_range_is_left_to_validate():
+    # x2 gets passages on ports 2 and -1, which split over the port pairs
+    # but leave port 3 empty: the ends check skips it as it skips any
+    # broken crossing, and validate names the port
+    text = serialize(catalog.standard("s2xs2"))
+    assert "path=x1:2,x2:3 " in text
+    d = parse(text.replace("path=x1:2,x2:3 ", "path=x1:2,x2:-1 "))
+    assert "strand S1: bad port -1" in [f.message for f in validate(d).findings]
+
+
 def test_imap_preserved():
     d = catalog.standard("swap-diffeo")
     text = serialize(d)

@@ -310,7 +310,7 @@ def test_multi_sink_needs_incidence():
     base = catalog.standard("s1xs3")
     two_sinks = replace(base, sink_count=2)
     report = validate(two_sinks)
-    assert [(f.location, f.message) for f in report.errors()] == [
+    assert [(f.location, f.message) for f in report.findings] == [
         ("sinks", "multi-sink diagram with surfaces needs an explicit sink incidence block")]
     with pytest.raises(DiagramError, match="sink incidence block"):
         homology(two_sinks)
@@ -328,7 +328,7 @@ def test_validate_checks_d3_d4():
     # F1 runs along c1, so d3(F1) != 0 and no sink may have F1 in its boundary
     d = replace(catalog.standard("s4-with-cancelling-pair"), sink_count=2,
                 sink_incidence=((1,), (1,)))
-    assert [(f.location, f.message) for f in validate(d).errors()] == [
+    assert [(f.location, f.message) for f in validate(d).findings] == [
         ("sink 0", "incident surfaces cover circle c1 +1 times: d3.d4 != 0"),
         ("sink 1", "incident surfaces cover circle c1 +1 times: d3.d4 != 0")]
     with pytest.raises(DiagramError, match="d3.d4"):

@@ -57,7 +57,7 @@ def test_merge_strand_free_pair():
 def test_merge_two_piece_cp2():
     d = catalog.standard("cp2-two-piece")
     out = merge_pieces(d, "Q1")
-    assert validate(out).ok, validate(out).errors()
+    assert validate(out).ok, validate(out).findings
     assert handle_counts(out) == (1, 0, 1, 0, 1)
     v = isomorphic(out, catalog.standard("cp2"))
     assert v.yes, v.detail
@@ -180,7 +180,7 @@ def test_to_kirby_s1xs3():
     d = catalog.standard("s1xs3")
     log = []
     out = to_kirby(d, log)
-    assert validate(out).ok, validate(out).errors()
+    assert validate(out).ok, validate(out).findings
     assert len(out.pairs) == 0 and len(out.surfaces) == 0
     assert out.annotation is not None
     ann = out.annotation
@@ -212,10 +212,10 @@ def test_to_kirby_with_strands_through_pair():
         circles=(GluedCircle("c1", (("P1", "S1"),), 0),),
         sink_count=1,
     )
-    assert validate(d).ok, validate(d).errors()
+    assert validate(d).ok, validate(d).findings
     assert [b for b, _ in homology(d)] == [1, 0, 0, 0, 1]
     out = to_kirby(d)
-    assert validate(out).ok, validate(out).errors()
+    assert validate(out).ok, validate(out).findings
     assert len(out.circles) == 2
     assert out.annotation.one_handles == 1
     from msdiagram.invariants import linking_matrix

@@ -29,6 +29,7 @@ from helpers import (
     random_relabel,
     random_slide_band,
 )
+from msdiagram import tangle
 from msdiagram.calculus import RefusalError, handle_slide
 from msdiagram.core import (
     Diagram,
@@ -57,6 +58,7 @@ from msdiagram.tangle import (
     code_problems,
     crossing_passages,
     crossing_sign,
+    dart_table,
     faces,
     find_r1_minus,
     find_r2_minus,
@@ -376,7 +378,6 @@ def test_faces_memo_matches_fresh_trace(d):
     for p in d.pieces:
         walls = p.wall_points()
         arcs, fs = faces(p.tangle, walls)
-        assert faces(p.tangle, dict(walls)) is faces(p.tangle, walls)
         assert (arcs, fs) == faces(fresh(p.tangle), walls)
         # the faces partition the darts of the traced arcs
         darts = [dart for f in fs for dart in f]
@@ -450,7 +451,7 @@ def test_half_open_strand_is_a_broken_attachment_structure():
     assert planarity_problems(code, {"W": 1}) == [
         "broken attachment structure: strand a: exactly one endpoint set"]
     d = Diagram(pieces=(Piece("P", code, (SphereWall("W", 1),)),))
-    assert "strand a: exactly one endpoint set" in [f.message for f in validate(d).errors()]
+    assert "strand a: exactly one endpoint set" in [f.message for f in validate(d).findings]
 
 
 def greedy_reduced(code, walls):
@@ -619,13 +620,46 @@ def test_duplicate_crossing_ids_keep_first_match():
     assert TangleCode((first, second)).crossing("x") is first
 
 
-def test_faces_error_is_not_memoised():
+def test_faces_error_is_kept_per_wall_set():
     code = TangleCode(strands=(Strand("a", start=("W", 0), end=("W", 1)),))
     with pytest.raises(MoveError):
         faces(code, {})
     assert faces(code, {"W": 2}) == faces(fresh(code), {"W": 2})
     with pytest.raises(MoveError):
         faces(code, {})
+
+
+def test_dart_table_is_built_once_per_wall_set(monkeypatch):
+    # a trace that raises is kept like a table that succeeds: every read of
+    # the failed wall set raises the same error again without a new trace
+    builds = []
+    build = tangle._build_darts
+    monkeypatch.setattr(tangle, "_build_darts", lambda *a: builds.append(a[1]) or build(*a))
+    code = TangleCode(strands=(Strand("a", start=("W", 0), end=("W", 1)),))
+    message = "unknown wall W in face trace"
+    for _ in range(3):
+        with pytest.raises(MoveError, match=f"^{message}$"):
+            dart_table(code, {})
+        with pytest.raises(MoveError, match=f"^{message}$"):
+            faces(code, None)
+        assert planarity_problems(code) == [f"broken attachment structure: {message}"]
+        assert find_r2_minus(code, {}) == [] and _r3_plans(code, {}) == []
+        assert dart_table(code, {"W": 2}) is dart_table(code, dict(W=2))
+        assert planarity_problems(code, {"W": 2}) == []
+    assert builds == [{}, {"W": 2}]
+
+
+def test_planarity_is_checked_once_per_dart_table(monkeypatch):
+    # no walls and None share one table; another wall set has its own
+    checks = []
+    check = tangle._planarity_problems
+    monkeypatch.setattr(tangle, "_planarity_problems", lambda *a: checks.append(a) or check(*a))
+    code = mirrored(braid_closure([(1, 1), (2, 1), (1, 1), (2, -1), (2, -1)], 3), "x1")
+    problems = planarity_problems(code)
+    assert problems == ref_planarity(code, {}) != []
+    for ws in (None, {}, {"W": 3}, {"W": 3}):
+        assert planarity_problems(code, ws) == problems
+    assert [a[0] for a in checks] == [dart_table(code), dart_table(code, {"W": 3})]
 
 
 def test_odd_crossing_sum_is_refused():
