@@ -154,7 +154,7 @@ def blow_down(d: Diagram, cid: str) -> Diagram:
         seq.append((x, other))
     m = len(seq)
 
-    sums = circle_crossing_sums(d, [o.id for o in d.circles])
+    sums = circle_crossing_sums(d)
     lk_before = {o.id: linking_from_sums(sums, cid, o.id) for o in d.circles if o.id != cid}
 
     if m % 2 != 0:
@@ -285,7 +285,7 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     shared = _shared_face(code, (s1id, arc1), (s2id, arc2), p.wall_points())
     if shared is None:
         raise MoveError("band arcs do not bound a common face (or cross a wall)")
-    sums = circle_crossing_sums(d, (c1, c2))
+    sums = circle_crossing_sums(d)
     lk12 = linking_from_sums(sums, c1, c2)
     twist = circ2.framing - sums.get((c2, c2), 0)
     # the parallel runs along s2 on the side of the shared face, which is on

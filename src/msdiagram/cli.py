@@ -15,7 +15,9 @@ of them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import ExitStack
 
 from . import catalog
 from .core import DiagramError, handle_counts, validate
@@ -62,11 +64,25 @@ def _load(path: str):
         sys.exit(EXIT_USAGE)
 
 
-def _write(path: str, text: str):
+def _write(*outputs: tuple[str, str]):
+    """Write each (path, text) pair, or none of them: every path is opened
+    before any text is written, and when one cannot be opened or written,
+    the files this call created are removed.  A path given twice gets its
+    last text, as if the pairs were written one after another."""
+    made = []
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        with ExitStack() as stack:
+            files = []
+            for path, text in dict(outputs).items():
+                new = not os.path.exists(path)
+                files.append((path, stack.enter_context(open(path, "w")), text))
+                if new:
+                    made.append(path)
+            for path, f, text in files:
+                f.write(text)
     except OSError as e:
+        for new_path in made:
+            os.remove(new_path)
         print(f"cannot write {path}: {e}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
 
@@ -127,9 +143,10 @@ def cmd_reduce(args) -> int:
     except (DiagramError, MoveError) as e:
         print(f"reduction failed: {e}", file=sys.stderr)
         return EXIT_NO
-    _write(args.output, serialize(out))
+    outputs = [(args.output, serialize(out))]
     if args.log:
-        _write(args.log, serialize_moves(log))
+        outputs.append((args.log, serialize_moves(log)))
+    _write(*outputs)
     ann = out.annotation
     print(f"reduced: {len(out.circles)} circles, annotation "
           f"({ann.one_handles}, {ann.three_handles}, {ann.sinks})")
@@ -193,7 +210,7 @@ def cmd_catalog(args) -> int:
         return EXIT_USAGE
     text = serialize(d)
     if args.output:
-        _write(args.output, text)
+        _write((args.output, text))
     else:
         sys.stdout.write(text)
     return EXIT_YES
@@ -205,7 +222,7 @@ def cmd_render(args) -> int:
     if not report.ok:
         print("invalid diagram", file=sys.stderr)
         return EXIT_NO
-    _write(args.output, render(d))
+    _write((args.output, render(d)))
     return EXIT_YES
 
 

@@ -18,11 +18,13 @@ fact once; the declared circles are the one circle decomposition, checked
 against strands and matchings by validation.  A diagram derives its kind
 (a diffeomorphism exactly when internal maps are set) and, as cached
 properties built on first read, its piece, pair, circle and surface id
-maps, the pair of each wall, and its validation report; a piece likewise
-caches its walls by id.  So no fact can go stale, and since cached
-properties live in the instance __dict__ and are no dataclass fields,
-equality, hashing and dataclasses.replace ignore them: a replaced diagram
-starts cold.
+maps, the pair of each wall, its validation report, and its crossing-sum
+table: the signed crossing sums between every two of its circles, filled
+in one sweep over each piece's crossings, from which writhes, linking
+numbers and the linking matrix are read.  A piece likewise caches its
+walls by id.  So no fact can go stale, and since cached properties live
+in the instance __dict__ and are no dataclass fields, equality, hashing
+and dataclasses.replace ignore them: a replaced diagram starts cold.
 
 Beside the diagram this module holds the records every layer shares: the
 Verdict of a semi-decision and the KirbyMove of a move log.  closed_strand
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from itertools import count
 
 from .tangle import (
     Strand,
@@ -222,6 +224,19 @@ class Diagram:
     def _report(self) -> ValidationReport:
         return _validate(self)
 
+    @cached_property
+    def _crossing_sums(self) -> dict[tuple[str, str], int]:
+        # one sweep over the crossings of each piece a circle runs through
+        group: dict[str, dict[str, str]] = {}  # piece -> strand -> circle
+        for c in self._circle_map.values():
+            for pid, sid in c.strand_cycle:
+                group.setdefault(pid, {})[sid] = c.id
+        total: dict[tuple[str, str], int] = {}
+        for pid, member in group.items():
+            for key, v in crossing_sums(self.piece(pid).tangle, member).items():
+                total[key] = total.get(key, 0) + v
+        return total
+
     def piece(self, pid: str) -> Piece:
         return self._piece_map[pid]
 
@@ -401,7 +416,7 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
             ka, kb = walls[0].points, walls[1].points
             if ka != kb:
                 findings.append(Finding(f"pair {q.id}", f"point counts differ: {ka} vs {kb}"))
-            elif sorted(q.matching) != list(range(ka)):
+            elif len(q.matching) != ka or sorted(q.matching) != list(range(ka)):
                 findings.append(Finding(f"pair {q.id}", "matching is not a point bijection"))
     for p in d.pieces:
         for w in p.walls:
@@ -466,16 +481,21 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
             if (p.id, s.id) not in claimed:
                 findings.append(
                     Finding(f"piece {p.id}/strand {s.id}", "strand belongs to no circle"))
-    # every wall point must carry exactly one strand end
-    usage = endpoint_usage(d)
+    # every wall point must carry exactly one strand end; a wall reports its
+    # first unused point, found from the used ones, so a huge point count
+    # costs nothing
     for p in d.pieces:
         ends = [pt for s in p.tangle.strands for pt in (s.start, s.end) if pt is not None]
         if len(ends) != len(set(ends)):
             findings.append(Finding(f"piece {p.id}", "two strand ends share a point"))
+        used: dict[str, set[int]] = {}
+        for wid, i in ends:
+            used.setdefault(wid, set()).add(i)
         for w in p.walls:
-            for i in range(w.points):
-                if (p.id, w.id, i) not in usage:
-                    findings.append(Finding(f"wall {p.id}.{w.id}", f"marked point {i} unused"))
+            taken = {i for i in used.get(w.id, ()) if 0 <= i < w.points}
+            if len(taken) < w.points:
+                i = next(i for i in count() if i not in taken)
+                findings.append(Finding(f"wall {p.id}.{w.id}", f"marked point {i} unused"))
 
 
 def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
@@ -674,22 +694,15 @@ def check_admissible(d: Diagram) -> ValidationReport:
 # diagram-level curve data
 
 
-def circle_crossing_sums(d: Diagram, circles: Iterable[str]) -> dict[tuple[str, str], int]:
-    """Signed crossing sums between the given circles, summed over the pieces.
+def circle_crossing_sums(d: Diagram) -> dict[tuple[str, str], int]:
+    """Signed crossing sums between the circles of d, summed over the pieces.
 
-    One sweep over each piece's crossings fills every entry.  Keys are
-    circle id pairs in sorted order: (c, c) is the writhe of c and twice
-    the linking number sits under (c1, c2).
+    Keys are circle id pairs in sorted order: (c, c) is the writhe of c and
+    twice the linking number sits under (c1, c2); a pair that never crosses
+    has no key.  The table is built once per diagram and shared: read it,
+    never change it.
     """
-    group: dict[str, dict[str, str]] = {}  # piece -> strand -> circle
-    for cid in circles:
-        for pid, sid in d.circle(cid).strand_cycle:
-            group.setdefault(pid, {})[sid] = cid
-    total: dict[tuple[str, str], int] = {}
-    for pid, member in group.items():
-        for key, v in crossing_sums(d.piece(pid).tangle, member).items():
-            total[key] = total.get(key, 0) + v
-    return total
+    return d._crossing_sums
 
 
 def linking_from_sums(sums: dict[tuple[str, str], int], c1: str, c2: str) -> int:
@@ -701,15 +714,17 @@ def linking_from_sums(sums: dict[tuple[str, str], int], c1: str, c2: str) -> int
 
 
 def diagram_linking(d: Diagram, c1: str, c2: str) -> int:
-    """Linking number of two glued circles, summed over the pieces."""
+    """Linking number of two glued circles, read from the crossing-sum table."""
     if c1 == c2:
         raise ValueError("linking number needs two distinct circles")
-    return linking_from_sums(circle_crossing_sums(d, (c1, c2)), c1, c2)
+    d.circle(c1), d.circle(c2)
+    return linking_from_sums(circle_crossing_sums(d), c1, c2)
 
 
 def diagram_writhe(d: Diagram, cid: str) -> int:
-    """Signed self-crossing sum of a glued circle over all its pieces."""
-    return circle_crossing_sums(d, (cid,)).get((cid, cid), 0)
+    """Signed self-crossing sum of a glued circle, read from the crossing-sum table."""
+    d.circle(cid)
+    return circle_crossing_sums(d).get((cid, cid), 0)
 
 
 def with_tangle(d: Diagram, pid: str, code: TangleCode) -> Diagram:

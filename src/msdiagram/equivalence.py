@@ -183,7 +183,7 @@ def _colours(d: Diagram, oriented: bool = False) -> dict[tuple[str, str], int]:
     for q in d.pairs:
         edge(("q", q.id), ("p", q.wall_a[0]), 0)
         edge(("q", q.id), ("p", q.wall_b[0]), int(oriented))
-    sums = circle_crossing_sums(d, [c.id for c in d.circles])
+    sums = circle_crossing_sums(d)
     for i, c in enumerate(d.circles):
         for pid, _ in c.strand_cycle:
             edge(("c", c.id), ("p", pid), 0)  # one per strand

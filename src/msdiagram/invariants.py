@@ -264,7 +264,7 @@ def linking_matrix(d: Diagram) -> LinkingMatrix:
     require_valid(d, "invalid diagram")
     ids = [c.id for c in d.circles]
     n = len(ids)
-    sums = circle_crossing_sums(d, ids)
+    sums = circle_crossing_sums(d)
     m = zeros(n, n)
     for i, c in enumerate(d.circles):
         m[i][i] = c.framing

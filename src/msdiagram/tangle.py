@@ -31,12 +31,12 @@ the passage split with the crossing signs, the arc index, and one dict that
 holds, per wall set, the dart table or the MoveError its face trace raised,
 so no wall set is traced twice.  A table traces its faces and checks its
 planarity on first read.  Code problems and the Arc records of faces() are
-rebuilt on every call.  A code that only traces faces never builds its
-passage split.  Nothing stored is ever changed afterwards, so no fact can
-go stale, and since cached properties live in the instance __dict__ and are
-no dataclass fields, equality, hashing and dataclasses.replace ignore them.
-cached_property here is functools' without the lock that Python 3.11 takes
-on every first read.
+rebuilt on every call.  A code that only traces faces or checks its code
+problems never builds its passage split.  Nothing stored is ever changed
+afterwards, so no fact can go stale, and since cached properties live in
+the instance __dict__ and are no dataclass fields, equality, hashing and
+dataclasses.replace ignore them.  cached_property here is functools'
+without the lock that Python 3.11 takes on every first read.
 
 Crossing rules are read from the code by two helpers: is_over tells whether
 the passage entering at a port is on top, other_passage gives the passage
@@ -45,6 +45,7 @@ that crosses it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import count
 from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -165,7 +166,12 @@ def passages(code: TangleCode) -> dict[str, list[tuple[str, int, int]]]:
 
 
 def code_problems(code: TangleCode) -> list[str]:
-    """Structural defects: port occupancy, dangling references, id clashes."""
+    """Structural defects: port occupancy, dangling references, id clashes.
+
+    A visit through port p uses ports p and p + 2, both of parity p % 2, so
+    port q of a crossing is used as often as the crossing is visited
+    through a port of parity q % 2.
+    """
     problems = []
     ids = [c.id for c in code.crossings]
     if len(set(ids)) != len(ids):
@@ -174,24 +180,24 @@ def code_problems(code: TangleCode) -> list[str]:
     if len(set(sids)) != len(sids):
         problems.append("duplicate strand ids")
     known = set(ids)
-    used: dict[tuple[str, int], int] = {}
+    slots = []  # (crossing, port parity) of each visit to a known crossing through ports 0..3
     for s in code.strands:
         if (s.start is None) != (s.end is None):
             problems.append(f"strand {s.id}: exactly one endpoint set")
         for cid, p in s.visits:
             if cid not in known:
                 problems.append(f"strand {s.id}: unknown crossing {cid}")
-                continue
-            if p not in (0, 1, 2, 3):
+            elif p not in (0, 1, 2, 3):
                 problems.append(f"strand {s.id}: bad port {p}")
-                continue
-            for q in (p, (p + 2) % 4):
-                used[cid, q] = used.get((cid, q), 0) + 1
-    for c in code.crossings:
-        for q in range(4):
-            n = used.get((c.id, q), 0)
-            if n != 1:
-                problems.append(f"crossing {c.id}: port {q} used {n} times")
+            else:
+                slots.append((cid, p % 2))
+    # every slot of every crossing used once: no port problem (a set is
+    # cheaper to build than a Counter, which only words a failure)
+    if not len(slots) == len(set(slots)) == 2 * len(known):
+        used = Counter(slots)
+        problems += [f"crossing {c.id}: port {q} used {n} times"
+                     for c in code.crossings for q in range(4)
+                     if (n := used[c.id, q % 2]) != 1]
     return problems
 
 

@@ -1,5 +1,7 @@
 """CLI exit-code contract, move logs, and SVG rendering."""
 
+import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from helpers import run_msd as run_cli
 from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
-from msdiagram.core import DiagramError
+from msdiagram.core import DiagramError, _check_circles, validate
 from msdiagram.format import ParseError, parse, parse_moves, serialize, serialize_moves
 from msdiagram.invariants import linking_matrix
 from msdiagram.reduction import reduce_pipeline
@@ -199,6 +201,61 @@ def test_unusable_files_and_values_exit_3_without_a_traceback(files):
         out = run_cli(*args)
         assert (out.returncode, out.stdout) == (3, ""), (args, out.stderr)
         assert stderr in out.stderr and "Traceback" not in out.stderr, (args, out.stderr)
+
+
+def test_reduce_leaves_no_output_behind_on_a_usage_error(files):
+    # every output path is opened before any is written: a --log in a
+    # missing directory leaves no -o file
+    paths, tmp = files
+    out, log = tmp / "out.msd", str(tmp / "no-such-dir" / "x.log")
+    result = run_cli("reduce", paths["cp2"], "-o", str(out), "--log", log)
+    assert result.returncode == 3 and f"cannot write {log}" in result.stderr
+    assert not out.exists()
+    done = run_cli("reduce", paths["cp2"], "-o", str(out), "--log", str(tmp / "x.log"))
+    assert done.returncode == 0
+    assert out.read_text() == serialize(reduce_pipeline(catalog.standard("cp2")))
+    # one path given for both outputs ends with the log, written last
+    both = run_cli("reduce", paths["cp2"], "-o", str(out), "--log", str(out))
+    assert both.returncode == 0 and out.read_text() == (tmp / "x.log").read_text()
+
+
+def test_outputs_may_be_devices(files):
+    # an output need not be a regular file: writing to the null device works
+    paths, _ = files
+    for args in (("catalog", "cp2", "-o", os.devnull),
+                 ("render", paths["cp2"], "-o", os.devnull),
+                 ("reduce", paths["cp2"], "-o", os.devnull, "--log", os.devnull)):
+        out = run_cli(*args)
+        assert out.returncode == 0 and out.stderr == "", (args, out.stderr)
+
+
+def test_validate_a_huge_wall_in_bounded_time(tmp_path):
+    # a wall reports its first unused point, found from the used ones,
+    # and a matching's length is compared before it is sorted
+    path = tmp_path / "huge-wall.msd"
+    path.write_text("msd 1\npiece P1\nwall P1.W points=99999999999999999999\nsinks 1\n")
+    start = time.perf_counter()
+    report = validate(parse(path.read_text()))
+    assert time.perf_counter() - start < 1.0
+    assert [f.message for f in report.findings] == ["wall belongs to no pair",
+                                                    "marked point 0 unused"]
+    out = run_cli("validate", str(path))
+    assert out.returncode == 1
+    assert out.stdout.endswith("error: wall P1.W: marked point 0 unused\ninvalid\n")
+
+
+def test_an_end_off_the_wall_is_reported_once():
+    # an end at a point the wall lacks is named where the endpoint is
+    # checked; the circle check, which validate runs only once every end is
+    # on a point, counts only the points a wall has, so run alone it still
+    # finds the point the stray end left unused
+    d = parse(serialize(catalog.cp2_two_piece()).replace("to=W1:1", "to=W1:5"))
+    assert [(f.location, f.message) for f in validate(d).findings] == [
+        ("piece P1/strand S1", "endpoint on missing point W1:5")]
+    findings = []
+    _check_circles(d, findings)
+    assert [(f.location, f.message) for f in findings][-1] == (
+        "wall P1.W1", "marked point 1 unused")
 
 
 def test_invariants_output(files):

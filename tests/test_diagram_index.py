@@ -31,12 +31,16 @@ from msdiagram.core import (
     Piece,
     SpanningSurface,
     SpherePair,
+    circle_crossing_sums,
+    diagram_linking,
+    diagram_writhe,
     validate,
     wall_of_pair,
+    with_tangle,
 )
 from msdiagram.equivalence import _least_walk, canonical_key
 from msdiagram.invariants import smith_normal_form
-from msdiagram.tangle import Strand, TangleCode, code_problems, planarity_problems
+from msdiagram.tangle import Crossing, Strand, TangleCode, code_problems, planarity_problems
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -177,6 +181,13 @@ def test_duplicate_ids_keep_first_match():
     assert TangleCode(strands=(s1, s2)).strand("s") is s1
 
 
+def linking_data(d):
+    """The crossing-sum table with every writhe and linking number read from it."""
+    ids = [c.id for c in d.circles]
+    return (circle_crossing_sums(d), [diagram_writhe(d, a) for a in ids],
+            [diagram_linking(d, a, b) for a in ids for b in ids if a != b])
+
+
 @PROPERTY
 @given(diagrams())
 def test_replaced_diagram_starts_cold(d):
@@ -192,6 +203,25 @@ def test_replaced_diagram_starts_cold(d):
     if p.walls:
         p.wall(p.walls[0].id)
         assert not fields_only(p) and fields_only(replace(p))
+    # the crossing-sum table is built once per diagram; a diagram made by
+    # replace, with new framings or a new tangle, starts without it and
+    # recomputes it
+    data = linking_data(d)
+    assert "_crossing_sums" in vars(d) and circle_crossing_sums(d) is data[0]
+    assert data == linking_data(cold(d))
+    reframed = replace(d, circles=tuple(replace(c, framing=c.framing + 1) for c in d.circles))
+    assert "_crossing_sums" not in vars(reframed)
+    assert linking_data(reframed) == linking_data(cold(reframed)) == data
+    # every crossing of one piece switched: that piece's share of each sum
+    # changes sign
+    busiest = max(d.pieces, key=lambda q: len(q.tangle.crossings))
+    code = busiest.tangle
+    switched = with_tangle(d, busiest.id, replace(code, crossings=tuple(
+        Crossing(c.id, 3 - c.over) for c in code.crossings)))
+    assert "_crossing_sums" not in vars(switched)
+    assert linking_data(switched) == linking_data(cold(switched))
+    if len(d.pieces) == 1:
+        assert circle_crossing_sums(switched) == {k: -v for k, v in data[0].items()}
 
 
 @PROPERTY

@@ -213,6 +213,37 @@ def ref_planarity(code, walls):
             for nodes, e, nf in comps.values() if len(nodes) - e + nf != 2]
 
 
+def ref_code_problems(code):
+    """Structural defects with every port counted in one (crossing, port) dict."""
+    problems = []
+    ids = [c.id for c in code.crossings]
+    if len(set(ids)) != len(ids):
+        problems.append("duplicate crossing ids")
+    sids = [s.id for s in code.strands]
+    if len(set(sids)) != len(sids):
+        problems.append("duplicate strand ids")
+    known = set(ids)
+    used = {}
+    for s in code.strands:
+        if (s.start is None) != (s.end is None):
+            problems.append(f"strand {s.id}: exactly one endpoint set")
+        for cid, p in s.visits:
+            if cid not in known:
+                problems.append(f"strand {s.id}: unknown crossing {cid}")
+                continue
+            if p not in (0, 1, 2, 3):
+                problems.append(f"strand {s.id}: bad port {p}")
+                continue
+            for q in (p, (p + 2) % 4):
+                used[cid, q] = used.get((cid, q), 0) + 1
+    for c in code.crossings:
+        for q in range(4):
+            n = used.get((c.id, q), 0)
+            if n != 1:
+                problems.append(f"crossing {c.id}: port {q} used {n} times")
+    return problems
+
+
 def outcome(f, *args):
     """f(*args), or the type and text of the error it raised."""
     try:
@@ -305,6 +336,31 @@ def broken(code, rng):
     visits = s.visits[:k] + edit + s.visits[k + 1:]
     return TangleCode(code.crossings, tuple(
         replace(x, visits=visits) if x is s else x for x in code.strands))
+
+
+def faulty(code, rng):
+    """code with one structural fault: a visit to an unknown crossing or
+    through a bad port, a duplicate crossing or strand id, a port used twice,
+    or one endpoint set."""
+    crossings, strands = list(code.crossings), list(code.strands)
+    k = rng.randrange(len(strands))
+    s = strands[k]
+    fault = rng.choice(("unknown", "port", "crossing id", "strand id", "twice", "endpoint"))
+    if fault in ("unknown", "port", "twice") and s.visits:
+        j = rng.randrange(len(s.visits))
+        cid, p = s.visits[j]
+        visit = {"unknown": ("zz", p), "port": (cid, rng.choice((-1, 4, 5, 7))),
+                 "twice": (cid, (p + rng.choice((1, 3))) % 4)}[fault]
+        strands[k] = replace(s, visits=s.visits[:j] + (visit,) + s.visits[j + 1:])
+    elif fault == "crossing id" and crossings:
+        c = rng.choice(crossings)
+        crossings.insert(rng.randint(0, len(crossings)), Crossing(c.id, 3 - c.over))
+    elif fault == "strand id" and len(strands) > 1:
+        strands[k] = replace(s, id=rng.choice([x.id for x in strands if x is not s]))
+    elif (s.start is None) == (s.end is None):
+        end = ("W", 0) if s.start is None else None
+        strands[k] = replace(s, start=end) if rng.random() < 0.5 else replace(s, end=end)
+    return TangleCode(tuple(crossings), tuple(strands))
 
 
 def wall_sets(walls):
@@ -406,6 +462,27 @@ def test_non_planar_and_broken_codes_match_reference(d, seed):
             mutants.append(mirrored(code, rng.choice(code.crossings).id))
         for mutant in filter(None, mutants):
             assert_trace_matches_reference(mutant, walls)
+
+
+@PROPERTY
+@given(diagrams(), st.integers(0, 2**32 - 1))
+def test_code_problems_match_the_port_counter(d, seed):
+    # ports are counted one by one only to word a failure: every message,
+    # in order, as the per-(crossing, port) counter gives it, on valid codes
+    # and on codes with one to three faults
+    rng = random.Random(seed)
+    for p in d.pieces:
+        code = p.tangle
+        assert code_problems(fresh(code)) == ref_code_problems(code) == []
+        if not code.strands:
+            continue
+        one = faulty(code, rng)
+        assert code_problems(one) == ref_code_problems(one) != []
+        for _ in range(3):
+            # faults may cancel: a port moved away and another moved back
+            for _ in range(rng.randint(1, 3)):
+                code = faulty(code, rng)
+            assert code_problems(fresh(code)) == ref_code_problems(code)
 
 
 def test_r2_sites_on_broken_codes_match_reference():
@@ -671,3 +748,12 @@ def test_odd_crossing_sum_is_refused():
                 circles=(GluedCircle("c1", (("P", "a"),)), GluedCircle("c2", (("P", "b"),))))
     with pytest.raises(DiagramError, match="odd crossing sum"):
         diagram_linking(d, "c1", "c2")
+
+
+def test_unknown_circle_raises_key_error():
+    d = braid_diagram(random.Random(5))
+    for read in (lambda: diagram_linking(d, "c1", "nope"),
+                 lambda: diagram_linking(d, "nope", "c1"),
+                 lambda: diagram_writhe(d, "nope")):
+        with pytest.raises(KeyError, match="nope"):
+            read()
