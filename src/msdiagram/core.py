@@ -13,7 +13,9 @@ over sphere pairs the integer is declared data and every move updates it
 consistently.  The ambient orientation is right-handed.
 
 A Diagram is immutable: every move builds a new diagram and nothing ever
-writes to an existing one (no object.__setattr__).  Its fields hold each
+writes to an existing one (only a record's own __init__ stores its
+fields).  Diagram and every record below are tangle.record classes:
+frozen, compared and hashed by their field tuples.  Its fields hold each
 fact once; the declared circles are the one circle decomposition, checked
 against strands and matchings by validation.  A diagram derives its kind
 (a diffeomorphism exactly when internal maps are set) and, as cached
@@ -23,7 +25,7 @@ table: the signed crossing sums between every two of its circles, filled
 in one sweep over each piece's crossings, from which writhes, linking
 numbers and the linking matrix are read.  A piece likewise caches its
 walls by id.  So no fact can go stale, and since cached properties live
-in the instance __dict__ and are no dataclass fields, equality, hashing
+in the instance __dict__ and are no record fields, equality, hashing
 and dataclasses.replace ignore them: a replaced diagram starts cold.
 
 Beside the diagram this module holds the records every layer shares: the
@@ -33,7 +35,7 @@ is the one test for a circle that is a single closed strand of one piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from enum import Enum
 from itertools import count
 
@@ -45,6 +47,7 @@ from .tangle import (
     crossing_sums,
     first_by_id,
     planarity_problems,
+    record,
     simplify_with_log,
 )
 
@@ -61,7 +64,7 @@ class Kind(str, Enum):
 WallRef = tuple[str, str]  # (piece id, wall id)
 
 
-@dataclass(frozen=True)
+@record
 class SphereWall:
     """One boundary sphere of a deleted disk; marked points sit where strands end.
 
@@ -72,12 +75,12 @@ class SphereWall:
     points: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Piece:
     """A 3-sphere with deleted disks, holding a planar tangle of the curves."""
 
     id: str
-    tangle: TangleCode = field(default_factory=TangleCode)
+    tangle: TangleCode = TangleCode()
     walls: tuple[SphereWall, ...] = ()
 
     @cached_property
@@ -91,7 +94,7 @@ class Piece:
         return {w.id: w.points for w in self.walls}
 
 
-@dataclass(frozen=True)
+@record
 class SpherePair:
     """Two walls identified by a sphere homeomorphism.
 
@@ -107,7 +110,7 @@ class SpherePair:
     orientation: int = 1
 
 
-@dataclass(frozen=True)
+@record
 class GluedCircle:
     """A closed framed curve: a cyclic chain of strands glued through pairs.
 
@@ -120,7 +123,7 @@ class GluedCircle:
     framing: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class FramingParallel:
     """Surface boundary component running along the framing parallel of a circle."""
 
@@ -128,7 +131,7 @@ class FramingParallel:
     sign: int = 1
 
 
-@dataclass(frozen=True)
+@record
 class WallCurve:
     """Surface boundary component cut on a pair sphere; occurs in matched pairs."""
 
@@ -136,14 +139,16 @@ class WallCurve:
     index: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class SpanningSurface:
+    """A surface of the given genus whose boundary components the circles and pairs carry."""
+
     id: str
     genus: int = 0
     boundary: tuple = ()  # FramingParallel | WallCurve entries, with multiplicity
 
 
-@dataclass(frozen=True)
+@record
 class InternalMaps:
     """Action of a diffeomorphism on the five structural index sets."""
 
@@ -166,7 +171,7 @@ class InternalMaps:
         return dict(self.on_surfaces)
 
 
-@dataclass(frozen=True)
+@record
 class KirbyAnnotation:
     """Handles recorded only by count once a diagram is reduced to Kirby form.
 
@@ -180,8 +185,10 @@ class KirbyAnnotation:
     dotted: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Diagram:
+    """A Morse-Smale diagram: pieces glued along sphere pairs, circles, surfaces and sinks."""
+
     pieces: tuple[Piece, ...] = ()
     pairs: tuple[SpherePair, ...] = ()
     circles: tuple[GluedCircle, ...] = ()
@@ -250,7 +257,7 @@ class Diagram:
         return self._surface_map[fid]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of a semi-decision: Yes and No carry a witness or obstruction,
     Unknown carries the exhausted budget."""
@@ -272,7 +279,7 @@ class Verdict:
         return self.value == "Unknown"
 
 
-@dataclass(frozen=True)
+@record
 class KirbyMove:
     """One rewriting step; args are ids and small ints, replayable in order."""
 
@@ -280,7 +287,7 @@ class KirbyMove:
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     """One failed check; a report with any finding is not ok."""
 
@@ -288,8 +295,10 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
+    """Every failed check of one diagram, in check order."""
+
     findings: tuple[Finding, ...] = ()
 
     @property

@@ -44,7 +44,7 @@ comparison treats, say, the +1- and the -1-framed unknot as different.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 from .core import (
@@ -81,6 +81,7 @@ from .tangle import (
     find_root,
     is_over,
     other_passage,
+    record,
     split_passages,
 )
 
@@ -364,8 +365,10 @@ def _coloured_cycles(f: dict, key):
             yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalMaps:
+    """Old id -> canonical id of each index set, as one traversal plan relabels."""
+
     pieces: tuple[tuple[str, str], ...]
     pairs: tuple[tuple[str, str], ...]
     circles: tuple[tuple[str, str], ...]
@@ -640,7 +643,7 @@ def separating_invariant(d1: Diagram, d2: Diagram) -> str | None:
 # isomorphism
 
 
-@dataclass(frozen=True)
+@record
 class Isomorphism:
     """A checkable equivalence witness.
 

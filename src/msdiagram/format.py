@@ -13,7 +13,6 @@ records straight from its id maps, so both agree byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     Diagram,
@@ -34,11 +33,12 @@ HEADER = "msd 1"
 _ID = re.compile(r"[A-Za-z0-9_+-]+\Z")
 
 
-@dataclass
 class ParseError(Exception):
-    line: int
-    token: str
-    expected: str
+    """A malformed record: its line, the offending token and what was expected."""
+
+    def __init__(self, line: int, token: str, expected: str):
+        super().__init__(line, token, expected)
+        self.line, self.token, self.expected = line, token, expected
 
     def __str__(self):
         return f"line {self.line}: got {self.token!r}, expected {self.expected}"

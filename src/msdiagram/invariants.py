@@ -12,7 +12,6 @@ piece graph of the pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .core import (
@@ -25,7 +24,7 @@ from .core import (
     linking_from_sums,
     require_valid,
 )
-from .tangle import find_root
+from .tangle import find_root, record
 
 Matrix = list[list[int]]
 
@@ -171,7 +170,7 @@ def signature(a: Matrix) -> int:
 # chain complex and homology
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplex:
     """Integer boundary matrices d1..d4; dk maps k-handles to (k-1)-handles.
 
@@ -186,7 +185,7 @@ class ChainComplex:
     dims: tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
+@record
 class LinkingMatrix:
     """Symmetric matrix of pairwise linkings with framings on the diagonal."""
 
@@ -285,7 +284,7 @@ def intersection_form(d: Diagram) -> Matrix:
 # the surgered 3-manifold
 
 
-@dataclass(frozen=True)
+@record
 class SurgeryPresentation:
     """Everything the surgery on the glued 3-manifold leaves behind.
 

@@ -34,9 +34,15 @@ planarity on first read.  Code problems and the Arc records of faces() are
 rebuilt on every call.  A code that only traces faces or checks its code
 problems never builds its passage split.  Nothing stored is ever changed
 afterwards, so no fact can go stale, and since cached properties live in
-the instance __dict__ and are no dataclass fields, equality, hashing and
+the instance __dict__ and are no record fields, equality, hashing and
 dataclasses.replace ignore them.  cached_property here is functools'
 without the lock that Python 3.11 takes on every first read.
+
+Every immutable record of the package (here, in core, invariants and
+equivalence) is declared with record: a frozen dataclass in behaviour
+(equality, hash, repr, replace, fields) whose class compiles one __init__
+and shares the other methods with every record, so importing the package
+compiles one function per record instead of six.
 
 Crossing rules are read from the code by two helpers: is_over tells whether
 the passage entering at a port is on top, other_passage gives the passage
@@ -46,8 +52,9 @@ that crosses it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from itertools import count
+from operator import attrgetter
 from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Visit = tuple[str, int]          # (crossing id, entry port)
@@ -73,8 +80,70 @@ class cached_property:
         return value
 
 
-@dataclass(frozen=True)
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._record_key(self) == other._record_key(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(self._record_key(self))
+
+
+def _record_repr(self):
+    return (f"{self.__class__.__qualname__}("
+            f"{', '.join(f'{n}={getattr(self, n)!r}' for n in self.__dataclass_fields__)})")
+
+
+def _record_frozen(self, name, *value):
+    # __setattr__ (name, value) and __delattr__ (name)
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(cls):
+    """Make cls a frozen record of its annotated fields, as @dataclass(frozen=True) would.
+
+    dataclass registers the fields, so dataclasses.replace and fields work,
+    but generates no method.  The record's own __init__ is compiled from one
+    line per field and stores each through object.__setattr__, then calls
+    __post_init__ if the class has one.  Equality (same class, equal field
+    tuples), the hash of the field tuple, the repr and the refusal to
+    assign or delete are functions every record shares.  A record needs a
+    docstring: without one, dataclass computes one from inspect.signature
+    before the __init__ exists, which is slow and names no field.  Defaults
+    must be plain values, as no record takes a default factory.
+    """
+    dataclass(cls, init=False, repr=False, eq=False)
+    fs = fields(cls)
+    names = [f.name for f in fs]
+    env = {"_set": object.__setattr__}
+    params = []
+    for f in fs:
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record takes no default factory")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    body = [f"_set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = env["__init__"]
+    # attrgetter of one name returns the bare value, not a 1-tuple
+    get = attrgetter(*names)
+    cls._record_key = get if len(names) > 1 else staticmethod(lambda obj: (get(obj),))
+    cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
+    cls.__setattr__ = cls.__delattr__ = _record_frozen
+    return cls
+
+
+@record
 class Crossing:
+    """A 4-valent vertex whose over flag says which port pair is on top."""
+
     id: str
     over: int  # 1: the passage on ports {0,2} is on top; 2: ports {1,3}
 
@@ -83,8 +152,10 @@ class Crossing:
             raise ValueError(f"crossing {self.id}: over must be 1 or 2")
 
 
-@dataclass(frozen=True)
+@record
 class Strand:
+    """A path through crossing visits (crossing id, entry port), open or closed."""
+
     id: str
     visits: tuple[Visit, ...] = ()
     start: WallPoint | None = None   # None on both ends = closed strand
@@ -101,8 +172,10 @@ class Strand:
         return len(self.visits) + 1
 
 
-@dataclass(frozen=True)
+@record
 class TangleCode:
+    """The planar code of one piece: its crossings and strands."""
+
     crossings: tuple[Crossing, ...] = ()
     strands: tuple[Strand, ...] = ()
 
@@ -143,7 +216,7 @@ class TangleCode:
         return self._strand_map[sid]
 
 
-@dataclass(frozen=True)
+@record
 class RMove:
     """One applied Reidemeister move, replayable on the code it was found in."""
 
@@ -301,8 +374,10 @@ def writhe(code: TangleCode, s: str) -> int:
 Site = tuple  # ('x', crossing id, port) | ('w', wall id, point)
 
 
-@dataclass(frozen=True)
+@record
 class Arc:
+    """The stretch of a strand between two consecutive sites."""
+
     strand: str
     index: int
     tail: Site  # departure attachment, in strand direction

@@ -7,11 +7,11 @@ wraps in strings).  Conversely, every function the tracer wraps must exist,
 or the traced benchmark run would crash where tier-1 passed.  And every
 private function (a leading underscore, not a dunder) reads each of its
 parameters, its own nested functions included; a method need not read self.
-Every field of every dataclass is read as an attribute somewhere, so no
-stored fact goes unread.  Imports run in one direction: the module-level
-imports between the package's modules form no cycle, and no module but the
-command line and the package root imports a package module inside a
-function.
+Every field of every record (a class declared with @record or @dataclass)
+is read as an attribute somewhere, so no stored fact goes unread.  Imports
+run in one direction: the module-level imports between the package's
+modules form no cycle, and no module but the command line and the package
+root imports a package module inside a function.
 """
 
 import ast
@@ -65,8 +65,8 @@ def test_no_unused_top_level_definitions():
 def _dataclass_fields(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
-                getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
-                for dec in node.decorator_list):
+                getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None)
+                in ("dataclass", "record") for dec in node.decorator_list):
             yield from ((node.name, item.target.id) for item in node.body
                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
 
@@ -77,8 +77,17 @@ def test_every_dataclass_field_is_read():
         for path in sorted((ROOT / folder).rglob("*.py")):
             read |= {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{path.name}: {cls}.{name}" for path in sorted(PACKAGE.glob("*.py"))
-              for cls, name in _dataclass_fields(ast.parse(path.read_text()))
+    scanned = {(path.stem, cls, name) for path in sorted(PACKAGE.glob("*.py"))
+               for cls, name in _dataclass_fields(ast.parse(path.read_text()))}
+    # the scan sees every field the imported classes register, so it checks something
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    registered = {(m, cls.__name__, name) for m in modules
+                  for cls in vars(importlib.import_module(f"msdiagram.{m}")).values()
+                  if isinstance(cls, type) and cls.__module__ == f"msdiagram.{m}"
+                  for name in getattr(cls, "__dataclass_fields__", ())}
+    assert scanned == registered
+    assert (len({cls for _, cls, _ in scanned}), len(scanned)) == (24, 88)
+    unread = [f"{module}.py: {cls}.{name}" for module, cls, name in sorted(scanned)
               if name not in read]
     assert not unread, unread
 

@@ -1,5 +1,7 @@
 """MSD/1 round-trips: structural identity and canonical byte identity."""
 
+import sys
+
 import pytest
 
 from msdiagram import catalog
@@ -40,6 +42,22 @@ def test_missing_header():
     with pytest.raises(ParseError) as err:
         parse("piece P1\nsinks 1\n")
     assert err.value.line == 1
+
+
+def test_parse_error_is_a_plain_exception():
+    with pytest.raises(ParseError) as err:
+        parse("msd 1\npiece P1\nfrobnicate yes\nsinks 1\n")
+    e = err.value
+    assert (e.line, e.token, e.expected) == e.args == (3, "frobnicate", "a record kind")
+    assert str(e) == "line 3: got 'frobnicate', expected a record kind"
+    # hashable, and open to the notes Hypothesis adds to a failing example
+    assert hash(e) == hash(e) and e in {e}
+    if sys.version_info >= (3, 11):
+        e.add_note("while parsing a mutated file")
+    else:
+        e.__notes__ = ["while parsing a mutated file"]
+    assert e.__notes__ == ["while parsing a mutated file"]
+    assert str(ParseError(1, "x", "y")) == "line 1: got 'x', expected y"
 
 
 def test_missing_sinks():

@@ -96,6 +96,29 @@ def test_cold_cli_import_loads_only_the_shared_layers():
     assert "fractions" not in loaded
 
 
+def test_cold_cli_import_compiles_one_function_per_record():
+    # functions compiled by exec calls from dataclasses or tangle.record, less
+    # the __create_fn__ wrappers dataclasses builds them in, and the records loaded
+    made, records = json.loads(fresh(
+        "import ast, builtins, dataclasses, json, sys\n"
+        "real, made = builtins.exec, []\n"
+        "def counting(source, *args, **kwargs):\n"
+        "    caller = sys._getframe(1).f_globals.get('__name__')\n"
+        "    if caller in ('dataclasses', 'msdiagram.tangle'):\n"
+        "        made.extend(n.name for n in ast.walk(ast.parse(source))\n"
+        "                    if isinstance(n, ast.FunctionDef) and n.name != '__create_fn__')\n"
+        "    return real(source, *args, **kwargs)\n"
+        "builtins.exec = counting\n"
+        "import msdiagram.cli\n"
+        "builtins.exec = real\n"
+        "records = [c for m in list(sys.modules) if m.startswith('msdiagram.')\n"
+        "           for c in vars(sys.modules[m]).values() if isinstance(c, type)\n"
+        "           and c.__module__ == m and dataclasses.is_dataclass(c)]\n"
+        "print(json.dumps([made, len(records)]))"))
+    assert records == 19
+    assert made == ["__init__"] * records
+
+
 @pytest.fixture
 def files(tmp_path):
     for name in ("cp2", "s1xs3", "swap-diffeo"):
