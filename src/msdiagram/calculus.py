@@ -10,8 +10,6 @@ obstruction for definite No answers.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import (
     Diagram,
     DiagramError,
@@ -41,6 +39,7 @@ from .tangle import (
     fresh_ids,
     is_over,
     other_passage,
+    replace,
     simplify_with_log,
     splice,
 )

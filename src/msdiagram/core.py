@@ -26,7 +26,9 @@ in one sweep over each piece's crossings, from which writhes, linking
 numbers and the linking matrix are read.  A piece likewise caches its
 walls by id.  So no fact can go stale, and since cached properties live
 in the instance __dict__ and are no record fields, equality, hashing
-and dataclasses.replace ignore them: a replaced diagram starts cold.
+and tangle.replace, with which the package copies records, ignore them: a
+replaced diagram starts cold.  A record registers its fields with
+dataclasses on their first read.
 
 Beside the diagram this module holds the records every layer shares: the
 Verdict of a semi-decision and the KirbyMove of a move log.  closed_strand
@@ -35,7 +37,6 @@ is the one test for a circle that is a single closed strand of one piece.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
 from itertools import count
 
@@ -48,6 +49,7 @@ from .tangle import (
     first_by_id,
     planarity_problems,
     record,
+    replace,
     simplify_with_log,
 )
 

@@ -44,7 +44,6 @@ comparison treats, say, the +1- and the -1-framed unknot as different.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 from .core import (
@@ -82,6 +81,7 @@ from .tangle import (
     is_over,
     other_passage,
     record,
+    replace,
     split_passages,
 )
 

@@ -9,7 +9,6 @@ integer homology of the presented manifold.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import count
 
 from .core import (
@@ -36,6 +35,7 @@ from .tangle import (
     find_root,
     fresh_ids,
     planarity_problems,
+    replace,
 )
 
 

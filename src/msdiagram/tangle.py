@@ -35,14 +35,18 @@ rebuilt on every call.  A code that only traces faces or checks its code
 problems never builds its passage split.  Nothing stored is ever changed
 afterwards, so no fact can go stale, and since cached properties live in
 the instance __dict__ and are no record fields, equality, hashing and
-dataclasses.replace ignore them.  cached_property here is functools'
-without the lock that Python 3.11 takes on every first read.
+replace ignore them.  cached_property here is functools' without the lock
+that Python 3.11 takes on every first read.
 
 Every immutable record of the package (here, in core, invariants and
 equivalence) is declared with record: a frozen dataclass in behaviour
 (equality, hash, repr, replace, fields) whose class compiles one __init__
 and shares the other methods with every record, so importing the package
-compiles one function per record instead of six.
+compiles one function per record instead of six.  A record registers its
+fields with dataclasses on their first read, so dataclasses.fields and
+dataclasses.replace work on it, and the package copies records with its
+own replace: a process that reads no record's fields never imports
+dataclasses.
 
 Crossing rules are read from the code by two helpers: is_over tells whether
 the passage entering at a port is on top, other_passage gives the passage
@@ -51,11 +55,11 @@ that crosses it.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
+from collections.abc import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import count
 from operator import attrgetter
-from typing import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Visit = tuple[str, int]          # (crossing id, entry port)
 WallPoint = tuple[str, int]      # (wall id, marked point index)
@@ -92,52 +96,97 @@ def _record_hash(self):
 
 def _record_repr(self):
     return (f"{self.__class__.__qualname__}("
-            f"{', '.join(f'{n}={getattr(self, n)!r}' for n in self.__dataclass_fields__)})")
+            f"{', '.join(f'{n}={getattr(self, n)!r}' for n in self._record_names)})")
 
 
 def _record_frozen(self, name, *value):
     # __setattr__ (name, value) and __delattr__ (name)
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class _LazyFields:
+    """A record's __dataclass_fields__ until its first read, from the class or
+    an instance: the read registers the fields with dataclasses, which puts
+    the real mapping in this descriptor's place."""
+
+    def __init__(self, cls):
+        self.cls = cls
+
+    def __get__(self, obj, owner=None):
+        from dataclasses import dataclass
+        del self.cls.__dataclass_fields__
+        dataclass(self.cls, init=False, repr=False, eq=False)
+        return self.cls.__dataclass_fields__
+
+
+def _refused_annotation(annotation) -> bool:
+    """Whether an annotation is a ClassVar or an InitVar, which record cannot read."""
+    if isinstance(annotation, str):
+        return annotation.partition("[")[0].rpartition(".")[2].strip() in ("ClassVar", "InitVar")
+    # an annotation object of either kind means its module is loaded
+    typing, dataclasses = sys.modules.get("typing"), sys.modules.get("dataclasses")
+    return (typing is not None and getattr(annotation, "__origin__", annotation) is typing.ClassVar
+            or dataclasses is not None and (annotation is dataclasses.InitVar
+                                            or isinstance(annotation, dataclasses.InitVar)))
 
 
 def record(cls):
     """Make cls a frozen record of its annotated fields, as @dataclass(frozen=True) would.
 
-    dataclass registers the fields, so dataclasses.replace and fields work,
-    but generates no method.  The record's own __init__ is compiled from one
-    line per field and stores each through object.__setattr__, then calls
-    __post_init__ if the class has one.  Equality (same class, equal field
-    tuples), the hash of the field tuple, the repr and the refusal to
-    assign or delete are functions every record shares.  A record needs a
-    docstring: without one, dataclass computes one from inspect.signature
-    before the __init__ exists, which is slow and names no field.  Defaults
-    must be plain values, as no record takes a default factory.
+    The fields are the names the class body annotates, in order, and their
+    defaults the plain values it assigns them.  The record's own __init__
+    is compiled from one line per field and stores each through
+    object.__setattr__, then calls __post_init__ if the class has one.
+    Equality (same class, equal field tuples), the hash of the field tuple,
+    the repr and the refusal to assign or delete are functions every record
+    shares.  dataclasses registers the fields on the first read of
+    __dataclass_fields__, so dataclasses.fields, replace and is_dataclass
+    work, and a process that reads none of them never imports dataclasses;
+    the package copies records with replace below.  A record needs a
+    docstring: without one, registration would set one from its signature.
+    A ClassVar or InitVar annotation, a dataclasses.Field default such as
+    field(...) and an unhashable default are refused when the class is
+    made, since record reads every annotation as a plain field.
     """
-    dataclass(cls, init=False, repr=False, eq=False)
-    fs = fields(cls)
-    names = [f.name for f in fs]
-    env = {"_set": object.__setattr__}
-    params = []
-    for f in fs:
-        if f.default_factory is not MISSING:
-            raise TypeError(f"{cls.__name__}.{f.name}: a record takes no default factory")
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            env[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
+    dataclasses = sys.modules.get("dataclasses")
+    names, params, env = [], [], {"_set": object.__setattr__}
+    for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+        if _refused_annotation(annotation):
+            raise TypeError(f"{cls.__name__}.{name}: a record takes no ClassVar or InitVar")
+        names.append(name)
+        if name not in cls.__dict__:
+            params.append(name)
+            continue
+        default = cls.__dict__[name]
+        if dataclasses is not None and isinstance(default, dataclasses.Field):
+            raise TypeError(f"{cls.__name__}.{name}: a record takes a plain default, not field()")
+        if type(default).__hash__ is None:
+            raise ValueError(f"{cls.__name__}.{name}: unhashable default {type(default)!r}")
+        env[f"_default_{name}"] = default
+        params.append(f"{name}=_default_{name}")
     body = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
     env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = env["__init__"]
+    cls._record_names = cls.__match_args__ = tuple(names)
     # attrgetter of one name returns the bare value, not a 1-tuple
     get = attrgetter(*names)
     cls._record_key = get if len(names) > 1 else staticmethod(lambda obj: (get(obj),))
     cls.__eq__, cls.__hash__, cls.__repr__ = _record_eq, _record_hash, _record_repr
     cls.__setattr__ = cls.__delattr__ = _record_frozen
+    cls.__dataclass_fields__ = _LazyFields(cls)
     return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the record obj with the given fields changed, as dataclasses.replace."""
+    for name in obj._record_names:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return obj.__class__(**changes)
 
 
 @record

@@ -3,8 +3,9 @@
 Everything is seeded; generation goes through the public move and
 construction APIs and the two moves that add crossings to one code, R1+
 and R2+, defined here, so every produced diagram is valid by construction.
-run_msd runs the CLI in a child process on the package the suite imports;
-fields_only tells whether a record has cached nothing yet.
+run_msd runs the CLI, and fresh a snippet, in a child process on the
+package the suite imports; fields_only tells whether a record has cached
+nothing yet.
 """
 
 import os
@@ -102,6 +103,12 @@ def child_env() -> dict:
     src = str(Path(msdiagram.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def fresh(code: str, *options: str) -> str:
+    """Standard output of ``python *options -c code`` in a new process on the same package."""
+    return subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, env=child_env(), check=True).stdout
 
 
 def run_msd(*args, cwd=None):

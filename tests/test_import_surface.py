@@ -2,13 +2,12 @@
 
 import importlib
 import json
-import subprocess
 import sys
 
 import pytest
 
 import msdiagram
-from helpers import child_env
+from helpers import fresh
 from msdiagram import catalog
 from msdiagram.format import serialize
 
@@ -37,12 +36,6 @@ NAMES = {name for names in PINNED.values() for name in names}
 SUBMODULES = ("calculus", "catalog", "cli", "core", "equivalence", "format", "invariants",
               "reduction", "tangle")
 LAZY = {"calculus", "equivalence", "invariants", "reduction"}
-
-
-def fresh(code: str) -> str:
-    """Standard output of ``python -c code`` in a new process on the same package."""
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env(), check=True).stdout
 
 
 def test_every_pinned_name_is_its_home_modules_object():
@@ -93,12 +86,20 @@ def test_cold_cli_import_loads_only_the_shared_layers():
     package = {m for m in loaded if m == "msdiagram" or m.startswith("msdiagram.")}
     assert package == {"msdiagram", "msdiagram.catalog", "msdiagram.cli", "msdiagram.core",
                        "msdiagram.format", "msdiagram.render", "msdiagram.tangle"}
-    assert "fractions" not in loaded
+    assert not {"fractions", "dataclasses", "inspect"} & loaded
+
+
+def test_cold_cli_import_loads_no_typing():
+    # -S: no site hook that may load typing before the package does
+    loaded = json.loads(fresh(
+        "import json, sys, msdiagram.cli\nprint(json.dumps(sorted(sys.modules)))", "-S"))
+    assert "msdiagram.tangle" in loaded and "typing" not in loaded
 
 
 def test_cold_cli_import_compiles_one_function_per_record():
     # functions compiled by exec calls from dataclasses or tangle.record, less
-    # the __create_fn__ wrappers dataclasses builds them in, and the records loaded
+    # the __create_fn__ wrappers dataclasses builds them in, and the records loaded;
+    # only msdiagram.tangle calls exec, as no record registers its fields until read
     made, records = json.loads(fresh(
         "import ast, builtins, dataclasses, json, sys\n"
         "real, made = builtins.exec, []\n"
@@ -149,4 +150,4 @@ def test_cold_subcommand_loads_only_its_layers(files, argv, layers):
     code, loaded = json.loads(fresh(code))
     assert code in (0, 1, 2)
     assert {m for m in LAZY if f"msdiagram.{m}" in loaded} == layers
-    assert not {"fractions", "decimal"} & set(loaded)
+    assert not {"fractions", "decimal", "dataclasses", "inspect"} & set(loaded)

@@ -3,20 +3,32 @@
 Each class the package modules register fields for (__dataclass_fields__)
 is checked against a frozen dataclass built here with the same name,
 fields and defaults: the same hash, repr, signature and refusals, so set
-and dict orders and every printed record stay what they were.
+and dict orders and every printed record stay what they were.  A record
+registers its fields with dataclasses on their first read, and
+tangle.replace copies it as dataclasses.replace would.
 """
 
 import importlib
 import inspect
-from dataclasses import MISSING, FrozenInstanceError, field, fields, make_dataclass, replace
+import json
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    InitVar,
+    field,
+    fields,
+    make_dataclass,
+    replace,
+)
 from pathlib import Path
+from typing import ClassVar
 
 import pytest
 
-from helpers import fields_only
-from msdiagram import catalog
+from helpers import fields_only, fresh
+from msdiagram import catalog, tangle
 from msdiagram.core import FramingParallel, WallCurve, validate
-from msdiagram.tangle import Crossing
+from msdiagram.tangle import Crossing, record
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msdiagram"
 RECORDS = sorted(
@@ -110,3 +122,72 @@ def test_catalog_records_hash_their_field_tuples(name):
     d.piece(d.pieces[0].id)
     assert not fields_only(d) and fields_only(replace(d))
     assert replace(d) == d and hash(replace(d)) == hash(d)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_package_replace_matches_dataclasses_replace(cls):
+    r = cls(*values(cls, "a"))
+    every = dict(zip((f.name for f in fields(cls)), values(cls, "bb")))
+    for changes in ({}, every):
+        got, want = tangle.replace(r, **changes), replace(r, **changes)
+        assert got == want and got is not r and type(got) is cls and repr(got) == repr(want)
+    with pytest.raises(TypeError) as got:
+        tangle.replace(r, no_such_field=1)
+    with pytest.raises(TypeError) as want:
+        replace(r, no_such_field=1)
+    assert str(got.value) == str(want.value)
+
+
+# the first read of a record's fields from dataclasses, each in a process of its own
+FIRST_READS = {
+    "fields-of-class": ("[f.name for f in dataclasses.fields(Strand)]",
+                        ["id", "visits", "start", "end"]),
+    "fields-of-instance": ("[f.name for f in dataclasses.fields(r)]",
+                           ["id", "visits", "start", "end"]),
+    "is_dataclass": ("dataclasses.is_dataclass(r)", True),
+    "replace": ("repr(dataclasses.replace(r, id='s2'))",
+                "Strand(id='s2', visits=(('x', 0),), start=('W', 1), end=None)"),
+}
+
+
+@pytest.mark.parametrize("read,answer", FIRST_READS.values(), ids=list(FIRST_READS))
+def test_first_read_registers_the_record(read, answer):
+    before, after, got, defaults = json.loads(fresh(
+        "import json, sys\n"
+        "from msdiagram.tangle import Crossing, Strand\n"
+        "def state():\n"
+        "    kinds = [type(vars(c)['__dataclass_fields__']).__name__ for c in (Strand, Crossing)]\n"
+        "    return [kinds, repr(r), hash(r), Strand.__match_args__]\n"
+        "r = Strand('s1', (('x', 0),), ('W', 1))\n"
+        "before = [*state(), 'dataclasses' in sys.modules]\n"
+        "import dataclasses\n"
+        f"got = {read}\n"
+        "defaults = [[f.name, None if f.default is dataclasses.MISSING else repr(f.default)]\n"
+        "            for f in vars(Strand)['__dataclass_fields__'].values()]\n"
+        "print(json.dumps([before, state(), got, defaults]))"))
+    # the read registers Strand alone; repr, hash and match args are unchanged by it
+    assert before == [["_LazyFields", "_LazyFields"], *after[1:], False]
+    assert after[0] == ["dict", "_LazyFields"]
+    assert after[3] == ["id", "visits", "start", "end"]
+    assert got == answer
+    assert defaults == [["id", None], ["visits", "()"], ["start", "None"], ["end", "None"]]
+
+
+# a field line record cannot read, and the error it raises at class creation
+REFUSED = {
+    "ClassVar": ("count: ClassVar[int] = 0", TypeError),
+    "InitVar": ("scale: InitVar[int] = 1", TypeError),
+    "field": ("items: tuple = field(default=())", TypeError),
+    "unhashable": ("items: list = []", ValueError),
+}
+
+
+@pytest.mark.parametrize("future", [False, True], ids=["objects", "strings"])
+@pytest.mark.parametrize("line,error", REFUSED.values(), ids=list(REFUSED))
+def test_record_refuses_what_it_cannot_read(line, error, future):
+    # with the future import the annotations are strings, as in the package
+    source = ("from __future__ import annotations\n" if future else "") + (
+        f"@record\nclass Bad:\n    \"\"\"A record.\"\"\"\n\n    id: str\n    {line}\n")
+    with pytest.raises(error, match="Bad.(count|scale|items)"):
+        exec(source, {"record": record, "ClassVar": ClassVar, "InitVar": InitVar,
+                      "field": field})
