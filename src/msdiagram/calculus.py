@@ -59,11 +59,6 @@ SLIDE_CAP = 6           # handle slides the recognizer tries per diagram
 # blow-up
 
 
-def region_count(d: Diagram, pid: str) -> int:
-    p = d.piece(pid)
-    return max(len(dart_table(p.tangle, p.wall_points()).faces), 1)
-
-
 def _no_internal_maps(d: Diagram) -> None:
     """Refuse a diffeomorphism diagram: a move would leave its maps stale."""
     if d.internal_maps is not None:
@@ -80,7 +75,7 @@ def blow_up(d: Diagram, piece: str, region: int = 0, sign: int = 1) -> Diagram:
     if sign not in (1, -1):
         raise MoveError("blow-up sign must be +1 or -1")
     p = d.piece(piece)
-    if not (0 <= region < region_count(d, piece)):
+    if not (0 <= region < max(len(dart_table(p.tangle, p.wall_points()).faces), 1)):
         raise MoveError(f"piece {piece} has no region {region}")
     sid = next(fresh_ids({s.id for s in p.tangle.strands}, "u"))
     cid = next(fresh_ids({c.id for c in d.circles}, "c"))
@@ -296,17 +291,7 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
         f1, f2 = shared
         side = -1 if f2 else 1
         if (f1 == f2) != (orient == 1):
-            kink = (1, 1) if f1 else (3, 1)
-    out = _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink)
-    new_f1 = circ1.framing + circ2.framing + 2 * orient * lk12
-    return require_valid(replace(out, circles=tuple(
-        replace(c, framing=new_f1) if c.id == c1 else c for c in out.circles)),
-        "slide broke the diagram", MoveError)
-
-
-def _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink):
-    p = d.piece(pid)
-    code = p.tangle
+            kink = 1 if f1 else 3  # port of the parallel's second pass through the kink
     new_crossings, foreign, blocks, s2_inserts = _pushoff(code, s2, side)
 
     # twist block between s2 and its parallel at the arc2 gap; new ids only
@@ -323,10 +308,9 @@ def _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink):
         par_cycle = [(x, (q + 2) % 4) for x, q in reversed(par_cycle)]
     kink_crossings = ()
     if kink is not None:
-        b, over = kink
         kid = next(fresh_ids(taken, "bk"))
-        kink_crossings = (Crossing(kid, over),)
-        par_cycle = [(kid, 0)] + par_cycle + [(kid, b)]
+        kink_crossings = (Crossing(kid, 1),)
+        par_cycle = [(kid, 0)] + par_cycle + [(kid, kink)]
 
     # the parallel enters s1 at the arc1 gap and the twist block s2 at the
     # arc2 gap, between the pushoff visits that share the gap: those after
@@ -344,7 +328,11 @@ def _slide_once(d, pid, s1, s2, arc1, arc2, orient, side, twist, kink):
     new_code = TangleCode(code.crossings + tuple(new_crossings)
                           + tuple(twist_crossings) + kink_crossings,
                           tuple(new_strands))
-    return with_tangle(d, pid, new_code)
+    out = with_tangle(d, pid, new_code)
+    new_f1 = circ1.framing + circ2.framing + 2 * orient * lk12
+    return require_valid(replace(out, circles=tuple(
+        replace(c, framing=new_f1) if c.id == c1 else c for c in out.circles)),
+        "slide broke the diagram", MoveError)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,7 @@ def s1xs3() -> Diagram:
     One sphere pair with no strands through it, and the belt sphere of the
     3-handle as a closed genus-0 surface.
     """
-    return Diagram(
-        pieces=(Piece("P1", walls=(SphereWall("W1"), SphereWall("W2"))),),
-        pairs=(SpherePair("Q1", ("P1", "W1"), ("P1", "W2")),),
-        surfaces=(SpanningSurface("F1", genus=0),),
-        sink_count=1,
-    )
+    return n_s1xs3(1)
 
 
 def n_s1xs3(n: int) -> Diagram:

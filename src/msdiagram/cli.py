@@ -1,10 +1,14 @@
 """Command-line interface.
 
+Each subcommand is one entry of COMMANDS (help, handler, arguments, in
+--help order), from which main builds the parsers.
+
 Exit codes: 0 for Yes/ok, 1 for No/invalid, 2 for Unknown, 3 for usage and
 parse errors (an unknown catalog entry, a negative --depth or --budget, an
 input file that cannot be read or decoded, an output file that cannot be
 written), 4 when a command refuses a parsed diagram it cannot use (a
 DiagramError or MoveError that no command turns into another answer).
+_verdict prints a semi-decision's answer and holds its Yes/No/Unknown policy.
 
 The module loads parsing, validation, the catalog and rendering; each
 subcommand imports the further layers it runs (invariants, reduction,
@@ -87,13 +91,36 @@ def _write(*outputs: tuple[str, str]):
         sys.exit(EXIT_USAGE)
 
 
-def cmd_validate(args) -> int:
-    d = _load(args.file)
+def _valid(d) -> bool:
+    """Print each finding of validate(d) as an error line; whether d is valid."""
     report = validate(d)
     for f in report.findings:
         print(f"error: {f.location}: {f.message}")
-    print("ok" if report.ok else "invalid")
-    return EXIT_YES if report.ok else EXIT_NO
+    return report.ok
+
+
+def _group(rank: int, torsion) -> str:
+    return f"Z^{rank}" + "".join(f" + Z/{t}" for t in torsion)
+
+
+def _verdict(verdict, witness, obstruction: str | None = None) -> int:
+    """Print 'Value: detail', then a Yes witness through witness() or the
+    obstruction line of a No; exit 0, 1 or 2 for Yes, No or Unknown."""
+    print(f"{verdict.value}: {verdict.detail}")
+    if verdict.yes:
+        witness(verdict.witness)
+        return EXIT_YES
+    if verdict.no:
+        if obstruction:
+            print(f"{obstruction}: {verdict.witness}")
+        return EXIT_NO
+    return EXIT_UNKNOWN
+
+
+def cmd_validate(args) -> int:
+    ok = _valid(_load(args.file))
+    print("ok" if ok else "invalid")
+    return EXIT_YES if ok else EXIT_NO
 
 
 def cmd_invariants(args) -> int:
@@ -107,29 +134,20 @@ def cmd_invariants(args) -> int:
     )
 
     d = _load(args.file)
-    report = validate(d)
-    if not report.ok:
-        for f in report.findings:
-            print(f"error: {f.location}: {f.message}")
+    if not _valid(d):
         return EXIT_NO
-    n = handle_counts(d)
-    print(f"handles: {n}")
+    print(f"handles: {handle_counts(d)}")
     print(f"euler characteristic: {euler_characteristic(d)}")
-    hom = annotated_homology(d)
-    for k, (b, tor) in enumerate(hom):
-        extra = "" if not tor else " + " + " + ".join(f"Z/{t}" for t in tor)
-        print(f"H{k} = Z^{b}{extra}")
+    for k, (b, tor) in enumerate(annotated_homology(d)):
+        print(f"H{k} = {_group(b, tor)}")
     lm = linking_matrix(d)
     if lm.circles:
         print(f"linking matrix over {', '.join(lm.circles)}:")
         for row in lm.entries:
             print("  [" + " ".join(f"{x:3d}" for x in row) + "]")
     if not d.pairs and not d.surfaces:
-        form = intersection_form(d)
-        print(f"intersection form signature: {signature(form)}")
-    rank, torsion = surgered_h1(d)
-    extra = "" if not torsion else " + " + " + ".join(f"Z/{t}" for t in torsion)
-    print(f"H1 of the surgered 3-manifold: Z^{rank}{extra}")
+        print(f"intersection form signature: {signature(intersection_form(d))}")
+    print(f"H1 of the surgered 3-manifold: {_group(*surgered_h1(d))}")
     return EXIT_YES
 
 
@@ -156,15 +174,8 @@ def cmd_reduce(args) -> int:
 def cmd_recognize_s3(args) -> int:
     from .calculus import recognize_s3
 
-    verdict = recognize_s3(_load(args.file), args.depth)
-    print(f"{verdict.value}: {verdict.detail}")
-    if verdict.yes:
-        sys.stdout.write(serialize_moves(verdict.witness))
-        return EXIT_YES
-    if verdict.no:
-        print(f"obstruction: {verdict.witness}")
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return _verdict(recognize_s3(_load(args.file), args.depth),
+                    lambda moves: sys.stdout.write(serialize_moves(moves)), "obstruction")
 
 
 def _print_witness(iso) -> None:
@@ -180,26 +191,14 @@ def cmd_equiv(args) -> int:
     from .equivalence import isomorphic
 
     d1, d2 = _load(args.a), _load(args.b)
-    verdict = isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror)
-    print(f"{verdict.value}: {verdict.detail}")
-    if verdict.yes:
-        _print_witness(verdict.witness)
-        return EXIT_YES
-    if verdict.no:
-        print(f"separating invariant: {verdict.witness}")
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return _verdict(isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror),
+                    _print_witness, "separating invariant")
 
 
 def cmd_conj(args) -> int:
     from .equivalence import conjugate
 
-    verdict = conjugate(_load(args.a), _load(args.b), budget=args.budget)
-    print(f"{verdict.value}: {verdict.detail}")
-    if verdict.yes:
-        _print_witness(verdict.witness)
-        return EXIT_YES
-    return EXIT_NO if verdict.no else EXIT_UNKNOWN
+    return _verdict(conjugate(_load(args.a), _load(args.b), budget=args.budget), _print_witness)
 
 
 def cmd_catalog(args) -> int:
@@ -218,12 +217,37 @@ def cmd_catalog(args) -> int:
 
 def cmd_render(args) -> int:
     d = _load(args.file)
-    report = validate(d)
-    if not report.ok:
+    if not validate(d).ok:
         print("invalid diagram", file=sys.stderr)
         return EXIT_NO
     _write((args.output, render(d)))
     return EXIT_YES
+
+
+def _arg(*names, **options):
+    return names, options
+
+
+_FILE = _arg("file")
+_PAIR = [_arg("a"), _arg("b")]
+_OUTPUT = _arg("-o", "--output", required=True)
+_BUDGET = _arg("--budget", type=_count, default=2000)
+
+# subcommand -> (help, handler, arguments), in --help order
+COMMANDS = {
+    "validate": ("check structural invariants", cmd_validate, [_FILE]),
+    "invariants": ("homology, Euler characteristic, forms", cmd_invariants, [_FILE]),
+    "reduce": ("merge, cancel, and reach Kirby form", cmd_reduce,
+               [_FILE, _OUTPUT, _arg("--log")]),
+    "recognize-s3": ("bounded 3-sphere recognition", cmd_recognize_s3,
+                     [_FILE, _arg("--depth", type=_count, default=3)]),
+    "equiv": ("diagram equivalence", cmd_equiv,
+              _PAIR + [_BUDGET, _arg("--mirror", action="store_true",
+                                     help="allow orientation-reversing piece homeomorphisms")]),
+    "conj": ("diffeomorphism conjugacy", cmd_conj, _PAIR + [_BUDGET]),
+    "catalog": ("write a standard diagram", cmd_catalog, [_arg("name"), _arg("-o", "--output")]),
+    "render": ("draw the diagram as SVG", cmd_render, [_FILE, _OUTPUT]),
+}
 
 
 def main(argv=None) -> int:
@@ -231,49 +255,11 @@ def main(argv=None) -> int:
                      description="Diagrams of gradient-like Morse-Smale systems "
                                  "on closed 4-manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check structural invariants")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("invariants", help="homology, Euler characteristic, forms")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("reduce", help="merge, cancel, and reach Kirby form")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--log")
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("recognize-s3", help="bounded 3-sphere recognition")
-    p.add_argument("file")
-    p.add_argument("--depth", type=_count, default=3)
-    p.set_defaults(fn=cmd_recognize_s3)
-
-    p = sub.add_parser("equiv", help="diagram equivalence")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--budget", type=_count, default=2000)
-    p.add_argument("--mirror", action="store_true",
-                   help="allow orientation-reversing piece homeomorphisms")
-    p.set_defaults(fn=cmd_equiv)
-
-    p = sub.add_parser("conj", help="diffeomorphism conjugacy")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--budget", type=_count, default=2000)
-    p.set_defaults(fn=cmd_conj)
-
-    p = sub.add_parser("catalog", help="write a standard diagram")
-    p.add_argument("name")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("render", help="draw the diagram as SVG")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_render)
+    for name, (help_text, fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

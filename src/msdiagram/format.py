@@ -8,6 +8,11 @@ for byte.
 Every record is spelled in one place, _text: serialize feeds it a diagram's
 records, and the canonical walk (equivalence._walk) a relabelled diagram's
 records straight from its id maps, so both agree byte for byte.
+
+A ParseError gets its line where records are read: the token readers raise
+_Bad(token, expected), which the record loops of parse and parse_moves turn
+into ParseError(line, token, expected).  Only the checks after parse's loop
+(crossing sign= and ends=, imap images) name a record's line themselves.
 """
 
 from __future__ import annotations
@@ -145,68 +150,117 @@ def serialize(d: Diagram) -> str:
 # parsing
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.records: list[tuple[int, list[str]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.records.append((lineno, body.split()))
-
-    def fail(self, lineno: int, token: str, expected: str):
-        raise ParseError(lineno, token, expected)
+class _Bad(Exception):
+    """A malformed token and what was expected: (token, expected).  The
+    loop that reads the record turns it into a ParseError at its line."""
 
 
-def _fields(parser: _Parser, lineno: int, tokens: list[str],
-            required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            parser.fail(lineno, tok, "key=value field")
-        k, v = tok.split("=", 1)
-        if k not in required and k not in optional:
-            parser.fail(lineno, k, f"one of {', '.join(required + optional)}")
-        if k in out:
-            parser.fail(lineno, k, "each key once")
-        out[k] = v
-    for k in required:
-        if k not in out:
-            parser.fail(lineno, tokens[0] if tokens else "", f"missing field {k}")
+def _records(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that holds more than a comment."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            out.append((lineno, body.split()))
     return out
 
 
-def _ident(parser, lineno, token, what) -> str:
+def _fields(tokens: list[str], required: tuple[str, ...],
+            optional: tuple[str, ...] = ()) -> dict[str, str]:
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise _Bad(tok, "key=value field")
+        k, v = tok.split("=", 1)
+        if k not in required and k not in optional:
+            raise _Bad(k, f"one of {', '.join(required + optional)}")
+        if k in out:
+            raise _Bad(k, "each key once")
+        out[k] = v
+    for k in required:
+        if k not in out:
+            raise _Bad(tokens[0] if tokens else "", f"missing field {k}")
+    return out
+
+
+def _ident(token: str, what: str) -> str:
     if not _ID.match(token):
-        parser.fail(lineno, token, f"a {what} id of letters, digits, _, + and -")
+        raise _Bad(token, f"a {what} id of letters, digits, _, + and -")
     return token
 
 
-def _split_ref(parser, lineno, token, what) -> tuple[str, str]:
+def _split_ref(token: str, what: str) -> tuple[str, str]:
     if token.count(".") != 1:
-        parser.fail(lineno, token, f"{what} as piece.id")
+        raise _Bad(token, f"{what} as piece.id")
     a, b = token.split(".")
-    return _ident(parser, lineno, a, "piece"), _ident(parser, lineno, b, what)
+    return _ident(a, "piece"), _ident(b, what)
 
 
-def _sign(parser, lineno, token) -> int:
+def _piece_ref(pieces, token: str, what: str) -> tuple[str, str]:
+    """A record's <piece>.<id> head, whose piece a record above declared."""
+    pid, xid = _split_ref(token, what)
+    if pid not in pieces:
+        raise _Bad(pid, "a declared piece")
+    return pid, xid
+
+
+def _sign(token: str) -> int:
     if token not in ("+", "-"):
-        parser.fail(lineno, token, "+ or -")
+        raise _Bad(token, "+ or -")
     return 1 if token == "+" else -1
 
 
-def _int(parser, lineno, token) -> int:
+def _int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        parser.fail(lineno, token, "an integer")
+        raise _Bad(token, "an integer") from None
+
+
+def _items(text: str, read) -> tuple:
+    """A field that is - for none or a comma list, each item through read."""
+    return () if text == "-" else tuple(read(t) for t in text.split(","))
+
+
+def _at(token: str, what: str, expected: str) -> tuple[str, int]:
+    """<id>:<integer>: a crossing and a port, or a wall and a point."""
+    if ":" not in token:
+        raise _Bad(token, expected)
+    x, i = token.rsplit(":", 1)
+    return _ident(x, what), _int(i)
+
+
+def _boundary_item(token: str):
+    expected = "C<circle>:<sign> or W<pair>:<index>"
+    if ":" not in token or len(token) < 3:
+        raise _Bad(token, expected)
+    ref, arg = token.rsplit(":", 1)
+    if ref.startswith("C"):
+        return FramingParallel(_ident(ref[1:], "circle"), _sign(arg))
+    if ref.startswith("W"):
+        return WallCurve(_ident(ref[1:], "pair"), _int(arg))
+    raise _Bad(token, expected)
+
+
+# the usage of each kind whose record needs a token after its kind
+_USAGE = {
+    "wall": "wall <piece>.<id> points=<k>",
+    "pair": "pair <id> a=.. b=.. match=.. orient=..",
+    "crossing": "crossing <piece>.<id> ends=.. over=.. sign=..",
+    "strand": "strand <piece>.<id> path=.. from=.. to=..",
+    "circle": "circle <id> strands=.. framing=..",
+    "surface": "surface <id> genus=.. boundary=..",
+    "sinks": "sinks <count>",
+}
+_SINGLE = ("sinks", "imap", "annotation")  # kinds a file holds once at most
 
 
 def parse(text: str) -> Diagram:
     """Parse MSD/1 text; raises ParseError at the first malformed record."""
-    parser = _Parser(text)
-    if not parser.records or parser.records[0][1] != ["msd", "1"]:
-        got = " ".join(parser.records[0][1]) if parser.records else "(empty)"
-        raise ParseError(parser.records[0][0] if parser.records else 1, got, "header 'msd 1'")
+    records = _records(text)
+    line, head = records[0] if records else (1, ["(empty)"])
+    if head != HEADER.split():
+        raise ParseError(line, " ".join(head), f"header '{HEADER}'")
 
     pieces: dict[str, dict] = {}
     pairs: list[SpherePair] = []
@@ -216,136 +270,83 @@ def parse(text: str) -> Diagram:
     sink_incidence = None
     imap = None
     annotation = None
+    seen: set[str] = set()
     crossing_checks: list[tuple[int, str, str, str, str]] = []
 
-    for lineno, tokens in parser.records[1:]:
-        kind, rest = tokens[0], tokens[1:]
-        if kind == "piece":
-            if len(rest) != 1:
-                parser.fail(lineno, " ".join(rest), "piece <id>")
-            if _ident(parser, lineno, rest[0], "piece") in pieces:
-                parser.fail(lineno, rest[0], "a fresh piece id")
-            pieces[rest[0]] = {"walls": [], "crossings": [], "strands": []}
-        elif kind == "wall":
-            if len(rest) < 1:
-                parser.fail(lineno, "", "wall <piece>.<id> points=<k>")
-            pid, wid = _split_ref(parser, lineno, rest[0], "wall")
-            if pid not in pieces:
-                parser.fail(lineno, pid, "a declared piece")
-            f = _fields(parser, lineno, rest[1:], ("points",))
-            pieces[pid]["walls"].append(SphereWall(wid, _int(parser, lineno, f["points"])))
-        elif kind == "pair":
-            if len(rest) < 1:
-                parser.fail(lineno, "", "pair <id> a=.. b=.. match=.. orient=..")
-            f = _fields(parser, lineno, rest[1:], ("a", "b", "match", "orient"))
-            wa = _split_ref(parser, lineno, f["a"], "wall reference")
-            wb = _split_ref(parser, lineno, f["b"], "wall reference")
-            orient = _sign(parser, lineno, f["orient"])
-            matching = ()
-            if f["match"] != "-":
-                matching = tuple(_int(parser, lineno, t) for t in f["match"].split(","))
-            pairs.append(SpherePair(_ident(parser, lineno, rest[0], "pair"), wa, wb, matching,
-                                    orient))
-        elif kind == "crossing":
-            if len(rest) < 1:
-                parser.fail(lineno, "", "crossing <piece>.<id> ends=.. over=.. sign=..")
-            pid, cid = _split_ref(parser, lineno, rest[0], "crossing")
-            if pid not in pieces:
-                parser.fail(lineno, pid, "a declared piece")
-            f = _fields(parser, lineno, rest[1:], ("ends", "over", "sign"))
-            over = _int(parser, lineno, f["over"])
-            if over not in (1, 2):
-                parser.fail(lineno, f["over"], "over=1 or over=2")
-            if f["sign"] not in ("+", "-"):
-                parser.fail(lineno, f["sign"], "+ or -")
-            pieces[pid]["crossings"].append(Crossing(cid, over))
-            crossing_checks.append((lineno, pid, cid, f["sign"], f["ends"]))
-        elif kind == "strand":
-            if len(rest) < 1:
-                parser.fail(lineno, "", "strand <piece>.<id> path=.. from=.. to=..")
-            pid, sid = _split_ref(parser, lineno, rest[0], "strand")
-            if pid not in pieces:
-                parser.fail(lineno, pid, "a declared piece")
-            f = _fields(parser, lineno, rest[1:], ("path", "from", "to"))
-            visits = []
-            if f["path"] != "-":
-                for node in f["path"].split(","):
-                    if ":" not in node:
-                        parser.fail(lineno, node, "crossing:port")
-                    c, p = node.rsplit(":", 1)
-                    visits.append((_ident(parser, lineno, c, "crossing"), _int(parser, lineno, p)))
-
-            def endpoint(tok):
-                if tok == "-":
-                    return None
-                if ":" not in tok:
-                    parser.fail(lineno, tok, "wall:point or -")
-                w, i = tok.rsplit(":", 1)
-                return (_ident(parser, lineno, w, "wall"), _int(parser, lineno, i))
-
-            pieces[pid]["strands"].append(
-                Strand(sid, tuple(visits), endpoint(f["from"]), endpoint(f["to"])))
-        elif kind == "circle":
-            if len(rest) < 1:
-                parser.fail(lineno, "", "circle <id> strands=.. framing=..")
-            f = _fields(parser, lineno, rest[1:], ("strands", "framing"))
-            cycle = tuple(
-                _split_ref(parser, lineno, t, "strand reference")
-                for t in f["strands"].split(","))
-            circles.append(GluedCircle(_ident(parser, lineno, rest[0], "circle"), cycle,
-                                       _int(parser, lineno, f["framing"])))
-        elif kind == "surface":
-            if len(rest) < 1:
-                parser.fail(lineno, "", "surface <id> genus=.. boundary=..")
-            f = _fields(parser, lineno, rest[1:], ("genus", "boundary"))
-            items = []
-            if f["boundary"] != "-":
-                for tok in f["boundary"].split(","):
-                    if ":" not in tok or len(tok) < 3:
-                        parser.fail(lineno, tok, "C<circle>:<sign> or W<pair>:<index>")
-                    ref, arg = tok.rsplit(":", 1)
-                    if ref.startswith("C"):
-                        items.append(FramingParallel(_ident(parser, lineno, ref[1:], "circle"),
-                                                     _sign(parser, lineno, arg)))
-                    elif ref.startswith("W"):
-                        items.append(WallCurve(_ident(parser, lineno, ref[1:], "pair"),
-                                               _int(parser, lineno, arg)))
-                    else:
-                        parser.fail(lineno, tok, "C<circle>:<sign> or W<pair>:<index>")
-            surfaces.append(SpanningSurface(_ident(parser, lineno, rest[0], "surface"),
-                                            _int(parser, lineno, f["genus"]), tuple(items)))
-        elif kind == "sinks":
-            if sink_count is not None:
-                parser.fail(lineno, "sinks", "a single sinks record")
-            if len(rest) < 1:
-                parser.fail(lineno, "", "sinks <count>")
-            sink_count = _int(parser, lineno, rest[0])
-            f = _fields(parser, lineno, rest[1:], (), ("incidence",))
-            if "incidence" in f:
-                sink_incidence = tuple(
-                    tuple(_int(parser, lineno, x) for x in row.split(",") if x != "")
-                    for row in f["incidence"].split(";"))
-        elif kind == "imap":
-            f = _fields(parser, lineno, rest,
-                        ("pieces", "pairs", "circles", "surfaces", "sinks"))
-            imap = f  # resolved against sorted ids below
-            imap_line = lineno
-            imap_sinks = () if f["sinks"] == "-" else tuple(
-                _int(parser, lineno, x) for x in f["sinks"].split(","))
-        elif kind == "annotation":
-            f = _fields(parser, lineno, rest,
-                        ("one_handles", "three_handles", "sinks"), ("dotted",))
-            dotted = f["dotted"].split(",") if f.get("dotted") else ()
-            annotation = KirbyAnnotation(
-                _int(parser, lineno, f["one_handles"]),
-                _int(parser, lineno, f["three_handles"]),
-                _int(parser, lineno, f["sinks"]),
-                tuple(_ident(parser, lineno, c, "circle") for c in dotted))
-        else:
-            parser.fail(lineno, kind, "a record kind")
+    for lineno, (kind, *rest) in records[1:]:
+        try:
+            if kind in _SINGLE:
+                if kind in seen:
+                    raise _Bad(kind, f"a single {kind} record")
+                seen.add(kind)
+            if kind in _USAGE and not rest:
+                raise _Bad("", _USAGE[kind])
+            if kind == "piece":
+                if len(rest) != 1:
+                    raise _Bad(" ".join(rest), "piece <id>")
+                if _ident(rest[0], "piece") in pieces:
+                    raise _Bad(rest[0], "a fresh piece id")
+                pieces[rest[0]] = {"walls": [], "crossings": [], "strands": []}
+            elif kind == "wall":
+                pid, wid = _piece_ref(pieces, rest[0], "wall")
+                f = _fields(rest[1:], ("points",))
+                pieces[pid]["walls"].append(SphereWall(wid, _int(f["points"])))
+            elif kind == "pair":
+                f = _fields(rest[1:], ("a", "b", "match", "orient"))
+                wa = _split_ref(f["a"], "wall reference")
+                wb = _split_ref(f["b"], "wall reference")
+                orient = _sign(f["orient"])
+                matching = _items(f["match"], _int)
+                pairs.append(SpherePair(_ident(rest[0], "pair"), wa, wb, matching, orient))
+            elif kind == "crossing":
+                pid, cid = _piece_ref(pieces, rest[0], "crossing")
+                f = _fields(rest[1:], ("ends", "over", "sign"))
+                over = _int(f["over"])
+                if over not in (1, 2):
+                    raise _Bad(f["over"], "over=1 or over=2")
+                _sign(f["sign"])  # checked against the strands below
+                pieces[pid]["crossings"].append(Crossing(cid, over))
+                crossing_checks.append((lineno, pid, cid, f["sign"], f["ends"]))
+            elif kind == "strand":
+                pid, sid = _piece_ref(pieces, rest[0], "strand")
+                f = _fields(rest[1:], ("path", "from", "to"))
+                visits = _items(f["path"], lambda t: _at(t, "crossing", "crossing:port"))
+                start, end = (None if t == "-" else _at(t, "wall", "wall:point or -")
+                              for t in (f["from"], f["to"]))
+                pieces[pid]["strands"].append(Strand(sid, visits, start, end))
+            elif kind == "circle":
+                f = _fields(rest[1:], ("strands", "framing"))
+                cycle = tuple(_split_ref(t, "strand reference") for t in f["strands"].split(","))
+                circles.append(GluedCircle(_ident(rest[0], "circle"), cycle,
+                                           _int(f["framing"])))
+            elif kind == "surface":
+                f = _fields(rest[1:], ("genus", "boundary"))
+                boundary = _items(f["boundary"], _boundary_item)
+                surfaces.append(SpanningSurface(_ident(rest[0], "surface"), _int(f["genus"]),
+                                                boundary))
+            elif kind == "sinks":
+                sink_count = _int(rest[0])
+                f = _fields(rest[1:], (), ("incidence",))
+                if "incidence" in f:
+                    # an empty row reads as (), an empty item in a row is refused
+                    sink_incidence = tuple(tuple(_int(x) for x in row.split(",")) if row else ()
+                                           for row in f["incidence"].split(";"))
+            elif kind == "imap":
+                f = _fields(rest, ("pieces", "pairs", "circles", "surfaces", "sinks"))
+                imap = (lineno, f, _items(f["sinks"], _int))  # images resolved below
+            elif kind == "annotation":
+                f = _fields(rest, ("one_handles", "three_handles", "sinks"), ("dotted",))
+                dotted = f["dotted"].split(",") if f.get("dotted") else ()
+                annotation = KirbyAnnotation(
+                    _int(f["one_handles"]), _int(f["three_handles"]), _int(f["sinks"]),
+                    tuple(_ident(c, "circle") for c in dotted))
+            else:
+                raise _Bad(kind, "a record kind")
+        except _Bad as e:
+            raise ParseError(lineno, *e.args) from None
 
     if sink_count is None:
-        raise ParseError(parser.records[-1][0], "(end)", "a sinks record")
+        raise ParseError(records[-1][0], "(end)", "a sinks record")
 
     built_pieces = tuple(
         Piece(pid, TangleCode(tuple(data["crossings"]), tuple(data["strands"])),
@@ -353,23 +354,25 @@ def parse(text: str) -> Diagram:
         for pid, data in pieces.items())
     maps = None
     if imap is not None:
-        def resolve(field, ids):
-            src = sorted(ids, key=natural_key)
-            if imap[field] == "-":
-                images = []
-            else:
-                images = [_ident(parser, imap_line, x, field[:-1]) for x in imap[field].split(",")]
+        imap_line, imap_fields, on_sinks = imap
+
+        def resolve(field, declared):
+            src = sorted((x.id for x in declared), key=natural_key)
+            images = _items(imap_fields[field], lambda x: _ident(x, field[:-1]))
             if len(images) != len(src):
-                raise ParseError(imap_line, imap[field], f"{len(src)} images for {field}")
+                raise _Bad(imap_fields[field], f"{len(src)} images for {field}")
             return tuple(zip(src, images))
 
-        maps = InternalMaps(
-            on_pieces=resolve("pieces", [p.id for p in built_pieces]),
-            on_pairs=resolve("pairs", [q.id for q in pairs]),
-            on_circles=resolve("circles", [c.id for c in circles]),
-            on_surfaces=resolve("surfaces", [f.id for f in surfaces]),
-            on_sinks=imap_sinks,
-        )
+        try:
+            maps = InternalMaps(
+                on_pieces=resolve("pieces", built_pieces),
+                on_pairs=resolve("pairs", pairs),
+                on_circles=resolve("circles", circles),
+                on_surfaces=resolve("surfaces", surfaces),
+                on_sinks=on_sinks,
+            )
+        except _Bad as e:
+            raise ParseError(imap_line, *e.args) from None
     d = Diagram(
         pieces=built_pieces,
         pairs=tuple(pairs),
@@ -430,34 +433,37 @@ def serialize_moves(moves) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _move(tokens: list[str]) -> KirbyMove:
+    if tokens[0] != "move" or len(tokens) < 2:
+        raise _Bad(tokens[0], "a move record")
+    tag = tokens[1]
+    if tag not in _MOVE_FIELDS:
+        raise _Bad(tag, "a known move tag")
+    f = _fields(tokens[2:], _MOVE_FIELDS[tag])
+    for k in _MOVE_FIELDS[tag]:
+        if k not in ("region", "sign", "band"):
+            _ident(f[k], k)
+    if tag == "blow-up":
+        return KirbyMove(tag, (f["piece"], _int(f["region"]), _sign(f["sign"])))
+    if tag == "handle-slide":
+        band = f["band"].split(":")
+        arcs = [a.rsplit(".", 1) for a in band[1:3]]
+        if len(band) != 4 or any(len(a) != 2 for a in arcs):
+            raise _Bad(f["band"], "piece:strand.arc:strand.arc:sign")
+        (s1, i1), (s2, i2) = arcs
+        for x in (band[0], s1, s2):
+            _ident(x, "band")
+        return KirbyMove(tag, (f["c1"], f["c2"], (band[0], (s1, _int(i1)), (s2, _int(i2)),
+                                                  _sign(band[3]))))
+    return KirbyMove(tag, tuple(f[k] for k in _MOVE_FIELDS[tag]))
+
+
 def parse_moves(text: str):
     """Inverse of serialize_moves; raises ParseError at the first malformed record."""
-    parser = _Parser(text)
     moves = []
-    for lineno, tokens in parser.records:
-        if tokens[0] != "move" or len(tokens) < 2:
-            parser.fail(lineno, tokens[0], "a move record")
-        tag = tokens[1]
-        if tag not in _MOVE_FIELDS:
-            parser.fail(lineno, tag, "a known move tag")
-        f = _fields(parser, lineno, tokens[2:], _MOVE_FIELDS[tag])
-        for k in _MOVE_FIELDS[tag]:
-            if k not in ("region", "sign", "band"):
-                _ident(parser, lineno, f[k], k)
-        if tag == "blow-up":
-            args = (f["piece"], _int(parser, lineno, f["region"]), _sign(parser, lineno, f["sign"]))
-        elif tag == "handle-slide":
-            band = f["band"].split(":")
-            arcs = [a.rsplit(".", 1) for a in band[1:3]]
-            if len(band) != 4 or any(len(a) != 2 for a in arcs):
-                parser.fail(lineno, f["band"], "piece:strand.arc:strand.arc:sign")
-            (s1, i1), (s2, i2) = arcs
-            for x in (band[0], s1, s2):
-                _ident(parser, lineno, x, "band")
-            args = (f["c1"], f["c2"], (band[0], (s1, _int(parser, lineno, i1)),
-                                       (s2, _int(parser, lineno, i2)),
-                                       _sign(parser, lineno, band[3])))
-        else:
-            args = tuple(f[k] for k in _MOVE_FIELDS[tag])
-        moves.append(KirbyMove(tag, args))
+    for lineno, tokens in _records(text):
+        try:
+            moves.append(_move(tokens))
+        except _Bad as e:
+            raise ParseError(lineno, *e.args) from None
     return moves

@@ -1,6 +1,7 @@
 """CLI exit-code contract, move logs, and SVG rendering."""
 
 import os
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -410,3 +411,22 @@ def test_recognize_a_diffeomorphism_exits_as_its_framed_link(files):
     for name in ("swap-diffeo", "s2xs2"):
         out = run_cli("recognize-s3", paths[name], "--depth", "3")
         assert out.returncode == 2, out.stderr
+
+
+def test_help_lists_exactly_the_command_table(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\{([^}]*)\}", out).group(1).split(",") == list(cli.COMMANDS)
+    rows = re.findall(r"^    (\S+) +(.+)$", out, re.M)
+    assert rows == [(name, help_text) for name, (help_text, _, _) in cli.COMMANDS.items()]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_subcommand_prints_its_help(capsys, name):
+    # argparse formats an argument's help only when it prints it
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([name, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: msd {name} [-h]")

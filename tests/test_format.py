@@ -6,7 +6,7 @@ import pytest
 
 from msdiagram import catalog
 from msdiagram.core import validate
-from msdiagram.format import ParseError, parse, serialize
+from msdiagram.format import ParseError, parse, parse_moves, serialize
 
 
 CATALOG = ["s4-polar", "cp2", "cp2-mirror", "s2xs2", "s1xs3", "swap-diffeo",
@@ -175,3 +175,84 @@ def test_reserved_characters_in_ids_rejected(name, old, new):
     with pytest.raises(ParseError) as err:
         parse(text.replace(old, new, 1))
     assert "id of letters, digits" in err.value.expected
+
+
+# a parse error names its record's line, comments and blank lines counted
+PREAMBLE = "# a comment\n\nmsd 1\n  # indented comment\npiece P1\n\n"  # records follow from line 7
+
+
+def _error(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value.line, err.value.token, err.value.expected
+
+
+@pytest.mark.parametrize("records, error", [
+    ("wall P1.W1 points=x\nsinks 1\n", (7, "x", "an integer")),
+    ("sinks 1\n\nwall\n", (9, "", "wall <piece>.<id> points=<k>")),
+    ("sinks 1\nsinks 1\n", (8, "sinks", "a single sinks record")),
+    ("sinks 1\n# sinks 2\nsinks\n", (9, "sinks", "a single sinks record")),
+    ("strand Q1.S1 path=- from=- to=-\nsinks 1\n", (7, "Q1", "a declared piece")),
+])
+def test_record_loop_errors_name_the_records_line(records, error):
+    assert _error(PREAMBLE + records) == error
+
+
+def test_missing_sinks_names_the_last_records_line():
+    assert _error(PREAMBLE + "wall P1.W1 points=0\n\n# done\n") == (7, "(end)", "a sinks record")
+
+
+def test_imap_image_errors_name_the_imap_line():
+    text = serialize(catalog.standard("swap-diffeo")).replace("\nimap ", "\n\n# maps\nimap ")
+    line = next(i for i, t in enumerate(text.splitlines(), start=1) if t.startswith("imap "))
+    assert _error(text.replace("circles=c2,c1", "circles=c2")) == (line, "c2",
+                                                                   "2 images for circles")
+    assert _error(text.replace("circles=c2,c1", "circles=c2,c.1"))[:2] == (line, "c.1")
+
+
+@pytest.mark.parametrize("old, new, token", [
+    ("sign=+", "sign=-", "-"),
+    ("ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i", "ends=S2.0.o,S1.0.o,S2.0.i,S1.0.i",
+     "S2.0.o,S1.0.o,S2.0.i,S1.0.i"),
+])
+def test_crossing_checks_name_the_crossings_line(old, new, token):
+    text = serialize(catalog.standard("s2xs2")).replace("\ncrossing P1.x1", "\n\ncrossing P1.x1")
+    lines = text.splitlines()
+    line = next(i for i, t in enumerate(lines, start=1) if t.startswith("crossing P1.x1"))
+    assert old in lines[line - 1]
+    assert _error(text.replace(old, new, 1))[:2] == (line, token)
+
+
+def test_parse_moves_errors_name_the_records_line():
+    text = "# a log\nmove blow-down circle=c1\n\nmove blow-up piece=P1 region=x sign=+\n"
+    with pytest.raises(ParseError) as err:
+        parse_moves(text)
+    assert (err.value.line, err.value.token, err.value.expected) == (4, "x", "an integer")
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("annotation", "annotation one_handles=0 three_handles={} sinks=1"),
+    ("imap", "imap pieces=P1 pairs=- circles=c1,c2 surfaces=- sinks={}"),
+])
+def test_a_second_imap_or_annotation_record_is_refused(kind, record):
+    # the second record replaced the first: three_handles=0 then 5 parsed as 5
+    text = serialize(catalog.standard("s2xs2")) + record.format(0) + "\n"
+    parse(text)
+    text += record.format(5) + "\n"
+    assert _error(text) == (len(text.splitlines()), kind, f"a single {kind} record")
+
+
+def test_an_empty_incidence_item_is_refused():
+    # incidence=1,,2 read as (1, 2)
+    assert _error("msd 1\npiece P1\nsinks 1 incidence=1,,2\n") == (3, "", "an integer")
+    assert _error("msd 1\npiece P1\nsinks 2 incidence=1;-1,\n") == (3, "", "an integer")
+
+
+@pytest.mark.parametrize("rows, incidence", [
+    (";", ((), ())), ("", ((),)), ("1;;-1", ((1,), (), (-1,))),
+])
+def test_empty_incidence_rows_round_trip(rows, incidence):
+    text = f"msd 1\npiece P1\nsinks {len(incidence)} incidence={rows}\n"
+    d = parse(text)
+    assert d.sink_incidence == incidence
+    assert serialize(d) == text

@@ -8,7 +8,7 @@ import pytest
 
 import msdiagram
 from helpers import fresh
-from msdiagram import catalog
+from msdiagram import catalog, cli
 from msdiagram.format import serialize
 
 # every name the package root bound when it imported all of its modules up front
@@ -138,6 +138,10 @@ SUBCOMMANDS = [
     (["catalog", "cp2", "-o", "cat.msd"], set()),
     (["render", "cp2.msd", "-o", "cp2.svg"], set()),
 ]
+
+
+def test_every_subcommand_has_a_cold_import_case():
+    assert [argv[0] for argv, _ in SUBCOMMANDS] == list(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("argv,layers", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
