@@ -363,6 +363,12 @@ def handle_counts(d: Diagram) -> tuple[int, int, int, int, int]:
 # validation
 
 
+def _check_dash(kind: str, ids: set[str], findings: list[Finding]) -> None:
+    # MSD/1 spells an empty id list -, so an id list cannot name an id -
+    if "-" in ids:
+        findings.append(Finding(f"{kind} -", "the id - reads as an empty id list"))
+
+
 def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
     seen = set()
     for p in d.pieces:
@@ -399,6 +405,7 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
             continue  # faces need every endpoint on a point of a known wall
         for msg in planarity_problems(p.tangle, p.wall_points()):
             findings.append(Finding(f"piece {p.id}", msg))
+    _check_dash("piece", seen, findings)
 
 
 def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
@@ -429,6 +436,7 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
                 findings.append(Finding(f"pair {q.id}", f"point counts differ: {ka} vs {kb}"))
             elif len(q.matching) != ka or sorted(q.matching) != list(range(ka)):
                 findings.append(Finding(f"pair {q.id}", "matching is not a point bijection"))
+    _check_dash("pair", seen, findings)
     for p in d.pieces:
         for w in p.walls:
             if (p.id, w.id) not in referenced:
@@ -486,6 +494,7 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
                 findings.append(
                     Finding(f"circle {c.id}",
                             f"cycle does not close through pair {q.id} after strand {pid}.{s.id}"))
+    _check_dash("circle", seen, findings)
     # every strand must belong to exactly one circle
     for p in d.pieces:
         for s in p.tangle.strands:
@@ -534,6 +543,7 @@ def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
                 wallcurves[item.pair, item.index] = wallcurves.get((item.pair, item.index), 0) + 1
             else:
                 findings.append(Finding(f"surface {f.id}", f"bad boundary item {item!r}"))
+    _check_dash("surface", seen, findings)
     for (pair, index), n in sorted(wallcurves.items()):
         if n != 2:
             findings.append(

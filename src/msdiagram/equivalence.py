@@ -15,7 +15,10 @@ with other circles.
 
 A walk begins at a start (circle, direction, first strand or visit) of
 least rank, ranked by circle colour and a trace of crossings and wall hops;
-the colours, which ``conjugate`` compares without their orientation labels,
+each (circle, direction) ranks by its least rotation of the trace, found in
+linear time, and its tied starts are the rotations one smallest period
+apart, so a key costs about linear time in crossings on T(2,m).  The
+colours, which ``conjugate`` compares without their orientation labels,
 are one colouring of pieces, pairs, circles and surfaces refined to a fixed
 point.  Every other circle starts where the walk first meets it: at a
 crossing, entering one port counterclockwise of the walker; at a new wall,
@@ -129,28 +132,63 @@ def mirror(d: Diagram) -> Diagram:
 # canonical labeling
 
 
-def _reverse_strand(s: Strand) -> Strand:
-    return Strand(s.id,
-                  visits=tuple((c, (p + 2) % 4) for c, p in reversed(s.visits)),
-                  start=s.end, end=s.start)
+class _Traversals:
+    """Each circle's traversal, read once per canonical key and dropped with
+    it.  ``at`` sends a (piece, strand) to its circle and its position in the
+    strand cycle; ``circles`` sends a circle to whether it is one closed
+    strand, its rotation count, and its strands forwards and backwards, each
+    as (piece, strand id, visits, start, end)."""
+
+    def __init__(self, d: Diagram):
+        self.d = d
+        self.at: dict[tuple[str, str], tuple[str, int]] = {}
+        self.circles: dict[str, tuple[bool, int, tuple[list, list]]] = {}
+        for c in d.circles:
+            forward = []
+            for i, (pid, sid) in enumerate(c.strand_cycle):
+                s = d.piece(pid).tangle.strand(sid)
+                self.at[pid, sid] = (c.id, i)
+                forward.append((pid, sid, s.visits, s.start, s.end))
+            backward = [(pid, sid, tuple((x, (p + 2) % 4) for x, p in reversed(visits)), end, start)
+                        for pid, sid, visits, start, end in reversed(forward)]
+            closed = closed_strand(d, c.id) is not None
+            count = max(len(forward[0][2]), 1) if closed else len(forward)
+            self.circles[c.id] = (closed, count, (forward, backward))
+
+    def cycle(self, cid: str, direction: int, rot: int) -> list:
+        """The circle's strands in traversal order after direction/start choices."""
+        closed, count, ways = self.circles[cid]
+        strands, r = ways[direction], rot % count
+        if closed:
+            (pid, sid, visits, _, _), = strands
+            return [(pid, sid, visits[r:] + visits[:r], None, None)]
+        return strands[r:] + strands[:r]
 
 
-def _effective_cycle(d: Diagram, cid: str, direction: int, rot: int):
-    """The circle's strands in traversal order after direction/start choices."""
-    strands = [(pid, d.piece(pid).tangle.strand(sid)) for pid, sid in d.circle(cid).strand_cycle]
-    single_closed = closed_strand(d, cid) is not None
-    if direction:
-        strands = [(pid, _reverse_strand(s)) for pid, s in reversed(strands)]
-    if single_closed:
-        pid, s = strands[0]
-        v = s.visits
-        if v:
-            r = rot % len(v)
-            strands = [(pid, Strand(s.id, v[r:] + v[:r]))]
-    else:
-        r = rot % len(strands)
-        strands = strands[r:] + strands[:r]
-    return strands
+def _least_rotations(seq) -> range:
+    """The offsets r at which the rotation seq[r:] + seq[:r] is least, in
+    increasing order, in O(n): the two-pointer minimum-expression loop finds
+    the first, and the others follow one smallest period of seq apart.  The
+    empty sequence has its one rotation, at 0."""
+    n = len(seq)
+    if n < 2:
+        return range(1)
+    # one character per item, in item order, so characters compare as items do
+    char = {x: chr(i) for i, x in enumerate(sorted(set(seq)))}
+    s = "".join([char[x] for x in seq]) * 2
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        j += i == j
+        k = 0
+    return range(min(i, j), n, s.find(s[:n], 1))
 
 
 def _colours(d: Diagram, oriented: bool = False) -> dict[tuple[str, str], int]:
@@ -217,70 +255,71 @@ def _colours(d: Diagram, oriented: bool = False) -> dict[tuple[str, str], int]:
         colour = refined
 
 
-def _rotation_count(d: Diagram, cid: str) -> int:
-    loc = closed_strand(d, cid)
-    return max(len(loc[1].visits), 1) if loc else len(d.circle(cid).strand_cycle)
+def _local_signatures(t: _Traversals, keys, cid):
+    """Cheap invariant traces of a circle's starts at rotation 0, forwards and
+    backwards, used to rank the starts: one step per strand, in traversal
+    order.  A visit's step reads no port parity, so it is the same both ways."""
+    d = t.d
 
+    def hop(pid, pt):
+        if pt is None:
+            return ()
+        q = wall_of_pair(d, (pid, pt[0]))
+        other = q.wall_b if q.wall_a == (pid, pt[0]) else q.wall_a
+        return (("hop", q.orientation, d.piece(pid).wall(pt[0]).points,
+                 q.wall_a == (pid, pt[0]),
+                 tuple(sorted(w.points for w in d.piece(other[0]).walls))),)
 
-def _local_signature(d: Diagram, keys, member, cid, direction):
-    """Cheap invariant trace of a circle's start at rotation 0, used to rank
-    the starts: one step per strand, in traversal order."""
-    out = []
-    for pid, s in _effective_cycle(d, cid, direction, 0):
+    forward, backward = [], []
+    for pid, _, visits, start, end in t.circles[cid][2][0]:
         code = d.piece(pid).tangle
-        step = [len(s.visits)]
-        for x, p in s.visits:
-            partner = other_passage(code, x, p)
-            step.append((is_over(code, x, p), crossing_sign(code, x),
-                         keys[member[pid, partner[0]]],
-                         member[pid, partner[0]] == cid))
-        if s.end is not None:
-            q = wall_of_pair(d, (pid, s.end[0]))
-            other = q.wall_b if q.wall_a == (pid, s.end[0]) else q.wall_a
-            step.append(("hop", q.orientation, d.piece(pid).wall(s.end[0]).points,
-                         q.wall_a == (pid, s.end[0]),
-                         tuple(sorted(w.points for w in d.piece(other[0]).walls))))
-        out.append(tuple(step))
-    return tuple(out)
-
-
-def _rotations(trace, n):
-    """The traces of a circle's n rotations, from the trace of rotation 0:
-    rotate the strand steps, or the visit steps of a single closed strand
-    (the one case with fewer steps than rotations)."""
-    if len(trace) == n:
-        return [trace[r:] + trace[:r] for r in range(n)]
-    (count, *steps), = trace
-    return [((count, *steps[r:], *steps[:r]),) for r in range(n)]
+        steps = []
+        for x, p in visits:
+            partner = t.at[pid, other_passage(code, x, p)[0]][0]
+            steps.append((is_over(code, x, p), crossing_sign(code, x), keys[partner],
+                          partner == cid))
+        forward.append((len(visits), *steps, *hop(pid, end)))
+        backward.append((len(visits), *reversed(steps), *hop(pid, start)))
+    return tuple(forward), tuple(reversed(backward))
 
 
 def _planner(d: Diagram):
-    """The tied starts (circle, direction, rotation) of least rank, in order,
-    and the walk that turns one into a plan ((circle, direction, rotation),
-    ...); the module docstring gives the walk's rules."""
+    """The traversal table, the tied starts (circle, direction, rotation) of
+    least rank, in order, and the walk that turns one into a plan ((circle,
+    direction, rotation), ...); the module docstring gives the walk's rules.
+    A (circle, direction) ranks by its colour and its least rotation's trace,
+    and its starts of that rank are its tied rotations."""
+    t = _Traversals(d)
     colours = _colours(d, oriented=True)
     keys = {c.id: colours["c", c.id] for c in d.circles}
-    member = {tuple(e): c.id for c in d.circles for e in c.strand_cycle}
     ends = endpoint_usage(d)
-    rank = {}
+    rank, tied = {}, {}
     for c in d.circles:
-        for dr in (0, 1):
-            trace = _local_signature(d, keys, member, c.id, dr)
-            for rt, t in enumerate(_rotations(trace, _rotation_count(d, c.id))):
-                rank[c.id, dr, rt] = (keys[c.id], t)
-    order = sorted(rank, key=lambda s: (rank[s], s))
-    best = {s[0]: s for s in reversed(order)}
+        closed = t.circles[c.id][0]
+        for dr, trace in enumerate(_local_signatures(t, keys, c.id)):
+            if closed:  # one step, whose visit steps rotate
+                (count, *steps), = trace
+                offsets = _least_rotations(steps)
+                r = offsets[0]
+                trace = ((count, *steps[r:], *steps[:r]),)
+            else:
+                offsets = _least_rotations(trace)
+                trace = trace[offsets[0]:] + trace[:offsets[0]]
+            rank[c.id, dr], tied[c.id, dr] = (keys[c.id], trace), offsets
+    order = sorted(rank, key=lambda k: (rank[k], k))
+    best = {c: (c, dr, tied[c, dr][0]) for c, dr in reversed(order)}
     images = d.internal_maps.circles() if d.internal_maps is not None else {}
 
     def discover(first):
         plan, planned, touched, entered = [first], {first[0]}, set(), {}
 
         def meet(pid, sid, visit, forward):
-            cid = member[pid, sid]
+            cid, i = t.at[pid, sid]
             if cid not in planned:
                 planned.add(cid)
-                n = _rotation_count(d, cid)
-                i = visit if closed_strand(d, cid) else d.circle(cid).strand_cycle.index((pid, sid))
+                closed, n, _ = t.circles[cid]
+                if closed:
+                    i = visit
                 plan.append((cid, 0, i) if forward else (cid, 1, n - 1 - i))
 
         def touch(pid, pt):
@@ -296,38 +335,41 @@ def _planner(d: Diagram):
         while len(plan) < len(d.circles):
             if i == len(plan):
                 # the walk met no new circle: the one input-order tie-break
-                plan.append(min((s for s in order if s[0] not in planned), key=lambda s: (
-                    rank[s], min(entered.get(p, len(entered)) for p, _ in
-                                 d.circle(s[0]).strand_cycle), s)))
+                plan.append(best[min((k for k in order if k[0] not in planned), key=lambda k: (
+                    rank[k], min(entered.get(p, len(entered)) for p, _ in
+                                 d.circle(k[0]).strand_cycle), k))[0]])
                 planned.add(plan[-1][0])
-            for pid, s in _effective_cycle(d, *plan[i]):
+            for pid, _, visits, start, end in t.cycle(*plan[i]):
                 entered.setdefault(pid, len(entered))
-                if s.start is not None:
-                    touch(pid, s.start)
-                for x, p in s.visits:
+                if start is not None:
+                    touch(pid, start)
+                for x, p in visits:
                     if len(plan) == len(d.circles):
                         return tuple(plan)
                     # the other passage, entering one port counterclockwise
                     sid, visit, port = other_passage(d.piece(pid).tangle, x, p)
                     meet(pid, sid, visit, port == (p + 1) % 4)
-                if s.end is not None:
-                    touch(pid, s.end)
+                if end is not None:
+                    touch(pid, end)
             if images.get(plan[i][0], plan[i][0]) not in planned:
                 planned.add(images[plan[i][0]])
                 plan.append(best[images[plan[i][0]]])
             i += 1
         return tuple(plan)
 
-    return [s for s in order if rank[s] == rank[order[0]]], discover
+    firsts = [(c, dr, r) for c, dr in order if rank[c, dr] == rank[order[0]]
+              for r in tied[c, dr]]
+    return t, firsts, discover
 
 
 def _plans(d: Diagram):
-    """Iterate traversal plans, one per least-ranked start."""
-    firsts, discover = _planner(d)
-    yield from map(discover, firsts) if firsts else [()]
+    """Iterate (traversal table, plan), one plan per least-ranked start."""
+    t, firsts, discover = _planner(d)
+    for plan in map(discover, firsts) if firsts else [()]:
+        yield t, plan
 
 
-def _start_image(d: Diagram, plan1, plan2):
+def _start_image(t: _Traversals, plan1, plan2):
     """The action on starts of the automorphism that two plans with equal
     texts reveal: it sends each circle of plan1 to the circle in its place in
     plan2, and a start to the start at the same offset and relative direction
@@ -341,7 +383,7 @@ def _start_image(d: Diagram, plan1, plan2):
 
     def image(start):
         e1, e2 = entry[start[0]]
-        n = _rotation_count(d, start[0])
+        n = t.circles[start[0]][1]
         (u, s), (u1, s1), (u2, s2) = (first_unit(x, n) for x in (start, e1, e2))
         u = (u2 + s2 * s1 * (u - u1)) % n
         return (e2[0], 0, u) if s * s1 * s2 == 1 else (e2[0], 1, n - 1 - u)
@@ -361,7 +403,7 @@ def _coloured_cycles(f: dict, key):
             x = f[x]
         if cycle:
             keys = [key(y) for y in cycle]
-            r = min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
+            r = _least_rotations(keys)[0]
             yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
 
 
@@ -376,10 +418,11 @@ class CanonicalMaps:
     sinks: tuple[tuple[int, int], ...]
 
 
-def _walk(d: Diagram, plan) -> tuple[str, CanonicalMaps]:
-    """Relabel the diagram along one traversal plan: its MSD/1 text, rendered
-    from the id maps, and the maps.  Ids are handed out in discovery order, so
-    each kind's records come out in natural id order as they are met."""
+def _walk(t: _Traversals, plan) -> tuple[str, CanonicalMaps]:
+    """Relabel the table's diagram along one traversal plan: its MSD/1 text,
+    rendered from the id maps, and the maps.  Ids are handed out in discovery
+    order, so each kind's records come out in natural id order as they are met."""
+    d = t.d
     pmap: dict[str, str] = {}
     wmap: dict[tuple[str, str], str] = {}
     woff: dict[tuple[str, str], int] = {}
@@ -417,13 +460,13 @@ def _walk(d: Diagram, plan) -> tuple[str, CanonicalMaps]:
     for cid, direction, rot in plan:
         cmap[cid] = f"c{len(cmap) + 1}"
         cycle = new_cycles[cid] = []
-        for pid, s in _effective_cycle(d, cid, direction, rot):
+        for pid, old, old_visits, start, end in t.cycle(cid, direction, rot):
             touch_piece(pid)
-            sid = smap[pid, s.id] = f"s{len(smap) + 1}"
-            if s.start is not None:
-                touch_wall(pid, s.start[0], s.start[1])
+            sid = smap[pid, old] = f"s{len(smap) + 1}"
+            if start is not None:
+                touch_wall(pid, start[0], start[1])
             visits = []
-            for k, (x, p) in enumerate(s.visits):
+            for k, (x, p) in enumerate(old_visits):
                 if (pid, x) not in xmap:
                     xmap[pid, x] = f"x{len(xmap) + 1}"
                     xrot[pid, x] = p
@@ -433,10 +476,10 @@ def _walk(d: Diagram, plan) -> tuple[str, CanonicalMaps]:
                 port = (p - xrot[pid, x]) % 4
                 split[pid, x].append((sid, k, port))
                 visits.append((xmap[pid, x], port))
-            if s.end is not None:
-                touch_wall(pid, s.end[0], s.end[1])
-            strands[pid].append((pmap[pid], sid, visits, new_point(pid, s.start),
-                                 new_point(pid, s.end)))
+            if end is not None:
+                touch_wall(pid, end[0], end[1])
+            strands[pid].append((pmap[pid], sid, visits, new_point(pid, start),
+                                 new_point(pid, end)))
             cycle.append((pmap[pid], sid))
 
     # leftovers: pieces and walls never reached by a strand
@@ -559,7 +602,7 @@ def _walk(d: Diagram, plan) -> tuple[str, CanonicalMaps]:
 
 def canonical_variants(d: Diagram):
     """All traversal results as (text, maps, plan)."""
-    return [(*_walk(d, plan), plan) for plan in _plans(d)]
+    return [(*_walk(t, plan), plan) for t, plan in _plans(d)]
 
 
 def _least_walk(d: Diagram):
@@ -568,9 +611,9 @@ def _least_walk(d: Diagram):
     it is the first such in plan order, as ``min(canonical_variants(d))``
     picks it; where a walk breaks a tie by circle id or rotation number, a
     skipped start may hold a smaller text."""
-    firsts, discover = _planner(d)
+    t, firsts, discover = _planner(d)
     if not firsts:
-        return (*_walk(d, ()), ())
+        return (*_walk(t, ()), ())
     parent = {f: f for f in firsts}
     walked = []      # variants in plan order
     first_plan = {}  # text -> plan of its first walk
@@ -578,10 +621,10 @@ def _least_walk(d: Diagram):
         if find_root(parent, f) in {find_root(parent, v[2][0]) for v in walked}:
             continue
         plan = discover(f)
-        walked.append((*_walk(d, plan), plan))
+        walked.append((*_walk(t, plan), plan))
         if first_plan.setdefault(walked[-1][0], plan) is not plan:
             # an automorphism keeps ranks, so it maps tied starts onto tied starts
-            image = _start_image(d, first_plan[walked[-1][0]], plan)
+            image = _start_image(t, first_plan[walked[-1][0]], plan)
             for g in firsts:
                 parent[find_root(parent, g)] = find_root(parent, image(g))
     return min(walked, key=lambda v: v[0])
@@ -781,8 +824,8 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
     except Exception as e:
         findings.append(Finding("witness/moves", f"replay failed: {e}"))
         return ValidationReport(tuple(findings))
-    t1, m1 = _walk(r1, iso.plan1)
-    t2, m2 = _walk(r2, iso.plan2)
+    t1, m1 = _walk(_Traversals(r1), iso.plan1)
+    t2, m2 = _walk(_Traversals(r2), iso.plan2)
     if t1 != iso.canonical_text or t2 != iso.canonical_text:
         findings.append(Finding("witness", "canonical texts do not match"))
     else:

@@ -35,7 +35,8 @@ from .core import (
 from .tangle import Crossing, MoveError, Strand, TangleCode, crossing_passages, crossing_sign
 
 HEADER = "msd 1"
-_ID = re.compile(r"[A-Za-z0-9_+-]+\Z")
+# a bare - is the empty marker of an id list, so it names nothing
+_ID = re.compile(r"(?!-\Z)[A-Za-z0-9_+-]+\Z")
 
 
 class ParseError(Exception):
@@ -55,7 +56,7 @@ def natural_key(s: str):
 
 def _check_id(s: str, what: str):
     if not _ID.match(s):
-        raise ValueError(f"{what} id {s!r} contains reserved characters")
+        raise ValueError(f"{what} id {s!r} is - or contains reserved characters")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def _fields(tokens: list[str], required: tuple[str, ...],
 
 def _ident(token: str, what: str) -> str:
     if not _ID.match(token):
-        raise _Bad(token, f"a {what} id of letters, digits, _, + and -")
+        raise _Bad(token, f"a {what} id of letters, digits, _, + and -, other than -")
     return token
 
 

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 import zlib
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -33,6 +34,7 @@ from msdiagram.core import (
 from msdiagram.equivalence import (
     _coloured_cycles,
     _compose,
+    _least_rotations,
     _least_walk,
     _plans,
     canonical_key,
@@ -280,6 +282,42 @@ def test_canonical_walks_match_pinned_crc():
     for d in diagrams:
         crc = zlib.crc32(repr(_least_walk(d)).encode(), crc)
     assert (len(diagrams), crc) == (335, 0x499b8060)
+
+
+def test_torus_knot_keys_match_pinned_crc():
+    # crc32 over the keys of T(2,41), T(2,161) and T(2,321), computed at commit
+    # 3a10d34, where the planner ranked every rotation of every circle
+    crc = 0
+    for m in (41, 161, 321):
+        crc = zlib.crc32(canonical_key.__wrapped__(torus_link(2, m)).encode(), crc)
+    assert crc == 0xb1afbd50
+
+
+def test_torus_knot_key_memory_is_linear():
+    # the planner keeps one least rotation per (circle, direction), not every
+    # rotation of each trace (27 MB for this knot when it did)
+    d = torus_link(2, 641)
+    assert validate(d).ok
+    tracemalloc.start()
+    try:
+        canonical_key.__wrapped__(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=10), st.integers(1, 4))
+@example([], 1)
+@example([7], 3)
+def test_least_rotations_match_brute_force(unit, k):
+    # the tied offsets of the least rotation, on a sequence and on its power
+    # unit^k, whose least rotations repeat every period
+    for seq in (unit, unit * k):
+        rotations = [seq[r:] + seq[:r] for r in range(max(len(seq), 1))]
+        assert list(_least_rotations(seq)) == [
+            r for r, rot in enumerate(rotations) if rot == min(rotations)]
 
 
 def test_walks_render_text_without_building_records(monkeypatch):

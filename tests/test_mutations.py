@@ -7,10 +7,12 @@ import os
 import re
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msdiagram import catalog, cli
+from msdiagram.core import relabel, validate
 from msdiagram.format import ParseError, parse, serialize
 
 SOURCES = [serialize(catalog.standard(name)) for name in catalog.names() if "(" not in name]
@@ -89,3 +91,21 @@ def test_every_command_answers_a_parsed_mutation_with_an_exit_code(case):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 code = cli.main(args)
             assert code in (0, 1, 2, 3, 4), (args[0], code, out.getvalue())
+
+
+@pytest.mark.parametrize("name, kind", [("cp2-two-piece", "pieces"), ("cp2-two-piece", "pairs"),
+                                        ("cp2", "circles"), ("s1xs3", "surfaces")])
+def test_an_id_named_dash_is_refused(name, kind):
+    # MSD/1 spells an empty id list -, so imap circles=- would name no circle:
+    # validate reports the id, serialize will not write it, parse will not read it
+    d = catalog.identity_diffeo(catalog.standard(name))
+    old = getattr(d, kind)[0].id
+    dashed = relabel(d, **{kind: {old: "-"}})
+    assert [f.location for f in validate(dashed).findings] == [f"{kind[:-1]} -"]
+    with pytest.raises(ValueError, match="is - or contains reserved characters"):
+        serialize(dashed)
+    text = re.sub(rf"(?<![\w+-]){old}(?![\w+-])", "-", serialize(d))
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.token, err.value.expected) == ("-", f"a {kind[:-1]} id of letters, digits, "
+                                                          "_, + and -, other than -")
