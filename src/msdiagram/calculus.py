@@ -24,6 +24,7 @@ from .core import (
     with_tangle,
 )
 from .equivalence import canonical_key
+from .format import _MOVE_FIELDS
 from .invariants import det, linking_matrix
 from .reduction import _replace_pairs, delete_superfluous, merge_pieces
 from .tangle import (
@@ -193,61 +194,45 @@ def blow_down(d: Diagram, cid: str) -> Diagram:
 def _pushoff(code: TangleCode, s2: Strand, side: int):
     """Parallel copy of a closed strand on one side (+1 left, -1 right).
 
-    Returns the new crossings, the pushoff's visits on foreign strands, the
-    parallel's visit blocks aligned with s2's visits, and the pushoff's
-    visits on s2 itself.  Each visit on a strand comes as (gap, before,
-    visit): before is True when it goes in just before the strand's visit
-    at that gap, False when just after the visit preceding the gap.
+    Returns the new crossings, the pushoff's visits on each strand it
+    crosses, s2 itself included, and the parallel's visit blocks aligned
+    with s2's visits.  Each visit on a strand comes as (index, before,
+    visit): it goes in just before the strand's visit at that index when
+    before is True, just after it when False.
     """
     fresh = fresh_ids({c.id for c in code.crossings}, "pp")
+    left = 3 if side > 0 else 1  # (q - p) % 4 of a passage met from the parallel's side
     new_crossings: list[Crossing] = []
-    foreign: dict[str, list] = {}      # strand id -> list of (gap, before, visit)
+    inserts: dict[str, list] = {}      # strand id -> list of (index, before, visit)
     blocks: list[list] = []            # parallel's visits per s2 visit
-    handled_self: dict[frozenset, dict] = {}
+    second: dict[int, list] = {}       # s2 visit -> its block, made at the first visit
 
     for k, (x, p) in enumerate(s2.visits):
-        over_flag = code.crossing(x).over
+        if k in second:
+            blocks.append(second.pop(k))
+            continue
+        over = code.crossing(x).over
         tid, j, q = other_passage(code, x, p)
+        # the parallel runs on the side of port p+3 (left) or p+1 (right)
+        before = (q - p) % 4 == left
         if tid != s2.id:
             xp = next(fresh)
-            new_crossings.append(Crossing(xp, over_flag))
-            # the parallel runs on the side of port p+3 (left) or p+1 (right)
-            before = (q - p) % 4 == (3 if side > 0 else 1)
-            foreign.setdefault(tid, []).append((j if before else j + 1, before, (xp, q)))
+            new_crossings.append(Crossing(xp, over))
+            inserts.setdefault(tid, []).append((j, before, (xp, q)))
             blocks.append([(xp, p)])
-        else:
-            key = frozenset({k, j})
-            if key not in handled_self:
-                # roles: A = passage met first in visit order
-                a, b = sorted(key)
-                pa = s2.visits[a][1]
-                pb = s2.visits[b][1]
-                x1 = next(fresh)  # P_A x B
-                x2 = next(fresh)  # A x P_B
-                x3 = next(fresh)  # P_A x P_B
-                new_crossings.extend([
-                    Crossing(x1, over_flag), Crossing(x2, over_flag),
-                    Crossing(x3, over_flag)])
-                b_enters_left = (pb - pa) % 4 == (3 if side > 0 else 1)
-                a_enters_left = (pa - pb) % 4 == (3 if side > 0 else 1)
-                handled_self[key] = {
-                    # along A (s2 itself): X2 before or after its visit a;
-                    # the parallels mirror their parent's meeting order
-                    a: ("self", x2, pa, a_enters_left),
-                    b: ("self", x1, pb, b_enters_left),
-                    ("pa", a): [(x3, pa), (x1, pa)] if a_enters_left else [(x1, pa), (x3, pa)],
-                    ("pb", b): [(x3, pb), (x2, pb)] if b_enters_left else [(x2, pb), (x3, pb)],
-                }
-            info = handled_self[frozenset({k, j})]
-            blocks.append(list(info["pa" if k == min(k, j) else "pb", k]))
-
-    # s2's own extra visits from self-crossing parallels
-    s2_inserts: list[tuple[int, bool, tuple]] = []
-    for key, info in handled_self.items():
-        for idx in sorted(key):
-            kind, xid, port, before = info[idx]
-            s2_inserts.append((idx if before else idx + 1, before, (xid, port)))
-    return new_crossings, foreign, blocks, s2_inserts
+            continue
+        # a self crossing, met first at visit k (passage A) and again at j
+        # (B): the parallel of A crosses B at x1 and the parallel of B at
+        # x3, and A crosses the parallel of B at x2
+        x1, x2, x3 = next(fresh), next(fresh), next(fresh)
+        new_crossings += [Crossing(xi, over) for xi in (x1, x2, x3)]
+        a_before = (p - q) % 4 == left
+        # along s2: x2 next to its visit k, x1 next to its visit j; the
+        # parallels mirror their parent's meeting order
+        inserts.setdefault(s2.id, []).extend(((k, a_before, (x2, p)), (j, before, (x1, q))))
+        blocks.append([(x3, p), (x1, p)] if a_before else [(x1, p), (x3, p)])
+        second[j] = [(x3, q), (x2, q)] if before else [(x2, q), (x3, q)]
+    return new_crossings, inserts, blocks
 
 
 def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
@@ -292,7 +277,7 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
         side = -1 if f2 else 1
         if (f1 == f2) != (orient == 1):
             kink = 1 if f1 else 3  # port of the parallel's second pass through the kink
-    new_crossings, foreign, blocks, s2_inserts = _pushoff(code, s2, side)
+    new_crossings, inserts, blocks = _pushoff(code, s2, side)
 
     # twist block between s2 and its parallel at the arc2 gap; new ids only
     # need to avoid the code's, since each kind of crossing has its own prefix
@@ -319,12 +304,12 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
               s2.id: (g2, lane_visits[s2_lane])}
     new_strands = []
     for st in code.strands:
-        ins = s2_inserts if st.id == s2.id else foreign.get(st.id, [])
+        ins = inserts.get(st.id, [])
         new_strands.append(replace(st, visits=splice(
             st.visits,
-            [(g, [v]) for g, before, v in ins if not before]
+            [(i + 1, [v]) for i, before, v in ins if not before]
             + ([placed[st.id]] if st.id in placed else [])
-            + [(g, [v]) for g, before, v in ins if before])))
+            + [(i, [v]) for i, before, v in ins if before])))
     new_code = TangleCode(code.crossings + tuple(new_crossings)
                           + tuple(twist_crossings) + kink_crossings,
                           tuple(new_strands))
@@ -339,25 +324,30 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
 # replay and recognition
 
 
+def _replace_pair(d: Diagram, pair: str, circle: str) -> Diagram:
+    """Splice an internal pair away as to_kirby does, checking the logged surrogate id."""
+    out, (cid,) = _replace_pairs(d, [d.pair(pair)])
+    if cid != circle:
+        raise MoveError(f"replayed surrogate id {cid} != logged {circle}")
+    return out
+
+
+# the function of each move tag, called with the move's args in the order of
+# format._MOVE_FIELDS; named, and looked up on replay, so that a wrapper set
+# on this module (a tracer, a test's monkeypatch) sees replayed moves too
+_MOVES = {"blow-up": "blow_up", "blow-down": "blow_down", "handle-slide": "handle_slide",
+          "merge-pieces": "merge_pieces", "delete-surface": "delete_superfluous",
+          "replace-pair": "_replace_pair"}
+
+
 def apply_move(d: Diagram, move: KirbyMove) -> Diagram:
-    if move.tag == "blow-up":
-        piece, region, sign = move.args
-        return blow_up(d, piece, region, sign)
-    if move.tag == "blow-down":
-        return blow_down(d, move.args[0])
-    if move.tag == "handle-slide":
-        c1, c2, band = move.args
-        return handle_slide(d, c1, c2, band)
-    if move.tag == "merge-pieces":
-        return merge_pieces(d, move.args[0])
-    if move.tag == "delete-surface":
-        return delete_superfluous(d, *move.args)
-    if move.tag == "replace-pair":
-        out, (cid,) = _replace_pairs(d, [d.pair(move.args[0])])
-        if cid != move.args[1]:
-            raise MoveError(f"replayed surrogate id {cid} != logged {move.args[1]}")
-        return out
-    raise MoveError(f"unknown move tag {move.tag!r}")
+    """Replay one logged move; a tag or args that no move takes is refused."""
+    fields = _MOVE_FIELDS.get(move.tag)
+    if fields is None:
+        raise MoveError(f"unknown move tag {move.tag!r}")
+    if len(move.args) != len(fields):
+        raise MoveError(f"{move.tag} args are ({', '.join(fields)}), got {move.args!r}")
+    return globals()[_MOVES[move.tag]](d, *move.args)
 
 
 def _slide_candidates(d: Diagram):

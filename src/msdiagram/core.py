@@ -37,6 +37,7 @@ is the one test for a circle that is a single closed strand of one piece.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from itertools import count
 
@@ -52,6 +53,11 @@ from .tangle import (
     replace,
     simplify_with_log,
 )
+
+
+# the id rule of every record; a bare - is the empty marker of an MSD/1 id list
+ID_RULE = re.compile(r"(?!-\Z)[A-Za-z0-9_+-]+\Z")
+ID_TEXT = "letters, digits, _, + and -, other than -"  # what ID_RULE accepts
 
 
 class DiagramError(ValueError):
@@ -285,7 +291,7 @@ class Verdict:
 class KirbyMove:
     """One rewriting step; args are ids and small ints, replayable in order."""
 
-    tag: str  # blow-up | blow-down | handle-slide | merge-pieces | delete-surface | replace-pair
+    tag: str  # a key of format._MOVE_FIELDS (its args) and calculus._MOVES (its move)
     args: tuple
 
 
@@ -363,10 +369,28 @@ def handle_counts(d: Diagram) -> tuple[int, int, int, int, int]:
 # validation
 
 
-def _check_dash(kind: str, ids: set[str], findings: list[Finding]) -> None:
-    # MSD/1 spells an empty id list -, so an id list cannot name an id -
-    if "-" in ids:
-        findings.append(Finding(f"{kind} -", "the id - reads as an empty id list"))
+def _check_ids(d: Diagram, findings: list[Finding]) -> None:
+    """Report every id that ID_RULE refuses, at the location of its kind.
+
+    One match of all ids joined, and a look for - and the empty id, passes
+    nearly every diagram; only then is each id matched on its own.
+    """
+    ids = [x.id for xs in (d.pieces, d.pairs, d.circles, d.surfaces) for x in xs]
+    ids += [x.id for p in d.pieces for xs in (p.walls, p.tangle.strands, p.tangle.crossings)
+            for x in xs]
+    try:
+        if "-" not in ids and "" not in ids and ID_RULE.match("".join(ids)):
+            return
+    except TypeError:  # an id that is no string
+        pass
+    groups = [("piece ", d.pieces), ("pair ", d.pairs), ("circle ", d.circles),
+              ("surface ", d.surfaces)]
+    for p in d.pieces:
+        groups += [(f"wall {p.id}.", p.walls), (f"piece {p.id}/strand ", p.tangle.strands),
+                   (f"piece {p.id}/crossing ", p.tangle.crossings)]
+    findings.extend(Finding(f"{where}{x.id}", f"{x.id!r} is not an id of {ID_TEXT}")
+                    for where, xs in groups for x in xs
+                    if not (isinstance(x.id, str) and ID_RULE.match(x.id)))
 
 
 def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
@@ -405,7 +429,6 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
             continue  # faces need every endpoint on a point of a known wall
         for msg in planarity_problems(p.tangle, p.wall_points()):
             findings.append(Finding(f"piece {p.id}", msg))
-    _check_dash("piece", seen, findings)
 
 
 def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
@@ -436,7 +459,6 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
                 findings.append(Finding(f"pair {q.id}", f"point counts differ: {ka} vs {kb}"))
             elif len(q.matching) != ka or sorted(q.matching) != list(range(ka)):
                 findings.append(Finding(f"pair {q.id}", "matching is not a point bijection"))
-    _check_dash("pair", seen, findings)
     for p in d.pieces:
         for w in p.walls:
             if (p.id, w.id) not in referenced:
@@ -494,7 +516,6 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
                 findings.append(
                     Finding(f"circle {c.id}",
                             f"cycle does not close through pair {q.id} after strand {pid}.{s.id}"))
-    _check_dash("circle", seen, findings)
     # every strand must belong to exactly one circle
     for p in d.pieces:
         for s in p.tangle.strands:
@@ -543,7 +564,6 @@ def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
                 wallcurves[item.pair, item.index] = wallcurves.get((item.pair, item.index), 0) + 1
             else:
                 findings.append(Finding(f"surface {f.id}", f"bad boundary item {item!r}"))
-    _check_dash("surface", seen, findings)
     for (pair, index), n in sorted(wallcurves.items()):
         if n != 2:
             findings.append(
@@ -555,21 +575,18 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
     m = d.internal_maps
     if m is None:
         return
-    for name, mapping, ids in (
-        ("pieces", m.pieces(), [p.id for p in d.pieces]),
-        ("pairs", m.pairs(), [q.id for q in d.pairs]),
-        ("circles", m.circles(), [c.id for c in d.circles]),
-        ("surfaces", m.surfaces(), [f.id for f in d.surfaces]),
-    ):
-        if sorted(mapping) != sorted(ids) or sorted(mapping.values()) != sorted(ids):
+    pc, qc, cc, fc = m.pieces(), m.pairs(), m.circles(), m.surfaces()
+    for name, mapping, xs in (("pieces", pc, d.pieces), ("pairs", qc, d.pairs),
+                              ("circles", cc, d.circles), ("surfaces", fc, d.surfaces)):
+        ids = sorted(x.id for x in xs)
+        if sorted(mapping) != ids or sorted(mapping.values()) != ids:
             findings.append(Finding(f"internal maps/{name}", "not a permutation of the index set"))
     if sorted(m.on_sinks) != list(range(d.sink_count)):
         findings.append(Finding("internal maps/sinks", "not a sink permutation"))
     if any(f.location.startswith("internal maps") for f in findings):
         return
-    pc = m.pieces()
     for q in d.pairs:
-        img = d.pair(m.pairs()[q.id])
+        img = d.pair(qc[q.id])
         src = {pc[q.wall_a[0]], pc[q.wall_b[0]]}
         dst = {img.wall_a[0], img.wall_b[0]}
         if src != dst:
@@ -577,7 +594,7 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
                 Finding(f"internal maps/pairs",
                         f"pair {q.id} maps to {img.id} but pieces do not correspond"))
     for c in d.circles:
-        img = d.circle(m.circles()[c.id])
+        img = d.circle(cc[c.id])
         if img.framing != c.framing:
             findings.append(
                 Finding("internal maps/circles",
@@ -588,14 +605,14 @@ def _check_internal_maps(d: Diagram, findings: list[Finding]) -> None:
                 Finding("internal maps/circles",
                         f"circle {c.id} and image {img.id} have different lengths"))
     for f in d.surfaces:
-        img = d.surface(m.surfaces()[f.id])
+        img = d.surface(fc[f.id])
         if img.genus != f.genus:
             findings.append(
                 Finding("internal maps/surfaces",
                         f"surface {f.id} and image {img.id} differ in genus"))
         prof = sorted(
-            (m.circles()[i.circle], i.sign) if isinstance(i, FramingParallel)
-            else (m.pairs()[i.pair], None)
+            (cc[i.circle], i.sign) if isinstance(i, FramingParallel)
+            else (qc[i.pair], None)
             for i in f.boundary)
         prof_img = sorted(
             (i.circle, i.sign) if isinstance(i, FramingParallel) else (i.pair, None)
@@ -646,6 +663,7 @@ def _validate(d: Diagram) -> ValidationReport:
     if d.pieces and d.sink_count < 1:
         findings.append(Finding("diagram", "sink count must be at least 1"))
     _check_pieces(d, findings)
+    _check_ids(d, findings)
     if not findings:
         _check_pairs(d, findings)
         _check_circles(d, findings)

@@ -20,6 +20,8 @@ from __future__ import annotations
 import re
 
 from .core import (
+    ID_RULE,
+    ID_TEXT,
     Diagram,
     FramingParallel,
     GluedCircle,
@@ -35,8 +37,6 @@ from .core import (
 from .tangle import Crossing, MoveError, Strand, TangleCode, crossing_passages, crossing_sign
 
 HEADER = "msd 1"
-# a bare - is the empty marker of an id list, so it names nothing
-_ID = re.compile(r"(?!-\Z)[A-Za-z0-9_+-]+\Z")
 
 
 class ParseError(Exception):
@@ -55,7 +55,7 @@ def natural_key(s: str):
 
 
 def _check_id(s: str, what: str):
-    if not _ID.match(s):
+    if not ID_RULE.match(s):
         raise ValueError(f"{what} id {s!r} is - or contains reserved characters")
 
 
@@ -185,8 +185,8 @@ def _fields(tokens: list[str], required: tuple[str, ...],
 
 
 def _ident(token: str, what: str) -> str:
-    if not _ID.match(token):
-        raise _Bad(token, f"a {what} id of letters, digits, _, + and -, other than -")
+    if not ID_RULE.match(token):
+        raise _Bad(token, f"a {what} id of {ID_TEXT}")
     return token
 
 
@@ -434,6 +434,21 @@ def serialize_moves(moves) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _band(token: str) -> tuple:
+    band = token.split(":")
+    arcs = [a.rsplit(".", 1) for a in band[1:3]]
+    if len(band) != 4 or any(len(a) != 2 for a in arcs):
+        raise _Bad(token, "piece:strand.arc:strand.arc:sign")
+    (s1, i1), (s2, i2) = arcs
+    for x in (band[0], s1, s2):
+        _ident(x, "band")
+    return band[0], (s1, _int(i1)), (s2, _int(i2)), _sign(band[3])
+
+
+# the reader of each field that is no id; every other field is an id
+_MOVE_READERS = {"region": _int, "sign": _sign, "band": _band}
+
+
 def _move(tokens: list[str]) -> KirbyMove:
     if tokens[0] != "move" or len(tokens) < 2:
         raise _Bad(tokens[0], "a move record")
@@ -441,22 +456,8 @@ def _move(tokens: list[str]) -> KirbyMove:
     if tag not in _MOVE_FIELDS:
         raise _Bad(tag, "a known move tag")
     f = _fields(tokens[2:], _MOVE_FIELDS[tag])
-    for k in _MOVE_FIELDS[tag]:
-        if k not in ("region", "sign", "band"):
-            _ident(f[k], k)
-    if tag == "blow-up":
-        return KirbyMove(tag, (f["piece"], _int(f["region"]), _sign(f["sign"])))
-    if tag == "handle-slide":
-        band = f["band"].split(":")
-        arcs = [a.rsplit(".", 1) for a in band[1:3]]
-        if len(band) != 4 or any(len(a) != 2 for a in arcs):
-            raise _Bad(f["band"], "piece:strand.arc:strand.arc:sign")
-        (s1, i1), (s2, i2) = arcs
-        for x in (band[0], s1, s2):
-            _ident(x, "band")
-        return KirbyMove(tag, (f["c1"], f["c2"], (band[0], (s1, _int(i1)), (s2, _int(i2)),
-                                                  _sign(band[3]))))
-    return KirbyMove(tag, tuple(f[k] for k in _MOVE_FIELDS[tag]))
+    return KirbyMove(tag, tuple(_MOVE_READERS[k](f[k]) if k in _MOVE_READERS else _ident(f[k], k)
+                                for k in _MOVE_FIELDS[tag]))
 
 
 def parse_moves(text: str):

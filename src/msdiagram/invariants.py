@@ -202,27 +202,25 @@ def chain_complex(d: Diagram) -> ChainComplex:
     validate has checked that consecutive maps compose to zero.
     """
     require_valid(d, "invalid diagram")
-    piece_ids = [p.id for p in d.pieces]
-    pair_ids = [q.id for q in d.pairs]
-    circle_ids = [c.id for c in d.circles]
-    surface_ids = [f.id for f in d.surfaces]
+    piece_row, pair_row, circle_row = ({x.id: i for i, x in enumerate(xs)}
+                                       for xs in (d.pieces, d.pairs, d.circles))
     n0, n1, n2, n3, n4 = handle_counts(d)
 
     d1 = zeros(n0, n1)
     for j, q in enumerate(d.pairs):
-        d1[piece_ids.index(q.wall_b[0])][j] += 1
-        d1[piece_ids.index(q.wall_a[0])][j] -= 1
+        d1[piece_row[q.wall_b[0]]][j] += 1
+        d1[piece_row[q.wall_a[0]]][j] -= 1
 
     d2 = zeros(n1, n2)
     for j, c in enumerate(d.circles):
         for qid, sign in circle_passages(d, c.id):
-            d2[pair_ids.index(qid)][j] += sign
+            d2[pair_row[qid]][j] += sign
 
     d3 = zeros(n2, n3)
     for j, f in enumerate(d.surfaces):
         for item in f.boundary:
             if isinstance(item, FramingParallel):
-                d3[circle_ids.index(item.circle)][j] += item.sign
+                d3[circle_row[item.circle]][j] += item.sign
 
     if d.sink_incidence is not None:
         d4 = [[d.sink_incidence[j][i] for j in range(n4)] for i in range(n3)]
@@ -302,16 +300,10 @@ class SurgeryPresentation:
     sphere_count: int
 
     def relation_matrix(self) -> Matrix:
-        m = len(self.circles)
-        n = len(self.pairs)
-        rows = []
-        for i in range(m):
-            rows.append(list(self.linking[i]) + list(self.windings[i]))
-        for qid in self.tree_pairs:
-            row = [0] * (m + n)
-            row[m + self.pairs.index(qid)] = 1
-            rows.append(row)
-        return rows
+        m, n = len(self.circles), len(self.pairs)
+        column = {qid: m + i for i, qid in enumerate(self.pairs)}
+        return ([list(self.linking[i]) + list(self.windings[i]) for i in range(m)]
+                + [[int(j == column[qid]) for j in range(m + n)] for qid in self.tree_pairs])
 
     def h1(self) -> tuple[int, tuple[int, ...]]:
         r, torsion = _rank_torsion(self.relation_matrix())
@@ -332,16 +324,16 @@ def _spanning_forest(d: Diagram) -> list[str]:
 
 def surgery_presentation(d: Diagram) -> SurgeryPresentation:
     lm = linking_matrix(d)  # refuses an invalid diagram
-    pair_ids = [q.id for q in d.pairs]
+    pair_column = {q.id: i for i, q in enumerate(d.pairs)}
     windings = []
     for c in d.circles:
-        row = [0] * len(pair_ids)
+        row = [0] * len(pair_column)
         for qid, sign in circle_passages(d, c.id):
-            row[pair_ids.index(qid)] += sign
+            row[pair_column[qid]] += sign
         windings.append(tuple(row))
     return SurgeryPresentation(
         circles=lm.circles,
-        pairs=tuple(pair_ids),
+        pairs=tuple(pair_column),
         linking=lm.entries,
         windings=tuple(windings),
         tree_pairs=tuple(_spanning_forest(d)),

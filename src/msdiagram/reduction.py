@@ -54,27 +54,20 @@ def _connector_word(q: SpherePair) -> list[tuple[int, int]]:
     data does not pin the braiding).
     """
     k = len(q.matching)
-    best = None
-    for offset in range(k):
-        target = {i: (offset - q.matching[i]) % k for i in range(k)}
-        swaps = sum(
-            1 for i in range(k) for j in range(i + 1, k)
-            if target[i] > target[j])
-        if best is None or swaps < best[0]:
-            best = (swaps, target)
-    _, target = best
-    word = []
-    seq = list(range(k))
-    changed = True
-    while changed:
-        changed = False
-        for j in range(k - 1):
-            a, b = seq[j], seq[j + 1]
-            if target[a] > target[b]:
-                word.append((j + 1, 1 if a < b else -1))
-                seq[j], seq[j + 1] = b, a
-                changed = True
-    return word
+
+    def sorting_word(offset):
+        # bubble sort to the offset's order: one letter per inversion
+        target = [(offset - i) % k for i in q.matching]
+        word, seq = [], list(range(k))
+        for n in range(k - 1, 0, -1):  # pass n leaves seq[n] in place
+            for j in range(n):
+                a, b = seq[j], seq[j + 1]
+                if target[a] > target[b]:
+                    word.append((j + 1, 1 if a < b else -1))
+                    seq[j], seq[j + 1] = b, a
+        return word
+
+    return min(map(sorting_word, range(k)), key=len, default=[])
 
 
 class _GluedStrand:
@@ -455,20 +448,15 @@ def _cancel(d: Diagram, surface_id: str, circle_id: str) -> Diagram:
         code = _drop(p.tangle, {x for x, _ in p.tangle.strand(sid).visits})
         pieces[pid] = Piece(p.id, replace(code, strands=tuple(
             s for s in code.strands if s.id != sid)), p.walls)
+    # the surface's incidence column goes, and it is zero: the surface is the
+    # only one on the circle, so d3.d4 = 0 on the circle zeroes its entries
+    incidence = None if d.sink_incidence is None else tuple(
+        tuple(x for x, f in zip(row, d.surfaces) if f.id != surface_id)
+        for row in d.sink_incidence)
     return replace(d, pieces=tuple(pieces[p.id] for p in d.pieces),
                    circles=tuple(x for x in d.circles if x.id != circle_id),
-                   surfaces=tuple(f for f in d.surfaces if f.id != surface_id))
-
-
-def _cancel_keeps_validity(d: Diagram, circle_id: str) -> bool:
-    """Whether cancelling a valid diagram's circle surely leaves it valid.
-
-    Deleting a closed strand with its crossings keeps a code planar, and the
-    cancelled surface is the only one on the circle.  What can go stale is
-    a wall point the circle ended on or a sink incidence column (the
-    pipeline refuses internal maps before it cancels).
-    """
-    return closed_strand(d, circle_id) is not None and d.sink_incidence is None
+                   surfaces=tuple(f for f in d.surfaces if f.id != surface_id),
+                   sink_incidence=incidence)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +525,11 @@ def reduce_pipeline(d: Diagram, log: list | None = None) -> Diagram:
     d = merge_all(d, log)
     while (found := find_superfluous_surface(d)) is not None:
         out = _cancel(d, *found)
-        if not _cancel_keeps_validity(d, found[1]):
+        # deleting a closed strand with its crossings keeps a code planar, and
+        # the cancelled surface is the only one on the circle: what can go
+        # stale is a wall point the circle ended on (internal maps are
+        # refused above)
+        if closed_strand(d, found[1]) is None:
             require_valid(out, "cancellation broke the diagram")
         d = out
         if log is not None:

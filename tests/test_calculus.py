@@ -3,6 +3,7 @@
 import pytest
 
 from msdiagram import calculus, catalog, tangle
+from msdiagram import format as msd_format
 from msdiagram.calculus import (
     KirbyMove,
     RefusalError,
@@ -288,6 +289,24 @@ def test_recognize_witness_replays():
     for mv in v.witness:
         cur = apply_move(cur, mv)
     assert cur.circles == ()
+
+
+def test_every_logged_tag_replays():
+    assert set(calculus._MOVES) == set(msd_format._MOVE_FIELDS)
+
+
+@pytest.mark.parametrize("move, message", [
+    (KirbyMove("slam-dunk", ("c1",)), "unknown move tag 'slam-dunk'"),
+    (KirbyMove("blow-up", ("P1", 0)), "blow-up args are (piece, region, sign), got ('P1', 0)"),
+    (KirbyMove("blow-down", ("c1", "c2")), "blow-down args are (circle), got ('c1', 'c2')"),
+    (KirbyMove("merge-pieces", ()), "merge-pieces args are (pair), got ()"),
+    (KirbyMove("replace-pair", ("Q1", "h1", "h2")),
+     "replace-pair args are (pair, circle), got ('Q1', 'h1', 'h2')"),
+])
+def test_apply_move_refuses_what_no_move_takes(move, message):
+    with pytest.raises(MoveError) as err:
+        apply_move(unknots([1]), move)
+    assert str(err.value) == message
 
 
 def test_recognize_unknown_on_budget():

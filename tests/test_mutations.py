@@ -109,3 +109,23 @@ def test_an_id_named_dash_is_refused(name, kind):
         parse(text)
     assert (err.value.token, err.value.expected) == ("-", f"a {kind[:-1]} id of letters, digits, "
                                                           "_, + and -, other than -")
+
+
+@pytest.mark.parametrize("name, renaming, location", [
+    ("cp2", {"circles": {"c1": "a b"}}, "circle a b"),
+    ("cp2", {"strands": {("P1", "S1"): "-"}}, "piece P1/strand -"),
+    ("cp2-two-piece", {"walls": {("P1", "W1"): "W.1"}}, "wall P1.W.1"),
+    ("s2xs2", {"crossings": {("P1", "x1"): ""}}, "piece P1/crossing "),
+    ("s1xs3", {"surfaces": {"F1": "F#1"}}, "surface F#1"),
+])
+def test_validate_reports_every_id_that_serialize_refuses(name, renaming, location):
+    # one id rule: an id validate lets through, serialize writes
+    d = relabel(catalog.standard(name), **renaming)
+    assert [f.location for f in validate(d).findings] == [location]
+    with pytest.raises(ValueError, match="is - or contains reserved characters"):
+        serialize(d)
+
+
+def test_validate_reports_an_id_that_is_no_string():
+    d = relabel(catalog.cp2(), circles={"c1": 5})
+    assert [f.location for f in validate(d).findings] == ["circle 5"]

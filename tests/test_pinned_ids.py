@@ -141,6 +141,55 @@ def test_handle_slide_kink_ids():
         "circle c1 strands=P1.S1 framing=1\n"
         "circle c2 strands=P1.S2 framing=-1\n"
         "sinks 1\n")
+    # a negative kink, and the band on c2's other side: both take the
+    # pushoff's other branch at the kink, where the crossing of c2 with the
+    # parallel goes in just before c2's first pass through the kink, not after
+    for kink, arc1, text in (
+        (-1, 0, (
+            "msd 1\n"
+            "piece P1\n"
+            "crossing P1.bk1 ends=S1.2.i,S1.9.o,S1.2.o,S1.9.i over=1 sign=-\n"
+            "crossing P1.pp1 ends=S1.1.o,S1.8.o,S1.1.i,S1.8.i over=1 sign=+\n"
+            "crossing P1.pp2 ends=S1.4.i,S2.4.o,S1.4.o,S2.4.i over=1 sign=-\n"
+            "crossing P1.pp3 ends=S2.1.i,S1.5.o,S2.1.o,S1.5.i over=1 sign=-\n"
+            "crossing P1.pp4 ends=S1.3.i,S1.6.o,S1.3.o,S1.6.i over=1 sign=-\n"
+            "crossing P1.pp5 ends=S1.7.o,S1.10.o,S1.7.i,S1.10.i over=1 sign=+\n"
+            "crossing P1.x1 ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i over=1 sign=+\n"
+            "crossing P1.x2 ends=S2.5.o,S1.11.o,S2.5.i,S1.11.i over=1 sign=+\n"
+            "crossing P1.x3 ends=S2.2.i,S2.3.o,S2.2.o,S2.3.i over=1 sign=-\n"
+            "strand P1.S1 path=x1:2,pp1:2,bk1:0,pp4:0,pp2:0,pp3:3,pp4:3,pp5:2,pp1:3,bk1:3,pp5:3,"
+            "x2:3 from=- to=-\n"
+            "strand P1.S2 path=x1:3,pp3:0,x3:0,x3:3,pp2:3,x2:2 from=- to=-\n"
+            "circle c1 strands=P1.S1 framing=1\n"
+            "circle c2 strands=P1.S2 framing=-1\n"
+            "sinks 1\n")),
+        (1, 1, (
+            "msd 1\n"
+            "piece P1\n"
+            "crossing P1.pp1 ends=S1.10.o,S1.9.o,S1.10.i,S1.9.i over=1 sign=+\n"
+            "crossing P1.pp2 ends=S1.5.i,S2.8.i,S1.5.o,S2.8.o over=1 sign=+\n"
+            "crossing P1.pp3 ends=S2.5.i,S1.6.i,S2.5.o,S1.6.o over=1 sign=+\n"
+            "crossing P1.pp4 ends=S1.4.i,S1.7.i,S1.4.o,S1.7.o over=1 sign=+\n"
+            "crossing P1.pp5 ends=S1.8.o,S1.13.o,S1.8.i,S1.13.i over=1 sign=+\n"
+            "crossing P1.tw1 ends=S1.0.o,S2.1.o,S1.0.i,S2.1.i over=2 sign=-\n"
+            "crossing P1.tw2 ends=S2.2.o,S1.1.o,S2.2.i,S1.1.i over=2 sign=-\n"
+            "crossing P1.tw3 ends=S1.2.o,S2.3.o,S1.2.i,S2.3.i over=2 sign=-\n"
+            "crossing P1.tw4 ends=S2.4.o,S1.3.o,S2.4.i,S1.3.i over=2 sign=-\n"
+            "crossing P1.x1 ends=S1.11.o,S2.0.o,S1.11.i,S2.0.i over=1 sign=+\n"
+            "crossing P1.x2 ends=S2.9.o,S1.12.o,S2.9.i,S1.12.i over=1 sign=+\n"
+            "crossing P1.x3 ends=S2.6.i,S2.7.i,S2.6.o,S2.7.o over=1 sign=+\n"
+            "strand P1.S1 path=tw1:2,tw2:3,tw3:2,tw4:3,pp4:0,pp2:0,pp3:1,pp4:1,pp5:2,pp1:3,pp1:2,"
+            "x1:2,x2:3,pp5:3 from=- to=-\n"
+            "strand P1.S2 path=x1:3,tw1:3,tw2:2,tw3:3,tw4:2,pp3:0,x3:0,x3:1,pp2:1,"
+            "x2:2 from=- to=-\n"
+            "circle c1 strands=P1.S1 framing=1\n"
+            "circle c2 strands=P1.S2 framing=-1\n"
+            "sinks 1\n")),
+    ):
+        kinked = replace(base.pieces[0], tangle=r1_plus(base.pieces[0].tangle, "S2", 0, kink))
+        out = handle_slide(replace(d, pieces=(kinked,)), "c1", "c2",
+                           ("P1", ("S1", arc1), ("S2", 0), 1))
+        assert validate(out).ok and serialize(out) == text
 
 
 def test_reidemeister_plus_ids():

@@ -1,5 +1,6 @@
 """Piece merging, handle cancellation, and the Kirby-form pipeline."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -288,6 +289,26 @@ def test_reduction_keeps_the_homology_of_random_closed_diagrams():
     assert checked >= 200
 
 
+def test_connector_word_is_a_least_rotation_sort():
+    # reference: the first offset of least inversions, then a bubble sort
+    for k in range(1, 7):
+        for matching in itertools.permutations(range(k)):
+            targets = [[(offset - matching[i]) % k for i in range(k)] for offset in range(k)]
+            target = min(targets, key=lambda t: sum(
+                t[i] > t[j] for i in range(k) for j in range(i + 1, k)))
+            word, seq, changed = [], list(range(k)), True
+            while changed:
+                changed = False
+                for j in range(k - 1):
+                    a, b = seq[j], seq[j + 1]
+                    if target[a] > target[b]:
+                        word.append((j + 1, 1 if a < b else -1))
+                        seq[j], seq[j + 1] = b, a
+                        changed = True
+            q = SpherePair("Q1", ("P1", "A"), ("P1", "B"), matching)
+            assert reduction._connector_word(q) == word, matching
+
+
 def braided_connectors():
     # an internal pair matching 0,1,2 whose connectors cross once
     code = TangleCode(crossings=(Crossing("x1", 1),), strands=(
@@ -383,7 +404,7 @@ def test_pipeline_log_replays_to_the_same_diagram(seed, planted):
 
 def test_pipeline_names_a_cancellation_that_breaks_the_diagram():
     # the cancelled circle runs through Q1 and back, so its strands leave
-    # unused wall points; a sink incidence block keeps a column per surface
+    # unused wall points
     through = Diagram(
         pieces=(Piece("P1", TangleCode(strands=(Strand("S1", (), ("A", 1), ("A", 0)),
                                                 Strand("S2", (), ("B", 0), ("B", 1)))),
@@ -391,13 +412,23 @@ def test_pipeline_names_a_cancellation_that_breaks_the_diagram():
         pairs=(SpherePair("Q1", ("P1", "A"), ("P1", "B"), (0, 1)),),
         circles=(GluedCircle("c1", (("P1", "S1"), ("P1", "S2")), 0),),
         surfaces=(SpanningSurface("F1", 0, (FramingParallel("c1", 1),)),))
+    assert validate(through).ok
+    with pytest.raises(DiagramError,
+                       match="^cancellation broke the diagram: marked point 0 unused$"):
+        reduce_pipeline(through)
+
+
+def test_a_cancellation_drops_its_surface_incidence_column():
+    # the cancelled surface's column is zero (d3.d4 = 0 on its circle), so
+    # dropping it keeps a multi-sink diagram valid and its homology
     two_sinks = replace(catalog.standard("s4-with-cancelling-pair"), sink_count=2,
                         sink_incidence=((0,), (0,)))
-    for d, error in ((through, "marked point 0 unused"),
-                     (two_sinks, "incidence block shape must be sinks x surfaces")):
-        assert validate(d).ok
-        with pytest.raises(DiagramError, match=f"^cancellation broke the diagram: {error}$"):
-            reduce_pipeline(d)
+    assert validate(two_sinks).ok
+    out = delete_superfluous(two_sinks, *find_superfluous_surface(two_sinks))
+    assert out.sink_incidence == ((), ()) and validate(out).ok
+    assert homology(out) == homology(two_sinks)
+    reduced = reduce_pipeline(two_sinks)
+    assert (reduced.annotation.three_handles, reduced.annotation.sinks) == (0, 2)
 
 
 def ring(k):
