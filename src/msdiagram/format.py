@@ -55,7 +55,7 @@ def natural_key(s: str):
 
 
 def _check_id(s: str, what: str):
-    if not ID_RULE.match(s):
+    if not (isinstance(s, str) and ID_RULE.match(s)):
         raise ValueError(f"{what} id {s!r} is - or contains reserved characters")
 
 
@@ -128,10 +128,9 @@ def _text(pieces, walls, pairs, crossings, strands, circles, surfaces, sink_coun
 def serialize(d: Diagram) -> str:
     """Canonical MSD/1 text for a diagram."""
     def ordered(items, what):
-        items = sorted(items, key=lambda x: natural_key(x.id))
         for x in items:
             _check_id(x.id, what)
-        return items
+        return sorted(items, key=lambda x: natural_key(x.id))
 
     pieces = ordered(d.pieces, "piece")
     return _text(

@@ -8,6 +8,12 @@ are lists of row lists.  The handle chain complex of a diagram runs
 with boundary maps read off incidence data: signed passages of circles
 through pairs, signed framing-parallel multiplicities of surfaces, and the
 piece graph of the pairs.
+
+d1 is the oriented incidence matrix of the piece graph.  Such a matrix is
+totally unimodular, so its Smith form is all 1s and its rank is the size of
+a spanning forest: homology reads d1 off the forest and never eliminates
+it.  The forest's pairs carry no cycle, and the surgered H1 likewise drops
+each tree pair's generator with its unit relation before its Smith form.
 """
 
 from __future__ import annotations
@@ -202,14 +208,20 @@ def chain_complex(d: Diagram) -> ChainComplex:
     validate has checked that consecutive maps compose to zero.
     """
     require_valid(d, "invalid diagram")
-    piece_row, pair_row, circle_row = ({x.id: i for i, x in enumerate(xs)}
-                                       for xs in (d.pieces, d.pairs, d.circles))
-    n0, n1, n2, n3, n4 = handle_counts(d)
-
-    d1 = zeros(n0, n1)
+    n = handle_counts(d)
+    piece_row = {p.id: i for i, p in enumerate(d.pieces)}
+    d1 = zeros(n[0], n[1])
     for j, q in enumerate(d.pairs):
         d1[piece_row[q.wall_b[0]]][j] += 1
         d1[piece_row[q.wall_a[0]]][j] -= 1
+    return ChainComplex(d1, *_upper_boundaries(d, n), dims=n)
+
+
+def _upper_boundaries(d: Diagram, n: tuple[int, ...]) -> tuple[Matrix, Matrix, Matrix]:
+    """d2, d3 and d4 of a valid diagram with handle counts n."""
+    pair_row = {q.id: i for i, q in enumerate(d.pairs)}
+    circle_row = {c.id: i for i, c in enumerate(d.circles)}
+    _, n1, n2, n3, n4 = n
 
     d2 = zeros(n1, n2)
     for j, c in enumerate(d.circles):
@@ -229,7 +241,7 @@ def chain_complex(d: Diagram) -> ChainComplex:
         # surfaces; otherwise both belt points of each surface land on
         # the one sink, or there are no surfaces
         d4 = zeros(n3, n4)
-    return ChainComplex(d1, d2, d3, d4, dims=(n0, n1, n2, n3, n4))
+    return d2, d3, d4
 
 
 def _rank_torsion(a: Matrix) -> tuple[int, tuple[int, ...]]:
@@ -239,12 +251,21 @@ def _rank_torsion(a: Matrix) -> tuple[int, tuple[int, ...]]:
 
 
 def homology(d: Diagram) -> list[tuple[int, tuple[int, ...]]]:
-    """Integral homology (betti, torsion coefficients) in degrees 0..4."""
-    cx = chain_complex(d)
-    n = cx.dims
-    out = []
-    rank_out = 0  # rank of the boundary out of degree k: the previous rank_in
-    for k, boundary_in in enumerate((cx.d1, cx.d2, cx.d3, cx.d4, [])):
+    """Integral homology (betti, torsion coefficients) in degrees 0..4.
+
+    d1 is never built: its rank is the size of a spanning forest of the
+    piece graph, and it has no torsion.  A cycle of pairs is fixed by its
+    pairs outside the forest, so their rows of d2 (whose image lies in
+    ker d1, a direct summand) keep d2's rank and torsion.
+    """
+    require_valid(d, "invalid diagram")
+    n = handle_counts(d)
+    tree = set(_spanning_forest(d))
+    d2, d3, d4 = _upper_boundaries(d, n)
+    cycle_rows = [row for row, q in zip(d2, d.pairs) if q.id not in tree]
+    rank_out = len(tree)  # rank of the boundary out of degree k: the previous rank_in
+    out = [(n[0] - rank_out, ())]
+    for k, boundary_in in enumerate((cycle_rows, d3, d4, []), start=1):
         rank_in, torsion = _rank_torsion(boundary_in)
         out.append((n[k] - rank_out - rank_in, torsion))
         rank_out = rank_in
@@ -306,8 +327,17 @@ class SurgeryPresentation:
                 + [[int(j == column[qid]) for j in range(m + n)] for qid in self.tree_pairs])
 
     def h1(self) -> tuple[int, tuple[int, ...]]:
-        r, torsion = _rank_torsion(self.relation_matrix())
-        return len(self.circles) + len(self.pairs) - r, torsion
+        """The group relation_matrix presents, without its tree-pair rows.
+
+        A tree pair's relation is the unit row of its own generator, so
+        both drop out: the circle rows over the other generators keep the
+        same rank deficit and the same torsion.
+        """
+        tree = set(self.tree_pairs)
+        cycle = [j for j, qid in enumerate(self.pairs) if qid not in tree]
+        r, torsion = _rank_torsion([list(row) + [w[j] for j in cycle]
+                                    for row, w in zip(self.linking, self.windings)])
+        return len(self.circles) + len(cycle) - r, torsion
 
 
 def _spanning_forest(d: Diagram) -> list[str]:

@@ -5,14 +5,15 @@ import os
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import plant_cancelling_pair, random_kirby_diagram, random_multipiece_diagram
-from msdiagram import catalog, cli
+from msdiagram import catalog, cli, invariants
 from msdiagram.core import Diagram, DiagramError, GluedCircle, Piece, validate
 from msdiagram.format import serialize
 from msdiagram.invariants import (
@@ -30,6 +31,7 @@ from msdiagram.invariants import (
     surgery_presentation,
 )
 from msdiagram.tangle import Strand, TangleCode
+from test_reduction import ring
 
 
 # --- exact linear algebra, checked against independent oracles -------------
@@ -244,6 +246,8 @@ def test_chain_complex_composes_to_zero():
             assert is_zero(mat_mul(cx.d1, cx.d2))
         if cx.d2 and cx.d3 and cx.d3[0]:
             assert is_zero(mat_mul(cx.d2, cx.d3))
+        if cx.d3 and cx.d4 and cx.d4[0]:
+            assert is_zero(mat_mul(cx.d3, cx.d4))
 
 
 def test_chain_complex_ranks():
@@ -305,8 +309,6 @@ def test_annotated_homology_plain_passthrough():
 
 
 def test_multi_sink_needs_incidence():
-    from dataclasses import replace
-
     base = catalog.standard("s1xs3")
     two_sinks = replace(base, sink_count=2)
     report = validate(two_sinks)
@@ -323,8 +325,6 @@ def test_multi_sink_needs_incidence():
 
 
 def test_validate_checks_d3_d4():
-    from dataclasses import replace
-
     # F1 runs along c1, so d3(F1) != 0 and no sink may have F1 in its boundary
     d = replace(catalog.standard("s4-with-cancelling-pair"), sink_count=2,
                 sink_incidence=((1,), (1,)))
@@ -335,16 +335,19 @@ def test_validate_checks_d3_d4():
         chain_complex(d)
 
 
+def seeded(kind, seed):
+    """A diagram of a helper generator: Kirby, multi-piece, or multi-piece with a planted pair."""
+    rng = random.Random(seed)
+    if kind == "kirby":
+        return random_kirby_diagram(rng)
+    d = random_multipiece_diagram(rng)
+    return plant_cancelling_pair(d, rng) if kind == "planted" else d
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["kirby", "multi", "planted"]))
 def test_valid_diagram_keeps_chain_complex_computable(seed, kind):
-    rng = random.Random(seed)
-    if kind == "kirby":
-        d = random_kirby_diagram(rng)
-    else:
-        d = random_multipiece_diagram(rng)
-        if kind == "planted":
-            d = plant_cancelling_pair(d, rng)
+    d = seeded(kind, seed)
     assume(validate(d).ok)
     chain_complex(d)
     homology(d)
@@ -357,8 +360,60 @@ def test_valid_diagram_keeps_chain_complex_computable(seed, kind):
 
 
 def test_multi_sink_without_surfaces_fine():
-    from dataclasses import replace
-
     d = replace(catalog.standard("cp2"), sink_count=2)
     assert validate(d).ok
     assert homology(d)[4] == (2, ())  # two 4-handles, no surfaces to attach over
+
+
+# --- the piece graph read from its spanning forest ---------------------------
+
+
+def dense_homology(d):
+    """Homology with every boundary map of chain_complex(d) through the Smith form."""
+    cx = chain_complex(d)
+    out, rank_out = [], 0
+    for k, boundary_in in enumerate((cx.d1, cx.d2, cx.d3, cx.d4, [])):
+        snf = smith_normal_form(boundary_in)
+        rank_in = sum(1 for x in snf if x)
+        out.append((cx.dims[k] - rank_out - rank_in, tuple(x for x in snf if x > 1)))
+        rank_out = rank_in
+    return out
+
+
+def dense_surgered_h1(d):
+    """H1 presented by the full relation matrix, tree-pair rows included."""
+    pres = surgery_presentation(d)
+    snf = smith_normal_form(pres.relation_matrix())
+    rank = sum(1 for x in snf if x)
+    return len(pres.circles) + len(pres.pairs) - rank, tuple(x for x in snf if x > 1)
+
+
+DIAGRAMS = st.one_of(
+    st.builds(seeded, st.sampled_from(["kirby", "multi", "planted"]), st.integers(0, 10**6)),
+    st.sampled_from([name for name in catalog.names() if "(" not in name]).map(catalog.standard),
+    st.integers(1, 8).map(catalog.n_s1xs3),
+    st.integers(1, 40).map(ring),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DIAGRAMS)
+@example(ring(1))  # its one pair has both walls on the one piece
+@example(catalog.s1xs3())  # a self-pair beside a closed surface
+@example(replace(catalog.s1xs3(), sink_count=2, sink_incidence=((1,), (-1,))))
+def test_forest_reads_match_the_dense_smith_forms(d):
+    assume(validate(d).ok)
+    assert homology(d) == dense_homology(d)
+    assert surgered_h1(d) == dense_surgered_h1(d)
+
+
+def test_ring_homology_never_eliminates_a_piece_sized_matrix(monkeypatch):
+    # a ring's cycle rank is 1, so no Smith form grows with its pieces
+    d = ring(2000)
+    shapes = []
+    snf = invariants.smith_normal_form
+    monkeypatch.setattr(invariants, "smith_normal_form",
+                        lambda a: shapes.append((len(a), len(a[0]) if a else 0)) or snf(a))
+    assert homology(d) == [(1, ()), (0, ()), (0, ()), (0, ()), (1, ())]
+    assert surgered_h1(d) == (1, ())
+    assert shapes and all(max(shape) < len(d.pieces) for shape in shapes), shapes

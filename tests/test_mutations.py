@@ -129,3 +129,15 @@ def test_validate_reports_every_id_that_serialize_refuses(name, renaming, locati
 def test_validate_reports_an_id_that_is_no_string():
     d = relabel(catalog.cp2(), circles={"c1": 5})
     assert [f.location for f in validate(d).findings] == ["circle 5"]
+
+
+@pytest.mark.parametrize("name, renaming, refused", [
+    ("cp2", {"circles": {"c1": 5}}, "circle id 5"),
+    ("cp2-two-piece", {"walls": {("P1", "W1"): ("W", 1)}}, "wall id ('W', 1)"),
+    ("s1xs3", {"surfaces": {"F1": None}}, "surface id None"),
+])
+def test_serialize_refuses_an_id_that_is_no_string(name, renaming, refused):
+    # ids are checked before the natural sort, which reads them as strings
+    d = relabel(catalog.standard(name), **renaming)
+    with pytest.raises(ValueError, match=re.escape(f"{refused} is - or contains reserved characters")):
+        serialize(d)
