@@ -179,9 +179,10 @@ def cmd_recognize_s3(args) -> int:
 
 
 def _print_witness(iso) -> None:
-    sinks = tuple(enumerate(iso.sink_map))
-    for name, mapping in (("pieces", iso.piece_map), ("pairs", iso.pair_map),
-                          ("circles", iso.circle_map), ("surfaces", iso.surface_map),
+    m = iso.maps
+    sinks = tuple(enumerate(m.on_sinks))
+    for name, mapping in (("pieces", m.on_pieces), ("pairs", m.on_pairs),
+                          ("circles", m.on_circles), ("surfaces", m.on_surfaces),
                           ("sinks", sinks if any(a != b for a, b in sinks) else ())):
         if mapping:
             print(f"  {name}: " + ", ".join(f"{a}->{b}" for a, b in mapping))

@@ -158,7 +158,13 @@ class SpanningSurface:
 
 @record
 class InternalMaps:
-    """Action of a diffeomorphism on the five structural index sets."""
+    """Ids of one diagram's five index sets mapped to another's, on_sinks
+    listing the image of each sink number in turn.
+
+    It is a diffeomorphism's action on its own diagram, a canonical walk's
+    renaming (old id -> canonical id) and an isomorphism witness's maps
+    d1 -> d2.
+    """
 
     on_pieces: tuple[tuple[str, str], ...] = ()
     on_pairs: tuple[tuple[str, str], ...] = ()

@@ -407,21 +407,11 @@ def _coloured_cycles(f: dict, key):
             yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
 
 
-@record
-class CanonicalMaps:
-    """Old id -> canonical id of each index set, as one traversal plan relabels."""
-
-    pieces: tuple[tuple[str, str], ...]
-    pairs: tuple[tuple[str, str], ...]
-    circles: tuple[tuple[str, str], ...]
-    surfaces: tuple[tuple[str, str], ...]
-    sinks: tuple[tuple[int, int], ...]
-
-
-def _walk(t: _Traversals, plan) -> tuple[str, CanonicalMaps]:
+def _walk(t: _Traversals, plan) -> tuple[str, InternalMaps]:
     """Relabel the table's diagram along one traversal plan: its MSD/1 text,
-    rendered from the id maps, and the maps.  Ids are handed out in discovery
-    order, so each kind's records come out in natural id order as they are met."""
+    rendered from the id maps, and the maps old id -> canonical id.  Ids are
+    handed out in discovery order, so each kind's records come out in natural
+    id order as they are met."""
     d = t.d
     pmap: dict[str, str] = {}
     wmap: dict[tuple[str, str], str] = {}
@@ -591,13 +581,9 @@ def _walk(t: _Traversals, plan) -> tuple[str, CanonicalMaps]:
                  pairs, xings, [t for pid in pmap for t in strands[pid]],
                  [(cmap[c.id], new_cycles[c.id], c.framing) for c in in_new_order(d.circles, cmap)],
                  surfaces, d.sink_count, incidence, maps, ann)
-    cm = CanonicalMaps(
-        pieces=tuple(sorted(pmap.items())),
-        pairs=tuple(sorted(qmap.items())),
-        circles=tuple(sorted(cmap.items())),
-        surfaces=tuple(sorted(fmap.items())),
-        sinks=tuple(sorted(snum.items())))
-    return text, cm
+    return text, InternalMaps(tuple(sorted(pmap.items())), tuple(sorted(qmap.items())),
+                              tuple(sorted(cmap.items())), tuple(sorted(fmap.items())),
+                              tuple(snum[i] for i in range(d.sink_count)))
 
 
 def canonical_variants(d: Diagram):
@@ -690,17 +676,13 @@ def separating_invariant(d1: Diagram, d2: Diagram) -> str | None:
 class Isomorphism:
     """A checkable equivalence witness.
 
-    The index-set maps send d1 ids to d2 ids.  moves1/moves2 are per-piece
-    Reidemeister logs bringing each side to a common reduced form; the two
-    traversal plans then relabel both reduced forms onto the very same
-    canonical diagram (its text is stored for re-verification).
+    maps sends d1 ids to d2 ids on the five index sets.  moves1/moves2 are
+    per-piece Reidemeister logs bringing each side to a common reduced form;
+    the two traversal plans then relabel both reduced forms onto the very
+    same canonical diagram (its text is stored for re-verification).
     """
 
-    piece_map: tuple[tuple[str, str], ...]
-    pair_map: tuple[tuple[str, str], ...]
-    circle_map: tuple[tuple[str, str], ...]
-    surface_map: tuple[tuple[str, str], ...]
-    sink_map: tuple[int, ...]
+    maps: InternalMaps
     mirror: bool
     moves1: tuple
     moves2: tuple
@@ -708,29 +690,16 @@ class Isomorphism:
     plan2: tuple
     canonical_text: str
 
-    def pieces(self):
-        return dict(self.piece_map)
 
-    def circles(self):
-        return dict(self.circle_map)
-
-    def pairs(self):
-        return dict(self.pair_map)
-
-    def surfaces(self):
-        return dict(self.surface_map)
-
-
-def _compose(m1: CanonicalMaps, m2: CanonicalMaps):
-    """Maps d1 -> d2 given both canonicalizations land on the same diagram:
-    the four id maps, then the sink map as a tuple of images."""
+def _compose(m1: InternalMaps, m2: InternalMaps) -> InternalMaps:
+    """Maps d1 -> d2 given both canonicalizations land on the same diagram."""
     def comp(a, b):
         inv = {v: k for k, v in b}
         return tuple(sorted((k, inv[v]) for k, v in a))
 
-    return (comp(m1.pieces, m2.pieces), comp(m1.pairs, m2.pairs),
-            comp(m1.circles, m2.circles), comp(m1.surfaces, m2.surfaces),
-            tuple(j for _, j in comp(m1.sinks, m2.sinks)))
+    return InternalMaps(comp(m1.on_pieces, m2.on_pieces), comp(m1.on_pairs, m2.on_pairs),
+                        comp(m1.on_circles, m2.on_circles), comp(m1.on_surfaces, m2.on_surfaces),
+                        tuple(j for _, j in comp(enumerate(m1.on_sinks), enumerate(m2.on_sinks))))
 
 
 def _replay(d: Diagram, moves) -> Diagram:
@@ -773,8 +742,7 @@ def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
         r2, moves2 = simplify_diagram(base, budget)
         text2, maps2, plan2 = _least_walk(r2)
         if text1 == text2:
-            return Isomorphism(*_compose(maps1, maps2),
-                               mirror=mirrored, moves1=tuple(moves1),
+            return Isomorphism(_compose(maps1, maps2), mirror=mirrored, moves1=tuple(moves1),
                                moves2=tuple(moves2), plan1=plan1, plan2=plan2,
                                canonical_text=text1)
     return None
@@ -783,37 +751,37 @@ def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
 def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> ValidationReport:
     """Independent witness check: replay, relabel, compare, and test invariants."""
     findings: list[Finding] = []
+    m = iso.maps
+    pc, qc, cc, fc = m.pieces(), m.pairs(), m.circles(), m.surfaces()
     for name, mapping, ids1, ids2 in (
-        ("pieces", iso.pieces(), [p.id for p in d1.pieces], [p.id for p in d2.pieces]),
-        ("pairs", iso.pairs(), [q.id for q in d1.pairs], [q.id for q in d2.pairs]),
-        ("circles", iso.circles(), [c.id for c in d1.circles], [c.id for c in d2.circles]),
-        ("surfaces", iso.surfaces(), [f.id for f in d1.surfaces], [f.id for f in d2.surfaces]),
+        ("pieces", pc, [p.id for p in d1.pieces], [p.id for p in d2.pieces]),
+        ("pairs", qc, [q.id for q in d1.pairs], [q.id for q in d2.pairs]),
+        ("circles", cc, [c.id for c in d1.circles], [c.id for c in d2.circles]),
+        ("surfaces", fc, [f.id for f in d1.surfaces], [f.id for f in d2.surfaces]),
     ):
         if sorted(mapping) != sorted(ids1) or sorted(mapping.values()) != sorted(ids2):
             findings.append(Finding(f"witness/{name}", "not a bijection"))
-    if not sorted(iso.sink_map) == list(range(d1.sink_count)) == list(range(d2.sink_count)):
+    if not sorted(m.on_sinks) == list(range(d1.sink_count)) == list(range(d2.sink_count)):
         findings.append(Finding("witness/sinks", "not a bijection"))
     if findings:
         return ValidationReport(tuple(findings))
     if d1.sink_incidence is not None and d2.sink_incidence is not None:
         column = {f.id: i for i, f in enumerate(d2.surfaces)}
-        fmap = iso.surfaces()
         for j, row in enumerate(d1.sink_incidence):
-            img = d2.sink_incidence[iso.sink_map[j]]
-            if any(img[column[fmap[f.id]]] != m for f, m in zip(d1.surfaces, row)):
+            img = d2.sink_incidence[m.on_sinks[j]]
+            if any(img[column[fc[f.id]]] != k for f, k in zip(d1.surfaces, row)):
                 findings.append(Finding("witness/sinks", f"incidence of sink {j} not preserved"))
     sign = -1 if iso.mirror else 1
     for c in d1.circles:
-        img = d2.circle(iso.circles()[c.id])
+        img = d2.circle(cc[c.id])
         if img.framing != sign * c.framing:
             findings.append(Finding("witness/circles", f"framing of {c.id} not preserved"))
     for f in d1.surfaces:
-        img = d2.surface(iso.surfaces()[f.id])
+        img = d2.surface(fc[f.id])
         if img.genus != f.genus:
             findings.append(Finding("witness/surfaces", f"genus of {f.id} not preserved"))
-    pc = iso.pieces()
     for q in d1.pairs:
-        img = d2.pair(iso.pairs()[q.id])
+        img = d2.pair(qc[q.id])
         if {pc[q.wall_a[0]], pc[q.wall_b[0]]} != {img.wall_a[0], img.wall_b[0]}:
             findings.append(Finding("witness/pairs", f"pair {q.id} does not map onto {img.id}"))
         if img.orientation != q.orientation:
@@ -828,12 +796,8 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
     t2, m2 = _walk(_Traversals(r2), iso.plan2)
     if t1 != iso.canonical_text or t2 != iso.canonical_text:
         findings.append(Finding("witness", "canonical texts do not match"))
-    else:
-        composed = _compose(m1, m2)
-        stored = (iso.piece_map, iso.pair_map, iso.circle_map, iso.surface_map,
-                  iso.sink_map)
-        if composed != stored:
-            findings.append(Finding("witness", "maps disagree with the traversals"))
+    elif _compose(m1, m2) != m:
+        findings.append(Finding("witness", "maps disagree with the traversals"))
     return ValidationReport(tuple(findings))
 
 

@@ -282,7 +282,8 @@ def linking_matrix(d: Diagram) -> LinkingMatrix:
     require_valid(d, "invalid diagram")
     ids = [c.id for c in d.circles]
     n = len(ids)
-    sums = circle_crossing_sums(d)
+    # one circle's matrix is its framing: no crossing-sum table is built
+    sums = circle_crossing_sums(d) if n > 1 else {}
     m = zeros(n, n)
     for i, c in enumerate(d.circles):
         m[i][i] = c.framing

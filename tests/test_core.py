@@ -321,6 +321,59 @@ def test_kind_flag_consistency():
         assert parse(text).kind == kind
 
 
+def with_maps(d, **changes):
+    return replace(d, internal_maps=replace(d.internal_maps, **changes))
+
+
+def test_internal_map_findings_are_pinned():
+    # one mutation per check of the internal maps, each finding spelled out
+    swap = catalog.swap_diffeo()
+    walls = {"P1": ("W1", "W2"), "P2": ("W1",), "P3": ("W1",)}
+    star = catalog.identity_diffeo(Diagram(
+        pieces=tuple(Piece(p, walls=tuple(map(SphereWall, ws))) for p, ws in walls.items()),
+        pairs=(SpherePair("Q1", ("P1", "W1"), ("P2", "W1")),
+               SpherePair("Q2", ("P1", "W2"), ("P3", "W1")))))
+    two = catalog.cp2_two_piece()  # c1 runs through P1 and P2; c2 only through P1
+    p1 = two.pieces[0]
+    p1 = replace(p1, tangle=replace(p1.tangle, strands=p1.tangle.strands + (Strand("S3"),)))
+    c2 = GluedCircle("c2", (("P1", "S3"),), 1)
+    two = catalog.identity_diffeo(
+        replace(two, pieces=(p1, two.pieces[1]), circles=two.circles + (c2,)))
+    ns = catalog.n_s1xs3(2)
+    ns = catalog.identity_diffeo(replace(ns, surfaces=(ns.surfaces[0],
+                                                       replace(ns.surfaces[1], genus=1))))
+    disks = catalog.identity_diffeo(Diagram(
+        pieces=(Piece("P1", TangleCode(strands=(Strand("S1"), Strand("S2")))),),
+        circles=(GluedCircle("c1", (("P1", "S1"),), 0), GluedCircle("c2", (("P1", "S2"),), 0)),
+        surfaces=(SpanningSurface("F1", boundary=(FramingParallel("c1", 1),)),
+                  SpanningSurface("F2", boundary=(FramingParallel("c2", 1),)))))
+    for d in (swap, star, two, ns, disks):
+        assert validate(d).ok, validate(d).findings
+    swapped = {"on_circles": (("c1", "c2"), ("c2", "c1"))}
+    cases = [
+        (with_maps(swap, on_circles=(("c1", "c2"), ("c2", "c2"))),
+         [("internal maps/circles", "not a permutation of the index set")]),
+        (with_maps(swap, on_sinks=(1,)), [("internal maps/sinks", "not a sink permutation")]),
+        (with_maps(star, on_pairs=(("Q1", "Q2"), ("Q2", "Q1"))),
+         [("internal maps/pairs", "pair Q1 maps to Q2 but pieces do not correspond"),
+          ("internal maps/pairs", "pair Q2 maps to Q1 but pieces do not correspond")]),
+        (replace(swap, circles=(swap.circles[0], replace(swap.circles[1], framing=5))),
+         [("internal maps/circles", "circle c1 (framing 0) maps to c2 (framing 5)"),
+          ("internal maps/circles", "circle c2 (framing 5) maps to c1 (framing 0)")]),
+        (with_maps(two, **swapped),
+         [("internal maps/circles", "circle c1 and image c2 have different lengths"),
+          ("internal maps/circles", "circle c2 and image c1 have different lengths")]),
+        (with_maps(ns, on_surfaces=(("F1", "F2"), ("F2", "F1"))),
+         [("internal maps/surfaces", "surface F1 and image F2 differ in genus"),
+          ("internal maps/surfaces", "surface F2 and image F1 differ in genus")]),
+        (with_maps(disks, **swapped),
+         [("internal maps/surfaces", "surface F1 boundary does not map onto F1 boundary"),
+          ("internal maps/surfaces", "surface F2 boundary does not map onto F2 boundary")]),
+    ]
+    for d, findings in cases:
+        assert [(f.location, f.message) for f in validate(d).findings] == findings
+
+
 def test_annotation_must_agree_with_its_diagram():
     kirby = reduce_pipeline(catalog.standard("s1xs3"))
     assert validate(kirby).ok

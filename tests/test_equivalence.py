@@ -278,9 +278,15 @@ def test_canonical_walks_match_pinned_crc():
                  for name in ("s2xs2", "cp2-two-piece")]
     diagrams += [shuffled_circle_diffeo(generate, seed) for seed in range(10)
                  for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
+    # the maps are spelled as repr showed the CanonicalMaps record that walks
+    # returned them in up to commit c171a80
     crc = 0
     for d in diagrams:
-        crc = zlib.crc32(repr(_least_walk(d)).encode(), crc)
+        text, m, plan = _least_walk(d)
+        maps = (f"CanonicalMaps(pieces={m.on_pieces!r}, pairs={m.on_pairs!r}, "
+                f"circles={m.on_circles!r}, surfaces={m.on_surfaces!r}, "
+                f"sinks={tuple(enumerate(m.on_sinks))!r})")
+        crc = zlib.crc32(f"({text!r}, {maps}, {plan!r})".encode(), crc)
     assert (len(diagrams), crc) == (335, 0x499b8060)
 
 
@@ -453,7 +459,7 @@ def test_witness_composition():
     v12 = isomorphic(d1, d2)
     v23 = isomorphic(d2, d3)
     assert v12.yes and v23.yes
-    comp_circles = {a: v23.witness.circles()[b] for a, b in v12.witness.circle_map}
+    comp_circles = {a: v23.witness.maps.circles()[b] for a, b in v12.witness.maps.on_circles}
     v13 = isomorphic(d1, d3)
     assert v13.yes
     # composed circle map is a valid assignment: framings match
@@ -464,13 +470,9 @@ def test_witness_composition():
 def test_verify_rejects_tampered_witness():
     d = catalog.standard("s2xs2")
     v = isomorphic(d, d)
-    swapped = dict(v.witness.circle_map)
-    tampered = v.witness.__class__(**{
-        **v.witness.__dict__,
-        "circle_map": tuple(sorted((a, {"c1": "c2", "c2": "c1"}[b])
-                                   for a, b in swapped.items())),
-    })
-    report = verify_isomorphism(tampered, d, d)
+    w = v.witness
+    swapped = tuple(sorted((a, {"c1": "c2", "c2": "c1"}[b]) for a, b in w.maps.on_circles))
+    report = verify_isomorphism(replace(w, maps=replace(w.maps, on_circles=swapped)), d, d)
     assert not report.ok
 
 
@@ -547,7 +549,7 @@ def test_equal_least_walks_reveal_symmetry():
     d = catalog.standard("s2xs2")
     variants = canonical_variants(d)
     least = min(v[0] for v in variants)
-    circle_maps = {_compose(m1, m2)[2] for t1, m1, _ in variants
+    circle_maps = {_compose(m1, m2).on_circles for t1, m1, _ in variants
                    for t2, m2, _ in variants if t1 == t2 == least}
     assert (("c1", "c1"), ("c2", "c2")) in circle_maps
     assert (("c1", "c2"), ("c2", "c1")) in circle_maps
@@ -565,8 +567,9 @@ def test_verify_rejects_tampered_sink_map():
     assert validate(d).ok
     v = isomorphic(d, d)
     assert v.yes and verify_isomorphism(v.witness, d, d).ok
-    for sink_map in ((0, 0), (0,), (1, 2)):
-        report = verify_isomorphism(replace(v.witness, sink_map=sink_map), d, d)
+    w = v.witness
+    for on_sinks in ((0, 0), (0,), (1, 2)):
+        report = verify_isomorphism(replace(w, maps=replace(w.maps, on_sinks=on_sinks)), d, d)
         assert [(f.location, f.message) for f in report.findings] == [
             ("witness/sinks", "not a bijection")]
 
@@ -576,7 +579,8 @@ def test_verify_rejects_sink_map_breaking_incidence():
     assert validate(d).ok
     v = isomorphic(d, d)
     assert v.yes and verify_isomorphism(v.witness, d, d).ok
-    report = verify_isomorphism(replace(v.witness, sink_map=(1, 0)), d, d)
+    w = v.witness
+    report = verify_isomorphism(replace(w, maps=replace(w.maps, on_sinks=(1, 0))), d, d)
     assert [(f.location, f.message) for f in report.findings] == [
         ("witness/sinks", "incidence of sink 0 not preserved"),
         ("witness/sinks", "incidence of sink 1 not preserved"),
@@ -780,12 +784,12 @@ def test_conjugate_relabelled_copy_is_never_no(case):
     if v.yes:
         w = v.witness
         assert verify_isomorphism(w, d1, d2).ok
-        i1, i2 = d1.internal_maps, d2.internal_maps
-        for m, f1, f2 in ((w.pieces(), i1.pieces(), i2.pieces()),
-                          (w.pairs(), i1.pairs(), i2.pairs()),
-                          (w.circles(), i1.circles(), i2.circles()),
-                          (w.surfaces(), i1.surfaces(), i2.surfaces()),
-                          (dict(enumerate(w.sink_map)), dict(enumerate(i1.on_sinks)),
+        i1, i2, wm = d1.internal_maps, d2.internal_maps, w.maps
+        for m, f1, f2 in ((wm.pieces(), i1.pieces(), i2.pieces()),
+                          (wm.pairs(), i1.pairs(), i2.pairs()),
+                          (wm.circles(), i1.circles(), i2.circles()),
+                          (wm.surfaces(), i1.surfaces(), i2.surfaces()),
+                          (dict(enumerate(wm.on_sinks)), dict(enumerate(i1.on_sinks)),
                            dict(enumerate(i2.on_sinks)))):
             assert all(f2[m[a]] == m[b] for a, b in f1.items())
 
@@ -827,24 +831,24 @@ def test_verify_names_each_tampered_witness_field():
     assert v.yes and verify_isomorphism(v.witness, d1, d2).ok
     w = v.witness
 
-    def swap(mapping, a, b):
-        m = dict(mapping)
+    def swap(name, a, b):
+        m = dict(getattr(w.maps, name))
         m[a], m[b] = m[b], m[a]
-        return tuple(sorted(m.items()))
+        return replace(w, maps=replace(w.maps, **{name: tuple(sorted(m.items()))}))
 
     stale = ("witness", "maps disagree with the traversals")
     texts = ("witness", "canonical texts do not match")
     cases = [
-        (replace(w, circle_map=swap(w.circle_map, "c1", "c2")),
+        (swap("on_circles", "c1", "c2"),
          [("witness/circles", "framing of c1 not preserved"),
           ("witness/circles", "framing of c2 not preserved"), stale]),
-        (replace(w, surface_map=swap(w.surface_map, "F1", "F2")),
+        (swap("on_surfaces", "F1", "F2"),
          [("witness/surfaces", "genus of F1 not preserved"),
           ("witness/surfaces", "genus of F2 not preserved"), stale]),
-        (replace(w, pair_map=swap(w.pair_map, "Q1", "Q3")),
-         [("witness/pairs", f"pair Q1 does not map onto {w.pairs()['Q3']}"),
-          ("witness/pairs", f"pair Q3 does not map onto {w.pairs()['Q1']}"), stale]),
-        (replace(w, pair_map=swap(w.pair_map, "Q1", "Q2")),
+        (swap("on_pairs", "Q1", "Q3"),
+         [("witness/pairs", f"pair Q1 does not map onto {w.maps.pairs()['Q3']}"),
+          ("witness/pairs", f"pair Q3 does not map onto {w.maps.pairs()['Q1']}"), stale]),
+        (swap("on_pairs", "Q1", "Q2"),
          [("witness/pairs", "orientation flag of Q1 not preserved"),
           ("witness/pairs", "orientation flag of Q2 not preserved"), stale]),
         (replace(w, mirror=True),
@@ -855,7 +859,7 @@ def test_verify_names_each_tampered_witness_field():
         (replace(w, plan1=w.plan1[::-1]), [texts]),
         (replace(w, canonical_text=w.canonical_text + "#"), [texts]),
         # c3 and c4 are alike, so only the traversals tell the maps apart
-        (replace(w, circle_map=swap(w.circle_map, "c3", "c4")), [stale]),
+        (swap("on_circles", "c3", "c4"), [stale]),
     ]
     for tampered, findings in cases:
         report = verify_isomorphism(tampered, d1, d2)

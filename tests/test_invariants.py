@@ -18,6 +18,7 @@ from msdiagram.core import Diagram, DiagramError, GluedCircle, Piece, validate
 from msdiagram.format import serialize
 from msdiagram.invariants import (
     ChainComplex,
+    LinkingMatrix,
     annotated_homology,
     chain_complex,
     det,
@@ -30,7 +31,7 @@ from msdiagram.invariants import (
     surgered_h1,
     surgery_presentation,
 )
-from msdiagram.tangle import Strand, TangleCode
+from msdiagram.tangle import Strand, TangleCode, braid_closure
 from test_reduction import ring
 
 
@@ -267,6 +268,24 @@ def test_linking_matrix_split_framings():
                  GluedCircle("c2", (("P1", "S2"),), framing=3)),
         sink_count=1)
     assert linking_matrix(d).as_list() == [[2, 0], [0, 3]]
+
+
+def torus_knot(m):
+    """T(2,m) for odd m: one 0-framed circle through the closure of s1^m."""
+    code = braid_closure([(1, 1)] * m, 2)
+    return Diagram(pieces=(Piece("P1", code),), sink_count=1, circles=(
+        GluedCircle("c1", tuple(("P1", s.id) for s in code.strands), 0),))
+
+
+@pytest.mark.parametrize("make, framing", [(catalog.cp2, 1), (lambda: torus_knot(7), 0),
+                                           (lambda: ring(40), 1)],
+                         ids=["cp2", "T(2,7)", "ring40"])
+def test_one_circle_linking_matrix_builds_no_crossing_sums(make, framing):
+    # the matrix of one circle is its framing, read without the crossing-sum table
+    d = make()
+    assert validate(d).ok
+    assert linking_matrix(d) == LinkingMatrix(("c1",), ((framing,),))
+    assert "_crossing_sums" not in d.__dict__
 
 
 def test_intersection_form_requires_kirby_form():

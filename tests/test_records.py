@@ -54,7 +54,7 @@ def values(cls, tag: str) -> tuple:
 
 
 def test_every_record_is_found():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
     assert not any(issubclass(cls, Exception) for cls in RECORDS)
 
 
