@@ -107,10 +107,10 @@ def swap_diffeo() -> Diagram:
 def identity_diffeo(base: Diagram) -> Diagram:
     """The same underlying diagram with identity internal maps."""
     maps = InternalMaps(
-        on_pieces=tuple((p.id, p.id) for p in base.pieces),
-        on_pairs=tuple((q.id, q.id) for q in base.pairs),
-        on_circles=tuple((c.id, c.id) for c in base.circles),
-        on_surfaces=tuple((f.id, f.id) for f in base.surfaces),
+        on_pieces=tuple(sorted((p.id, p.id) for p in base.pieces)),
+        on_pairs=tuple(sorted((q.id, q.id) for q in base.pairs)),
+        on_circles=tuple(sorted((c.id, c.id) for c in base.circles)),
+        on_surfaces=tuple(sorted((f.id, f.id) for f in base.surfaces)),
         on_sinks=tuple(range(base.sink_count)),
     )
     return Diagram(pieces=base.pieces, pairs=base.pairs, circles=base.circles,

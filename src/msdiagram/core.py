@@ -19,16 +19,17 @@ frozen, compared and hashed by their field tuples.  Its fields hold each
 fact once; the declared circles are the one circle decomposition, checked
 against strands and matchings by validation.  A diagram derives its kind
 (a diffeomorphism exactly when internal maps are set) and, as cached
-properties built on first read, its piece, pair, circle and surface id
-maps, the pair of each wall, its validation report, and its crossing-sum
-table: the signed crossing sums between every two of its circles, filled
-in one sweep over each piece's crossings, from which writhes, linking
-numbers and the linking matrix are read.  A piece likewise caches its
-walls by id.  So no fact can go stale, and since cached properties live
-in the instance __dict__ and are no record fields, equality, hashing
-and tangle.replace, with which the package copies records, ignore them: a
-replaced diagram starts cold.  A record registers its fields with
-dataclasses on their first read.
+properties built on first read, its piece, pair, circle and surface
+lookups (tangle.by_id: d.piece(pid) and so on, first record of an id
+winning), the pair of each wall, its validation report, and its
+crossing-sum table: the signed crossing sums between every two of its
+circles, filled in one sweep over each piece's crossings, from which
+writhes, linking numbers and the linking matrix are read.  A piece likewise
+looks its walls up by id.  So no fact can go stale, and since cached
+properties live in the instance __dict__ and are no record fields,
+equality, hashing and tangle.replace, with which the package copies
+records, ignore them: a replaced diagram starts cold.  A record registers
+its fields with dataclasses on their first read.
 
 Beside the diagram this module holds the records every layer shares: the
 Verdict of a semi-decision and the KirbyMove of a move log.  closed_strand
@@ -44,10 +45,10 @@ from itertools import count
 from .tangle import (
     Strand,
     TangleCode,
+    by_id,
     cached_property,
     code_problems,
     crossing_sums,
-    first_by_id,
     planarity_problems,
     record,
     replace,
@@ -91,12 +92,7 @@ class Piece:
     tangle: TangleCode = TangleCode()
     walls: tuple[SphereWall, ...] = ()
 
-    @cached_property
-    def _wall_map(self) -> dict[str, SphereWall]:
-        return first_by_id(self.walls)
-
-    def wall(self, wid: str) -> SphereWall:
-        return self._wall_map[wid]
+    wall = by_id("walls")
 
     def wall_points(self) -> dict[str, int]:
         return {w.id: w.points for w in self.walls}
@@ -159,7 +155,9 @@ class SpanningSurface:
 @record
 class InternalMaps:
     """Ids of one diagram's five index sets mapped to another's, on_sinks
-    listing the image of each sink number in turn.
+    listing the image of each sink number in turn.  Every on_* tuple of
+    (id, image) pairs is in plain sorted order, as every producer builds it,
+    so two equal actions compare equal.
 
     It is a diffeomorphism's action on its own diagram, a canonical walk's
     renaming (old id -> canonical id) and an isomorphism witness's maps
@@ -216,21 +214,10 @@ class Diagram:
     def kind(self) -> Kind:
         return Kind.VECTOR_FIELD if self.internal_maps is None else Kind.DIFFEOMORPHISM
 
-    @cached_property
-    def _piece_map(self) -> dict[str, Piece]:
-        return first_by_id(self.pieces)
-
-    @cached_property
-    def _pair_map(self) -> dict[str, SpherePair]:
-        return first_by_id(self.pairs)
-
-    @cached_property
-    def _circle_map(self) -> dict[str, GluedCircle]:
-        return first_by_id(self.circles)
-
-    @cached_property
-    def _surface_map(self) -> dict[str, SpanningSurface]:
-        return first_by_id(self.surfaces)
+    piece = by_id("pieces")
+    pair = by_id("pairs")
+    circle = by_id("circles")
+    surface = by_id("surfaces")
 
     @cached_property
     def _wall_pairs(self) -> dict[WallRef, SpherePair]:
@@ -249,7 +236,7 @@ class Diagram:
     def _crossing_sums(self) -> dict[tuple[str, str], int]:
         # one sweep over the crossings of each piece a circle runs through
         group: dict[str, dict[str, str]] = {}  # piece -> strand -> circle
-        for c in self._circle_map.values():
+        for c in self.circles:
             for pid, sid in c.strand_cycle:
                 group.setdefault(pid, {})[sid] = c.id
         total: dict[tuple[str, str], int] = {}
@@ -257,18 +244,6 @@ class Diagram:
             for key, v in crossing_sums(self.piece(pid).tangle, member).items():
                 total[key] = total.get(key, 0) + v
         return total
-
-    def piece(self, pid: str) -> Piece:
-        return self._piece_map[pid]
-
-    def pair(self, qid: str) -> SpherePair:
-        return self._pair_map[qid]
-
-    def circle(self, cid: str) -> GluedCircle:
-        return self._circle_map[cid]
-
-    def surface(self, fid: str) -> SpanningSurface:
-        return self._surface_map[fid]
 
 
 @record
@@ -635,7 +610,7 @@ def _check_annotation(d: Diagram, findings: list[Finding]) -> None:
     if a is None:
         return
     for wrong, msg in (
-        (len(set(a.dotted)) != len(a.dotted) or not set(a.dotted) <= d._circle_map.keys(),
+        (len(set(a.dotted)) != len(a.dotted) or not set(a.dotted) <= {c.id for c in d.circles},
          "dotted ids must be distinct circles of the diagram"),
         (a.one_handles != len(a.dotted), f"one_handles={a.one_handles} but {len(a.dotted)} dotted"),
         (a.sinks != d.sink_count, f"sinks={a.sinks} but the diagram has {d.sink_count}"),

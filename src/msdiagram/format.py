@@ -1,9 +1,11 @@
 """MSD/1 text format: one record per line, key=value fields, '#' comments.
 
 Canonical files list records sorted by kind and then by natural id order,
-so parse and serialize are mutually inverse: parse(serialize(d)) equals d
-structurally, and serialize(parse(text)) reproduces canonical text byte
-for byte.
+so serialize(parse(text)) reproduces canonical text byte for byte, and
+parse(serialize(d)) equals d when every id-keyed tuple of d is already in
+natural id order, the order parse builds; otherwise the same records come
+back in that order (ROADMAP item 2).  parse stores the (id, image) pairs of
+internal maps in plain sorted order, as every producer of InternalMaps does.
 
 Every record is spelled in one place, _text: serialize feeds it a diagram's
 records, and the canonical walk (equivalence._walk) a relabelled diagram's
@@ -361,7 +363,7 @@ def parse(text: str) -> Diagram:
             images = _items(imap_fields[field], lambda x: _ident(x, field[:-1]))
             if len(images) != len(src):
                 raise _Bad(imap_fields[field], f"{len(src)} images for {field}")
-            return tuple(zip(src, images))
+            return tuple(sorted(zip(src, images)))
 
         try:
             maps = InternalMaps(

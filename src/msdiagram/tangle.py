@@ -26,17 +26,20 @@ with every visit to them (_drop), so greedy reduction applies a site
 without locating it again.
 
 A TangleCode is immutable: every edit builds a new code.  What a code
-caches is what its callers read again: the crossing and the strand id maps,
-the passage split with the crossing signs, the arc index, and one dict that
-holds, per wall set, the dart table or the MoveError its face trace raised,
-so no wall set is traced twice.  A table traces its faces and checks its
-planarity on first read.  Code problems and the Arc records of faces() are
-rebuilt on every call.  A code that only traces faces or checks its code
-problems never builds its passage split.  Nothing stored is ever changed
-afterwards, so no fact can go stale, and since cached properties live in
-the instance __dict__ and are no record fields, equality, hashing and
-replace ignore them.  cached_property here is functools' without the lock
-that Python 3.11 takes on every first read.
+caches is what its callers read again: the crossing and the strand lookups
+(crossing(cid), strand(sid)), the passage split with the crossing signs,
+the arc index, and one dict that holds, per wall set, the dart table or the
+MoveError its face trace raised, so no wall set is traced twice.  A table
+traces its faces and checks its planarity on first read.  Code problems and
+the Arc records of faces() are rebuilt on every call.  A code that only
+traces faces or checks its code problems never builds its passage split.
+Nothing stored is ever changed afterwards, so no fact can go stale, and
+since cached properties live in the instance __dict__ and are no record
+fields, equality, hashing and replace ignore them.  Every lazily computed
+fact of the package is a cached_property: functools' without the lock that
+Python 3.11 takes on every first read.  by_id declares an id lookup as one:
+its first read builds the id map of a tuple field, first record of each id
+winning, and stores the map's __getitem__, so an unknown id raises KeyError.
 
 Every immutable record of the package (here, in core, invariants and
 equivalence) is declared with record: a frozen dataclass in behaviour
@@ -72,16 +75,31 @@ class MoveError(ValueError):
 
 class cached_property:
     """functools.cached_property with no lock: the first read stores the value
-    in the instance __dict__, where every later read finds it first."""
+    in the instance __dict__ under the attribute's name, where every later
+    read finds it first."""
 
     def __init__(self, func):
-        self.func, self.name = func, func.__name__
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+def by_id(field: str) -> cached_property:
+    """A cached lookup id -> record of the tuple field, keeping the first
+    record of each id as a linear scan would; an unknown id raises KeyError."""
+    def lookup(obj):
+        out = {}
+        for x in getattr(obj, field):
+            out.setdefault(x.id, x)
+        return out.__getitem__
+    return cached_property(lookup)
 
 
 def _record_eq(self, other):
@@ -228,13 +246,8 @@ class TangleCode:
     crossings: tuple[Crossing, ...] = ()
     strands: tuple[Strand, ...] = ()
 
-    @cached_property
-    def _crossing_map(self) -> dict[str, Crossing]:
-        return first_by_id(self.crossings)
-
-    @cached_property
-    def _strand_map(self) -> dict[str, Strand]:
-        return first_by_id(self.strands)
+    crossing = by_id("crossings")
+    strand = by_id("strands")
 
     @cached_property
     def _passage_split(self) -> dict[str, tuple]:
@@ -244,7 +257,7 @@ class TangleCode:
         odd-port passage maps to (None, its MoveError message) instead, so
         every read raises what a fresh computation would.
         """
-        return {cid: split_passages(cid, ps, self._crossing_map[cid].over)
+        return {cid: split_passages(cid, ps, self.crossing(cid).over)
                 for cid, ps in passages(self).items()}
 
     @cached_property
@@ -257,12 +270,6 @@ class TangleCode:
         # sorted wall items -> the _DartTable of that wall set, or the
         # MoveError its face trace raised
         return {}
-
-    def crossing(self, cid: str) -> Crossing:
-        return self._crossing_map[cid]
-
-    def strand(self, sid: str) -> Strand:
-        return self._strand_map[sid]
 
 
 @record
@@ -323,14 +330,6 @@ def code_problems(code: TangleCode) -> list[str]:
     return problems
 
 
-def first_by_id(items) -> dict:
-    """Id -> item, keeping the first item of each id as a linear scan would."""
-    out = {}
-    for x in items:
-        out.setdefault(x.id, x)
-    return out
-
-
 def split_passages(cid: str, ps: Sequence[tuple[str, int, int]], over: int) -> tuple:
     """((even passage, odd passage), sign) of a crossing with over flag over
     and passages ps (strand, visit index, entry port), the sign as the module
@@ -368,7 +367,7 @@ def other_passage(code: TangleCode, cid: str, port: int) -> tuple[str, int, int]
 
 def is_over(code: TangleCode, cid: str, port: int) -> bool:
     """Whether the passage entering crossing cid at port is the overpass."""
-    return (code._crossing_map[cid].over == 1) == (port % 2 == 0)
+    return (code.crossing(cid).over == 1) == (port % 2 == 0)
 
 
 def crossing_sums(code: TangleCode, group: Mapping[str, Hashable]) -> dict[tuple, int]:
@@ -478,37 +477,28 @@ class _DartTable:
     succ[d] is the dart after d along its face, and walls is the table's own
     copy of the wall degrees it was traced with.  Three facts are filled on
     first read: faces, the orbits of succ; face_of[d], the face of dart d;
-    and planarity, the problems of the Euler check.  Slotted: validation
-    keeps one per piece.
+    and planarity, the problems of the Euler check.
     """
-
-    __slots__ = ("sites", "succ", "at", "walls", "_faces", "_face_of", "_planarity")
 
     def __init__(self, sites: list[Site], succ: list[int], at: dict[Site, int],
                  walls: dict[str, int]):
         self.sites, self.succ, self.at, self.walls = sites, succ, at, walls
-        self._faces = self._face_of = self._planarity = None
 
-    @property
+    @cached_property
     def faces(self) -> list[list[int]]:
-        if self._faces is None:
-            self._faces = _trace_faces(self.succ)
-        return self._faces
+        return _trace_faces(self.succ)
 
-    @property
+    @cached_property
     def face_of(self) -> list[list[int]]:
-        if self._face_of is None:
-            self._face_of = [[]] * len(self.succ)
-            for f in self.faces:
-                for d in f:
-                    self._face_of[d] = f
-        return self._face_of
+        out = [[]] * len(self.succ)
+        for f in self.faces:
+            for d in f:
+                out[d] = f
+        return out
 
-    @property
+    @cached_property
     def planarity(self) -> tuple[str, ...]:
-        if self._planarity is None:
-            self._planarity = tuple(_planarity_problems(self))
-        return self._planarity
+        return tuple(_planarity_problems(self))
 
 
 def dart_table(code: TangleCode, walls: Mapping[str, int] | None = None) -> _DartTable:

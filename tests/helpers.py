@@ -55,7 +55,7 @@ def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int) -> Tang
         raise MoveError(f"strand {strand_id} has no arc {arc_index}")
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
-    cid = next(fresh_ids(code._crossing_map, "x"))
+    cid = next(fresh_ids({c.id for c in code.crossings}, "x"))
     visits = splice(s.visits, [(arc_gap(s, arc_index), ((cid, 0), (cid, 2 - sign)))])
     return _edit(code, {s.id: visits}, add=[Crossing(cid, 1)])
 
@@ -81,7 +81,7 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
     if shared is None:
         raise MoveError(f"arcs {arc_over} and {arc_under} do not bound a common face")
     fo, fu = shared or (False, False)
-    fresh = fresh_ids(code._crossing_map, "x")
+    fresh = fresh_ids({c.id for c in code.crossings}, "x")
     xid, yid = next(fresh), next(fresh)
     u = 3 if fu else 1
     under_pair = ((xid, u), (yid, u)) if fo != fu else ((yid, u), (xid, u))

@@ -60,19 +60,24 @@ def cold(d):
 
 
 def broken_variants(d, rng):
-    """d with one structural fault each; every variant shares d's codes.
+    """d with one structural fault each; every variant shares d's codes but
+    for the piece it edits.
 
-    Duplicates are equal copies, not the same objects, so that a lookup
-    returning the wrong one of them is seen.
+    Duplicates (of a piece, a pair, a circle, a wall or a crossing) are
+    equal copies, not the same objects, so that a lookup returning the
+    wrong one of them is seen.
     """
     p = rng.choice(d.pieces)
+
+    def in_p(**changes):
+        return replace(d, pieces=tuple(replace(x, **changes) if x is p else x for x in d.pieces))
+
+    code = p.tangle
     out = [
         replace(d, pieces=d.pieces + (replace(p),)),
         replace(d, pieces=d.pieces + (Piece(p.id),)),
         replace(d, pairs=d.pairs + (SpherePair("Qx", (p.id, "nowall"), (p.id, "nowall2")),)),
-        replace(d, pieces=tuple(
-            replace(x, tangle=replace(x.tangle, strands=x.tangle.strands + (Strand("lost"),)))
-            if x is p else x for x in d.pieces)),
+        in_p(tangle=replace(code, strands=code.strands + (Strand("lost"),))),
     ]
     if d.pairs:
         out.append(replace(d, pairs=d.pairs + (replace(rng.choice(d.pairs)),)))
@@ -81,6 +86,11 @@ def broken_variants(d, rng):
         out.append(replace(d, circles=d.circles + (replace(c, framing=c.framing + 1),)))
     if d.surfaces:
         out.append(replace(d, sink_count=2))
+    if p.walls:
+        out.append(in_p(walls=p.walls + (replace(rng.choice(p.walls)),)))
+    if code.crossings:
+        out.append(in_p(tangle=replace(code, crossings=code.crossings
+                                       + (replace(rng.choice(code.crossings)),))))
     return out
 
 
@@ -150,17 +160,19 @@ def scan_wall(d, wall):
 def test_lookups_match_linear_scans(d, seed):
     rng = random.Random(seed)
     for v in [d] + broken_variants(d, rng):
-        for items, lookup in ((v.pieces, v.piece), (v.pairs, v.pair),
-                              (v.circles, v.circle), (v.surfaces, v.surface)):
+        lookups = [(v, "piece", v.pieces), (v, "pair", v.pairs),
+                   (v, "circle", v.circles), (v, "surface", v.surfaces)]
+        for p in v.pieces:
+            lookups += [(p, "wall", p.walls), (p.tangle, "strand", p.tangle.strands),
+                        (p.tangle, "crossing", p.tangle.crossings)]
+        for owner, name, items in lookups:
+            lookup = getattr(owner, name)
+            assert getattr(owner, name) is lookup  # built on the first read only
             for x in items:
                 assert lookup(x.id) is scan(items, x.id)
             with pytest.raises(KeyError):
                 lookup("no-such-id")
         for p in v.pieces:
-            for s in p.tangle.strands:
-                assert p.tangle.strand(s.id) is scan(p.tangle.strands, s.id)
-            with pytest.raises(KeyError):
-                p.tangle.strand("no-such-strand")
             for wid in [w.id for w in p.walls] + ["nowall"]:
                 assert wall_of_pair(v, (p.id, wid)) is scan_wall(v, (p.id, wid))
 

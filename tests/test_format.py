@@ -112,6 +112,20 @@ def test_imap_preserved():
     assert parse(text).internal_maps == d.internal_maps
 
 
+def test_imap_pairs_are_in_sorted_order():
+    # c10 comes before c2 in sorted order but after it in natural id order:
+    # parse, relabel and identity_diffeo all build the sorted one
+    from msdiagram.core import relabel
+
+    names = {"c1": "c2", "c2": "c10"}
+    r = relabel(catalog.swap_diffeo(), circles=names)
+    assert parse(serialize(r)) == r
+    assert r.internal_maps.on_circles == (("c10", "c2"), ("c2", "c10"))
+    ident = catalog.identity_diffeo(relabel(catalog.s2xs2(), circles=names))
+    assert ident == relabel(catalog.identity_diffeo(catalog.s2xs2()), circles=names)
+    assert parse(serialize(ident)) == ident
+
+
 def test_annotation_round_trip():
     from dataclasses import replace
 
