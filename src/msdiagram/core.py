@@ -61,6 +61,15 @@ ID_RULE = re.compile(r"(?!-\Z)[A-Za-z0-9_+-]+\Z")
 ID_TEXT = "letters, digits, _, + and -, other than -"  # what ID_RULE accepts
 
 
+def ids_follow_rule(ids) -> bool:
+    """Whether ID_RULE accepts every id of a list: one match of them all
+    joined, with - and the empty id looked for apart."""
+    try:
+        return "-" not in ids and "" not in ids and ID_RULE.match("".join(ids)) is not None
+    except TypeError:  # an id that is no string
+        return False
+
+
 class DiagramError(ValueError):
     """A structurally unusable diagram was passed where a valid one is required."""
 
@@ -353,17 +362,14 @@ def handle_counts(d: Diagram) -> tuple[int, int, int, int, int]:
 def _check_ids(d: Diagram, findings: list[Finding]) -> None:
     """Report every id that ID_RULE refuses, at the location of its kind.
 
-    One match of all ids joined, and a look for - and the empty id, passes
-    nearly every diagram; only then is each id matched on its own.
+    One look at all ids together passes nearly every diagram; only when it
+    fails is each id matched on its own.
     """
     ids = [x.id for xs in (d.pieces, d.pairs, d.circles, d.surfaces) for x in xs]
     ids += [x.id for p in d.pieces for xs in (p.walls, p.tangle.strands, p.tangle.crossings)
             for x in xs]
-    try:
-        if "-" not in ids and "" not in ids and ID_RULE.match("".join(ids)):
-            return
-    except TypeError:  # an id that is no string
-        pass
+    if ids_follow_rule(ids):
+        return
     groups = [("piece ", d.pieces), ("pair ", d.pairs), ("circle ", d.circles),
               ("surface ", d.surfaces)]
     for p in d.pieces:
@@ -448,6 +454,7 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
 
 def _check_circles(d: Diagram, findings: list[Finding]) -> None:
     claimed: dict[tuple[str, str], str] = {}
+    inverses: dict[WallRef, dict[int, int]] = {}  # a pair's wall_b point -> its wall_a point
     seen = set()
     for c in d.circles:
         if c.id in seen:
@@ -491,8 +498,9 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
             if q.wall_a == wall:
                 other, image = q.wall_b, q.matching[s.end[1]] if s.end[1] < len(q.matching) else None
             else:
-                other = q.wall_a
-                image = q.matching.index(s.end[1]) if s.end[1] in q.matching else None
+                if wall not in inverses:  # built once, the first index winning as in tuple.index
+                    inverses[wall] = {x: i for i, x in reversed(list(enumerate(q.matching)))}
+                other, image = q.wall_a, inverses[wall].get(s.end[1])
             if image is None or ns.start is None or (npid, ns.start[0]) != other or ns.start[1] != image:
                 findings.append(
                     Finding(f"circle {c.id}",

@@ -11,6 +11,14 @@ Every record is spelled in one place, _text: serialize feeds it a diagram's
 records, and the canonical walk (equivalence._walk) a relabelled diagram's
 records straight from its id maps, so both agree byte for byte.
 
+A wall, crossing, strand or circle record spelled as serialize writes it
+(its fields in serialize's order) is read whole, in one step, with one
+ID_RULE look at its ids joined (_whole).  Any other record goes to the token
+readers (_fields, _ident, _at, _split_ref, _int), so hand-written spellings
+read as before and every ParseError is worded in one place.  serialize, too,
+looks at each kind's ids at once, and at each id alone only to word its
+ValueError.
+
 A ParseError gets its line where records are read: the token readers raise
 _Bad(token, expected), which the record loops of parse and parse_moves turn
 into ParseError(line, token, expected).  Only the checks after parse's loop
@@ -35,6 +43,7 @@ from .core import (
     SpherePair,
     SphereWall,
     WallCurve,
+    ids_follow_rule,
 )
 from .tangle import Crossing, MoveError, Strand, TangleCode, crossing_passages, crossing_sign
 
@@ -52,13 +61,17 @@ class ParseError(Exception):
         return f"line {self.line}: got {self.token!r}, expected {self.expected}"
 
 
+def _digit_runs(s: str) -> list[str]:
+    """s split around its runs of digits, the runs kept.  The first call
+    compiles the pattern and puts its split in this function's place, so
+    importing the module compiles nothing."""
+    global _digit_runs
+    _digit_runs = re.compile(r"(\d+)").split
+    return _digit_runs(s)
+
+
 def natural_key(s: str):
-    return tuple(int(t) if t.isdigit() else t for t in re.split(r"(\d+)", s))
-
-
-def _check_id(s: str, what: str):
-    if not (isinstance(s, str) and ID_RULE.match(s)):
-        raise ValueError(f"{what} id {s!r} is - or contains reserved characters")
+    return tuple(int(t) if t.isdigit() else t for t in _digit_runs(s))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +83,7 @@ def _crossing_ends(split) -> str:
     for sid, k, p in split:
         occupant[p] = f"{sid}.{k}.i"
         occupant[(p + 2) % 4] = f"{sid}.{k}.o"
-    return ",".join(occupant[p] for p in range(4))
+    return f"{occupant[0]},{occupant[1]},{occupant[2]},{occupant[3]}"
 
 
 def _text(pieces, walls, pairs, crossings, strands, circles, surfaces, sink_count: int,
@@ -130,8 +143,10 @@ def _text(pieces, walls, pairs, crossings, strands, circles, surfaces, sink_coun
 def serialize(d: Diagram) -> str:
     """Canonical MSD/1 text for a diagram."""
     def ordered(items, what):
-        for x in items:
-            _check_id(x.id, what)
+        # one look at the kind's ids; each id alone only to word the error
+        for x in [] if ids_follow_rule([x.id for x in items]) else items:
+            if not (isinstance(x.id, str) and ID_RULE.match(x.id)):
+                raise ValueError(f"{what} id {x.id!r} is - or contains reserved characters")
         return sorted(items, key=lambda x: natural_key(x.id))
 
     pieces = ordered(d.pieces, "piece")
@@ -161,9 +176,9 @@ def _records(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of every line that holds more than a comment."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body.split()))
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            out.append((lineno, tokens))
     return out
 
 
@@ -244,6 +259,43 @@ def _boundary_item(token: str):
     raise _Bad(token, expected)
 
 
+def _site(token: str) -> tuple[str, int]:
+    x, _, i = token.rpartition(":")  # no colon: x is "", which no id is
+    return x, int(i)
+
+
+def _whole(kind: str, rest: list[str]):
+    """A wall, crossing, strand or circle record spelled as serialize writes
+    it, read in one step: (its piece or None, the record, the crossing check
+    or None).  Any other spelling raises ValueError; the token readers then
+    read the record."""
+    head, *fields = rest
+    (pid, _, xid), check = head.partition("."), None
+    if kind == "crossing":
+        ends, over, sign = fields
+        spelled = ends[:5] == "ends=" and over in ("over=1", "over=2") and sign in ("sign=+", "sign=-")
+        ids, record, check = [pid, xid], Crossing(xid, 2 if over == "over=2" else 1), (sign[5:], ends[5:])
+    elif kind == "strand":
+        path, start, end = fields
+        spelled = path[:5] == "path=" and start[:5] == "from=" and end[:3] == "to="
+        visits = () if path == "path=-" else tuple(map(_site, path[5:].split(",")))
+        start, end = (None if t == "-" else _site(t) for t in (start[5:], end[3:]))
+        ids = [pid, xid, *(x for x, _ in visits), *(e[0] for e in (start, end) if e)]
+        record = Strand(xid, visits, start, end)
+    elif kind == "wall":
+        (points,) = fields
+        spelled, ids, record = points[:7] == "points=", [pid, xid], SphereWall(xid, int(points[7:]))
+    else:
+        strands, framing = fields
+        spelled = strands[:8] == "strands=" and framing[:8] == "framing="
+        cycle = tuple(t.partition(".")[::2] for t in strands[8:].split(","))
+        pid, ids = None, [head, *(x for ref in cycle for x in ref)]
+        record = GluedCircle(head, cycle, int(framing[8:]))
+    if not (spelled and ids_follow_rule(ids)):
+        raise ValueError(rest)
+    return pid, record, check
+
+
 # the usage of each kind whose record needs a token after its kind
 _USAGE = {
     "wall": "wall <piece>.<id> points=<k>",
@@ -276,6 +328,15 @@ def parse(text: str) -> Diagram:
     crossing_checks: list[tuple[int, str, str, str, str]] = []
 
     for lineno, (kind, *rest) in records[1:]:
+        if kind in ("crossing", "strand", "wall", "circle"):
+            try:
+                pid, record, check = _whole(kind, rest)
+                (circles if pid is None else pieces[pid][kind + "s"]).append(record)
+                if check:
+                    crossing_checks.append((lineno, pid, record.id, *check))
+                continue
+            except (ValueError, KeyError):  # KeyError: an undeclared piece
+                pass  # the token readers below read the record and word its error
         try:
             if kind in _SINGLE:
                 if kind in seen:

@@ -1,6 +1,7 @@
 """Diagram model: validation, admissibility, circle closure, relabeling."""
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -402,3 +403,38 @@ def test_surface_wallcurve_matching_enforced():
                   surfaces=(SpanningSurface("F1", boundary=(WallCurve("Q1", 0),)),),
                   sink_count=1)
     assert not validate(bad).ok
+
+
+def _wide_two_piece(k: int) -> Diagram:
+    """Two pieces glued by two k-point pairs, with k circles of two strands."""
+    lines = ["msd 1", "piece P1", "piece P2"]
+    lines += [f"wall P{p}.{w} points={k}" for p in (1, 2) for w in "AB"]
+    match = ",".join(str(i) for i in range(k))
+    lines += [f"pair Q1 a=P1.B b=P2.A match={match} orient=+",
+              f"pair Q2 a=P1.A b=P2.B match={match} orient=+"]
+    lines += [f"strand P{p}.S{i} path=- from=A:{i} to=B:{k - 1 - i}"
+              for p in (1, 2) for i in range(k)]
+    lines += [f"circle c{i} strands=P1.S{i},P2.S{k - 1 - i} framing=0" for i in range(k)]
+    return parse("\n".join(lines + ["sinks 1"]) + "\n")
+
+
+def test_wide_pairs_validate_in_linear_time():
+    # a strand ending on a pair's wall_b reads the inverse matching, built
+    # once per validation, not a scan of the matching per strand
+    d = _wide_two_piece(20000)
+    start = time.perf_counter()
+    assert validate(d).ok
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("matching, findings", [
+    ((1, 0), [("circle c1", "cycle does not close through pair Q1 after strand P1.S1"),
+              ("circle c1", "cycle does not close through pair Q1 after strand P2.S2")]),
+    ((1, 1, 0), [("pair Q1", "matching is not a point bijection"),
+                 ("circle c1", "cycle does not close through pair Q1 after strand P2.S2")]),
+    ((0, 1, 1), [("pair Q1", "matching is not a point bijection")]),
+])
+def test_a_wall_b_point_reads_its_first_index_in_the_matching(matching, findings):
+    d = catalog.standard("cp2-two-piece")
+    bad = replace(d, pairs=(replace(d.pairs[0], matching=matching),))
+    assert [(f.location, f.message) for f in validate(bad).findings] == findings
