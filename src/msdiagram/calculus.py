@@ -36,6 +36,7 @@ from .tangle import (
     arc_gap,
     braid,
     crossing_sign,
+    crossing_sums,
     dart_table,
     fresh_ids,
     is_over,
@@ -264,7 +265,11 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     shared = _shared_face(code, (s1id, arc1), (s2id, arc2), p.wall_points())
     if shared is None:
         raise MoveError("band arcs do not bound a common face (or cross a wall)")
-    sums = circle_crossing_sums(d)
+    # c2 is a closed strand of this piece, so lk(c1, c2) and the writhe of
+    # c2 are read from this code's crossings alone
+    group = {sid: c1 for pp, sid in circ1.strand_cycle if pp == pid}
+    group[s2id] = c2
+    sums = crossing_sums(code, group)
     lk12 = linking_from_sums(sums, c1, c2)
     twist = circ2.framing - sums.get((c2, c2), 0)
     # the parallel runs along s2 on the side of the shared face, which is on

@@ -31,6 +31,17 @@ equality, hashing and tangle.replace, with which the package copies
 records, ignore them: a replaced diagram starts cold.  A record registers
 its fields with dataclasses on their first read.
 
+Validation reads each piece once: one sweep checks its walls, its code
+problems (tangle.code_problems), its strand ends and its planarity, and
+collects what the later checks read of it, the ids, the wall points and
+the strand ends, so the id, pair and circle checks sweep no piece again;
+the boundary maps read the pair passages the circle check walked.  The
+checks run, and their findings come, in a fixed order: the diagram, the
+pieces, the ids; then, when those found nothing, the pairs, the circles,
+the surfaces, the internal maps and the annotation; the sinks; and last,
+when nothing was found, the boundary maps.  Where a check can, it looks at
+the whole at once and words its findings only when that look fails.
+
 Beside the diagram this module holds the records every layer shares: the
 Verdict of a semi-decision and the KirbyMove of a move log.  closed_strand
 is the one test for a circle that is a single closed strand of one piece.
@@ -45,6 +56,7 @@ from itertools import count
 from .tangle import (
     Strand,
     TangleCode,
+    WallPoint,
     by_id,
     cached_property,
     code_problems,
@@ -359,15 +371,81 @@ def handle_counts(d: Diagram) -> tuple[int, int, int, int, int]:
 # validation
 
 
-def _check_ids(d: Diagram, findings: list[Finding]) -> None:
+def _check_pieces(d: Diagram, findings: list[Finding]) -> tuple[list, dict, int, list]:
+    """Check each piece in one read of it: ids, walls, code, endpoints, planarity.
+
+    Returns what the later checks read of the pieces: every wall, strand and
+    crossing id, for _check_ids; per piece the points of each wall id (its
+    first wall's), for _check_pairs; the number of strands, and each piece
+    whose strand ends do not sit one on each wall point with its ends, for
+    _check_circles.
+    """
+    seen = set()
+    ids: list = []
+    degrees: dict[str, dict[str, int]] = {}
+    strands = 0
+    uncovered: list[tuple[Piece, list[WallPoint]]] = []
+    for p in d.pieces:
+        if p.id in seen:
+            findings.append(Finding(f"piece {p.id}", "duplicate piece id"))
+        seen.add(p.id)
+        walls, points, negative = {}, 0, False  # wall id -> points of its last wall
+        for w in p.walls:
+            ids.append(w.id)
+            walls[w.id] = w.points
+            points += w.points
+            negative = negative or w.points < 0
+        first = walls
+        if len(walls) != len(p.walls):
+            findings.append(Finding(f"piece {p.id}", "duplicate wall ids"))
+            first = {w.id: w.points for w in reversed(p.walls)}
+        if negative:
+            findings += [Finding(f"wall {p.id}.{w.id}", "negative point count")
+                         for w in p.walls if w.points < 0]
+        code = p.tangle
+        for msg in code_problems(code):
+            findings.append(Finding(f"piece {p.id}", msg))
+        ends = []
+        bad_endpoint = False
+        for s in code.strands:
+            ids.append(s.id)
+            for pt in (s.start, s.end):
+                if pt is None:
+                    continue
+                ends.append(pt)
+                k = first.get(pt[0])
+                if k is None:
+                    findings.append(
+                        Finding(f"piece {p.id}/strand {s.id}",
+                                f"endpoint on unknown wall {pt[0]}"))
+                    bad_endpoint = True
+                elif not (0 <= pt[1] < k):
+                    findings.append(
+                        Finding(f"piece {p.id}/strand {s.id}",
+                                f"endpoint on missing point {pt[0]}:{pt[1]}"))
+                    bad_endpoint = True
+        if code.crossings:
+            ids += [c.id for c in code.crossings]
+        degrees[p.id] = first
+        strands += len(code.strands)
+        # distinct ends on points, as many as the points, use each point once
+        if bad_endpoint or not len(set(ends)) == len(ends) == points:
+            uncovered.append((p, ends))
+        if bad_endpoint:
+            continue  # faces need every endpoint on a point of a known wall
+        for msg in planarity_problems(code, walls):
+            findings.append(Finding(f"piece {p.id}", msg))
+    return ids, degrees, strands, uncovered
+
+
+def _check_ids(d: Diagram, findings: list[Finding], ids: list) -> None:
     """Report every id that ID_RULE refuses, at the location of its kind.
 
-    One look at all ids together passes nearly every diagram; only when it
-    fails is each id matched on its own.
+    ids holds the pieces' own ids; one look at all ids together passes
+    nearly every diagram, and only when it fails is each id matched on its
+    own.
     """
-    ids = [x.id for xs in (d.pieces, d.pairs, d.circles, d.surfaces) for x in xs]
-    ids += [x.id for p in d.pieces for xs in (p.walls, p.tangle.strands, p.tangle.crossings)
-            for x in xs]
+    ids += [x.id for xs in (d.pieces, d.pairs, d.circles, d.surfaces) for x in xs]
     if ids_follow_rule(ids):
         return
     groups = [("piece ", d.pieces), ("pair ", d.pairs), ("circle ", d.circles),
@@ -380,47 +458,11 @@ def _check_ids(d: Diagram, findings: list[Finding]) -> None:
                     if not (isinstance(x.id, str) and ID_RULE.match(x.id)))
 
 
-def _check_pieces(d: Diagram, findings: list[Finding]) -> None:
-    seen = set()
-    for p in d.pieces:
-        if p.id in seen:
-            findings.append(Finding(f"piece {p.id}", "duplicate piece id"))
-        seen.add(p.id)
-        wids = [w.id for w in p.walls]
-        if len(set(wids)) != len(wids):
-            findings.append(Finding(f"piece {p.id}", "duplicate wall ids"))
-        for w in p.walls:
-            if w.points < 0:
-                findings.append(Finding(f"wall {p.id}.{w.id}", "negative point count"))
-        for msg in code_problems(p.tangle):
-            findings.append(Finding(f"piece {p.id}", msg))
-        bad_endpoint = False
-        for s in p.tangle.strands:
-            for pt in (s.start, s.end):
-                if pt is None:
-                    continue
-                try:
-                    w = p.wall(pt[0])
-                except KeyError:
-                    findings.append(
-                        Finding(f"piece {p.id}/strand {s.id}",
-                                f"endpoint on unknown wall {pt[0]}"))
-                    bad_endpoint = True
-                    continue
-                if not (0 <= pt[1] < w.points):
-                    findings.append(
-                        Finding(f"piece {p.id}/strand {s.id}",
-                                f"endpoint on missing point {pt[0]}:{pt[1]}"))
-                    bad_endpoint = True
-        if bad_endpoint:
-            continue  # faces need every endpoint on a point of a known wall
-        for msg in planarity_problems(p.tangle, p.wall_points()):
-            findings.append(Finding(f"piece {p.id}", msg))
-
-
-def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
+def _check_pairs(d: Diagram, findings: list[Finding],
+                 degrees: dict[str, dict[str, int]]) -> None:
     seen = set()
     referenced: dict[WallRef, str] = {}
+    known = 0  # walls of the pieces referenced, each counted once
     for q in d.pairs:
         if q.id in seen:
             findings.append(Finding(f"pair {q.id}", "duplicate pair id"))
@@ -429,33 +471,75 @@ def _check_pairs(d: Diagram, findings: list[Finding]) -> None:
             findings.append(Finding(f"pair {q.id}", "pair identifies a wall with itself"))
         if q.orientation not in (1, -1):
             findings.append(Finding(f"pair {q.id}", "orientation must be +1 or -1"))
-        walls = []
+        points = []
         for ref in (q.wall_a, q.wall_b):
-            if ref in referenced:
+            again = ref in referenced
+            if again:
                 findings.append(
                     Finding(f"pair {q.id}",
                             f"wall {ref[0]}.{ref[1]} already used by pair {referenced[ref]}"))
             referenced[ref] = q.id
-            try:
-                walls.append(d.piece(ref[0]).wall(ref[1]))
-            except KeyError:
+            walls = degrees.get(ref[0])
+            k = None if walls is None else walls.get(ref[1])
+            if k is None:
                 findings.append(Finding(f"pair {q.id}", f"unknown wall {ref[0]}.{ref[1]}"))
-        if len(walls) == 2:
-            ka, kb = walls[0].points, walls[1].points
+            else:
+                points.append(k)
+                known += not again
+        if len(points) == 2:
+            ka, kb = points
             if ka != kb:
                 findings.append(Finding(f"pair {q.id}", f"point counts differ: {ka} vs {kb}"))
-            elif len(q.matching) != ka or sorted(q.matching) != list(range(ka)):
+            elif not _bijective(q.matching, ka):
                 findings.append(Finding(f"pair {q.id}", "matching is not a point bijection"))
-    for p in d.pieces:
-        for w in p.walls:
-            if (p.id, w.id) not in referenced:
-                findings.append(Finding(f"wall {p.id}.{w.id}", "wall belongs to no pair"))
+    # ids are unique here: only when fewer walls are referenced than exist
+    # is one in no pair
+    if known < sum(map(len, degrees.values())):
+        for p in d.pieces:
+            for w in p.walls:
+                if (p.id, w.id) not in referenced:
+                    findings.append(Finding(f"wall {p.id}.{w.id}", "wall belongs to no pair"))
 
 
-def _check_circles(d: Diagram, findings: list[Finding]) -> None:
+def _bijective(matching, k: int) -> bool:
+    """Whether matching lists each of the points 0..k-1 once; entries that
+    do not compare with points make it no bijection."""
+    try:
+        return len(matching) == k and sorted(matching) == list(range(k))
+    except TypeError:
+        return False
+
+
+def _inverse(matching) -> dict[int, int]:
+    """A pair's wall_b point -> its wall_a point, the first index winning as
+    in tuple.index; an entry that cannot be a point (unhashable) is left out."""
+    out = {}
+    for i in range(len(matching) - 1, -1, -1):
+        try:
+            out[matching[i]] = i
+        except TypeError:
+            continue
+    return out
+
+
+def _check_circles(d: Diagram, findings: list[Finding], strands: int | None = None,
+                   uncovered: list | None = None) -> dict[str, list[tuple[str, int]]]:
+    """Circles close up through their pairs, each strand is in one, and each
+    wall point carries one strand end.
+
+    strands, the number of strands, and uncovered are what _check_pieces
+    returns; run alone, the check reads the pieces itself.  Returns the pair
+    passages of each circle, as circle_passages lists them, for
+    _check_boundaries.
+    """
+    if strands is None:
+        _, _, strands, uncovered = _check_pieces(d, [])
+    pair_of = d._wall_pairs
     claimed: dict[tuple[str, str], str] = {}
     inverses: dict[WallRef, dict[int, int]] = {}  # a pair's wall_b point -> its wall_a point
+    passages: dict[str, list[tuple[str, int]]] = {}
     seen = set()
+    found = 0  # claimed strands that exist
     for c in d.circles:
         if c.id in seen:
             findings.append(Finding(f"circle {c.id}", "duplicate circle id"))
@@ -463,8 +547,8 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
         if not c.strand_cycle:
             findings.append(Finding(f"circle {c.id}", "empty strand cycle"))
             continue
-        strands = []
-        broken = False
+        cycle = []
+        broken = closed = False
         for pid, sid in c.strand_cycle:
             key = (pid, sid)
             if key in claimed:
@@ -475,48 +559,56 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
                 continue
             claimed[key] = c.id
             try:
-                strands.append((pid, d.piece(pid).tangle.strand(sid)))
+                s = d.piece(pid).tangle.strand(sid)
             except KeyError:
                 findings.append(Finding(f"circle {c.id}", f"unknown strand {pid}.{sid}"))
                 broken = True
-        if broken or len(strands) != len(c.strand_cycle):
+                continue
+            cycle.append((pid, s))
+            closed = closed or s.closed
+        found += len(cycle)
+        if broken or len(cycle) != len(c.strand_cycle):
             continue
-        if len(strands) == 1 and strands[0][1].closed:
+        passes = passages[c.id] = []
+        if len(cycle) == 1 and closed:
             continue  # a one-piece closed curve
-        if any(s.closed for _, s in strands):
+        if closed:
             findings.append(Finding(f"circle {c.id}", "closed strand inside a longer cycle"))
             continue
-        for k, (pid, s) in enumerate(strands):
-            npid, ns = strands[(k + 1) % len(strands)]
+        for (pid, s), (npid, ns) in zip(cycle, cycle[1:] + cycle[:1]):
             wall = (pid, s.end[0])
-            q = wall_of_pair(d, wall)
+            q = pair_of.get(wall)
             if q is None:
                 findings.append(
                     Finding(f"circle {c.id}",
                             f"strand {pid}.{s.id} ends on unpaired wall {s.end[0]}"))
                 continue
-            if q.wall_a == wall:
+            forward = q.wall_a == wall
+            passes.append((q.id, 1 if forward else -1))
+            if forward:
                 other, image = q.wall_b, q.matching[s.end[1]] if s.end[1] < len(q.matching) else None
             else:
-                if wall not in inverses:  # built once, the first index winning as in tuple.index
-                    inverses[wall] = {x: i for i, x in reversed(list(enumerate(q.matching)))}
+                if wall not in inverses:  # built once
+                    inverses[wall] = _inverse(q.matching)
                 other, image = q.wall_a, inverses[wall].get(s.end[1])
             if image is None or ns.start is None or (npid, ns.start[0]) != other or ns.start[1] != image:
                 findings.append(
                     Finding(f"circle {c.id}",
                             f"cycle does not close through pair {q.id} after strand {pid}.{s.id}"))
-    # every strand must belong to exactly one circle
-    for p in d.pieces:
-        for s in p.tangle.strands:
-            if (p.id, s.id) not in claimed:
-                findings.append(
-                    Finding(f"piece {p.id}/strand {s.id}", "strand belongs to no circle"))
+    # every strand must belong to exactly one circle: piece and strand ids
+    # are unique here, so only when fewer strands were claimed than exist
+    # is one left out
+    if found < strands:
+        for p in d.pieces:
+            for s in p.tangle.strands:
+                if (p.id, s.id) not in claimed:
+                    findings.append(
+                        Finding(f"piece {p.id}/strand {s.id}", "strand belongs to no circle"))
     # every wall point must carry exactly one strand end; a wall reports its
     # first unused point, found from the used ones, so a huge point count
     # costs nothing
-    for p in d.pieces:
-        ends = [pt for s in p.tangle.strands for pt in (s.start, s.end) if pt is not None]
-        if len(ends) != len(set(ends)):
+    for p, ends in uncovered:
+        if len(set(ends)) != len(ends):
             findings.append(Finding(f"piece {p.id}", "two strand ends share a point"))
         used: dict[str, set[int]] = {}
         for wid, i in ends:
@@ -526,6 +618,7 @@ def _check_circles(d: Diagram, findings: list[Finding]) -> None:
             if len(taken) < w.points:
                 i = next(i for i in count() if i not in taken)
                 findings.append(Finding(f"wall {p.id}.{w.id}", f"marked point {i} unused"))
+    return passages
 
 
 def _check_surfaces(d: Diagram, findings: list[Finding]) -> None:
@@ -651,11 +744,12 @@ def _validate(d: Diagram) -> ValidationReport:
         findings.append(Finding("diagram", "no pieces: a closed 4-manifold needs a 0-handle"))
     if d.pieces and d.sink_count < 1:
         findings.append(Finding("diagram", "sink count must be at least 1"))
-    _check_pieces(d, findings)
-    _check_ids(d, findings)
+    ids, degrees, strands, uncovered = _check_pieces(d, findings)
+    _check_ids(d, findings, ids)
+    passages = {}
     if not findings:
-        _check_pairs(d, findings)
-        _check_circles(d, findings)
+        _check_pairs(d, findings, degrees)
+        passages = _check_circles(d, findings, strands, uncovered)
         _check_surfaces(d, findings)
         _check_internal_maps(d, findings)
         _check_annotation(d, findings)
@@ -668,22 +762,24 @@ def _validate(d: Diagram) -> ValidationReport:
             Finding("sinks",
                     "multi-sink diagram with surfaces needs an explicit sink incidence block"))
     if not findings:
-        _check_boundaries(d, findings)
+        _check_boundaries(d, findings, passages)
     return ValidationReport(tuple(findings))
 
 
-def _check_boundaries(d: Diagram, findings: list[Finding]) -> None:
+def _check_boundaries(d: Diagram, findings: list[Finding],
+                      passages: dict[str, list[tuple[str, int]]]) -> None:
     """The handle boundary maps compose to zero: d2.d3 = 0 and d3.d4 = 0.
 
     d3 takes a surface to its signed framing-parallel circles and d2 takes a
-    circle to its signed pair passages; d4 is the sink incidence block.
-    d1.d2 = 0 holds once every circle closes up through its pairs.
+    circle to its signed pair passages, read from _check_circles; d4 is the
+    sink incidence block.  d1.d2 = 0 holds once every circle closes up
+    through its pairs.
     """
     for f in d.surfaces:
         passes: dict[str, int] = {}
         for item in f.boundary:
             if isinstance(item, FramingParallel):
-                for qid, sign in circle_passages(d, item.circle):
+                for qid, sign in passages[item.circle]:
                     passes[qid] = passes.get(qid, 0) + item.sign * sign
         for qid, n in passes.items():
             if n:

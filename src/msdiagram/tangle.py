@@ -17,22 +17,30 @@ of its circle if f2, else left, and its band gets one kink when
 (f1 == f2) != (orient == 1).  A crossingless closed strand fits every face:
 the slide puts the parallel left with no kink.
 
-A planar code is a combinatorial map: the dart table (_darts) maps each
-dart to the next along its face, and faces are the orbits.  R2 bigons,
-R3 triangles, the planarity count and the face two arcs share
-(_shared_face) are read from it; only faces(), for its public callers, and
-strand_arcs build Arc records.  R1- and R2- drop the crossings they find
-with every visit to them (_drop), so greedy reduction applies a site
-without locating it again.
+A planar code is a combinatorial map over integer darts.  One read of
+the strands (_Numbering) numbers every node once: crossing i owns the
+slots 4i..4i+3, one per port, and each wall a strand ends on gets a base
+offset in the dart table of a wall set, its point k the slot base + k.
+Each dart keeps the slot it leaves, so the dart table (_darts) maps a dart
+to the next along its face by slot arithmetic and one dict from slot to
+dart, and faces are the orbits.  The same read finds the code problems.
+The planarity count walks the orbits of the faces and of dart reversal on
+the same arrays; R2 bigons, R3 triangles and the face two arcs share
+(_shared_face) are read from them too.  Site tuples, ('x', crossing id,
+port) and ('w', wall id, point), are built only for the Arc records of
+faces() and strand_arcs and for the words of an error.  R1- and R2- drop
+the crossings they find with every visit to them (_drop), so greedy
+reduction applies a site without locating it again.
 
 A TangleCode is immutable: every edit builds a new code.  What a code
 caches is what its callers read again: the crossing and the strand lookups
 (crossing(cid), strand(sid)), the passage split with the crossing signs,
-the arc index, and one dict that holds, per wall set, the dart table or the
-MoveError its face trace raised, so no wall set is traced twice.  A table
-traces its faces and checks its planarity on first read.  Code problems and
-the Arc records of faces() are rebuilt on every call.  A code that only
-traces faces or checks its code problems never builds its passage split.
+the arc index, its numbering with its code problems, and one dict that
+holds, per wall set, the dart table or the MoveError its face trace
+raised, so no wall set is traced twice.  A table traces its faces and
+checks its planarity on first read; the Arc records of faces() are
+rebuilt on every call.  A code that only traces faces or checks its code problems never
+builds its passage split.
 Nothing stored is ever changed afterwards, so no fact can go stale, and
 since cached properties live in the instance __dict__ and are no record
 fields, equality, hashing and replace ignore them.  Every lazily computed
@@ -67,6 +75,9 @@ from operator import attrgetter
 Visit = tuple[str, int]          # (crossing id, entry port)
 WallPoint = tuple[str, int]      # (wall id, marked point index)
 ArcRef = tuple[str, int]         # (strand id, arc index along the strand)
+# port p -> the slot offsets of p, of p + 2 where a passage entering at p
+# leaves, and of the ports after each, counterclockwise
+_PORT = {0: (0, 2, 1, 3), 1: (1, 3, 2, 0), 2: (2, 0, 3, 1), 3: (3, 1, 0, 2)}
 
 
 class MoveError(ValueError):
@@ -266,9 +277,13 @@ class TangleCode:
         return {r: i for i, r in enumerate(_arc_refs(self))}
 
     @cached_property
+    def _numbering(self) -> _Numbering:
+        return _Numbering(self)
+
+    @cached_property
     def _tables(self) -> dict:
-        # sorted wall items -> the _DartTable of that wall set, or the
-        # MoveError its face trace raised
+        # wall set -> the _DartTable of that wall set, or the MoveError its
+        # face trace raised
         return {}
 
 
@@ -299,35 +314,10 @@ def code_problems(code: TangleCode) -> list[str]:
 
     A visit through port p uses ports p and p + 2, both of parity p % 2, so
     port q of a crossing is used as often as the crossing is visited
-    through a port of parity q % 2.
+    through a port of parity q % 2.  Found in the one read of the strands
+    that numbers the code's nodes for its dart tables.
     """
-    problems = []
-    ids = [c.id for c in code.crossings]
-    if len(set(ids)) != len(ids):
-        problems.append("duplicate crossing ids")
-    sids = [s.id for s in code.strands]
-    if len(set(sids)) != len(sids):
-        problems.append("duplicate strand ids")
-    known = set(ids)
-    slots = []  # (crossing, port parity) of each visit to a known crossing through ports 0..3
-    for s in code.strands:
-        if (s.start is None) != (s.end is None):
-            problems.append(f"strand {s.id}: exactly one endpoint set")
-        for cid, p in s.visits:
-            if cid not in known:
-                problems.append(f"strand {s.id}: unknown crossing {cid}")
-            elif p not in (0, 1, 2, 3):
-                problems.append(f"strand {s.id}: bad port {p}")
-            else:
-                slots.append((cid, p % 2))
-    # every slot of every crossing used once: no port problem (a set is
-    # cheaper to build than a Counter, which only words a failure)
-    if not len(slots) == len(set(slots)) == 2 * len(known):
-        used = Counter(slots)
-        problems += [f"crossing {c.id}: port {q} used {n} times"
-                     for c in code.crossings for q in range(4)
-                     if (n := used[c.id, q % 2]) != 1]
-    return problems
+    return list(code._numbering.problems)
 
 
 def split_passages(cid: str, ps: Sequence[tuple[str, int, int]], over: int) -> tuple:
@@ -470,19 +460,136 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
     return arcs, tuple(tuple((d >> 1, not d & 1) for d in f) for f in table.faces)
 
 
+class _Numbering:
+    """One read of a code's strands, shared by code_problems and every dart table.
+
+    Each node is numbered once: crossing i of code.crossings (the first
+    record of each id) owns slots 4i..4i+3, a crossing that is only visited
+    the next four; xbase maps a crossing id to its first slot and xids[i]
+    is the id of node i.  top is where the walls' slots will start.  The
+    sites of the code are laid out in dart table order: slots[k] is the
+    slot of site k and turns[k ^ 1] the next slot counterclockwise at its
+    node, where the face of the dart arriving at site k goes on.  A wall
+    site, listed in ends as (k, wall point), and both sites of a visit
+    through a port outside 0..3, listed in odd as [entry k, exit k, crossing
+    id, port], hold a placeholder for each dart table to fill.  half is the
+    first strand with exactly one endpoint set, and problems are the code
+    problems.  What it keeps is tuples and ints, and it refers to no table:
+    a table refers to it, so no cycle waits for the collector.
+    """
+
+    __slots__ = ("strands", "xbase", "xids", "top", "slots", "turns", "ends", "odd", "half",
+                 "problems")
+
+    def __init__(self, code: TangleCode):
+        crossings, strands = code.crossings, code.strands
+        problems = []
+        xbase: dict[str, int] = {}
+        for c in crossings:
+            xbase.setdefault(c.id, 4 * len(xbase))
+        if len(xbase) != len(crossings):
+            problems.append("duplicate crossing ids")
+        if len({s.id for s in strands}) != len(strands):
+            problems.append("duplicate strand ids")
+        known = 4 * len(xbase)
+        unknown: dict[str, int] = {}  # first slot of each visited crossing not in the code
+        slots, turns, ends, odd = [], [], [], []
+        half = None
+        for s in strands:
+            start, end = s.start, s.end
+            opened = start is not None and end is not None
+            if not opened:
+                if start is not end:
+                    problems.append(f"strand {s.id}: exactly one endpoint set")
+                    if half is None:
+                        half = s.id
+                if not s.visits:
+                    continue  # no sites: a crossingless closed strand
+            first = len(slots)
+            if opened:
+                ends.append((first, start))
+                slots.append(~first)
+            # arc by arc, the turns after its head and after its tail; turn
+            # is the one after the tail of the arc the strand is on
+            turn = None
+            for cid, p in s.visits:
+                b, offsets = xbase.get(cid), _PORT.get(p)
+                if b is None or offsets is None:
+                    if b is None:
+                        problems.append(f"strand {s.id}: unknown crossing {cid}")
+                        b = unknown.setdefault(cid, known + 4 * len(unknown))
+                    else:
+                        problems.append(f"strand {s.id}: bad port {p}")
+                    if offsets is None:
+                        k = len(slots)
+                        odd.append([k, k + 1, cid, p])
+                        slots += (~k, ~k - 1)
+                        turns += (None, turn)
+                        turn = None
+                        continue
+                enter, leave, after_enter, after_leave = offsets
+                slots += (b + enter, b + leave)
+                turns += (b + after_enter, turn)
+                turn = b + after_leave
+            if opened:
+                ends.append((len(slots), end))
+                slots.append(~len(slots))
+                turns += (None, turn)
+            elif s.visits:
+                # arc k of a closed strand runs from visit k to visit k + 1
+                slots.append(slots.pop(first))
+                turns += (turns[first], turn)
+                del turns[first:first + 2]
+                for o in odd:
+                    if o[1] > first:
+                        o[0] = o[0] - 1 if o[0] > first else len(slots) - 1
+                        o[1] -= 1
+        # Every slot of every crossing used once: no port problem.  Without
+        # unknown crossings or odd ports that is all crossing slots distinct
+        # and as many as the known crossings have; else each visit to a
+        # known crossing is counted by the port pair it uses.
+        if unknown or odd or not len(set(slots)) == len(slots) == known + len(ends):
+            pairs = Counter(xbase[cid] + p % 2 for s in strands for cid, p in s.visits
+                            if cid in xbase and p in _PORT)
+            problems += [f"crossing {c.id}: port {q} used {n} times"
+                         for c in crossings for q in range(4)
+                         if (n := pairs[xbase[c.id] + q % 2]) != 1]
+        xbase.update(unknown)
+        self.strands, self.xbase, self.xids = strands, xbase, tuple(xbase)
+        self.top = known + 4 * len(unknown)
+        self.slots, self.turns = tuple(slots), tuple(turns)
+        self.ends, self.odd = tuple(ends), tuple(odd)
+        self.half, self.problems = half, tuple(problems)
+
+
 class _DartTable:
     """Dart 2k runs arc k forward from its tail, dart 2k + 1 backward from its head.
 
-    sites[d] is where dart d leaves, at maps a site to the dart leaving it,
-    succ[d] is the dart after d along its face, and walls is the table's own
-    copy of the wall degrees it was traced with.  Three facts are filled on
-    first read: faces, the orbits of succ; face_of[d], the face of dart d;
-    and planarity, the problems of the Euler check.
+    at maps a slot to the dart leaving it and succ[d] is the dart after d
+    along its face.  num is the code's numbering; walls_used walls have a
+    strand end, and odd_sites gives (crossing id, port) of each site of a
+    visit through a port outside 0..3.  Four facts are filled on first
+    read: sites[d], where dart d leaves as a site tuple; faces, the orbits
+    of succ; face_of[d], the face of dart d; and planarity, the problems of
+    the Euler check.
     """
 
-    def __init__(self, sites: list[Site], succ: list[int], at: dict[Site, int],
-                 walls: dict[str, int]):
-        self.sites, self.succ, self.at, self.walls = sites, succ, at, walls
+    def __init__(self, num: _Numbering, succ: list[int], at: dict[int, int],
+                 walls_used: int, odd_sites: dict[int, tuple[str, int]]):
+        self.num = num
+        self.succ, self.at, self.walls_used = succ, at, walls_used
+        self.odd_sites = odd_sites
+
+    def crossing_site(self, d: int) -> tuple[str, int] | None:
+        """(crossing id, port) where dart d leaves, or None at a wall."""
+        s = self.num.slots[d]  # a crossing's slot, or a placeholder
+        if 0 <= s < self.num.top:
+            return self.num.xids[s >> 2], s & 3
+        return self.odd_sites.get(d)
+
+    @cached_property
+    def sites(self) -> list[Site]:
+        return _sites(self.num.strands)
 
     @cached_property
     def faces(self) -> list[list[int]]:
@@ -504,14 +611,14 @@ class _DartTable:
 def dart_table(code: TangleCode, walls: Mapping[str, int] | None = None) -> _DartTable:
     """The dart table of code with walls (None: no walls), built once per
     wall set; a face trace that failed raises its MoveError again."""
-    key = tuple(sorted(walls.items())) if walls else ()
+    key = frozenset(walls.items()) if walls else ()
     tables = code._tables
-    if key not in tables:
+    table = tables.get(key)
+    if table is None:
         try:
-            tables[key] = _build_darts(code, dict(key))
+            table = tables[key] = _build_darts(code, walls or {})
         except MoveError as e:
-            tables[key] = e
-    table = tables[key]
+            table = tables[key] = e
     if isinstance(table, MoveError):
         raise MoveError(*table.args)
     return table
@@ -525,25 +632,61 @@ def _darts(code: TangleCode, walls: Mapping[str, int] | None) -> _DartTable | No
         return None
 
 
-def _build_darts(code: TangleCode, walls: dict[str, int]) -> _DartTable:
-    sites = [site for s in code.strands for site in _strand_sites(s)]
-    at: dict[Site, int] = dict(zip(sites, range(len(sites))))
-    if len(at) < len(sites):
-        twice = next(s for k, s in enumerate(sites) if sites.index(s) < k)
-        raise MoveError(f"attachment {twice} used twice")
+def _sites(strands: Iterable[Strand]) -> list[Site]:
+    """The site of each dart, in dart table order."""
+    return [site for s in strands for site in _strand_sites(s)]
+
+
+def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
+    num = code._numbering
+    if num.half is not None:
+        raise MoveError(f"strand {num.half}: exactly one endpoint set")
+    slots, turns = num.slots, num.turns
+    found: dict[str, tuple[int, int]] = {}  # wall id -> (first slot, degree)
+    odd_sites: dict[int, tuple[str, int]] = {}
+    if num.ends or num.odd:
+        slots, turns = list(slots), list(turns)
+        # each wall a site ends on gets its slots after the crossings', in
+        # order of first use; a site off every node's slots (a point out of
+        # range, a port outside 0..3) gets a negative slot of its own
+        top = num.top
+        extra: dict[Site, int] = {}
+        for k, (w, i) in num.ends:
+            got = found.get(w)
+            if got is None:
+                degree = walls.get(w, 0)
+                got = found[w] = (top, degree)
+                if degree > 0:
+                    top += degree
+            b, degree = got
+            if 0 <= i < degree:
+                slots[k] = b + i
+                turns[k ^ 1] = b + (i + 1) % degree
+            else:
+                slots[k] = extra.setdefault(("w", w, i), ~len(extra))
+        # a visit through an odd port: its sites get their slots before any
+        # turn reads one
+        odd = [(k, cid, q, num.xbase[cid]) for e, x, cid, p in num.odd
+               for k, q in ((e, p), (x, (p + 2) % 4))] if num.odd else ()
+        for k, cid, q, b in odd:
+            odd_sites[k] = cid, q
+            slots[k] = b + _PORT[q][0] if q in _PORT else extra.setdefault(("x", cid, q), ~len(extra))
+        for k, cid, q, b in odd:
+            q = (q + 1) % 4
+            turns[k ^ 1] = b + _PORT[q][0] if q in _PORT else extra.get(("x", cid, q))
+    at = {s: d for d, s in enumerate(slots)}
+    if len(at) < len(slots):
+        seen = set()
+        k = next(k for k, s in enumerate(slots) if s in seen or seen.add(s))
+        raise MoveError(f"attachment {_sites(num.strands)[k]} used twice")
     # a dart arrives where its reverse leaves, and its face goes on through
     # the next slot of that node
-    succ = [-1] * len(sites)
-    for dart, site in enumerate(sites):
-        if site[0] == "x":
-            succ[dart ^ 1] = at.get(("x", site[1], (site[2] + 1) % 4), -1)
-        elif 0 <= site[2] < walls.get(site[1], 0):
-            succ[dart ^ 1] = at.get(site[:-1] + ((site[2] + 1) % walls[site[1]],), -1)
+    succ = [at.get(t, -1) for t in turns]
     if -1 in succ:
         # raise where a step-by-step trace first fails to turn
         d = next(f[-1] for f in _trace_faces(succ) if succ[f[-1]] < 0)
-        _turn_error(sites[d ^ 1], walls)
-    return _DartTable(sites, succ, at, walls)
+        _turn_error(_sites(num.strands)[d ^ 1], walls)
+    return _DartTable(num, succ, at, len(found), odd_sites)
 
 
 def _trace_faces(succ: list[int]) -> list[list[int]]:
@@ -589,40 +732,57 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
 
 
 def _planarity_problems(table: _DartTable) -> list[str]:
-    sites, succ, walls = table.sites, table.succ, table.walls
-    # union-find over nodes, numbered in order of first use; ends[2k] and
-    # ends[2k + 1] are the tail and head node of arc k
-    nodes: dict[tuple, int] = {}
-    ends = [nodes.setdefault(site[:-1], len(nodes)) for site in sites]
-    parent = list(range(len(nodes)))
-    components = len(nodes)
-    for k in range(0, len(ends), 2):
-        u, v = find_root(parent, ends[k]), find_root(parent, ends[k + 1])
+    succ = table.succ
+    # After a complete trace every node holds all its slots, each once, so
+    # without odd ports each node's sites are its slots 0 .. degree - 1: a
+    # crossing has 4 darts and V counts the crossing darts by 4 and the
+    # walls once.  Then faces are the orbits of a permutation of darts, and
+    # components the orbits of succ and reversal together: one walk from
+    # each face pushes the reverse of each of its darts.  Each component
+    # has V - E + F = 2 - 2g <= 2, so the totals match exactly when every
+    # component is planar.
+    num = table.num
+    if not num.odd:
+        seen = [False] * len(succ)
+        orbits = components = 0
+        for d in range(len(succ)):
+            if seen[d]:
+                continue
+            components += 1
+            stack = [d]
+            while stack:
+                d = stack.pop()
+                if seen[d]:
+                    continue
+                orbits += 1
+                while not seen[d]:
+                    seen[d] = True
+                    stack.append(d ^ 1)
+                    d = succ[d]
+        nodes = (len(succ) - len(num.ends)) // 4 + table.walls_used
+        if nodes - len(succ) // 2 + orbits == 2 * components:
+            return []
+    # per component: union-find over the node of each dart, a crossing's
+    # slots 4 to a node; arc k joins the tails of darts 2k and 2k + 1
+    tails = [s >> 2 for s in num.slots]
+    walls: dict[str, int] = {}  # the node of each wall, numbered as the table did
+    for d, (w, _) in num.ends:
+        tails[d] = walls.setdefault(w, (num.top >> 2) + len(walls))
+    for e, x, cid, _ in num.odd:
+        tails[e] = tails[x] = num.xbase[cid] >> 2
+    parent = list(range((num.top >> 2) + len(walls)))
+    for k in range(0, len(tails), 2):
+        u, v = find_root(parent, tails[k]), find_root(parent, tails[k + 1])
         if u != v:
             parent[u] = v
-            components -= 1
-    # After a complete trace every node has at least as many sites as its
-    # degree, so the degrees add up to the sites exactly when each node's
-    # sites are its slots 0 .. degree - 1.  Then faces are the orbits of a
-    # permutation of darts, each component has V - E + F = 2 - 2g <= 2, and
-    # the totals match exactly when every component is planar.
-    seen = [False] * len(succ)
-    orbits = 0
-    for d in range(len(succ)):
-        orbits += not seen[d]
-        while not seen[d]:
-            seen[d] = True
-            d = succ[d]
-    degrees = sum(4 if n[0] == "x" else walls[n[1]] for n in nodes)
-    if degrees == len(ends) and len(nodes) - len(ends) // 2 + orbits == 2 * components:
-        return []
+    sites = table.sites
     comps: dict[int, list] = {}
-    for k in range(0, len(ends), 2):
-        c = comps.setdefault(find_root(parent, ends[k]), [set(), 0, 0])
+    for k in range(0, len(tails), 2):
+        c = comps.setdefault(find_root(parent, tails[k]), [set(), 0, 0])
         c[0].update((sites[k][:-1], sites[k + 1][:-1]))
         c[1] += 1
     for f in table.faces:
-        comps[find_root(parent, ends[f[0] & ~1])][2] += 1
+        comps[find_root(parent, tails[f[0] & ~1])][2] += 1
     return [f"component at {min(ns)}: V-E+F = {len(ns)}-{e}+{nf} != 2"
             for ns, e, nf in comps.values() if len(ns) - e + nf != 2]
 
@@ -793,13 +953,13 @@ def _r2_pair(code: TangleCode, table: _DartTable, d: int) -> tuple[str, str] | N
     e = table.succ[d]
     if table.succ[e] != d:
         return None
-    d, e = min(d, e), max(d, e)
-    sites = table.sites
-    t0, h0, t1, h1 = sites[d & ~1], sites[d | 1], sites[e & ~1], sites[e | 1]
-    if t0[0] != "x" or h0[0] != "x":
+    # the arc of the other dart joins the same two nodes: it leaves where d
+    # arrives and arrives where d leaves
+    tail, head = table.crossing_site(d & ~1), table.crossing_site(d | 1)
+    if tail is None or head is None:
         return None
-    x, y = t0[1], h0[1]
-    if x == y or {t1[1], h1[1]} != {x, y} or is_over(code, x, t0[2]) != is_over(code, y, h0[2]):
+    (x, p), (y, q) = tail, head
+    if x == y or is_over(code, x, p) != is_over(code, y, q):
         return None
     return min(x, y), max(x, y)
 
@@ -808,8 +968,8 @@ def r2_minus(code: TangleCode, x: str, y: str,
              walls: Mapping[str, int] | None = None) -> TangleCode:
     # one dart of an x-y bigon leaves crossing x
     table = _darts(code, walls)
-    at = table.at if table else {}
-    darts = [at[site] for site in (("x", x, p) for p in range(4)) if site in at]
+    b = table.num.xbase.get(x) if table else None
+    darts = [] if b is None else [table.at[k] for k in range(b, b + 4) if k in table.at]
     if (min(x, y), max(x, y)) not in {_r2_pair(code, table, d) for d in darts}:
         raise MoveError(f"no R2 bigon at crossings {x}, {y}")
     return _drop(code, {x, y})
@@ -843,15 +1003,16 @@ def _r3_plans(code: TangleCode, walls: Mapping[str, int] | None):
     table = _darts(code, walls)
     if table is None:
         return []
-    sites = table.sites
     refs = _arc_refs(code)
     plans = []
     for f in table.faces:
         if len(f) != 3:
             continue
-        ends = [site for d in f for site in (sites[d & ~1], sites[d | 1])]
-        cids = {site[1] for site in ends}
-        if any(site[0] != "x" for site in ends) or len(cids) != 3:
+        ends = [table.crossing_site(k) for d in f for k in (d & ~1, d | 1)]
+        if None in ends:
+            continue
+        cids = {cid for cid, _ in ends}
+        if len(cids) != 3:
             continue
         pairs = []
         for d in f:
@@ -879,7 +1040,7 @@ def _r3_opens_site(code: TangleCode, table: _DartTable, plan) -> bool:
     no monogon or bigon is new, and greedy reduction still finds no site.
     """
     # the forward dart of each arc leaves the first visit of its pair
-    arcs = [table.at["x", c, (p + 2) % 4] >> 1
+    arcs = [table.at[table.num.xbase[c] + (p + 2) % 4] >> 1
             for c, p in (code.strand(sid).visits[i] for sid, i, _ in plan)]
     face = table.face_of
     # the triangle runs the dart of each arc that turns onto another of its arcs

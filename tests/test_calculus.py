@@ -1,5 +1,7 @@
 """Kirby moves: blow-up/down invariance, handle slides, the recognizer."""
 
+import random
+
 import pytest
 
 from msdiagram import calculus, catalog, tangle
@@ -34,6 +36,8 @@ from msdiagram.invariants import (
 )
 from msdiagram.reduction import reduce_pipeline
 from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode, braid_closure, faces
+
+from helpers import random_kirby_diagram, random_multipiece_diagram, random_slide_band
 
 
 def unknots(framings, piece="P1"):
@@ -248,6 +252,28 @@ def test_slide_ignores_circles_it_does_not_touch():
     assert validate(out).ok
     assert out.circle("c1").framing == 0  # f1 + f2 + 2 lk(c1, c2) with lk = 0
     assert out.circle("c3") == d.circle("c3")
+
+
+def test_slide_framing_matches_the_diagram_linking_number():
+    # the slide reads lk(c1, c2) and the writhe of c2 from the one code c2
+    # lies in; the framing it sets is f1 + f2 + 2 orient lk(c1, c2) with the
+    # linking number of the whole diagram
+    slid = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        d = (random_kirby_diagram if seed % 2 else random_multipiece_diagram)(rng)
+        band = random_slide_band(d, rng)
+        if band is None:
+            continue
+        c1, c2, site = band
+        try:
+            out = handle_slide(d, c1, c2, site)
+        except MoveError:
+            continue
+        framings = d.circle(c1).framing + d.circle(c2).framing
+        assert out.circle(c1).framing == framings + 2 * site[3] * diagram_linking(d, c1, c2)
+        slid += 1
+    assert slid >= 20
 
 
 def test_spherical_surgery_examples():

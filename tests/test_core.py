@@ -438,3 +438,15 @@ def test_a_wall_b_point_reads_its_first_index_in_the_matching(matching, findings
     d = catalog.standard("cp2-two-piece")
     bad = replace(d, pairs=(replace(d.pairs[0], matching=matching),))
     assert [(f.location, f.message) for f in validate(bad).findings] == findings
+
+
+@pytest.mark.parametrize("matching, strand", [(("a", 1), "P2.S2"), (([0], 1), "P2.S2"),
+                                              ((0, "x"), "P1.S1")])
+def test_a_matching_of_mixed_entries_is_no_point_bijection(matching, strand):
+    # entries that do not compare with points, or cannot be hashed, are a
+    # finding of the pair and leave an open cycle, never a TypeError
+    d = catalog.cp2_two_piece()
+    bad = replace(d, pairs=(replace(d.pairs[0], matching=matching),))
+    assert [(f.location, f.message) for f in validate(bad).findings] == [
+        ("pair Q1", "matching is not a point bijection"),
+        ("circle c1", f"cycle does not close through pair Q1 after strand {strand}")]

@@ -564,6 +564,15 @@ def test_skipped_r3_trials_could_not_be_kept():
     assert skipped >= 10 and tried >= 10
 
 
+def test_a_port_outside_0_3_is_no_slot_of_its_crossing():
+    # visits through ports 0, -1 and 5 trace completely, but the crossing
+    # then has six sites for its four slots, so the Euler count may not
+    # count its nodes from the crossing darts four to a node
+    code = TangleCode((Crossing("x1", 1),), (Strand("s0", (("x1", 0), ("x1", -1), ("x1", 5))),))
+    assert planarity_problems(code) == ref_planarity(code, {}) == [
+        "component at ('x', 'x1'): V-E+F = 1-3+3 != 2"]
+
+
 def test_problem_messages_keep_component_order():
     # two non-planar components and a planar one between them: messages come
     # per component, in order of each component's first arc
