@@ -7,11 +7,13 @@ smallest text over the walks is the canonical form.  Equal canonical forms
 certify an isomorphism; separation is only ever claimed on genuine
 invariants, so Unknown is a legal outcome.
 
-A walk renders its MSD/1 text straight from its id maps, with the record
-spellings of ``format``: it builds no relabelled diagram, and its text is
-``serialize`` of that diagram byte for byte.  Crossing signs are read from
-the walked passages, as walking a circle backwards flips its crossings
-with other circles.
+A walk spells the records of its MSD/1 text straight from its id maps, as
+the arguments that ``format._text`` renders: it builds no relabelled
+diagram, and its text is ``serialize`` of that diagram byte for byte.
+Crossing signs are read from the walked passages, as walking a circle
+backwards flips its crossings with other circles.  ``_text`` renders
+records injectively, so walks are compared by their records, and a text is
+rendered only for the first walk of each distinct record set.
 
 A walk begins at a start (circle, direction, first strand or visit) of
 least rank, ranked by circle colour and a trace of crossings and wall hops;
@@ -32,12 +34,15 @@ exchanges them, the key can depend on the ids.  Sinks, which no walk
 reaches, are numbered by their cycles under the sink map, coloured by their
 incidence rows.
 
-Two walks with equal texts reveal an automorphism of the diagram.  It keeps
-ranks, so it maps tied starts onto tied starts, and a tied start that it
-maps onto a walked one is skipped: the tied starts are walked once per orbit
-of the automorphisms found so far.  Where a walk is a function of its start
-alone, a skipped start gives a text already walked, so the key and the
-witness plans are those of walking every start.
+Two walks with equal records reveal an automorphism of the diagram.  It
+keeps ranks, so it maps tied starts onto tied starts, and a tied start that
+it maps onto a walked one is skipped: the tied starts are walked once per
+orbit of the automorphisms found so far.  Where a walk is a function of its
+start alone, a skipped start gives a text already walked, so the key and the
+witness plans are those of walking every start.  A witness walks the second
+diagram in the same order and stops at the first walk whose records are
+those of the first diagram's least walk: where the least texts are equal,
+that is the second diagram's least walk, found without rendering its text.
 
 Orientation-reversing piece homeomorphisms (mirror images) are searched only
 when asked: framings and crossing signs flip under them, and the default
@@ -79,6 +84,7 @@ from .tangle import (
     MoveError,
     Strand,
     apply_rmove,
+    cached_property,
     crossing_sign,
     find_root,
     is_over,
@@ -407,11 +413,33 @@ def _coloured_cycles(f: dict, key):
             yield tuple(keys[r:] + keys[:r]), cycle[r:] + cycle[:r]
 
 
-def _walk(t: _Traversals, plan) -> tuple[str, InternalMaps]:
-    """Relabel the table's diagram along one traversal plan: its MSD/1 text,
-    rendered from the id maps, and the maps old id -> canonical id.  Ids are
-    handed out in discovery order, so each kind's records come out in natural
-    id order as they are met."""
+class _Walk:
+    """One walk along a plan: its records, the arguments that
+    ``format._text`` renders in order, and its id maps old id -> canonical
+    id, made into ``InternalMaps`` on first read.  ``_text`` renders records
+    injectively (``parse`` reads them back), so two walks have equal texts
+    exactly when they have equal records."""
+
+    def __init__(self, plan, records: tuple, ids: tuple):
+        self.plan, self.records, self._ids = plan, records, ids
+
+    @cached_property
+    def text(self) -> str:
+        return _text(*self.records)
+
+    @cached_property
+    def maps(self) -> InternalMaps:
+        pmap, qmap, cmap, fmap, snum = self._ids
+        return InternalMaps(tuple(sorted(pmap.items())), tuple(sorted(qmap.items())),
+                            tuple(sorted(cmap.items())), tuple(sorted(fmap.items())),
+                            tuple(snum[i] for i in range(len(snum))))
+
+
+def _walk_records(t: _Traversals, plan) -> _Walk:
+    """Relabel the table's diagram along one traversal plan: the records of
+    its MSD/1 text, spelled from the id maps, and the maps themselves.  Ids
+    are handed out in discovery order, so each kind's records come out in
+    natural id order as they are met."""
     d = t.d
     pmap: dict[str, str] = {}
     wmap: dict[tuple[str, str], str] = {}
@@ -575,15 +603,19 @@ def _walk(t: _Traversals, plan) -> tuple[str, InternalMaps]:
     if ann is not None:
         ann = replace(ann, dotted=tuple(sorted((cmap[c] for c in ann.dotted),
                                                key=natural_key)))
-    text = _text(pmap.values(),
-                 [(new, wmap[pid, w], d.piece(pid).wall(w).points)
-                  for pid, new in pmap.items() for w in walls[pid]],
-                 pairs, xings, [t for pid in pmap for t in strands[pid]],
-                 [(cmap[c.id], new_cycles[c.id], c.framing) for c in in_new_order(d.circles, cmap)],
-                 surfaces, d.sink_count, incidence, maps, ann)
-    return text, InternalMaps(tuple(sorted(pmap.items())), tuple(sorted(qmap.items())),
-                              tuple(sorted(cmap.items())), tuple(sorted(fmap.items())),
-                              tuple(snum[i] for i in range(d.sink_count)))
+    records = (tuple(pmap.values()),
+               [(new, wmap[pid, w], d.piece(pid).wall(w).points)
+                for pid, new in pmap.items() for w in walls[pid]],
+               pairs, xings, [t for pid in pmap for t in strands[pid]],
+               [(cmap[c.id], new_cycles[c.id], c.framing) for c in in_new_order(d.circles, cmap)],
+               surfaces, d.sink_count, incidence, maps, ann)
+    return _Walk(plan, records, (pmap, qmap, cmap, fmap, snum))
+
+
+def _walk(t: _Traversals, plan) -> tuple[str, InternalMaps]:
+    """One walk rendered: its MSD/1 text and its maps old id -> canonical id."""
+    w = _walk_records(t, plan)
+    return w.text, w.maps
 
 
 def canonical_variants(d: Diagram):
@@ -591,35 +623,48 @@ def canonical_variants(d: Diagram):
     return [(*_walk(t, plan), plan) for t, plan in _plans(d)]
 
 
-def _least_walk(d: Diagram):
-    """The variant of least text, walking each orbit of tied starts once
-    (module docstring).  Where every walk is a function of its start alone,
-    it is the first such in plan order, as ``min(canonical_variants(d))``
-    picks it; where a walk breaks a tie by circle id or rotation number, a
-    skipped start may hold a smaller text."""
+def _least_walk(d: Diagram, stop: tuple | None = None) -> _Walk | None:
+    """The walk of least text, walking each orbit of tied starts once
+    (module docstring).  Walks are compared by their records, and one text
+    is rendered per distinct record set, for the least.  Where every walk
+    is a function of its start alone, it is the first of least text in plan
+    order, as ``min(canonical_variants(d))`` picks it; where a walk breaks a
+    tie by circle id or rotation number, a skipped start may hold a smaller
+    text.
+
+    With ``stop``, the records of another diagram's least walk, the same
+    walks run in the same order until one has those records, and that walk
+    is returned: it is the least walk too when the two least texts are
+    equal.  None when no walk has them."""
     t, firsts, discover = _planner(d)
     if not firsts:
-        return (*_walk(t, ()), ())
+        w = _walk_records(t, ())
+        return w if stop is None or w.records == stop else None
     parent = {f: f for f in firsts}
-    walked = []      # variants in plan order
-    first_plan = {}  # text -> plan of its first walk
+    walked = []    # the first start of each walk, in plan order
+    distinct = []  # the first walk of each record set, in plan order
     for f in firsts:
-        if find_root(parent, f) in {find_root(parent, v[2][0]) for v in walked}:
+        if find_root(parent, f) in {find_root(parent, g) for g in walked}:
             continue
-        plan = discover(f)
-        walked.append((*_walk(t, plan), plan))
-        if first_plan.setdefault(walked[-1][0], plan) is not plan:
-            # an automorphism keeps ranks, so it maps tied starts onto tied starts
-            image = _start_image(t, first_plan[walked[-1][0]], plan)
-            for g in firsts:
-                parent[find_root(parent, g)] = find_root(parent, image(g))
-    return min(walked, key=lambda v: v[0])
+        walked.append(f)
+        w = _walk_records(t, discover(f))
+        if stop is not None and w.records == stop:
+            return w
+        same = next((v for v in distinct if v.records == w.records), None)
+        if same is None:
+            distinct.append(w)
+            continue
+        # an automorphism keeps ranks, so it maps tied starts onto tied starts
+        image = _start_image(t, same.plan, w.plan)
+        for g in firsts:
+            parent[find_root(parent, g)] = find_root(parent, image(g))
+    return None if stop is not None else min(distinct, key=lambda w: w.text)
 
 
 @lru_cache(maxsize=4096)
 def canonical_key(d: Diagram) -> str:
     """Serialized canonical form; equal keys certify isomorphic diagrams."""
-    return _least_walk(require_valid(d, "canonical key of an invalid diagram"))[0]
+    return _least_walk(require_valid(d, "canonical key of an invalid diagram")).text
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +781,15 @@ def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
 def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
     """isomorphic past its checks: a witness onto the first (d2, mirrored) target."""
     r1, moves1 = simplify_diagram(d1, budget)
-    text1, maps1, plan1 = _least_walk(r1)
+    w1 = _least_walk(r1)
     for base, mirrored in targets:
         # mirror-side witnesses replay their moves on the mirrored diagram
         r2, moves2 = simplify_diagram(base, budget)
-        text2, maps2, plan2 = _least_walk(r2)
-        if text1 == text2:
-            return Isomorphism(_compose(maps1, maps2), mirror=mirrored, moves1=tuple(moves1),
-                               moves2=tuple(moves2), plan1=plan1, plan2=plan2,
-                               canonical_text=text1)
+        w2 = _least_walk(r2, stop=w1.records)
+        if w2 is not None:
+            return Isomorphism(_compose(w1.maps, w2.maps), mirror=mirrored,
+                               moves1=tuple(moves1), moves2=tuple(moves2),
+                               plan1=w1.plan, plan2=w2.plan, canonical_text=w1.text)
     return None
 
 
@@ -792,11 +837,11 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
     except Exception as e:
         findings.append(Finding("witness/moves", f"replay failed: {e}"))
         return ValidationReport(tuple(findings))
-    t1, m1 = _walk(_Traversals(r1), iso.plan1)
-    t2, m2 = _walk(_Traversals(r2), iso.plan2)
-    if t1 != iso.canonical_text or t2 != iso.canonical_text:
+    w1 = _walk_records(_Traversals(r1), iso.plan1)
+    w2 = _walk_records(_Traversals(r2), iso.plan2)
+    if w1.records != w2.records or w1.text != iso.canonical_text:
         findings.append(Finding("witness", "canonical texts do not match"))
-    elif _compose(m1, m2) != m:
+    elif _compose(w1.maps, w2.maps) != m:
         findings.append(Finding("witness", "maps disagree with the traversals"))
     return ValidationReport(tuple(findings))
 

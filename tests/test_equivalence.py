@@ -181,10 +181,13 @@ def test_plans_grow_with_tied_first_starts(n):
 
 
 def count_walks(d, monkeypatch):
+    # every walk runs the records step, rendered or not
     walks = []
-    real = equivalence._walk
-    monkeypatch.setattr(equivalence, "_walk", lambda d, plan: walks.append(plan) or real(d, plan))
+    real = equivalence._walk_records
+    monkeypatch.setattr(equivalence, "_walk_records",
+                        lambda d, plan: walks.append(plan) or real(d, plan))
     canonical_key.__wrapped__(d)  # past the cache
+    assert walks
     return len(walks)
 
 
@@ -266,10 +269,7 @@ def test_pruned_least_walk_matches_full_minimum(d, seed):
         assert not conjugate(d, d2).no
 
 
-def test_canonical_walks_match_pinned_crc():
-    # crc32 over repr((text, maps, plan)) of the least walk, computed at
-    # commit d4c815d, where each walk built a relabelled Diagram and
-    # serialized it; checked on Python 3.10 to 3.13 and for several hash seeds
+def pinned_walk_diagrams():
     diagrams = [generate(random.Random(seed)) for seed in range(150)
                 for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
     diagrams += [torus_link(n) for n in range(2, 9)] + [torus_link(2, m) for m in (3, 7, 21)]
@@ -278,16 +278,38 @@ def test_canonical_walks_match_pinned_crc():
                  for name in ("s2xs2", "cp2-two-piece")]
     diagrams += [shuffled_circle_diffeo(generate, seed) for seed in range(10)
                  for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
+    return diagrams
+
+
+def test_canonical_walks_match_pinned_crc():
+    # crc32 over repr((text, maps, plan)) of the least walk, computed at
+    # commit d4c815d, where each walk built a relabelled Diagram and
+    # serialized it; checked on Python 3.10 to 3.13 and for several hash seeds
+    diagrams = pinned_walk_diagrams()
     # the maps are spelled as repr showed the CanonicalMaps record that walks
     # returned them in up to commit c171a80
     crc = 0
     for d in diagrams:
-        text, m, plan = _least_walk(d)
+        w = _least_walk(d)
+        text, m, plan = w.text, w.maps, w.plan
         maps = (f"CanonicalMaps(pieces={m.on_pieces!r}, pairs={m.on_pairs!r}, "
                 f"circles={m.on_circles!r}, surfaces={m.on_surfaces!r}, "
                 f"sinks={tuple(enumerate(m.on_sinks))!r})")
         crc = zlib.crc32(f"({text!r}, {maps}, {plan!r})".encode(), crc)
     assert (len(diagrams), crc) == (335, 0x499b8060)
+
+
+def test_walk_records_agree_with_texts():
+    # least walks and witnesses compare records, not texts: exact because two
+    # walks of one diagram have equal records exactly when their texts agree
+    same = differ = 0
+    for d in pinned_walk_diagrams():
+        walks = [equivalence._walk_records(t, plan) for t, plan in _plans(d)]
+        for w1, w2 in itertools.combinations(walks, 2):
+            assert (w1.records == w2.records) == (w1.text == w2.text)
+            same += w1.text == w2.text
+            differ += w1.text != w2.text
+    assert same and differ
 
 
 def test_torus_knot_keys_match_pinned_crc():
@@ -297,6 +319,33 @@ def test_torus_knot_keys_match_pinned_crc():
     for m in (41, 161, 321):
         crc = zlib.crc32(canonical_key.__wrapped__(torus_link(2, m)).encode(), crc)
     assert crc == 0xb1afbd50
+
+
+def test_witnesses_match_pinned_crc():
+    # crc32 over repr of isomorphic (plain and with mirrors) and conjugate
+    # verdicts on relabelled pairs, witnesses whole, and of the
+    # verify_isomorphism report of each Yes; computed at commit 36d6751,
+    # where the witness walked the second side to its least text
+    diagrams = [generate(random.Random(seed)) for seed in range(150)
+                for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
+    diagrams += [torus_link(n) for n in range(1, 9)]
+    diagrams += [catalog.standard(name) for name in CATALOG]
+    diagrams += [catalog.identity_diffeo(catalog.standard(name))
+                 for name in ("s2xs2", "cp2-two-piece")]
+    diagrams += [shuffled_circle_diffeo(generate, seed) for seed in range(10)
+                 for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram)]
+    crc, yes = 0, 0
+    for i, d in enumerate(diagrams):
+        d2 = helpers.random_relabel(d, random.Random(i))
+        verdicts = [isomorphic(d, d2), isomorphic(d, d2, allow_mirror=True)]
+        if d.internal_maps is not None:
+            verdicts.append(conjugate(d, d2))
+        for v in verdicts:
+            crc = zlib.crc32(repr(v).encode(), crc)
+            if v.yes:
+                yes += 1
+                crc = zlib.crc32(repr(verify_isomorphism(v.witness, d, d2)).encode(), crc)
+    assert (len(diagrams), yes, crc) == (338, 699, 0x4c0c2ddc)
 
 
 def test_torus_knot_key_memory_is_linear():
