@@ -48,13 +48,13 @@ from .tangle import (
 
 
 class RefusalError(MoveError):
-    """The move's preconditions could not be certified within the budget."""
+    """The move's preconditions could not be certified: its site does not
+    take the form the move needs, as greedy Reidemeister reduction leaves it."""
 
 
 BandSite = tuple  # (piece, (strand1, arc1), (strand2, arc2), orient)
 
-BLOW_DOWN_BUDGET = 400  # Reidemeister moves that bring a blown-down circle into place
-SLIDE_CAP = 6           # handle slides the recognizer tries per diagram
+SLIDE_CAP = 6  # handle slides the recognizer tries per diagram
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +118,10 @@ def _twist_lanes(code: TangleCode, rot: list, k: int) -> list | None:
 def blow_down(d: Diagram, cid: str) -> Diagram:
     """Remove a +1- or -1-framed unknot, twisting the strands through its disk.
 
-    The circle must be recognizable within BLOW_DOWN_BUDGET Reidemeister
-    moves: one closed strand in one piece, no self-crossings after greedy
-    reduction, every other strand meeting it in direct piercing pairs
-    arranged in a single twist region.
+    The circle must be recognizable after greedy Reidemeister reduction of
+    its piece: one closed strand in one piece, no self-crossings, every other
+    strand meeting it in direct piercing pairs arranged in a single twist
+    region.
     Framings of the remaining circles drop by framing * lk^2 and the strands
     receive a compensating full twist.
     """
@@ -137,7 +137,7 @@ def blow_down(d: Diagram, cid: str) -> Diagram:
         raise RefusalError(f"circle {cid} is not a closed curve inside one piece")
     pid, _ = loc
     p = d.piece(pid)
-    code, _ = simplify_with_log(p.tangle, p.wall_points(), BLOW_DOWN_BUDGET)
+    code, _ = simplify_with_log(p.tangle, p.wall_points())
     d = with_tangle(d, pid, code)
     pid, s = closed_strand(d, cid)
     code = d.piece(pid).tangle
@@ -419,7 +419,8 @@ def recognize_s3(d: Diagram, depth: int = 3) -> Verdict:
 
     Yes comes with a move log reaching the empty diagram; No carries the
     determinant obstruction (|det| != 1 survives every move, so H1 of the
-    surgered manifold is nontrivial); Unknown reports the exhausted depth.
+    surgered manifold is nontrivial); Unknown names the caps that cut the
+    search: the depth, and SLIDE_CAP handle slides per diagram.
     A diffeomorphism diagram is searched without its internal maps: the
     framed link alone presents the manifold, and the moves refuse maps.
     """
@@ -456,4 +457,5 @@ def recognize_s3(d: Diagram, depth: int = 3) -> Verdict:
         found = dfs(d, dmax, {})
         if found is not None:
             return Verdict("Yes", found, f"empty diagram reached in {len(found)} moves")
-    return Verdict("Unknown", depth, "move search exhausted the depth budget")
+    return Verdict("Unknown", None, f"cap reached: no empty diagram within depth {depth} "
+                                    f"and {SLIDE_CAP} handle slides per diagram")

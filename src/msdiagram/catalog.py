@@ -3,7 +3,7 @@
 Each entry notes the presented manifold and the dynamics it encodes (counts
 of fixed points by index).  Entries are minimal-crossing representatives;
 alternative representatives of the same system must compare isomorphic (or
-Unknown at small budgets), never No.
+Unknown where greedy Reidemeister reduction falls short), never No.
 """
 
 from __future__ import annotations

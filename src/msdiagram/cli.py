@@ -4,10 +4,11 @@ Each subcommand is one entry of COMMANDS (help, handler, arguments, in
 --help order), from which main builds the parsers.
 
 Exit codes: 0 for Yes/ok, 1 for No/invalid, 2 for Unknown, 3 for usage and
-parse errors (an unknown catalog entry, a negative --depth or --budget, an
-input file that cannot be read or decoded, an output file that cannot be
-written), 4 when a command refuses a parsed diagram it cannot use (a
-DiagramError or MoveError that no command turns into another answer).
+parse errors (an option the subcommand does not take, an unknown catalog
+entry, a negative --depth, an input file that cannot be read or decoded, an
+output file that cannot be written), 4 when a command refuses a parsed
+diagram it cannot use (a DiagramError or MoveError that no command turns
+into another answer).
 _verdict prints a semi-decision's answer and holds its Yes/No/Unknown policy.
 
 The module loads parsing, validation, the catalog and rendering; each
@@ -44,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A --depth or --budget value: a non-negative integer."""
+    """A --depth value: a non-negative integer."""
     try:
         n = int(text)
     except ValueError:
@@ -192,14 +193,14 @@ def cmd_equiv(args) -> int:
     from .equivalence import isomorphic
 
     d1, d2 = _load(args.a), _load(args.b)
-    return _verdict(isomorphic(d1, d2, budget=args.budget, allow_mirror=args.mirror),
+    return _verdict(isomorphic(d1, d2, allow_mirror=args.mirror),
                     _print_witness, "separating invariant")
 
 
 def cmd_conj(args) -> int:
     from .equivalence import conjugate
 
-    return _verdict(conjugate(_load(args.a), _load(args.b), budget=args.budget), _print_witness)
+    return _verdict(conjugate(_load(args.a), _load(args.b)), _print_witness)
 
 
 def cmd_catalog(args) -> int:
@@ -232,7 +233,6 @@ def _arg(*names, **options):
 _FILE = _arg("file")
 _PAIR = [_arg("a"), _arg("b")]
 _OUTPUT = _arg("-o", "--output", required=True)
-_BUDGET = _arg("--budget", type=_count, default=2000)
 
 # subcommand -> (help, handler, arguments), in --help order
 COMMANDS = {
@@ -243,9 +243,9 @@ COMMANDS = {
     "recognize-s3": ("bounded 3-sphere recognition", cmd_recognize_s3,
                      [_FILE, _arg("--depth", type=_count, default=3)]),
     "equiv": ("diagram equivalence", cmd_equiv,
-              _PAIR + [_BUDGET, _arg("--mirror", action="store_true",
-                                     help="allow orientation-reversing piece homeomorphisms")]),
-    "conj": ("diffeomorphism conjugacy", cmd_conj, _PAIR + [_BUDGET]),
+              _PAIR + [_arg("--mirror", action="store_true",
+                            help="allow orientation-reversing piece homeomorphisms")]),
+    "conj": ("diffeomorphism conjugacy", cmd_conj, _PAIR),
     "catalog": ("write a standard diagram", cmd_catalog, [_arg("name"), _arg("-o", "--output")]),
     "render": ("draw the diagram as SVG", cmd_render, [_FILE, _OUTPUT]),
 }

@@ -269,8 +269,9 @@ class Diagram:
 
 @record
 class Verdict:
-    """Outcome of a semi-decision: Yes and No carry a witness or obstruction,
-    Unknown carries the exhausted budget."""
+    """Outcome of a semi-decision: Yes and No carry a witness or obstruction.
+    Unknown carries none; its detail names the method that fell short, or
+    the cap that cut the search."""
 
     value: str  # "Yes" | "No" | "Unknown"
     witness: object = None
@@ -522,18 +523,15 @@ def _inverse(matching) -> dict[int, int]:
     return out
 
 
-def _check_circles(d: Diagram, findings: list[Finding], strands: int | None = None,
-                   uncovered: list | None = None) -> dict[str, list[tuple[str, int]]]:
+def _check_circles(d: Diagram, findings: list[Finding], strands: int,
+                   uncovered: list) -> dict[str, list[tuple[str, int]]]:
     """Circles close up through their pairs, each strand is in one, and each
     wall point carries one strand end.
 
     strands, the number of strands, and uncovered are what _check_pieces
-    returns; run alone, the check reads the pieces itself.  Returns the pair
-    passages of each circle, as circle_passages lists them, for
-    _check_boundaries.
+    returns.  Returns the pair passages of each circle, as circle_passages
+    lists them, for _check_boundaries.
     """
-    if strands is None:
-        _, _, strands, uncovered = _check_pieces(d, [])
     pair_of = d._wall_pairs
     claimed: dict[tuple[str, str], str] = {}
     inverses: dict[WallRef, dict[int, int]] = {}  # a pair's wall_b point -> its wall_a point
@@ -857,7 +855,7 @@ def with_tangle(d: Diagram, pid: str, code: TangleCode) -> Diagram:
         replace(p, tangle=code) if p.id == pid else p for p in d.pieces))
 
 
-def simplify_diagram(d: Diagram, budget: int = 10000) -> tuple[Diagram, list[tuple[str, object]]]:
+def simplify_diagram(d: Diagram) -> tuple[Diagram, list[tuple[str, object]]]:
     """Greedy Reidemeister reduction applied piece by piece.
 
     Returns the reduced diagram and the applied moves as (piece id, move)
@@ -866,7 +864,7 @@ def simplify_diagram(d: Diagram, budget: int = 10000) -> tuple[Diagram, list[tup
     moves: list[tuple[str, object]] = []
     pieces = []
     for p in d.pieces:
-        code, log = simplify_with_log(p.tangle, p.wall_points(), budget)
+        code, log = simplify_with_log(p.tangle, p.wall_points())
         moves.extend((p.id, mv) for mv in log)
         pieces.append(replace(p, tangle=code))
     return replace(d, pieces=tuple(pieces)), moves

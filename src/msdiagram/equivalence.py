@@ -704,13 +704,14 @@ def _fingerprint(d: Diagram) -> dict:
     }
 
 
+def _separation(f1: dict, f2: dict) -> str | None:
+    """The first invariant on which two fingerprints differ, if any."""
+    return next((name for name in f1 if f1[name] != f2[name]), None)
+
+
 def separating_invariant(d1: Diagram, d2: Diagram) -> str | None:
     """Name of an isomorphism invariant telling the diagrams apart, if any."""
-    f1, f2 = _fingerprint(d1), _fingerprint(d2)
-    for name in f1:
-        if f1[name] != f2[name]:
-            return name
-    return None
+    return _separation(_fingerprint(d1), _fingerprint(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -754,37 +755,37 @@ def _replay(d: Diagram, moves) -> Diagram:
     return d
 
 
-def isomorphic(d1: Diagram, d2: Diagram, budget: int = 2000,
-               allow_mirror: bool = False) -> Verdict:
-    """Decide diagram equivalence; Unknown is legal on budget exhaustion."""
+def isomorphic(d1: Diagram, d2: Diagram, allow_mirror: bool = False) -> Verdict:
+    """Decide diagram equivalence (semi-decision).
+
+    No needs a separating invariant on every allowed side: d2, and with
+    allow_mirror its mirror too.  Yes carries an Isomorphism onto the first
+    side that is not separated and meets d1's canonical form.  Unknown means
+    the method is incomplete: greedy R1/R2 reduction with single R3 detours
+    brought no unseparated side to d1's canonical form.
+    """
     for d in (d1, d2):
         require_valid(d, "isomorphic needs valid diagrams")
-    sep = separating_invariant(d1, d2)
-    mirror_sep = separating_invariant(d1, mirror(d2)) if allow_mirror else "disabled"
-    if sep is not None and mirror_sep is not None:
-        return Verdict("No", sep, f"separated by {sep}")
-
-    targets = []
-    if sep is None:
-        targets.append((d2, False))
-    if allow_mirror and mirror_sep is None:
-        targets.append((mirror(d2), True))
-    iso = _witness(d1, targets, budget)
+    f1 = _fingerprint(d1)
+    sides = [(d2, False)] + ([(mirror(d2), True)] if allow_mirror else [])
+    seps = [_separation(f1, _fingerprint(d)) for d, _ in sides]
+    if None not in seps:
+        return Verdict("No", seps[0], f"separated by {seps[0]}")
+    iso = _witness(d1, [side for side, sep in zip(sides, seps) if sep is None])
     if iso is not None:
         return Verdict("Yes", iso, "canonical forms coincide"
                        + (" after mirroring" if iso.mirror else ""))
-    if sep is not None:
-        return Verdict("No", sep, f"separated by {sep}")
-    return Verdict("Unknown", budget, "no witness within the Reidemeister budget")
+    return Verdict("Unknown", None, "incomplete method: greedy R1/R2 reduction with "
+                                    "single R3 detours found no common canonical form")
 
 
-def _witness(d1: Diagram, targets, budget: int) -> Isomorphism | None:
+def _witness(d1: Diagram, targets) -> Isomorphism | None:
     """isomorphic past its checks: a witness onto the first (d2, mirrored) target."""
-    r1, moves1 = simplify_diagram(d1, budget)
+    r1, moves1 = simplify_diagram(d1)
     w1 = _least_walk(r1)
     for base, mirrored in targets:
         # mirror-side witnesses replay their moves on the mirrored diagram
-        r2, moves2 = simplify_diagram(base, budget)
+        r2, moves2 = simplify_diagram(base)
         w2 = _least_walk(r2, stop=w1.records)
         if w2 is not None:
             return Isomorphism(_compose(w1.maps, w2.maps), mirror=mirrored,
@@ -861,7 +862,7 @@ def verify_internal_maps(d: Diagram) -> ValidationReport:
     return ValidationReport(findings)
 
 
-def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
+def conjugate(d1: Diagram, d2: Diagram) -> Verdict:
     """Topological conjugacy of two diffeomorphism diagrams (semi-decision).
 
     Any conjugacy induces, on each index set, a bijection that keeps the
@@ -870,7 +871,8 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
     exists exactly when both maps have the same multiset of coloured cycles,
     so when one index set differs the No is exhaustive.  The canonical text
     carries all five maps, so ``isomorphic``'s Yes is a conjugacy witness;
-    its search runs here without repeating the checks above.
+    its search runs here without repeating the checks above.  Unknown means
+    that search, greedy R1/R2 reduction with single R3 detours, fell short.
     """
     for d in (d1, d2):
         if not verify_internal_maps(d).ok:
@@ -899,8 +901,9 @@ def conjugate(d1: Diagram, d2: Diagram, budget: int = 2000) -> Verdict:
                 f"exhaustive: no invariant-respecting bijection of the {name} "
                 f"commutes with the internal maps")
     # separating_invariant validated both diagrams (linking_matrix requires it)
-    iso = _witness(d1, [(d2, False)], budget)
+    iso = _witness(d1, [(d2, False)])
     if iso is not None:
         return Verdict("Yes", iso, "equivalence witness commuting with the internal maps")
-    return Verdict("Unknown", budget, "a commuting invariant-respecting bijection exists "
-                                      "but no realizable witness was found")
+    return Verdict("Unknown", None, "incomplete method: a commuting invariant-respecting "
+                                    "bijection exists, but greedy R1/R2 reduction with "
+                                    "single R3 detours found no realizable witness")

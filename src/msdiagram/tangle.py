@@ -799,13 +799,12 @@ def find_root(parent, x):
 # editing helpers
 
 
-def _edit(code: TangleCode, strand_visits: dict[str, tuple[Visit, ...]],
-          add: Iterable[Crossing] = ()) -> TangleCode:
+def _edit(code: TangleCode, strand_visits: dict[str, tuple[Visit, ...]]) -> TangleCode:
     strands = tuple(
         replace(s, visits=strand_visits[s.id]) if s.id in strand_visits else s
         for s in code.strands
     )
-    return TangleCode(crossings=code.crossings + tuple(add), strands=strands)
+    return TangleCode(crossings=code.crossings, strands=strands)
 
 
 def _drop(code: TangleCode, crossings: Container[str]) -> TangleCode:
@@ -1092,40 +1091,38 @@ def apply_rmove(code: TangleCode, mv: RMove, walls=None) -> TangleCode:
     raise MoveError(f"unknown move {mv.kind!r}")
 
 
-def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
-                      budget: int = 10000) -> tuple[TangleCode, list[RMove]]:
+def simplify_with_log(code: TangleCode,
+                      walls: Mapping[str, int] | None = None) -> tuple[TangleCode, list[RMove]]:
     """Greedy R1/R2 reduction with a single-R3 detour search.
 
-    Never increases the crossing count; the returned move list has length
-    <= budget and replays from the input to the output.  Each R3 round scans
-    the triangle plans once and tries them in sorted order.  A trial is kept
-    when greedy reduction after it drops a crossing, and only a kept trial is
-    checked for planarity: one check per kept R3.
+    Never increases the crossing count, and ends by itself: each R1 or R2
+    move drops crossings, and an R3 is kept only when the greedy moves after
+    it drop one, so an input of n crossings logs at most 2n moves.  The log
+    replays from the input to the output.  Each R3 round scans the triangle
+    plans once and tries them in sorted order.  A trial is kept when greedy
+    reduction after it drops a crossing, and only a kept trial is checked for
+    planarity: one check per kept R3.
     """
     moves: list[RMove] = []
     cur = code
 
-    def greedy(c, limit):
+    def greedy(c):
         log = []
-        while len(log) < limit:
+        while True:
             sites = find_r1_minus(c)
             if sites:
                 c = _drop(c, {sites[0]})
                 log.append(RMove("r1-", (sites[0],)))
                 continue
             pairs = find_r2_minus(c, walls)
-            if pairs:
-                c = _drop(c, set(pairs[0]))
-                log.append(RMove("r2-", pairs[0]))
-                continue
-            break
-        return c, log
+            if not pairs:
+                return c, log
+            c = _drop(c, set(pairs[0]))
+            log.append(RMove("r2-", pairs[0]))
 
     while True:
-        cur, log = greedy(cur, budget - len(moves))
+        cur, log = greedy(cur)
         moves.extend(log)
-        if len(moves) >= budget:
-            break
         # the first plan of each triangle is the one r3 would pick
         plans: dict[tuple[str, str, str], list] = {}
         for tri, pairs in _r3_plans(cur, walls):
@@ -1138,7 +1135,7 @@ def simplify_with_log(code: TangleCode, walls: Mapping[str, int] | None = None,
             if not _r3_opens_site(cur, table, plans[tri]):
                 continue
             after = _swap_visits(cur, plans[tri])
-            reduced, log = greedy(after, budget - len(moves) - 1)
+            reduced, log = greedy(after)
             if len(reduced.crossings) < len(cur.crossings) \
                     and not planarity_problems(after, walls):
                 moves.append(RMove("r3", tri))

@@ -57,7 +57,7 @@ def r1_plus(code: TangleCode, strand_id: str, arc_index: int, sign: int) -> Tang
         raise MoveError("kink sign must be +1 or -1")
     cid = next(fresh_ids({c.id for c in code.crossings}, "x"))
     visits = splice(s.visits, [(arc_gap(s, arc_index), ((cid, 0), (cid, 2 - sign)))])
-    return _edit(code, {s.id: visits}, add=[Crossing(cid, 1)])
+    return _edit(replace(code, crossings=code.crossings + (Crossing(cid, 1),)), {s.id: visits})
 
 
 def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
@@ -90,7 +90,8 @@ def r2_plus(code: TangleCode, arc_over: ArcRef, arc_under: ArcRef,
     for (sid, k), pair in ((arc_over, ((xid, 0), (yid, 2))), (arc_under, under_pair)):
         inserts.setdefault(sid, []).append((arc_gap(code.strand(sid), k), pair))
     edits = {sid: splice(code.strand(sid).visits, ins) for sid, ins in inserts.items()}
-    return _edit(code, edits, add=[Crossing(xid, 1), Crossing(yid, 1)])
+    return _edit(replace(code, crossings=code.crossings + (Crossing(xid, 1), Crossing(yid, 1))),
+                 edits)
 
 
 def fields_only(record):

@@ -339,7 +339,8 @@ def test_recognize_unknown_on_budget():
     # a knotted-looking +1 circle the greedy reducer cannot undo is refused
     # by blow-down; at depth 0 anything nonempty is Unknown
     v = recognize_s3(unknots([1]), 0)
-    assert v.unknown
+    assert v.unknown and v.witness is None
+    assert v.detail == "cap reached: no empty diagram within depth 0 and 6 handle slides per diagram"
 
 
 def test_recognize_precondition():

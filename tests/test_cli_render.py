@@ -11,7 +11,7 @@ import pytest
 from helpers import run_msd as run_cli
 from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
-from msdiagram.core import DiagramError, _check_circles, validate
+from msdiagram.core import DiagramError, _check_circles, _check_pieces, validate
 from msdiagram.format import ParseError, parse, parse_moves, serialize, serialize_moves
 from msdiagram.invariants import linking_matrix
 from msdiagram.reduction import reduce_pipeline
@@ -183,7 +183,8 @@ def test_usage_error_exit_code(files):
 
 def test_unusable_files_and_values_exit_3_without_a_traceback(files):
     # each a fresh process: an output in a missing directory, an input that
-    # does not decode, a catalog entry the catalog refuses, a negative bound
+    # does not decode, a catalog entry the catalog refuses, a negative bound,
+    # an option the subcommand does not take
     paths, tmp = files
     missing = str(tmp / "no-such-dir" / "x.msd")
     undecodable = tmp / "undecodable.msd"
@@ -197,8 +198,10 @@ def test_unusable_files_and_values_exit_3_without_a_traceback(files):
             (("validate", str(undecodable)), f"cannot read {undecodable}"),
             (("catalog", "n-s1s3(0)"), "n must be at least 1"),
             (("recognize-s3", paths["cp2"], "--depth", "-1"), "got '-1'"),
-            (("equiv", paths["cp2"], paths["cp2"], "--budget", "-1"), "got '-1'"),
-            (("conj", paths["swap-diffeo"], paths["swap-diffeo"], "--budget", "-2"), "got '-2'")):
+            (("equiv", paths["cp2"], paths["cp2"], "--budget", "-1"),
+             "unrecognized arguments: --budget -1"),
+            (("conj", paths["swap-diffeo"], paths["swap-diffeo"], "--budget", "-2"),
+             "unrecognized arguments: --budget -2")):
         out = run_cli(*args)
         assert (out.returncode, out.stdout) == (3, ""), (args, out.stderr)
         assert stderr in out.stderr and "Traceback" not in out.stderr, (args, out.stderr)
@@ -248,13 +251,14 @@ def test_validate_a_huge_wall_in_bounded_time(tmp_path):
 def test_an_end_off_the_wall_is_reported_once():
     # an end at a point the wall lacks is named where the endpoint is
     # checked; the circle check, which validate runs only once every end is
-    # on a point, counts only the points a wall has, so run alone it still
-    # finds the point the stray end left unused
+    # on a point, counts only the points a wall has, so run past the piece
+    # check it still finds the point the stray end left unused
     d = parse(serialize(catalog.cp2_two_piece()).replace("to=W1:1", "to=W1:5"))
     assert [(f.location, f.message) for f in validate(d).findings] == [
         ("piece P1/strand S1", "endpoint on missing point W1:5")]
     findings = []
-    _check_circles(d, findings)
+    _, _, strands, uncovered = _check_pieces(d, [])
+    _check_circles(d, findings, strands, uncovered)
     assert [(f.location, f.message) for f in findings][-1] == (
         "wall P1.W1", "marked point 1 unused")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 import zlib
 from collections import Counter
@@ -15,7 +16,7 @@ import helpers
 from helpers import r1_plus, r2_plus
 from msdiagram import catalog, equivalence
 from msdiagram import format as msd_format
-from msdiagram.calculus import blow_up
+from msdiagram.calculus import blow_up, recognize_s3
 from msdiagram.core import (
     Diagram,
     DiagramError,
@@ -258,7 +259,7 @@ def test_pruned_least_walk_matches_full_minimum(d, seed):
     assert canonical_key(d) == min(v[0] for v in canonical_variants(d))
     d2 = helpers.random_relabel(d, random.Random(seed))
     v = isomorphic(d, d2)
-    best1, best2 = (min(canonical_variants(simplify_diagram(x, 2000)[0]), key=lambda v: v[0])
+    best1, best2 = (min(canonical_variants(simplify_diagram(x)[0]), key=lambda v: v[0])
                     for x in (d, d2))
     # Unknown only where the full minimum also depends on ids
     assert v.yes == (best1[0] == best2[0])
@@ -915,19 +916,38 @@ def test_verify_names_each_tampered_witness_field():
         assert [(f.location, f.message) for f in report.findings] == findings
 
 
-def r3_pair():
+def closure_diagram(code, framings):
+    """One piece holding code, each strand one circle with its framing."""
+    return Diagram(pieces=(Piece("P1", code),), circles=tuple(
+        GluedCircle(f"c{i + 1}", (("P1", s.id),), f)
+        for i, (s, f) in enumerate(zip(code.strands, framings))))
+
+
+def r3_pair(framing=0):
     """A braid closure with an R3 triangle left after reduction, and a
     relabelled copy after one R3 move: isotopic diagrams that greedy
-    reduction and one detour do not bring to one canonical form."""
+    reduction and one detour do not bring to one canonical form.  Every
+    circle has the given framing."""
     code = braid_closure([(1, -1), (2, 1), (1, 1), (1, 1), (1, 1), (2, 1)], 3)
     assert simplify_with_log(code, {})[0] == code and find_r3(code, {})[0] == ("x1", "x2", "x3")
+    framings = [framing] * len(code.strands)
+    return (closure_diagram(code, framings),
+            random_relabel(closure_diagram(r3(code, ("x1", "x2", "x3"), {}), framings),
+                           random.Random(5)))
 
-    def diagram(c):
-        return Diagram(pieces=(Piece("P1", c),), circles=tuple(
-            GluedCircle(f"c{i + 1}", (("P1", s.id),), 0) for i, s in enumerate(c.strands)))
 
-    return diagram(code), random_relabel(diagram(r3(code, ("x1", "x2", "x3"), {})),
-                                         random.Random(5))
+def seeded_r3_pairs():
+    """r3_pair over seeds 0-299 of 4-lane braid closures that keep an R3
+    triangle after reduction, each circle framed -1, 0 or +1."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        word = [(rng.randint(1, 3), rng.choice((1, -1))) for _ in range(rng.randint(4, 12))]
+        code = simplify_with_log(braid_closure(word, 4), {})[0]
+        triples = find_r3(code, {})
+        if triples:
+            framings = [rng.choice((-1, 0, 1)) for _ in code.strands]
+            yield (closure_diagram(code, framings),
+                   random_relabel(closure_diagram(r3(code, triples[0], {}), framings), rng))
 
 
 def test_isomorphic_is_unknown_past_one_r3_move(tmp_path):
@@ -941,3 +961,69 @@ def test_isomorphic_is_unknown_past_one_r3_move(tmp_path):
     out = helpers.run_msd("equiv", *paths)
     assert out.returncode == 2, out.stderr
     assert out.stdout.startswith("Unknown: ")
+
+
+def test_mirror_no_needs_both_sides_separated(tmp_path):
+    # mirror(d2)'s -1 framings separate it from d1, but its mirror, d2, is
+    # separated by nothing and only an R3 move away: not a No
+    d1, d2 = r3_pair(framing=1)
+    m2 = mirror(d2)
+    assert isomorphic(d1, m2).detail == "separated by framing multiset"
+    assert isomorphic(d1, mirror(m2)).unknown
+    v = isomorphic(d1, m2, allow_mirror=True)
+    assert v.unknown and v.witness is None
+    paths = []
+    for name, d in (("a", d1), ("b", m2)):
+        paths.append(str(tmp_path / f"{name}.msd"))
+        (tmp_path / f"{name}.msd").write_text(msd_format.serialize(d))
+    out = helpers.run_msd("equiv", "--mirror", *paths)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout.startswith("Unknown: ")
+
+
+def test_mirror_no_only_where_both_sides_are_no():
+    pairs = [(d1, b) for d1, d2 in seeded_r3_pairs() for b in (d2, mirror(d2))]
+    for seed in range(40):
+        d = helpers.random_kirby_diagram(random.Random(seed))
+        other = helpers.random_kirby_diagram(random.Random(seed + 1000))
+        d2 = random_relabel(d, random.Random(seed))
+        pairs += [(d, d2), (d, mirror(d2)), (d, other), (d, mirror(other))]
+    seen = Counter()
+    for d1, d2 in pairs:
+        v = isomorphic(d1, d2, allow_mirror=True)
+        assert v.no == (isomorphic(d1, d2).no and isomorphic(d1, mirror(d2)).no)
+        seen[v.value] += 1
+    assert seen["Yes"] and seen["No"] and seen["Unknown"], seen
+
+
+def test_mirror_fingerprints_each_diagram_once(monkeypatch):
+    calls = Counter()
+    for name in ("_fingerprint", "mirror"):
+        fn = getattr(equivalence, name)
+        monkeypatch.setattr(equivalence, name,
+                            lambda d, fn=fn, name=name: calls.update([name]) or fn(d))
+    v = isomorphic(catalog.standard("cp2"), catalog.standard("cp2-mirror"), allow_mirror=True)
+    assert v.yes and v.witness.mirror
+    assert calls == {"_fingerprint": 3, "mirror": 1}
+
+
+def test_every_unknown_names_an_incomplete_method_or_a_cap():
+    method = r"incomplete method: (.* )?greedy R1/R2 reduction with single R3 detours .*"
+    cap = r"cap reached: no empty diagram within depth \d+ and \d+ handle slides per diagram"
+    verdicts = []
+    for d1, d2 in seeded_r3_pairs():
+        verdicts += [("isomorphic", isomorphic(d1, d2)),
+                     ("isomorphic", isomorphic(d1, mirror(d2), allow_mirror=True)),
+                     ("conjugate", conjugate(catalog.identity_diffeo(d1),
+                                             catalog.identity_diffeo(d2)))]
+    for seed in range(60):
+        for generate in (helpers.random_kirby_diagram, helpers.random_multipiece_diagram):
+            d = generate(random.Random(seed))
+            verdicts.append(("isomorphic", isomorphic(d, random_relabel(d, random.Random(seed)))))
+            if not d.pairs and not d.surfaces:
+                verdicts.append(("recognize_s3", recognize_s3(d, 1)))
+    unknown = [(name, v) for name, v in verdicts if v.unknown]
+    assert {name for name, _ in unknown} == {"isomorphic", "conjugate", "recognize_s3"}
+    for name, v in unknown:
+        assert v.witness is None, (name, v)
+        assert re.fullmatch(method, v.detail) or re.fullmatch(cap, v.detail), (name, v.detail)

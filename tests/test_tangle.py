@@ -79,7 +79,11 @@ def test_hopf_reversed_component_links_negative():
 def test_simplify_fixed_point_on_minimal_code():
     code = hopf_code()
     assert simplify_with_log(code, {})[0] == code
-    assert simplify_with_log(code, {}, budget=0)[0] == code
+    # each R1 or R2 drops crossings and each kept R3 is followed by one that
+    # does, so the log ends by itself within 2n moves for n input crossings
+    for x, (_, log) in zip(simplify_inputs(), simplify_results()):
+        codes = [x] if isinstance(x, TangleCode) else [p.tangle for p in x.pieces]
+        assert len(log) <= 2 * sum(len(code.crossings) for code in codes)
 
 
 def test_simplify_never_increases_and_preserves_links():
@@ -310,18 +314,25 @@ def test_simplify_traces_faces_once_per_r3_round(monkeypatch):
                       "trace"]
 
 
-def simplify_results():
-    """simplify_with_log on 200 seeded braid closures, then simplify_diagram
-    on seeds 0-299 of random_kirby_diagram and random_multipiece_diagram."""
+def simplify_inputs():
+    """200 seeded braid closures, then seeds 0-299 of random_kirby_diagram
+    and random_multipiece_diagram."""
     for seed in range(200):
         rng = random.Random(seed)
         lanes = rng.randint(2, 5)
         word = [(rng.randint(1, lanes - 1), rng.choice((1, -1)))
                 for _ in range(rng.randint(3, 16))]
-        yield simplify_with_log(braid_closure(word, lanes), {})
+        yield braid_closure(word, lanes)
     for gen in (random_kirby_diagram, random_multipiece_diagram):
         for seed in range(300):
-            yield simplify_diagram(gen(random.Random(seed)))
+            yield gen(random.Random(seed))
+
+
+def simplify_results():
+    """simplify_with_log on each code of simplify_inputs, simplify_diagram on
+    each diagram."""
+    for x in simplify_inputs():
+        yield simplify_with_log(x, {}) if isinstance(x, TangleCode) else simplify_diagram(x)
 
 
 def test_simplify_results_match_pinned_crc():
