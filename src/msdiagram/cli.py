@@ -1,30 +1,36 @@
 """Command-line interface.
 
 Each subcommand is one entry of COMMANDS (help, handler, arguments, in
---help order), from which main builds the parsers.
+--help order).  main reads a plain argv from that table itself (_read), and
+builds argparse's parsers from it only for what _read leaves to them: help,
+usage errors and unusual spellings (_parse).
 
 Exit codes: 0 for Yes/ok, 1 for No/invalid, 2 for Unknown, 3 for usage and
 parse errors (an option the subcommand does not take, an unknown catalog
 entry, a negative --depth, an input file that cannot be read or decoded, an
-output file that cannot be written), 4 when a command refuses a parsed
+output file that cannot be written, a closed standard output, as in
+``msd invariants d.msd | head -1``), 4 when a command refuses a parsed
 diagram it cannot use (a DiagramError or MoveError that no command turns
-into another answer).
+into another answer).  None of them prints a traceback.
 _verdict prints a semi-decision's answer and holds its Yes/No/Unknown policy.
 
-The module loads parsing, validation, the catalog and rendering; each
-subcommand imports the further layers it runs (invariants, reduction,
-calculus, equivalence) when it runs, so a cold ``msd validate`` loads none
-of them.
+The module loads parsing, validation and rendering; each subcommand imports
+the further layers it runs (invariants, reduction, calculus, equivalence,
+the catalog) when it runs, so a cold ``msd validate`` loads none of them,
+and a cold plain run loads none of argparse, gettext or locale.  The cycle
+collector is paused while main runs: records and dart tables make no
+reference cycles, and full collections would walk every object of a large
+diagram.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
 from contextlib import ExitStack
+from types import SimpleNamespace
 
-from . import catalog
 from .core import DiagramError, handle_counts, validate
 from .format import ParseError, parse, serialize, serialize_moves
 from .render import render  # perfbench/spans.py reaches this layer only through cli
@@ -37,20 +43,21 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+def _natural(text: str) -> int | None:
+    """text as a non-negative integer, as int() reads it, or None."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if n >= 0 else None
 
 
 def _count(text: str) -> int:
     """A --depth value: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
+    n = _natural(text)
+    if n is None:
+        import argparse  # loaded already: only argparse calls this
+
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return n
 
@@ -204,6 +211,8 @@ def cmd_conj(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     try:
         d = catalog.standard(args.name)
     except (KeyError, ValueError) as e:  # no such entry; n-s1s3(0)
@@ -251,7 +260,71 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _read(argv: list[str]) -> dict | None:
+    """What argparse's namespace holds for a plain argv, or None.
+
+    Plain means: a subcommand of COMMANDS; its positionals, none starting
+    with '-', as many as it takes; its options in their exact spellings, each
+    at most once, a value option followed by one value not starting with '-'
+    (a --depth value a non-negative integer); every required option given.
+    Anything else, help and abbreviations among it, is left to _parse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, fn, arguments = COMMANDS[argv[0]]
+    found = {"command": argv[0], "fn": fn}
+    positionals, options, required = [], {}, set()
+    for names, spec in arguments:
+        if not names[0].startswith("-"):
+            positionals.append(names[0])
+            continue
+        # argparse's dest: the first long spelling, or else the first one
+        dest = next((n for n in names if n.startswith("--")), names[0]).lstrip("-")
+        dest = dest.replace("-", "_")
+        flag = spec.get("action") == "store_true"
+        found[dest] = spec.get("default", False if flag else None)
+        options.update((name, (dest, flag, spec.get("type"))) for name in names)
+        if spec.get("required"):
+            required.add(dest)
+    free, given = iter(positionals), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            dest = next(free, None)
+            if dest is None:
+                return None
+            found[dest] = token
+            continue
+        dest, flag, kind = options.get(token, (None, False, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if flag:
+            found[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind is _count:
+            value = _natural(value)
+            if value is None:
+                return None
+        found[dest] = value
+    if next(free, None) is not None or not required <= given:
+        return None
+    return found
+
+
+def _parse(argv: list[str]):
+    """argv read by argparse, which prints help and usage errors (exit 3)."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            sys.exit(EXIT_USAGE)
+
     parser = _Parser(prog="msd",
                      description="Diagrams of gradient-like Morse-Smale systems "
                                  "on closed 4-manifolds")
@@ -261,13 +334,36 @@ def main(argv=None) -> int:
         for names, options in arguments:
             p.add_argument(*names, **options)
         p.set_defaults(fn=fn)
+    return parser.parse_args(argv)
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run one subcommand on argv (default sys.argv[1:]); return its exit code.
+
+    The caller's cycle collector state is restored on every exit path."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.fn(args)
+        found = _read(argv)
+        args = _parse(argv) if found is None else SimpleNamespace(**found)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when the process started with no stdout
+            sys.stdout.flush()
+        return code
     except (DiagramError, MoveError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            # the process's own stdout: the interpreter's last flush goes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,13 +1,21 @@
 """CLI exit-code contract, move logs, and SVG rendering."""
 
+import contextlib
+import gc
+import io
 import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import child_env
 from helpers import run_msd as run_cli
 from msdiagram import catalog, cli
 from msdiagram.calculus import KirbyMove, apply_move, recognize_s3
@@ -107,20 +115,23 @@ def test_boundary_maps_must_compose_to_zero(tmp_path, capsys):
         reduce_pipeline(parse(path.read_text()))
 
 
+ODD_CROSSING_SUM = (
+    "msd 1\npiece P1\nwall P1.A points=3\nwall P1.B points=3\n"
+    "pair Q1 a=P1.A b=P1.B match=0,1,2 orient=+\n"
+    "crossing P1.x1 ends=S2.0.i,S1.0.i,S2.0.o,S1.0.o over=1 sign=+\n"
+    "strand P1.S1 path=x1:1 from=B:0 to=A:0\n"
+    "strand P1.S2 path=x1:0 from=B:1 to=A:1\n"
+    "strand P1.S3 path=- from=B:2 to=A:2\n"
+    "circle c1 strands=P1.S1 framing=0\n"
+    "circle c2 strands=P1.S2 framing=0\n"
+    "circle c3 strands=P1.S3 framing=0\nsinks 1\n")
+
+
 def test_refusal_on_valid_input_exits_4(tmp_path, capsys):
     # valid, but the braided connectors through the internal pair leave an
     # odd crossing sum between circles, which the linking matrix refuses
     path = tmp_path / "odd.msd"
-    path.write_text(
-        "msd 1\npiece P1\nwall P1.A points=3\nwall P1.B points=3\n"
-        "pair Q1 a=P1.A b=P1.B match=0,1,2 orient=+\n"
-        "crossing P1.x1 ends=S2.0.i,S1.0.i,S2.0.o,S1.0.o over=1 sign=+\n"
-        "strand P1.S1 path=x1:1 from=B:0 to=A:0\n"
-        "strand P1.S2 path=x1:0 from=B:1 to=A:1\n"
-        "strand P1.S3 path=- from=B:2 to=A:2\n"
-        "circle c1 strands=P1.S1 framing=0\n"
-        "circle c2 strands=P1.S2 framing=0\n"
-        "circle c3 strands=P1.S3 framing=0\nsinks 1\n")
+    path.write_text(ODD_CROSSING_SUM)
     assert cli.main(["validate", str(path)]) == 0
     capsys.readouterr()
     assert cli.main(["invariants", str(path)]) == 4
@@ -434,3 +445,169 @@ def test_every_subcommand_prints_its_help(capsys, name):
         cli.main([name, "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: msd {name} [-h]")
+
+
+USAGE = ("usage: msd [-h]\n"
+         "           {validate,invariants,reduce,recognize-s3,equiv,conj,catalog,render}\n"
+         "           ...\n")
+HELP = USAGE + """
+Diagrams of gradient-like Morse-Smale systems on closed 4-manifolds
+
+positional arguments:
+  {validate,invariants,reduce,recognize-s3,equiv,conj,catalog,render}
+    validate            check structural invariants
+    invariants          homology, Euler characteristic, forms
+    reduce              merge, cancel, and reach Kirby form
+    recognize-s3        bounded 3-sphere recognition
+    equiv               diagram equivalence
+    conj                diffeomorphism conjugacy
+    catalog             write a standard diagram
+    render              draw the diagram as SVG
+
+options:
+  -h, --help            show this help message and exit
+"""
+CHOICES = ", ".join(map(repr, cli.COMMANDS))
+# (argv, exit code, stdout, stderr) of msd before plain runs bypassed argparse
+HELP_AND_USAGE_ERRORS = [
+    (["--help"], 0, HELP, ""),
+    (["validate", "--help"], 0, "usage: msd validate [-h] file\n\npositional arguments:\n"
+     "  file\n\noptions:\n  -h, --help  show this help message and exit\n", ""),
+    (["validate"], 3, "", "usage: msd validate [-h] file\nmsd validate: error: the following "
+     "arguments are required: file\n"),
+    (["recognize-s3", "F", "--depth", "-1"], 3, "", "usage: msd recognize-s3 [-h] [--depth DEPTH] "
+     "file\nmsd recognize-s3: error: argument --depth: expected a non-negative integer, got '-1'\n"),
+    (["equiv", "A", "B", "--budget", "5"], 3, "",
+     USAGE + "msd: error: unrecognized arguments: --budget 5\n"),
+    (["nope"], 3, "", USAGE + "msd: error: argument command: invalid choice: 'nope' "
+     f"(choose from {CHOICES})\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", HELP_AND_USAGE_ERRORS,
+                         ids=[" ".join(a) for a, *_ in HELP_AND_USAGE_ERRORS])
+def test_help_and_usage_errors_read_as_before(monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    out = run_cli(*argv)
+    assert (out.returncode, out.stdout) == (code, stdout)
+    # some Pythons print argparse's choices with str(), not repr()
+    assert out.stderr in (stderr, stderr.replace(CHOICES, CHOICES.replace("'", "")))
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parse(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "f.msd"], ["conj", "a", "b"], ["catalog", "n-s1s3(2)"],
+    ["catalog", "-o", "out", "cp2"], ["render", "f", "--output", "o"],
+    ["reduce", "f", "-o", "out", "--log", "log"], ["reduce", "--log", "", "--output", "o", "f"],
+    ["recognize-s3", "f"], ["recognize-s3", "--depth", "\uff13", "f"],
+    ["equiv", "a", "--mirror", "b"], ["invariants", "x"]], ids=" ".join)
+def test_plain_argv_is_read_as_argparse_reads_it(argv):
+    assert cli._read(argv) is not None
+    assert cli._read(argv) == _parsed(argv)
+
+
+SPELLINGS = sorted({name for _, _, arguments in cli.COMMANDS.values()
+                    for names, _ in arguments for name in names if name.startswith("-")})
+# plain words, non-ASCII digits among them, and spellings only argparse reads
+WORDS = st.sampled_from(["0", "3", "\u00b2", "\uff13", "\u0663", " 4", "+5", " -2", "",
+                         "f.msd", "cp2", "validate"])
+ODD = st.sampled_from([*SPELLINGS, "-h", "--help", "--", "-", "--out", "--dep", "--mir", "--l",
+                       "--output=o", "--depth=2", "-oo", "-1", "-0"])
+
+
+@st.composite
+def near_plain_argv(draw):
+    """A subcommand's arguments from COMMANDS in any order, plus at most one odd word."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "nope", "valid"]))
+    chunks = []
+    for names, spec in cli.COMMANDS.get(name, (None, None, []))[2]:
+        if not names[0].startswith("-"):
+            chunks.append([draw(WORDS)])
+        elif spec.get("required") or draw(st.booleans()):
+            value = [] if "action" in spec else [draw(WORDS)]
+            chunks.append([draw(st.sampled_from(names)), *value])
+    chunks += draw(st.lists(st.one_of(WORDS, ODD).map(lambda word: [word]), max_size=1))
+    return [name, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]
+
+
+ARGV = st.one_of(near_plain_argv(),
+                 st.lists(st.one_of(st.sampled_from(list(cli.COMMANDS)), WORDS, ODD), max_size=6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ARGV)
+def test_plain_reader_agrees_with_argparse(argv):
+    # the reader answers an argv only as argparse does, and leaves to it
+    # every argv argparse refuses or answers with help
+    read = cli._read(argv)
+    assert read is None or read == _parsed(argv)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["invariants", "s2xs2"], ["catalog", "n-s1s3(3)"]])
+def test_a_closed_stdout_exits_3_without_a_traceback(files, buffered, argv):
+    paths, _ = files
+    argv = [paths.get(a, a) for a in argv]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # the pipe has no reader before msd writes
+    try:
+        out = subprocess.run([sys.executable, "-m", "msdiagram.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    # no traceback, and no "Exception ignored" from the interpreter's last flush
+    assert (out.returncode, out.stderr) == (3, "")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_in_process_callers_keep_their_stdout(files, monkeypatch):
+    paths, _ = files
+    closed, fd_before = _ClosedPipe(), os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", closed)
+    assert cli.main(["validate", paths["cp2"]]) == 3
+    assert sys.stdout is closed
+    fd_after = os.fstat(1)
+    assert (fd_after.st_dev, fd_after.st_ino) == (fd_before.st_dev, fd_before.st_ino)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,code,files_read", [
+    (["validate", "cp2"], 0, 1), (["catalog", "n-s1s3(0)"], 3, 0), (["invariants", "odd"], 4, 1),
+    (["validate"], "exit 3", 0), (["--help"], "exit 0", 0),
+    (["validate", "--depth", "1"], "exit 3", 0)])
+def test_main_pauses_the_collector_and_restores_it(files, monkeypatch, capsys, collecting,
+                                                   argv, code, files_read):
+    paths, tmp = files
+    (tmp / "odd.msd").write_text(ODD_CROSSING_SUM)
+    paths = dict(paths, odd=str(tmp / "odd.msd"))
+    argv = [paths.get(a, a) for a in argv]
+    loads, load = [], cli._load
+    monkeypatch.setattr(cli, "_load", lambda path: loads.append(gc.isenabled()) or load(path))
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(code, int):
+            assert cli.main(argv) == code
+        else:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+            assert f"exit {exit_.value.code}" == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert loads == [False] * files_read
