@@ -35,12 +35,15 @@ Validation reads each piece once: one sweep checks its walls, its code
 problems (tangle.code_problems), its strand ends and its planarity, and
 collects what the later checks read of it, the ids, the wall points and
 the strand ends, so the id, pair and circle checks sweep no piece again;
-the boundary maps read the pair passages the circle check walked.  The
-checks run, and their findings come, in a fixed order: the diagram, the
-pieces, the ids; then, when those found nothing, the pairs, the circles,
-the surfaces, the internal maps and the annotation; the sinks; and last,
-when nothing was found, the boundary maps.  Where a check can, it looks at
-the whole at once and words its findings only when that look fails.
+the boundary maps read the pair passages the circle check walked.
+Planarity is checked only on a piece with no code problem and every
+strand end on a point of a known wall: each defect is reported once, as
+itself, and no face is traced through it.  The checks run, and their
+findings come, in a fixed order: the diagram, the pieces, the ids; then,
+when those found nothing, the pairs, the circles, the surfaces, the
+internal maps and the annotation; the sinks; and last, when nothing was
+found, the boundary maps.  Where a check can, it looks at the whole at
+once and words its findings only when that look fails.
 
 Beside the diagram this module holds the records every layer shares: the
 Verdict of a semi-decision and the KirbyMove of a move log.  closed_strand
@@ -404,7 +407,8 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> tuple[list, dict, int,
             findings += [Finding(f"wall {p.id}.{w.id}", "negative point count")
                          for w in p.walls if w.points < 0]
         code = p.tangle
-        for msg in code_problems(code):
+        problems = code_problems(code)
+        for msg in problems:
             findings.append(Finding(f"piece {p.id}", msg))
         ends = []
         bad_endpoint = False
@@ -432,8 +436,8 @@ def _check_pieces(d: Diagram, findings: list[Finding]) -> tuple[list, dict, int,
         # distinct ends on points, as many as the points, use each point once
         if bad_endpoint or not len(set(ends)) == len(ends) == points:
             uncovered.append((p, ends))
-        if bad_endpoint:
-            continue  # faces need every endpoint on a point of a known wall
+        if bad_endpoint or problems:
+            continue  # faces need a sound code, every endpoint on a point of a known wall
         for msg in planarity_problems(code, walls):
             findings.append(Finding(f"piece {p.id}", msg))
     return ids, degrees, strands, uncovered

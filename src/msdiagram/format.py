@@ -4,7 +4,7 @@ Canonical files list records sorted by kind and then by natural id order,
 so serialize(parse(text)) reproduces canonical text byte for byte, and
 parse(serialize(d)) equals d when every id-keyed tuple of d is already in
 natural id order, the order parse builds; otherwise the same records come
-back in that order (ROADMAP item 2).  parse stores the (id, image) pairs of
+back in that order (ROADMAP item 6).  parse stores the (id, image) pairs of
 internal maps in plain sorted order, as every producer of InternalMaps does.
 
 Every record is spelled in one place, _text: serialize feeds it a diagram's

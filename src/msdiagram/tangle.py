@@ -23,7 +23,11 @@ slots 4i..4i+3, one per port, and each wall a strand ends on gets a base
 offset in the dart table of a wall set, its point k the slot base + k.
 Each dart keeps the slot it leaves, so the dart table (_darts) maps a dart
 to the next along its face by slot arithmetic and one dict from slot to
-dart, and faces are the orbits.  The same read finds the code problems.
+dart, and faces are the orbits.  The same read finds the code problems,
+and only a code without any gets a dart table: on any other, faces,
+planarity_problems, the R2 and R3 moves and what reads them refuse the
+code with a MoveError of its first problem, or find nothing on it, so
+every port of a traced code is one slot of a known crossing.
 The planarity count walks the orbits of the faces and of dart reversal on
 the same arrays; R2 bigons, R3 triangles and the face two arcs share
 (_shared_face) are read from them too.  Site tuples, ('x', crossing id,
@@ -452,7 +456,8 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
     Crossingless closed strands carry no nodes and are excluded: a split
     round curve can be isotoped into any region, so its placement is not
     part of the code.  Returns (arcs, faces) as tuples, read from the dart
-    table of the wall set; raises the MoveError of a face trace that fails.
+    table of the wall set; raises the MoveError of a face trace that fails,
+    or of the first code problem.
     """
     table = dart_table(code, walls)
     arcs = tuple(Arc(sid, k, table.sites[2 * i], table.sites[2 * i + 1])
@@ -464,22 +469,20 @@ class _Numbering:
     """One read of a code's strands, shared by code_problems and every dart table.
 
     Each node is numbered once: crossing i of code.crossings (the first
-    record of each id) owns slots 4i..4i+3, a crossing that is only visited
-    the next four; xbase maps a crossing id to its first slot and xids[i]
-    is the id of node i.  top is where the walls' slots will start.  The
-    sites of the code are laid out in dart table order: slots[k] is the
-    slot of site k and turns[k ^ 1] the next slot counterclockwise at its
-    node, where the face of the dart arriving at site k goes on.  A wall
-    site, listed in ends as (k, wall point), and both sites of a visit
-    through a port outside 0..3, listed in odd as [entry k, exit k, crossing
-    id, port], hold a placeholder for each dart table to fill.  half is the
-    first strand with exactly one endpoint set, and problems are the code
-    problems.  What it keeps is tuples and ints, and it refers to no table:
+    record of each id) owns slots 4i..4i+3; xbase maps a crossing id to its
+    first slot and xids[i] is the id of node i.  top is where the walls'
+    slots will start.  The sites of the code are laid out in dart table
+    order: slots[k] is the slot of site k and turns[k ^ 1] the next slot
+    counterclockwise at its node, where the face of the dart arriving at
+    site k goes on.  A wall site, listed in ends as (k, wall point), holds a
+    placeholder for each dart table to fill.  problems are the code
+    problems; a code with any gets no dart table, so a visit to an unknown
+    crossing or through a port outside 0..3 is only counted, not laid out
+    as a site.  What it keeps is tuples and ints, and it refers to no table:
     a table refers to it, so no cycle waits for the collector.
     """
 
-    __slots__ = ("strands", "xbase", "xids", "top", "slots", "turns", "ends", "odd", "half",
-                 "problems")
+    __slots__ = ("strands", "xbase", "xids", "top", "slots", "turns", "ends", "problems")
 
     def __init__(self, code: TangleCode):
         crossings, strands = code.crossings, code.strands
@@ -491,18 +494,13 @@ class _Numbering:
             problems.append("duplicate crossing ids")
         if len({s.id for s in strands}) != len(strands):
             problems.append("duplicate strand ids")
-        known = 4 * len(xbase)
-        unknown: dict[str, int] = {}  # first slot of each visited crossing not in the code
-        slots, turns, ends, odd = [], [], [], []
-        half = None
+        slots, turns, ends = [], [], []
         for s in strands:
             start, end = s.start, s.end
             opened = start is not None and end is not None
             if not opened:
                 if start is not end:
                     problems.append(f"strand {s.id}: exactly one endpoint set")
-                    if half is None:
-                        half = s.id
                 if not s.visits:
                     continue  # no sites: a crossingless closed strand
             first = len(slots)
@@ -515,18 +513,9 @@ class _Numbering:
             for cid, p in s.visits:
                 b, offsets = xbase.get(cid), _PORT.get(p)
                 if b is None or offsets is None:
-                    if b is None:
-                        problems.append(f"strand {s.id}: unknown crossing {cid}")
-                        b = unknown.setdefault(cid, known + 4 * len(unknown))
-                    else:
-                        problems.append(f"strand {s.id}: bad port {p}")
-                    if offsets is None:
-                        k = len(slots)
-                        odd.append([k, k + 1, cid, p])
-                        slots += (~k, ~k - 1)
-                        turns += (None, turn)
-                        turn = None
-                        continue
+                    problems.append(f"strand {s.id}: unknown crossing {cid}" if b is None
+                                    else f"strand {s.id}: bad port {p}")
+                    b, offsets = 0, _PORT[0]  # a stand-in: no table reads it
                 enter, leave, after_enter, after_leave = offsets
                 slots += (b + enter, b + leave)
                 turns += (b + after_enter, turn)
@@ -540,52 +529,42 @@ class _Numbering:
                 slots.append(slots.pop(first))
                 turns += (turns[first], turn)
                 del turns[first:first + 2]
-                for o in odd:
-                    if o[1] > first:
-                        o[0] = o[0] - 1 if o[0] > first else len(slots) - 1
-                        o[1] -= 1
         # Every slot of every crossing used once: no port problem.  Without
-        # unknown crossings or odd ports that is all crossing slots distinct
-        # and as many as the known crossings have; else each visit to a
-        # known crossing is counted by the port pair it uses.
-        if unknown or odd or not len(set(slots)) == len(slots) == known + len(ends):
+        # other problems that is all crossing slots distinct and as many as
+        # the crossings have; else each visit to a known crossing through a
+        # port in 0..3 is counted by the port pair it uses.
+        top = 4 * len(xbase)
+        if problems or not len(set(slots)) == len(slots) == top + len(ends):
             pairs = Counter(xbase[cid] + p % 2 for s in strands for cid, p in s.visits
                             if cid in xbase and p in _PORT)
             problems += [f"crossing {c.id}: port {q} used {n} times"
                          for c in crossings for q in range(4)
                          if (n := pairs[xbase[c.id] + q % 2]) != 1]
-        xbase.update(unknown)
-        self.strands, self.xbase, self.xids = strands, xbase, tuple(xbase)
-        self.top = known + 4 * len(unknown)
-        self.slots, self.turns = tuple(slots), tuple(turns)
-        self.ends, self.odd = tuple(ends), tuple(odd)
-        self.half, self.problems = half, tuple(problems)
+        self.strands, self.xbase, self.xids, self.top = strands, xbase, tuple(xbase), top
+        self.slots, self.turns, self.ends = tuple(slots), tuple(turns), tuple(ends)
+        self.problems = tuple(problems)
 
 
 class _DartTable:
     """Dart 2k runs arc k forward from its tail, dart 2k + 1 backward from its head.
 
-    at maps a slot to the dart leaving it and succ[d] is the dart after d
-    along its face.  num is the code's numbering; walls_used walls have a
-    strand end, and odd_sites gives (crossing id, port) of each site of a
-    visit through a port outside 0..3.  Four facts are filled on first
+    Only a code without code problems has one, so every crossing slot is
+    one site's.  at maps a slot to the dart leaving it and succ[d] is the
+    dart after d along its face.  num is the code's numbering and
+    walls_used walls have a strand end.  Four facts are filled on first
     read: sites[d], where dart d leaves as a site tuple; faces, the orbits
     of succ; face_of[d], the face of dart d; and planarity, the problems of
     the Euler check.
     """
 
-    def __init__(self, num: _Numbering, succ: list[int], at: dict[int, int],
-                 walls_used: int, odd_sites: dict[int, tuple[str, int]]):
+    def __init__(self, num: _Numbering, succ: list[int], at: dict[int, int], walls_used: int):
         self.num = num
         self.succ, self.at, self.walls_used = succ, at, walls_used
-        self.odd_sites = odd_sites
 
     def crossing_site(self, d: int) -> tuple[str, int] | None:
         """(crossing id, port) where dart d leaves, or None at a wall."""
-        s = self.num.slots[d]  # a crossing's slot, or a placeholder
-        if 0 <= s < self.num.top:
-            return self.num.xids[s >> 2], s & 3
-        return self.odd_sites.get(d)
+        s = self.num.slots[d]  # a crossing's slot, or a wall's placeholder
+        return (self.num.xids[s >> 2], s & 3) if s >= 0 else None
 
     @cached_property
     def sites(self) -> list[Site]:
@@ -610,7 +589,8 @@ class _DartTable:
 
 def dart_table(code: TangleCode, walls: Mapping[str, int] | None = None) -> _DartTable:
     """The dart table of code with walls (None: no walls), built once per
-    wall set; a face trace that failed raises its MoveError again."""
+    wall set; a code with code problems or a face trace that failed raises
+    its MoveError again."""
     key = frozenset(walls.items()) if walls else ()
     tables = code._tables
     table = tables.get(key)
@@ -639,18 +619,17 @@ def _sites(strands: Iterable[Strand]) -> list[Site]:
 
 def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
     num = code._numbering
-    if num.half is not None:
-        raise MoveError(f"strand {num.half}: exactly one endpoint set")
+    if num.problems:
+        raise MoveError(num.problems[0])
     slots, turns = num.slots, num.turns
     found: dict[str, tuple[int, int]] = {}  # wall id -> (first slot, degree)
-    odd_sites: dict[int, tuple[str, int]] = {}
-    if num.ends or num.odd:
+    if num.ends:
         slots, turns = list(slots), list(turns)
         # each wall a site ends on gets its slots after the crossings', in
-        # order of first use; a site off every node's slots (a point out of
-        # range, a port outside 0..3) gets a negative slot of its own
+        # order of first use; a point out of range gets a negative slot of
+        # its own
         top = num.top
-        extra: dict[Site, int] = {}
+        extra: dict[WallPoint, int] = {}
         for k, (w, i) in num.ends:
             got = found.get(w)
             if got is None:
@@ -663,17 +642,7 @@ def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
                 slots[k] = b + i
                 turns[k ^ 1] = b + (i + 1) % degree
             else:
-                slots[k] = extra.setdefault(("w", w, i), ~len(extra))
-        # a visit through an odd port: its sites get their slots before any
-        # turn reads one
-        odd = [(k, cid, q, num.xbase[cid]) for e, x, cid, p in num.odd
-               for k, q in ((e, p), (x, (p + 2) % 4))] if num.odd else ()
-        for k, cid, q, b in odd:
-            odd_sites[k] = cid, q
-            slots[k] = b + _PORT[q][0] if q in _PORT else extra.setdefault(("x", cid, q), ~len(extra))
-        for k, cid, q, b in odd:
-            q = (q + 1) % 4
-            turns[k ^ 1] = b + _PORT[q][0] if q in _PORT else extra.get(("x", cid, q))
+                slots[k] = extra.setdefault((w, i), ~len(extra))
     at = {s: d for d, s in enumerate(slots)}
     if len(at) < len(slots):
         seen = set()
@@ -686,7 +655,7 @@ def _build_darts(code: TangleCode, walls: Mapping[str, int]) -> _DartTable:
         # raise where a step-by-step trace first fails to turn
         d = next(f[-1] for f in _trace_faces(succ) if succ[f[-1]] < 0)
         _turn_error(_sites(num.strands)[d ^ 1], walls)
-    return _DartTable(num, succ, at, len(found), odd_sites)
+    return _DartTable(num, succ, at, len(found))
 
 
 def _trace_faces(succ: list[int]) -> list[list[int]]:
@@ -705,14 +674,14 @@ def _trace_faces(succ: list[int]) -> list[list[int]]:
 
 
 def _turn_error(site: Site, walls: Mapping[str, int]):
-    """Raise why the face trace cannot turn on from site."""
-    if site[0] != "x" and site[1] not in walls:
-        raise MoveError(f"unknown wall {site[1]} in face trace")
-    degree = 4 if site[0] == "x" else walls[site[1]]
-    if site[0] != "x" and not 0 <= site[-1] < degree:
-        raise MoveError(f"wall point {site[1]}:{site[-1]} out of range: the wall has "
-                        f"{degree} points")
-    raise MoveError(str(site[:-1] + ((site[-1] + 1) % degree,)))
+    """Raise why the face trace cannot turn on from the wall site site: every
+    crossing slot of a code without code problems is some site's."""
+    _, w, i = site
+    if w not in walls:
+        raise MoveError(f"unknown wall {w} in face trace")
+    if not 0 <= i < walls[w]:
+        raise MoveError(f"wall point {w}:{i} out of range: the wall has {walls[w]} points")
+    raise MoveError(str(("w", w, (i + 1) % walls[w])))
 
 
 def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None) -> list[str]:
@@ -722,7 +691,9 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
     faces are orbits of a permutation of darts, so every component has
     V - E + F <= 2, and the totals equal 2 per component exactly when each
     component is planar.  Messages per component are built only when the
-    totals disagree.  Checked once per dart table.
+    totals disagree.  Checked once per dart table; a code without one, for
+    its first code problem or a broken wall attachment, gets that one
+    "broken attachment structure" message.
     """
     try:
         table = dart_table(code, walls)
@@ -734,42 +705,39 @@ def planarity_problems(code: TangleCode, walls: Mapping[str, int] | None = None)
 def _planarity_problems(table: _DartTable) -> list[str]:
     succ = table.succ
     # After a complete trace every node holds all its slots, each once, so
-    # without odd ports each node's sites are its slots 0 .. degree - 1: a
-    # crossing has 4 darts and V counts the crossing darts by 4 and the
-    # walls once.  Then faces are the orbits of a permutation of darts, and
-    # components the orbits of succ and reversal together: one walk from
-    # each face pushes the reverse of each of its darts.  Each component
-    # has V - E + F = 2 - 2g <= 2, so the totals match exactly when every
+    # each node's sites are its slots 0 .. degree - 1: a crossing has 4
+    # darts and V counts the crossing darts by 4 and the walls once.  Then
+    # faces are the orbits of a permutation of darts, and components the
+    # orbits of succ and reversal together: one walk from each face pushes
+    # the reverse of each of its darts.  Each component has
+    # V - E + F = 2 - 2g <= 2, so the totals match exactly when every
     # component is planar.
     num = table.num
-    if not num.odd:
-        seen = [False] * len(succ)
-        orbits = components = 0
-        for d in range(len(succ)):
+    seen = [False] * len(succ)
+    orbits = components = 0
+    for d in range(len(succ)):
+        if seen[d]:
+            continue
+        components += 1
+        stack = [d]
+        while stack:
+            d = stack.pop()
             if seen[d]:
                 continue
-            components += 1
-            stack = [d]
-            while stack:
-                d = stack.pop()
-                if seen[d]:
-                    continue
-                orbits += 1
-                while not seen[d]:
-                    seen[d] = True
-                    stack.append(d ^ 1)
-                    d = succ[d]
-        nodes = (len(succ) - len(num.ends)) // 4 + table.walls_used
-        if nodes - len(succ) // 2 + orbits == 2 * components:
-            return []
+            orbits += 1
+            while not seen[d]:
+                seen[d] = True
+                stack.append(d ^ 1)
+                d = succ[d]
+    nodes = (len(succ) - len(num.ends)) // 4 + table.walls_used
+    if nodes - len(succ) // 2 + orbits == 2 * components:
+        return []
     # per component: union-find over the node of each dart, a crossing's
     # slots 4 to a node; arc k joins the tails of darts 2k and 2k + 1
     tails = [s >> 2 for s in num.slots]
     walls: dict[str, int] = {}  # the node of each wall, numbered as the table did
     for d, (w, _) in num.ends:
         tails[d] = walls.setdefault(w, (num.top >> 2) + len(walls))
-    for e, x, cid, _ in num.odd:
-        tails[e] = tails[x] = num.xbase[cid] >> 2
     parent = list(range((num.top >> 2) + len(walls)))
     for k in range(0, len(tails), 2):
         u, v = find_root(parent, tails[k]), find_root(parent, tails[k + 1])
@@ -968,7 +936,7 @@ def r2_minus(code: TangleCode, x: str, y: str,
     # one dart of an x-y bigon leaves crossing x
     table = _darts(code, walls)
     b = table.num.xbase.get(x) if table else None
-    darts = [] if b is None else [table.at[k] for k in range(b, b + 4) if k in table.at]
+    darts = [] if b is None else [table.at[k] for k in range(b, b + 4)]
     if (min(x, y), max(x, y)) not in {_r2_pair(code, table, d) for d in darts}:
         raise MoveError(f"no R2 bigon at crossings {x}, {y}")
     return _drop(code, {x, y})

@@ -362,6 +362,25 @@ def test_recognize_hopf_pm1():
     assert [m.tag for m in v.witness] == ["blow-down", "blow-down"]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_recognize_yes_that_needs_a_handle_slide(sign):
+    # a 0-framed Hopf link beside a split ±1 unknot: no blow-down applies
+    # until the unknot slides over a Hopf component, so depth 3 is not enough
+    code = braid_closure([(1, 1), (1, 1)], 3)
+    d = Diagram(pieces=(Piece("P1", code),), circles=tuple(
+        GluedCircle(f"c{i + 1}", (("P1", s.id),), f)
+        for i, (s, f) in enumerate(zip(code.strands, (0, 0, sign)))))
+    assert validate(d).ok
+    assert recognize_s3(d, 3).unknown
+    v = recognize_s3(d, 5)
+    assert v.yes, v.detail
+    assert [m.tag for m in v.witness] == ["handle-slide", "blow-down", "blow-down", "blow-down"]
+    cur = d
+    for mv in v.witness:
+        cur = apply_move(cur, mv)
+    assert cur.circles == ()
+
+
 # ---------------------------------------------------------------------------
 # moves return only valid diagrams
 

@@ -27,7 +27,7 @@ from msdiagram.core import (
 )
 from msdiagram.format import parse, serialize
 from msdiagram.reduction import reduce_pipeline
-from msdiagram.tangle import Strand, TangleCode
+from msdiagram.tangle import Crossing, Strand, TangleCode
 
 
 ALL_NAMES = ["s4-polar", "cp2", "cp2-mirror", "s2xs2", "s1xs3", "swap-diffeo",
@@ -59,6 +59,19 @@ def test_validate_rejects_zero_sinks():
 def test_validate_idempotent():
     d = catalog.standard("s2xs2")
     assert validate(d) == validate(d)
+
+
+def test_a_code_defect_is_reported_once():
+    # a piece with code problems gets no planarity check: no face is traced
+    # through the defect, so no second finding words it again
+    one_end = Piece("P", TangleCode(strands=(Strand("a", start=("W", 0)),)), (SphereWall("W", 1),))
+    odd_ports = Piece("P", TangleCode((Crossing("x1", 1),),
+                                      (Strand("s0", (("x1", 0), ("x1", -1), ("x1", 5))),)))
+    assert [f.message for f in validate(Diagram(pieces=(one_end,))).findings] == [
+        "strand a: exactly one endpoint set"]
+    assert [f.message for f in validate(Diagram(pieces=(odd_ports,))).findings] == [
+        "strand s0: bad port -1", "strand s0: bad port 5", "crossing x1: port 1 used 0 times",
+        "crossing x1: port 3 used 0 times"]
 
 
 def test_validate_reports_broken_cycle():

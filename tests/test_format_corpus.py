@@ -168,6 +168,17 @@ EDITED = [
     ("cp2-two-piece", "points=2", "points=2 extra", (4, "extra", "key=value field")),
     ("s2xs2", "ends=S1.0.o,S2.0.o,S1.0.i,S2.0.i", "ends=",
      (3, "", "ends consistent with strand data (S1.0.o,S2.0.o,S1.0.i,S2.0.i)")),
+    # one character of a key's spelling changed, for every key the
+    # whole-record reader checks: the record is no key=value field
+    ("cp2-two-piece", "points=2", "pointsX2", (4, "pointsX2", "key=value field")),
+    ("s2xs2", "ends=S1", "endsXS1", (3, "endsXS1.0.o,S2.0.o,S1.0.i,S2.0.i", "key=value field")),
+    ("s2xs2", "over=1", "overX1", (3, "overX1", "key=value field")),
+    ("s2xs2", "sign=+", "signX+", (3, "signX+", "key=value field")),
+    ("s2xs2", "path=x1", "pathXx1", (5, "pathXx1:2,x2:3", "key=value field")),
+    ("s2xs2", "from=-", "fromX-", (5, "fromX-", "key=value field")),
+    ("s2xs2", "to=-", "toX-", (5, "toX-", "key=value field")),
+    ("cp2-two-piece", "strands=P1", "strandsXP1", (9, "strandsXP1.S1,P2.S2", "key=value field")),
+    ("cp2-two-piece", "framing=1", "framingX1", (9, "framingX1", "key=value field")),
     # a trailing comment
     ("cp2-two-piece", "points=2", "points=2 # two points", "points=2"),
     ("cp2-two-piece", "framing=1", "framing=1#c", "framing=1"),

@@ -178,6 +178,18 @@ def test_r1_sites_found():
     assert find_r1_minus(kinked) == [kinked.crossings[0].id]
 
 
+def test_a_closed_strand_with_one_visit_is_no_r1_site():
+    # an arc between two walls crossing a closed curve once: the closed
+    # strand's one visit is not followed by itself, so x1 is no kink
+    code = TangleCode((Crossing("x1", 1),), (
+        Strand("A", (("x1", 0),), start=("W1", 0), end=("W2", 0)),
+        Strand("C", (("x1", 1),))))
+    walls = {"W1": 1, "W2": 1}
+    assert code_problems(code) == [] and planarity_problems(code, walls) == []
+    assert find_r1_minus(code) == []
+    assert simplify_with_log(code, walls) == (code, [])
+
+
 def test_r2_sites_found():
     code = TangleCode(strands=(Strand("a"), Strand("b")))
     pushed = r2_plus(code, ("a", 0), ("b", 0), walls={})

@@ -119,7 +119,10 @@ def ref_writhe(d, cid):
 
 
 def ref_faces(code, walls):
-    """Faces by a step-by-step trace: one successor call per dart."""
+    """Faces by a step-by-step trace: one successor call per dart.  A code
+    with code problems is refused with the first of them."""
+    if problems := ref_code_problems(code):
+        raise MoveError(problems[0])
     arcs = [a for s in code.strands for a in strand_arcs(s)]
     at = {}
     for i, a in enumerate(arcs):
@@ -487,8 +490,9 @@ def test_code_problems_match_the_port_counter(d, seed):
 
 def test_r2_sites_on_broken_codes_match_reference():
     # two wall arcs pushed across each other: one R2 site with the walls,
-    # none when a wall point is left unused or an attachment is used twice,
-    # as the face-orbit reference finds
+    # none when a wall point is left unused or a visit is doubled, as the
+    # face-orbit reference finds; the doubled visit uses two ports twice, a
+    # code problem, so that code is refused before any face is traced
     walls = {"W": 4}
     code = r2_plus(TangleCode(strands=(Strand("a", start=("W", 0), end=("W", 1)),
                                        Strand("b", start=("W", 2), end=("W", 3)))),
@@ -496,8 +500,9 @@ def test_r2_sites_on_broken_codes_match_reference():
     assert find_r2_minus(code, walls) == ref_r2_sites(code, walls) == [("x1", "x2")]
     a, b = code.strands
     doubled = TangleCode(code.crossings, (replace(a, visits=a.visits[:1] * 2 + a.visits[1:]), b))
-    for broken_code, ws in ((code, {"W": 5}), (doubled, walls)):
-        with pytest.raises(MoveError):
+    for broken_code, ws, message in ((code, {"W": 5}, r"\('w', 'W', 4\)"),
+                                     (doubled, walls, "crossing x1: port 0 used 2 times")):
+        with pytest.raises(MoveError, match=f"^{message}$"):
             faces(broken_code, ws)
         assert find_r2_minus(fresh(broken_code), ws) == ref_r2_sites(broken_code, ws) == []
         with pytest.raises(MoveError, match="no R2 bigon at crossings x1, x2"):
@@ -565,12 +570,14 @@ def test_skipped_r3_trials_could_not_be_kept():
 
 
 def test_a_port_outside_0_3_is_no_slot_of_its_crossing():
-    # visits through ports 0, -1 and 5 trace completely, but the crossing
-    # then has six sites for its four slots, so the Euler count may not
-    # count its nodes from the crossing darts four to a node
+    # visits through ports 0, -1 and 5 would give the crossing six sites
+    # for its four slots: a code with code problems gets no dart table, so
+    # it traces no face and is refused with its first problem
     code = TangleCode((Crossing("x1", 1),), (Strand("s0", (("x1", 0), ("x1", -1), ("x1", 5))),))
+    with pytest.raises(MoveError, match=r"^strand s0: bad port -1$"):
+        faces(code)
     assert planarity_problems(code) == ref_planarity(code, {}) == [
-        "component at ('x', 'x1'): V-E+F = 1-3+3 != 2"]
+        "broken attachment structure: strand s0: bad port -1"]
 
 
 def test_problem_messages_keep_component_order():
