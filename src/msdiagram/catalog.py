@@ -20,7 +20,7 @@ from .core import (
     SpherePair,
     SphereWall,
 )
-from .tangle import Crossing, Strand, TangleCode
+from .tangle import Strand, TangleCode, braid_closure, replace
 
 
 def s4_polar() -> Diagram:
@@ -40,20 +40,12 @@ def cp2() -> Diagram:
 def cp2_mirror() -> Diagram:
     """CP^2 with reversed orientation: a -1-framed unknot."""
     d = cp2()
-    return Diagram(pieces=d.pieces,
-                   circles=(GluedCircle("c1", (("P1", "S1"),), framing=-1),),
-                   sink_count=1)
+    return replace(d, circles=(replace(d.circles[0], framing=-1),))
 
 
 def hopf_tangle() -> TangleCode:
     """Positive Hopf link as the closure of a two-crossing braid."""
-    return TangleCode(
-        crossings=(Crossing("x1", 1), Crossing("x2", 1)),
-        strands=(
-            Strand("S1", visits=(("x1", 2), ("x2", 3))),
-            Strand("S2", visits=(("x1", 3), ("x2", 2))),
-        ),
-    )
+    return braid_closure([(1, 1), (1, 1)], 2, strand_prefix="S")
 
 
 def s2xs2() -> Diagram:
@@ -92,7 +84,6 @@ def n_s1xs3(n: int) -> Diagram:
 
 def swap_diffeo() -> Diagram:
     """A diffeomorphism on the S^2 x S^2 diagram swapping the two circles."""
-    base = s2xs2()
     maps = InternalMaps(
         on_pieces=(("P1", "P1"),),
         on_pairs=(),
@@ -100,8 +91,7 @@ def swap_diffeo() -> Diagram:
         on_surfaces=(),
         on_sinks=(0,),
     )
-    return Diagram(pieces=base.pieces, circles=base.circles, sink_count=1,
-                   internal_maps=maps)
+    return replace(s2xs2(), internal_maps=maps)
 
 
 def identity_diffeo(base: Diagram) -> Diagram:
@@ -113,9 +103,7 @@ def identity_diffeo(base: Diagram) -> Diagram:
         on_surfaces=tuple(sorted((f.id, f.id) for f in base.surfaces)),
         on_sinks=tuple(range(base.sink_count)),
     )
-    return Diagram(pieces=base.pieces, pairs=base.pairs, circles=base.circles,
-                   surfaces=base.surfaces, sink_count=base.sink_count,
-                   internal_maps=maps, sink_incidence=base.sink_incidence)
+    return replace(base, internal_maps=maps, annotation=None)
 
 
 def s4_with_cancelling_pair() -> Diagram:

@@ -368,13 +368,6 @@ def _planner(d: Diagram):
     return t, firsts, discover
 
 
-def _plans(d: Diagram):
-    """Iterate (traversal table, plan), one plan per least-ranked start."""
-    t, firsts, discover = _planner(d)
-    for plan in map(discover, firsts) if firsts else [()]:
-        yield t, plan
-
-
 def _start_image(t: _Traversals, plan1, plan2):
     """The action on starts of the automorphism that two plans with equal
     texts reveal: it sends each circle of plan1 to the circle in its place in
@@ -612,15 +605,11 @@ def _walk_records(t: _Traversals, plan) -> _Walk:
     return _Walk(plan, records, (pmap, qmap, cmap, fmap, snum))
 
 
-def _walk(t: _Traversals, plan) -> tuple[str, InternalMaps]:
-    """One walk rendered: its MSD/1 text and its maps old id -> canonical id."""
-    w = _walk_records(t, plan)
-    return w.text, w.maps
-
-
 def canonical_variants(d: Diagram):
-    """All traversal results as (text, maps, plan)."""
-    return [(*_walk(t, plan), plan) for t, plan in _plans(d)]
+    """All traversal results as (text, maps, plan), one per least-ranked start."""
+    t, firsts, discover = _planner(d)
+    walks = [_walk_records(t, discover(f)) for f in firsts] or [_walk_records(t, ())]
+    return [(w.text, w.maps, w.plan) for w in walks]
 
 
 def _least_walk(d: Diagram, stop: tuple | None = None) -> _Walk | None:
@@ -794,6 +783,13 @@ def _witness(d1: Diagram, targets) -> Isomorphism | None:
     return None
 
 
+def _is_plan(plan, d: Diagram) -> bool:
+    """Whether plan names every circle of d once, each with a direction 0 or
+    1 and an integer rotation, as a walk reads it."""
+    return Counter(e[0] for e in plan) == Counter(c.id for c in d.circles) and all(
+        len(e) == 3 and e[1] in (0, 1) and all(isinstance(x, int) for x in e[1:]) for e in plan)
+
+
 def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> ValidationReport:
     """Independent witness check: replay, relabel, compare, and test invariants."""
     findings: list[Finding] = []
@@ -837,6 +833,9 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
         r2 = _replay(mirror(d2) if iso.mirror else d2, iso.moves2)
     except Exception as e:
         findings.append(Finding("witness/moves", f"replay failed: {e}"))
+        return ValidationReport(tuple(findings))
+    if not (_is_plan(iso.plan1, r1) and _is_plan(iso.plan2, r2)):
+        findings.append(Finding("witness", "a plan is not one start per circle"))
         return ValidationReport(tuple(findings))
     w1 = _walk_records(_Traversals(r1), iso.plan1)
     w2 = _walk_records(_Traversals(r2), iso.plan2)

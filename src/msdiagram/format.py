@@ -8,8 +8,8 @@ back in that order (ROADMAP item 6).  parse stores the (id, image) pairs of
 internal maps in plain sorted order, as every producer of InternalMaps does.
 
 Every record is spelled in one place, _text: serialize feeds it a diagram's
-records, and the canonical walk (equivalence._walk) a relabelled diagram's
-records straight from its id maps, so both agree byte for byte.
+records, and the canonical walk (equivalence._walk_records) a relabelled
+diagram's records straight from its id maps, so both agree byte for byte.
 
 A wall, crossing, strand or circle record spelled as serialize writes it
 (its fields in serialize's order) is read whole, in one step, with one

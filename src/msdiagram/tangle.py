@@ -32,9 +32,9 @@ The planarity count walks the orbits of the faces and of dart reversal on
 the same arrays; R2 bigons, R3 triangles and the face two arcs share
 (_shared_face) are read from them too.  Site tuples, ('x', crossing id,
 port) and ('w', wall id, point), are built only for the Arc records of
-faces() and strand_arcs and for the words of an error.  R1- and R2- drop
-the crossings they find with every visit to them (_drop), so greedy
-reduction applies a site without locating it again.
+strand_arcs, which faces() and render read, and for the words of an error.
+R1- and R2- drop the crossings they find with every visit to them (_drop),
+so greedy reduction applies a site without locating it again.
 
 A TangleCode is immutable: every edit builds a new code.  What a code
 caches is what its callers read again: the crossing and the strand lookups
@@ -460,8 +460,7 @@ def faces(code: TangleCode, walls: Mapping[str, int] | None = None):
     or of the first code problem.
     """
     table = dart_table(code, walls)
-    arcs = tuple(Arc(sid, k, table.sites[2 * i], table.sites[2 * i + 1])
-                 for i, (sid, k) in enumerate(_arc_refs(code)))
+    arcs = tuple(a for s in code.strands for a in strand_arcs(s))
     return arcs, tuple(tuple((d >> 1, not d & 1) for d in f) for f in table.faces)
 
 
@@ -551,10 +550,9 @@ class _DartTable:
     Only a code without code problems has one, so every crossing slot is
     one site's.  at maps a slot to the dart leaving it and succ[d] is the
     dart after d along its face.  num is the code's numbering and
-    walls_used walls have a strand end.  Four facts are filled on first
-    read: sites[d], where dart d leaves as a site tuple; faces, the orbits
-    of succ; face_of[d], the face of dart d; and planarity, the problems of
-    the Euler check.
+    walls_used walls have a strand end.  Three facts are filled on first
+    read: faces, the orbits of succ; face_of[d], the face of dart d; and
+    planarity, the problems of the Euler check.
     """
 
     def __init__(self, num: _Numbering, succ: list[int], at: dict[int, int], walls_used: int):
@@ -565,10 +563,6 @@ class _DartTable:
         """(crossing id, port) where dart d leaves, or None at a wall."""
         s = self.num.slots[d]  # a crossing's slot, or a wall's placeholder
         return (self.num.xids[s >> 2], s & 3) if s >= 0 else None
-
-    @cached_property
-    def sites(self) -> list[Site]:
-        return _sites(self.num.strands)
 
     @cached_property
     def faces(self) -> list[list[int]]:
@@ -743,7 +737,7 @@ def _planarity_problems(table: _DartTable) -> list[str]:
         u, v = find_root(parent, tails[k]), find_root(parent, tails[k + 1])
         if u != v:
             parent[u] = v
-    sites = table.sites
+    sites = _sites(num.strands)
     comps: dict[int, list] = {}
     for k in range(0, len(tails), 2):
         c = comps.setdefault(find_root(parent, tails[k]), [set(), 0, 0])

@@ -18,6 +18,7 @@ from msdiagram.core import (
     SpanningSurface,
     SpherePair,
     SphereWall,
+    WallCurve,
     check_admissible,
     diagram_linking,
     diagram_writhe,
@@ -386,6 +387,39 @@ def test_internal_map_findings_are_pinned():
     ]
     for d, findings in cases:
         assert [(f.location, f.message) for f in validate(d).findings] == findings
+
+
+def test_rare_findings_are_pinned():
+    # one edit of cp2-two-piece per finding that no other test produces,
+    # each full findings list spelled out
+    d = catalog.cp2_two_piece()
+    p1, q, c = d.pieces[0], d.pairs[0], d.circles[0]
+
+    def surface(**fields):
+        return replace(d, surfaces=(SpanningSurface("F1", **fields),))
+
+    missing = [("piece P1/strand S1", f"endpoint on missing point W1:{i}") for i in (0, 1)]
+    cases = [
+        (replace(d, pieces=(replace(p1, walls=(replace(p1.walls[0], points=-1),)),
+                            d.pieces[1])),
+         [("wall P1.W1", "negative point count"), *missing]),
+        (replace(d, pairs=(replace(q, wall_b=("P1", "W1")),)),
+         [("pair Q1", "pair identifies a wall with itself"),
+          ("pair Q1", "wall P1.W1 already used by pair Q1"),
+          ("wall P2.W2", "wall belongs to no pair"),
+          ("circle c1", "cycle does not close through pair Q1 after strand P1.S1"),
+          ("circle c1", "strand P2.S2 ends on unpaired wall W2")]),
+        (replace(d, pairs=(replace(q, orientation=0),)),
+         [("pair Q1", "orientation must be +1 or -1")]),
+        (replace(d, circles=(c, GluedCircle("c2", ()))), [("circle c2", "empty strand cycle")]),
+        (surface(genus=-1), [("surface F1", "negative genus")]),
+        (surface(boundary=(FramingParallel("c1", 0),)), [("surface F1", "bad boundary sign")]),
+        (surface(boundary=(WallCurve("Q9", 0), WallCurve("Q9", 0))),
+         [("surface F1", "unknown pair Q9")] * 2),
+        (surface(boundary=("junk",)), [("surface F1", "bad boundary item 'junk'")]),
+    ]
+    for e, findings in cases:
+        assert [(f.location, f.message) for f in validate(e).findings] == findings
 
 
 def test_annotation_must_agree_with_its_diagram():

@@ -37,7 +37,7 @@ from msdiagram.equivalence import (
     _compose,
     _least_rotations,
     _least_walk,
-    _plans,
+    _planner,
     canonical_key,
     canonical_variants,
     conjugate,
@@ -178,7 +178,7 @@ def test_plans_grow_with_tied_first_starts(n):
     # one plan per tied start of the first circle: no order of circles is
     # enumerated, so no cap is needed
     for d in (torus_link(n), split_unknots(n)):
-        assert sum(1 for _ in _plans(d)) <= 2 * len(d.circles)
+        assert len(_planner(d)[1]) <= 2 * len(d.circles)
 
 
 def count_walks(d, monkeypatch):
@@ -305,7 +305,8 @@ def test_walk_records_agree_with_texts():
     # walks of one diagram have equal records exactly when their texts agree
     same = differ = 0
     for d in pinned_walk_diagrams():
-        walks = [equivalence._walk_records(t, plan) for t, plan in _plans(d)]
+        t, firsts, discover = _planner(d)
+        walks = [equivalence._walk_records(t, discover(f)) for f in firsts]
         for w1, w2 in itertools.combinations(walks, 2):
             assert (w1.records == w2.records) == (w1.text == w2.text)
             same += w1.text == w2.text
@@ -914,6 +915,19 @@ def test_verify_names_each_tampered_witness_field():
     for tampered, findings in cases:
         report = verify_isomorphism(tampered, d1, d2)
         assert [(f.location, f.message) for f in report.findings] == findings
+
+
+def test_verify_reports_a_malformed_plan():
+    # a plan that the walk cannot follow is a finding, not an exception
+    d = catalog.s2xs2()
+    w = isomorphic(d, d).witness
+    (c, dr, r), rest = w.plan1[0], w.plan1[1:]
+    bad = [("witness", "a plan is not one start per circle")]
+    for tampered in (replace(w, plan1=w.plan1[:1]), replace(w, plan2=()),
+                     replace(w, plan1=(("zz", dr, r),) + rest),
+                     replace(w, plan1=((c, 5, r),) + rest)):
+        report = verify_isomorphism(tampered, d, d)
+        assert [(f.location, f.message) for f in report.findings] == bad
 
 
 def closure_diagram(code, framings):
