@@ -26,7 +26,7 @@ _HOMES = {name: module for module, names in {
              "SphereWall", "ValidationReport", "Verdict", "WallCurve", "check_admissible",
              "handle_counts", "relabel", "validate"),
     "equivalence": ("Isomorphism", "canonical_key", "conjugate", "isomorphic", "mirror",
-                    "verify_internal_maps", "verify_isomorphism"),
+                    "verify_isomorphism"),
     "format": ("ParseError", "parse", "parse_moves", "serialize", "serialize_moves"),
     "invariants": ("ChainComplex", "LinkingMatrix", "SurgeryPresentation",
                    "annotated_homology", "chain_complex", "euler_characteristic", "homology",

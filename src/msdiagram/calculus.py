@@ -36,7 +36,6 @@ from .tangle import (
     arc_gap,
     braid,
     crossing_sign,
-    crossing_sums,
     dart_table,
     fresh_ids,
     is_over,
@@ -265,11 +264,7 @@ def handle_slide(d: Diagram, c1: str, c2: str, band: BandSite) -> Diagram:
     shared = _shared_face(code, (s1id, arc1), (s2id, arc2), p.wall_points())
     if shared is None:
         raise MoveError("band arcs do not bound a common face (or cross a wall)")
-    # c2 is a closed strand of this piece, so lk(c1, c2) and the writhe of
-    # c2 are read from this code's crossings alone
-    group = {sid: c1 for pp, sid in circ1.strand_cycle if pp == pid}
-    group[s2id] = c2
-    sums = crossing_sums(code, group)
+    sums = circle_crossing_sums(d)
     lk12 = linking_from_sums(sums, c1, c2)
     twist = circ2.framing - sums.get((c2, c2), 0)
     # the parallel runs along s2 on the side of the shared face, which is on
@@ -397,21 +392,20 @@ def _slide_candidates(d: Diagram):
 
 
 def _children(d: Diagram, allow_growth: bool):
-    """Ordered candidate moves: blow-downs, then slides, then blow-ups."""
-    out = []
+    """Candidate (move, child) pairs in order: blow-downs, then slides, then
+    blow-ups, each built only when the search asks for it."""
     for c in sorted(d.circles, key=lambda c: c.id):
         if c.framing in (1, -1):
             try:
                 child = blow_down(d, c.id)
             except MoveError:
                 continue
-            out.append((KirbyMove("blow-down", (c.id,)), child))
+            yield KirbyMove("blow-down", (c.id,)), child
     if allow_growth:
-        out.extend(_slide_candidates(d))
+        yield from _slide_candidates(d)
         for sign in (1, -1):
             mv = KirbyMove("blow-up", (d.pieces[0].id, 0, sign))
-            out.append((mv, apply_move(d, mv)))
-    return out
+            yield mv, apply_move(d, mv)
 
 
 def recognize_s3(d: Diagram, depth: int = 3) -> Verdict:

@@ -1,6 +1,6 @@
 """Diagram isomorphism and diffeomorphism conjugacy.
 
-Isotopy inside each piece is approximated by bounded Reidemeister reduction
+Isotopy inside each piece is approximated by greedy Reidemeister reduction
 followed by canonical labeling: a deterministic walk renames every id,
 fixes crossing port gauges and wall point offsets, and the lexicographically
 smallest text over the walks is the canonical form.  Equal canonical forms
@@ -60,7 +60,6 @@ from .core import (
     FramingParallel,
     Finding,
     InternalMaps,
-    Kind,
     SpherePair,
     SpanningSurface,
     ValidationReport,
@@ -74,7 +73,6 @@ from .core import (
     linking_from_sums,
     require_valid,
     simplify_diagram,
-    validate,
     wall_of_pair,
     with_tangle,
 )
@@ -784,23 +782,30 @@ def _witness(d1: Diagram, targets) -> Isomorphism | None:
 
 
 def _is_plan(plan, d: Diagram) -> bool:
-    """Whether plan names every circle of d once, each with a direction 0 or
-    1 and an integer rotation, as a walk reads it."""
-    return Counter(e[0] for e in plan) == Counter(c.id for c in d.circles) and all(
-        len(e) == 3 and e[1] in (0, 1) and all(isinstance(x, int) for x in e[1:]) for e in plan)
+    """Whether plan is a sequence naming every circle of d once, each with a
+    direction 0 or 1 and an integer rotation, as a walk reads it."""
+    return isinstance(plan, (tuple, list)) and all(
+        isinstance(e, (tuple, list)) and tuple(map(type, e)) == (str, int, int) and e[1] in (0, 1)
+        for e in plan) and Counter(e[0] for e in plan) == Counter(c.id for c in d.circles)
+
+
+def _is_maps(m) -> bool:
+    """Whether m is an InternalMaps of (id, id) pairs and integer sink numbers."""
+    return isinstance(m, InternalMaps) and isinstance(m.on_sinks, tuple) \
+        and set(map(type, m.on_sinks)) <= {int} and all(isinstance(on, tuple) and all(
+            isinstance(e, tuple) and tuple(map(type, e)) == (str, str) for e in on)
+            for on in (m.on_pieces, m.on_pairs, m.on_circles, m.on_surfaces))
 
 
 def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> ValidationReport:
     """Independent witness check: replay, relabel, compare, and test invariants."""
-    findings: list[Finding] = []
     m = iso.maps
+    if not _is_maps(m):
+        return ValidationReport((Finding("witness", "maps are not id pairs and sink numbers"),))
+    findings: list[Finding] = []
     pc, qc, cc, fc = m.pieces(), m.pairs(), m.circles(), m.surfaces()
-    for name, mapping, ids1, ids2 in (
-        ("pieces", pc, [p.id for p in d1.pieces], [p.id for p in d2.pieces]),
-        ("pairs", qc, [q.id for q in d1.pairs], [q.id for q in d2.pairs]),
-        ("circles", cc, [c.id for c in d1.circles], [c.id for c in d2.circles]),
-        ("surfaces", fc, [f.id for f in d1.surfaces], [f.id for f in d2.surfaces]),
-    ):
+    for name, mapping in zip(("pieces", "pairs", "circles", "surfaces"), (pc, qc, cc, fc)):
+        ids1, ids2 = ([x.id for x in getattr(d, name)] for d in (d1, d2))
         if sorted(mapping) != sorted(ids1) or sorted(mapping.values()) != sorted(ids2):
             findings.append(Finding(f"witness/{name}", "not a bijection"))
     if not sorted(m.on_sinks) == list(range(d1.sink_count)) == list(range(d2.sink_count)):
@@ -850,17 +855,6 @@ def verify_isomorphism(iso: Isomorphism, d1: Diagram, d2: Diagram) -> Validation
 # internal maps and conjugacy
 
 
-def verify_internal_maps(d: Diagram) -> ValidationReport:
-    """Structure checks for the five internal maps of a diffeomorphism diagram."""
-    if d.kind != Kind.DIFFEOMORPHISM:
-        return ValidationReport((
-            Finding("diagram", "internal maps belong to diffeomorphism diagrams"),))
-    report = validate(d)
-    findings = tuple(f for f in report.findings if f.location.startswith("internal maps")
-                     or f.location == "diagram")
-    return ValidationReport(findings)
-
-
 def conjugate(d1: Diagram, d2: Diagram) -> Verdict:
     """Topological conjugacy of two diffeomorphism diagrams (semi-decision).
 
@@ -872,11 +866,12 @@ def conjugate(d1: Diagram, d2: Diagram) -> Verdict:
     carries all five maps, so ``isomorphic``'s Yes is a conjugacy witness;
     its search runs here without repeating the checks above.  Unknown means
     that search, greedy R1/R2 reduction with single R3 detours, fell short.
+
+    A diagram without internal maps is refused here; any other invalid
+    input, bad maps included, is refused where its linking matrix is read.
     """
-    for d in (d1, d2):
-        if not verify_internal_maps(d).ok:
-            raise DiagramError("conjugate needs diffeomorphism diagrams with "
-                               "valid internal maps")
+    if d1.internal_maps is None or d2.internal_maps is None:
+        raise DiagramError("conjugate needs diffeomorphism diagrams, with internal maps")
     sep = separating_invariant(d1, d2)
     if sep is not None:
         return Verdict("No", sep, f"underlying diagrams separated by {sep}")
@@ -888,12 +883,9 @@ def conjugate(d1: Diagram, d2: Diagram) -> Verdict:
         return Counter(c for c, _ in _coloured_cycles(
             f, lambda x: colours[tag, x] if tag else 0))
 
-    for name, tag, f1, f2 in (("pieces", "p", i1.pieces(), i2.pieces()),
-                              ("pairs", "q", i1.pairs(), i2.pairs()),
-                              ("circles", "c", i1.circles(), i2.circles()),
-                              ("surfaces", "f", i1.surfaces(), i2.surfaces()),
-                              ("sinks", None, dict(enumerate(i1.on_sinks)),
-                               dict(enumerate(i2.on_sinks)))):
+    for name, tag in (("pieces", "p"), ("pairs", "q"), ("circles", "c"), ("surfaces", "f"),
+                      ("sinks", None)):
+        f1, f2 = (getattr(i, name)() if tag else dict(enumerate(i.on_sinks)) for i in (i1, i2))
         if cycle_types(f1, k1, tag) != cycle_types(f2, k2, tag):
             return Verdict(
                 "No", f"commutation on {name}",

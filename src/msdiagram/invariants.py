@@ -355,18 +355,13 @@ def _spanning_forest(d: Diagram) -> list[str]:
 
 def surgery_presentation(d: Diagram) -> SurgeryPresentation:
     lm = linking_matrix(d)  # refuses an invalid diagram
-    pair_column = {q.id: i for i, q in enumerate(d.pairs)}
-    windings = []
-    for c in d.circles:
-        row = [0] * len(pair_column)
-        for qid, sign in circle_passages(d, c.id):
-            row[pair_column[qid]] += sign
-        windings.append(tuple(row))
+    d2, _, _ = _upper_boundaries(d, handle_counts(d))
     return SurgeryPresentation(
         circles=lm.circles,
-        pairs=tuple(pair_column),
+        pairs=tuple(q.id for q in d.pairs),
         linking=lm.entries,
-        windings=tuple(windings),
+        # the windings are d2 transposed: with no pairs, d2 has no rows
+        windings=tuple(tuple(row[j] for row in d2) for j in range(len(d.circles))),
         tree_pairs=tuple(_spanning_forest(d)),
         sphere_count=len(d.surfaces),
     )

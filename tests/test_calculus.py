@@ -35,7 +35,15 @@ from msdiagram.invariants import (
     surgery_presentation,
 )
 from msdiagram.reduction import reduce_pipeline
-from msdiagram.tangle import Crossing, MoveError, Strand, TangleCode, braid_closure, faces
+from msdiagram.tangle import (
+    Crossing,
+    MoveError,
+    Strand,
+    TangleCode,
+    braid_closure,
+    faces,
+    replace,
+)
 
 from helpers import random_kirby_diagram, random_multipiece_diagram, random_slide_band
 
@@ -233,6 +241,65 @@ def test_slide_errors():
         handle_slide(d, "c1", "c1", ("P1", ("S1", 0), ("S1", 0), 1))
     with pytest.raises(MoveError):
         handle_slide(d, "c1", "c2", ("P1", ("S1", 0), ("S2", 3), 1))
+
+
+def closure(word, lanes, framings):
+    """The closure of a braid word in one piece, strand s<i> the circle c<i>."""
+    code = braid_closure(word, lanes)
+    return Diagram(pieces=(Piece("P1", code),), circles=tuple(
+        GluedCircle(f"c{i + 1}", (("P1", s.id),), f)
+        for i, (s, f) in enumerate(zip(code.strands, framings))))
+
+
+def test_slide_refusals_name_their_site():
+    # T(2,4): arc 0 of s1 and arc 2 of s2 bound no common face
+    d = closure([(1, 1)] * 4, 2, [0, 0])
+    assert validate(d).ok
+    with pytest.raises(MoveError, match="^band orientation must be \\+1 or -1$"):
+        handle_slide(d, "c1", "c2", ("P1", ("s1", 0), ("s2", 0), 2))
+    with pytest.raises(MoveError, match="^strand s2 does not belong to circle c1$"):
+        handle_slide(d, "c1", "c2", ("P1", ("s2", 0), ("s2", 0), 1))
+    with pytest.raises(MoveError, match="^band arcs do not bound a common face"):
+        handle_slide(d, "c1", "c2", ("P1", ("s1", 0), ("s2", 2), 1))
+    # c1 of cp2-two-piece runs through both pieces: it has no parallel to copy
+    two = catalog.cp2_two_piece()
+    p1 = two.pieces[0]
+    two = replace(two, pieces=(replace(p1, tangle=replace(
+        p1.tangle, strands=p1.tangle.strands + (Strand("U"),))),) + two.pieces[1:],
+        circles=two.circles + (GluedCircle("c2", (("P1", "U"),), 0),))
+    assert validate(two).ok
+    with pytest.raises(RefusalError, match="^circle c1 must be a closed curve in piece P1"):
+        handle_slide(two, "c2", "c1", ("P1", ("U", 0), ("S1", 0), 1))
+
+
+def test_blow_up_and_blow_down_refusals_name_their_site():
+    with pytest.raises(MoveError, match="^blow-up sign must be \\+1 or -1$"):
+        blow_up(catalog.standard("s4-polar"), "P1", 0, 2)
+    with pytest.raises(RefusalError, match="^circle c1 is not a closed curve inside one piece$"):
+        blow_down(catalog.cp2_two_piece(), "c1")
+    # T(2,6): s2 pierces the +1-framed c1 three times, a twist region of one
+    # lane would need one piercing pair
+    with pytest.raises(RefusalError, match="^strands through c1 do not sit in a single twist"):
+        blow_down(closure([(1, 1)] * 6, 2, [1, 0]), "c1")
+
+
+def test_blow_down_refuses_an_odd_crossing_pattern():
+    # an arc between two walls crosses the +1-framed c1 once.  The arc
+    # belongs to no circle, so the diagram is invalid: in a valid one the
+    # arc's circle has an odd crossing sum with c1, and the linking numbers
+    # that blow_down reads first refuse it
+    code = TangleCode((Crossing("x1", 1),), (
+        Strand("A", (("x1", 0),), start=("W1", 0), end=("W2", 0)),
+        Strand("C", (("x1", 1),))))
+    d = Diagram(pieces=(Piece("P1", code, (SphereWall("W1", 1), SphereWall("W2", 1))),),
+                pairs=(SpherePair("Q1", ("P1", "W2"), ("P1", "W1"), (0,)),),
+                circles=(GluedCircle("c1", (("P1", "C"),), 1),))
+    with pytest.raises(RefusalError, match="^circle c1 carries an odd crossing pattern$"):
+        blow_down(d, "c1")
+    d = replace(d, circles=d.circles + (GluedCircle("c2", (("P1", "A"),), 0),))
+    assert validate(d).ok
+    with pytest.raises(DiagramError, match="^odd crossing sum between circles c1 and c2$"):
+        blow_down(d, "c1")
 
 
 def test_slide_ignores_circles_it_does_not_touch():

@@ -301,8 +301,16 @@ def test_equiv_exit_codes(files):
 
 
 def test_conj_exit_codes(files):
-    paths, _ = files
+    paths, tmp = files
     assert run_cli("conj", paths["swap-diffeo"], paths["swap-diffeo"]).returncode == 0
+    ident = tmp / "identity-diffeo.msd"
+    ident.write_text(serialize(catalog.identity_diffeo(catalog.s2xs2())))
+    assert run_cli("conj", str(ident), paths["swap-diffeo"]).returncode == 1
+    # vector-field diagrams have no internal maps: one error line, no traceback
+    out = run_cli("conj", paths["cp2"], paths["cp2"])
+    assert out.returncode == 4
+    assert out.stderr.splitlines() == [
+        "error: conjugate needs diffeomorphism diagrams, with internal maps"]
 
 
 def test_conj_prints_witness(files):

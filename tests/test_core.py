@@ -295,6 +295,20 @@ def test_relabel_preserves_verdicts():
         assert handle_counts(d2) == handle_counts(d)
 
 
+def test_relabel_renames_wall_curves_and_dotted_circles():
+    s1xs3 = catalog.standard("s1xs3")
+    d = replace(s1xs3, surfaces=tuple(
+        SpanningSurface(f, 0, (WallCurve("Q1", 0),)) for f in ("F1", "F2")))
+    d2 = relabel(d, pairs={"Q1": "R7"})
+    assert [f.boundary for f in d2.surfaces] == [(WallCurve("R7", 0),)] * 2
+    assert validate(d2).ok
+    kirby = reduce_pipeline(catalog.n_s1xs3(2))
+    assert kirby.annotation.dotted == ("h1", "h2")
+    k2 = relabel(kirby, circles={"h1": "d9", "h2": "d1"})
+    assert k2.annotation == replace(kirby.annotation, dotted=("d9", "d1"))
+    assert validate(k2).ok
+
+
 def test_diagram_linking_and_writhe():
     d = catalog.standard("s2xs2")
     assert diagram_linking(d, "c1", "c2") == 1

@@ -44,9 +44,9 @@ from msdiagram.equivalence import (
     isomorphic,
     mirror,
     separating_invariant,
-    verify_internal_maps,
     verify_isomorphism,
 )
+from msdiagram.reduction import reduce_pipeline
 from msdiagram.tangle import (
     Crossing,
     RMove,
@@ -130,6 +130,14 @@ def test_canonical_key_relabel_invariant_by_refined_colours(seed):
         assert canonical_key(helpers.random_relabel(d, random.Random(r))) == key
 
 
+def maps_ok(d: Diagram) -> bool:
+    """Whether d has internal maps and validation finds nothing wrong with
+    them or with the diagram as a whole."""
+    return d.internal_maps is not None and not [
+        f for f in validate(d).findings
+        if f.location.startswith("internal maps") or f.location == "diagram"]
+
+
 def kinked_map_cycle():
     """Four unknots: c1 0-framed, c2 with a positive kink, c3 and c4 with
     negative kinks, c2-c4 framed +1; the diffeomorphism cycles c2, c3, c4."""
@@ -156,7 +164,7 @@ def test_canonical_key_relabel_invariant_past_kinks_in_a_map_cycle():
 
 def test_isomorphic_reduces_the_kinks_in_a_map_cycle():
     d = kinked_map_cycle()
-    assert verify_internal_maps(d).ok
+    assert maps_ok(d)
     for r in range(8):
         d2 = helpers.random_relabel(d, random.Random(r))
         assert isomorphic(d, d2).yes
@@ -225,7 +233,7 @@ def shuffled_circle_diffeo(generate, seed):
     on_circles = [pair for ids in classes.values()
                   for pair in zip(ids, rng.sample(ids, len(ids)))]
     d = replace(d, internal_maps=replace(d.internal_maps, on_circles=tuple(on_circles)))
-    assert verify_internal_maps(d).ok
+    assert maps_ok(d)
     return d
 
 
@@ -529,14 +537,14 @@ def test_verify_rejects_tampered_witness():
 
 def test_internal_maps_verified():
     d = catalog.standard("swap-diffeo")
-    assert verify_internal_maps(d).ok
+    assert maps_ok(d)
     ident = catalog.identity_diffeo(catalog.standard("s2xs2"))
-    assert verify_internal_maps(ident).ok
+    assert maps_ok(ident)
     bad = Diagram(pieces=d.pieces,
                   circles=(GluedCircle("c1", (("P1", "S1"),), 0),
                            GluedCircle("c2", (("P1", "S2"),), 7)),
                   sink_count=1, internal_maps=d.internal_maps)
-    assert not verify_internal_maps(bad).ok
+    assert not maps_ok(bad)
 
 
 def test_conjugate_identity_to_itself():
@@ -561,6 +569,24 @@ def test_conjugate_swap_vs_identity_is_no():
     assert "exhaustive" in v.detail
 
 
+def test_conjugate_no_when_the_underlying_diagrams_are_separated():
+    v = conjugate(catalog.identity_diffeo(catalog.s2xs2()),
+                  catalog.identity_diffeo(catalog.standard("cp2")))
+    assert (v.value, v.witness, v.detail) == (
+        "No", "handle counts", "underlying diagrams separated by handle counts")
+
+
+def test_a_kirby_form_with_dotted_circles_keys_up_to_relabeling():
+    d = reduce_pipeline(catalog.n_s1xs3(2))
+    assert d.annotation.dotted == ("h1", "h2")
+    d2 = random_relabel(d, random.Random(4))
+    assert d2.annotation.dotted != d.annotation.dotted
+    assert canonical_key(d2) == canonical_key(d)
+    assert "dotted=c1,c2" in canonical_key(d)
+    v = isomorphic(d, d2)
+    assert v.yes and verify_isomorphism(v.witness, d, d2).ok
+
+
 def test_conjugate_no_by_asymmetric_linking():
     # three circles: A-C Hopf-linked, B split; swapping A and B cannot commute
     code = braid_closure([(1, 1), (1, 1)], 2, strand_prefix="t")
@@ -579,7 +605,7 @@ def test_conjugate_no_by_asymmetric_linking():
             on_pieces=(("P1", "P1"),),
             on_circles=(("cA", "cB"), ("cB", "cA"), ("cC", "cC")),
             on_sinks=(0,)))
-    assert verify_internal_maps(swap).ok
+    assert maps_ok(swap)
     v = conjugate(ident, swap)
     assert v.no
 
@@ -590,9 +616,23 @@ def test_conjugate_precondition():
     # valid maps on an invalid diagram: a wall that no pair uses
     d = catalog.identity_diffeo(catalog.standard("s2xs2"))
     d = replace(d, pieces=(replace(d.pieces[0], walls=(SphereWall("W9"),)),))
-    assert verify_internal_maps(d).ok
+    assert maps_ok(d)
     with pytest.raises(DiagramError, match="^invalid diagram: wall belongs to no pair$"):
         conjugate(d, d)
+
+
+def test_conjugate_refuses_missing_maps_and_leaves_bad_maps_to_validation():
+    swap = catalog.swap_diffeo()
+    with pytest.raises(DiagramError, match="^conjugate needs diffeomorphism diagrams, "
+                                           "with internal maps$"):
+        conjugate(swap, catalog.s2xs2())
+    bad = replace(swap, internal_maps=replace(
+        swap.internal_maps, on_circles=(("c1", "c1"), ("c2", "c1"))))
+    assert not maps_ok(bad)
+    for d1, d2 in ((bad, swap), (swap, bad)):
+        with pytest.raises(DiagramError, match="^invalid diagram: not a permutation of the "
+                                               "index set$"):
+            conjugate(d1, d2)
 
 
 def test_equal_least_walks_reveal_symmetry():
@@ -925,7 +965,15 @@ def test_verify_reports_a_malformed_plan():
     bad = [("witness", "a plan is not one start per circle")]
     for tampered in (replace(w, plan1=w.plan1[:1]), replace(w, plan2=()),
                      replace(w, plan1=(("zz", dr, r),) + rest),
-                     replace(w, plan1=((c, 5, r),) + rest)):
+                     replace(w, plan1=((c, 5, r),) + rest),
+                     replace(w, plan1=None), replace(w, plan1=(5,))):
+        report = verify_isomorphism(tampered, d, d)
+        assert [(f.location, f.message) for f in report.findings] == bad
+    # maps of the wrong shape are a finding too, before any map is read
+    bad = [("witness", "maps are not id pairs and sink numbers")]
+    for tampered in (replace(w, maps=None),
+                     replace(w, maps=InternalMaps(on_pieces=(("P1",),))),
+                     replace(w, maps=replace(w.maps, on_sinks=None))):
         report = verify_isomorphism(tampered, d, d)
         assert [(f.location, f.message) for f in report.findings] == bad
 

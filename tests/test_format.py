@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from msdiagram import catalog
-from msdiagram.core import validate
+from msdiagram.core import WallCurve, validate
 from msdiagram.format import ParseError, parse, parse_moves, serialize
 
 
@@ -189,6 +189,33 @@ def test_reserved_characters_in_ids_rejected(name, old, new):
     with pytest.raises(ParseError) as err:
         parse(text.replace(old, new, 1))
     assert "id of letters, digits" in err.value.expected
+
+
+# s1xs3 with two discs glued along wall curve 0 of its self-pair
+WALL_CURVES = ("msd 1\npiece P1\nwall P1.W1 points=0\nwall P1.W2 points=0\n"
+               "pair Q1 a=P1.W1 b=P1.W2 match=- orient=+\n"
+               "surface F1 genus=0 boundary=WQ1:0\nsurface F2 genus=0 boundary=WQ1:0\n"
+               "sinks 1\n")
+
+
+def test_wall_curve_items_round_trip():
+    d = parse(WALL_CURVES)
+    assert [f.boundary for f in d.surfaces] == [(WallCurve("Q1", 0),)] * 2
+    assert validate(d).ok
+    assert serialize(d) == WALL_CURVES
+
+
+@pytest.mark.parametrize("item, token, expected", [
+    ("WQ1:x", "x", "an integer"),
+    ("WQ1:", "", "an integer"),
+    ("W:0", "", "a pair id of letters, digits, _, + and -, other than -"),
+    ("WQ1", "WQ1", "C<circle>:<sign> or W<pair>:<index>"),
+    ("XQ1:0", "XQ1:0", "C<circle>:<sign> or W<pair>:<index>"),
+])
+def test_malformed_wall_curve_items_are_refused(item, token, expected):
+    with pytest.raises(ParseError) as err:
+        parse(WALL_CURVES.replace("boundary=WQ1:0", f"boundary={item}", 1))
+    assert (err.value.line, err.value.token, err.value.expected) == (6, token, expected)
 
 
 # a parse error names its record's line, comments and blank lines counted

@@ -20,6 +20,7 @@ from msdiagram.core import (
     SpanningSurface,
     SpherePair,
     SphereWall,
+    WallCurve,
     handle_counts,
     validate,
 )
@@ -232,6 +233,23 @@ def test_to_kirby_with_strands_through_pair():
 def test_to_kirby_requires_single_piece():
     with pytest.raises(DiagramError):
         to_kirby(catalog.standard("cp2-two-piece"))
+
+
+def test_to_kirby_refuses_a_surface_it_cannot_count():
+    # a genus-1 surface is no sphere with holes
+    d = catalog.standard("s4-with-cancelling-pair")
+    d = replace(d, surfaces=(replace(d.surfaces[0], genus=1),))
+    assert validate(d).ok
+    with pytest.raises(DiagramError, match="^not admissible: genus 1: admissible surfaces "
+                                           "are spheres with holes$"):
+        to_kirby(d)
+    # two discs glued along wall curve 0 of s1xs3's self-pair: valid and
+    # admissible, but only merging glues wall curves
+    d = replace(catalog.standard("s1xs3"), surfaces=tuple(
+        SpanningSurface(f, 0, (WallCurve("Q1", 0),)) for f in ("F1", "F2")))
+    assert core.check_admissible(d).ok
+    with pytest.raises(DiagramError, match="^wall curves must be merged away before Kirby form$"):
+        to_kirby(d)
 
 
 def both_circles_through_the_internal_pair():

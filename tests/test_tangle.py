@@ -1,6 +1,7 @@
 """Tangle code basics: signs, linking, faces, Reidemeister moves."""
 
 import random
+import re
 import zlib
 
 import pytest
@@ -228,6 +229,17 @@ def test_r3_not_available_on_alternating_trefoil():
     assert len(tref.strands) == 1
     assert writhe(tref, "s1") == 3
     assert find_r3(tref, {}) == []
+
+
+def test_refusals_of_braid_r3_and_replay_name_their_input():
+    for letter in ((3, 1), (0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad braid letter {letter}')}$"):
+            tangle.braid([letter], [1, 1, 1], tangle.fresh_ids((), "x"))
+    tref = braid_closure([(1, 1)] * 3, 2)
+    with pytest.raises(MoveError, match=r"^no R3 triangle at \('x1', 'x2', 'x3'\)$"):
+        r3(tref, ("x1", "x2", "x3"), {})
+    with pytest.raises(MoveError, match="^unknown move 'r2\\+'$"):
+        apply_rmove(tref, tangle.RMove("r2+", ("x1",)))
 
 
 def test_braid_closure_planar():
