@@ -55,9 +55,10 @@ winning, and stores the map's __getitem__, so an unknown id raises KeyError.
 
 Every immutable record of the package (here, in core, invariants and
 equivalence) is declared with record: a frozen dataclass in behaviour
-(equality, hash, repr, replace, fields) whose class compiles one __init__
-and shares the other methods with every record, so importing the package
-compiles one function per record instead of six.  A record registers its
+(equality, hash, repr, replace, fields) whose __init__ is the template of
+its field count with the field names put in the code's placeholders, and
+which shares the other methods with every record, so importing the package
+compiles no function.  A record registers its
 fields with dataclasses on their first read, so dataclasses.fields and
 dataclasses.replace work on it, and the package copies records with its
 own replace: a process that reads no record's fields never imports
@@ -75,6 +76,7 @@ from collections import Counter
 from collections.abc import Container, Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import count
 from operator import attrgetter
+from types import FunctionType
 
 Visit = tuple[str, int]          # (crossing id, entry port)
 WallPoint = tuple[str, int]      # (wall id, marked point index)
@@ -164,13 +166,74 @@ def _refused_annotation(annotation) -> bool:
                                             or isinstance(annotation, dataclasses.InitVar)))
 
 
+# The __init__ of a record of n fields is _init<n> with the placeholders a, b,
+# ... renamed to the field names, in its parameters and in the names it stores;
+# the one record with __post_init__, Crossing, has _init2_post, which calls it.
+_set = object.__setattr__
+
+
+def _init1(self, a): _set(self, "a", a)
+def _init2(self, a, b): _set(self, "a", a); _set(self, "b", b)
+def _init2_post(self, a, b): _set(self, "a", a); _set(self, "b", b); self.__post_init__()
+def _init3(self, a, b, c): _set(self, "a", a); _set(self, "b", b); _set(self, "c", c)
+
+
+def _init4(self, a, b, c, d):
+    _set(self, "a", a); _set(self, "b", b); _set(self, "c", c); _set(self, "d", d)
+
+
+def _init5(self, a, b, c, d, e):
+    _set(self, "a", a); _set(self, "b", b); _set(self, "c", c); _set(self, "d", d)
+    _set(self, "e", e)
+
+
+def _init6(self, a, b, c, d, e, f):
+    _set(self, "a", a); _set(self, "b", b); _set(self, "c", c); _set(self, "d", d)
+    _set(self, "e", e); _set(self, "f", f)
+
+
+def _init7(self, a, b, c, d, e, f, g):
+    _set(self, "a", a); _set(self, "b", b); _set(self, "c", c); _set(self, "d", d)
+    _set(self, "e", e); _set(self, "f", f); _set(self, "g", g)
+
+
+def _init8(self, a, b, c, d, e, f, g, h):
+    _set(self, "a", a); _set(self, "b", b); _set(self, "c", c); _set(self, "d", d)
+    _set(self, "e", e); _set(self, "f", f); _set(self, "g", g); _set(self, "h", h)
+
+
+# (field count, whether the class has __post_init__) -> template
+_INITS = {(n, False): f for n, f in
+          enumerate((_init1, _init2, _init3, _init4, _init5, _init6, _init7, _init8), 1)}
+_INITS[2, True] = _init2_post
+
+
+def _record_init(cls, names: list, defaults: tuple):
+    """cls's __init__: its template with the placeholders renamed to names."""
+    post = hasattr(cls, "__post_init__")
+    template = _INITS.get((len(names), post))
+    if template is None:
+        raise TypeError(f"{cls.__name__}: no record template for a field count of "
+                        f"{len(names)}" + " with __post_init__" * post)
+    rename = dict(zip("abcdefgh", names))
+    code = template.__code__.replace(
+        co_name="__init__", co_varnames=("self", *names),
+        co_consts=tuple(rename.get(c, c) for c in template.__code__.co_consts),
+        **({"co_qualname": "__init__"} if sys.version_info >= (3, 11) else {}))
+    init = FunctionType(code, template.__globals__, "__init__", defaults or None)
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    return init
+
+
 def record(cls):
     """Make cls a frozen record of its annotated fields, as @dataclass(frozen=True) would.
 
     The fields are the names the class body annotates, in order, and their
     defaults the plain values it assigns them.  The record's own __init__
-    is compiled from one line per field and stores each through
-    object.__setattr__, then calls __post_init__ if the class has one.
+    is the template of its field count, _init1 to _init8, whose code takes
+    the field names for its placeholders: it stores each field through
+    object.__setattr__, and the template of a class with __post_init__
+    calls it next.  So making a record compiles no function.
     Equality (same class, equal field tuples), the hash of the field tuple,
     the repr and the refusal to assign or delete are functions every record
     shares.  dataclasses registers the fields on the first read of
@@ -179,31 +242,31 @@ def record(cls):
     the package copies records with replace below.  A record needs a
     docstring: without one, registration would set one from its signature.
     A ClassVar or InitVar annotation, a dataclasses.Field default such as
-    field(...) and an unhashable default are refused when the class is
-    made, since record reads every annotation as a plain field.
+    field(...), an unhashable default, a field without a default after one
+    with a default, a field named self and a field count with no template
+    are refused when the class is made, since record reads every annotation
+    as a plain field.
     """
     dataclasses = sys.modules.get("dataclasses")
-    names, params, env = [], [], {"_set": object.__setattr__}
+    names, defaults = [], []
     for name, annotation in cls.__dict__.get("__annotations__", {}).items():
         if _refused_annotation(annotation):
             raise TypeError(f"{cls.__name__}.{name}: a record takes no ClassVar or InitVar")
+        if name == "self":
+            raise TypeError(f"{cls.__name__}.{name}: a record takes no field named self")
         names.append(name)
         if name not in cls.__dict__:
-            params.append(name)
+            if defaults:
+                raise TypeError(f"{cls.__name__}.{name}: a field without a default "
+                                "follows one with a default")
             continue
         default = cls.__dict__[name]
         if dataclasses is not None and isinstance(default, dataclasses.Field):
             raise TypeError(f"{cls.__name__}.{name}: a record takes a plain default, not field()")
         if type(default).__hash__ is None:
             raise ValueError(f"{cls.__name__}.{name}: unhashable default {type(default)!r}")
-        env[f"_default_{name}"] = default
-        params.append(f"{name}=_default_{name}")
-    body = [f"_set(self, {n!r}, {n})" for n in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
-    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = env["__init__"]
+        defaults.append(default)
+    cls.__init__ = _record_init(cls, names, tuple(defaults))
     cls._record_names = cls.__match_args__ = tuple(names)
     # attrgetter of one name returns the bare value, not a 1-tuple
     get = attrgetter(*names)

@@ -283,6 +283,20 @@ def test_blow_up_and_blow_down_refusals_name_their_site():
         blow_down(closure([(1, 1)] * 6, 2, [1, 0]), "c1")
 
 
+@pytest.mark.xfail(strict=True, raises=RefusalError, reason=(
+    "blow_down splices the twist block whose lanes are two visit pairs of one "
+    "strand into a separate component: 'blow-down broke the diagram: ... "
+    "V-E+F = 2-4+2 != 2'"))
+def test_blow_down_of_a_circle_one_strand_pierces_twice():
+    # T(2,4): s2 pierces the +1-framed c1 twice, so lk(c1, c2) = 2 and c2's
+    # framing becomes 0 - 2^2
+    d = closure([(1, 1)] * 4, 2, [1, 0])
+    assert validate(d).ok
+    out = blow_down(d, "c1")
+    assert validate(out).ok, validate(out).findings
+    assert [(c.id, c.framing) for c in out.circles] == [("c2", -4)]
+
+
 def test_blow_down_refuses_an_odd_crossing_pattern():
     # an arc between two walls crosses the +1-framed c1 once.  The arc
     # belongs to no circle, so the diagram is invalid: in a valid one the

@@ -96,28 +96,32 @@ def test_cold_cli_import_loads_no_typing():
     assert "msdiagram.tangle" in loaded and "typing" not in loaded
 
 
-def test_cold_cli_import_compiles_one_function_per_record():
-    # functions compiled by exec calls from dataclasses or tangle.record, less
-    # the __create_fn__ wrappers dataclasses builds them in, and the records loaded;
-    # only msdiagram.tangle calls exec, as no record registers its fields until read
+def test_cold_cli_import_compiles_no_function():
+    # exec, eval and compile calls made from the package or from dataclasses
+    # while msd's modules load, and the records loaded: each record's __init__
+    # is a template's code with its names replaced, and no record registers
+    # its fields with dataclasses until they are read
     made, records = json.loads(fresh(
-        "import ast, builtins, dataclasses, json, sys\n"
-        "real, made = builtins.exec, []\n"
-        "def counting(source, *args, **kwargs):\n"
-        "    caller = sys._getframe(1).f_globals.get('__name__')\n"
-        "    if caller in ('dataclasses', 'msdiagram.tangle'):\n"
-        "        made.extend(n.name for n in ast.walk(ast.parse(source))\n"
-        "                    if isinstance(n, ast.FunctionDef) and n.name != '__create_fn__')\n"
-        "    return real(source, *args, **kwargs)\n"
-        "builtins.exec = counting\n"
+        "import builtins, dataclasses, json, sys\n"
+        "made, real = [], {n: getattr(builtins, n) for n in ('exec', 'eval', 'compile')}\n"
+        "def counting(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        caller = sys._getframe(1).f_globals.get('__name__', '')\n"
+        "        if caller.partition('.')[0] in ('dataclasses', 'msdiagram'):\n"
+        "            made.append([name, caller])\n"
+        "        return real[name](*args, **kwargs)\n"
+        "    return call\n"
+        "for name in real:\n"
+        "    setattr(builtins, name, counting(name))\n"
         "import msdiagram.cli\n"
-        "builtins.exec = real\n"
+        "for name, f in real.items():\n"
+        "    setattr(builtins, name, f)\n"
         "records = [c for m in list(sys.modules) if m.startswith('msdiagram.')\n"
         "           for c in vars(sys.modules[m]).values() if isinstance(c, type)\n"
         "           and c.__module__ == m and dataclasses.is_dataclass(c)]\n"
         "print(json.dumps([made, len(records)]))"))
     assert records == 19
-    assert made == ["__init__"] * records
+    assert made == []
 
 
 @pytest.fixture

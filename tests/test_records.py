@@ -8,6 +8,7 @@ registers its fields with dataclasses on their first read, and
 tangle.replace copies it as dataclasses.replace would.
 """
 
+import dis
 import importlib
 import inspect
 import json
@@ -96,6 +97,60 @@ def test_record_matches_frozen_dataclass(cls):
         cls(*args, None)
     # a docstring of its own, not one dataclass computes from a signature
     assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+
+
+def old_init(cls):
+    """The __init__ record compiled before its templates: one line per field,
+    compiled here on the running Python."""
+    env, params = {"_set": object.__setattr__}, []
+    for f in fields(cls):
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    body = [f"_set(self, {f.name!r}, {f.name})" for f in fields(cls)]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return env["__init__"]
+
+
+def refusal(init, cls, *args, **kwargs) -> str:
+    """The text of the error init raises on a fresh instance of cls."""
+    with pytest.raises((TypeError, ValueError)) as got:
+        init(object.__new__(cls), *args, **kwargs)
+    return f"{got.type.__name__}: {got.value}"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_template_init_matches_the_compiled_one(cls):
+    new, old = cls.__init__, old_init(cls)
+    assert inspect.signature(new) == inspect.signature(old)
+    assert new.__defaults__ == old.__defaults__
+    assert all(a is b for a, b in zip(new.__defaults__ or (), old.__defaults__ or ()))
+    assert new.__name__ == old.__name__ and new.__qualname__ == old.__qualname__
+    # the same instructions on the same names and constants
+    assert [(i.opname, i.argval) for i in dis.get_instructions(new)] == \
+        [(i.opname, i.argval) for i in dis.get_instructions(old)]
+    args = values(cls, "a")
+    made = [object.__new__(cls) for _ in "ab"]
+    new(made[0], *args)
+    old(made[1], *args)
+    assert list(vars(made[0]).items()) == list(vars(made[1]).items())
+    assert made[0] == made[1] == cls(*args)
+    # a missing argument, an extra positional one and an unknown keyword (a
+    # near miss, so Python 3.13 suggests the field name in both)
+    names = [f.name for f in fields(cls)]
+    for bad_args, bad_kwargs in [((), {}), ((*args, None), {}),
+                                 (args, {f"{names[-1]}x": 1})]:
+        if bad_args or any(f.default is MISSING for f in fields(cls)):
+            assert refusal(new, cls, *bad_args, **bad_kwargs) == \
+                refusal(old, cls, *bad_args, **bad_kwargs)
+    if cls is Crossing:
+        assert refusal(new, cls, "x", 3) == refusal(old, cls, "x", 3) == \
+            "ValueError: crossing x: over must be 1 or 2"
 
 
 def test_records_of_different_classes_differ():
@@ -191,3 +246,21 @@ def test_record_refuses_what_it_cannot_read(line, error, future):
     with pytest.raises(error, match="Bad.(count|scale|items)"):
         exec(source, {"record": record, "ClassVar": ClassVar, "InitVar": InitVar,
                       "field": field})
+
+
+# a class body record has no template for, and the error it raises at class creation
+NO_TEMPLATE = {
+    "default-first": ("a: int = 0\n    b: int", "Bad.b: a field without a default follows"),
+    "self": ("self: int", "Bad.self: a record takes no field named self"),
+    "no-fields": ("", "Bad: no record template for a field count of 0$"),
+    "nine-fields": ("\n    ".join(f"f{i}: int" for i in range(9)),
+                    "Bad: no record template for a field count of 9$"),
+    "post-init": ("a: int\n    def __post_init__(self):\n        pass",
+                  "Bad: no record template for a field count of 1 with __post_init__$"),
+}
+
+
+@pytest.mark.parametrize("body,error", NO_TEMPLATE.values(), ids=list(NO_TEMPLATE))
+def test_record_refuses_a_class_with_no_template(body, error):
+    with pytest.raises(TypeError, match=error):
+        exec(f"@record\nclass Bad:\n    \"\"\"A record.\"\"\"\n\n    {body}\n", {"record": record})
